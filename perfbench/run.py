@@ -9,57 +9,15 @@ The binary is built with `cargo build --release --offline` into
 $CARGO_TARGET_DIR (default: .bench_build).  The binary's arguments are
 passed through; its last line of output is the result.
 
-The depth-1 workloads run pinned to one CPU, which keeps every client to
-server hand-off on one core.  `ingest_fresh` keeps every CPU: its
-producer, its auditor and the server's apply thread must run side by
-side, and pinned, the auditor's round trip spread four times as far
-between runs (0.26 against 0.06 over ten seeds).
+The run is pinned to one fixed CPU, the highest-numbered one it may use,
+which keeps every client to server hand-off on one core.
 """
 
 import os
 import subprocess
 import sys
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-
-# Workloads whose load threads must run side by side, on every CPU.
-UNPINNED = {"ingest_fresh"}
-
-
-def spin_rate(seconds=0.1):
-    """Loop iterations per second on the CPU this process is pinned to."""
-    spins = 0
-    started = time.perf_counter()
-    while time.perf_counter() - started < seconds:
-        for _ in range(1000):
-            pass
-        spins += 1
-    return spins / (time.perf_counter() - started)
-
-
-def quietest_cpu():
-    """The allowed CPU that runs a busy loop fastest right now.
-
-    On a shared virtual machine the vCPUs slow down and speed up with
-    other tenants' load; starting on the least contended one narrows the
-    spread between runs.
-    """
-    allowed = sorted(os.sched_getaffinity(0))
-    rates = {}
-    for cpu in allowed:
-        os.sched_setaffinity(0, {cpu})
-        rates[cpu] = spin_rate()
-    os.sched_setaffinity(0, set(allowed))
-    return max(allowed, key=lambda cpu: rates[cpu])
-
-
-def workload(args):
-    """The value of `--workload` in `args`, if any."""
-    for flag, value in zip(args, args[1:]):
-        if flag == "--workload":
-            return value
-    return None
 
 
 def main():
@@ -74,8 +32,7 @@ def main():
     if build.returncode != 0:
         print("perfbench: build failed", file=sys.stderr)
         return build.returncode or 1
-    if workload(sys.argv[1:]) not in UNPINNED:
-        os.sched_setaffinity(0, {quietest_cpu()})
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     binary = os.path.join(target, "release", "piprov-perfbench")
     work = os.path.join(HERE, ".work")
     code = subprocess.run([binary, *sys.argv[1:], "--work-dir", work]).returncode

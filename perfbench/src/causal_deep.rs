@@ -7,13 +7,12 @@
 //! bypasses the memo) and O(depth) responses through the codec.
 
 use crate::gen::{
-    causal_pack, deep_values, write_store, DeepValue, CAUSAL_DIRECT, CAUSAL_INSPECTED,
+    causal_pack, deep_value, deep_values, write_store, DeepValue, CAUSAL_DIRECT, CAUSAL_INSPECTED,
 };
-use crate::harness::{depth1, reference, start, timed_setup, Ctx, WORKERS};
+use crate::harness::{depth1, fresh_setups, reference, start, Ctx, Plan, SETUPS, WORKERS};
 use crate::stats::{Blocks, Report, Rng, Tally};
 use crate::{layers, meta, Meta, BLOCKS};
 use piprov_audit::{AuditRequest, AuditResponse, EventFilter};
-use piprov_policy::PackSource;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -25,17 +24,31 @@ pub const DEPTH: usize = 1_024;
 const CF_PER_10S: usize = 40_000;
 const WHY_PER_10S: usize = 6_000;
 
+/// The causal pack, and one vet per value and policy as the memo
+/// warm-up.
+pub fn plan() -> Plan {
+    Plan {
+        pack: causal_pack(),
+        warm: (0..VALUES)
+            .flat_map(|i| {
+                [CAUSAL_INSPECTED, CAUSAL_DIRECT].map(|policy| AuditRequest::VetValue {
+                    value: deep_value(i),
+                    pattern: policy.to_string(),
+                })
+            })
+            .collect(),
+    }
+}
+
 #[derive(Debug)]
 pub struct Inputs {
     pub dir: PathBuf,
-    pub pack: PackSource,
+    pub plan: Plan,
     pub values: Vec<DeepValue>,
     /// Counterfactual requests, then why requests (`cf` of them first).
     pub requests: Vec<AuditRequest>,
     pub expected: Vec<AuditResponse>,
     pub cf: usize,
-    /// One vet per value and policy: the set-up's memo warm-up.
-    pub warm: Vec<AuditRequest>,
 }
 
 pub fn prepare(ctx: &Ctx, rng: &mut Rng) -> Result<Inputs, String> {
@@ -43,7 +56,7 @@ pub fn prepare(ctx: &Ctx, rng: &mut Rng) -> Result<Inputs, String> {
     let dir = ctx.dir("causal_deep");
     let records: Vec<_> = values.iter().map(|v| v.record.clone()).collect();
     write_store(&dir, &records)?;
-    let pack = causal_pack();
+    let plan = plan();
     let mut requests = Vec::new();
     for v in &values {
         for policy in [CAUSAL_INSPECTED, CAUSAL_DIRECT] {
@@ -61,24 +74,14 @@ pub fn prepare(ctx: &Ctx, rng: &mut Rng) -> Result<Inputs, String> {
         value: v.value.clone(),
         pattern: CAUSAL_INSPECTED.to_string(),
     }));
-    let expected = reference(&dir, &pack, &requests)?;
-    let warm = values
-        .iter()
-        .flat_map(|v| {
-            [CAUSAL_INSPECTED, CAUSAL_DIRECT].map(|policy| AuditRequest::VetValue {
-                value: v.value.clone(),
-                pattern: policy.to_string(),
-            })
-        })
-        .collect();
+    let expected = reference(&dir, &plan.pack, &requests)?;
     Ok(Inputs {
         dir,
-        pack,
+        plan,
         values,
         requests,
         expected,
         cf,
-        warm,
     })
 }
 
@@ -97,9 +100,9 @@ pub fn order(rng: &mut Rng, inputs: &Inputs, cf: usize, why: usize) -> Vec<u32> 
 pub fn run(ctx: &Ctx) -> Result<Report, String> {
     let mut rng = Rng::new(ctx.seed);
     let inputs = prepare(ctx, &mut rng)?;
-    let setup = || start(&inputs.dir, &inputs.pack, &inputs.warm, 1, ctx.trace);
     if ctx.trace {
-        return layers::causal_deep(&inputs, &mut rng, setup()?);
+        let served = start(&inputs.dir, &inputs.plan, true)?;
+        return layers::causal_deep(&inputs, &mut rng, served);
     }
     let cf_per_block = ctx.count(CF_PER_10S, 2_000 * BLOCKS) / BLOCKS;
     let why_per_block = ctx.count(WHY_PER_10S, 100 * BLOCKS) / BLOCKS;
@@ -111,9 +114,6 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         ctx,
         workers: WORKERS,
         h0: VALUES,
-        batch: 0,
-        batches: 0,
-        rate_per_s: 0.0,
         requests: &[
             ("counterfactuals", cf_per_block * BLOCKS),
             ("why_slices", why_per_block * BLOCKS),
@@ -121,15 +121,15 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         ],
     });
 
-    let timed = timed_setup(setup)?;
-    let mut served = timed.served;
+    let setup = fresh_setups("causal_deep", &inputs.dir, SETUPS)?;
+    let mut served = start(&inputs.dir, &inputs.plan, false)?;
     let mut tally = Tally::default();
     let mut counterfactuals = Blocks::default();
     let mut whys = Blocks::default();
     let started = Instant::now();
     for order in &orders {
         let (times, _) = depth1(
-            &mut served.clients[0],
+            &mut served.client,
             &inputs.requests,
             &inputs.expected,
             order,
@@ -144,10 +144,10 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
     served.stop()?;
 
     let mut report = Report::new(tally);
-    report.metric("setup_s", timed.setup_s, "s");
+    report.metric("setup_s", setup.setup_s, "s");
     report.metric(
         "mem_bytes_per_record",
-        timed.heap_bytes / VALUES as f64,
+        setup.heap_bytes / VALUES as f64,
         "B",
     );
     report.metric("latency_p50_us", counterfactuals.p50_us(), "us");

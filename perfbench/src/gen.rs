@@ -38,6 +38,16 @@ pub fn supply_chain_pack() -> Result<PackSource, String> {
     PackSource::from_dir(&dir).map_err(|e| format!("read {}: {e}", dir.display()))
 }
 
+/// The value of supply-chain item `i`.
+pub fn item_value(i: usize) -> Value {
+    Value::Channel(Channel::new(format!("item{i}")))
+}
+
+/// The value of deep causal value `i`.
+pub fn deep_value(i: usize) -> Value {
+    Value::Channel(Channel::new(format!("deep{i}")))
+}
+
 fn ev_out(principal: &str) -> Event {
     Event::output(Principal::new(principal), Provenance::empty())
 }
@@ -70,7 +80,7 @@ pub fn supply_chain_items(
     let mut history = Vec::new();
     let mut newest = Vec::with_capacity(items);
     for i in 0..items {
-        let value = Value::Channel(Channel::new(format!("item{i}")));
+        let value = item_value(i);
         let vendor = format!("supplier{}", rng.below(4));
         let mut spine = lots[rng.below(LOTS)].prepend(ev_out(&vendor));
         let mut record = ProvenanceRecord::new(
@@ -163,7 +173,7 @@ pub fn deep_values(rng: &mut Rng, values: usize, depth: usize) -> Vec<DeepValue>
             let vendor = format!("s{}", rng.below(4));
             let inspector = format!("d{}", rng.below(8));
             let spine = suffix.prepend(ev_in(&inspector)).prepend(ev_out(&vendor));
-            let value = Value::Channel(Channel::new(format!("deep{i}")));
+            let value = deep_value(i);
             DeepValue {
                 record: ProvenanceRecord::new(
                     i as u64,

@@ -8,7 +8,9 @@ use piprov_policy::{PackSource, PolicyPack};
 use piprov_serve::{
     AuditClient, AuditServer, ClientConfig, ClientError, PackLoadOutcome, ServeConfig,
 };
+use piprov_store::ProvenanceStore;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,7 +19,7 @@ use std::time::{Duration, Instant};
 /// would only add hand-offs.
 pub const WORKERS: usize = 1;
 
-/// Set-ups per run; `setup_s` is their median.
+/// Set-ups per run, each in a fresh process; `setup_s` is their median.
 pub const SETUPS: usize = 21;
 
 /// Ring capacity of a traced server: room for a whole traced chunk.
@@ -80,75 +82,144 @@ pub fn connect(server: &AuditServer, traced: bool) -> Result<AuditClient, String
     AuditClient::connect_with(server.local_addr(), config).map_err(|e| format!("connect: {e}"))
 }
 
-/// A running server with its connected clients.
+/// What a set-up installs and warms: everything but the history, so a
+/// fresh process can build it without interning the history first.
+#[derive(Debug)]
+pub struct Plan {
+    pub pack: PackSource,
+    /// Pipelined after the pack is installed, to warm the memos.
+    pub warm: Vec<AuditRequest>,
+}
+
+/// A running server with its connected client.
 #[derive(Debug)]
 pub struct Served {
     pub server: AuditServer,
-    pub clients: Vec<AuditClient>,
+    pub client: AuditClient,
 }
 
 impl Served {
     pub fn stop(self) -> Result<(), String> {
-        drop(self.clients);
+        drop(self.client);
         self.server.shutdown().map_err(|e| format!("shutdown: {e}"))
     }
 }
 
-/// One set-up: recover the history at `dir`, bind, connect, install the
-/// pack over the wire and warm the memos with `warm`.
-pub fn start(
-    dir: &Path,
-    pack: &PackSource,
-    warm: &[AuditRequest],
-    connections: usize,
-    traced: bool,
-) -> Result<Served, String> {
-    let engine = Arc::new(AuditEngine::open(dir).map_err(|e| format!("recover: {e}"))?);
-    let server = bind(engine, traced)?;
-    let mut clients = (0..connections)
-        .map(|_| connect(&server, traced))
-        .collect::<Result<Vec<_>, _>>()?;
-    match clients[0].load_pack(pack) {
+/// Serves `engine`: bind, connect, install the pack over the wire and
+/// warm the memos.
+fn serve(engine: AuditEngine, plan: &Plan, traced: bool) -> Result<Served, String> {
+    let server = bind(Arc::new(engine), traced)?;
+    let mut client = connect(&server, traced)?;
+    match client.load_pack(&plan.pack) {
         Ok(PackLoadOutcome::Loaded { .. }) => {}
         other => return Err(format!("pack not installed: {other:?}")),
     }
-    for window in warm.chunks(WARM_WINDOW) {
-        clients[0]
-            .pipeline(window)
-            .map_err(|e| format!("warm: {e}"))?;
+    for window in plan.warm.chunks(WARM_WINDOW) {
+        client.pipeline(window).map_err(|e| format!("warm: {e}"))?;
     }
-    Ok(Served { server, clients })
+    Ok(Served { server, client })
 }
 
-/// Set-up measured `SETUPS` times; all but the last are torn down.
-#[derive(Debug)]
-pub struct TimedSetup {
-    pub served: Served,
-    /// Median set-up time, seconds.
+/// Recovers the history at `dir` and serves it.
+pub fn start(dir: &Path, plan: &Plan, traced: bool) -> Result<Served, String> {
+    let engine = AuditEngine::open(dir).map_err(|e| format!("recover: {e}"))?;
+    serve(engine, plan, traced)
+}
+
+/// What one set-up cost.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SetupCost {
+    /// From opening the store to the last warm-up answer, seconds.
     pub setup_s: f64,
-    /// Heap bytes the last set-up added.
+    /// Live heap bytes the set-up added, all told.
     pub heap_bytes: f64,
+    /// Of those, what `ProvenanceStore::open` added.
+    pub store_bytes: f64,
+    /// And what `AuditEngine::new` added on top: the recovered snapshot.
+    pub snapshot_bytes: f64,
 }
 
-pub fn timed_setup(
-    mut setup: impl FnMut() -> Result<Served, String>,
-) -> Result<TimedSetup, String> {
-    let mut times = Vec::with_capacity(SETUPS);
-    for round in 0..SETUPS {
-        let before = live_bytes();
-        let started = Instant::now();
-        let served = setup()?;
-        times.push(started.elapsed().as_secs_f64());
-        if round + 1 == SETUPS {
-            return Ok(TimedSetup {
-                served,
-                setup_s: median(&times),
-                heap_bytes: (live_bytes() - before) as f64,
-            });
-        }
-        served.stop()?;
+/// One set-up in this process: `start`, timed and heap-counted in steps.
+/// Run it in a process that has not interned the history yet, or every
+/// DAG node the recovery creates is already there and neither its time
+/// nor its memory is counted.
+pub fn fresh_setup(dir: &Path, plan: &Plan) -> Result<SetupCost, String> {
+    let base = live_bytes();
+    let started = Instant::now();
+    let store = ProvenanceStore::open(dir).map_err(|e| format!("recover: {e}"))?;
+    let opened = live_bytes();
+    let engine = AuditEngine::new(store);
+    let recovered = live_bytes();
+    let served = serve(engine, plan, false)?;
+    let setup_s = started.elapsed().as_secs_f64();
+    let cost = SetupCost {
+        setup_s,
+        heap_bytes: (live_bytes() - base) as f64,
+        store_bytes: (opened - base) as f64,
+        snapshot_bytes: (recovered - opened) as f64,
+    };
+    served.stop()?;
+    Ok(cost)
+}
+
+impl SetupCost {
+    /// The line a set-up process prints.
+    pub fn line(&self) -> String {
+        format!(
+            "{:?} {:?} {:?} {:?}",
+            self.setup_s, self.heap_bytes, self.store_bytes, self.snapshot_bytes
+        )
     }
-    unreachable!("SETUPS is positive")
+
+    fn parse(line: &str) -> Option<SetupCost> {
+        let fields: Vec<f64> = line
+            .split_whitespace()
+            .map(str::parse)
+            .collect::<Result<_, _>>()
+            .ok()?;
+        match fields[..] {
+            [setup_s, heap_bytes, store_bytes, snapshot_bytes] => Some(SetupCost {
+                setup_s,
+                heap_bytes,
+                store_bytes,
+                snapshot_bytes,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// `count` set-ups of `workload` over the history at `dir`, each in a
+/// fresh process of this binary (`setup <workload> <dir>`), run one after
+/// the other; the median of each figure.
+pub fn fresh_setups(workload: &str, dir: &Path, count: usize) -> Result<SetupCost, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("own path: {e}"))?;
+    let mut costs = Vec::with_capacity(count);
+    for _ in 0..count {
+        let out = Command::new(&exe)
+            .arg("setup")
+            .arg(workload)
+            .arg(dir)
+            .stderr(Stdio::inherit())
+            .output()
+            .map_err(|e| format!("set-up process: {e}"))?;
+        if !out.status.success() {
+            return Err(format!("set-up process failed: {}", out.status));
+        }
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        costs.push(
+            SetupCost::parse(stdout.trim())
+                .ok_or_else(|| format!("set-up process printed {stdout:?}"))?,
+        );
+    }
+    let median_of =
+        |field: fn(&SetupCost) -> f64| median(&costs.iter().map(field).collect::<Vec<_>>());
+    Ok(SetupCost {
+        setup_s: median_of(|c| c.setup_s),
+        heap_bytes: median_of(|c| c.heap_bytes),
+        store_bytes: median_of(|c| c.store_bytes),
+        snapshot_bytes: median_of(|c| c.snapshot_bytes),
+    })
 }
 
 /// The oracle: each request answered by a separate in-process engine

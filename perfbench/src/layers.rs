@@ -8,9 +8,8 @@
 //! causal view — timed from here, and a framed loopback echo measures the
 //! floor no serving change can beat.
 
-use crate::alloc::live_bytes;
-use crate::harness::{connect, copy_dir, depth1, Served};
-use crate::ingest_fresh::{self, stream, Batches, StreamResult};
+use crate::harness::{connect, copy_dir, depth1, fresh_setups, Served};
+use crate::probe::{stream, Batches};
 use crate::stats::{percentile, us, Report, Rng, Tally};
 use crate::{causal_deep, gen, vet_wire};
 use piprov_audit::{
@@ -83,10 +82,14 @@ const REPLAYS: usize = 2_000;
 const REPLAY_BATCHES: usize = 400;
 /// Of those, how many are followed by a timed `sync`.
 const SYNCS: usize = 50;
-/// Batches and offered rate of the ingest probe of `vet_wire`.
-const VET_PROBE: (usize, f64) = (400, ingest_fresh::RATE_PER_S);
+/// Batches and offered rate (batches per second) of the ingest probe of
+/// `vet_wire`.  Pinned to one CPU of a 2-vCPU host, the visibility p99
+/// over 1,500 batches starts to climb between 450 and 600 batches/s.
+const VET_PROBE: (usize, f64) = (400, 100.0);
 /// The same for `causal_deep`, whose deep records cost far more to apply.
 const CAUSAL_PROBE: (usize, f64) = (64, 25.0);
+/// Fresh-process set-ups whose median heap split gives `mem.*`.
+const MEM_SETUPS: usize = 3;
 /// Frames bounced by the loopback echo.
 const ECHOES: usize = 10_000;
 
@@ -121,16 +124,30 @@ impl Layers {
         self.values.insert(name, value);
     }
 
-    fn report(self) -> Report {
-        let mut report = Report::new(self.tally);
+    /// Every per-layer metric; one left unmeasured fails the run.
+    fn report(mut self) -> Report {
+        let mut values = Vec::with_capacity(PER_LAYER.len());
         for (name, unit) in PER_LAYER {
-            let value = self.values.get(name).copied().unwrap_or_else(|| {
+            let value = self.values.get(name).copied();
+            if value.is_none() {
                 eprintln!("perfbench: layer metric {name} not measured");
-                0.0
-            });
+            }
+            self.tally.record(value.is_some());
+            values.push((name, value.unwrap_or(0.0), unit));
+        }
+        let mut report = Report::new(self.tally);
+        for (name, value, unit) in values {
             report.metric(name, value, unit);
         }
         report
+    }
+
+    /// Sets `name` to the median of `ns` in microseconds, unless no
+    /// sample was taken.
+    fn set_p50(&mut self, name: &'static str, ns: &[u64]) {
+        if !ns.is_empty() {
+            self.set(name, p50(ns));
+        }
     }
 }
 
@@ -222,12 +239,12 @@ fn traced_depth1(
 
 impl Traced {
     fn record(&self, layers: &mut Layers) {
-        layers.set("budget.e2e_p50_us", p50(&self.rtt_ns));
-        layers.set("client.encode_us", p50(&self.encode_ns));
-        layers.set("codec.decode_request_us", p50(&self.decode_ns));
-        layers.set("engine.handle_span_us", p50(&self.handle_ns));
-        layers.set("event_loop.write_us", p50(&self.write_ns));
-        layers.set("event_loop.unattributed_us", p50(&self.unattributed_ns));
+        layers.set_p50("budget.e2e_p50_us", &self.rtt_ns);
+        layers.set_p50("client.encode_us", &self.encode_ns);
+        layers.set_p50("codec.decode_request_us", &self.decode_ns);
+        layers.set_p50("engine.handle_span_us", &self.handle_ns);
+        layers.set_p50("event_loop.write_us", &self.write_ns);
+        layers.set_p50("event_loop.unattributed_us", &self.unattributed_ns);
         let stats: Vec<_> = self.responses.iter().map(|r| r.stats).collect();
         layers.set(
             "engine.dag_nodes_per_request",
@@ -330,10 +347,9 @@ fn replay_engine(
 /// Replays the apply path on copies of the store at `dir`: a spare
 /// `ProvenanceStore` (append, sync) and an `AuditEngine` (ingest_batch,
 /// and `SharedStoreIndex::extended` on its published snapshot), both aged
-/// to the same history.  Also splits the heap the two hold per record.
+/// to the same history.
 fn replay_apply(
     dir: &Path,
-    records: usize,
     batches: &[Vec<ProvenanceRecord>],
     layers: &mut Layers,
 ) -> Result<(), String> {
@@ -342,20 +358,7 @@ fn replay_apply(
     copy_dir(dir, &store_dir)?;
     copy_dir(dir, &engine_dir)?;
     let mut store = ProvenanceStore::open(&store_dir).map_err(|e| format!("replay store: {e}"))?;
-    let before = live_bytes();
-    let engine_store =
-        ProvenanceStore::open(&engine_dir).map_err(|e| format!("replay engine store: {e}"))?;
-    let opened = live_bytes();
-    let engine = AuditEngine::new(engine_store);
-    let published = live_bytes();
-    layers.set(
-        "mem.store_bytes_per_record",
-        (opened - before) as f64 / records as f64,
-    );
-    layers.set(
-        "mem.snapshot_bytes_per_record",
-        (published - opened) as f64 / records as f64,
-    );
+    let engine = AuditEngine::open(&engine_dir).map_err(|e| format!("replay engine: {e}"))?;
 
     let (mut append, mut sync, mut apply, mut publish, mut extend) =
         (vec![], vec![], vec![], vec![], vec![]);
@@ -472,16 +475,16 @@ fn loopback(body_len: usize, layers: &mut Layers) -> Result<(), String> {
 }
 
 /// An open-loop ingest stream from a traced producer while an untraced
-/// auditor polls; returns the stream and each batch's trace record.
+/// auditor polls.
 fn traced_stream(
     served: &mut Served,
     batches: &Batches,
     h0: usize,
     rate_per_s: f64,
     layers: &mut Layers,
-) -> Result<(StreamResult, Vec<TraceRecord>), String> {
+) -> Result<(), String> {
     let mut auditor = connect(&served.server, false)?;
-    let producer = &mut served.clients[0];
+    let producer = &mut served.client;
     let result = stream(producer, &mut auditor, batches, h0 as u64, rate_per_s)?;
     layers.tally.add(result.tally);
     let records = last_traces(producer, &[RequestKind::Ingest], batches.records.len())?;
@@ -506,7 +509,7 @@ fn traced_stream(
                 visible.saturating_sub(known)
             })
             .collect();
-        layers.set("ingest.unattributed_us", p50(&unattributed));
+        layers.set_p50("ingest.unattributed_us", &unattributed);
     } else {
         eprintln!(
             "perfbench: {} ingest traces for {} visible batches; residual not computed",
@@ -519,13 +522,33 @@ fn traced_stream(
         "ingest.queue_wait_p99_us",
         us(percentile(&queue_wait, 99.0)),
     );
-    layers.set("ingest.visible_p50_us", p50(&result.visible_ns));
+    layers.set_p50("ingest.visible_p50_us", &result.visible_ns);
     layers.set("load.late_p99_us", us(percentile(&result.late_ns, 99.0)));
     layers.set(
         "ingest.busy_ratio",
         ratio(result.busy, batches.records.len() as u64),
     );
-    Ok((result, records))
+    Ok(())
+}
+
+/// The store-versus-snapshot heap split per record, from set-ups in fresh
+/// processes (see `harness::fresh_setup`).
+fn mem_split(
+    workload: &str,
+    dir: &Path,
+    records: usize,
+    layers: &mut Layers,
+) -> Result<(), String> {
+    let cost = fresh_setups(workload, dir, MEM_SETUPS)?;
+    layers.set(
+        "mem.store_bytes_per_record",
+        cost.store_bytes / records as f64,
+    );
+    layers.set(
+        "mem.snapshot_bytes_per_record",
+        cost.snapshot_bytes / records as f64,
+    );
+    Ok(())
 }
 
 /// Memo and interner counters before the traced traffic.
@@ -573,11 +596,6 @@ fn policy_pattern(pack: &PackSource, name: &str) -> Result<Pattern, String> {
         .get(name)
         .map(|def| def.pattern.clone())
         .ok_or_else(|| format!("policy {name} not in pack"))
-}
-
-/// Seeded sample of `count` indices below `range`.
-fn sample(rng: &mut Rng, count: usize, range: usize) -> Vec<u32> {
-    (0..count).map(|_| rng.below(range) as u32).collect()
 }
 
 /// Engine, automaton and causal-view replays over supply-chain items,
@@ -641,7 +659,7 @@ fn probe_and_apply(
     traced_stream(served, &probe, records, rate_per_s, layers)?;
     let batches: Vec<Vec<ProvenanceRecord>> =
         probe.records.iter().take(REPLAY_BATCHES).cloned().collect();
-    replay_apply(&replay_dir, records, &batches, layers)?;
+    replay_apply(&replay_dir, &batches, layers)?;
     let _ = std::fs::remove_dir_all(&replay_dir);
     Ok(())
 }
@@ -652,13 +670,15 @@ pub fn vet_wire(
     mut served: Served,
 ) -> Result<Report, String> {
     let mut layers = Layers::default();
+    mem_split("vet_wire", &inputs.dir, inputs.records, &mut layers)?;
     let engine = Arc::clone(served.server.engine());
     let counters = Counters::read(&engine, gen::SUPPLY_POLICIES[0]);
-    let order = sample(rng, 2 * CHUNK, inputs.requests.len());
+    let requests = inputs.requests();
+    let order = rng.indices(2 * CHUNK, requests.len());
     let mut untraced = connect(&served.server, false)?;
     let (plain, _) = depth1(
         &mut untraced,
-        &inputs.requests,
+        requests,
         &inputs.expected,
         &order,
         false,
@@ -666,8 +686,8 @@ pub fn vet_wire(
     )?;
     drop(untraced);
     let traced = traced_depth1(
-        &mut served.clients[0],
-        &inputs.requests,
+        &mut served.client,
+        requests,
         &inputs.expected,
         &order,
         &mut layers.tally,
@@ -676,19 +696,19 @@ pub fn vet_wire(
     traced.record(&mut layers);
     let sampled: Vec<AuditRequest> = order
         .iter()
-        .map(|&i| inputs.requests[i as usize].clone())
+        .map(|&i| requests[i as usize].clone())
         .collect();
     replay_codec(&sampled, &traced.responses, &mut layers);
     loopback(
         encode_request(&WireRequest::Audit(sampled[0].clone())).len(),
         &mut layers,
     )?;
-    supply_chain_replays(&engine, &inputs.pack, &inputs.newest, &mut layers)?;
+    supply_chain_replays(&engine, &inputs.plan.pack, &inputs.newest, &mut layers)?;
     counters.finish(&engine, &mut layers);
     probe_and_apply(
         &mut served,
         &inputs.dir,
-        &inputs.pack,
+        &inputs.plan.pack,
         inputs.records,
         &inputs.newest,
         VET_PROBE,
@@ -699,141 +719,13 @@ pub fn vet_wire(
     Ok(layers.report())
 }
 
-pub fn ingest_fresh(
-    inputs: &ingest_fresh::Inputs,
-    rng: &mut Rng,
-    mut served: Served,
-) -> Result<Report, String> {
-    let mut layers = Layers::default();
-    let engine = Arc::clone(served.server.engine());
-    let counters = Counters::read(&engine, gen::SUPPLY_POLICIES[2]);
-    let order = sample(rng, 2 * CHUNK, inputs.warm.len());
-    let expected: Vec<AuditResponse> = inputs.warm.iter().map(|r| engine.handle(r)).collect();
-    let mut untraced = connect(&served.server, false)?;
-    let (plain, _) = depth1(
-        &mut untraced,
-        &inputs.warm,
-        &expected,
-        &order,
-        false,
-        &mut layers.tally,
-    )?;
-    drop(untraced);
-    let (traced_vets, _) = depth1(
-        &mut served.clients[1],
-        &inputs.warm,
-        &expected,
-        &order,
-        false,
-        &mut layers.tally,
-    )?;
-    overhead(&plain, &traced_vets, &mut layers);
-
-    // The apply replay starts from the history as it was before the stream.
-    let replay_dir = inputs.dir.with_extension("h0");
-    copy_dir(&inputs.dir, &replay_dir)?;
-    let (result, records) = traced_stream(
-        &mut served,
-        &inputs.batches,
-        inputs.h0,
-        ingest_fresh::RATE_PER_S,
-        &mut layers,
-    )?;
-    let spans = |kind: SpanKind| -> Vec<u64> { records.iter().map(|r| span_ns(r, kind)).collect() };
-    layers.set("budget.e2e_p50_us", p50(&result.visible_ns));
-    layers.set("client.encode_us", p50(&spans(SpanKind::ClientEncode)));
-    layers.set("codec.decode_request_us", p50(&spans(SpanKind::Decode)));
-    layers.set("engine.handle_span_us", p50(&spans(SpanKind::Handle)));
-    layers.set("event_loop.write_us", p50(&spans(SpanKind::Write)));
-    // The producer's round trip to its ack, less the spans on that path.
-    if result.ack_ns.len() == records.len() {
-        let unattributed: Vec<u64> = records
-            .iter()
-            .zip(&result.ack_ns)
-            .map(|(r, ack)| {
-                let known: u64 = [
-                    SpanKind::ClientEncode,
-                    SpanKind::Decode,
-                    SpanKind::Handle,
-                    SpanKind::Write,
-                ]
-                .into_iter()
-                .map(|kind| span_ns(r, kind))
-                .sum();
-                ack.saturating_sub(known)
-            })
-            .collect();
-        layers.set("event_loop.unattributed_us", p50(&unattributed));
-    }
-
-    let responses: Vec<AuditResponse> = inputs
-        .batches
-        .probes
-        .iter()
-        .map(|r| engine.handle(r))
-        .collect();
-    layers.set(
-        "engine.dag_nodes_per_request",
-        mean(
-            &responses
-                .iter()
-                .map(|r| r.stats.dag_nodes_visited)
-                .collect::<Vec<_>>(),
-        ),
-    );
-    layers.set(
-        "engine.index_hits_per_request",
-        mean(
-            &responses
-                .iter()
-                .map(|r| r.stats.index_hits)
-                .collect::<Vec<_>>(),
-        ),
-    );
-    let limits = WireLimits::default();
-    let (mut encode, mut decode) = (vec![], vec![]);
-    for batch in inputs.batches.records.iter().take(REPLAYS) {
-        let wire = WireRequest::IngestBatch(batch.clone());
-        let (body, ns) = timed(|| encode_request(&wire));
-        encode.push(ns);
-        let (decoded, ns) = timed(|| decode_request(body.clone(), &limits));
-        decode.push(ns);
-        layers.tally.record(decoded.ok().as_ref() == Some(&wire));
-    }
-    layers.set("codec.encode_request_us", p50(&encode));
-    layers.set("codec.decode_replay_us", p50(&decode));
-    let (mut encode_response_ns, mut bytes) = (vec![], vec![]);
-    for response in responses.iter().take(REPLAYS) {
-        let wire = WireResponse::Audit(response.clone());
-        let (body, ns) = timed(|| encode_response(&wire));
-        encode_response_ns.push(ns);
-        bytes.push(body.len());
-    }
-    layers.set("codec.encode_response_us", p50(&encode_response_ns));
-    layers.set("codec.response_bytes", mean(&bytes));
-    let first = WireRequest::IngestBatch(inputs.batches.records[0].clone());
-    loopback(encode_request(&first).len(), &mut layers)?;
-
-    let newest: Vec<ProvenanceRecord> = inputs
-        .batches
-        .records
-        .iter()
-        .filter_map(|batch| batch.last().cloned())
-        .collect();
-    supply_chain_replays(&engine, &inputs.pack, &newest, &mut layers)?;
-    counters.finish(&engine, &mut layers);
-    served.stop()?;
-    replay_apply(&replay_dir, inputs.h0, &inputs.batches.records, &mut layers)?;
-    let _ = std::fs::remove_dir_all(&replay_dir);
-    Ok(layers.report())
-}
-
 pub fn causal_deep(
     inputs: &causal_deep::Inputs,
     rng: &mut Rng,
     mut served: Served,
 ) -> Result<Report, String> {
     let mut layers = Layers::default();
+    mem_split("causal_deep", &inputs.dir, inputs.values.len(), &mut layers)?;
     let engine = Arc::clone(served.server.engine());
     let counters = Counters::read(&engine, gen::CAUSAL_INSPECTED);
     let order = causal_deep::order(rng, inputs, CHUNK, CHUNK / 4);
@@ -848,7 +740,7 @@ pub fn causal_deep(
     )?;
     drop(untraced);
     let traced = traced_depth1(
-        &mut served.clients[0],
+        &mut served.client,
         &inputs.requests,
         &inputs.expected,
         &order,
@@ -858,7 +750,7 @@ pub fn causal_deep(
     let (traced_cf, _) = causal_deep::split(&traced.rtt_ns, &order, inputs.cf);
     overhead(&plain_cf, &traced_cf, &mut layers);
     traced.record(&mut layers);
-    layers.set("budget.e2e_p50_us", p50(&traced_cf));
+    layers.set_p50("budget.e2e_p50_us", &traced_cf);
     let sampled: Vec<AuditRequest> = order
         .iter()
         .map(|&i| inputs.requests[i as usize].clone())
@@ -880,7 +772,7 @@ pub fn causal_deep(
     let (counterfactuals, whys) = inputs.requests.split_at(inputs.cf);
     replay_engine(
         &engine,
-        &inputs.warm,
+        &inputs.plan.warm,
         counterfactuals,
         whys,
         REPLAYS / 4,
@@ -901,7 +793,7 @@ pub fn causal_deep(
         .map(|v| v.record.provenance.clone())
         .collect();
     replay_nfa(
-        &policy_pattern(&inputs.pack, gen::CAUSAL_INSPECTED)?,
+        &policy_pattern(&inputs.plan.pack, gen::CAUSAL_INSPECTED)?,
         &histories,
         &mut layers,
     );
@@ -922,7 +814,7 @@ pub fn causal_deep(
     probe_and_apply(
         &mut served,
         &inputs.dir,
-        &inputs.pack,
+        &inputs.plan.pack,
         newest.len(),
         &newest,
         CAUSAL_PROBE,

@@ -1,28 +1,33 @@
-//! The piprov benchmark: three seeded workloads against an in-process
+//! The piprov benchmark: seeded workloads against an in-process
 //! `AuditServer` on loopback, every answer checked against an in-process
 //! oracle.
 //!
 //! ```text
-//! piprov-perfbench --workload <vet_wire|ingest_fresh|causal_deep>
+//! piprov-perfbench --workload <vet_wire|causal_deep>
 //!                  --seed <n> --seconds <n> --trace <0|1> [--work-dir <dir>]
+//! piprov-perfbench setup <vet_wire|causal_deep> <store-dir>
 //! ```
 //!
 //! With `--trace 0` the run measures end-to-end metrics with tracing off;
 //! with `--trace 1` it serves the same inputs traced and replays them
 //! through each layer's public functions, printing per-layer metrics.  The
 //! last line of standard output is the result as one JSON object.
+//!
+//! `setup` is what a run starts once per measured set-up: one set-up of
+//! the workload over the store a run wrote, in a process that has interned
+//! none of its history, printing its time and heap figures.
 
 mod alloc;
 mod causal_deep;
 mod gen;
 mod harness;
-mod ingest_fresh;
 mod layers;
+mod probe;
 mod stats;
 mod vet_wire;
 
-use harness::Ctx;
-use std::path::PathBuf;
+use harness::{fresh_setup, Ctx, Plan};
+use std::path::{Path, PathBuf};
 
 #[global_allocator]
 static ALLOCATOR: alloc::Counting = alloc::Counting;
@@ -38,9 +43,6 @@ pub struct Meta<'a> {
     pub ctx: &'a Ctx,
     pub workers: usize,
     pub h0: usize,
-    pub batch: usize,
-    pub batches: usize,
-    pub rate_per_s: f64,
     pub requests: &'a [(&'a str, usize)],
 }
 
@@ -66,16 +68,13 @@ pub fn meta(m: &Meta) {
     println!(
         "{{\"meta\": {{\"workload\": \"{}\", \"seed\": {}, \"seconds\": {}, \"trace\": {}, \
          \"cpus_online\": \"{nproc}\", \"affinity\": \"{affinity}\", \"workers\": {}, \"h0\": {}, \
-         \"batch\": {}, \"batches\": {}, \"rate_per_s\": {:?}, \"requests\": {{{}}}}}}}",
+         \"requests\": {{{}}}}}}}",
         m.workload,
         m.ctx.seed,
         m.ctx.seconds,
         u8::from(m.ctx.trace),
         m.workers,
         m.h0,
-        m.batch,
-        m.batches,
-        m.rate_per_s,
         requests.join(", ")
     );
 }
@@ -120,7 +119,36 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// What a set-up of `workload` installs and warms.
+fn plan(workload: &str) -> Result<Plan, String> {
+    match workload {
+        "vet_wire" => vet_wire::plan(),
+        "causal_deep" => Ok(causal_deep::plan()),
+        other => Err(format!("unknown workload {other}")),
+    }
+}
+
+/// The `setup` subcommand: one set-up, its figures on standard output.
+fn setup(args: &[String]) -> Result<String, String> {
+    let [workload, dir] = args else {
+        return Err("usage: setup <workload> <store-dir>".to_string());
+    };
+    let plan = plan(workload)?;
+    Ok(fresh_setup(Path::new(dir), &plan)?.line())
+}
+
 fn main() {
+    let argv: Vec<String> = std::env::args().collect();
+    if argv.get(1).map(String::as_str) == Some("setup") {
+        match setup(&argv[2..]) {
+            Ok(line) => println!("{line}"),
+            Err(e) => {
+                eprintln!("perfbench setup: {e}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
     let args = match parse_args() {
         Ok(args) => args,
         Err(e) => {
@@ -133,7 +161,6 @@ fn main() {
         .map_err(|e| format!("create {}: {e}", ctx.work.display()))
         .and_then(|()| match args.workload.as_str() {
             "vet_wire" => vet_wire::run(&ctx),
-            "ingest_fresh" => ingest_fresh::run(&ctx),
             "causal_deep" => causal_deep::run(&ctx),
             other => Err(format!("unknown workload {other}")),
         });

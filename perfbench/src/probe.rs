@@ -1,52 +1,30 @@
-//! `ingest_fresh`: how soon a shipped batch becomes visible to an auditor.
+//! The ingest probe of a traced run: how soon a shipped batch becomes
+//! visible to an auditor.
 //!
-//! The engine is aged to H0 records by recovering a store written directly
-//! with `ProvenanceStore`.  One producer ships N batches of B records with
+//! One producer ships batches of `BATCH` records with
 //! `AuditClient::ingest_batch`, open-loop at a fixed offered rate; one
 //! auditor on a second connection vets the newest shipped value in a
 //! depth-1 loop.  The benchmark is the only writer, so batch i is visible
 //! once a response's watermark reaches H0 + (i+1)·B.
 
-use crate::gen::{next_hop, supply_chain_items, supply_chain_pack, write_store, SUPPLY_POLICIES};
-use crate::harness::{client_failure, copy_dir, start, timed_setup, Ctx, WORKERS};
-use crate::stats::{median, percentile, us, Report, Rng, Tally};
-use crate::{layers, meta, Meta};
+use crate::gen::{next_hop, SUPPLY_POLICIES};
+use crate::harness::{client_failure, copy_dir};
+use crate::stats::{Rng, Tally};
 use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest};
 use piprov_policy::{PackSource, PolicyPack};
 use piprov_serve::{AuditClient, IngestOutcome};
 use piprov_store::ProvenanceRecord;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Supply-chain items preloaded (about 2.5 records each), unless a run
-/// ships more batches than that.
-const H0_ITEMS: usize = 4_096;
 /// Records per shipped batch.
 pub const BATCH: usize = 4;
-/// Batches shipped per 10-second run.
-const BATCHES_PER_10S: usize = 1_000;
-/// Offered load, batches per second.  On a 2-vCPU host the visibility p99
-/// over 1,500 batches starts to climb between 450 and 600 batches/s with
-/// the run pinned to one CPU, and not below 800/s unpinned; a 30-second
-/// run ships 3,000 batches and its history grows by 12k records, so the
-/// rate stays well below either knee.
-pub const RATE_PER_S: f64 = 100.0;
 /// The policy the auditor vets with.
 const AUDIT_POLICY: &str = SUPPLY_POLICIES[2];
 /// How long the auditor waits for the last batch after the producer is
 /// done before counting the missing batches as failed.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
-
-#[derive(Debug)]
-pub struct Inputs {
-    pub dir: PathBuf,
-    pub pack: PackSource,
-    pub h0: usize,
-    /// One vet per preloaded item: the set-up's memo warm-up.
-    pub warm: Vec<AuditRequest>,
-    pub batches: Batches,
-}
 
 /// Batches to ship, each with the vet that probes its newest value and
 /// the oracle's answers to that vet before and after the batch is visible.
@@ -125,97 +103,6 @@ impl Batches {
     }
 }
 
-pub fn prepare(ctx: &Ctx, rng: &mut Rng, batches: usize) -> Result<Inputs, String> {
-    // Every batch probes an item of its own, with a few left over.
-    let items = H0_ITEMS.max(batches + 96);
-    let (history, newest) = supply_chain_items(rng, items);
-    let dir = ctx.dir("ingest_fresh");
-    write_store(&dir, &history)?;
-    let pack = supply_chain_pack()?;
-    let warm = newest
-        .iter()
-        .map(|record| AuditRequest::VetValue {
-            value: record.value.clone(),
-            pattern: AUDIT_POLICY.to_string(),
-        })
-        .collect();
-    let batches = Batches::new(rng, &newest, batches, &dir, &pack)?;
-    Ok(Inputs {
-        dir,
-        pack,
-        h0: history.len(),
-        warm,
-        batches,
-    })
-}
-
-pub fn run(ctx: &Ctx) -> Result<Report, String> {
-    let mut rng = Rng::new(ctx.seed);
-    let batches = ctx.count(BATCHES_PER_10S, 2_000);
-    let inputs = prepare(ctx, &mut rng, batches)?;
-    let setup = || start(&inputs.dir, &inputs.pack, &inputs.warm, 2, ctx.trace);
-    if ctx.trace {
-        return layers::ingest_fresh(&inputs, &mut rng, setup()?);
-    }
-    meta(&Meta {
-        workload: "ingest_fresh",
-        ctx,
-        workers: WORKERS,
-        h0: inputs.h0,
-        batch: BATCH,
-        batches,
-        rate_per_s: RATE_PER_S,
-        requests: &[("warm_vets", inputs.warm.len())],
-    });
-
-    let timed = timed_setup(setup)?;
-    let mut served = timed.served;
-    let (producer, auditor) = served.clients.split_at_mut(1);
-    let result = stream(
-        &mut producer[0],
-        &mut auditor[0],
-        &inputs.batches,
-        inputs.h0 as u64,
-        RATE_PER_S,
-    )?;
-    let mut tally = result.tally;
-    let total = (inputs.h0 + batches * BATCH) as u64;
-    let engine = served.server.engine();
-    tally.record(engine.watermark() == total && engine.record_count() as u64 == total);
-    served.stop()?;
-
-    let mut report = Report::new(tally);
-    report.metric("setup_s", timed.setup_s, "s");
-    report.metric(
-        "mem_bytes_per_record",
-        timed.heap_bytes / inputs.h0 as f64,
-        "B",
-    );
-    report.metric(
-        "latency_p50_us",
-        us(percentile(&result.visible_ns, 50.0)),
-        "us",
-    );
-    // The visibility tail is the median, over ten consecutive stretches of
-    // the stream, of each stretch's 90th percentile (30 batches beyond it
-    // in a 300-batch stretch).  Pooled over the run, the p99's spread over
-    // ten seeds was 0.26 and the p90's 0.78: a few seconds' stall of the
-    // shared host set them.
-    let stretches: Vec<f64> = result
-        .visible_ns
-        .chunks(result.visible_ns.len().div_ceil(10))
-        .map(|stretch| us(percentile(stretch, 90.0)))
-        .collect();
-    report.metric("latency_tail_us", median(&stretches), "us");
-    report.metric("aux_p50_us", us(percentile(&result.vet_ns, 50.0)), "us");
-    report.metric(
-        "throughput_per_s",
-        result.vet_ns.len() as f64 / result.elapsed_s,
-        "1/s",
-    );
-    Ok(report)
-}
-
 /// What one open-loop ingest stream measured.
 #[derive(Debug, Default)]
 pub struct StreamResult {
@@ -224,12 +111,6 @@ pub struct StreamResult {
     pub visible_ns: Vec<u64>,
     /// Per batch: how late the producer sent it against its schedule.
     pub late_ns: Vec<u64>,
-    /// Per ingest request: the producer's round trip to the `IngestAck`.
-    pub ack_ns: Vec<u64>,
-    /// Round-trip time of every auditor vet.
-    pub vet_ns: Vec<u64>,
-    /// From the first due time to the last batch's visibility.
-    pub elapsed_s: f64,
     /// `Busy` answers to ingest batches.
     pub busy: u64,
     pub tally: Tally,
@@ -262,18 +143,15 @@ pub fn stream(
         )
     });
     let produced = produced?;
-    let (visible_ns, vet_ns, visible_at, mut tally) = audited?;
+    let (visible_ns, mut tally) = audited?;
     tally.add(produced.tally);
     if visible_ns.len() < n {
         tally.attempted += (n - visible_ns.len()) as u64;
         tally.failed += (n - visible_ns.len()) as u64;
     }
     Ok(StreamResult {
-        elapsed_s: visible_at.saturating_duration_since(start).as_secs_f64(),
         visible_ns,
         late_ns: produced.late_ns,
-        ack_ns: produced.ack_ns,
-        vet_ns,
         busy: produced.busy,
         tally,
     })
@@ -283,7 +161,6 @@ pub fn stream(
 #[derive(Debug, Default)]
 struct Produced {
     late_ns: Vec<u64>,
-    ack_ns: Vec<u64>,
     busy: u64,
     tally: Tally,
 }
@@ -304,10 +181,7 @@ fn produce(
         let late = Instant::now().saturating_duration_since(due(i));
         produced.late_ns.push(late.as_nanos() as u64);
         loop {
-            let sent = Instant::now();
-            let outcome = client.ingest_batch(batch);
-            produced.ack_ns.push(sent.elapsed().as_nanos() as u64);
-            match outcome {
+            match client.ingest_batch(batch) {
                 Ok(IngestOutcome::Acked { accepted, .. }) => {
                     produced.tally.record(accepted as usize == records.len());
                     break;
@@ -329,8 +203,7 @@ fn produce(
     Ok(produced)
 }
 
-type Audited = Result<(Vec<u64>, Vec<u64>, Instant, Tally), String>;
-
+/// The auditor's side of a stream: each batch's visibility time.
 fn audit(
     client: &mut AuditClient,
     batches: &Batches,
@@ -338,20 +211,16 @@ fn audit(
     due: &dyn Fn(usize) -> Instant,
     shipped: &AtomicUsize,
     producer_done: &AtomicBool,
-) -> Audited {
+) -> Result<(Vec<u64>, Tally), String> {
     let n = batches.records.len();
     let batch = batches.records.first().map_or(1, Vec::len) as u64;
     let mut visible = Vec::with_capacity(n);
-    let mut vets = Vec::with_capacity(n * 16);
     let mut tally = Tally::default();
-    let mut last_visible = Instant::now();
     let mut done_at: Option<Instant> = None;
     while visible.len() < n {
         let probe = shipped.load(Ordering::SeqCst).saturating_sub(1);
-        let started = Instant::now();
         let answer = client.request(&batches.probes[probe]);
         let now = Instant::now();
-        vets.push(now.duration_since(started).as_nanos() as u64);
         match answer {
             Ok(response) => {
                 let grown = response.watermark.saturating_sub(h0);
@@ -366,7 +235,6 @@ fn audit(
                 while visible.len() < covered {
                     let i = visible.len();
                     visible.push(now.saturating_duration_since(due(i)).as_nanos() as u64);
-                    last_visible = now;
                 }
             }
             Err(e) => client_failure(e, &mut tally)?,
@@ -378,5 +246,5 @@ fn audit(
             }
         }
     }
-    Ok((visible, vets, last_visible, tally))
+    Ok((visible, tally))
 }

@@ -30,6 +30,11 @@ impl Rng {
         self.next_u64() % 100 < percent
     }
 
+    /// `count` indices drawn uniformly from `0..range`.
+    pub fn indices(&mut self, count: usize, range: usize) -> Vec<u32> {
+        (0..count).map(|_| self.below(range) as u32).collect()
+    }
+
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             items.swap(i, self.below(i + 1));

@@ -6,12 +6,13 @@
 //! `stats::Blocks`).  The engine's share of a vet is small, so this
 //! workload measures the serving layers.
 
-use crate::gen::{supply_chain_items, supply_chain_pack, write_store, SUPPLY_POLICIES};
-use crate::harness::{depth1, pipelined, reference, start, timed_setup, Ctx, WORKERS};
+use crate::gen::{item_value, supply_chain_items, supply_chain_pack, write_store, SUPPLY_POLICIES};
+use crate::harness::{
+    depth1, fresh_setups, pipelined, reference, start, Ctx, Plan, SETUPS, WORKERS,
+};
 use crate::stats::{Blocks, Report, Rng, Tally};
 use crate::{layers, meta, Meta, BLOCKS};
 use piprov_audit::{AuditRequest, AuditResponse};
-use piprov_policy::PackSource;
 use piprov_store::ProvenanceRecord;
 use std::path::PathBuf;
 
@@ -25,65 +26,74 @@ const DEPTH1_PER_10S: usize = 150_000;
 const WINDOWS_PER_10S: usize = 10_000;
 const WINDOW: usize = 64;
 
+/// The shipped pack, and every distinct (item, policy) vet as the memo
+/// warm-up.
+pub fn plan() -> Result<Plan, String> {
+    Ok(Plan {
+        pack: supply_chain_pack()?,
+        warm: (0..ITEMS)
+            .flat_map(|i| {
+                SUPPLY_POLICIES.map(|policy| AuditRequest::VetValue {
+                    value: item_value(i),
+                    pattern: policy.to_string(),
+                })
+            })
+            .collect(),
+    })
+}
+
 /// The workload's generated inputs and the oracle's answers.
 #[derive(Debug)]
 pub struct Inputs {
     pub dir: PathBuf,
-    pub pack: PackSource,
+    /// What a set-up installs; its warm-up vets are also the requests the
+    /// timed loops index into.
+    pub plan: Plan,
     /// Each item's newest record.
     pub newest: Vec<ProvenanceRecord>,
-    /// Every distinct (item, policy) vet; timed loops index into it.
-    pub requests: Vec<AuditRequest>,
     pub expected: Vec<AuditResponse>,
     pub records: usize,
+}
+
+impl Inputs {
+    pub fn requests(&self) -> &[AuditRequest] {
+        &self.plan.warm
+    }
 }
 
 pub fn prepare(ctx: &Ctx, rng: &mut Rng) -> Result<Inputs, String> {
     let (history, newest) = supply_chain_items(rng, ITEMS);
     let dir = ctx.dir("vet_wire");
     write_store(&dir, &history)?;
-    let pack = supply_chain_pack()?;
-    let requests: Vec<AuditRequest> = newest
-        .iter()
-        .flat_map(|record| {
-            SUPPLY_POLICIES.map(|policy| AuditRequest::VetValue {
-                value: record.value.clone(),
-                pattern: policy.to_string(),
-            })
-        })
-        .collect();
-    let expected = reference(&dir, &pack, &requests)?;
+    let plan = plan()?;
+    let expected = reference(&dir, &plan.pack, &plan.warm)?;
     Ok(Inputs {
         dir,
-        pack,
+        plan,
         newest,
-        requests,
         expected,
         records: history.len(),
     })
 }
 
-fn indices(rng: &mut Rng, count: usize, range: usize) -> Vec<u32> {
-    (0..count).map(|_| rng.below(range) as u32).collect()
-}
-
 pub fn run(ctx: &Ctx) -> Result<Report, String> {
     let mut rng = Rng::new(ctx.seed);
     let inputs = prepare(ctx, &mut rng)?;
-    let setup = || start(&inputs.dir, &inputs.pack, &inputs.requests, 1, ctx.trace);
     if ctx.trace {
-        return layers::vet_wire(&inputs, &mut rng, setup()?);
+        let served = start(&inputs.dir, &inputs.plan, true)?;
+        return layers::vet_wire(&inputs, &mut rng, served);
     }
-    let range = inputs.requests.len();
+    let requests = inputs.requests();
+    let range = requests.len();
     let depth1_per_block = ctx.count(DEPTH1_PER_10S, 2_000 * BLOCKS) / BLOCKS;
     let windows_per_block = ctx.count(WINDOWS_PER_10S, 100 * BLOCKS) / BLOCKS;
     let orders: Vec<Vec<u32>> = (0..BLOCKS)
-        .map(|_| indices(&mut rng, depth1_per_block, range))
+        .map(|_| rng.indices(depth1_per_block, range))
         .collect();
     let windows: Vec<Vec<Vec<u32>>> = (0..BLOCKS)
         .map(|_| {
             (0..windows_per_block)
-                .map(|_| indices(&mut rng, WINDOW, range))
+                .map(|_| rng.indices(WINDOW, range))
                 .collect()
         })
         .collect();
@@ -92,9 +102,6 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         ctx,
         workers: WORKERS,
         h0: inputs.records,
-        batch: 0,
-        batches: 0,
-        rate_per_s: 0.0,
         requests: &[
             ("depth1_vets", depth1_per_block * BLOCKS),
             ("pipelined_vets", windows_per_block * WINDOW * BLOCKS),
@@ -102,40 +109,27 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         ],
     });
 
-    let timed = timed_setup(setup)?;
-    let mut served = timed.served;
-    let client = &mut served.clients[0];
+    let setup = fresh_setups("vet_wire", &inputs.dir, SETUPS)?;
+    let mut served = start(&inputs.dir, &inputs.plan, false)?;
+    let client = &mut served.client;
     let mut tally = Tally::default();
     let mut vets = Blocks::default();
     let mut windows_timed = Blocks::default();
     let mut pipelined_ns = 0u64;
     for (order, windows) in orders.iter().zip(&windows) {
-        let (times, _) = depth1(
-            client,
-            &inputs.requests,
-            &inputs.expected,
-            order,
-            false,
-            &mut tally,
-        )?;
+        let (times, _) = depth1(client, requests, &inputs.expected, order, false, &mut tally)?;
         vets.push(times);
-        let times = pipelined(
-            client,
-            &inputs.requests,
-            &inputs.expected,
-            windows,
-            &mut tally,
-        )?;
+        let times = pipelined(client, requests, &inputs.expected, windows, &mut tally)?;
         pipelined_ns += times.iter().sum::<u64>();
         windows_timed.push(times);
     }
     served.stop()?;
 
     let mut report = Report::new(tally);
-    report.metric("setup_s", timed.setup_s, "s");
+    report.metric("setup_s", setup.setup_s, "s");
     report.metric(
         "mem_bytes_per_record",
-        timed.heap_bytes / inputs.records as f64,
+        setup.heap_bytes / inputs.records as f64,
         "B",
     );
     report.metric("latency_p50_us", vets.p50_us(), "us");
