@@ -239,11 +239,11 @@ pub struct FilteredView {
 pub fn filtered_view(provenance: &Provenance, filter: &EventFilter) -> FilteredView {
     // One pass down the spine: remember each suffix handle and which
     // heads the filter removes.
-    let mut suffixes: Vec<Provenance> = Vec::with_capacity(provenance.len());
-    let mut cursor = provenance.clone();
-    while !cursor.is_empty() {
-        suffixes.push(cursor.clone());
-        cursor = cursor.tail().expect("non-empty provenance").clone();
+    let mut suffixes: Vec<&Provenance> = Vec::with_capacity(provenance.len());
+    let mut cursor = provenance;
+    while let Some(tail) = cursor.tail() {
+        suffixes.push(cursor);
+        cursor = tail;
     }
     let mut removed: Vec<WhyEvent> = Vec::new();
     let mut deepest: Option<usize> = None;

@@ -5,8 +5,8 @@
 //!
 //! * **slice extraction vs depth** — the witness walk (`witness`) against
 //!   the plain subset walk (`matches`) over spines of growing depth: the
-//!   slice costs one trail allocation on top of the walk, never a second
-//!   pass;
+//!   slice adds one event clone per step, into a vector sized once from
+//!   the spine length, and never a second pass;
 //! * **counterfactual re-vet vs from-scratch** — the headline number: on
 //!   a deep spine where the filter touches only near-top events, the
 //!   memo-warm counterfactual (re-intern the touched prefix, hit the

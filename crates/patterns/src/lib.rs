@@ -265,6 +265,66 @@ mod proptests {
             .boxed()
     }
 
+    /// Patterns whose automata have more than 64 states, so every state
+    /// set spans at least two words: a left-nested `then`/`or` chain of
+    /// 33–40 small patterns, each of which compiles to at least two
+    /// states.  (`arb_pattern(2)` tops out at 14 states.)  Left nesting
+    /// numbers the outermost links' states highest, and every walk
+    /// crosses the outermost links, so the second word decides verdicts.
+    fn arb_wide_pattern() -> BoxedStrategy<Pattern> {
+        proptest::collection::vec((arb_pattern(1), any::<bool>()), 33..41)
+            .prop_map(|links| {
+                let mut links = links.into_iter();
+                let (mut chain, _) = links.next().expect("at least 33 links");
+                for (link, then) in links {
+                    chain = if then {
+                        chain.then(link)
+                    } else {
+                        chain.or(link)
+                    };
+                }
+                chain
+            })
+            .boxed()
+    }
+
+    /// Every suffix of `prov`, shortest (ε) first.
+    fn suffixes_oldest_first(prov: &Provenance) -> Vec<Provenance> {
+        let mut suffixes = vec![prov.clone()];
+        while let Some(tail) = suffixes.last().and_then(|s| s.tail()) {
+            suffixes.push(tail.clone());
+        }
+        suffixes.reverse();
+        suffixes
+    }
+
+    /// The compiled automaton against the reference matcher, memo-warm
+    /// answers against memo-cold ones, and the witness walk against the
+    /// plain walk — on every suffix of `prov`.
+    fn check_kernel(pattern: &Pattern, prov: &Provenance) {
+        // Vetting the suffixes oldest first makes each longer walk stop
+        // at a memoized suffix, so the warm automaton answers mid-walk
+        // from the memo; a fresh automaton per suffix answers cold.
+        let warm = CompiledPattern::compile(pattern);
+        for suffix in suffixes_oldest_first(prov) {
+            let cold = CompiledPattern::compile(pattern).matches(&suffix);
+            prop_assert_eq!(cold, matching::satisfies(&suffix, pattern));
+            prop_assert_eq!(warm.matches(&suffix), cold);
+            let trail =
+                CompiledPattern::compile(pattern).witness(&suffix, &mut nfa::MatchStats::default());
+            prop_assert_eq!(trail.verdict(), cold);
+            let warm_trail = warm.witness(&suffix, &mut nfa::MatchStats::default());
+            prop_assert_eq!(&warm_trail, &trail);
+            if let WitnessTrail::Accepted { steps } = trail {
+                let spine = suffixes_oldest_first(&suffix);
+                let nodes: Vec<_> = spine.iter().skip(1).rev().map(|s| s.id()).collect();
+                let events: Vec<_> = steps.iter().map(|s| s.event.clone()).collect();
+                prop_assert_eq!(steps.iter().map(|s| s.node).collect::<Vec<_>>(), nodes);
+                prop_assert_eq!(events, suffix.to_vec());
+            }
+        }
+    }
+
     proptest! {
         // 128 cases by default; the PIPROV_PROPTEST_CASES environment
         // variable overrides it (handled inside with_cases) for deeper CI
@@ -275,6 +335,17 @@ mod proptests {
         fn nfa_agrees_with_reference(pattern in arb_pattern(2), prov in arb_provenance(1)) {
             let compiled = CompiledPattern::compile(&pattern);
             prop_assert_eq!(compiled.matches(&prov), matching::satisfies(&prov, &pattern));
+        }
+
+        #[test]
+        fn kernel_holds_on_one_word_state_sets(pattern in arb_pattern(2), prov in arb_provenance(1)) {
+            check_kernel(&pattern, &prov);
+        }
+
+        #[test]
+        fn kernel_holds_on_multi_word_state_sets(pattern in arb_wide_pattern(), prov in arb_provenance(1)) {
+            prop_assert!(CompiledPattern::compile(&pattern).state_count() > 64);
+            check_kernel(&pattern, &prov);
         }
 
         #[test]

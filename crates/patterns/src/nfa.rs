@@ -9,6 +9,20 @@
 //! channel patterns are compiled recursively and evaluated when their atom
 //! is crossed.
 //!
+//! **The subset walk.**  A state set is a bitset of `⌈states / 64⌉` words,
+//! and every automaton size runs the same code.  Compilation folds the ε
+//! moves away: it stores each state's ε-closure as a bitset *row* (the
+//! start state's row is the initial set) and keeps only the consuming
+//! transitions.  A step clears a reused buffer and ORs in the closure row
+//! of every transition it crosses, so it needs no closure stack.  A walk
+//! follows the interned spine by reference (no handle clone per node) and
+//! swaps two state buffers.  Its trail of visited `(suffix, state set)`
+//! pairs is a list of ids plus one flat run of state words, sized from the
+//! spine's cached length, so a walk allocates a fixed handful of buffers
+//! however long the spine is.  A walk answered at the root — a memo-warm
+//! vet, or a nested channel check on a memoized history — borrows the
+//! start state's row and allocates nothing.
+//!
 //! On top of the simulation sits a **match memo** keyed by
 //! `(ProvId, state set)`: provenance sequences are interned DAG nodes
 //! (see [`piprov_core::provenance::interner`]), and NFA simulation from a
@@ -20,6 +34,13 @@
 //! every later query is a hash lookup.  Nested channel automata carry
 //! their own memos, so the sharing compounds through nesting levels.
 //!
+//! Both levels of the memo hash with a fixed multiply-rotate hasher rather
+//! than the standard library's keyed SipHash.  Lookups and inserts take the
+//! state set as a borrowed slice; a key is boxed only when a new entry is
+//! stored.  A fixed hasher is safe here because no client chooses the hashed
+//! bytes: the keys are interner-assigned ids and automaton state bits, so
+//! nobody can pick inputs that collide on purpose.
+//!
 //! The memo is **bounded**: a long-lived automaton (an audit service vets
 //! requests for the lifetime of the process) caps the number of cached
 //! verdicts at a configurable bound ([`CompiledPattern::set_memo_bound`],
@@ -30,8 +51,10 @@
 //! [`MemoEviction::Generational`] keeps the entries that actually answered
 //! lookups during the ending epoch — up to half the bound — so a stable
 //! working set survives the rollover and only the one-shot tail pays the
-//! cold-start cost again.  [`CompiledPattern::memo_stats`] reports entries,
-//! hits, misses, the epoch counter and the cumulative survivors.
+//! cold-start cost again.  Inserting a pair the memo already holds changes
+//! nothing, so a walk that re-seeds memoized pairs neither demotes them nor
+//! starts an epoch.  [`CompiledPattern::memo_stats`] reports entries, hits,
+//! misses, the epoch counter and the cumulative survivors.
 //!
 //! The equivalence of the two engines is checked by unit tests here and by
 //! property-based tests over random patterns and provenances.
@@ -41,28 +64,66 @@ use crate::matching::event_satisfies;
 use piprov_core::provenance::{Event, ProvId, Provenance};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
-/// A transition label: either free (`ε`) or guarded by an atom predicate.
+/// A consuming transition's label (ε moves are folded into the closure
+/// rows at compile time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Label {
-    /// Move without consuming an event.
-    Epsilon,
     /// Consume one event that satisfies the indexed atom.
     Atom(usize),
     /// Consume any one event.
     AnyEvent,
 }
 
-/// A single transition of the NFA.
+/// A single consuming transition of the NFA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Transition {
     to: usize,
     label: Label,
 }
 
-/// A set of NFA states as a fixed-width bitmask (one bit per state).
-type StateSet = Box<[u64]>;
+/// The memo's hasher: FxHash-style multiply-rotate, one word at a time.
+/// Keyless, so the memo's maps carry no per-map hasher state (see the
+/// module docs for why that is safe).
+#[derive(Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_ne_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_ne_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// Default bound on the number of `(suffix, state set)` verdicts one
 /// automaton level memoizes before starting a fresh epoch.
@@ -94,7 +155,7 @@ struct Cached {
 /// The bounded match memo of one automaton level.
 struct Memo {
     /// Verdicts per suffix id, per state set at that suffix.
-    verdicts: HashMap<ProvId, HashMap<StateSet, Cached>>,
+    verdicts: WordMap<ProvId, WordMap<Box<[u64]>, Cached>>,
     /// Total `(suffix, state set)` pairs held (kept incrementally; summing
     /// the inner maps on every insert would be quadratic).
     entries: usize,
@@ -115,7 +176,7 @@ struct Memo {
 impl Memo {
     fn new(bound: usize) -> Self {
         Memo {
-            verdicts: HashMap::new(),
+            verdicts: WordMap::default(),
             entries: 0,
             bound: bound.max(1),
             epochs: 0,
@@ -126,7 +187,7 @@ impl Memo {
         }
     }
 
-    fn lookup(&mut self, id: ProvId, states: &StateSet) -> Option<bool> {
+    fn lookup(&mut self, id: ProvId, states: &[u64]) -> Option<bool> {
         let found = self
             .verdicts
             .get_mut(&id)
@@ -178,28 +239,30 @@ impl Memo {
     }
 
     /// Inserts one verdict, rolling the epoch over first if the memo is
-    /// full.  The invariant `entries <= bound` holds after every insert,
-    /// whatever order verdicts arrive in (the rollover keeps at most
-    /// `bound / 2 < bound` entries).
-    fn insert(&mut self, id: ProvId, states: StateSet, verdict: bool) {
+    /// full.  A pair the memo already holds is left exactly as it is, hot
+    /// bit included, and starts no epoch: verdicts are deterministic, so
+    /// there is nothing to update.  The invariant `entries <= bound` holds
+    /// after every insert, whatever order verdicts arrive in (the rollover
+    /// keeps at most `bound / 2 < bound` entries).
+    fn insert(&mut self, id: ProvId, states: &[u64], verdict: bool) {
+        if let Some(cached) = self.verdicts.get(&id).and_then(|m| m.get(states)) {
+            debug_assert_eq!(
+                cached.verdict, verdict,
+                "memoized verdicts are deterministic"
+            );
+            return;
+        }
         if self.entries >= self.bound {
             self.rollover();
         }
-        if self
-            .verdicts
-            .entry(id)
-            .or_default()
-            .insert(
-                states,
-                Cached {
-                    verdict,
-                    hot: false,
-                },
-            )
-            .is_none()
-        {
-            self.entries += 1;
-        }
+        self.verdicts.entry(id).or_default().insert(
+            states.into(),
+            Cached {
+                verdict,
+                hot: false,
+            },
+        );
+        self.entries += 1;
     }
 
     fn stats(&self) -> MemoStats {
@@ -294,19 +357,15 @@ impl WitnessTrail {
     }
 }
 
-fn set_bit(states: &mut StateSet, bit: usize) {
+fn set_bit(states: &mut [u64], bit: usize) {
     states[bit / 64] |= 1u64 << (bit % 64);
 }
 
-fn get_bit(states: &StateSet, bit: usize) -> bool {
+fn get_bit(states: &[u64], bit: usize) -> bool {
     states[bit / 64] & (1u64 << (bit % 64)) != 0
 }
 
-fn is_zero(states: &StateSet) -> bool {
-    states.iter().all(|&w| w == 0)
-}
-
-fn iter_bits(states: &StateSet) -> impl Iterator<Item = usize> + '_ {
+fn iter_bits(states: &[u64]) -> impl Iterator<Item = usize> + '_ {
     states.iter().enumerate().flat_map(|(word, &bits)| {
         let mut bits = bits;
         std::iter::from_fn(move || {
@@ -319,6 +378,28 @@ fn iter_bits(states: &StateSet) -> impl Iterator<Item = usize> + '_ {
             }
         })
     })
+}
+
+/// The `(suffix, state set)` pairs one walk visited, back-filled into the
+/// memo with the walk's verdict: the suffix ids plus one flat run of state
+/// words, `words` per id.
+struct Trail {
+    ids: Vec<ProvId>,
+    states: Vec<u64>,
+}
+
+impl Trail {
+    fn with_capacity(nodes: usize, words: usize) -> Self {
+        Trail {
+            ids: Vec::with_capacity(nodes),
+            states: Vec::with_capacity(nodes * words),
+        }
+    }
+
+    fn push(&mut self, id: ProvId, states: &[u64]) {
+        self.ids.push(id);
+        self.states.extend_from_slice(states);
+    }
 }
 
 /// A pattern compiled to a non-deterministic finite automaton over event
@@ -338,15 +419,19 @@ fn iter_bits(states: &StateSet) -> impl Iterator<Item = usize> + '_ {
 pub struct CompiledPattern {
     /// The source pattern (kept for display and introspection).
     source: Pattern,
-    /// Transitions per state.
+    /// Consuming transitions per state (ε moves live in `closure`).
     transitions: Vec<Vec<Transition>>,
+    /// Words per state set: `⌈state_count() / 64⌉`.
+    words: usize,
+    /// ε-closure rows, `words` words per state (see `row`).
+    closure: Box<[u64]>,
     /// Atom predicates; nested channel patterns are compiled too.
     atoms: Vec<CompiledAtom>,
     start: usize,
     accept: usize,
     /// Match memo: verdict of simulating from a state set over the suffix
     /// identified by an interned `ProvId`.  Bounded, with epoch-based
-    /// wholesale eviction (see the module docs).
+    /// eviction (see the module docs).
     memo: Mutex<Memo>,
 }
 
@@ -363,6 +448,8 @@ impl Clone for CompiledPattern {
         CompiledPattern {
             source: self.source.clone(),
             transitions: self.transitions.clone(),
+            words: self.words,
+            closure: self.closure.clone(),
             atoms: self.atoms.clone(),
             start: self.start,
             accept: self.accept,
@@ -392,17 +479,24 @@ impl fmt::Debug for CompiledPattern {
 /// Builder state for the Thompson construction.
 struct Builder {
     transitions: Vec<Vec<Transition>>,
+    /// ε moves per state.
+    epsilon: Vec<Vec<usize>>,
     atoms: Vec<CompiledAtom>,
 }
 
 impl Builder {
     fn new_state(&mut self) -> usize {
         self.transitions.push(Vec::new());
+        self.epsilon.push(Vec::new());
         self.transitions.len() - 1
     }
 
     fn edge(&mut self, from: usize, to: usize, label: Label) {
         self.transitions[from].push(Transition { to, label });
+    }
+
+    fn epsilon_edge(&mut self, from: usize, to: usize) {
+        self.epsilon[from].push(to);
     }
 
     /// Compiles `pattern` into a fragment with fresh start/accept states.
@@ -411,14 +505,14 @@ impl Builder {
             Pattern::Empty => {
                 let s = self.new_state();
                 let a = self.new_state();
-                self.edge(s, a, Label::Epsilon);
+                self.epsilon_edge(s, a);
                 (s, a)
             }
             Pattern::Any => {
                 // Any ≡ (any single event)*
                 let s = self.new_state();
                 let a = self.new_state();
-                self.edge(s, a, Label::Epsilon);
+                self.epsilon_edge(s, a);
                 self.edge(s, s, Label::AnyEvent);
                 (s, a)
             }
@@ -436,7 +530,7 @@ impl Builder {
             Pattern::Seq(first, second) => {
                 let (s1, a1) = self.fragment(first);
                 let (s2, a2) = self.fragment(second);
-                self.edge(a1, s2, Label::Epsilon);
+                self.epsilon_edge(a1, s2);
                 (s1, a2)
             }
             Pattern::Alt(left, right) => {
@@ -444,23 +538,42 @@ impl Builder {
                 let a = self.new_state();
                 let (sl, al) = self.fragment(left);
                 let (sr, ar) = self.fragment(right);
-                self.edge(s, sl, Label::Epsilon);
-                self.edge(s, sr, Label::Epsilon);
-                self.edge(al, a, Label::Epsilon);
-                self.edge(ar, a, Label::Epsilon);
+                self.epsilon_edge(s, sl);
+                self.epsilon_edge(s, sr);
+                self.epsilon_edge(al, a);
+                self.epsilon_edge(ar, a);
                 (s, a)
             }
             Pattern::Star(inner) => {
                 let s = self.new_state();
                 let a = self.new_state();
                 let (si, ai) = self.fragment(inner);
-                self.edge(s, a, Label::Epsilon);
-                self.edge(s, si, Label::Epsilon);
-                self.edge(ai, si, Label::Epsilon);
-                self.edge(ai, a, Label::Epsilon);
+                self.epsilon_edge(s, a);
+                self.epsilon_edge(s, si);
+                self.epsilon_edge(ai, si);
+                self.epsilon_edge(ai, a);
                 (s, a)
             }
         }
+    }
+
+    /// The ε-closure of every state, as rows of `words` words each.
+    fn closure_rows(&self, words: usize) -> Box<[u64]> {
+        let mut rows = vec![0u64; self.epsilon.len() * words].into_boxed_slice();
+        let mut stack = Vec::new();
+        for (state, row) in rows.chunks_exact_mut(words).enumerate() {
+            set_bit(row, state);
+            stack.push(state);
+            while let Some(from) = stack.pop() {
+                for &to in &self.epsilon[from] {
+                    if !get_bit(row, to) {
+                        set_bit(row, to);
+                        stack.push(to);
+                    }
+                }
+            }
+        }
+        rows
     }
 }
 
@@ -469,12 +582,17 @@ impl CompiledPattern {
     pub fn compile(pattern: &Pattern) -> Self {
         let mut builder = Builder {
             transitions: Vec::new(),
+            epsilon: Vec::new(),
             atoms: Vec::new(),
         };
         let (start, accept) = builder.fragment(pattern);
+        let words = builder.transitions.len().div_ceil(64);
+        let closure = builder.closure_rows(words);
         CompiledPattern {
             source: pattern.clone(),
             transitions: builder.transitions,
+            words,
+            closure,
             atoms: builder.atoms,
             start,
             accept,
@@ -542,35 +660,39 @@ impl CompiledPattern {
         }
     }
 
-    fn empty_states(&self) -> StateSet {
-        vec![0u64; self.transitions.len().div_ceil(64)].into_boxed_slice()
+    /// The ε-closure of `state`: every state reachable from it by ε moves
+    /// alone.  The start state's row is the set every walk begins from.
+    fn row(&self, state: usize) -> &[u64] {
+        &self.closure[state * self.words..(state + 1) * self.words]
     }
 
-    fn initial_states(&self) -> StateSet {
-        let mut states = self.empty_states();
-        set_bit(&mut states, self.start);
-        self.epsilon_closure(&mut states);
-        states
-    }
-
-    /// Consumes one event from every active state, returning the closure
-    /// of the successor set.
-    fn step(&self, states: &StateSet, event: &Event, stats: &mut MatchStats) -> StateSet {
-        let mut next = self.empty_states();
-        for state in iter_bits(states) {
+    /// Consumes `event` from every state in `from`, writing the successor
+    /// set into `into`: the union of the closure rows of every transition
+    /// crossed.  Returns `false` when no state survives.
+    fn step(&self, from: &[u64], event: &Event, into: &mut [u64], stats: &mut MatchStats) -> bool {
+        into.fill(0);
+        for state in iter_bits(from) {
             for t in &self.transitions[state] {
                 let crosses = match t.label {
-                    Label::Epsilon => false,
                     Label::AnyEvent => true,
                     Label::Atom(idx) => self.atom_matches(idx, event, stats),
                 };
                 if crosses {
-                    set_bit(&mut next, t.to);
+                    for (word, bits) in into.iter_mut().zip(self.row(t.to)) {
+                        *word |= bits;
+                    }
                 }
             }
         }
-        self.epsilon_closure(&mut next);
-        next
+        into.iter().any(|&word| word != 0)
+    }
+
+    /// Back-fills the memo with `verdict` for every pair on `trail`.
+    fn seed_memo(&self, trail: &Trail, verdict: bool) {
+        let mut memo = self.lock_memo();
+        for (&id, states) in trail.ids.iter().zip(trail.states.chunks_exact(self.words)) {
+            memo.insert(id, states, verdict);
+        }
     }
 
     /// Decides `κ ⊨ π` by NFA simulation, memoized per
@@ -598,36 +720,34 @@ impl CompiledPattern {
     }
 
     fn matches_collect(&self, provenance: &Provenance, stats: &mut MatchStats) -> bool {
-        let mut states = self.initial_states();
-        let mut cursor = provenance.clone();
-        let mut trail: Vec<(ProvId, StateSet)> = Vec::new();
+        if let Some(cached) = self
+            .lock_memo()
+            .lookup(provenance.id(), self.row(self.start))
+        {
+            stats.memo_hits += 1;
+            return cached;
+        }
+        let mut trail = Trail::with_capacity(provenance.len() + 1, self.words);
+        let mut states = self.row(self.start).to_vec();
+        let mut next = vec![0u64; self.words];
+        let mut cursor = provenance;
         let verdict = loop {
-            let id = cursor.id();
-            if let Some(cached) = self.lock_memo().lookup(id, &states) {
+            trail.push(cursor.id(), &states);
+            let Some(event) = cursor.head() else {
+                break get_bit(&states, self.accept);
+            };
+            stats.nodes_visited += 1;
+            if !self.step(&states, event, &mut next, stats) {
+                break false;
+            }
+            std::mem::swap(&mut states, &mut next);
+            cursor = cursor.tail().expect("non-empty provenance");
+            if let Some(cached) = self.lock_memo().lookup(cursor.id(), &states) {
                 stats.memo_hits += 1;
                 break cached;
             }
-            trail.push((id, states.clone()));
-            match cursor.head() {
-                None => break get_bit(&states, self.accept),
-                Some(event) => {
-                    stats.nodes_visited += 1;
-                    let next = self.step(&states, event, stats);
-                    if is_zero(&next) {
-                        break false;
-                    }
-                    let tail = cursor.tail().expect("non-empty provenance").clone();
-                    states = next;
-                    cursor = tail;
-                }
-            }
         };
-        if !trail.is_empty() {
-            let mut memo = self.lock_memo();
-            for (id, states) in trail {
-                memo.insert(id, states, verdict);
-            }
-        }
+        self.seed_memo(&trail, verdict);
         verdict
     }
 
@@ -638,63 +758,42 @@ impl CompiledPattern {
     /// *consult* the memo — a cached verdict carries no trail — but it
     /// seeds the memo with the final verdict for every suffix visited,
     /// exactly as a plain match would, so later (e.g. counterfactual)
-    /// matches over untouched subgraphs answer from cache.
+    /// matches over untouched subgraphs answer from cache.  Pairs the memo
+    /// already holds are left as they are.
     pub fn witness(&self, provenance: &Provenance, stats: &mut MatchStats) -> WitnessTrail {
-        let mut states = self.initial_states();
-        let mut cursor = provenance.clone();
-        let mut consumed: Vec<WitnessStep> = Vec::new();
-        let mut trail: Vec<(ProvId, StateSet)> = Vec::new();
+        let len = provenance.len();
+        let mut trail = Trail::with_capacity(len + 1, self.words);
+        let mut consumed: Vec<WitnessStep> = Vec::with_capacity(len);
+        let mut states = self.row(self.start).to_vec();
+        let mut next = vec![0u64; self.words];
+        let mut cursor = provenance;
         let outcome = loop {
             let id = cursor.id();
-            trail.push((id, states.clone()));
-            match cursor.head() {
-                None => {
-                    break if get_bit(&states, self.accept) {
-                        WitnessTrail::Accepted { steps: consumed }
-                    } else {
-                        WitnessTrail::Exhausted { consumed }
-                    }
-                }
-                Some(event) => {
-                    stats.nodes_visited += 1;
-                    let step = WitnessStep {
-                        node: id,
-                        event: event.clone(),
-                    };
-                    let next = self.step(&states, event, stats);
-                    if is_zero(&next) {
-                        break WitnessTrail::Blocked {
-                            consumed,
-                            blocked: step,
-                        };
-                    }
-                    consumed.push(step);
-                    let tail = cursor.tail().expect("non-empty provenance").clone();
-                    states = next;
-                    cursor = tail;
-                }
+            trail.push(id, &states);
+            let Some(event) = cursor.head() else {
+                break if get_bit(&states, self.accept) {
+                    WitnessTrail::Accepted { steps: consumed }
+                } else {
+                    WitnessTrail::Exhausted { consumed }
+                };
+            };
+            stats.nodes_visited += 1;
+            let step = WitnessStep {
+                node: id,
+                event: event.clone(),
+            };
+            if !self.step(&states, event, &mut next, stats) {
+                break WitnessTrail::Blocked {
+                    consumed,
+                    blocked: step,
+                };
             }
+            consumed.push(step);
+            std::mem::swap(&mut states, &mut next);
+            cursor = cursor.tail().expect("non-empty provenance");
         };
-        let verdict = outcome.verdict();
-        let mut memo = self.lock_memo();
-        for (id, states) in trail {
-            memo.insert(id, states, verdict);
-        }
+        self.seed_memo(&trail, outcome.verdict());
         outcome
-    }
-
-    /// Decides whether a slice of borrowed events (most recent first)
-    /// matches, by plain (unmemoized) NFA simulation.
-    pub fn matches_events(&self, events: &[&Event]) -> bool {
-        let mut stats = MatchStats::default();
-        let mut current = self.initial_states();
-        for &event in events {
-            if is_zero(&current) {
-                return false;
-            }
-            current = self.step(&current, event, &mut stats);
-        }
-        get_bit(&current, self.accept)
     }
 
     fn atom_matches(&self, idx: usize, event: &Event, stats: &mut MatchStats) -> bool {
@@ -704,18 +803,6 @@ impl CompiledPattern {
             && atom
                 .channel
                 .matches_collect(&event.channel_provenance, stats)
-    }
-
-    fn epsilon_closure(&self, states: &mut StateSet) {
-        let mut stack: Vec<usize> = iter_bits(states).collect();
-        while let Some(state) = stack.pop() {
-            for t in &self.transitions[state] {
-                if t.label == Label::Epsilon && !get_bit(states, t.to) {
-                    set_bit(states, t.to);
-                    stack.push(t.to);
-                }
-            }
-        }
     }
 
     /// Checks that the NFA agrees with the reference matcher on a single
@@ -869,16 +956,6 @@ mod tests {
         // Re-vetting the full history is answered from the memo alone.
         assert!(compiled.matches(&prov));
         assert_eq!(compiled.memo_entries(), entries_after_growth);
-    }
-
-    #[test]
-    fn matches_events_agrees_with_matches() {
-        let pattern = Pattern::immediately_sent_by(GroupExpr::single("c"));
-        let compiled = CompiledPattern::compile(&pattern);
-        for prov in sample_provenances() {
-            let events: Vec<&Event> = prov.iter().collect();
-            assert_eq!(compiled.matches_events(&events), compiled.matches(&prov));
-        }
     }
 
     #[test]
@@ -1044,6 +1121,54 @@ mod tests {
             stats.retained <= stats.epochs * 4,
             "each rollover keeps at most bound/2 = 4 entries"
         );
+    }
+
+    #[test]
+    fn witness_keeps_memo_entries_hot() {
+        let pattern = Pattern::send(GroupExpr::all(), Pattern::Any).star();
+        for with_witness in [false, true] {
+            let compiled = CompiledPattern::compile(&pattern);
+            let prov = seq(vec![out("hot-a"), out("hot-b"), out("hot-c")]);
+            assert!(compiled.matches(&prov));
+            assert!(
+                compiled.matches(&prov),
+                "answered at the root, which turns hot"
+            );
+            if with_witness {
+                assert!(compiled
+                    .witness(&prov, &mut MatchStats::default())
+                    .verdict());
+            }
+            // Four entries (three suffixes and ε) over a bound of 2: the
+            // rollover keeps one hot entry, and only the root is hot.
+            compiled.set_memo_bound(2);
+            let stats = compiled.memo_stats();
+            assert_eq!(stats.epochs, 1);
+            assert_eq!(stats.retained, 1, "with_witness = {}", with_witness);
+            let (verdict, work) = compiled.matches_with_stats(&prov);
+            assert!(verdict);
+            assert_eq!(work.nodes_visited, 0, "with_witness = {}", with_witness);
+        }
+    }
+
+    #[test]
+    fn witness_over_memoized_nodes_does_not_roll_the_memo_over() {
+        let pattern = Pattern::send(GroupExpr::all(), Pattern::Any).star();
+        let compiled = CompiledPattern::compile(&pattern);
+        compiled.set_memo_bound(4);
+        let prov = seq(vec![out("full-a"), out("full-b"), out("full-c")]);
+        assert!(compiled.matches(&prov));
+        let before = compiled.memo_stats();
+        assert_eq!(before.entries, 4, "three suffixes and ε fill the memo");
+        assert!(compiled
+            .witness(&prov, &mut MatchStats::default())
+            .verdict());
+        let after = compiled.memo_stats();
+        assert_eq!(
+            after.epochs, before.epochs,
+            "re-seeding held pairs adds nothing"
+        );
+        assert_eq!(after.entries, 4);
     }
 
     #[test]
