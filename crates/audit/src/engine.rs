@@ -3,16 +3,18 @@
 //! An [`AuditEngine`] owns a [`ProvenanceStore`] (the durable log) and a
 //! versioned registry of named, pre-compiled policy patterns (see
 //! [`crate::registry`]) — but audit queries never touch the store or its
-//! reader-writer lock.  Instead, the ingest
-//! path publishes an immutable [`EngineSnapshot`] (`Arc`'d record chunks +
-//! a structurally shared [`piprov_store::SharedStoreIndex`] + a sequence
-//! watermark) once per applied batch, and [`AuditEngine::handle`] answers
-//! every request from the snapshot current at its start.  Ingest can no
-//! longer starve readers: however large the batch being applied, auditors
-//! keep answering from the previously published snapshot, and pay only a
-//! snapshot load to reach it — an `Arc` clone under a latch held for the
-//! pointer operation alone (see [`crate::snapshot`]), never for the
-//! duration of a batch.
+//! reader-writer lock.  Instead, the ingest path appends each batch to the
+//! store and publishes the store's copy-on-write view
+//! ([`ProvenanceStore::view`]) as the next [`EngineSnapshot`] (`Arc`'d
+//! record chunks + a structurally shared
+//! [`piprov_store::SharedStoreIndex`] + a sequence watermark), and
+//! [`AuditEngine::handle`] answers every request from the snapshot
+//! current at its start.  The snapshot *is* the store's in-memory state,
+//! so every record is held once.  Ingest can no longer starve readers:
+//! however large the batch being applied, auditors keep answering from
+//! the previously published snapshot, and pay only a snapshot load to
+//! reach it — an `Arc` clone under a latch held for the pointer operation
+//! alone (see [`crate::snapshot`]), never for the duration of a batch.
 //!
 //! # Consistency contract
 //!
@@ -207,12 +209,13 @@ impl AuditEngine {
         AuditEngine::with_config(store, AuditConfig::default())
     }
 
-    /// Wraps an already-open store with an explicit configuration.
+    /// Wraps an already-open store with an explicit configuration.  The
+    /// store's recovered view becomes the first snapshot; no record is
+    /// copied.
     pub fn with_config(store: ProvenanceStore, config: AuditConfig) -> Self {
-        let recovered = EngineSnapshot::from_records(store.iter().cloned().collect());
         AuditEngine {
+            snapshot: SnapshotCell::new(store.view()),
             store: RwLock::new(store),
-            snapshot: SnapshotCell::new(recovered),
             registry: PolicyRegistry::new(),
             config,
             metrics: MetricsRegistry::new(),
@@ -396,7 +399,10 @@ impl AuditEngine {
     ///
     /// Records appended before a failure stay appended — and are
     /// published, so the snapshot never diverges from the durable log;
-    /// the error reports the first record that could not be written.
+    /// the error reports the first record that could not be written.  A
+    /// record whose append reached the log but failed afterwards (its
+    /// sync or the segment rotation) is published too, though its
+    /// sequence number is not returned.
     ///
     /// # Errors
     ///
@@ -409,20 +415,13 @@ impl AuditEngine {
             return Ok(Vec::new());
         }
         let mut sequences = Vec::with_capacity(records.len());
-        let mut appended = Vec::with_capacity(records.len());
         let mut store = self.write_store();
         let mut failure = None;
         for record in records {
-            // Clone for the snapshot before the append consumes the
-            // record; the store-assigned sequence is patched in below, so
-            // no store lookup is needed inside the write-lock window.
-            let mut pending = record.clone();
             match store.append(record) {
                 Ok(seq) => {
                     sequences.push(seq);
                     self.ingested.fetch_add(1, Ordering::Relaxed);
-                    pending.sequence = seq;
-                    appended.push(pending);
                 }
                 Err(error) => {
                     failure = Some(error);
@@ -431,13 +430,15 @@ impl AuditEngine {
             }
         }
         self.ingest_batches.fetch_add(1, Ordering::Relaxed);
-        if !appended.is_empty() {
-            // Build the next snapshot off to the side and publish it while
-            // the write lock is still held, so publications carry the same
-            // total order as the appends they describe (monotone
-            // watermarks).  Readers never wait on any of this: they keep
-            // loading the previous snapshot until the single-pointer swap.
-            let next = self.snapshot.load().extended(appended);
+        // The appends built the next snapshot off to the side: the store's
+        // view copied its skeleton on the first append, because the
+        // published snapshot shares it.  Publish it while the write lock
+        // is still held, so publications carry the same total order as the
+        // appends they describe (monotone watermarks).  Readers never wait
+        // on any of this: they keep loading the previous snapshot until
+        // the single-pointer swap.
+        let next = store.view();
+        if next.watermark() > self.snapshot.load().watermark() {
             self.snapshot.publish(next);
             self.snapshots_published.fetch_add(1, Ordering::Relaxed);
         }
@@ -1282,6 +1283,47 @@ mod tests {
             0,
             "the recovery snapshot is not a publication"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_rotation_leaves_the_published_view_equal_to_the_log() {
+        let dir = temp_dir("failed-rotation");
+        let config = piprov_store::StoreConfig {
+            segment_budget: 1,
+            sync_every_append: false,
+        };
+        let engine = AuditEngine::new(ProvenanceStore::open_with(&dir, config).unwrap());
+        // A directory where the next segment file would go: the rotation
+        // after the first append cannot create it.
+        let blocker = dir.join("seg-000002.plog");
+        std::fs::create_dir(&blocker).unwrap();
+        let k = Provenance::single(Event::output(Principal::new("a"), Provenance::empty()));
+        let appended = ProvenanceRecord::new(1, "a", Operation::Send, "m", value("v"), k);
+        assert!(engine.ingest(appended).is_err());
+
+        // The record reached the log, so readers see it too.
+        assert_eq!(engine.record_count(), engine.store_stats().records);
+        assert_eq!(engine.record_count(), 1);
+        let trail = engine.handle(&AuditRequest::AuditTrail { value: value("v") });
+        let AuditOutcome::Trail(trail) = &trail.outcome else {
+            panic!("expected a trail, got {:?}", trail.outcome);
+        };
+        assert_eq!(
+            trail.records.iter().map(|r| r.sequence).collect::<Vec<_>>(),
+            vec![1]
+        );
+
+        drop(engine);
+        std::fs::remove_dir(&blocker).unwrap();
+        let reopened = AuditEngine::open(&dir).unwrap();
+        assert_eq!(reopened.record_count(), 1);
+        assert!(matches!(
+            reopened
+                .handle(&AuditRequest::AuditTrail { value: value("v") })
+                .outcome,
+            AuditOutcome::Trail(_)
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,9 +14,10 @@
 //!   [`piprov_store::ProvenanceStore`] and named, pre-compiled patterns
 //!   with bounded memos; queries answer from MVCC snapshots, never from
 //!   the store's lock;
-//! * [`snapshot`] — the [`EngineSnapshot`]: the immutable, watermarked
-//!   view (shared record chunks + structurally shared indexes) the ingest
-//!   path publishes once per batch and every query reads;
+//! * [`snapshot`] — the [`EngineSnapshot`]: the store's own watermarked,
+//!   copy-on-write [`piprov_store::StoreView`] (shared record chunks +
+//!   structurally shared indexes), which the ingest path publishes once
+//!   per batch and every query reads;
 //! * [`request`] — the typed request/response vocabulary:
 //!   [`AuditRequest`] (`VetValue`, `AuditTrail`, `WhoTouched`,
 //!   `OriginOf`, `Why`, `Counterfactual`), [`AuditResponse`] and

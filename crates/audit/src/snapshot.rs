@@ -1,183 +1,27 @@
 //! MVCC snapshots: the immutable state an audit query reads.
 //!
-//! An [`EngineSnapshot`] is a frozen, internally consistent view of the
-//! engine's record log at one **watermark** (the highest sequence number
-//! it contains).  The ingest path builds the next snapshot *off to the
-//! side* — appending one immutable record chunk and extending a
-//! structurally shared [`SharedStoreIndex`] — and publishes it with a
-//! single `Arc` swap once the whole batch is durable.  Auditors therefore
-//! never observe a half-applied batch: every response is explained by
-//! exactly one published watermark.
-//!
-//! Two sharing disciplines keep publication cheap:
-//!
-//! * **records** are held as a vector of `Arc`'d chunks (one per published
-//!   batch, merged from recovery); extending a snapshot clones only the
-//!   chunk *pointers* and appends one new chunk — no record is ever
-//!   re-copied after it is published;
-//! * **indexes** use [`SharedStoreIndex::extended`], which shares every
-//!   untouched posting-list bucket with the predecessor snapshot.
-//!
-//! Within a chunk, sequence numbers are contiguous, so lookup is a binary
-//! search over chunk start sequences plus an offset — `O(log batches)`.
+//! An [`EngineSnapshot`] is the store's own [`piprov_store::StoreView`]: a
+//! frozen, internally consistent view of the record log at one
+//! **watermark** (the highest sequence number it contains).  There is no
+//! second copy of the records: the ingest path appends a batch to the
+//! store, whose copy-on-write view shares every existing record chunk and
+//! every untouched posting list with the one last published, and then
+//! publishes [`piprov_store::ProvenanceStore::view`] with a single `Arc`
+//! swap.  Auditors therefore never observe a half-applied batch: every
+//! response is explained by exactly one published watermark.
 
-use piprov_store::{AuditTrail, ProvenanceRecord, SequenceNumber, SharedStoreIndex};
 use std::sync::{Arc, RwLock};
-
-/// One immutable run of records with contiguous sequence numbers.
-#[derive(Debug, Clone)]
-struct RecordChunk {
-    /// Sequence number of `records[0]`.
-    first: SequenceNumber,
-    records: Arc<Vec<ProvenanceRecord>>,
-}
-
-/// Splits `records` (in ascending sequence order) into contiguous runs and
-/// appends them to `chunks`.  Appends produce one run per batch; recovery
-/// of a compacted store may produce several.
-fn append_chunks(chunks: &mut Vec<RecordChunk>, records: Vec<ProvenanceRecord>) {
-    let mut first = 0;
-    let mut run: Vec<ProvenanceRecord> = Vec::new();
-    for record in records {
-        if run.is_empty() {
-            first = record.sequence;
-        } else if record.sequence != first + run.len() as u64 {
-            chunks.push(RecordChunk {
-                first,
-                records: Arc::new(std::mem::take(&mut run)),
-            });
-            first = record.sequence;
-        }
-        run.push(record);
-    }
-    if !run.is_empty() {
-        chunks.push(RecordChunk {
-            first,
-            records: Arc::new(run),
-        });
-    }
-}
 
 /// An immutable, internally consistent view of the engine's record log at
 /// one watermark.
 ///
-/// All four audit request kinds answer entirely from a snapshot: posting
-/// lists come from its [`SharedStoreIndex`], records from its chunk list,
-/// and the store itself — including its reader-writer lock — is never
-/// touched.  Snapshots are cheap to hold: pin one (via
+/// All audit request kinds answer entirely from a snapshot, and the store
+/// itself — including its reader-writer lock — is never touched.
+/// Snapshots are cheap to hold: pin one (via
 /// [`crate::AuditEngine::snapshot`]) and every query served through
 /// [`crate::AuditEngine::handle_at`] sees the same frozen state, however
 /// much ingest lands in the meantime.
-#[derive(Debug)]
-pub struct EngineSnapshot {
-    chunks: Vec<RecordChunk>,
-    index: SharedStoreIndex,
-    watermark: SequenceNumber,
-    len: usize,
-}
-
-impl EngineSnapshot {
-    /// An empty snapshot (watermark 0).
-    pub(crate) fn empty() -> Self {
-        EngineSnapshot {
-            chunks: Vec::new(),
-            index: SharedStoreIndex::new(),
-            watermark: 0,
-            len: 0,
-        }
-    }
-
-    /// Freezes an existing record log (used once, at engine construction,
-    /// with the recovered store contents; afterwards snapshots only ever
-    /// grow by [`EngineSnapshot::extended`]).
-    pub(crate) fn from_records(records: Vec<ProvenanceRecord>) -> Self {
-        let mut snapshot = EngineSnapshot::empty();
-        if records.is_empty() {
-            return snapshot;
-        }
-        snapshot.watermark = records.last().expect("non-empty").sequence;
-        snapshot.len = records.len();
-        snapshot.index = SharedStoreIndex::rebuild(records.iter());
-        append_chunks(&mut snapshot.chunks, records);
-        snapshot
-    }
-
-    /// The next snapshot: `self` plus one appended batch (ascending,
-    /// non-empty).  Shares every existing chunk and every untouched index
-    /// bucket with `self`.
-    pub(crate) fn extended(&self, appended: Vec<ProvenanceRecord>) -> Self {
-        debug_assert!(!appended.is_empty(), "publication needs records");
-        let index = self.index.extended(appended.iter());
-        let watermark = appended.last().expect("non-empty batch").sequence;
-        debug_assert!(watermark > self.watermark, "watermarks are monotone");
-        let len = self.len + appended.len();
-        let mut chunks = self.chunks.clone();
-        append_chunks(&mut chunks, appended);
-        EngineSnapshot {
-            chunks,
-            index,
-            watermark,
-            len,
-        }
-    }
-
-    /// The highest sequence number this snapshot contains (0 when empty).
-    ///
-    /// Every [`crate::AuditResponse`] carries the watermark of the
-    /// snapshot that answered it; watermarks observed through one engine
-    /// are monotone.
-    pub fn watermark(&self) -> SequenceNumber {
-        self.watermark
-    }
-
-    /// Number of records visible.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no record has been published yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of immutable record chunks (one per published batch, plus
-    /// the recovery chunk) — introspection for the sharing tests.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// The snapshot's secondary indexes.
-    pub fn index(&self) -> &SharedStoreIndex {
-        &self.index
-    }
-
-    /// Looks up a record by sequence number.
-    pub fn get(&self, sequence: SequenceNumber) -> Option<&ProvenanceRecord> {
-        let position = self.chunks.partition_point(|c| c.first <= sequence);
-        let chunk = self.chunks[..position].last()?;
-        chunk.records.get((sequence - chunk.first) as usize)
-    }
-
-    /// Looks up several records by sequence number, skipping unknown ones.
-    pub fn get_many<'a>(
-        &'a self,
-        sequences: impl IntoIterator<Item = SequenceNumber> + 'a,
-    ) -> impl Iterator<Item = &'a ProvenanceRecord> + 'a {
-        sequences.into_iter().filter_map(|s| self.get(s))
-    }
-
-    /// Reconstructs the audit trail of `value` as of this snapshot's
-    /// watermark — the same construction [`piprov_store::StoreQuery`]
-    /// uses, so a snapshot trail matches what the store itself would have
-    /// answered at that watermark.
-    pub fn audit_trail(&self, value: &piprov_core::value::Value) -> AuditTrail {
-        let records: Vec<ProvenanceRecord> = self
-            .get_many(self.index.by_value(value).iter().copied())
-            .cloned()
-            .collect();
-        AuditTrail::from_records(value.clone(), records)
-    }
-}
+pub type EngineSnapshot = piprov_store::StoreView;
 
 /// The publication point: readers load the current snapshot, the ingest
 /// path swaps in the next one.
@@ -185,19 +29,19 @@ impl EngineSnapshot {
 /// Publication is a single `Arc` pointer swap under a reader-writer latch
 /// held only for the swap itself (writers) or an `Arc` clone (readers) —
 /// nanoseconds either way, and crucially **independent of batch size**:
-/// building the next snapshot happens entirely outside the latch, so a
-/// reader is never blocked behind a batch being applied, which is exactly
-/// the starvation the old design (queries behind the store's reader-writer
-/// lock) suffered.
+/// the next snapshot is built by the store's appends, outside the latch,
+/// so a reader is never blocked behind a batch being applied, which is
+/// exactly the starvation the old design (queries behind the store's
+/// reader-writer lock) suffered.
 #[derive(Debug)]
 pub(crate) struct SnapshotCell {
     current: RwLock<Arc<EngineSnapshot>>,
 }
 
 impl SnapshotCell {
-    pub(crate) fn new(snapshot: EngineSnapshot) -> Self {
+    pub(crate) fn new(snapshot: Arc<EngineSnapshot>) -> Self {
         SnapshotCell {
-            current: RwLock::new(Arc::new(snapshot)),
+            current: RwLock::new(snapshot),
         }
     }
 
@@ -210,11 +54,10 @@ impl SnapshotCell {
     }
 
     /// Atomically replaces the published snapshot.
-    pub(crate) fn publish(&self, snapshot: EngineSnapshot) {
-        let next = Arc::new(snapshot);
+    pub(crate) fn publish(&self, snapshot: Arc<EngineSnapshot>) {
         match self.current.write() {
-            Ok(mut guard) => *guard = next,
-            Err(poisoned) => *poisoned.into_inner() = next,
+            Ok(mut guard) => *guard = snapshot,
+            Err(poisoned) => *poisoned.into_inner() = snapshot,
         }
     }
 }
@@ -225,96 +68,34 @@ mod tests {
     use piprov_core::name::{Channel, Principal};
     use piprov_core::provenance::{Event, Provenance};
     use piprov_core::value::Value;
-    use piprov_store::Operation;
+    use piprov_store::{Operation, ProvenanceRecord, ProvenanceStore};
 
-    fn record(seq: u64, who: &str, value: &str) -> ProvenanceRecord {
-        let mut r = ProvenanceRecord::new(
-            seq,
+    fn record(who: &str, value: &str) -> ProvenanceRecord {
+        ProvenanceRecord::new(
+            0,
             who,
             Operation::Send,
             "m",
             Value::Channel(Channel::new(value)),
             Provenance::single(Event::output(Principal::new(who), Provenance::empty())),
-        );
-        r.sequence = seq;
-        r
-    }
-
-    #[test]
-    fn lookup_spans_chunks_and_misses_cleanly() {
-        let base = EngineSnapshot::from_records(vec![record(1, "a", "v"), record(2, "b", "w")]);
-        let next = base.extended(vec![record(3, "c", "v")]);
-        assert_eq!(next.len(), 3);
-        assert_eq!(next.watermark(), 3);
-        assert_eq!(next.chunk_count(), 2);
-        for seq in 1..=3 {
-            assert_eq!(next.get(seq).unwrap().sequence, seq);
-        }
-        assert!(next.get(0).is_none());
-        assert!(next.get(4).is_none());
-        assert!(base.get(3).is_none(), "the base snapshot is frozen");
-        assert_eq!(base.watermark(), 2);
-        let trail = next.audit_trail(&Value::Channel(Channel::new("v")));
-        assert_eq!(
-            trail.records.iter().map(|r| r.sequence).collect::<Vec<_>>(),
-            vec![1, 3]
-        );
-    }
-
-    #[test]
-    fn empty_snapshot_answers_nothing() {
-        let snapshot = EngineSnapshot::empty();
-        assert!(snapshot.is_empty());
-        assert_eq!(snapshot.watermark(), 0);
-        assert!(snapshot.get(1).is_none());
-        assert!(snapshot
-            .audit_trail(&Value::Channel(Channel::new("v")))
-            .records
-            .is_empty());
-    }
-
-    #[test]
-    fn recovery_of_a_compacted_log_splits_at_the_sequence_gap() {
-        // A compacted store can hold non-contiguous sequences; the
-        // snapshot must still resolve each one exactly.
-        let snapshot = EngineSnapshot::from_records(vec![
-            record(1, "a", "v"),
-            record(2, "a", "v"),
-            record(7, "b", "w"),
-            record(8, "b", "w"),
-        ]);
-        assert_eq!(snapshot.chunk_count(), 2);
-        assert_eq!(snapshot.watermark(), 8);
-        assert_eq!(snapshot.get(2).unwrap().sequence, 2);
-        assert_eq!(snapshot.get(7).unwrap().sequence, 7);
-        assert!(snapshot.get(4).is_none(), "the gap stays a miss");
-        assert!(snapshot.get(9).is_none());
-    }
-
-    #[test]
-    fn extending_shares_chunks_with_the_predecessor() {
-        let base = EngineSnapshot::from_records(vec![record(1, "a", "v")]);
-        let next = base.extended(vec![record(2, "b", "w")]);
-        assert!(
-            Arc::ptr_eq(&base.chunks[0].records, &next.chunks[0].records),
-            "published chunks are shared, never re-copied"
-        );
-        assert!(Arc::ptr_eq(
-            base.index
-                .value_bucket(&Value::Channel(Channel::new("v")))
-                .unwrap(),
-            next.index
-                .value_bucket(&Value::Channel(Channel::new("v")))
-                .unwrap()
-        ));
+        )
     }
 
     #[test]
     fn cell_publishes_atomically_and_pinned_snapshots_survive() {
-        let cell = SnapshotCell::new(EngineSnapshot::from_records(vec![record(1, "a", "v")]));
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("piprov-audit-{}-cell", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = ProvenanceStore::open(&dir).unwrap();
+        store.append(record("a", "v")).unwrap();
+        let cell = SnapshotCell::new(store.view());
         let pinned = cell.load();
-        cell.publish(pinned.extended(vec![record(2, "b", "w")]));
+        store.append(record("b", "w")).unwrap();
+        assert_eq!(cell.load().watermark(), 1, "nothing published yet");
+        cell.publish(store.view());
         assert_eq!(pinned.watermark(), 1, "a pinned snapshot stays frozen");
+        assert_eq!(pinned.len(), 1);
         assert_eq!(cell.load().watermark(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,8 +13,10 @@
 //!   reads must be no slower at 1 thread and strictly faster under
 //!   concurrent ingest on ≥ 4 hardware threads.
 //! * **`e14_mvcc/publish_latency`** — what a writer pays per published
-//!   snapshot as batch size grows (chunk append + shared-index extension),
-//!   in µs/batch and ns/record.
+//!   snapshot as batch size grows, in µs/batch and ns/record.  The
+//!   snapshot is the store's own copy-on-write view, so this is the
+//!   append itself plus, once per batch, the clone of the chunk pointers
+//!   and the index skeleton that the published predecessor forces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use piprov_audit::{AuditConfig, AuditEngine, AuditOutcome, AuditRequest};

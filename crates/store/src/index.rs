@@ -1,16 +1,18 @@
-//! In-memory indexes over the record log.
+//! In-memory secondary indexes over the record log.
 //!
 //! The store keeps the authoritative data in its append-only segments; the
-//! indexes here are rebuilt on recovery by scanning the segments and are
-//! used to answer audit queries without a full scan.
+//! index here is rebuilt on recovery by scanning the segments and is used
+//! to answer audit queries without a full scan.
 //!
-//! Two public index types share one implementation, differing only in how
-//! a posting list is stored: [`StoreIndex`] owns plain `Vec` buckets (the
-//! store's mutable in-place index), while [`SharedStoreIndex`] puts every
-//! bucket behind an [`Arc`] so an *extended* copy structurally shares
-//! untouched buckets with its predecessor — the hook the audit engine's
-//! MVCC snapshots build on.  Because both are the same generic core, a
-//! change to the posting discipline cannot desynchronize them.
+//! There is one index type, [`SharedStoreIndex`], and it lives inside the
+//! store's copy-on-write [`crate::StoreView`].  Every posting list sits
+//! behind an [`Arc`]: while nobody else holds a bucket, [`insert`]
+//! appends to it in place; once a published view shares it, the first
+//! insert that touches it copies it ([`Arc::make_mut`]).  A view cloned
+//! for the next append therefore shares every bucket its batch does not
+//! touch with its predecessor.
+//!
+//! [`insert`]: SharedStoreIndex::insert
 
 use crate::record::{ProvenanceRecord, SequenceNumber};
 use piprov_core::name::{Channel, Principal};
@@ -18,218 +20,46 @@ use piprov_core::value::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How one posting list is stored.  `Vec` appends in place;
-/// `Arc<Vec<_>>` copies-on-write ([`Arc::make_mut`]) so unshared buckets
-/// mutate in place and shared ones are copied exactly when touched.
-trait PostingBucket: Default {
-    fn push_unique(&mut self, seq: SequenceNumber);
-    fn as_slice(&self) -> &[SequenceNumber];
-}
+/// One posting list: copy-on-write, so unshared buckets grow in place and
+/// shared ones are copied exactly when touched.
+type Bucket = Arc<Vec<SequenceNumber>>;
 
-impl PostingBucket for Vec<SequenceNumber> {
-    /// Appends `seq` unless it is already the tail entry: sequence numbers
-    /// arrive in non-decreasing order (appends are monotone; rebuilds
-    /// replay in sequence order), so a record that maps to the same key
-    /// several times — or an insert replayed for a record already indexed
-    /// — only ever tries to append the sequence number the list already
-    /// ends with, and checking the tail suffices.
-    fn push_unique(&mut self, seq: SequenceNumber) {
-        if self.last() != Some(&seq) {
-            self.push(seq);
-        }
-    }
-
-    fn as_slice(&self) -> &[SequenceNumber] {
-        self
+/// Appends `seq` unless it is already the tail entry: sequence numbers
+/// arrive in ascending order (appends are monotone; rebuilds replay in
+/// sequence order), so a record that maps to the same key several times —
+/// or an insert replayed for a record already indexed — only ever tries to
+/// append the sequence number the list already ends with, and checking the
+/// tail suffices.  The check comes first, so a replay never copies a
+/// shared bucket.
+fn push_unique(bucket: &mut Bucket, seq: SequenceNumber) {
+    if bucket.last() != Some(&seq) {
+        Arc::make_mut(bucket).push(seq);
     }
 }
 
-impl PostingBucket for Arc<Vec<SequenceNumber>> {
-    fn push_unique(&mut self, seq: SequenceNumber) {
-        Arc::make_mut(self).push_unique(seq);
-    }
-
-    fn as_slice(&self) -> &[SequenceNumber] {
-        self
-    }
+fn postings<'a, K: Ord>(map: &'a BTreeMap<K, Bucket>, key: &K) -> &'a [SequenceNumber] {
+    map.get(key).map(|bucket| bucket.as_slice()).unwrap_or(&[])
 }
 
-/// The shared index core: every query dimension, generic over bucket
-/// storage.
-#[derive(Debug, Clone, Default)]
-struct IndexCore<B> {
-    by_principal: BTreeMap<Principal, B>,
-    by_channel: BTreeMap<Channel, B>,
-    by_value: BTreeMap<Value, B>,
-    /// Principals that appear anywhere in a record's provenance, not just
-    /// as the acting principal.
-    by_involved_principal: BTreeMap<Principal, B>,
-}
-
-impl<B: PostingBucket> IndexCore<B> {
-    fn insert(&mut self, record: &ProvenanceRecord) {
-        let seq = record.sequence;
-        self.by_principal
-            .entry(record.principal.clone())
-            .or_default()
-            .push_unique(seq);
-        self.by_channel
-            .entry(record.channel.clone())
-            .or_default()
-            .push_unique(seq);
-        self.by_value
-            .entry(record.value.clone())
-            .or_default()
-            .push_unique(seq);
-        for p in record.principals_involved() {
-            self.by_involved_principal
-                .entry(p)
-                .or_default()
-                .push_unique(seq);
-        }
-    }
-
-    fn rebuild<'a>(records: impl IntoIterator<Item = &'a ProvenanceRecord>) -> Self
-    where
-        Self: Default,
-    {
-        let mut core = Self::default();
-        for r in records {
-            core.insert(r);
-        }
-        core
-    }
-
-    fn by_principal(&self, principal: &Principal) -> &[SequenceNumber] {
-        self.by_principal
-            .get(principal)
-            .map(B::as_slice)
-            .unwrap_or(&[])
-    }
-
-    fn by_channel(&self, channel: &Channel) -> &[SequenceNumber] {
-        self.by_channel.get(channel).map(B::as_slice).unwrap_or(&[])
-    }
-
-    fn by_value(&self, value: &Value) -> &[SequenceNumber] {
-        self.by_value.get(value).map(B::as_slice).unwrap_or(&[])
-    }
-
-    fn by_involved_principal(&self, principal: &Principal) -> &[SequenceNumber] {
-        self.by_involved_principal
-            .get(principal)
-            .map(B::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Acting-principal + channel + value entries (the dimensions
-    /// [`entry_count`](StoreIndex::entry_count) has always reported).
-    fn entry_count(&self) -> usize {
-        self.by_principal
-            .values()
-            .map(|b| b.as_slice().len())
-            .sum::<usize>()
-            + self
-                .by_channel
-                .values()
-                .map(|b| b.as_slice().len())
-                .sum::<usize>()
-            + self
-                .by_value
-                .values()
-                .map(|b| b.as_slice().len())
-                .sum::<usize>()
-    }
+fn entries<K>(map: &BTreeMap<K, Bucket>) -> usize {
+    map.values().map(|bucket| bucket.len()).sum()
 }
 
 /// Secondary indexes mapping principals, channels and values to the
 /// sequence numbers of the records that mention them.
-#[derive(Debug, Default, Clone)]
-pub struct StoreIndex {
-    core: IndexCore<Vec<SequenceNumber>>,
-}
-
-impl StoreIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        StoreIndex::default()
-    }
-
-    /// Indexes one record.
-    ///
-    /// Posting lists are kept duplicate-free: sequence numbers arrive in
-    /// non-decreasing order (appends are monotone; rebuilds replay in
-    /// sequence order), so a record that maps to the same key several
-    /// times — or an insert replayed for a record already indexed — only
-    /// ever tries to append the sequence number the list already ends
-    /// with, and checking the tail suffices.
-    pub fn insert(&mut self, record: &ProvenanceRecord) {
-        self.core.insert(record);
-    }
-
-    /// Rebuilds an index from scratch.
-    pub fn rebuild<'a>(records: impl IntoIterator<Item = &'a ProvenanceRecord>) -> Self {
-        StoreIndex {
-            core: IndexCore::rebuild(records),
-        }
-    }
-
-    /// Sequence numbers of records where `principal` acted.
-    pub fn by_principal(&self, principal: &Principal) -> &[SequenceNumber] {
-        self.core.by_principal(principal)
-    }
-
-    /// Sequence numbers of records on `channel`.
-    pub fn by_channel(&self, channel: &Channel) -> &[SequenceNumber] {
-        self.core.by_channel(channel)
-    }
-
-    /// Sequence numbers of records whose exchanged value is `value`.
-    pub fn by_value(&self, value: &Value) -> &[SequenceNumber] {
-        self.core.by_value(value)
-    }
-
-    /// Sequence numbers of records whose provenance mentions `principal`
-    /// anywhere (acting or historical).
-    pub fn by_involved_principal(&self, principal: &Principal) -> &[SequenceNumber] {
-        self.core.by_involved_principal(principal)
-    }
-
-    /// All principals that ever acted.
-    pub fn principals(&self) -> impl Iterator<Item = &Principal> {
-        self.core.by_principal.keys()
-    }
-
-    /// All channels that ever carried a value.
-    pub fn channels(&self) -> impl Iterator<Item = &Channel> {
-        self.core.by_channel.keys()
-    }
-
-    /// All distinct values ever exchanged.
-    pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.core.by_value.keys()
-    }
-
-    /// Number of index entries (for introspection and tests).
-    pub fn entry_count(&self) -> usize {
-        self.core.entry_count()
-    }
-}
-
-/// Snapshot-shareable secondary indexes.
 ///
-/// Same posting discipline as [`StoreIndex`] (one generic implementation
-/// serves both), but every bucket lives behind an [`Arc`], so an index
-/// *extended* with a batch of new records shares untouched buckets with
-/// its predecessor: [`SharedStoreIndex::extended`] clones only the map
-/// skeleton (one `Arc` clone per key) and copies just the posting lists
-/// the batch actually touches.  This is the structural-sharing hook the
-/// audit engine's MVCC snapshots build on — each published snapshot owns
-/// an immutable index, and consecutive snapshots share the overwhelming
-/// majority of their buckets.
+/// Cloning copies only the map skeletons (one `Arc` clone per key), and
+/// [`SharedStoreIndex::extended`] copies just the posting lists its batch
+/// touches, so consecutive versions share the overwhelming majority of
+/// their buckets.
 #[derive(Debug, Clone, Default)]
 pub struct SharedStoreIndex {
-    core: IndexCore<Arc<Vec<SequenceNumber>>>,
+    by_principal: BTreeMap<Principal, Bucket>,
+    by_channel: BTreeMap<Channel, Bucket>,
+    by_value: BTreeMap<Value, Bucket>,
+    /// Principals that appear anywhere in a record's provenance, not just
+    /// as the acting principal.
+    by_involved_principal: BTreeMap<Principal, Bucket>,
 }
 
 impl SharedStoreIndex {
@@ -238,11 +68,36 @@ impl SharedStoreIndex {
         SharedStoreIndex::default()
     }
 
+    /// Indexes one record, in place.
+    ///
+    /// Posting lists stay duplicate-free as long as records arrive in
+    /// ascending sequence order (see the tail check above), which is how
+    /// the store appends and recovers them.
+    pub fn insert(&mut self, record: &ProvenanceRecord) {
+        let seq = record.sequence;
+        push_unique(
+            self.by_principal
+                .entry(record.principal.clone())
+                .or_default(),
+            seq,
+        );
+        push_unique(
+            self.by_channel.entry(record.channel.clone()).or_default(),
+            seq,
+        );
+        push_unique(self.by_value.entry(record.value.clone()).or_default(), seq);
+        for p in record.principals_involved() {
+            push_unique(self.by_involved_principal.entry(p).or_default(), seq);
+        }
+    }
+
     /// Builds an index from scratch.
     pub fn rebuild<'a>(records: impl IntoIterator<Item = &'a ProvenanceRecord>) -> Self {
-        SharedStoreIndex {
-            core: IndexCore::rebuild(records),
+        let mut index = SharedStoreIndex::new();
+        for r in records {
+            index.insert(r);
         }
+        index
     }
 
     /// A new index covering `self`'s records plus `records`, sharing every
@@ -251,57 +106,63 @@ impl SharedStoreIndex {
     pub fn extended<'a>(&self, records: impl IntoIterator<Item = &'a ProvenanceRecord>) -> Self {
         let mut next = self.clone();
         for r in records {
-            next.core.insert(r);
+            next.insert(r);
         }
         next
     }
 
     /// Sequence numbers of records where `principal` acted.
     pub fn by_principal(&self, principal: &Principal) -> &[SequenceNumber] {
-        self.core.by_principal(principal)
+        postings(&self.by_principal, principal)
     }
 
     /// Sequence numbers of records on `channel`.
     pub fn by_channel(&self, channel: &Channel) -> &[SequenceNumber] {
-        self.core.by_channel(channel)
+        postings(&self.by_channel, channel)
     }
 
     /// Sequence numbers of records whose exchanged value is `value`.
     pub fn by_value(&self, value: &Value) -> &[SequenceNumber] {
-        self.core.by_value(value)
+        postings(&self.by_value, value)
     }
 
     /// Sequence numbers of records whose provenance mentions `principal`
     /// anywhere (acting or historical).
     pub fn by_involved_principal(&self, principal: &Principal) -> &[SequenceNumber] {
-        self.core.by_involved_principal(principal)
+        postings(&self.by_involved_principal, principal)
     }
 
     /// All principals that ever acted.
     pub fn principals(&self) -> impl Iterator<Item = &Principal> {
-        self.core.by_principal.keys()
+        self.by_principal.keys()
+    }
+
+    /// All channels that ever carried a value.
+    pub fn channels(&self) -> impl Iterator<Item = &Channel> {
+        self.by_channel.keys()
     }
 
     /// All distinct values ever exchanged.
     pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.core.by_value.keys()
+        self.by_value.keys()
     }
 
-    /// Number of index entries (for introspection and tests).
+    /// Number of acting-principal, channel and value entries (for
+    /// introspection and tests).
     pub fn entry_count(&self) -> usize {
-        self.core.entry_count()
+        entries(&self.by_principal) + entries(&self.by_channel) + entries(&self.by_value)
     }
 
     /// The shared bucket behind [`SharedStoreIndex::by_value`], exposed so
     /// sharing across extended indexes is checkable (`Arc::ptr_eq`).
     pub fn value_bucket(&self, value: &Value) -> Option<&Arc<Vec<SequenceNumber>>> {
-        self.core.by_value.get(value)
+        self.by_value.get(value)
     }
 
     /// The shared bucket behind [`SharedStoreIndex::by_principal`], exposed
     /// so sharing across extended indexes is checkable (`Arc::ptr_eq`).
     pub fn principal_bucket(&self, principal: &Principal) -> Option<&Arc<Vec<SequenceNumber>>> {
-        self.core.by_principal.get(principal)
+        self.by_principal.get(principal)
     }
 }
 
@@ -333,7 +194,7 @@ mod tests {
             record(2, "b", "m", "w"),
             record(3, "a", "n", "v"),
         ];
-        let index = StoreIndex::rebuild(&records);
+        let index = SharedStoreIndex::rebuild(&records);
         assert_eq!(index.by_principal(&Principal::new("a")), &[1, 3]);
         assert_eq!(index.by_principal(&Principal::new("b")), &[2]);
         assert_eq!(index.by_channel(&Channel::new("m")), &[1, 2]);
@@ -363,7 +224,7 @@ mod tests {
             // the channel provenance of a later event.
             provenance: Provenance::single(Event::output(Principal::new("origin"), km)),
         };
-        let mut index = StoreIndex::new();
+        let mut index = SharedStoreIndex::new();
         index.insert(&r);
         index.insert(&r);
         assert_eq!(index.by_principal(&Principal::new("origin")), &[7]);
@@ -371,38 +232,6 @@ mod tests {
         assert_eq!(index.by_value(&Value::Channel(Channel::new("v"))), &[7]);
         assert_eq!(index.by_involved_principal(&Principal::new("origin")), &[7]);
         assert_eq!(index.entry_count(), 3);
-    }
-
-    #[test]
-    fn shared_index_agrees_with_the_plain_index() {
-        let records = vec![
-            record(1, "a", "m", "v"),
-            record(2, "b", "m", "w"),
-            record(3, "a", "n", "v"),
-        ];
-        let plain = StoreIndex::rebuild(&records);
-        let shared = SharedStoreIndex::rebuild(&records);
-        for p in ["a", "b", "zz"] {
-            assert_eq!(
-                plain.by_principal(&Principal::new(p)),
-                shared.by_principal(&Principal::new(p))
-            );
-            assert_eq!(
-                plain.by_involved_principal(&Principal::new(p)),
-                shared.by_involved_principal(&Principal::new(p))
-            );
-        }
-        assert_eq!(
-            plain.by_channel(&Channel::new("m")),
-            shared.by_channel(&Channel::new("m"))
-        );
-        assert_eq!(
-            plain.by_value(&Value::Channel(Channel::new("v"))),
-            shared.by_value(&Value::Channel(Channel::new("v")))
-        );
-        assert_eq!(plain.entry_count(), shared.entry_count());
-        assert_eq!(shared.principals().count(), 2);
-        assert_eq!(shared.values().count(), 2);
     }
 
     #[test]
@@ -451,12 +280,19 @@ mod tests {
         let next = base.extended(&[record(7, "a", "m", "v")]);
         assert_eq!(next.by_principal(&Principal::new("a")), &[7]);
         assert_eq!(next.entry_count(), base.entry_count());
+        assert!(
+            Arc::ptr_eq(
+                base.principal_bucket(&Principal::new("a")).unwrap(),
+                next.principal_bucket(&Principal::new("a")).unwrap()
+            ),
+            "a replayed insert copies no shared bucket"
+        );
     }
 
     #[test]
     fn involved_principals_include_provenance_history() {
         let records = vec![record(1, "a", "m", "v")];
-        let index = StoreIndex::rebuild(&records);
+        let index = SharedStoreIndex::rebuild(&records);
         assert_eq!(
             index.by_involved_principal(&Principal::new("origin")),
             &[1],

@@ -14,7 +14,9 @@
 //! * [`codec`] — a checksummed, length-prefixed binary encoding;
 //! * [`segment`] — append-only segment files with torn-write detection;
 //! * [`store`] — the [`ProvenanceStore`]: rotation, recovery, compaction;
-//! * [`index`] — in-memory secondary indexes by principal/channel/value;
+//! * [`view`] — the [`StoreView`]: the store's only in-memory copy of its
+//!   records, copy-on-write, so a held view is a frozen snapshot;
+//! * [`index`] — the view's secondary indexes by principal/channel/value;
 //! * [`query`] — audit trails, taint analysis, origin queries;
 //! * [`recorder`] — glue that persists an executor's trace as it runs.
 //!
@@ -54,12 +56,14 @@ pub mod record;
 pub mod recorder;
 pub mod segment;
 pub mod store;
+pub mod view;
 
 pub use codec::BodyFormat;
 pub use error::StoreError;
-pub use index::{SharedStoreIndex, StoreIndex};
+pub use index::SharedStoreIndex;
 pub use query::{AuditTrail, StoreQuery};
 pub use record::{Operation, ProvenanceRecord, SequenceNumber};
 pub use recorder::{run_and_record, TraceRecorder};
 pub use segment::{scan_segment, Segment, SegmentScan};
 pub use store::{ProvenanceStore, RepairReport, StoreConfig, StoreStats};
+pub use view::StoreView;

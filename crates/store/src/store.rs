@@ -1,21 +1,27 @@
 //! The provenance store: durable, append-only storage of provenance
-//! records with in-memory indexes and crash recovery.
+//! records with an in-memory view and crash recovery.
 //!
 //! Layout on disk: a directory containing numbered segment files
 //! `seg-000001.plog`, `seg-000002.plog`, ….  Records are appended to the
 //! highest-numbered (active) segment; when it exceeds the size budget a new
 //! segment is started.  Recovery scans the segments in order, keeps every
-//! cleanly decodable prefix, rebuilds the indexes and resumes appending.
+//! cleanly decodable prefix, rebuilds the view and resumes appending.
+//!
+//! In memory the store holds one [`StoreView`] behind an [`Arc`]: every
+//! record once, with its indexes.  [`ProvenanceStore::view`] hands out a
+//! clone of that `Arc`, which stays frozen while the store keeps
+//! appending (see [`crate::view`]).
 
 use crate::error::StoreError;
-use crate::index::StoreIndex;
+use crate::index::SharedStoreIndex;
 use crate::record::{ProvenanceRecord, SequenceNumber};
 use crate::segment::{scan_segment, Segment, DEFAULT_SEGMENT_BUDGET};
-use std::collections::BTreeMap;
+use crate::view::StoreView;
 use std::fmt;
 use std::fs;
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Configuration of a [`ProvenanceStore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,8 +72,8 @@ pub struct ProvenanceStore {
     active_id: u64,
     sealed: Vec<PathBuf>,
     next_sequence: SequenceNumber,
-    records: BTreeMap<SequenceNumber, ProvenanceRecord>,
-    index: StoreIndex,
+    /// Every record in the segments, once; copy-on-write.
+    view: Arc<StoreView>,
     bytes_on_disk: usize,
 }
 
@@ -163,7 +169,7 @@ impl ProvenanceStore {
         }
         let mut segment_paths = existing_segments(&directory)?;
         segment_paths.sort();
-        let mut records = BTreeMap::new();
+        let mut records = Vec::new();
         let mut bytes_on_disk = 0usize;
         for (position, path) in segment_paths.iter().enumerate() {
             let scan = scan_segment(path)?;
@@ -191,11 +197,15 @@ impl ProvenanceStore {
                 Some(error) => return Err(error),
                 None => bytes_on_disk += disk_len,
             }
-            for record in scan.records {
-                records.insert(record.sequence, record);
-            }
+            records.extend(scan.records);
         }
-        let next_sequence = records.keys().next_back().map(|s| s + 1).unwrap_or(1);
+        // Segments hold ascending runs, but a compaction interrupted after
+        // its new segment was synced and before the old ones were removed
+        // leaves two copies of each kept record, the newer copy in the
+        // higher-numbered segment.  Sort (stable) and keep one per sequence.
+        records.sort_by_key(|r| r.sequence);
+        records.dedup_by_key(|r| r.sequence);
+        let next_sequence = records.last().map_or(1, |r| r.sequence + 1);
         let (active_id, active, sealed) = match segment_paths.last() {
             Some(last) => {
                 let id = segment_id(last).unwrap_or(segment_paths.len() as u64);
@@ -211,7 +221,6 @@ impl ProvenanceStore {
                 (id, Segment::create(&path)?, Vec::new())
             }
         };
-        let index = StoreIndex::rebuild(records.values());
         Ok(ProvenanceStore {
             directory,
             config,
@@ -219,8 +228,7 @@ impl ProvenanceStore {
             active_id,
             sealed,
             next_sequence,
-            records,
-            index,
+            view: Arc::new(StoreView::from_records(records)),
             bytes_on_disk,
         })
     }
@@ -237,20 +245,26 @@ impl ProvenanceStore {
 
     /// Appends a record, assigning and returning its sequence number.
     ///
+    /// The record joins the view as soon as the segment accepts it, so the
+    /// view never lags the log: when the per-append sync or the rotation
+    /// that follows fails, the error is returned but the record is already
+    /// visible (and a reopen recovers it).  If views handed out by
+    /// [`ProvenanceStore::view`] are still held, the first append after
+    /// them copies the view's skeleton and leaves theirs frozen.
+    ///
     /// # Errors
     ///
-    /// Returns an error if the write fails.
+    /// Returns an error if the write, the sync or the rotation fails.
     pub fn append(&mut self, mut record: ProvenanceRecord) -> Result<SequenceNumber, StoreError> {
-        record.sequence = self.next_sequence;
+        let seq = self.next_sequence;
+        record.sequence = seq;
         self.next_sequence += 1;
         let written = self.active.append(&record)?;
         self.bytes_on_disk += written;
+        Arc::make_mut(&mut self.view).push(record);
         if self.config.sync_every_append {
             self.active.sync()?;
         }
-        self.index.insert(&record);
-        let seq = record.sequence;
-        self.records.insert(seq, record);
         if self.active.is_full(self.config.segment_budget) {
             self.rotate()?;
         }
@@ -285,21 +299,27 @@ impl ProvenanceStore {
 
     /// Seals the active segment and starts a new one.
     ///
+    /// The new segment is created before the old one is sealed, so a
+    /// failure leaves the bookkeeping as it was: the active segment stays
+    /// active and a later rotation retries the same id.
+    ///
     /// # Errors
     ///
-    /// Returns an error if the new segment cannot be created.
+    /// Returns an error if the sync fails or the new segment cannot be
+    /// created.
     pub fn rotate(&mut self) -> Result<(), StoreError> {
         self.active.sync()?;
-        self.sealed.push(self.active.path().to_path_buf());
-        self.active_id += 1;
-        let path = segment_path(&self.directory, self.active_id);
-        self.active = Segment::create(path)?;
+        let id = self.active_id + 1;
+        let fresh = Segment::create(segment_path(&self.directory, id))?;
+        let sealed = std::mem::replace(&mut self.active, fresh);
+        self.sealed.push(sealed.path().to_path_buf());
+        self.active_id = id;
         Ok(())
     }
 
     /// Looks up a record by sequence number.
     pub fn get(&self, sequence: SequenceNumber) -> Option<&ProvenanceRecord> {
-        self.records.get(&sequence)
+        self.view.get(sequence)
     }
 
     /// Looks up several records by sequence number, skipping unknown ones.
@@ -307,27 +327,36 @@ impl ProvenanceStore {
         &'a self,
         sequences: impl IntoIterator<Item = SequenceNumber> + 'a,
     ) -> impl Iterator<Item = &'a ProvenanceRecord> + 'a {
-        sequences.into_iter().filter_map(|s| self.records.get(&s))
+        self.view.get_many(sequences)
     }
 
     /// Iterates over all records in sequence order.
     pub fn iter(&self) -> impl Iterator<Item = &ProvenanceRecord> {
-        self.records.values()
+        self.view.iter()
     }
 
     /// Number of records held.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.view.len()
     }
 
     /// `true` when the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.view.is_empty()
     }
 
     /// The secondary indexes.
-    pub fn index(&self) -> &StoreIndex {
-        &self.index
+    pub fn index(&self) -> &SharedStoreIndex {
+        self.view.index()
+    }
+
+    /// The current view: every record and index as of the last append.
+    ///
+    /// This is an `Arc` clone, not a copy.  The returned view stays frozen
+    /// while the store keeps appending; the audit engine publishes it as
+    /// its MVCC snapshot.
+    pub fn view(&self) -> Arc<StoreView> {
+        Arc::clone(&self.view)
     }
 
     /// A query handle over this store.
@@ -342,7 +371,7 @@ impl ProvenanceStore {
     /// Store statistics.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            records: self.records.len(),
+            records: self.view.len(),
             segments: self.sealed.len() + 1,
             bytes: self.bytes_on_disk,
         }
@@ -357,11 +386,9 @@ impl ProvenanceStore {
     /// Returns an error if rewriting fails; the original segments are left
     /// in place in that case.
     pub fn compact(&mut self, keep: impl Fn(&ProvenanceRecord) -> bool) -> Result<(), StoreError> {
-        let kept: Vec<ProvenanceRecord> =
-            self.records.values().filter(|r| keep(r)).cloned().collect();
-        self.active_id += 1;
-        let path = segment_path(&self.directory, self.active_id);
-        let mut fresh = Segment::create(&path)?;
+        let kept: Vec<ProvenanceRecord> = self.iter().filter(|r| keep(r)).cloned().collect();
+        let id = self.active_id + 1;
+        let mut fresh = Segment::create(segment_path(&self.directory, id))?;
         let mut bytes = 0usize;
         for record in &kept {
             bytes += fresh.append(record)?;
@@ -374,8 +401,8 @@ impl ProvenanceStore {
             .chain(std::iter::once(self.active.path().to_path_buf()))
             .collect();
         self.active = fresh;
-        self.records = kept.into_iter().map(|r| (r.sequence, r)).collect();
-        self.index = StoreIndex::rebuild(self.records.values());
+        self.active_id = id;
+        self.view = Arc::new(StoreView::from_records(kept));
         self.bytes_on_disk = bytes;
         for path in old_paths {
             let _ = fs::remove_file(path);
@@ -538,6 +565,99 @@ mod tests {
         let store = ProvenanceStore::open(&dir).unwrap();
         assert_eq!(store.len(), 10);
         assert!(store.iter().all(|r| r.principal == Principal::new("keep")));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Blocks the creation of segment `id` with a directory at its path,
+    /// so the rotation that reaches it fails.
+    fn block_segment(dir: &Path, id: u64) -> PathBuf {
+        let blocker = segment_path(dir, id);
+        fs::create_dir(&blocker).unwrap();
+        blocker
+    }
+
+    fn segment_files(dir: &Path) -> usize {
+        existing_segments(dir)
+            .unwrap()
+            .iter()
+            .filter(|p| p.is_file())
+            .count()
+    }
+
+    #[test]
+    fn a_failed_rotation_keeps_the_active_segment() {
+        let dir = temp_dir("failed-rotation");
+        let config = StoreConfig {
+            segment_budget: 1,
+            sync_every_append: false,
+        };
+        let mut store = ProvenanceStore::open_with(&dir, config).unwrap();
+        let blocker = block_segment(&dir, 2);
+        assert!(store.append(record(1, "a", "v")).is_err());
+        assert_eq!(store.stats().segments, 1, "{}", store.stats());
+        assert_eq!(store.len(), 1, "the record reached the log and the view");
+
+        fs::remove_dir(&blocker).unwrap();
+        store.append(record(2, "b", "w")).unwrap();
+        assert_eq!(store.stats().segments, segment_files(&dir));
+        assert_eq!(store.stats().segments, 2, "no segment id was skipped");
+        drop(store);
+
+        let store = ProvenanceStore::open(&dir).unwrap();
+        assert_eq!(
+            store.iter().map(|r| r.sequence).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_after_an_interrupted_compaction_keeps_one_copy_of_each_record() {
+        let dir = temp_dir("interrupted-compaction");
+        let mut store = ProvenanceStore::open_with(
+            &dir,
+            StoreConfig {
+                segment_budget: 256,
+                sync_every_append: false,
+            },
+        )
+        .unwrap();
+        for i in 0..40 {
+            store
+                .append(record(i, if i % 4 == 0 { "keep" } else { "drop" }, "v"))
+                .unwrap();
+        }
+        store.sync().unwrap();
+        assert!(store.stats().segments > 1, "test needs several segments");
+        let saved: Vec<(PathBuf, Vec<u8>)> = existing_segments(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|path| {
+                let bytes = fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        // Keep everything: the compacted segment then repeats every record.
+        store.compact(|_| true).unwrap();
+        drop(store);
+        // A crash between syncing the new segment and removing the old
+        // ones leaves both on disk.
+        for (path, bytes) in &saved {
+            fs::write(path, bytes).unwrap();
+        }
+
+        let store = ProvenanceStore::open(&dir).unwrap();
+        assert_eq!(
+            store.iter().map(|r| r.sequence).collect::<Vec<_>>(),
+            (1..=40).collect::<Vec<_>>()
+        );
+        for seq in 1..=40 {
+            assert_eq!(store.get(seq).unwrap().sequence, seq);
+        }
+        assert_eq!(
+            store.index().by_principal(&Principal::new("keep")).len(),
+            10
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
