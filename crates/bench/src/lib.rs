@@ -1,9 +1,11 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Every bench target (one per experiment id in `EXPERIMENTS.md`) uses the
-//! same short measurement settings so that `cargo bench --workspace`
-//! completes in minutes; the *relative* shapes (who wins, how cost scales)
-//! are what the experiments document, not absolute timings.
+//! Every bench target is one experiment: its module docs name the id, and
+//! the README section on the subsystem it measures (e.g. "Causal queries"
+//! for e19) reports what it found.  All targets use the same short
+//! measurement settings so that `cargo bench --workspace` completes in
+//! minutes; the *relative* shapes (who wins, how cost scales) are what the
+//! experiments document, not absolute timings.
 
 use criterion::Criterion;
 use std::time::Duration;

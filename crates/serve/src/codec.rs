@@ -22,13 +22,16 @@ use piprov_audit::{
     Exemplar, HistogramSnapshot, MetricsSnapshot, PolicyInfo, PolicyListing, PolicySnapshot,
     RequestKind, RequestStats, Span, SpanKind, TraceContext, TraceRecord, WhyEvent, WhySlice,
 };
-use piprov_core::name::{Channel, Principal};
+use piprov_core::name::Principal;
 use piprov_core::provenance::{Direction, Event, InternerStats, Provenance, ShardStats};
 use piprov_patterns::MemoStats;
 use piprov_policy::{PackDiagnostic, PackFile, PackSource};
-use piprov_store::codec::{decode_body, encode_body, get_str, get_value, put_str, put_value};
+use piprov_store::codec::{
+    decode_body, encode_body, get_name, get_str, get_value, put_str, put_value,
+};
 use piprov_store::record::{
     direction_from_tag, direction_tag, flatten_provenance, unflatten_provenance,
+    MAX_PROVENANCE_DEPTH,
 };
 use piprov_store::{AuditTrail, ProvenanceRecord, StoreStats};
 
@@ -246,6 +249,10 @@ fn wire_str(buf: &mut Bytes) -> Result<String, WireError> {
     get_str(buf).map_err(store_err)
 }
 
+fn wire_name<N: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<N, WireError> {
+    get_name(buf).map_err(store_err)
+}
+
 fn wire_value(buf: &mut Bytes) -> Result<piprov_core::value::Value, WireError> {
     get_value(buf).map_err(store_err)
 }
@@ -299,13 +306,13 @@ fn put_names<S: AsRef<str>>(buf: &mut BytesMut, names: &[S]) {
     }
 }
 
-fn get_names(buf: &mut Bytes) -> Result<Vec<String>, WireError> {
+fn get_names<N: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<Vec<N>, WireError> {
     need(buf, 4, "name count")?;
     let count = buf.get_u32() as usize;
     // A name costs at least its 2 length bytes.
     let mut names = Vec::with_capacity(count.min(buf.remaining() / 2 + 1));
     for _ in 0..count {
-        names.push(wire_str(buf)?);
+        names.push(wire_name(buf)?);
     }
     Ok(names)
 }
@@ -494,7 +501,7 @@ pub fn decode_request_traced(
                     value: wire_value(&mut buf)?,
                 },
                 AUDIT_TOUCHED => AuditRequest::WhoTouched {
-                    principal: Principal::new(wire_str(&mut buf)?),
+                    principal: wire_name(&mut buf)?,
                 },
                 AUDIT_ORIGIN => AuditRequest::OriginOf {
                     value: wire_value(&mut buf)?,
@@ -603,14 +610,14 @@ fn put_event_filter(buf: &mut BytesMut, filter: &EventFilter) {
 fn get_event_filter(buf: &mut Bytes) -> Result<EventFilter, WireError> {
     need(buf, 1, "event filter tag")?;
     Ok(match buf.get_u8() {
-        FILTER_PRINCIPAL => EventFilter::Principal(Principal::new(wire_str(buf)?)),
+        FILTER_PRINCIPAL => EventFilter::Principal(wire_name(buf)?),
         FILTER_KIND => {
             need(buf, 1, "event filter direction")?;
             let direction = direction_from_tag(buf.get_u8())
                 .ok_or_else(|| malformed("unknown event filter direction"))?;
             EventFilter::Kind(direction)
         }
-        FILTER_CHANNEL_VIA => EventFilter::ChannelVia(Principal::new(wire_str(buf)?)),
+        FILTER_CHANNEL_VIA => EventFilter::ChannelVia(wire_name(buf)?),
         other => return Err(malformed(format!("unknown event filter tag {}", other))),
     })
 }
@@ -636,7 +643,7 @@ fn put_why_event(buf: &mut BytesMut, event: &WhyEvent) {
 fn get_why_event(buf: &mut Bytes) -> Result<WhyEvent, WireError> {
     need(buf, 4, "why event node")?;
     let node = buf.get_u32();
-    let principal = Principal::new(wire_str(buf)?);
+    let principal: Principal = wire_name(buf)?;
     need(buf, 5, "why event direction")?;
     let direction =
         direction_from_tag(buf.get_u8()).ok_or_else(|| malformed("unknown why event direction"))?;
@@ -649,7 +656,7 @@ fn get_why_event(buf: &mut Bytes) -> Result<WhyEvent, WireError> {
         let depth = buf.get_u32();
         let nested_direction = direction_from_tag(buf.get_u8())
             .ok_or_else(|| malformed("unknown why event channel direction"))?;
-        let nested = Principal::new(wire_str(buf)?);
+        let nested: Principal = wire_name(buf)?;
         flat.push((
             depth,
             match nested_direction {
@@ -658,7 +665,12 @@ fn get_why_event(buf: &mut Bytes) -> Result<WhyEvent, WireError> {
             },
         ));
     }
-    let channel_provenance = unflatten_provenance(&flat);
+    let channel_provenance = unflatten_provenance(&flat).ok_or_else(|| {
+        malformed(format!(
+            "why event channel entries out of preorder or nested deeper than {} levels",
+            MAX_PROVENANCE_DEPTH
+        ))
+    })?;
     let event = match direction {
         Direction::Output => Event::output(principal, channel_provenance),
         Direction::Input => Event::input(principal, channel_provenance),
@@ -1286,11 +1298,8 @@ pub fn decode_response(mut buf: Bytes, limits: &WireLimits) -> Result<WireRespon
                 OUTCOME_TRAIL => {
                     let value = wire_value(&mut buf)?;
                     let records = get_records(&mut buf, limits, "audit trail")?;
-                    let principals = get_names(&mut buf)?
-                        .into_iter()
-                        .map(Principal::new)
-                        .collect();
-                    let channels = get_names(&mut buf)?.into_iter().map(Channel::new).collect();
+                    let principals = get_names(&mut buf)?;
+                    let channels = get_names(&mut buf)?;
                     AuditOutcome::Trail(AuditTrail {
                         value,
                         records,
@@ -1318,7 +1327,7 @@ pub fn decode_response(mut buf: Bytes, limits: &WireLimits) -> Result<WireRespon
                     need(&buf, 1, "origin flag")?;
                     let principal = match buf.get_u8() {
                         0 => None,
-                        1 => Some(Principal::new(wire_str(&mut buf)?)),
+                        1 => Some(wire_name(&mut buf)?),
                         other => return Err(malformed(format!("bad origin flag {}", other))),
                     };
                     AuditOutcome::Origin { principal }
@@ -1501,6 +1510,7 @@ pub fn decode_response(mut buf: Bytes, limits: &WireLimits) -> Result<WireRespon
 #[cfg(test)]
 mod tests {
     use super::*;
+    use piprov_core::name::Channel;
     use piprov_core::provenance::{Event, Provenance};
     use piprov_core::value::Value;
     use piprov_store::Operation;
@@ -1752,6 +1762,77 @@ mod tests {
         ));
         assert!(matches!(
             decode_response(Bytes::from(vec![WIRE_VERSION]), &limits),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn a_why_channel_history_out_of_preorder_is_malformed() {
+        let limits = WireLimits::default();
+        let channel =
+            Provenance::single(Event::output(Principal::new("nested"), Provenance::empty()));
+        let response = WireResponse::Audit(AuditResponse {
+            outcome: AuditOutcome::Why(WhySlice {
+                verdict: true,
+                sequence: 1,
+                events: vec![WhyEvent {
+                    node: 7,
+                    event: Event::input(Principal::new("relay"), channel),
+                }],
+                blocked: None,
+            }),
+            stats: RequestStats::default(),
+            watermark: 1,
+            pack_version: 1,
+        });
+        let mut body = encode_response(&response).to_vec();
+        assert_eq!(
+            decode_response(Bytes::from(body.clone()), &limits).unwrap(),
+            response
+        );
+        // The channel entry is `depth u32 | direction u8 | name`: move the
+        // first (and only) entry to depth 1, below a parent it never had.
+        let name = body
+            .windows(6)
+            .position(|w| w == b"nested")
+            .expect("the nested principal is on the wire");
+        let depth = name - 2 - 1 - 4;
+        body[depth..depth + 4].copy_from_slice(&1u32.to_be_bytes());
+        assert!(matches!(
+            decode_response(Bytes::from(body), &limits),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn a_why_channel_history_nested_past_the_limit_is_malformed() {
+        let limits = WireLimits::default();
+        let why = |levels: usize| {
+            let channel = (0..levels).fold(Provenance::empty(), |channel, _| {
+                Provenance::single(Event::output(Principal::new("p"), channel))
+            });
+            WireResponse::Audit(AuditResponse {
+                outcome: AuditOutcome::Why(WhySlice {
+                    verdict: true,
+                    sequence: 1,
+                    events: vec![WhyEvent {
+                        node: 7,
+                        event: Event::input(Principal::new("relay"), channel),
+                    }],
+                    blocked: None,
+                }),
+                stats: RequestStats::default(),
+                watermark: 1,
+                pack_version: 1,
+            })
+        };
+        let deepest = why(MAX_PROVENANCE_DEPTH);
+        assert_eq!(
+            decode_response(encode_response(&deepest), &limits).unwrap(),
+            deepest
+        );
+        assert!(matches!(
+            decode_response(encode_response(&why(MAX_PROVENANCE_DEPTH + 1)), &limits),
             Err(WireError::Malformed(_))
         ));
     }

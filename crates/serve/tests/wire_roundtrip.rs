@@ -20,7 +20,7 @@ use piprov_audit::{
 use piprov_core::name::{Channel, Principal};
 use piprov_core::provenance::{Direction, Event, InternerStats, Provenance, ShardStats};
 use piprov_core::value::Value;
-use piprov_patterns::MemoStats;
+use piprov_patterns::{MemoStats, Pattern};
 use piprov_policy::{PackDiagnostic, PackFile, PackSource};
 use piprov_serve::codec::{
     decode_request, decode_request_traced, decode_response, encode_request, encode_request_traced,
@@ -31,7 +31,9 @@ use piprov_serve::{
     AuditClient, AuditServer, ClientError, RequestTrace, ServeConfig, ServerCore, WireError,
     WireLimits, WireResponse,
 };
-use piprov_store::{AuditTrail, Operation, ProvenanceRecord};
+use piprov_store::codec::encode_body_with;
+use piprov_store::record::MAX_PROVENANCE_DEPTH;
+use piprov_store::{AuditTrail, BodyFormat, Operation, ProvenanceRecord};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -781,6 +783,111 @@ fn truncated_frame_closes_cleanly_without_wedging_the_server() {
         }
         let mut fresh = AuditClient::connect(addr).unwrap();
         assert!(fresh.stats().is_ok());
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// `levels` events, each sent on a channel whose provenance is the one
+/// before: `depth() == levels`.
+fn nested(levels: usize) -> Provenance {
+    (0..levels).fold(Provenance::empty(), |channel, _| {
+        Provenance::single(Event::output(Principal::new("p"), channel))
+    })
+}
+
+/// An ingest request for one record whose provenance is `nested(levels)`,
+/// its body written by hand (the encoders walk a history recursively):
+/// a tag-1 preorder list or a tag-2 node list with each node's channel
+/// the node before.
+fn nested_ingest(levels: u32, format: BodyFormat) -> Vec<u8> {
+    let empty = ProvenanceRecord::new(
+        1,
+        "a",
+        Operation::Send,
+        "m",
+        Value::Channel(Channel::new("v")),
+        Provenance::empty(),
+    );
+    let body = encode_body_with(&empty, format);
+    let empty_section = match format {
+        BodyFormat::LegacyPreorder => 4,
+        BodyFormat::Dag => 8,
+    };
+    let mut record = body[..body.len() - empty_section].to_vec();
+    record.extend(levels.to_be_bytes());
+    for level in 0..levels {
+        if format == BodyFormat::LegacyPreorder {
+            record.extend(level.to_be_bytes());
+        }
+        record.push(0); // Output
+        record.extend(1u16.to_be_bytes());
+        record.push(b'p');
+        if format == BodyFormat::Dag {
+            record.extend(level.to_be_bytes()); // channel: the node before
+            record.extend(0u32.to_be_bytes()); // tail: ε
+        }
+    }
+    if format == BodyFormat::Dag {
+        record.extend(levels.to_be_bytes()); // root
+    }
+    // `version | tag | record count | record length | record`.
+    let template = encode_request(&piprov_serve::WireRequest::IngestBatch(vec![empty]));
+    let mut request = template[..6].to_vec();
+    request.extend((record.len() as u32).to_be_bytes());
+    request.extend(record);
+    request
+}
+
+#[test]
+fn an_ingest_nested_past_the_depth_limit_gets_a_typed_error_and_the_server_survives() {
+    for core in ServerCore::all() {
+        let (server, dir) = live_server("too-deep", core);
+        server.engine().register_pattern("any", Pattern::Any);
+        let addr = server.local_addr();
+        for format in [BodyFormat::LegacyPreorder, BodyFormat::Dag] {
+            // One level past the limit, and 100,000 levels: a 0.8 MB (tag
+            // 1) or 1.2 MB (tag 2) frame that overflowed the stack of the
+            // dispatch or the ingest thread and aborted the server.
+            for levels in [MAX_PROVENANCE_DEPTH as u32 + 1, 100_000] {
+                let what = format!("{}: {:?}, {} levels", core.name(), format, levels);
+                let mut client = AuditClient::connect(addr).unwrap();
+                let mut framed = Vec::new();
+                write_frame(&mut framed, &nested_ingest(levels, format)).unwrap();
+                client.send_raw(&framed).unwrap();
+                expect_server_error_then_close(&mut client, &what);
+            }
+        }
+        // The server keeps serving, and the deepest history it accepts
+        // goes through ingest, a why-slice and the client's decoder.
+        let mut client = AuditClient::connect(addr).unwrap();
+        let value = Value::Channel(Channel::new("deep"));
+        let deepest = ProvenanceRecord::new(
+            1,
+            "a",
+            Operation::Send,
+            "m",
+            value.clone(),
+            nested(MAX_PROVENANCE_DEPTH),
+        );
+        client.ingest_blocking(vec![deepest]).unwrap();
+        assert_eq!(client.flush().unwrap().ingested, 1);
+        let response = client
+            .request(&AuditRequest::Why {
+                value,
+                pattern: "any".into(),
+            })
+            .unwrap();
+        match response.outcome {
+            AuditOutcome::Why(slice) => {
+                assert!(slice.verdict);
+                assert_eq!(
+                    slice.events[0].event.channel_provenance,
+                    nested(MAX_PROVENANCE_DEPTH - 1)
+                );
+            }
+            other => panic!("{}: expected a why-slice, got {:?}", core.name(), other),
+        }
         server.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

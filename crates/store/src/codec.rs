@@ -8,7 +8,9 @@
 //! └─────────┴─────────┴──────────────────────────────┘
 //! ```
 //!
-//! where the CRC covers the body.  The body starts with a one-byte
+//! where the CRC covers the body.  It is [`crc32`] (CRC-32/ISO-HDLC, a
+//! slicing-by-8 table kernel), the checksum every wire frame of
+//! `piprov-serve` carries too.  The body starts with a one-byte
 //! **format version tag** followed by length-prefixed fields in a fixed
 //! order; the two versions differ only in how the provenance annotation is
 //! laid out:
@@ -30,15 +32,16 @@
 //! so the decoder treats a leading 0 as an untagged preorder body.  All
 //! formats are self-contained (decoding never requires information outside
 //! the frame) and remain readable forever; only the encoder's default
-//! moved to the DAG format.
+//! moved to the DAG format.  Either decoder refuses a provenance nested
+//! deeper than [`MAX_PROVENANCE_DEPTH`] as [`StoreError::Corrupt`].
 
 use crate::error::StoreError;
 use crate::record::{
     direction_from_tag, direction_tag, flatten_provenance, unflatten_provenance, Operation,
-    ProvenanceRecord,
+    ProvenanceRecord, MAX_PROVENANCE_DEPTH,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use piprov_core::name::{Channel, Principal};
+use piprov_core::name::Principal;
 use piprov_core::provenance::{Direction, Event, ProvId, Provenance};
 use piprov_core::value::Value;
 use std::collections::HashMap;
@@ -80,16 +83,65 @@ impl BodyFormat {
     }
 }
 
-/// CRC-32 (IEEE polynomial, bitwise implementation — fast enough for the
-/// record sizes involved and dependency-free).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` through the polynomial, and `CRC_TABLES[k][b]` is the
+/// same byte followed by `k` zero bytes.  Built at compile time (8 KiB).
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][byte] = crc;
+        byte += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32/ISO-HDLC, the checksum of every segment record and wire frame:
+/// the reflected IEEE polynomial with init and xor-out `0xFFFF_FFFF` (the
+/// zlib/Ethernet CRC; `crc32(b"123456789") == 0xCBF4_3926`).
+///
+/// Slicing-by-8: each step folds the register into the block's first
+/// four bytes and looks all 8 bytes up at once, byte `i` in table `7 - i`;
+/// the tail of fewer than 8 bytes goes through the byte table.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut blocks = data.chunks_exact(8);
+    for block in &mut blocks {
+        let head = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        let [h0, h1, h2, h3] = head.to_le_bytes();
+        crc = t[7][h0 as usize]
+            ^ t[6][h1 as usize]
+            ^ t[5][h2 as usize]
+            ^ t[4][h3 as usize]
+            ^ t[3][block[4] as usize]
+            ^ t[2][block[5] as usize]
+            ^ t[1][block[6] as usize]
+            ^ t[0][block[7] as usize];
+    }
+    for &byte in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -120,6 +172,18 @@ pub fn put_str(buf: &mut BytesMut, s: &str) {
 ///
 /// Returns [`StoreError::Corrupt`] on truncation or invalid UTF-8.
 pub fn get_str(buf: &mut Bytes) -> Result<String, StoreError> {
+    get_name(buf)
+}
+
+/// Reads a string written by [`put_str`] straight into a name type such
+/// as [`Principal`] or [`Channel`](piprov_core::name::Channel): UTF-8 is
+/// checked on the borrowed bytes, so building the name is the only
+/// allocation.
+///
+/// # Errors
+///
+/// As [`get_str`].
+pub fn get_name<N: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<N, StoreError> {
     if buf.remaining() < 2 {
         return Err(StoreError::Corrupt("truncated string length".into()));
     }
@@ -127,9 +191,11 @@ pub fn get_str(buf: &mut Bytes) -> Result<String, StoreError> {
     if buf.remaining() < len {
         return Err(StoreError::Corrupt("truncated string body".into()));
     }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| StoreError::Corrupt("invalid utf-8 in record".into()))
+    let name = std::str::from_utf8(&buf[..len])
+        .map(N::from)
+        .map_err(|_| StoreError::Corrupt("invalid utf-8 in record".into()))?;
+    buf.advance(len);
+    Ok(name)
 }
 
 /// Writes a tagged [`Value`] (channel or principal name).
@@ -158,8 +224,8 @@ pub fn get_value(buf: &mut Bytes) -> Result<Value, StoreError> {
         return Err(StoreError::Corrupt("truncated value tag".into()));
     }
     match buf.get_u8() {
-        VALUE_CHANNEL => Ok(Value::Channel(Channel::new(get_str(buf)?))),
-        VALUE_PRINCIPAL => Ok(Value::Principal(Principal::new(get_str(buf)?))),
+        VALUE_CHANNEL => Ok(Value::Channel(get_name(buf)?)),
+        VALUE_PRINCIPAL => Ok(Value::Principal(get_name(buf)?)),
         other => Err(StoreError::Corrupt(format!("unknown value tag {}", other))),
     }
 }
@@ -192,14 +258,19 @@ fn get_provenance_preorder(buf: &mut Bytes) -> Result<Provenance, StoreError> {
         let depth = buf.get_u32();
         let direction = direction_from_tag(buf.get_u8())
             .ok_or_else(|| StoreError::Corrupt("unknown direction tag".into()))?;
-        let p = Principal::new(get_str(buf)?);
+        let p: Principal = get_name(buf)?;
         let event = match direction {
             Direction::Output => Event::output(p, Provenance::empty()),
             Direction::Input => Event::input(p, Provenance::empty()),
         };
         flat.push((depth, event));
     }
-    Ok(unflatten_provenance(&flat))
+    unflatten_provenance(&flat).ok_or_else(|| {
+        StoreError::Corrupt(format!(
+            "provenance entries out of preorder or nested deeper than {} levels",
+            MAX_PROVENANCE_DEPTH
+        ))
+    })
 }
 
 /// Writes the provenance section of a DAG body: one entry per distinct
@@ -249,7 +320,7 @@ fn get_provenance_dag(buf: &mut Bytes) -> Result<Provenance, StoreError> {
         }
         let direction = direction_from_tag(buf.get_u8())
             .ok_or_else(|| StoreError::Corrupt("unknown direction tag".into()))?;
-        let principal = Principal::new(get_str(buf)?);
+        let principal: Principal = get_name(buf)?;
         if buf.remaining() < 8 {
             return Err(StoreError::Corrupt("truncated provenance node refs".into()));
         }
@@ -261,6 +332,12 @@ fn get_provenance_dag(buf: &mut Bytes) -> Result<Provenance, StoreError> {
             ));
         }
         let channel = built[channel_ref].clone();
+        if channel.depth() >= MAX_PROVENANCE_DEPTH {
+            return Err(StoreError::Corrupt(format!(
+                "provenance nests deeper than {} levels",
+                MAX_PROVENANCE_DEPTH
+            )));
+        }
         let event = match direction {
             Direction::Output => Event::output(principal, channel),
             Direction::Input => Event::input(principal, channel),
@@ -349,8 +426,8 @@ pub fn decode_body(mut buf: Bytes) -> Result<ProvenanceRecord, StoreError> {
     let logical_time = buf.get_u64();
     let operation = Operation::from_tag(buf.get_u8())
         .ok_or_else(|| StoreError::Corrupt("unknown operation tag".into()))?;
-    let principal = Principal::new(get_str(&mut buf)?);
-    let channel = Channel::new(get_str(&mut buf)?);
+    let principal = get_name(&mut buf)?;
+    let channel = get_name(&mut buf)?;
     let value = get_value(&mut buf)?;
     let provenance = match format {
         BodyFormat::LegacyPreorder => get_provenance_preorder(&mut buf)?,
@@ -407,10 +484,54 @@ pub fn decode_framed(buf: &mut Bytes) -> Result<Option<ProvenanceRecord>, StoreE
     decode_body(body).map(Some)
 }
 
+/// A body whose provenance nests `levels` events, each sent on a
+/// channel whose provenance is the one before, written by hand (the
+/// encoders walk the history recursively).
+#[cfg(test)]
+pub(crate) fn nested_body(levels: u32, format: BodyFormat) -> Bytes {
+    let record = ProvenanceRecord::new(
+        1,
+        "a",
+        Operation::Send,
+        "m",
+        Value::Channel(piprov_core::name::Channel::new("v")),
+        Provenance::empty(),
+    );
+    let body = encode_body_with(&record, format);
+    // The empty provenance section: a zero entry count, or a zero node
+    // count and root 0.
+    let empty_section = match format {
+        BodyFormat::LegacyPreorder => 4,
+        BodyFormat::Dag => 8,
+    };
+    let mut out = BytesMut::new();
+    out.put_slice(&body[..body.len() - empty_section]);
+    out.put_u32(levels);
+    for level in 0..levels {
+        if format == BodyFormat::LegacyPreorder {
+            out.put_u32(level);
+            out.put_u8(direction_tag(Direction::Output));
+            put_str(&mut out, "p");
+        } else {
+            // Node `level + 1`: channel = node `level`, tail = ε.
+            out.put_u8(direction_tag(Direction::Output));
+            put_str(&mut out, "p");
+            out.put_u32(level);
+            out.put_u32(0);
+        }
+    }
+    if format == BodyFormat::Dag {
+        out.put_u32(levels);
+    }
+    out.freeze()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use piprov_core::name::Channel;
     use piprov_core::provenance::Provenance;
+    use proptest::prelude::*;
 
     fn sample_record() -> ProvenanceRecord {
         let km = Provenance::single(Event::output(Principal::new("c"), Provenance::empty()));
@@ -450,11 +571,53 @@ mod tests {
         }
     }
 
+    /// The bit-at-a-time CRC-32 the table kernel must equal.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc_is_stable_and_sensitive() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"hello"), crc32(b"hello"));
         assert_ne!(crc32(b"hello"), crc32(b"hellp"));
+    }
+
+    #[test]
+    fn crc_matches_the_iso_hdlc_check_values() {
+        // The catalogued CRC-32/ISO-HDLC check value, and a 43-byte input
+        // that takes five 8-byte blocks and a 3-byte tail.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    proptest! {
+        // 256 cases by default; PIPROV_PROPTEST_CASES overrides.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Byte strings of length 0..=1,100 starting at offsets 0..16 of a
+        /// larger buffer: every tail length and every alignment.
+        #[test]
+        fn crc_equals_the_bitwise_reference(
+            buffer in proptest::collection::vec(0u8..=255, 1116..1117),
+            offset in 0usize..16,
+            len in 0usize..1101,
+        ) {
+            let data = &buffer[offset..offset + len];
+            prop_assert_eq!(crc32(data), crc32_bitwise(data));
+        }
     }
 
     #[test]
@@ -561,6 +724,57 @@ mod tests {
         let mut body = encode_body(&record).to_vec();
         body[0] = 77;
         assert!(decode_body(Bytes::from(body)).is_err());
+    }
+
+    #[test]
+    fn preorder_bodies_out_of_preorder_are_corrupt() {
+        // A tag-1 body whose provenance section holds two entries at depths
+        // [1, 0]: the first has no parent, so no provenance can hold both.
+        let record = ProvenanceRecord {
+            provenance: Provenance::empty(),
+            ..sample_record()
+        };
+        let body = encode_body_with(&record, BodyFormat::LegacyPreorder);
+        let mut tagged = BytesMut::new();
+        tagged.put_slice(&body[..body.len() - 4]);
+        tagged.put_u32(2);
+        for (depth, name) in [(1, "x"), (0, "y")] {
+            tagged.put_u32(depth);
+            tagged.put_u8(direction_tag(Direction::Output));
+            put_str(&mut tagged, name);
+        }
+        let tagged = tagged.freeze();
+        // The same section in an untagged body (no leading version byte).
+        let untagged = Bytes::from(tagged[1..].to_vec());
+        for body in [tagged, untagged] {
+            assert!(matches!(decode_body(body), Err(StoreError::Corrupt(_))));
+        }
+    }
+
+    #[test]
+    fn bodies_nested_past_the_depth_limit_are_corrupt() {
+        let limit = MAX_PROVENANCE_DEPTH as u32;
+        for format in [BodyFormat::LegacyPreorder, BodyFormat::Dag] {
+            let deepest = decode_body(nested_body(limit, format)).unwrap();
+            assert_eq!(deepest.provenance.depth(), MAX_PROVENANCE_DEPTH);
+            assert_eq!(
+                decode_body(encode_body_with(&deepest, format)).unwrap(),
+                deepest
+            );
+            // 100,000 levels overflowed the stack of the decoding thread
+            // (tag 1) or of whichever thread walked the result (tag 2).
+            for levels in [limit + 1, 100_000] {
+                assert!(
+                    matches!(
+                        decode_body(nested_body(levels, format)),
+                        Err(StoreError::Corrupt(_))
+                    ),
+                    "{:?}, {} levels",
+                    format,
+                    levels
+                );
+            }
+        }
     }
 
     #[test]

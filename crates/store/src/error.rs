@@ -17,6 +17,10 @@ pub enum StoreError {
     InvalidDirectory(String),
     /// A query referenced a sequence number that does not exist.
     UnknownSequence(u64),
+    /// An appended record's provenance nests this many levels deep, past
+    /// [`MAX_PROVENANCE_DEPTH`](crate::record::MAX_PROVENANCE_DEPTH): the
+    /// store does not write what its decoder would refuse to read.
+    TooDeep(usize),
 }
 
 impl fmt::Display for StoreError {
@@ -29,6 +33,12 @@ impl fmt::Display for StoreError {
                 write!(f, "invalid store directory: {}", path)
             }
             StoreError::UnknownSequence(seq) => write!(f, "unknown sequence number {}", seq),
+            StoreError::TooDeep(depth) => write!(
+                f,
+                "provenance nests {} levels deep, past the limit of {}",
+                depth,
+                crate::record::MAX_PROVENANCE_DEPTH
+            ),
         }
     }
 }
@@ -65,6 +75,7 @@ mod tests {
         assert!(StoreError::InvalidDirectory("/nope".into())
             .to_string()
             .contains("/nope"));
+        assert!(StoreError::TooDeep(300).to_string().contains("300"));
     }
 
     #[test]

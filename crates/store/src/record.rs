@@ -223,9 +223,24 @@ pub fn flatten_provenance(provenance: &Provenance) -> Vec<(u32, Event)> {
     out
 }
 
+/// The deepest channel-provenance nesting ([`Provenance::depth`]) a record
+/// may carry.  Decoding, indexing and querying a history recurse once per
+/// nesting level, so the decoders refuse anything deeper (a hostile frame
+/// could otherwise overflow a server thread's stack) and
+/// [`ProvenanceStore::append`](crate::ProvenanceStore::append) refuses to
+/// write what they would refuse to read.  Histories the calculus produces
+/// nest a handful of levels.
+pub const MAX_PROVENANCE_DEPTH: usize = 256;
+
 /// Reconstructs a provenance sequence from the preorder `(depth, event)`
 /// list produced by [`flatten_provenance`].
-pub fn unflatten_provenance(items: &[(u32, Event)]) -> Provenance {
+///
+/// Returns `None` unless the list is a whole preorder — it starts at depth
+/// 0 and no entry is more than one level deeper than the one before it —
+/// so a decoder never returns the prefix it could place and drops the
+/// rest.  Also `None` when the provenance would nest deeper than
+/// [`MAX_PROVENANCE_DEPTH`]: that is checked before the recursive rebuild.
+pub fn unflatten_provenance(items: &[(u32, Event)]) -> Option<Provenance> {
     fn build(items: &[(u32, Event)], depth: u32, cursor: &mut usize) -> Provenance {
         let mut events = Vec::new();
         while *cursor < items.len() && items[*cursor].0 == depth {
@@ -240,8 +255,16 @@ pub fn unflatten_provenance(items: &[(u32, Event)]) -> Provenance {
         }
         Provenance::from_events(events)
     }
+    // An entry at list depth `d` nests its event `d + 1` levels deep.
+    if items
+        .iter()
+        .any(|(depth, _)| *depth as usize >= MAX_PROVENANCE_DEPTH)
+    {
+        return None;
+    }
     let mut cursor = 0;
-    build(items, 0, &mut cursor)
+    let provenance = build(items, 0, &mut cursor);
+    (cursor == items.len()).then_some(provenance)
 }
 
 /// Re-export used by the codec to avoid a dependency cycle in imports.
@@ -307,8 +330,8 @@ mod tests {
         let p = sample_provenance();
         let flat = flatten_provenance(&p);
         assert_eq!(flat.len(), p.total_size());
-        assert_eq!(unflatten_provenance(&flat), p);
-        assert_eq!(unflatten_provenance(&[]), Provenance::empty());
+        assert_eq!(unflatten_provenance(&flat), Some(p));
+        assert_eq!(unflatten_provenance(&[]), Some(Provenance::empty()));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::error::StoreError;
 use crate::index::SharedStoreIndex;
-use crate::record::{ProvenanceRecord, SequenceNumber};
+use crate::record::{ProvenanceRecord, SequenceNumber, MAX_PROVENANCE_DEPTH};
 use crate::segment::{scan_segment, Segment, DEFAULT_SEGMENT_BUDGET};
 use crate::view::StoreView;
 use std::fmt;
@@ -254,8 +254,14 @@ impl ProvenanceStore {
     ///
     /// # Errors
     ///
-    /// Returns an error if the write, the sync or the rotation fails.
+    /// Returns [`StoreError::TooDeep`], having written nothing, if the
+    /// record's provenance nests deeper than [`MAX_PROVENANCE_DEPTH`];
+    /// otherwise an error if the write, the sync or the rotation fails.
     pub fn append(&mut self, mut record: ProvenanceRecord) -> Result<SequenceNumber, StoreError> {
+        let depth = record.provenance.depth();
+        if depth > MAX_PROVENANCE_DEPTH {
+            return Err(StoreError::TooDeep(depth));
+        }
         let seq = self.next_sequence;
         record.sequence = seq;
         self.next_sequence += 1;
@@ -582,6 +588,76 @@ mod tests {
             .iter()
             .filter(|p| p.is_file())
             .count()
+    }
+
+    /// `levels` events, each sent on a channel whose provenance is the
+    /// one before: `depth() == levels`.
+    fn nested(levels: usize) -> Provenance {
+        (0..levels).fold(Provenance::empty(), |channel, _| {
+            Provenance::single(Event::output(Principal::new("p"), channel))
+        })
+    }
+
+    #[test]
+    fn a_record_nested_past_the_depth_limit_is_refused_before_it_is_written() {
+        let dir = temp_dir("too-deep");
+        let mut store = ProvenanceStore::open(&dir).unwrap();
+        let with = |provenance| ProvenanceRecord {
+            provenance,
+            ..record(1, "a", "v")
+        };
+        assert!(matches!(
+            store.append(with(nested(MAX_PROVENANCE_DEPTH + 1))),
+            Err(StoreError::TooDeep(depth)) if depth == MAX_PROVENANCE_DEPTH + 1
+        ));
+        assert!(store.is_empty());
+        let deepest = store.append(with(nested(MAX_PROVENANCE_DEPTH))).unwrap();
+        assert_eq!(deepest, 1, "the refused record took no sequence number");
+        drop(store);
+
+        let store = ProvenanceStore::open(&dir).unwrap();
+        assert_eq!(store.len(), 1);
+        assert_eq!(
+            store.get(deepest).unwrap().provenance,
+            nested(MAX_PROVENANCE_DEPTH)
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_refuses_a_logged_frame_nested_past_the_depth_limit() {
+        let dir = temp_dir("deep-frame");
+        let mut store = ProvenanceStore::open(&dir).unwrap();
+        store.append(record(1, "a", "v")).unwrap();
+        drop(store);
+        // A CRC-valid tag-1 frame whose provenance nests one level past
+        // the limit, followed by a good frame, so recovery cannot call it
+        // torn.  (The codec tests decode 100,000 levels, which overflowed
+        // the decoding thread's stack.)
+        let levels = MAX_PROVENANCE_DEPTH as u32 + 1;
+        let body = crate::codec::nested_body(levels, crate::BodyFormat::LegacyPreorder);
+        let mut segment = OpenOptions::new()
+            .append(true)
+            .open(segment_path(&dir, 1))
+            .unwrap();
+        use std::io::Write;
+        segment
+            .write_all(&(body.len() as u32).to_be_bytes())
+            .unwrap();
+        segment
+            .write_all(&crate::codec::crc32(&body).to_be_bytes())
+            .unwrap();
+        segment.write_all(&body).unwrap();
+        segment
+            .write_all(&crate::codec::encode_framed(&record(3, "c", "x")))
+            .unwrap();
+        drop(segment);
+
+        assert!(matches!(
+            ProvenanceStore::open(&dir),
+            Err(StoreError::Corrupt(_))
+        ));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
