@@ -112,15 +112,17 @@ impl ExemplarCell {
     }
 }
 
-/// A lock-free, fixed-bucket latency histogram (bucket counts, sum and
-/// count are independent atomics — scrapes are not linearizable with
-/// records, like every Prometheus client library).
+/// A lock-free, fixed-bucket latency histogram.  There is no count
+/// atomic: a snapshot's count is the sum of the buckets it read, so `+Inf`
+/// and `_count` can never fall below a finite bucket.  The sum is an
+/// independent atomic, so a scrape is not linearizable with the records
+/// it races (like every Prometheus client library): `_sum` may lead or
+/// trail the buckets by the observations in flight.
 #[derive(Debug, Default)]
 struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKET_BOUNDS_NS.len()],
     overflow: AtomicU64,
     sum_ns: AtomicU64,
-    count: AtomicU64,
     exemplars: [ExemplarCell; LATENCY_BUCKET_BOUNDS_NS.len()],
     overflow_exemplar: ExemplarCell,
 }
@@ -143,19 +145,20 @@ impl LatencyHistogram {
                 .set(trace_id, elapsed_ns);
         }
         self.sum_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let overflow = self.overflow.load(Ordering::Relaxed);
         HistogramSnapshot {
-            counts: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            overflow: self.overflow.load(Ordering::Relaxed),
+            count: counts.iter().sum::<u64>() + overflow,
+            counts,
+            overflow,
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
             exemplars: self
                 .exemplars
                 .iter()
@@ -1382,6 +1385,57 @@ mod tests {
         assert_eq!(snap.overflow, 1);
         assert_eq!(snap.count, 4);
         assert_eq!(snap.counts.iter().sum::<u64>() + snap.overflow, snap.count);
+    }
+
+    #[test]
+    fn snapshots_racing_records_are_never_torn() {
+        // Two writers record into one registry histogram while this
+        // thread snapshots it.  Every snapshot's count (`+Inf`) must equal
+        // its buckets plus overflow, and the exposition rendered from it
+        // must lint.
+        let registry = Arc::new(MetricsRegistry::new());
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writers: Vec<_> = (0..2u32)
+            .map(|writer| {
+                let (registry, stop) = (Arc::clone(&registry), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    // Walk every bucket and the overflow.
+                    let mut shift = writer;
+                    while !stop.load(Ordering::Relaxed) {
+                        registry.record_request_service(1 << (shift % 26));
+                        shift += 1;
+                    }
+                })
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(300);
+        let (mut snapshots, mut torn) = (0u64, 0u64);
+        let mut last = HistogramSnapshot::default();
+        while std::time::Instant::now() < deadline {
+            last = registry.request_service_snapshot();
+            snapshots += 1;
+            if last.counts.iter().sum::<u64>() + last.overflow != last.count {
+                torn += 1;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        assert_eq!(torn, 0, "{} of {} snapshots torn", torn, snapshots);
+        assert!(
+            last.count > 0,
+            "the writers recorded before the last snapshot"
+        );
+        let mut text = String::new();
+        plain_histogram(
+            &mut text,
+            "h",
+            "racing",
+            &last,
+            &ExpositionOptions::default(),
+        );
+        validate_exposition(&text).unwrap();
     }
 
     #[test]

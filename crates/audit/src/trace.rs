@@ -157,20 +157,18 @@ pub enum RequestKind {
     Ingest = 5,
     /// A flush barrier.
     Flush = 6,
-    /// A stats snapshot.
-    Stats = 7,
     /// A metrics snapshot.
-    Metrics = 8,
+    Metrics = 7,
     /// A traces fetch (yes, fetching traces is itself traceable).
-    Traces = 9,
+    Traces = 8,
     /// A policy-pack installation.
-    LoadPack = 10,
+    LoadPack = 9,
     /// A policy listing.
-    ListPolicies = 11,
+    ListPolicies = 10,
     /// `AuditRequest::Why` — a why-provenance slice.
-    Why = 12,
+    Why = 11,
     /// `AuditRequest::Counterfactual` — a filtered re-vet.
-    Counterfactual = 13,
+    Counterfactual = 12,
 }
 
 impl RequestKind {
@@ -183,7 +181,6 @@ impl RequestKind {
             RequestKind::Origin => "origin",
             RequestKind::Ingest => "ingest",
             RequestKind::Flush => "flush",
-            RequestKind::Stats => "stats",
             RequestKind::Metrics => "metrics",
             RequestKind::Traces => "traces",
             RequestKind::LoadPack => "load_pack",
@@ -202,13 +199,12 @@ impl RequestKind {
             4 => Some(RequestKind::Origin),
             5 => Some(RequestKind::Ingest),
             6 => Some(RequestKind::Flush),
-            7 => Some(RequestKind::Stats),
-            8 => Some(RequestKind::Metrics),
-            9 => Some(RequestKind::Traces),
-            10 => Some(RequestKind::LoadPack),
-            11 => Some(RequestKind::ListPolicies),
-            12 => Some(RequestKind::Why),
-            13 => Some(RequestKind::Counterfactual),
+            7 => Some(RequestKind::Metrics),
+            8 => Some(RequestKind::Traces),
+            9 => Some(RequestKind::LoadPack),
+            10 => Some(RequestKind::ListPolicies),
+            11 => Some(RequestKind::Why),
+            12 => Some(RequestKind::Counterfactual),
             _ => None,
         }
     }
@@ -698,6 +694,16 @@ pub fn validate_trace_text(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn request_kinds_are_numbered_one_to_twelve_without_gaps() {
+        for code in 0..=u8::MAX {
+            match RequestKind::from_u8(code) {
+                Some(kind) => assert_eq!((kind as u8, (1..=12).contains(&code)), (code, true)),
+                None => assert!(!(1..=12).contains(&code), "code {} has no kind", code),
+            }
+        }
+    }
 
     fn vet_record(id: u128, total_ns: u64) -> TraceRecord {
         TraceRecord {

@@ -526,17 +526,14 @@ impl AuditClient {
         }
     }
 
-    /// Snapshot of the server engine's lifetime counters.
+    /// Snapshot of the server engine's lifetime counters: the `engine`
+    /// part of [`AuditClient::metrics`].
     ///
     /// # Errors
     ///
     /// As [`AuditClient::request`].
     pub fn stats(&mut self) -> Result<EngineStats, ClientError> {
-        match self.round_trip(&WireRequest::Stats)? {
-            WireResponse::Stats(stats) => Ok(stats),
-            WireResponse::ServerError { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::UnexpectedResponse(format!("{:?}", other))),
-        }
+        Ok(self.metrics_snapshot()?.engine)
     }
 
     /// The server's full metrics plane: engine/store/interner counters
@@ -548,14 +545,16 @@ impl AuditClient {
     ///
     /// As [`AuditClient::request`].
     pub fn metrics(&mut self) -> Result<MetricsReport, ClientError> {
+        let snapshot = self.metrics_snapshot()?;
+        Ok(MetricsReport {
+            exposition: snapshot.exposition(),
+            snapshot,
+        })
+    }
+
+    fn metrics_snapshot(&mut self) -> Result<MetricsSnapshot, ClientError> {
         match self.round_trip(&WireRequest::Metrics)? {
-            WireResponse::Metrics(snapshot) => {
-                let exposition = snapshot.exposition();
-                Ok(MetricsReport {
-                    snapshot: *snapshot,
-                    exposition,
-                })
-            }
+            WireResponse::Metrics(snapshot) => Ok(*snapshot),
             WireResponse::ServerError { message } => Err(ClientError::Server(message)),
             other => Err(ClientError::UnexpectedResponse(format!("{:?}", other))),
         }

@@ -10,19 +10,21 @@
 //! sharing-heavy provenance stays O(DAG) on the wire too, and the decoder
 //! rebuilds it through the interner on the receiving side.
 //!
-//! Decode-side discipline: every count read off the wire is either capped
-//! by [`WireLimits`] (record lists) or its pre-allocation is capped by the
-//! bytes actually remaining, so no hostile count can request unbounded
-//! memory before the per-element bounds checks reject it.
+//! Every sequence is a u32 count followed by its items, written by
+//! `put_seq` and read by `get_seq`.  Decode-side discipline: `get_seq`
+//! caps its pre-allocation by the bytes actually remaining, given the
+//! fewest bytes one item occupies, and record lists are also capped by
+//! [`WireLimits::max_records`] before any record is decoded — so no
+//! hostile count can request unbounded memory before the per-element
+//! bounds checks reject it.
 
-use crate::wire::{WireError, WireLimits, MIN_WIRE_VERSION, WIRE_VERSION};
+use crate::wire::{WireError, WireLimits, WIRE_VERSION};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use piprov_audit::{
     AuditOutcome, AuditRequest, AuditResponse, CounterfactualVerdict, EngineStats, EventFilter,
     Exemplar, HistogramSnapshot, MetricsSnapshot, PolicyInfo, PolicyListing, PolicySnapshot,
     RequestKind, RequestStats, Span, SpanKind, TraceContext, TraceRecord, WhyEvent, WhySlice,
 };
-use piprov_core::name::Principal;
 use piprov_core::provenance::{Direction, Event, InternerStats, Provenance, ShardStats};
 use piprov_patterns::MemoStats;
 use piprov_policy::{PackDiagnostic, PackFile, PackSource};
@@ -48,8 +50,6 @@ pub enum WireRequest {
     /// and never touches the queue's pause hook; a timeout answers
     /// [`WireResponse::ServerError`].
     Flush,
-    /// Snapshot of the engine's lifetime counters.
-    Stats,
     /// The full metrics plane: engine/store/interner counters plus every
     /// registered policy's verdict counters and latency histogram (see
     /// [`piprov_audit::MetricsSnapshot`]).
@@ -61,14 +61,13 @@ pub enum WireRequest {
         min_total_ns: u64,
     },
     /// A whole policy pack, inline: root package name plus every `.ppol`
-    /// file's source text (version 5).  The server compiles it off to the
-    /// side and either installs it atomically
-    /// ([`WireResponse::PackLoaded`]) or rejects it with per-file
-    /// line/column diagnostics and changes nothing
-    /// ([`WireResponse::PackRejected`]).
+    /// file's source text.  The server compiles it off to the side and
+    /// either installs it atomically ([`WireResponse::PackLoaded`]) or
+    /// rejects it with per-file line/column diagnostics and changes
+    /// nothing ([`WireResponse::PackRejected`]).
     LoadPack(PackSource),
     /// The registered policies: every name, source package, and canonical
-    /// pattern text, plus the pack version they belong to (version 5).
+    /// pattern text, plus the pack version they belong to.
     ListPolicies,
 }
 
@@ -77,7 +76,8 @@ pub enum WireRequest {
 /// measured by the originator (the server cannot observe it) so the
 /// server-side trace covers the full path.
 ///
-/// The field is *additive*: a v3 peer sends none and decodes to `None`.
+/// The field is optional: an untraced request carries none and decodes to
+/// `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestTrace {
     /// The propagated trace identity.
@@ -114,8 +114,6 @@ pub enum WireResponse {
         /// polling for it.
         watermark: u64,
     },
-    /// Answer to [`WireRequest::Stats`].
-    Stats(EngineStats),
     /// Answer to [`WireRequest::Metrics`]: the typed snapshot; the client
     /// renders the Prometheus exposition locally from it
     /// ([`piprov_audit::MetricsSnapshot::exposition`] is deterministic, so
@@ -167,7 +165,6 @@ pub fn request_kind(request: &WireRequest) -> RequestKind {
         WireRequest::Audit(AuditRequest::Counterfactual { .. }) => RequestKind::Counterfactual,
         WireRequest::IngestBatch(_) => RequestKind::Ingest,
         WireRequest::Flush => RequestKind::Flush,
-        WireRequest::Stats => RequestKind::Stats,
         WireRequest::Metrics => RequestKind::Metrics,
         WireRequest::Traces { .. } => RequestKind::Traces,
         WireRequest::LoadPack(_) => RequestKind::LoadPack,
@@ -178,29 +175,22 @@ pub fn request_kind(request: &WireRequest) -> RequestKind {
 const REQ_AUDIT: u8 = 1;
 const REQ_INGEST: u8 = 2;
 const REQ_FLUSH: u8 = 3;
-const REQ_STATS: u8 = 4;
-// Added after version 2 shipped as an additive tag; version 3 then grew
-// its response payload (the wire-level histograms), which is why the
-// version byte moved — a v2 peer would misparse the larger snapshot.
 const REQ_METRICS: u8 = 5;
-// Added with version 4 (the tracing plane).
 const REQ_TRACES: u8 = 6;
-// Added with version 5 (the policy-pack plane).
 const REQ_LOAD_PACK: u8 = 7;
 const REQ_LIST_POLICIES: u8 = 8;
 
-/// Field tag of the additive per-request trace field (version 4).
+/// Field tag of the optional per-request trace field.
 const REQUEST_FIELD_TRACE: u8 = 1;
 
 const AUDIT_VET: u8 = 1;
 const AUDIT_TRAIL: u8 = 2;
 const AUDIT_TOUCHED: u8 = 3;
 const AUDIT_ORIGIN: u8 = 4;
-// Added with version 6 (the causal-query plane).
 const AUDIT_WHY: u8 = 5;
 const AUDIT_COUNTERFACTUAL: u8 = 6;
 
-// [`EventFilter`] tags (version 6).
+// [`EventFilter`] tags.
 const FILTER_PRINCIPAL: u8 = 1;
 const FILTER_KIND: u8 = 2;
 const FILTER_CHANNEL_VIA: u8 = 3;
@@ -209,11 +199,9 @@ const RESP_AUDIT: u8 = 1;
 const RESP_ACK: u8 = 2;
 const RESP_BUSY: u8 = 3;
 const RESP_FLUSHED: u8 = 4;
-const RESP_STATS: u8 = 5;
 const RESP_ERROR: u8 = 6;
 const RESP_METRICS: u8 = 7;
 const RESP_TRACES: u8 = 8;
-// Added with version 5 (the policy-pack plane).
 const RESP_PACK_LOADED: u8 = 9;
 const RESP_PACK_REJECTED: u8 = 10;
 const RESP_POLICIES: u8 = 11;
@@ -224,7 +212,6 @@ const OUTCOME_TOUCHED: u8 = 3;
 const OUTCOME_ORIGIN: u8 = 4;
 const OUTCOME_UNKNOWN_VALUE: u8 = 5;
 const OUTCOME_UNKNOWN_PATTERN: u8 = 6;
-// Added with version 6 (the causal-query plane).
 const OUTCOME_WHY: u8 = 7;
 const OUTCOME_COUNTERFACTUAL: u8 = 8;
 
@@ -257,6 +244,86 @@ fn wire_value(buf: &mut Bytes) -> Result<piprov_core::value::Value, WireError> {
     get_value(buf).map_err(store_err)
 }
 
+fn wire_u32(buf: &mut Bytes, what: &str) -> Result<u32, WireError> {
+    need(buf, 4, what)?;
+    Ok(buf.get_u32())
+}
+
+fn wire_u64(buf: &mut Bytes, what: &str) -> Result<u64, WireError> {
+    need(buf, 8, what)?;
+    Ok(buf.get_u64())
+}
+
+/// Writes `items` as a u32 count followed by each item.
+fn put_seq<T>(buf: &mut BytesMut, items: &[T], mut put: impl FnMut(&mut BytesMut, &T)) {
+    buf.put_u32(items.len() as u32);
+    for item in items {
+        put(buf, item);
+    }
+}
+
+/// Reads a sequence written by [`put_seq`].  `min_len` is the fewest wire
+/// bytes one item occupies: the pre-allocation never exceeds what the
+/// remaining bytes could hold, so a hostile count costs no more memory
+/// than the frame it arrived in.
+fn get_seq<T>(
+    buf: &mut Bytes,
+    what: &str,
+    min_len: usize,
+    mut get: impl FnMut(&mut Bytes) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    need(buf, 4, what)?;
+    let count = buf.get_u32() as usize;
+    let mut items = Vec::with_capacity(count.min(buf.remaining() / min_len));
+    for _ in 0..count {
+        items.push(get(buf)?);
+    }
+    Ok(items)
+}
+
+/// Reads a `0`/`1` byte.
+fn get_flag(buf: &mut Bytes, what: &str) -> Result<bool, WireError> {
+    need(buf, 1, what)?;
+    match buf.get_u8() {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(malformed(format!("bad {} {}", what, other))),
+    }
+}
+
+/// Writes an optional field as a presence flag, then the value if present.
+fn put_opt<T>(buf: &mut BytesMut, item: Option<&T>, put: impl FnOnce(&mut BytesMut, &T)) {
+    buf.put_u8(item.is_some() as u8);
+    if let Some(item) = item {
+        put(buf, item);
+    }
+}
+
+/// Reads an optional field written by [`put_opt`].
+fn get_opt<T>(
+    buf: &mut Bytes,
+    what: &str,
+    get: impl FnOnce(&mut Bytes) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    if get_flag(buf, what)? {
+        get(buf).map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
+fn put_trace_id(buf: &mut BytesMut, trace_id: u128) {
+    buf.put_u64((trace_id >> 64) as u64);
+    buf.put_u64(trace_id as u64);
+}
+
+/// Reads a trace id written by [`put_trace_id`]; the caller has checked
+/// that its 16 bytes are there.
+fn get_trace_id(buf: &mut Bytes) -> u128 {
+    let hi = buf.get_u64();
+    ((hi as u128) << 64) | buf.get_u64() as u128
+}
+
 fn put_record(buf: &mut BytesMut, record: &ProvenanceRecord) {
     let body = encode_body(record);
     buf.put_u32(body.len() as u32);
@@ -270,51 +337,23 @@ fn get_record(buf: &mut Bytes) -> Result<ProvenanceRecord, WireError> {
     decode_body(buf.copy_to_bytes(len)).map_err(store_err)
 }
 
-fn put_records(buf: &mut BytesMut, records: &[ProvenanceRecord]) {
-    buf.put_u32(records.len() as u32);
-    for record in records {
-        put_record(buf, record);
-    }
-}
-
+/// Reads a record list, refusing a count above [`WireLimits::max_records`]
+/// before any record is decoded.
 fn get_records(
     buf: &mut Bytes,
     limits: &WireLimits,
     what: &str,
 ) -> Result<Vec<ProvenanceRecord>, WireError> {
     need(buf, 4, "record count")?;
-    let count = buf.get_u32();
+    let count = u32::from_be_bytes(buf[..4].try_into().expect("4 bytes"));
     if count > limits.max_records {
         return Err(malformed(format!(
             "{} of {} records exceeds the {} record cap",
             what, count, limits.max_records
         )));
     }
-    let count = count as usize;
-    // Each record costs at least 4 length bytes + the 18-byte minimum body.
-    let mut records = Vec::with_capacity(count.min(buf.remaining() / 22 + 1));
-    for _ in 0..count {
-        records.push(get_record(buf)?);
-    }
-    Ok(records)
-}
-
-fn put_names<S: AsRef<str>>(buf: &mut BytesMut, names: &[S]) {
-    buf.put_u32(names.len() as u32);
-    for name in names {
-        put_str(buf, name.as_ref());
-    }
-}
-
-fn get_names<N: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<Vec<N>, WireError> {
-    need(buf, 4, "name count")?;
-    let count = buf.get_u32() as usize;
-    // A name costs at least its 2 length bytes.
-    let mut names = Vec::with_capacity(count.min(buf.remaining() / 2 + 1));
-    for _ in 0..count {
-        names.push(wire_name(buf)?);
-    }
-    Ok(names)
+    // A record costs at least 4 length bytes + the 18-byte minimum body.
+    get_seq(buf, "record count", 22, get_record)
 }
 
 /// A u32-length-prefixed text blob: pack file sources (and canonical
@@ -341,43 +380,31 @@ fn finish_message(tag: u8, payload: impl FnOnce(&mut BytesMut)) -> Bytes {
     buf.freeze()
 }
 
-/// Strips and checks the version byte, returning `(version, tag)`.
-/// Decoders accept [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`]; the version
-/// gates the *additive* payload extensions (trace fields, exemplars,
-/// connection counters) newer versions carry.
-fn open_message(buf: &mut Bytes) -> Result<(u8, u8), WireError> {
+/// Strips the version byte, refusing any version but [`WIRE_VERSION`], and
+/// returns the message tag.
+fn open_message(buf: &mut Bytes) -> Result<u8, WireError> {
     if buf.remaining() < 2 {
         return Err(malformed("message shorter than version + tag"));
     }
-    let version = buf.get_u8();
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-        return Err(WireError::UnsupportedVersion(version));
+    match buf.get_u8() {
+        WIRE_VERSION => Ok(buf.get_u8()),
+        version => Err(WireError::UnsupportedVersion(version)),
     }
-    Ok((version, buf.get_u8()))
 }
 
 fn put_request_trace(buf: &mut BytesMut, trace: &RequestTrace) {
     buf.put_u8(REQUEST_FIELD_TRACE);
-    buf.put_u64((trace.context.trace_id >> 64) as u64);
-    buf.put_u64(trace.context.trace_id as u64);
+    put_trace_id(buf, trace.context.trace_id);
     buf.put_u8(trace.context.sampled as u8);
     buf.put_u64(trace.client_encode_ns);
 }
 
 fn get_request_trace(buf: &mut Bytes) -> Result<RequestTrace, WireError> {
     need(buf, 25, "request trace field")?;
-    let hi = buf.get_u64();
-    let lo = buf.get_u64();
-    let sampled = match buf.get_u8() {
-        0 => false,
-        1 => true,
-        other => return Err(malformed(format!("bad trace sampled flag {}", other))),
-    };
+    let trace_id = get_trace_id(buf);
+    let sampled = get_flag(buf, "trace sampled flag")?;
     Ok(RequestTrace {
-        context: TraceContext {
-            trace_id: ((hi as u128) << 64) | lo as u128,
-            sampled,
-        },
+        context: TraceContext { trace_id, sampled },
         client_encode_ns: buf.get_u64(),
     })
 }
@@ -387,26 +414,17 @@ fn get_request_trace(buf: &mut Bytes) -> Result<RequestTrace, WireError> {
 /// half) without cloning the records.  Byte-identical to
 /// `encode_request(&WireRequest::IngestBatch(..))`.
 pub fn encode_ingest_batch(records: &[ProvenanceRecord]) -> Bytes {
-    finish_message(REQ_INGEST, |buf| put_records(buf, records))
+    finish_message(REQ_INGEST, |buf| put_seq(buf, records, put_record))
 }
 
-/// Appends the additive trace field to an already-encoded request body —
-/// how a traced client turns any encoded request (including a pre-encoded
+/// Appends the trace field to an already-encoded request body — how a
+/// traced client turns any encoded request (including a pre-encoded
 /// ingest batch) into its traced form without re-encoding the payload.
 pub fn append_request_trace(body: &Bytes, trace: &RequestTrace) -> Bytes {
     let mut buf = BytesMut::with_capacity(body.len() + 26);
     buf.extend_from_slice(body);
     put_request_trace(&mut buf, trace);
     buf.freeze()
-}
-
-/// Encodes one request body with its optional trace field appended.
-pub fn encode_request_traced(request: &WireRequest, trace: Option<&RequestTrace>) -> Bytes {
-    let body = encode_request(request);
-    match trace {
-        Some(trace) => append_request_trace(&body, trace),
-        None => body,
-    }
 }
 
 /// Encodes one request body (to be framed by [`crate::wire::write_frame`]).
@@ -446,22 +464,18 @@ pub fn encode_request(request: &WireRequest) -> Bytes {
                 put_event_filter(buf, remove);
             }
         }),
-        WireRequest::IngestBatch(records) => {
-            finish_message(REQ_INGEST, |buf| put_records(buf, records))
-        }
+        WireRequest::IngestBatch(records) => encode_ingest_batch(records),
         WireRequest::Flush => finish_message(REQ_FLUSH, |_| {}),
-        WireRequest::Stats => finish_message(REQ_STATS, |_| {}),
         WireRequest::Metrics => finish_message(REQ_METRICS, |_| {}),
         WireRequest::Traces { min_total_ns } => finish_message(REQ_TRACES, |buf| {
             buf.put_u64(*min_total_ns);
         }),
         WireRequest::LoadPack(pack) => finish_message(REQ_LOAD_PACK, |buf| {
             put_str(buf, &pack.root);
-            buf.put_u32(pack.files.len() as u32);
-            for file in &pack.files {
+            put_seq(buf, &pack.files, |buf, file| {
                 put_str(buf, &file.path);
                 put_text(buf, &file.source);
-            }
+            });
         }),
         WireRequest::ListPolicies => finish_message(REQ_LIST_POLICIES, |_| {}),
     }
@@ -478,8 +492,8 @@ pub fn decode_request(buf: Bytes, limits: &WireLimits) -> Result<WireRequest, Wi
     decode_request_traced(buf, limits).map(|(request, _)| request)
 }
 
-/// Decodes one request body together with its optional trace field (only
-/// version-4 bodies can carry one) — the server's entry point.
+/// Decodes one request body together with its optional trace field — the
+/// server's entry point.
 ///
 /// # Errors
 ///
@@ -488,8 +502,7 @@ pub fn decode_request_traced(
     mut buf: Bytes,
     limits: &WireLimits,
 ) -> Result<(WireRequest, Option<RequestTrace>), WireError> {
-    let (version, tag) = open_message(&mut buf)?;
-    let request = match tag {
+    let request = match open_message(&mut buf)? {
         REQ_AUDIT => {
             need(&buf, 1, "audit request tag")?;
             let audit = match buf.get_u8() {
@@ -506,13 +519,11 @@ pub fn decode_request_traced(
                 AUDIT_ORIGIN => AuditRequest::OriginOf {
                     value: wire_value(&mut buf)?,
                 },
-                // The causal-query tags are version-6 vocabulary: a pre-v6
-                // body carrying one falls through to the unknown-tag error.
-                AUDIT_WHY if version >= 6 => AuditRequest::Why {
+                AUDIT_WHY => AuditRequest::Why {
                     value: wire_value(&mut buf)?,
                     pattern: wire_str(&mut buf)?,
                 },
-                AUDIT_COUNTERFACTUAL if version >= 6 => AuditRequest::Counterfactual {
+                AUDIT_COUNTERFACTUAL => AuditRequest::Counterfactual {
                     value: wire_value(&mut buf)?,
                     pattern: wire_str(&mut buf)?,
                     remove: get_event_filter(&mut buf)?,
@@ -523,42 +534,30 @@ pub fn decode_request_traced(
         }
         REQ_INGEST => WireRequest::IngestBatch(get_records(&mut buf, limits, "ingest batch")?),
         REQ_FLUSH => WireRequest::Flush,
-        REQ_STATS => WireRequest::Stats,
         REQ_METRICS => WireRequest::Metrics,
-        REQ_TRACES => {
-            need(&buf, 8, "traces filter")?;
-            WireRequest::Traces {
-                min_total_ns: buf.get_u64(),
-            }
-        }
-        // The policy-pack tags are version-5 vocabulary: a pre-v5 body
-        // carrying one falls through to the unknown-tag error below.
-        REQ_LOAD_PACK if version >= 5 => {
+        REQ_TRACES => WireRequest::Traces {
+            min_total_ns: wire_u64(&mut buf, "traces filter")?,
+        },
+        REQ_LOAD_PACK => {
             let root = wire_str(&mut buf)?;
-            need(&buf, 4, "pack file count")?;
-            let count = buf.get_u32() as usize;
             // A pack file costs at least its 2 path-length + 4
             // source-length bytes.
-            let mut files = Vec::with_capacity(count.min(buf.remaining() / 6 + 1));
-            for _ in 0..count {
-                let path = wire_str(&mut buf)?;
-                let source = get_text(&mut buf)?;
-                files.push(PackFile::new(path, source));
-            }
+            let files = get_seq(&mut buf, "pack file count", 6, |buf| {
+                Ok(PackFile::new(wire_str(buf)?, get_text(buf)?))
+            })?;
             WireRequest::LoadPack(PackSource::new(root, files))
         }
-        REQ_LIST_POLICIES if version >= 5 => WireRequest::ListPolicies,
+        REQ_LIST_POLICIES => WireRequest::ListPolicies,
         other => return Err(malformed(format!("unknown request tag {}", other))),
     };
-    // Additive per-request fields after the payload (version 4+); the only
-    // one defined is the trace field.  An unknown field tag — including
-    // any trailing byte on a pre-v4 body — is malformed, not skipped: the
-    // field space is versioned, so "garbage we tolerate" never becomes a
-    // compatibility constraint by accident.
+    // Optional per-request fields after the payload; the only one defined
+    // is the trace field.  An unknown field tag is malformed, not skipped,
+    // so "garbage we tolerate" never becomes a compatibility constraint by
+    // accident.
     let mut trace = None;
     while buf.has_remaining() {
         match buf.get_u8() {
-            REQUEST_FIELD_TRACE if version >= 4 && trace.is_none() => {
+            REQUEST_FIELD_TRACE if trace.is_none() => {
                 trace = Some(get_request_trace(&mut buf)?);
             }
             _ => return Err(malformed("trailing bytes after request")),
@@ -571,23 +570,17 @@ fn put_request_stats(buf: &mut BytesMut, stats: &RequestStats) {
     buf.put_u64(stats.index_hits as u64);
     buf.put_u64(stats.memo_hits as u64);
     buf.put_u64(stats.dag_nodes_visited as u64);
-    // Version 6 appended the counterfactual memo-reuse counter.
     buf.put_u64(stats.memo_reused as u64);
 }
 
-fn get_request_stats(buf: &mut Bytes, version: u8) -> Result<RequestStats, WireError> {
-    need(buf, 24, "request stats")?;
-    let mut stats = RequestStats {
+fn get_request_stats(buf: &mut Bytes) -> Result<RequestStats, WireError> {
+    need(buf, 32, "request stats")?;
+    Ok(RequestStats {
         index_hits: buf.get_u64() as usize,
         memo_hits: buf.get_u64() as usize,
         dag_nodes_visited: buf.get_u64() as usize,
-        ..RequestStats::default()
-    };
-    if version >= 6 {
-        need(buf, 8, "request stats memo_reused")?;
-        stats.memo_reused = buf.get_u64() as usize;
-    }
-    Ok(stats)
+        memo_reused: buf.get_u64() as usize,
+    })
 }
 
 fn put_event_filter(buf: &mut BytesMut, filter: &EventFilter) {
@@ -611,15 +604,15 @@ fn get_event_filter(buf: &mut Bytes) -> Result<EventFilter, WireError> {
     need(buf, 1, "event filter tag")?;
     Ok(match buf.get_u8() {
         FILTER_PRINCIPAL => EventFilter::Principal(wire_name(buf)?),
-        FILTER_KIND => {
-            need(buf, 1, "event filter direction")?;
-            let direction = direction_from_tag(buf.get_u8())
-                .ok_or_else(|| malformed("unknown event filter direction"))?;
-            EventFilter::Kind(direction)
-        }
+        FILTER_KIND => EventFilter::Kind(get_direction(buf, "event filter direction")?),
         FILTER_CHANNEL_VIA => EventFilter::ChannelVia(wire_name(buf)?),
         other => return Err(malformed(format!("unknown event filter tag {}", other))),
     })
+}
+
+fn get_direction(buf: &mut Bytes, what: &str) -> Result<Direction, WireError> {
+    need(buf, 1, what)?;
+    direction_from_tag(buf.get_u8()).ok_or_else(|| malformed(format!("unknown {}", what)))
 }
 
 /// Writes one [`WhyEvent`]: the DAG node id, the event's principal and
@@ -632,69 +625,53 @@ fn put_why_event(buf: &mut BytesMut, event: &WhyEvent) {
     put_str(buf, event.event.principal.as_str());
     buf.put_u8(direction_tag(event.event.direction));
     let flat = flatten_provenance(&event.event.channel_provenance);
-    buf.put_u32(flat.len() as u32);
-    for (depth, nested) in &flat {
+    put_seq(buf, &flat, |buf, (depth, nested)| {
         buf.put_u32(*depth);
         buf.put_u8(direction_tag(nested.direction));
         put_str(buf, nested.principal.as_str());
-    }
+    });
 }
 
 fn get_why_event(buf: &mut Bytes) -> Result<WhyEvent, WireError> {
     need(buf, 4, "why event node")?;
     let node = buf.get_u32();
-    let principal: Principal = wire_name(buf)?;
-    need(buf, 5, "why event direction")?;
-    let direction =
-        direction_from_tag(buf.get_u8()).ok_or_else(|| malformed("unknown why event direction"))?;
-    let count = buf.get_u32() as usize;
+    let principal = wire_name(buf)?;
+    let direction = get_direction(buf, "why event direction")?;
     // A channel entry costs at least its 4 depth + 1 direction + 2
-    // principal-length bytes; cap the pre-allocation accordingly.
-    let mut flat = Vec::with_capacity(count.min(buf.remaining() / 7 + 1));
-    for _ in 0..count {
-        need(buf, 5, "why event channel entry")?;
-        let depth = buf.get_u32();
-        let nested_direction = direction_from_tag(buf.get_u8())
-            .ok_or_else(|| malformed("unknown why event channel direction"))?;
-        let nested: Principal = wire_name(buf)?;
-        flat.push((
-            depth,
-            match nested_direction {
-                Direction::Output => Event::output(nested, Provenance::empty()),
-                Direction::Input => Event::input(nested, Provenance::empty()),
-            },
-        ));
-    }
+    // principal-length bytes.
+    let flat = get_seq(buf, "why event channel count", 7, |buf| {
+        let depth = wire_u32(buf, "why event channel depth")?;
+        let direction = get_direction(buf, "why event channel direction")?;
+        let event = Event {
+            principal: wire_name(buf)?,
+            direction,
+            channel_provenance: Provenance::empty(),
+        };
+        Ok((depth, event))
+    })?;
     let channel_provenance = unflatten_provenance(&flat).ok_or_else(|| {
         malformed(format!(
             "why event channel entries out of preorder or nested deeper than {} levels",
             MAX_PROVENANCE_DEPTH
         ))
     })?;
-    let event = match direction {
-        Direction::Output => Event::output(principal, channel_provenance),
-        Direction::Input => Event::input(principal, channel_provenance),
+    let event = Event {
+        principal,
+        direction,
+        channel_provenance,
     };
     Ok(WhyEvent { node, event })
 }
 
-fn put_why_events(buf: &mut BytesMut, events: &[WhyEvent]) {
-    buf.put_u32(events.len() as u32);
-    for event in events {
-        put_why_event(buf, event);
-    }
-}
-
 fn get_why_events(buf: &mut Bytes) -> Result<Vec<WhyEvent>, WireError> {
-    need(buf, 4, "why event count")?;
-    let count = buf.get_u32() as usize;
     // A why event costs at least 4 node + 2 principal-length + 1
     // direction + 4 channel-count bytes.
-    let mut events = Vec::with_capacity(count.min(buf.remaining() / 11 + 1));
-    for _ in 0..count {
-        events.push(get_why_event(buf)?);
-    }
-    Ok(events)
+    get_seq(buf, "why event count", 11, get_why_event)
+}
+
+fn get_names<N: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<Vec<N>, WireError> {
+    // A name costs at least its 2 length bytes.
+    get_seq(buf, "name count", 2, wire_name)
 }
 
 fn put_engine_stats(buf: &mut BytesMut, stats: &EngineStats) {
@@ -854,66 +831,36 @@ fn put_histogram(buf: &mut BytesMut, histogram: &HistogramSnapshot) {
         count,
         exemplars,
     } = histogram;
-    buf.put_u32(counts.len() as u32);
-    for bucket in counts {
-        buf.put_u64(*bucket);
-    }
+    put_seq(buf, counts, |buf, bucket| buf.put_u64(*bucket));
     buf.put_u64(*overflow);
     buf.put_u64(*sum_ns);
     buf.put_u64(*count);
-    // Version 4: per-bucket exemplar slots (empty vec encodes as zero).
-    buf.put_u32(exemplars.len() as u32);
-    for exemplar in exemplars {
-        match exemplar {
-            Some(Exemplar { trace_id, value_ns }) => {
-                buf.put_u8(1);
-                buf.put_u64((trace_id >> 64) as u64);
-                buf.put_u64(*trace_id as u64);
-                buf.put_u64(*value_ns);
-            }
-            None => buf.put_u8(0),
-        }
-    }
+    put_seq(buf, exemplars, |buf, exemplar| {
+        put_opt(buf, exemplar.as_ref(), |buf, exemplar| {
+            put_trace_id(buf, exemplar.trace_id);
+            buf.put_u64(exemplar.value_ns);
+        })
+    });
 }
 
-fn get_histogram(buf: &mut Bytes, version: u8) -> Result<HistogramSnapshot, WireError> {
-    need(buf, 4, "histogram bucket count")?;
-    let count = buf.get_u32() as usize;
-    // A bucket costs 8 bytes: the pre-allocation is capped by the bytes
-    // actually remaining, like every count read off the wire.
-    let mut counts = Vec::with_capacity(count.min(buf.remaining() / 8 + 1));
-    for _ in 0..count {
-        need(buf, 8, "histogram bucket")?;
-        counts.push(buf.get_u64());
-    }
+fn get_histogram(buf: &mut Bytes) -> Result<HistogramSnapshot, WireError> {
+    let counts = get_seq(buf, "histogram bucket count", 8, |buf| {
+        wire_u64(buf, "histogram bucket")
+    })?;
     need(buf, 24, "histogram tail")?;
     let overflow = buf.get_u64();
     let sum_ns = buf.get_u64();
     let count = buf.get_u64();
-    // A version-3 peer sends no exemplar block at all.
-    let mut exemplars = Vec::new();
-    if version >= 4 {
-        need(buf, 4, "exemplar count")?;
-        let count = buf.get_u32() as usize;
-        // An exemplar slot costs at least its presence byte.
-        exemplars.reserve(count.min(buf.remaining() + 1));
-        for _ in 0..count {
-            need(buf, 1, "exemplar flag")?;
-            exemplars.push(match buf.get_u8() {
-                0 => None,
-                1 => {
-                    need(buf, 24, "exemplar")?;
-                    let hi = buf.get_u64();
-                    let lo = buf.get_u64();
-                    Some(Exemplar {
-                        trace_id: ((hi as u128) << 64) | lo as u128,
-                        value_ns: buf.get_u64(),
-                    })
-                }
-                other => return Err(malformed(format!("bad exemplar flag {}", other))),
-            });
-        }
-    }
+    // An exemplar slot costs at least its presence byte.
+    let exemplars = get_seq(buf, "exemplar count", 1, |buf| {
+        get_opt(buf, "exemplar flag", |buf| {
+            need(buf, 24, "exemplar")?;
+            Ok(Exemplar {
+                trace_id: get_trace_id(buf),
+                value_ns: buf.get_u64(),
+            })
+        })
+    })?;
     Ok(HistogramSnapshot {
         counts,
         overflow,
@@ -939,35 +886,24 @@ fn put_policy_snapshot(buf: &mut BytesMut, policy: &PolicySnapshot) {
     buf.put_u64(*vets_passed);
     buf.put_u64(*vets_failed);
     buf.put_u64(*vets_unknown_value);
-    // Version 6: the counterfactual counters.
     buf.put_u64(*counterfactuals);
     buf.put_u64(*counterfactual_flips);
     put_histogram(buf, latency);
 }
 
-fn get_policy_snapshot(buf: &mut Bytes, version: u8) -> Result<PolicySnapshot, WireError> {
-    let name = wire_str(buf)?;
+fn get_policy_snapshot(buf: &mut Bytes) -> Result<PolicySnapshot, WireError> {
+    let policy = wire_str(buf)?;
     let memo = get_memo_stats(buf)?;
-    need(buf, 24, "policy verdict counters")?;
-    let vets_passed = buf.get_u64();
-    let vets_failed = buf.get_u64();
-    let vets_unknown_value = buf.get_u64();
-    // A pre-v6 peer omits the counterfactual counters: decode as 0.
-    let (counterfactuals, counterfactual_flips) = if version >= 6 {
-        need(buf, 16, "policy counterfactual counters")?;
-        (buf.get_u64(), buf.get_u64())
-    } else {
-        (0, 0)
-    };
+    need(buf, 40, "policy counters")?;
     Ok(PolicySnapshot {
-        policy: name,
+        policy,
         memo,
-        vets_passed,
-        vets_failed,
-        vets_unknown_value,
-        counterfactuals,
-        counterfactual_flips,
-        latency: get_histogram(buf, version)?,
+        vets_passed: buf.get_u64(),
+        vets_failed: buf.get_u64(),
+        vets_unknown_value: buf.get_u64(),
+        counterfactuals: buf.get_u64(),
+        counterfactual_flips: buf.get_u64(),
+        latency: get_histogram(buf)?,
     })
 }
 
@@ -990,56 +926,29 @@ fn put_metrics_snapshot(buf: &mut BytesMut, metrics: &MetricsSnapshot) {
     put_engine_stats(buf, engine);
     put_store_stats(buf, store);
     put_interner_stats(buf, interner);
-    buf.put_u32(interner_shards.len() as u32);
-    for shard in interner_shards {
-        put_shard_stats(buf, shard);
-    }
+    put_seq(buf, interner_shards, put_shard_stats);
     buf.put_u64(*vets_unknown_pattern);
     put_histogram(buf, frame_decode);
     put_histogram(buf, request_service);
     put_histogram(buf, ingest_queue_wait);
-    // Version 4: uptime + connection lifecycle.
     buf.put_u64(*uptime_seconds);
     buf.put_u64(*connections_accepted);
     buf.put_u64(*connections_closed);
     buf.put_u64(*open_connections);
-    buf.put_u32(policies.len() as u32);
-    for policy in policies {
-        put_policy_snapshot(buf, policy);
-    }
+    put_seq(buf, policies, put_policy_snapshot);
 }
 
-fn get_metrics_snapshot(buf: &mut Bytes, version: u8) -> Result<MetricsSnapshot, WireError> {
+fn get_metrics_snapshot(buf: &mut Bytes) -> Result<MetricsSnapshot, WireError> {
     let engine = get_engine_stats(buf)?;
     let store = get_store_stats(buf)?;
     let interner = get_interner_stats(buf)?;
-    need(buf, 4, "shard count")?;
-    let count = buf.get_u32() as usize;
     // A shard costs 32 bytes on the wire.
-    let mut interner_shards = Vec::with_capacity(count.min(buf.remaining() / 32 + 1));
-    for _ in 0..count {
-        interner_shards.push(get_shard_stats(buf)?);
-    }
-    need(buf, 8, "unknown-pattern counter")?;
-    let vets_unknown_pattern = buf.get_u64();
-    let frame_decode = get_histogram(buf, version)?;
-    let request_service = get_histogram(buf, version)?;
-    let ingest_queue_wait = get_histogram(buf, version)?;
-    // A version-3 peer sends no serving-lifecycle block: render as zeros.
-    let (uptime_seconds, connections_accepted, connections_closed, open_connections) =
-        if version >= 4 {
-            need(buf, 32, "serving lifecycle counters")?;
-            (buf.get_u64(), buf.get_u64(), buf.get_u64(), buf.get_u64())
-        } else {
-            (0, 0, 0, 0)
-        };
-    need(buf, 4, "policy count")?;
-    let count = buf.get_u32() as usize;
-    // A policy costs at least its 2 name-length bytes + 48 memo bytes.
-    let mut policies = Vec::with_capacity(count.min(buf.remaining() / 50 + 1));
-    for _ in 0..count {
-        policies.push(get_policy_snapshot(buf, version)?);
-    }
+    let interner_shards = get_seq(buf, "shard count", 32, get_shard_stats)?;
+    let vets_unknown_pattern = wire_u64(buf, "unknown-pattern counter")?;
+    let frame_decode = get_histogram(buf)?;
+    let request_service = get_histogram(buf)?;
+    let ingest_queue_wait = get_histogram(buf)?;
+    need(buf, 32, "serving lifecycle counters")?;
     Ok(MetricsSnapshot {
         engine,
         store,
@@ -1049,11 +958,13 @@ fn get_metrics_snapshot(buf: &mut Bytes, version: u8) -> Result<MetricsSnapshot,
         frame_decode,
         request_service,
         ingest_queue_wait,
-        uptime_seconds,
-        connections_accepted,
-        connections_closed,
-        open_connections,
-        policies,
+        uptime_seconds: buf.get_u64(),
+        connections_accepted: buf.get_u64(),
+        connections_closed: buf.get_u64(),
+        open_connections: buf.get_u64(),
+        // A policy costs at least its 2 name-length bytes, 48 memo bytes,
+        // 40 counter bytes and a 32-byte histogram with no buckets.
+        policies: get_seq(buf, "policy count", 122, get_policy_snapshot)?,
     })
 }
 
@@ -1064,12 +975,10 @@ fn put_trace_record(buf: &mut BytesMut, record: &TraceRecord) {
         total_ns,
         spans,
     } = record;
-    buf.put_u64((trace_id >> 64) as u64);
-    buf.put_u64(*trace_id as u64);
+    put_trace_id(buf, *trace_id);
     buf.put_u8(*kind as u8);
     buf.put_u64(*total_ns);
-    buf.put_u8(spans.len() as u8);
-    for span in spans {
+    put_seq(buf, spans, |buf, span| {
         let Span {
             kind,
             duration_ns,
@@ -1080,33 +989,31 @@ fn put_trace_record(buf: &mut BytesMut, record: &TraceRecord) {
         buf.put_u64(*duration_ns);
         buf.put_u64(*index_hits);
         buf.put_u64(*memo_hits);
-    }
+    });
 }
 
 fn get_trace_record(buf: &mut Bytes) -> Result<TraceRecord, WireError> {
-    need(buf, 26, "trace record head")?;
-    let hi = buf.get_u64();
-    let lo = buf.get_u64();
+    need(buf, 25, "trace record head")?;
+    let trace_id = get_trace_id(buf);
     let kind = buf.get_u8();
     let kind =
         RequestKind::from_u8(kind).ok_or_else(|| malformed(format!("bad trace kind {}", kind)))?;
     let total_ns = buf.get_u64();
-    let span_count = buf.get_u8() as usize;
-    let mut spans = Vec::with_capacity(span_count.min(buf.remaining() / 25 + 1));
-    for _ in 0..span_count {
+    // A span costs 1 kind + 3 × 8 counter bytes.
+    let spans = get_seq(buf, "trace span count", 25, |buf| {
         need(buf, 25, "trace span")?;
         let kind = buf.get_u8();
         let kind =
             SpanKind::from_u8(kind).ok_or_else(|| malformed(format!("bad span kind {}", kind)))?;
-        spans.push(Span {
+        Ok(Span {
             kind,
             duration_ns: buf.get_u64(),
             index_hits: buf.get_u64(),
             memo_hits: buf.get_u64(),
-        });
-    }
+        })
+    })?;
     Ok(TraceRecord {
-        trace_id: ((hi as u128) << 64) | lo as u128,
+        trace_id,
         kind,
         total_ns,
         spans,
@@ -1127,85 +1034,44 @@ pub fn encode_response(response: &WireResponse) -> Bytes {
                 AuditOutcome::Trail(trail) => {
                     buf.put_u8(OUTCOME_TRAIL);
                     put_value(buf, &trail.value);
-                    put_records(buf, &trail.records);
-                    put_names(
-                        buf,
-                        &trail
-                            .principals
-                            .iter()
-                            .map(|p| p.as_str())
-                            .collect::<Vec<_>>(),
-                    );
-                    put_names(
-                        buf,
-                        &trail
-                            .channels
-                            .iter()
-                            .map(|c| c.as_str())
-                            .collect::<Vec<_>>(),
-                    );
+                    put_seq(buf, &trail.records, put_record);
+                    put_seq(buf, &trail.principals, |buf, p| put_str(buf, p.as_str()));
+                    put_seq(buf, &trail.channels, |buf, c| put_str(buf, c.as_str()));
                 }
                 AuditOutcome::Touched { records, values } => {
                     buf.put_u8(OUTCOME_TOUCHED);
-                    buf.put_u32(records.len() as u32);
-                    for seq in records {
-                        buf.put_u64(*seq);
-                    }
-                    buf.put_u32(values.len() as u32);
-                    for value in values {
-                        put_value(buf, value);
-                    }
+                    put_seq(buf, records, |buf, seq| buf.put_u64(*seq));
+                    put_seq(buf, values, put_value);
                 }
                 AuditOutcome::Origin { principal } => {
                     buf.put_u8(OUTCOME_ORIGIN);
-                    match principal {
-                        Some(p) => {
-                            buf.put_u8(1);
-                            put_str(buf, p.as_str());
-                        }
-                        None => buf.put_u8(0),
-                    }
+                    put_opt(buf, principal.as_ref(), |buf, p| put_str(buf, p.as_str()));
                 }
                 AuditOutcome::Why(slice) => {
                     buf.put_u8(OUTCOME_WHY);
-                    // Version 6: the witness slice.
                     buf.put_u8(slice.verdict as u8);
                     buf.put_u64(slice.sequence);
-                    match slice.blocked {
-                        Some(index) => {
-                            buf.put_u8(1);
-                            buf.put_u32(index);
-                        }
-                        None => buf.put_u8(0),
-                    }
-                    put_why_events(buf, &slice.events);
+                    put_opt(buf, slice.blocked.as_ref(), |buf, index| {
+                        buf.put_u32(*index)
+                    });
+                    put_seq(buf, &slice.events, put_why_event);
                 }
                 AuditOutcome::Counterfactual(verdict) => {
                     buf.put_u8(OUTCOME_COUNTERFACTUAL);
-                    // Version 6: both verdicts plus the delta slice.
                     buf.put_u8(verdict.original as u8);
                     buf.put_u8(verdict.counterfactual as u8);
                     buf.put_u64(verdict.sequence);
-                    put_why_events(buf, &verdict.removed);
+                    put_seq(buf, &verdict.removed, put_why_event);
                 }
                 AuditOutcome::UnknownValue => buf.put_u8(OUTCOME_UNKNOWN_VALUE),
                 AuditOutcome::UnknownPattern { known, nearest } => {
                     buf.put_u8(OUTCOME_UNKNOWN_PATTERN);
-                    // Version 5: the registered names and the
-                    // nearest-name hint (a v3/v4 decoder reads neither).
-                    put_names(buf, known);
-                    match nearest {
-                        Some(name) => {
-                            buf.put_u8(1);
-                            put_str(buf, name);
-                        }
-                        None => buf.put_u8(0),
-                    }
+                    put_seq(buf, known, |buf, name| put_str(buf, name));
+                    put_opt(buf, nearest.as_ref(), |buf, name| put_str(buf, name));
                 }
             }
             put_request_stats(buf, &audit.stats);
             buf.put_u64(audit.watermark);
-            // Version 5: the policy-set version that answered.
             buf.put_u64(audit.pack_version);
         }),
         WireResponse::IngestAck {
@@ -1225,17 +1091,11 @@ pub fn encode_response(response: &WireResponse) -> Bytes {
             buf.put_u64(*ingested);
             buf.put_u64(*watermark);
         }),
-        WireResponse::Stats(stats) => finish_message(RESP_STATS, |buf| {
-            put_engine_stats(buf, stats);
-        }),
         WireResponse::Metrics(metrics) => finish_message(RESP_METRICS, |buf| {
             put_metrics_snapshot(buf, metrics);
         }),
         WireResponse::Traces(records) => finish_message(RESP_TRACES, |buf| {
-            buf.put_u32(records.len() as u32);
-            for record in records {
-                put_trace_record(buf, record);
-            }
+            put_seq(buf, records, put_trace_record);
         }),
         WireResponse::PackLoaded {
             version,
@@ -1247,22 +1107,20 @@ pub fn encode_response(response: &WireResponse) -> Bytes {
             buf.put_u32(*reused);
         }),
         WireResponse::PackRejected { diagnostics } => finish_message(RESP_PACK_REJECTED, |buf| {
-            buf.put_u32(diagnostics.len() as u32);
-            for diag in diagnostics {
+            put_seq(buf, diagnostics, |buf, diag| {
                 put_str(buf, &diag.path);
                 buf.put_u64(diag.line as u64);
                 buf.put_u64(diag.column as u64);
                 put_str(buf, &diag.message);
-            }
+            });
         }),
         WireResponse::Policies(listing) => finish_message(RESP_POLICIES, |buf| {
             buf.put_u64(listing.version);
-            buf.put_u32(listing.policies.len() as u32);
-            for policy in &listing.policies {
+            put_seq(buf, &listing.policies, |buf, policy| {
                 put_str(buf, &policy.name);
                 put_str(buf, &policy.package);
                 put_text(buf, &policy.source);
-            }
+            });
         }),
         WireResponse::ServerError { message } => finish_message(RESP_ERROR, |buf| {
             put_str(buf, message);
@@ -1276,149 +1134,68 @@ pub fn encode_response(response: &WireResponse) -> Bytes {
 ///
 /// As [`decode_request`].
 pub fn decode_response(mut buf: Bytes, limits: &WireLimits) -> Result<WireResponse, WireError> {
-    let (version, tag) = open_message(&mut buf)?;
-    let response = match tag {
+    let response = match open_message(&mut buf)? {
         RESP_AUDIT => {
             need(&buf, 1, "audit outcome tag")?;
             let outcome = match buf.get_u8() {
-                OUTCOME_VETTED => {
-                    need(&buf, 9, "vet outcome")?;
-                    let verdict = match buf.get_u8() {
-                        0 => false,
-                        1 => true,
-                        other => {
-                            return Err(malformed(format!("bad verdict byte {}", other)));
-                        }
-                    };
-                    AuditOutcome::Vetted {
-                        verdict,
-                        sequence: buf.get_u64(),
-                    }
-                }
-                OUTCOME_TRAIL => {
-                    let value = wire_value(&mut buf)?;
-                    let records = get_records(&mut buf, limits, "audit trail")?;
-                    let principals = get_names(&mut buf)?;
-                    let channels = get_names(&mut buf)?;
-                    AuditOutcome::Trail(AuditTrail {
-                        value,
-                        records,
-                        principals,
-                        channels,
-                    })
-                }
-                OUTCOME_TOUCHED => {
-                    need(&buf, 4, "touched record count")?;
-                    let count = buf.get_u32() as usize;
-                    let mut records = Vec::with_capacity(count.min(buf.remaining() / 8 + 1));
-                    for _ in 0..count {
-                        need(&buf, 8, "touched sequence")?;
-                        records.push(buf.get_u64());
-                    }
-                    need(&buf, 4, "touched value count")?;
-                    let count = buf.get_u32() as usize;
-                    let mut values = Vec::with_capacity(count.min(buf.remaining() / 3 + 1));
-                    for _ in 0..count {
-                        values.push(wire_value(&mut buf)?);
-                    }
-                    AuditOutcome::Touched { records, values }
-                }
-                OUTCOME_ORIGIN => {
-                    need(&buf, 1, "origin flag")?;
-                    let principal = match buf.get_u8() {
-                        0 => None,
-                        1 => Some(wire_name(&mut buf)?),
-                        other => return Err(malformed(format!("bad origin flag {}", other))),
-                    };
-                    AuditOutcome::Origin { principal }
-                }
+                OUTCOME_VETTED => AuditOutcome::Vetted {
+                    verdict: get_flag(&mut buf, "verdict byte")?,
+                    sequence: wire_u64(&mut buf, "vet sequence")?,
+                },
+                OUTCOME_TRAIL => AuditOutcome::Trail(AuditTrail {
+                    value: wire_value(&mut buf)?,
+                    records: get_records(&mut buf, limits, "audit trail")?,
+                    principals: get_names(&mut buf)?,
+                    channels: get_names(&mut buf)?,
+                }),
+                OUTCOME_TOUCHED => AuditOutcome::Touched {
+                    records: get_seq(&mut buf, "touched record count", 8, |buf| {
+                        wire_u64(buf, "touched sequence")
+                    })?,
+                    // A value costs at least its tag byte and 2 name-length
+                    // bytes.
+                    values: get_seq(&mut buf, "touched value count", 3, wire_value)?,
+                },
+                OUTCOME_ORIGIN => AuditOutcome::Origin {
+                    principal: get_opt(&mut buf, "origin flag", wire_name)?,
+                },
                 OUTCOME_UNKNOWN_VALUE => AuditOutcome::UnknownValue,
-                // The causal outcomes are version-6 vocabulary.
-                OUTCOME_WHY if version >= 6 => {
-                    need(&buf, 9, "why slice header")?;
-                    let verdict = match buf.get_u8() {
-                        0 => false,
-                        1 => true,
-                        other => return Err(malformed(format!("bad why verdict {}", other))),
+                OUTCOME_UNKNOWN_PATTERN => AuditOutcome::UnknownPattern {
+                    known: get_names(&mut buf)?,
+                    nearest: get_opt(&mut buf, "nearest-name flag", wire_str)?,
+                },
+                OUTCOME_WHY => {
+                    let slice = WhySlice {
+                        verdict: get_flag(&mut buf, "why verdict")?,
+                        sequence: wire_u64(&mut buf, "why sequence")?,
+                        blocked: get_opt(&mut buf, "why blocked flag", |buf| {
+                            wire_u32(buf, "why blocked index")
+                        })?,
+                        events: get_why_events(&mut buf)?,
                     };
-                    let sequence = buf.get_u64();
-                    need(&buf, 1, "why blocked flag")?;
-                    let blocked = match buf.get_u8() {
-                        0 => None,
-                        1 => {
-                            need(&buf, 4, "why blocked index")?;
-                            Some(buf.get_u32())
-                        }
-                        other => return Err(malformed(format!("bad why blocked flag {}", other))),
-                    };
-                    let events = get_why_events(&mut buf)?;
-                    if let Some(index) = blocked {
-                        if index as usize >= events.len() {
-                            return Err(malformed("why blocked index out of range"));
-                        }
+                    if slice
+                        .blocked
+                        .is_some_and(|index| index as usize >= slice.events.len())
+                    {
+                        return Err(malformed("why blocked index out of range"));
                     }
-                    AuditOutcome::Why(WhySlice {
-                        verdict,
-                        sequence,
-                        events,
-                        blocked,
-                    })
+                    AuditOutcome::Why(slice)
                 }
-                OUTCOME_COUNTERFACTUAL if version >= 6 => {
-                    need(&buf, 10, "counterfactual header")?;
-                    let flag = |byte: u8, what: &str| match byte {
-                        0 => Ok(false),
-                        1 => Ok(true),
-                        other => Err(malformed(format!("bad {} flag {}", what, other))),
-                    };
-                    let original = flag(buf.get_u8(), "counterfactual original")?;
-                    let counterfactual = flag(buf.get_u8(), "counterfactual filtered")?;
-                    let sequence = buf.get_u64();
-                    let removed = get_why_events(&mut buf)?;
-                    AuditOutcome::Counterfactual(CounterfactualVerdict {
-                        original,
-                        counterfactual,
-                        sequence,
-                        removed,
-                    })
-                }
-                OUTCOME_UNKNOWN_PATTERN => {
-                    // A pre-v5 peer sends no payload: decode to empty.
-                    if version >= 5 {
-                        let known = get_names(&mut buf)?;
-                        need(&buf, 1, "nearest-name flag")?;
-                        let nearest = match buf.get_u8() {
-                            0 => None,
-                            1 => Some(wire_str(&mut buf)?),
-                            other => {
-                                return Err(malformed(format!("bad nearest-name flag {}", other)))
-                            }
-                        };
-                        AuditOutcome::UnknownPattern { known, nearest }
-                    } else {
-                        AuditOutcome::UnknownPattern {
-                            known: Vec::new(),
-                            nearest: None,
-                        }
-                    }
-                }
+                OUTCOME_COUNTERFACTUAL => AuditOutcome::Counterfactual(CounterfactualVerdict {
+                    original: get_flag(&mut buf, "counterfactual original flag")?,
+                    counterfactual: get_flag(&mut buf, "counterfactual filtered flag")?,
+                    sequence: wire_u64(&mut buf, "counterfactual sequence")?,
+                    removed: get_why_events(&mut buf)?,
+                }),
                 other => return Err(malformed(format!("unknown audit outcome tag {}", other))),
             };
-            let stats = get_request_stats(&mut buf, version)?;
-            need(&buf, 8, "response watermark")?;
-            let watermark = buf.get_u64();
-            // A pre-v5 peer omits the pack version: decode as 0.
-            let pack_version = if version >= 5 {
-                need(&buf, 8, "response pack version")?;
-                buf.get_u64()
-            } else {
-                0
-            };
+            let stats = get_request_stats(&mut buf)?;
+            need(&buf, 16, "response watermark and pack version")?;
             WireResponse::Audit(AuditResponse {
                 outcome,
                 stats,
-                watermark,
-                pack_version,
+                watermark: buf.get_u64(),
+                pack_version: buf.get_u64(),
             })
         }
         RESP_ACK => {
@@ -1428,12 +1205,9 @@ pub fn decode_response(mut buf: Bytes, limits: &WireLimits) -> Result<WireRespon
                 queue_depth: buf.get_u32(),
             }
         }
-        RESP_BUSY => {
-            need(&buf, 4, "busy response")?;
-            WireResponse::Busy {
-                queue_depth: buf.get_u32(),
-            }
-        }
+        RESP_BUSY => WireResponse::Busy {
+            queue_depth: wire_u32(&mut buf, "busy response")?,
+        },
         RESP_FLUSHED => {
             need(&buf, 16, "flushed response")?;
             WireResponse::Flushed {
@@ -1441,22 +1215,16 @@ pub fn decode_response(mut buf: Bytes, limits: &WireLimits) -> Result<WireRespon
                 watermark: buf.get_u64(),
             }
         }
-        RESP_STATS => WireResponse::Stats(get_engine_stats(&mut buf)?),
-        RESP_METRICS => WireResponse::Metrics(Box::new(get_metrics_snapshot(&mut buf, version)?)),
+        RESP_METRICS => WireResponse::Metrics(Box::new(get_metrics_snapshot(&mut buf)?)),
+        // A trace record costs at least its 16 id + 1 kind + 8 total + 4
+        // span-count bytes.
         RESP_TRACES => {
-            need(&buf, 4, "trace count")?;
-            let count = buf.get_u32() as usize;
-            // A trace record costs at least its 26 header bytes.
-            let mut records = Vec::with_capacity(count.min(buf.remaining() / 26 + 1));
-            for _ in 0..count {
-                records.push(get_trace_record(&mut buf)?);
-            }
-            WireResponse::Traces(records)
+            WireResponse::Traces(get_seq(&mut buf, "trace count", 29, get_trace_record)?)
         }
         RESP_ERROR => WireResponse::ServerError {
             message: wire_str(&mut buf)?,
         },
-        RESP_PACK_LOADED if version >= 5 => {
+        RESP_PACK_LOADED => {
             need(&buf, 16, "pack loaded response")?;
             WireResponse::PackLoaded {
                 version: buf.get_u64(),
@@ -1464,41 +1232,29 @@ pub fn decode_response(mut buf: Bytes, limits: &WireLimits) -> Result<WireRespon
                 reused: buf.get_u32(),
             }
         }
-        RESP_PACK_REJECTED if version >= 5 => {
-            need(&buf, 4, "diagnostic count")?;
-            let count = buf.get_u32() as usize;
-            // A diagnostic costs at least its two 2-byte string lengths
-            // plus 16 position bytes.
-            let mut diagnostics = Vec::with_capacity(count.min(buf.remaining() / 20 + 1));
-            for _ in 0..count {
-                let path = wire_str(&mut buf)?;
-                need(&buf, 16, "diagnostic position")?;
+        // A diagnostic costs at least its two 2-byte string lengths plus
+        // 16 position bytes.
+        RESP_PACK_REJECTED => WireResponse::PackRejected {
+            diagnostics: get_seq(&mut buf, "diagnostic count", 20, |buf| {
+                let path = wire_str(buf)?;
+                need(buf, 16, "diagnostic position")?;
                 let line = buf.get_u64() as usize;
                 let column = buf.get_u64() as usize;
-                let message = wire_str(&mut buf)?;
-                diagnostics.push(PackDiagnostic::new(path, line, column, message));
-            }
-            WireResponse::PackRejected { diagnostics }
-        }
-        RESP_POLICIES if version >= 5 => {
-            need(&buf, 12, "policy listing head")?;
-            let pack_version = buf.get_u64();
-            let count = buf.get_u32() as usize;
-            // A policy costs at least its two 2-byte string lengths plus
-            // a 4-byte source length.
-            let mut policies = Vec::with_capacity(count.min(buf.remaining() / 8 + 1));
-            for _ in 0..count {
-                policies.push(PolicyInfo {
-                    name: wire_str(&mut buf)?,
-                    package: wire_str(&mut buf)?,
-                    source: get_text(&mut buf)?,
-                });
-            }
-            WireResponse::Policies(PolicyListing {
-                version: pack_version,
-                policies,
-            })
-        }
+                Ok(PackDiagnostic::new(path, line, column, wire_str(buf)?))
+            })?,
+        },
+        RESP_POLICIES => WireResponse::Policies(PolicyListing {
+            version: wire_u64(&mut buf, "policy listing version")?,
+            // A policy costs at least its two 2-byte string lengths plus a
+            // 4-byte source length.
+            policies: get_seq(&mut buf, "policy count", 8, |buf| {
+                Ok(PolicyInfo {
+                    name: wire_str(buf)?,
+                    package: wire_str(buf)?,
+                    source: get_text(buf)?,
+                })
+            })?,
+        }),
         other => return Err(malformed(format!("unknown response tag {}", other))),
     };
     if buf.has_remaining() {
@@ -1510,8 +1266,7 @@ pub fn decode_response(mut buf: Bytes, limits: &WireLimits) -> Result<WireRespon
 #[cfg(test)]
 mod tests {
     use super::*;
-    use piprov_core::name::Channel;
-    use piprov_core::provenance::{Event, Provenance};
+    use piprov_core::name::{Channel, Principal};
     use piprov_core::value::Value;
     use piprov_store::Operation;
 
@@ -1548,7 +1303,6 @@ mod tests {
             WireRequest::IngestBatch(vec![record(1), record(2)]),
             WireRequest::IngestBatch(Vec::new()),
             WireRequest::Flush,
-            WireRequest::Stats,
             WireRequest::Metrics,
             WireRequest::LoadPack(PackSource::new(
                 "supply_chain",
@@ -1699,41 +1453,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_metrics_frames_are_typed_errors_not_panics() {
-        let limits = WireLimits::default();
-        let response = WireResponse::Metrics(Box::new(MetricsSnapshot {
-            engine: EngineStats::default(),
-            store: StoreStats::default(),
-            interner: InternerStats {
-                interned_nodes: 1,
-                hits: 2,
-                misses: 1,
-                shards: 1,
-            },
-            interner_shards: vec![ShardStats {
-                shard: 0,
-                entries: 1,
-                hits: 2,
-                misses: 1,
-            }],
-            vets_unknown_pattern: 0,
-            frame_decode: HistogramSnapshot::default(),
-            request_service: HistogramSnapshot::default(),
-            ingest_queue_wait: HistogramSnapshot::default(),
-            uptime_seconds: 1,
-            connections_accepted: 1,
-            connections_closed: 0,
-            open_connections: 1,
-            policies: Vec::new(),
-        }));
-        let body = encode_response(&response).to_vec();
-        for len in 0..body.len() {
-            let err = decode_response(Bytes::from(body[..len].to_vec()), &limits);
-            assert!(err.is_err(), "prefix of {} bytes decoded", len);
-        }
-    }
-
-    #[test]
     fn over_cap_batches_are_rejected_before_decoding_records() {
         let limits = WireLimits {
             max_records: 2,
@@ -1840,7 +1559,7 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let limits = WireLimits::default();
-        let mut body = encode_request(&WireRequest::Stats).to_vec();
+        let mut body = encode_request(&WireRequest::Metrics).to_vec();
         body.push(0);
         assert!(matches!(
             decode_request(Bytes::from(body), &limits),
@@ -1858,7 +1577,6 @@ mod tests {
             }),
             WireRequest::IngestBatch(vec![record(1)]),
             WireRequest::Flush,
-            WireRequest::Stats,
             WireRequest::Metrics,
             WireRequest::Traces { min_total_ns: 0 },
         ];
@@ -1871,7 +1589,7 @@ mod tests {
                 client_encode_ns: 1_234,
             };
             for request in &requests {
-                let body = encode_request_traced(request, Some(&trace));
+                let body = append_request_trace(&encode_request(request), &trace);
                 let (decoded, decoded_trace) = decode_request_traced(body, &limits).unwrap();
                 assert_eq!(&decoded, request);
                 assert_eq!(decoded_trace, Some(trace));
@@ -1879,7 +1597,7 @@ mod tests {
         }
         // Untraced bodies decode with no context at all.
         let (_, none) =
-            decode_request_traced(encode_request(&WireRequest::Stats), &limits).unwrap();
+            decode_request_traced(encode_request(&WireRequest::Metrics), &limits).unwrap();
         assert_eq!(none, None);
     }
 
@@ -1935,7 +1653,8 @@ mod tests {
             },
             client_encode_ns: 5,
         };
-        let body = encode_request_traced(&WireRequest::Stats, Some(&trace)).to_vec();
+        let base = encode_request(&WireRequest::Metrics);
+        let body = append_request_trace(&base, &trace).to_vec();
         let flag_at = body.len() - 9; // u64 encode-ns follows the flag
         let mut bad = body.clone();
         bad[flag_at] = 7;
@@ -1945,8 +1664,7 @@ mod tests {
         ));
         // Every truncation inside the trace field is an error; the cut
         // exactly at the untraced payload boundary decodes as untraced.
-        let base_len = encode_request(&WireRequest::Stats).len();
-        for len in (base_len + 1)..body.len() {
+        for len in (base.len() + 1)..body.len() {
             assert!(
                 decode_request_traced(Bytes::from(body[..len].to_vec()), &limits).is_err(),
                 "prefix of {} bytes decoded",
@@ -1969,17 +1687,13 @@ mod tests {
             decode_response(Bytes::from(bad), &limits),
             Err(WireError::Malformed(_))
         ));
-        let span_kind_at = record_kind_at + 1 + 8 + 1;
+        let span_kind_at = record_kind_at + 1 + 8 + 4;
         let mut bad = encoded.clone();
         bad[span_kind_at] = 99;
         assert!(matches!(
             decode_response(Bytes::from(bad), &limits),
             Err(WireError::Malformed(_))
         ));
-        // And truncations never panic.
-        for len in 0..encoded.len() {
-            assert!(decode_response(Bytes::from(encoded[..len].to_vec()), &limits).is_err());
-        }
     }
 
     #[test]
@@ -2025,15 +1739,6 @@ mod tests {
         for response in responses {
             let decoded = decode_response(encode_response(&response), &limits).unwrap();
             assert_eq!(decoded, response);
-            // And every truncation is a typed error, never a panic.
-            let body = encode_response(&response).to_vec();
-            for len in 0..body.len() {
-                assert!(
-                    decode_response(Bytes::from(body[..len].to_vec()), &limits).is_err(),
-                    "prefix of {} bytes decoded",
-                    len
-                );
-            }
         }
     }
 
@@ -2065,192 +1770,32 @@ mod tests {
     }
 
     #[test]
-    fn version_4_bodies_still_decode_without_the_v5_extensions() {
+    fn every_version_but_the_current_one_is_unsupported() {
+        assert_eq!(WIRE_VERSION, 7);
         let limits = WireLimits::default();
-        // A v4 peer's audit response: no pack version after the
-        // watermark, no payload on an unknown-pattern outcome.  Build the
-        // body by hand — our encoder always speaks v5.
-        let mut body = BytesMut::new();
-        body.put_u8(4);
-        body.put_u8(RESP_AUDIT);
-        body.put_u8(OUTCOME_UNKNOWN_PATTERN);
-        // Pre-v6 stats: three u64 counters, no memo_reused.
-        body.put_u64(0);
-        body.put_u64(0);
-        body.put_u64(0);
-        body.put_u64(17); // watermark
-        let decoded = decode_response(body.freeze(), &limits).unwrap();
-        assert_eq!(
-            decoded,
-            WireResponse::Audit(AuditResponse {
-                outcome: AuditOutcome::UnknownPattern {
-                    known: Vec::new(),
-                    nearest: None,
-                },
-                stats: RequestStats::default(),
-                watermark: 17,
-                pack_version: 0,
-            })
-        );
-        // A v5 body re-marked v4 has trailing bytes (the pack version):
-        // rejected, not misread.
-        let mut remarked = encode_response(&WireResponse::Audit(AuditResponse {
-            outcome: AuditOutcome::UnknownValue,
-            stats: RequestStats::default(),
-            watermark: 1,
-            pack_version: 3,
-        }))
-        .to_vec();
-        remarked[0] = 4;
-        assert!(matches!(
-            decode_response(Bytes::from(remarked), &limits),
-            Err(WireError::Malformed(_))
-        ));
-        // The policy-plane tags are v5 vocabulary: a v4 body carrying one
-        // is an unknown tag, and so are the requests.
-        let mut remarked = encode_response(&WireResponse::PackLoaded {
-            version: 1,
-            installed: 1,
-            reused: 0,
-        })
-        .to_vec();
-        remarked[0] = 4;
-        assert!(matches!(
-            decode_response(Bytes::from(remarked), &limits),
-            Err(WireError::Malformed(_))
-        ));
-        let mut remarked = encode_request(&WireRequest::ListPolicies).to_vec();
-        remarked[0] = 4;
-        assert!(matches!(
-            decode_request(Bytes::from(remarked), &limits),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn version_5_bodies_still_decode_without_the_v6_extensions() {
-        let limits = WireLimits::default();
-        // A v5 peer's audit response: three stats counters (no
-        // memo_reused), watermark, pack version.  Build the body by hand
-        // — our encoder always speaks v6.
-        let mut body = BytesMut::new();
-        body.put_u8(5);
-        body.put_u8(RESP_AUDIT);
-        body.put_u8(OUTCOME_VETTED);
-        body.put_u8(1); // verdict
-        body.put_u64(9); // sequence
-        body.put_u64(2); // index_hits
-        body.put_u64(3); // memo_hits
-        body.put_u64(4); // dag_nodes_visited
-        body.put_u64(17); // watermark
-        body.put_u64(1); // pack version
-        let decoded = decode_response(body.freeze(), &limits).unwrap();
-        assert_eq!(
-            decoded,
-            WireResponse::Audit(AuditResponse {
-                outcome: AuditOutcome::Vetted {
-                    verdict: true,
-                    sequence: 9,
-                },
-                stats: RequestStats {
-                    index_hits: 2,
-                    memo_hits: 3,
-                    dag_nodes_visited: 4,
-                    memo_reused: 0,
-                },
-                watermark: 17,
-                pack_version: 1,
-            })
-        );
-        // A v6 body re-marked v5 has trailing bytes (memo_reused):
-        // rejected, not misread.
-        let mut remarked = encode_response(&WireResponse::Audit(AuditResponse {
-            outcome: AuditOutcome::UnknownValue,
-            stats: RequestStats::default(),
-            watermark: 1,
-            pack_version: 3,
-        }))
-        .to_vec();
-        remarked[0] = 5;
-        assert!(matches!(
-            decode_response(Bytes::from(remarked), &limits),
-            Err(WireError::Malformed(_))
-        ));
-        // The causal-query tags are v6 vocabulary: a v5 body carrying one
-        // is an unknown tag, on both sides of the wire.
-        let mut remarked = encode_response(&WireResponse::Audit(AuditResponse {
-            outcome: AuditOutcome::Why(WhySlice {
-                verdict: true,
-                sequence: 1,
-                events: Vec::new(),
-                blocked: None,
-            }),
-            stats: RequestStats::default(),
-            watermark: 1,
-            pack_version: 1,
-        }))
-        .to_vec();
-        remarked[0] = 5;
-        assert!(matches!(
-            decode_response(Bytes::from(remarked), &limits),
-            Err(WireError::Malformed(_))
-        ));
-        let mut remarked = encode_request(&WireRequest::Audit(AuditRequest::Counterfactual {
+        let request = encode_request(&WireRequest::Audit(AuditRequest::VetValue {
             value: Value::Channel(Channel::new("v")),
             pattern: "p".into(),
-            remove: EventFilter::Kind(Direction::Input),
-        }))
-        .to_vec();
-        remarked[0] = 5;
-        assert!(matches!(
-            decode_request(Bytes::from(remarked), &limits),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn version_3_bodies_still_decode_without_the_v4_extensions() {
-        let limits = WireLimits::default();
-        // A v3 peer's request: same payload, older version byte, no trace
-        // field.
-        for request in [
-            WireRequest::Flush,
-            WireRequest::Stats,
-            WireRequest::Audit(AuditRequest::WhoTouched {
-                principal: Principal::new("s"),
-            }),
-        ] {
-            let mut body = encode_request(&request).to_vec();
-            body[0] = 3;
-            let (decoded, trace) = decode_request_traced(Bytes::from(body), &limits).unwrap();
-            assert_eq!(decoded, request);
-            assert_eq!(trace, None);
-        }
-        // The trace field is a v4 extension: a v3 body carrying one is
-        // trailing garbage, not a context.
-        let trace = RequestTrace {
-            context: TraceContext {
-                trace_id: 3,
-                sampled: true,
-            },
-            client_encode_ns: 1,
-        };
-        let mut body = encode_request_traced(&WireRequest::Stats, Some(&trace)).to_vec();
-        body[0] = 3;
-        assert!(matches!(
-            decode_request_traced(Bytes::from(body), &limits),
-            Err(WireError::Malformed(_))
-        ));
-        // A v3 response body (no serving-lifecycle block, no exemplars).
-        let response = WireResponse::Flushed {
+        }));
+        let response = encode_response(&WireResponse::Flushed {
             ingested: 4,
             watermark: 9,
-        };
-        let mut body = encode_response(&response).to_vec();
-        body[0] = 3;
-        assert_eq!(
-            decode_response(Bytes::from(body), &limits).unwrap(),
-            response
-        );
+        });
+        assert!(decode_request_traced(request.clone(), &limits).is_ok());
+        assert!(decode_response(response.clone(), &limits).is_ok());
+        for version in [3, 4, 5, 6, 8] {
+            let mut body = request.to_vec();
+            body[0] = version;
+            assert!(matches!(
+                decode_request_traced(Bytes::from(body), &limits),
+                Err(WireError::UnsupportedVersion(v)) if v == version
+            ));
+            let mut body = response.to_vec();
+            body[0] = version;
+            assert!(matches!(
+                decode_response(Bytes::from(body), &limits),
+                Err(WireError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 }

@@ -8,10 +8,10 @@
 //! principal audit where a value came from; until this crate, "remote"
 //! stopped at a thread boundary.  Here the typed
 //! `AuditRequest`/`AuditResponse` vocabulary — plus `IngestBatch` ingest
-//! and `Flush`/`Stats`/`Metrics` control messages (`Metrics` ships the
-//! whole observability plane: every counter surface plus per-policy
-//! latency histograms, rendered to Prometheus text by
-//! [`AuditClient::metrics`]) and the policy-pack plane
+//! and `Flush`/`Metrics` control messages (`Metrics` ships the whole
+//! observability plane: every counter surface plus per-policy latency
+//! histograms, rendered to Prometheus text by [`AuditClient::metrics`])
+//! and the policy-pack plane
 //! (`LoadPack` ships a whole pack for one atomic, versioned swap —
 //! [`AuditClient::load_pack`] — and `ListPolicies` reads back the
 //! published set, also served as plaintext on `GET /policies`) —
@@ -104,7 +104,4 @@ pub use client::{
 pub use codec::{request_kind, RequestTrace, WireRequest, WireResponse};
 pub use recorder::RemoteRecorder;
 pub use server::{AuditServer, ServeConfig, ServerCore};
-pub use wire::{
-    WireError, WireLimits, DEFAULT_MAX_FRAME_LEN, DEFAULT_MAX_RECORDS, MIN_WIRE_VERSION,
-    WIRE_VERSION,
-};
+pub use wire::{WireError, WireLimits, DEFAULT_MAX_FRAME_LEN, DEFAULT_MAX_RECORDS, WIRE_VERSION};

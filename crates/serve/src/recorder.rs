@@ -59,8 +59,8 @@ impl RemoteRecorder {
 
     /// The snapshot watermark of the last completed flush barrier, if one
     /// ran — the sequence number a downstream auditor can poll the
-    /// server's `Flushed`/`Stats` watermark against to read this
-    /// producer's writes.
+    /// server's watermark ([`crate::AuditClient::stats`], or any audit
+    /// response) against to read this producer's writes.
     pub fn last_watermark(&self) -> Option<u64> {
         self.last_watermark
     }

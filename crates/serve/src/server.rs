@@ -772,7 +772,6 @@ pub(crate) fn handle_request(
                 message: format!("flush failed: {}", e),
             },
         },
-        WireRequest::Stats => WireResponse::Stats(engine.stats()),
         WireRequest::Metrics => WireResponse::Metrics(Box::new(engine.metrics())),
         WireRequest::Traces { min_total_ns } => {
             WireResponse::Traces(collector.snapshot(min_total_ns))

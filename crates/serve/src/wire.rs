@@ -27,37 +27,12 @@ use piprov_store::codec::crc32;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 
-/// Version byte every frame body starts with (the version encoders write).
-///
-/// Version 2 added the MVCC snapshot watermark to every audit response,
-/// to `Flushed`, and to the engine-stats payload (`snapshots_published`,
-/// `snapshot_lag`, `watermark`).  Version 3 added the wire-level
-/// histograms (frame-decode, request-service, ingest queue-wait) to the
-/// `Metrics` payload.  Version 4 added the tracing plane: an *additive*
-/// trace field after every request payload (absent = untraced — a v3 peer
-/// simply sends none), the `Traces`/`Traces` request/response pair, and
-/// uptime, connection counters and histogram exemplars in the `Metrics`
-/// payload.  Version 5 added the policy-pack plane: the
-/// `LoadPack`/`ListPolicies` request pair (and their
-/// `PackLoaded`/`PackRejected`/`Policies` responses), the pack version
-/// stamped after every audit response's watermark, and the
-/// known-names-plus-nearest payload on `UnknownPattern` — all additive, so
-/// v3/v4 peers interoperate unchanged (they simply never send the new
-/// tags, and their audit responses decode with pack version 0).  Version 6
-/// added the causal-query plane: the `Why`/`Counterfactual` audit request
-/// kinds with their typed `Why`/`Counterfactual` outcomes, the
-/// `memo_reused` counter after every request-stats block, and the
-/// per-policy counterfactual counters in the `Metrics` payload — again
-/// additive, so v3..v5 peers interoperate unchanged.  Decoders
-/// accept [`MIN_WIRE_VERSION`]..=[`WIRE_VERSION`];
-/// anything else is refused with a typed
-/// [`WireError::UnsupportedVersion`].
-pub const WIRE_VERSION: u8 = 6;
-
-/// Oldest version byte decoders still accept.  Version 3 bodies carry no
-/// trace field and no v4 metrics extensions; both were added additively,
-/// so a v3 peer interoperates unchanged.
-pub const MIN_WIRE_VERSION: u8 = 3;
+/// Version byte every frame body starts with.  Encoders write it and
+/// decoders accept nothing else: every peer is built from this
+/// repository, so a body with any other version byte is refused with a
+/// typed [`WireError::UnsupportedVersion`] rather than read under rules
+/// this codec no longer has.
+pub const WIRE_VERSION: u8 = 7;
 
 /// Default cap on the length prefix a peer will honour (16 MiB — far above
 /// any legitimate message, far below a memory-exhaustion attack).
@@ -100,8 +75,7 @@ pub enum WireError {
     },
     /// The body did not match its CRC.
     ChecksumMismatch,
-    /// The body's version byte is outside
-    /// [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`].
+    /// The body's version byte is not [`WIRE_VERSION`].
     UnsupportedVersion(u8),
     /// The body was structurally invalid (truncated field, unknown tag,
     /// over-cap count, bad UTF-8, …).

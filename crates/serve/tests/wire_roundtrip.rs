@@ -23,7 +23,7 @@ use piprov_core::value::Value;
 use piprov_patterns::{MemoStats, Pattern};
 use piprov_policy::{PackDiagnostic, PackFile, PackSource};
 use piprov_serve::codec::{
-    decode_request, decode_request_traced, decode_response, encode_request, encode_request_traced,
+    append_request_trace, decode_request, decode_request_traced, decode_response, encode_request,
     encode_response,
 };
 use piprov_serve::wire::{read_frame, write_frame};
@@ -472,7 +472,6 @@ fn arb_wire_request() -> impl Strategy<Value = piprov_serve::WireRequest> {
         4 => arb_audit_request().prop_map(WireRequest::Audit),
         2 => proptest::collection::vec(arb_record(), 0..6).prop_map(WireRequest::IngestBatch),
         1 => Just(WireRequest::Flush),
-        1 => Just(WireRequest::Stats),
         1 => Just(WireRequest::Metrics),
         1 => (0u64..1 << 48).prop_map(|min_total_ns| WireRequest::Traces { min_total_ns }),
         1 => arb_pack_source().prop_map(WireRequest::LoadPack),
@@ -504,7 +503,6 @@ fn arb_wire_response() -> impl Strategy<Value = WireResponse> {
                 watermark,
             }
         }),
-        1 => arb_engine_stats().prop_map(WireResponse::Stats),
         1 => arb_metrics_snapshot().prop_map(|m| WireResponse::Metrics(Box::new(m))),
         1 => proptest::collection::vec(arb_trace_record(), 0..5).prop_map(WireResponse::Traces),
         1 => (0u32..64).prop_map(|i| WireResponse::ServerError {
@@ -561,10 +559,13 @@ proptest! {
         request in arb_wire_request(),
         trace in prop_oneof![Just(None), arb_request_trace().prop_map(Some)],
     ) {
-        // The additive v4 trace field survives the round trip for every
+        // The optional trace field survives the round trip for every
         // request shape, and its absence decodes as `None`.
         let limits = WireLimits::default();
-        let body = encode_request_traced(&request, trace.as_ref());
+        let body = match &trace {
+            Some(trace) => append_request_trace(&encode_request(&request), trace),
+            None => encode_request(&request),
+        };
         let (decoded, decoded_trace) = decode_request_traced(body, &limits).unwrap();
         prop_assert_eq!(decoded, request);
         prop_assert_eq!(decoded_trace, trace);
@@ -588,6 +589,36 @@ proptest! {
         let frame = read_frame(&mut cursor, limits.max_frame_len).unwrap().unwrap();
         prop_assert_eq!(decode_response(frame, &limits).unwrap(), response);
         prop_assert!(read_frame(&mut cursor, limits.max_frame_len).unwrap().is_none());
+    }
+
+    #[test]
+    fn every_strict_prefix_is_a_typed_error(
+        request in arb_wire_request(),
+        response in arb_wire_response(),
+    ) {
+        // A body cut anywhere short of its end never decodes and never
+        // panics: the decoder reports the missing bytes.
+        let limits = WireLimits::default();
+        let body = encode_request(&request);
+        for len in 0..body.len() {
+            let prefix = Bytes::from(body[..len].to_vec());
+            prop_assert!(
+                matches!(decode_request_traced(prefix, &limits), Err(WireError::Malformed(_))),
+                "request prefix of {} bytes: {:?}",
+                len,
+                request
+            );
+        }
+        let body = encode_response(&response);
+        for len in 0..body.len() {
+            let prefix = Bytes::from(body[..len].to_vec());
+            prop_assert!(
+                matches!(decode_response(prefix, &limits), Err(WireError::Malformed(_))),
+                "response prefix of {} bytes: {:?}",
+                len,
+                response
+            );
+        }
     }
 
     #[test]
@@ -727,7 +758,7 @@ fn bad_crc_gets_a_typed_error_and_the_server_survives() {
             let mut framed = Vec::new();
             write_frame(
                 &mut framed,
-                &encode_request(&piprov_serve::WireRequest::Stats),
+                &encode_request(&piprov_serve::WireRequest::Metrics),
             )
             .unwrap();
             let last = framed.len() - 1;
@@ -750,7 +781,7 @@ fn unknown_tags_and_versions_get_typed_errors() {
         // (byte offset to clobber, value, scenario): version byte, then tag.
         for (offset, bad_byte, what) in [(0usize, 99u8, "bad version"), (1, 77, "bad tag")] {
             let mut client = AuditClient::connect(addr).unwrap();
-            let mut body = encode_request(&piprov_serve::WireRequest::Stats).to_vec();
+            let mut body = encode_request(&piprov_serve::WireRequest::Metrics).to_vec();
             body[offset] = bad_byte;
             let mut framed = Vec::new();
             write_frame(&mut framed, &body).unwrap();
@@ -774,7 +805,7 @@ fn truncated_frame_closes_cleanly_without_wedging_the_server() {
             let mut framed = Vec::new();
             write_frame(
                 &mut framed,
-                &encode_request(&piprov_serve::WireRequest::Stats),
+                &encode_request(&piprov_serve::WireRequest::Metrics),
             )
             .unwrap();
             // Send only part of the frame, then drop the connection: the
