@@ -172,6 +172,36 @@ pub fn request_kind(request: &WireRequest) -> RequestKind {
     }
 }
 
+/// The [`RequestKind`] of an encoded request body, read from its version,
+/// tag and audit sub-tag alone: what the event loop routes a frame by
+/// without decoding it.  `None` for a body too short to hold them, any
+/// version but [`WIRE_VERSION`], or an unknown tag — [`decode_request`]
+/// gives those their typed error.
+pub(crate) fn peek_kind(body: &Bytes) -> Option<RequestKind> {
+    let (&version, rest) = body.split_first()?;
+    if version != WIRE_VERSION {
+        return None;
+    }
+    Some(match *rest.first()? {
+        REQ_AUDIT => match *rest.get(1)? {
+            AUDIT_VET => RequestKind::Vet,
+            AUDIT_TRAIL => RequestKind::Trail,
+            AUDIT_TOUCHED => RequestKind::Touched,
+            AUDIT_ORIGIN => RequestKind::Origin,
+            AUDIT_WHY => RequestKind::Why,
+            AUDIT_COUNTERFACTUAL => RequestKind::Counterfactual,
+            _ => return None,
+        },
+        REQ_INGEST => RequestKind::Ingest,
+        REQ_FLUSH => RequestKind::Flush,
+        REQ_METRICS => RequestKind::Metrics,
+        REQ_TRACES => RequestKind::Traces,
+        REQ_LOAD_PACK => RequestKind::LoadPack,
+        REQ_LIST_POLICIES => RequestKind::ListPolicies,
+        _ => return None,
+    })
+}
+
 const REQ_AUDIT: u8 = 1;
 const REQ_INGEST: u8 = 2;
 const REQ_FLUSH: u8 = 3;
@@ -1300,10 +1330,33 @@ mod tests {
             WireRequest::Audit(AuditRequest::OriginOf {
                 value: Value::Channel(Channel::new("x")),
             }),
+            WireRequest::Audit(AuditRequest::Why {
+                value: Value::Channel(Channel::new("w")),
+                pattern: "from-a".into(),
+            }),
+            WireRequest::Audit(AuditRequest::Counterfactual {
+                value: Value::Channel(Channel::new("w")),
+                pattern: "from-a".into(),
+                remove: EventFilter::Principal(Principal::new("relay")),
+            }),
+            WireRequest::Audit(AuditRequest::Counterfactual {
+                value: Value::Principal(Principal::new("b")),
+                pattern: "gate".into(),
+                remove: EventFilter::Kind(Direction::Input),
+            }),
+            WireRequest::Audit(AuditRequest::Counterfactual {
+                value: Value::Channel(Channel::new("w")),
+                pattern: "gate".into(),
+                remove: EventFilter::ChannelVia(Principal::new("c")),
+            }),
             WireRequest::IngestBatch(vec![record(1), record(2)]),
             WireRequest::IngestBatch(Vec::new()),
             WireRequest::Flush,
             WireRequest::Metrics,
+            WireRequest::Traces { min_total_ns: 0 },
+            WireRequest::Traces {
+                min_total_ns: u64::MAX,
+            },
             WireRequest::LoadPack(PackSource::new(
                 "supply_chain",
                 vec![
@@ -1317,9 +1370,51 @@ mod tests {
             WireRequest::LoadPack(PackSource::new("empty", Vec::new())),
             WireRequest::ListPolicies,
         ];
+        let trace = RequestTrace {
+            context: TraceContext {
+                trace_id: 42,
+                sampled: true,
+            },
+            client_encode_ns: 7,
+        };
         for request in requests {
-            let decoded = decode_request(encode_request(&request), &limits).unwrap();
+            let body = encode_request(&request);
+            assert_eq!(peek_kind(&body), Some(request_kind(&request)));
+            let decoded = decode_request(body.clone(), &limits).unwrap();
             assert_eq!(decoded, request);
+            // The trace field rides after the payload: it decodes back and
+            // leaves the peeked kind alone.
+            let traced = append_request_trace(&body, &trace);
+            assert_eq!(peek_kind(&traced), Some(request_kind(&request)));
+            assert_eq!(
+                decode_request_traced(traced, &limits).unwrap(),
+                (request.clone(), Some(trace))
+            );
+            // Too short to name the kind: an audit body cut before its
+            // sub-tag, any body cut before its tag.
+            let cut = if matches!(request, WireRequest::Audit(_)) {
+                2
+            } else {
+                1
+            };
+            for len in 0..=cut {
+                assert_eq!(
+                    peek_kind(&Bytes::from(body[..len].to_vec())),
+                    None,
+                    "{:?}",
+                    request
+                );
+            }
+            // Any other version peeks to nothing, like it decodes to an error.
+            for version in [0, WIRE_VERSION - 1, WIRE_VERSION + 1, u8::MAX] {
+                let mut other = body.to_vec();
+                other[0] = version;
+                assert_eq!(peek_kind(&Bytes::from(other)), None);
+            }
+        }
+        // Unknown tags and audit sub-tags are not a kind either.
+        for body in [vec![WIRE_VERSION, 99], vec![WIRE_VERSION, REQ_AUDIT, 99]] {
+            assert_eq!(peek_kind(&Bytes::from(body)), None);
         }
     }
 

@@ -4,24 +4,35 @@
 //! [`crate::poll`]), and every connection's state machine:
 //!
 //! ```text
-//! read-accumulate ──► decode ──► handle ──► write-drain
-//!       ▲   (loop)      (worker pool)          │
-//!       └──────────────────────────────────────┘
+//!                    ┌─► reads: decode → handle → encode (loop) ─┐
+//! read-accumulate ───┤                                           ├─► write-drain
+//!       ▲   (loop)   └─► the rest: decode → handle → encode ─────┘       │
+//!       │                          (worker pool)                         │
+//!       └────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The loop thread only moves bytes: it accepts, reads whatever readiness
-//! delivers into a per-connection buffer, carves complete frames out of
-//! it with [`crate::wire::try_parse_frame`], and drains each connection's
-//! outbound buffer (partial writes re-arm `EPOLLOUT`).  Complete frames
-//! are handed to a small **dispatch worker pool** that does the CPU work
-//! — decode, [`crate::server::handle_request`] against the engine's
-//! lock-free MVCC read path, encode — and appends the encoded responses
-//! to the connection's outbound buffer.  At most one dispatch job per
-//! connection is in flight and a job answers its frames in order, so
-//! pipelining keeps the wire contract: responses strictly in request
-//! order per connection.
+//! The loop thread accepts, reads whatever readiness delivers into a
+//! per-connection buffer, carves complete frames out of it with
+//! [`crate::wire::try_parse_frame`], and drains each connection's
+//! outbound buffer (partial writes re-arm `EPOLLOUT`).  Every frame is
+//! answered by one function, `answer_frame` — decode,
+//! [`crate::server::handle_request`], encode — on one of two threads.
+//! While a connection has no job in flight, the loop thread answers its
+//! queued **reads** itself, in order, and writes the responses in the
+//! same pass: every audit request but a counterfactual, plus `Metrics`,
+//! `Traces` and `ListPolicies`, all served from the engine's lock-free
+//! MVCC read path.  The first frame of any other kind (ingest, `Flush`,
+//! `LoadPack`, a counterfactual, or a body that names no kind), every
+//! frame after it, and every frame left once the loop has spent its
+//! per-pass budget on the connection go as one job to a small **dispatch
+//! worker pool**, which appends the encoded responses to the connection's
+//! outbound buffer.  At most one job per connection is in flight, a job
+//! answers its frames in order, and the loop answers nothing for a
+//! connection whose job is in flight, so pipelining keeps the wire
+//! contract: responses strictly in request order per connection.  A
+//! worker parked on a slow flush stalls only its own connection.
 //!
-//! An idle connection therefore costs exactly one registered fd and its
+//! An idle connection costs exactly one registered fd and its
 //! (empty) buffers — no thread, no timer.  Shutdown is an `eventfd` wake,
 //! not a poll: the loop thread sleeps in `epoll_wait` indefinitely until
 //! the listener, a connection, a finished dispatch job, or the stop flag
@@ -34,7 +45,7 @@
 
 #![cfg(target_os = "linux")]
 
-use crate::codec::{decode_request_traced, encode_response, request_kind, WireResponse};
+use crate::codec::{decode_request_traced, encode_response, peek_kind, request_kind, WireResponse};
 use crate::poll::{Epoll, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::server::{
     contains_blank_line, elapsed_ns, handle_request, http_response_for, IDLE_TIMEOUT_MESSAGE,
@@ -62,6 +73,11 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// How long shutdown waits for in-flight requests to finish and their
 /// responses to drain before closing connections anyway.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long the loop thread may spend answering one connection's reads in
+/// one pass; the frames left over go to the workers, so one pipelining
+/// peer cannot hold every other connection's I/O hostage.
+const INLINE_BUDGET: Duration = Duration::from_micros(500);
 
 /// The running threads of the event-loop core.  Owned by
 /// [`crate::AuditServer`]; [`EventLoopHandle::stop`] is idempotent.
@@ -95,15 +111,19 @@ impl EventLoopHandle {
             wake: Arc::clone(&wake),
             stop: Arc::clone(&stop),
         });
+        let serving = Arc::new(Serving {
+            engine,
+            queue,
+            collector,
+            config,
+        });
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let dispatch = Arc::clone(&dispatch);
-                let engine = Arc::clone(&engine);
-                let queue = Arc::clone(&queue);
-                let collector = Arc::clone(&collector);
+                let serving = Arc::clone(&serving);
                 std::thread::Builder::new()
                     .name(format!("piprov-dispatch-{}", i))
-                    .spawn(move || dispatch_loop(&dispatch, &engine, &queue, &collector, &config))
+                    .spawn(move || dispatch_loop(&dispatch, &serving))
                     .expect("spawn dispatch worker")
             })
             .collect();
@@ -118,9 +138,7 @@ impl EventLoopHandle {
                         wake,
                         dispatch,
                         stop,
-                        engine,
-                        collector,
-                        config,
+                        serving,
                         conns: HashMap::new(),
                         next_token: FIRST_CONN_TOKEN,
                     }
@@ -149,6 +167,16 @@ impl EventLoopHandle {
             let _ = worker.join();
         }
     }
+}
+
+/// What answering a request needs; the loop thread and every dispatch
+/// worker share one.
+#[derive(Debug)]
+struct Serving {
+    engine: Arc<AuditEngine>,
+    queue: Arc<IngestQueue>,
+    collector: Arc<TraceCollector>,
+    config: ServeConfig,
 }
 
 /// The loop-thread ⇄ worker-pool boundary.
@@ -217,8 +245,7 @@ struct PendingTrace {
     /// `Outbound::total_flushed` value at which this response is fully on
     /// the wire.
     end_abs: u64,
-    /// When the dispatch worker started decoding — the trace's total
-    /// starts here.
+    /// When decoding started — the trace's total starts here.
     started: Instant,
     /// When the encoded response entered the outbound buffer.
     enqueued: Instant,
@@ -270,9 +297,7 @@ struct Loop {
     wake: Arc<WakeFd>,
     dispatch: Arc<Dispatch>,
     stop: Arc<AtomicBool>,
-    engine: Arc<AuditEngine>,
-    collector: Arc<TraceCollector>,
-    config: ServeConfig,
+    serving: Arc<Serving>,
     conns: HashMap<u64, (Conn, Arc<Mutex<Outbound>>)>,
     next_token: u64,
 }
@@ -282,6 +307,7 @@ impl Loop {
         let mut events = Vec::new();
         loop {
             let timeout = self
+                .serving
                 .config
                 .idle_timeout
                 .map(|t| t.min(Duration::from_millis(200)));
@@ -340,7 +366,10 @@ impl Loop {
             };
             self.conns
                 .insert(token, (conn, Arc::new(Mutex::new(Outbound::default()))));
-            self.engine.metrics_registry().note_connection_accepted();
+            self.serving
+                .engine
+                .metrics_registry()
+                .note_connection_accepted();
         }
     }
 
@@ -355,7 +384,7 @@ impl Loop {
             self.close(token);
             return;
         }
-        if revents & EPOLLOUT != 0 && !flush_outbound(conn, out, &self.collector) {
+        if revents & EPOLLOUT != 0 && !flush_outbound(conn, out, &self.serving.collector) {
             self.close(token);
             return;
         }
@@ -374,17 +403,18 @@ impl Loop {
         }
     }
 
-    /// The connection state machine: parse → dispatch → error/EOF → flush
-    /// → close, in a fixed order so every path converges.
+    /// The connection state machine: parse → answer reads → dispatch →
+    /// error/EOF → flush → close, in a fixed order so every path converges.
     fn advance(&mut self, token: u64) {
         let Some((conn, out)) = self.conns.get_mut(&token) else {
             return;
         };
         let closing = out.lock().expect("outbound lock").closing;
         if !closing {
-            parse_available(conn, &self.config);
-            // Dispatch the next batch of complete frames (or a complete
-            // HTTP head) if the connection's single job slot is free.
+            parse_available(conn, &self.serving.config);
+            // With the connection's single job slot free: dispatch a
+            // complete HTTP head, or answer the reads at the front here
+            // and dispatch the frames left behind them.
             if !conn.in_flight {
                 if let Some(head) = take_complete_http_head(conn) {
                     conn.in_flight = true;
@@ -393,6 +423,10 @@ impl Loop {
                         head,
                         out: Arc::clone(out),
                     });
+                } else if answer_frames(inline_reads(&mut conn.pending), out, &self.serving) {
+                    // A frame did not decode: its error frame is the last
+                    // answer the connection gets.
+                    conn.pending.clear();
                 } else if !conn.pending.is_empty() {
                     let frames = conn.pending.drain(..).collect();
                     conn.in_flight = true;
@@ -412,7 +446,7 @@ impl Loop {
         let Some((conn, out)) = self.conns.get_mut(&token) else {
             return;
         };
-        if !flush_outbound(conn, out, &self.collector) {
+        if !flush_outbound(conn, out, &self.serving.collector) {
             self.close(token);
             return;
         }
@@ -445,7 +479,7 @@ impl Loop {
     /// Expires connections idle past [`ServeConfig::idle_timeout`] with a
     /// best-effort typed frame.
     fn sweep_idle(&mut self) {
-        let Some(bound) = self.config.idle_timeout else {
+        let Some(bound) = self.serving.config.idle_timeout else {
             return;
         };
         let expired: Vec<u64> = self
@@ -491,7 +525,7 @@ impl Loop {
                     self.wake.drain();
                 } else if token >= FIRST_CONN_TOKEN && revents & EPOLLOUT != 0 {
                     if let Some((conn, out)) = self.conns.get_mut(&token) {
-                        if !flush_outbound(conn, out, &self.collector) {
+                        if !flush_outbound(conn, out, &self.serving.collector) {
                             self.close(token);
                         }
                     }
@@ -501,7 +535,7 @@ impl Loop {
             for token in done {
                 if let Some((conn, out)) = self.conns.get_mut(&token) {
                     conn.in_flight = false;
-                    if !flush_outbound(conn, out, &self.collector) {
+                    if !flush_outbound(conn, out, &self.serving.collector) {
                         self.close(token);
                     }
                 }
@@ -525,7 +559,10 @@ impl Loop {
     fn close(&mut self, token: u64) {
         if let Some((conn, _)) = self.conns.remove(&token) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
-            self.engine.metrics_registry().note_connection_closed();
+            self.serving
+                .engine
+                .metrics_registry()
+                .note_connection_closed();
         }
     }
 }
@@ -580,6 +617,8 @@ fn read_available(conn: &mut Conn) -> bool {
 
 /// Carves complete frames out of the read buffer (or routes the bytes to
 /// the HTTP head once `GET ` is sniffed where a length prefix belongs).
+/// Frames are carved at a running offset and the buffer drained once, so
+/// a burst of small frames costs one memmove, not one per frame.
 /// Frame-layer errors park in `pending_error` so already-queued frames
 /// are still answered first.
 fn parse_available(conn: &mut Conn, config: &ServeConfig) {
@@ -597,11 +636,12 @@ fn parse_available(conn: &mut Conn, config: &ServeConfig) {
             head.truncate(MAX_HTTP_HEAD);
             conn.http_head = Some(head);
         } else {
+            let mut parsed = 0;
             loop {
-                match try_parse_frame(&conn.read_buf, config.limits.max_frame_len) {
+                match try_parse_frame(&conn.read_buf[parsed..], config.limits.max_frame_len) {
                     Ok(None) => break,
                     Ok(Some((consumed, body))) => {
-                        conn.read_buf.drain(..consumed);
+                        parsed += consumed;
                         conn.pending.push_back(body);
                     }
                     Err(e) => {
@@ -613,6 +653,7 @@ fn parse_available(conn: &mut Conn, config: &ServeConfig) {
                     }
                 }
             }
+            conn.read_buf.drain(..parsed);
         }
     }
     if conn.peer_eof && conn.http_head.is_none() && !conn.read_buf.is_empty() {
@@ -712,16 +753,135 @@ fn finish_flushed_traces(out: &mut Outbound, collector: &TraceCollector) {
     }
 }
 
-/// A dispatch worker: all CPU work (decode → handle → encode) for one job
-/// at a time, never touching a socket.  Wire-level histograms are
-/// recorded here — the loop thread stays out of the measurement.
-fn dispatch_loop(
-    dispatch: &Dispatch,
-    engine: &Arc<AuditEngine>,
-    queue: &Arc<IngestQueue>,
-    collector: &Arc<TraceCollector>,
-    config: &ServeConfig,
-) {
+/// Whether the loop thread answers a frame of this kind itself: the reads
+/// the engine serves from its lock-free MVCC snapshot, which never wait.
+/// Ingest and `Flush` go through the ingest queue (a flush may park for
+/// [`ServeConfig::flush_timeout`]), `LoadPack` compiles a pack, and a
+/// counterfactual re-walks a filtered history: those go to the workers.
+fn answers_inline(kind: RequestKind) -> bool {
+    matches!(
+        kind,
+        RequestKind::Vet
+            | RequestKind::Trail
+            | RequestKind::Touched
+            | RequestKind::Origin
+            | RequestKind::Why
+            | RequestKind::Metrics
+            | RequestKind::Traces
+            | RequestKind::ListPolicies
+    )
+}
+
+/// Pops the read frames at the front of `pending` — what the loop thread
+/// answers itself — until a frame of another kind or [`INLINE_BUDGET`];
+/// the frames left go to the workers.  Drawn only with no job in flight,
+/// so every answer lands after all earlier ones.
+fn inline_reads(pending: &mut VecDeque<Bytes>) -> impl Iterator<Item = Bytes> + '_ {
+    let started = Instant::now();
+    std::iter::from_fn(move || {
+        let read = peek_kind(pending.front()?).is_some_and(answers_inline);
+        if read && started.elapsed() < INLINE_BUDGET {
+            pending.pop_front()
+        } else {
+            None
+        }
+    })
+}
+
+/// Answers `frames` in order through [`answer_frame`] and appends the
+/// responses to `out` at once, anchoring each trace to the outbound
+/// stream.  Stops after a frame that did not decode and returns `true`:
+/// the connection closes after that frame's error.
+fn answer_frames(
+    frames: impl IntoIterator<Item = Bytes>,
+    out: &Mutex<Outbound>,
+    serving: &Serving,
+) -> bool {
+    let mut encoded = Vec::new();
+    let mut traces = Vec::new();
+    let mut closing = false;
+    for frame in frames {
+        match answer_frame(frame, &mut encoded, serving) {
+            Some(trace) => traces.push(trace),
+            None => {
+                closing = true;
+                break;
+            }
+        }
+    }
+    if !encoded.is_empty() {
+        let mut out = out.lock().expect("outbound lock");
+        let base = out.total_enqueued;
+        let now = Instant::now();
+        out.buf.extend_from_slice(&encoded);
+        out.total_enqueued += encoded.len() as u64;
+        for mut trace in traces {
+            trace.end_abs += base;
+            trace.enqueued = now;
+            out.pending_traces.push(trace);
+        }
+        out.closing |= closing;
+    }
+    closing
+}
+
+/// Answers one frame — decode → [`handle_request`] → encode — appending
+/// the response frame to `encoded`.  The loop thread and the workers both
+/// answer through here, so the wire histograms and every span are stamped
+/// by the same code.  Returns the request's trace, its `end_abs` an
+/// offset into `encoded`; or `None` for a frame that did not decode,
+/// answered with a typed error frame after which the connection closes
+/// and the frames behind it go unanswered (the thread-pool core's
+/// contract).
+fn answer_frame(frame: Bytes, encoded: &mut Vec<u8>, serving: &Serving) -> Option<PendingTrace> {
+    let Serving {
+        engine,
+        queue,
+        collector,
+        config,
+    } = serving;
+    let registry = engine.metrics_registry();
+    let request_started = Instant::now();
+    let decoded = decode_request_traced(frame, &config.limits);
+    let decode_ns = elapsed_ns(request_started);
+    registry.record_frame_decode(decode_ns);
+    let (request, wire_trace) = match decoded {
+        Ok(decoded) => decoded,
+        Err(e) => {
+            let response = WireResponse::ServerError {
+                message: e.to_string(),
+            };
+            write_frame(encoded, &encode_response(&response)).expect("vec write");
+            return None;
+        }
+    };
+    let ctx = collector.admit(wire_trace.map(|t| t.context));
+    let kind = request_kind(&request);
+    let service_started = Instant::now();
+    let (response, index_hits, memo_hits) =
+        handle_request(request, engine, queue, config, collector, ctx);
+    let service_ns = elapsed_ns(service_started);
+    registry.record_request_service_traced(service_ns, ctx.map(|c| c.trace_id));
+    write_frame(encoded, &encode_response(&response)).expect("vec write");
+    Some(PendingTrace {
+        end_abs: encoded.len() as u64,
+        started: request_started,
+        enqueued: request_started,
+        ctx,
+        kind,
+        client_encode_ns: wire_trace.map(|t| t.client_encode_ns).unwrap_or(0),
+        decode_ns,
+        handle: Span {
+            kind: SpanKind::Handle,
+            duration_ns: service_ns,
+            index_hits,
+            memo_hits,
+        },
+    })
+}
+
+/// A dispatch worker: answers one job at a time, never touching a socket.
+fn dispatch_loop(dispatch: &Dispatch, serving: &Serving) {
     loop {
         let job = {
             let mut jobs = dispatch.jobs.lock().expect("jobs lock");
@@ -739,83 +899,13 @@ fn dispatch_loop(
                     .0;
             }
         };
-        let registry = engine.metrics_registry();
         match job {
             Job::Frames { token, frames, out } => {
-                let mut encoded = Vec::new();
-                // Per-request trace state, keyed by the response's end
-                // offset within `encoded`; anchored to the outbound
-                // stream position when the batch is appended below.
-                let mut traces = Vec::new();
-                let mut closing = false;
-                for frame in frames {
-                    let request_started = Instant::now();
-                    let decoded = decode_request_traced(frame, &config.limits);
-                    let decode_ns = elapsed_ns(request_started);
-                    registry.record_frame_decode(decode_ns);
-                    match decoded {
-                        Ok((request, wire_trace)) => {
-                            let ctx = collector.admit(wire_trace.map(|t| t.context));
-                            let kind = request_kind(&request);
-                            let service_started = Instant::now();
-                            let (response, index_hits, memo_hits) =
-                                handle_request(request, engine, queue, config, collector, ctx);
-                            let service_ns = elapsed_ns(service_started);
-                            registry
-                                .record_request_service_traced(service_ns, ctx.map(|c| c.trace_id));
-                            write_frame(&mut encoded, &encode_response(&response))
-                                .expect("vec write");
-                            traces.push(PendingTrace {
-                                end_abs: encoded.len() as u64,
-                                started: request_started,
-                                enqueued: request_started,
-                                ctx,
-                                kind,
-                                client_encode_ns: wire_trace
-                                    .map(|t| t.client_encode_ns)
-                                    .unwrap_or(0),
-                                decode_ns,
-                                handle: Span {
-                                    kind: SpanKind::Handle,
-                                    duration_ns: service_ns,
-                                    index_hits,
-                                    memo_hits,
-                                },
-                            });
-                        }
-                        Err(e) => {
-                            // Same contract as the thread-pool core: a
-                            // typed error frame, then close; frames after
-                            // the bad one are not answered.
-                            let response = WireResponse::ServerError {
-                                message: e.to_string(),
-                            };
-                            write_frame(&mut encoded, &encode_response(&response))
-                                .expect("vec write");
-                            closing = true;
-                            break;
-                        }
-                    }
-                }
-                {
-                    let mut out = out.lock().expect("outbound lock");
-                    let base = out.total_enqueued;
-                    let now = Instant::now();
-                    out.buf.extend_from_slice(&encoded);
-                    out.total_enqueued += encoded.len() as u64;
-                    for mut trace in traces {
-                        trace.end_abs += base;
-                        trace.enqueued = now;
-                        out.pending_traces.push(trace);
-                    }
-                    if closing {
-                        out.closing = true;
-                    }
-                }
+                answer_frames(frames, &out, serving);
                 dispatch.report_done(token);
             }
             Job::Http { token, head, out } => {
-                let response = http_response_for(&head, engine, collector);
+                let response = http_response_for(&head, &serving.engine, &serving.collector);
                 {
                     let mut out = out.lock().expect("outbound lock");
                     out.buf.extend_from_slice(&response);

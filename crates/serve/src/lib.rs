@@ -26,9 +26,11 @@
 //! * [`server`] — the [`AuditServer`] with two interchangeable cores
 //!   ([`ServerCore`]): a readiness-based **epoll event loop** (Linux
 //!   default — one loop thread owning accept and every connection's
-//!   read-accumulate → decode → handle → write-drain state machine, CPU
-//!   work on a small dispatch pool, so thousands of idle connections cost
-//!   only a registered fd) and a portable bounded **accept/worker pool**;
+//!   read-accumulate → decode → handle → write-drain state machine; it
+//!   answers reads itself and hands ingest, `Flush`, `LoadPack` and
+//!   counterfactuals to a small dispatch pool, so thousands of idle
+//!   connections cost only a registered fd and a parked flush stalls no
+//!   one else's reads) and a portable bounded **accept/worker pool**;
 //!   both share per-connection request pipelining, a plaintext
 //!   `GET /metrics` scrape answer, [`ServeConfig::idle_timeout`]
 //!   enforcement, and **back-pressure on ingest** through the engine's

@@ -3,10 +3,11 @@
 //!
 //! * [`ServerCore::EventLoop`] (the default on Linux) — readiness-based
 //!   I/O: one event-loop thread owns `accept` and an `epoll` registration
-//!   per connection (the `event_loop` module); complete frames are
-//!   dispatched to a small worker pool, so thousands of idle connections
-//!   cost only their registered fd while active ones saturate the
-//!   engine's lock-free MVCC read path;
+//!   per connection (the `event_loop` module) and answers the reads itself
+//!   from the engine's lock-free MVCC read path — every audit request but
+//!   a counterfactual, plus `Metrics`, `Traces` and `ListPolicies`; ingest,
+//!   `Flush`, `LoadPack` and counterfactuals go to a small worker pool.
+//!   Thousands of idle connections cost only their registered fd;
 //! * [`ServerCore::ThreadPool`] — the portable fallback in this module: a
 //!   bounded **accept/worker pool** where `workers` threads share one
 //!   `TcpListener`, each accepting a connection and serving it to
@@ -54,9 +55,10 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerCore {
     /// Readiness-based I/O: one epoll event-loop thread owning accept and
-    /// per-connection state machines, dispatching complete frames to a
-    /// worker pool.  Linux-only; on other platforms [`AuditServer::bind`]
-    /// silently falls back to [`ServerCore::ThreadPool`].
+    /// per-connection state machines, answering reads itself and handing
+    /// the rest to a worker pool.  Linux-only; on other platforms
+    /// [`AuditServer::bind`] silently falls back to
+    /// [`ServerCore::ThreadPool`].
     EventLoop,
     /// The portable accept/worker pool: at most `workers` live
     /// connections, the rest in the OS backlog.
@@ -99,9 +101,12 @@ pub struct ServeConfig {
     /// For [`ServerCore::ThreadPool`]: the size of the accept/worker pool
     /// — the maximum number of concurrently served connections (further
     /// connections wait in the OS backlog).  For
-    /// [`ServerCore::EventLoop`]: the size of the dispatch worker pool —
-    /// the number of frames handled concurrently (connections themselves
-    /// are unbounded by threads; an idle one costs only its fd).
+    /// [`ServerCore::EventLoop`]: the size of the dispatch worker pool,
+    /// which serves only what the loop thread does not answer itself —
+    /// ingest, `Flush`, `LoadPack`, counterfactuals, and reads queued
+    /// behind one of those or past the loop's per-pass budget.
+    /// Connections themselves are unbounded by threads; an idle one costs
+    /// only its fd.
     pub workers: usize,
     /// Capacity of the bounded ingest queue, in batches; overflow answers
     /// [`WireResponse::Busy`].
@@ -720,7 +725,8 @@ fn send_error(writer: &mut impl Write, error: &WireError) {
 
 /// Maps one decoded request onto the engine/queue.  Never panics; store
 /// failures become [`WireResponse::ServerError`].  Shared by both cores —
-/// the event loop's dispatch workers call it per frame.
+/// the event loop calls it per frame, on its loop thread for reads and on
+/// a dispatch worker for everything else.
 ///
 /// Returns the response plus the `(index_hits, memo_hits)` the engine
 /// reported, so the caller can stamp them onto the request's `handle`

@@ -4,18 +4,24 @@
 //! reason to exist (thousands-of-connections scale, pipelined bursts
 //! through the dispatch pool).
 
-use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest};
+use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest, EventFilter, TraceContext};
 use piprov_core::name::{Channel, Principal};
 use piprov_core::provenance::{Event, Provenance};
 use piprov_core::value::Value;
-use piprov_patterns::{GroupExpr, Pattern};
-use piprov_serve::{AuditClient, AuditServer, ClientError, ServeConfig, ServerCore, WireResponse};
+use piprov_patterns::{parse_pattern, GroupExpr, Pattern};
+use piprov_policy::{PackFile, PackSource};
+use piprov_serve::codec::{append_request_trace, decode_response, encode_request};
+use piprov_serve::wire::{read_frame, write_frame};
+use piprov_serve::{
+    AuditClient, AuditServer, ClientError, IngestOutcome, RequestTrace, ServeConfig, ServerCore,
+    WireLimits, WireRequest, WireResponse,
+};
 use piprov_store::{Operation, ProvenanceRecord};
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_dir(name: &str, core: ServerCore) -> PathBuf {
     let mut dir = std::env::temp_dir();
@@ -574,6 +580,344 @@ fn a_pipelined_burst_through_the_dispatch_pool_answers_in_request_order() {
         }
     }
     drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_worker_parked_on_a_flush_does_not_stall_another_connections_reads() {
+    let core = ServerCore::EventLoop;
+    let dir = temp_dir("parked", core);
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("any", Pattern::Any);
+    let server = AuditServer::bind(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServeConfig {
+            core,
+            workers: 1,
+            flush_timeout: Duration::from_secs(3),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut auditor = AuditClient::connect(addr).unwrap();
+    auditor.ingest_blocking(vec![record(0, "s0")]).unwrap();
+    auditor.flush().unwrap();
+
+    // One accepted batch that the paused queue never drains: a flush
+    // behind it parks the only worker for the whole flush timeout.  The
+    // flush frame is on the server's socket before the first vet is
+    // written, so the loop sees it no later than that vet; only the wait
+    // for its answer runs on another thread.
+    server.ingest_queue().set_paused(true);
+    let mut flusher = AuditClient::connect(addr).unwrap();
+    assert!(matches!(
+        flusher.ingest_batch(vec![record(1, "s1")]).unwrap(),
+        IngestOutcome::Acked { accepted: 1, .. }
+    ));
+    let mut flush = Vec::new();
+    write_frame(&mut flush, &encode_request(&WireRequest::Flush)).unwrap();
+    flusher.send_raw(&flush).unwrap();
+    let parked = std::thread::spawn(move || flusher.receive_response());
+
+    let started = Instant::now();
+    for _ in 0..10 {
+        let vet = auditor
+            .request(&AuditRequest::VetValue {
+                value: value("item0"),
+                pattern: "any".into(),
+            })
+            .unwrap();
+        assert!(matches!(
+            vet.outcome,
+            AuditOutcome::Vetted { verdict: true, .. }
+        ));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "10 vets took {:?} behind a worker parked on another connection's flush",
+        elapsed
+    );
+
+    // The parked flush still gets its answer: the barrier times out.
+    match parked.join().unwrap() {
+        Ok(WireResponse::ServerError { message }) => {
+            assert!(message.contains("flush failed"), "{}", message)
+        }
+        other => panic!("expected the flush to time out, got {:?}", other),
+    }
+    server.ingest_queue().set_paused(false);
+    drop(auditor);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One framed connection driven with raw wire requests, so a burst can mix
+/// every request kind the way a pipelining peer may.
+struct RawConn {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        RawConn {
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            writer: BufWriter::new(stream),
+        }
+    }
+
+    /// Writes every request of `burst` (every other one carrying a trace
+    /// field) before reading any response, then reads one per request.
+    fn pipeline(&mut self, burst: &[WireRequest]) -> Vec<WireResponse> {
+        for (slot, request) in burst.iter().enumerate() {
+            let mut body = encode_request(request);
+            if slot % 2 == 1 {
+                let trace = RequestTrace {
+                    context: TraceContext::generate(),
+                    client_encode_ns: 1,
+                };
+                body = append_request_trace(&body, &trace);
+            }
+            write_frame(&mut self.writer, &body).unwrap();
+        }
+        self.writer.flush().unwrap();
+        let limits = WireLimits::default();
+        burst
+            .iter()
+            .map(|_| {
+                let frame = read_frame(&mut self.reader, limits.max_frame_len)
+                    .unwrap()
+                    .expect("one response per request");
+                decode_response(frame, &limits).unwrap()
+            })
+            .collect()
+    }
+}
+
+/// The in-process engine's answer to `request` in its current state, for
+/// every request whose answer is a function of that state.
+fn answer_now(engine: &AuditEngine, request: &WireRequest) -> Option<WireResponse> {
+    match request {
+        WireRequest::Audit(audit) => Some(WireResponse::Audit(engine.handle(audit))),
+        WireRequest::ListPolicies => Some(WireResponse::Policies(engine.policies())),
+        WireRequest::Flush => Some(WireResponse::Flushed {
+            ingested: engine.stats().ingested,
+            watermark: engine.watermark(),
+        }),
+        _ => None,
+    }
+}
+
+/// Pipelines `burst` and checks every slot against the in-process engine:
+/// slots before `changes_at` against its answers before the burst, the
+/// rest against its answers after it.
+fn check_burst(conn: &mut RawConn, engine: &AuditEngine, burst: &[WireRequest], changes_at: usize) {
+    let before: Vec<_> = burst.iter().map(|r| answer_now(engine, r)).collect();
+    let responses = conn.pipeline(burst);
+    let after: Vec<_> = burst.iter().map(|r| answer_now(engine, r)).collect();
+    for (slot, (request, got)) in burst.iter().zip(&responses).enumerate() {
+        let want = if slot < changes_at {
+            &before[slot]
+        } else {
+            &after[slot]
+        };
+        match (want, got) {
+            // `stats` reports what the answer cost (a warm memo walks
+            // less); everything the answer says must be equal.
+            (Some(WireResponse::Audit(want)), WireResponse::Audit(got)) => assert_eq!(
+                (&got.outcome, got.watermark, got.pack_version),
+                (&want.outcome, want.watermark, want.pack_version),
+                "slot {}: {:?}",
+                slot,
+                request
+            ),
+            (Some(want), got) => assert_eq!(got, want, "slot {}: {:?}", slot, request),
+            (None, got) => {
+                let listing = engine.policies();
+                let answered = match (request, got) {
+                    (
+                        WireRequest::IngestBatch(records),
+                        WireResponse::IngestAck { accepted, .. },
+                    ) => *accepted as usize == records.len(),
+                    (
+                        WireRequest::LoadPack(_),
+                        WireResponse::PackLoaded {
+                            version, installed, ..
+                        },
+                    ) => {
+                        *version == listing.version && *installed as usize == listing.policies.len()
+                    }
+                    (WireRequest::Metrics, WireResponse::Metrics(_)) => true,
+                    (WireRequest::Traces { .. }, WireResponse::Traces(_)) => true,
+                    _ => false,
+                };
+                assert!(answered, "slot {}: {:?} answered {:?}", slot, request, got);
+            }
+        }
+    }
+}
+
+/// A record of `value_name` whose spine is `hops` relay events over one
+/// output by `s1`: a why-slice against `Any; s1!Any` walks all of it.
+fn spine_record(value_name: &str, hops: usize) -> ProvenanceRecord {
+    let mut events: Vec<Event> = (0..hops)
+        .map(|i| {
+            let relay = Principal::new(format!("r{}", i));
+            if i % 2 == 0 {
+                Event::input(relay, Provenance::empty())
+            } else {
+                Event::output(relay, Provenance::empty())
+            }
+        })
+        .collect();
+    events.push(Event::output(Principal::new("s1"), Provenance::empty()));
+    ProvenanceRecord::new(
+        0,
+        "writer",
+        Operation::Send,
+        "m",
+        value(value_name),
+        Provenance::from_events(events),
+    )
+}
+
+#[test]
+fn responses_keep_request_order_across_the_inline_and_worker_paths() {
+    let core = ServerCore::EventLoop;
+    let dir = temp_dir("order", core);
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("any", Pattern::Any);
+    engine.register_pattern("deep", parse_pattern("Any; s1!Any").unwrap());
+    let server = AuditServer::bind(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServeConfig {
+            core,
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut seed = AuditClient::connect(server.local_addr()).unwrap();
+    let mut records: Vec<ProvenanceRecord> = (0..16).map(|i| record(i, "s0")).collect();
+    records.push(spine_record("spine", 300));
+    seed.ingest_blocking(records).unwrap();
+    seed.flush().unwrap();
+    drop(seed);
+
+    let audit = WireRequest::Audit;
+    let item = |i: u64| value(&format!("item{}", i % 20));
+    let vet = |i: u64, policy: &str| {
+        audit(AuditRequest::VetValue {
+            value: item(i),
+            pattern: policy.into(),
+        })
+    };
+    let origin = |i: u64| audit(AuditRequest::OriginOf { value: item(i) });
+    let trail = |i: u64| audit(AuditRequest::AuditTrail { value: item(i) });
+    let why = |policy: &str| {
+        audit(AuditRequest::Why {
+            value: value("spine"),
+            pattern: policy.into(),
+        })
+    };
+    let counterfactual = |without: &str| {
+        audit(AuditRequest::Counterfactual {
+            value: value("spine"),
+            pattern: "deep".into(),
+            remove: EventFilter::Principal(Principal::new(without)),
+        })
+    };
+    let mut conn = RawConn::connect(server.local_addr());
+
+    // Reads, then a counterfactual and everything behind it for a worker.
+    let burst = vec![
+        vet(0, "any"),
+        origin(1),
+        trail(2),
+        why("deep"),
+        audit(AuditRequest::WhoTouched {
+            principal: Principal::new("s0"),
+        }),
+        counterfactual("s1"),
+        vet(3, "any"),
+        why("deep"),
+        origin(4),
+        WireRequest::Metrics,
+        WireRequest::ListPolicies,
+        counterfactual("r7"),
+        trail(5),
+    ];
+    let unchanged = burst.len();
+    check_burst(&mut conn, &engine, &burst, unchanged);
+
+    // A worker kind first: the whole burst is one job.
+    let burst = vec![counterfactual("r1"), vet(6, "deep"), origin(7), why("any")];
+    check_burst(&mut conn, &engine, &burst, burst.len());
+
+    // Ingest then flush mid-burst: the reads after the flush see the batch.
+    let batch: Vec<ProvenanceRecord> = (16..20).map(|i| record(i, "s2")).collect();
+    let burst = vec![
+        vet(8, "any"),
+        origin(9),
+        WireRequest::IngestBatch(batch),
+        WireRequest::Flush,
+        vet(16, "any"),
+        origin(17),
+        trail(18),
+        vet(19, "deep"),
+        why("deep"),
+    ];
+    check_burst(&mut conn, &engine, &burst, 2);
+
+    // Reads only, and more of them than the loop answers in one pass: 64
+    // why-slices (every slot but the multiples of three) over the 300-hop
+    // spine trip the budget mid-burst, and the rest go to a worker.
+    let burst: Vec<WireRequest> = (0..96u64)
+        .map(|i| match i % 3 {
+            _ if i == 48 => WireRequest::Traces { min_total_ns: 0 },
+            0 => vet(i, "any"),
+            1 => why("deep"),
+            _ => why("any"),
+        })
+        .collect();
+    check_burst(&mut conn, &engine, &burst, burst.len());
+
+    // A pack load, then reads that see the pack it published.
+    let pack = PackSource::new(
+        "order",
+        vec![PackFile::new(
+            "p.ppol",
+            "package order::p\n\npolicy from_s0 = s0!Any; Any\npolicy deep = Any; s1!Any\n",
+        )],
+    );
+    let burst = vec![
+        vet(10, "any"),
+        why("deep"),
+        WireRequest::LoadPack(pack),
+        WireRequest::ListPolicies,
+        vet(11, "order::p::from_s0"),
+        vet(12, "any"),
+        why("order::p::deep"),
+        origin(13),
+    ];
+    check_burst(&mut conn, &engine, &burst, 2);
+
+    // And the connection reads inline again afterwards.
+    let burst = vec![
+        vet(14, "order::p::from_s0"),
+        origin(15),
+        why("order::p::deep"),
+    ];
+    check_burst(&mut conn, &engine, &burst, burst.len());
+
+    drop(conn);
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
