@@ -1,26 +1,20 @@
-//! E16 — connection scaling of the serving layer's two cores.
+//! E16 — connection scaling of the event-loop server.
 //!
 //! The question the event loop exists to answer: what does a *mostly
-//! idle* population of connections cost, and does shedding the
-//! thread-per-connection bound cost the active minority anything?
+//! idle* population of connections cost, and does holding it cost the
+//! active minority anything?
 //!
 //! * **`e16_connscale/round_trip`** — single-connection vet round-trip
-//!   ns/op on each core: the per-request floor, no concurrency.
+//!   ns/op: the per-request floor, no concurrency.
 //! * **scaling table** — total connections at 64/1k/10k (the active 64
 //!   issue vets; the rest sit idle, costing the event loop one registered
-//!   fd each), against the thread-pool baseline at its 4-worker capacity.
-//!   Prints aggregate vets/s plus hand-rolled p50/p99 per-request
-//!   latency (the vendored criterion reports means only).  Tiers whose
-//!   two-fds-per-connection cost overflows `RLIMIT_NOFILE` are scaled
-//!   down or skipped with a printed caveat — degrade, don't die.
-//!
-//! The thread-pool core cannot *hold* the idle population at all: its
-//! accept pool is the concurrency bound, so idle connections past
-//! `workers` would pin every slot and starve the active ones.  That is
-//! the ablation, not a bug — the baseline row runs 4 active connections
-//! against 4 workers, its best case.
+//!   fd each).  Prints aggregate vets/s plus hand-rolled p50/p99
+//!   per-request latency (the vendored criterion reports means only).
+//!   Tiers whose two-fds-per-connection cost overflows `RLIMIT_NOFILE`
+//!   are scaled down or skipped with a printed caveat — degrade, don't
+//!   die.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use piprov_audit::{AuditConfig, AuditEngine, AuditOutcome, AuditRequest};
 use piprov_bench::quick_criterion;
 use piprov_core::name::{Channel, Principal};
@@ -29,9 +23,7 @@ use piprov_core::value::Value;
 use piprov_patterns::{GroupExpr, Pattern};
 use piprov_serve::codec::{decode_response, encode_request};
 use piprov_serve::wire::{read_frame, write_frame};
-use piprov_serve::{
-    AuditClient, AuditServer, ServeConfig, ServerCore, WireLimits, WireRequest, WireResponse,
-};
+use piprov_serve::{AuditClient, AuditServer, ServeConfig, WireLimits, WireRequest, WireResponse};
 use piprov_store::{Operation, ProvenanceRecord, ProvenanceStore};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -45,7 +37,7 @@ const ACTIVE_CONNS: usize = 64;
 const VETS_PER_CONN: usize = 40;
 /// Requests in flight per active connection: clients pipeline in waves,
 /// which is what a real auditor batching vet queries over one socket
-/// does, and what lets either core amortize per-frame overhead.
+/// does, and what lets the server amortize per-frame overhead.
 const WAVE: usize = 8;
 /// Load-generator threads.  The active connections are multiplexed over
 /// this many drivers so the client side costs the same for every row —
@@ -80,7 +72,7 @@ fn vet_request(i: u64) -> AuditRequest {
     }
 }
 
-fn serve(dir: &PathBuf, core: ServerCore, workers: usize) -> AuditServer {
+fn serve(dir: &PathBuf) -> AuditServer {
     let store = ProvenanceStore::open(dir).expect("open store");
     let engine = Arc::new(AuditEngine::with_config(
         store,
@@ -98,12 +90,7 @@ fn serve(dir: &PathBuf, core: ServerCore, workers: usize) -> AuditServer {
     engine
         .ingest_batch((0..ITEMS).map(record).collect())
         .expect("seed ingest");
-    let config = ServeConfig {
-        core,
-        workers,
-        ..ServeConfig::default()
-    };
-    AuditServer::bind(engine, "127.0.0.1:0", config).expect("bind")
+    AuditServer::bind(engine, "127.0.0.1:0", ServeConfig::default()).expect("bind")
 }
 
 #[cfg(target_os = "linux")]
@@ -132,9 +119,10 @@ struct TierResult {
 }
 
 /// Runs one scaling tier: `total` connections held open, the first
-/// `active` of them vetting, the rest idle.  Returns `None` (with a
-/// printed caveat) when the fd budget cannot carry the tier at all.
-fn run_tier(core: ServerCore, total: usize, active: usize, label: &str) -> Option<TierResult> {
+/// [`ACTIVE_CONNS`] of them vetting, the rest idle.  Returns `None` (with
+/// a printed caveat) when the fd budget cannot carry the tier at all.
+fn run_tier(total: usize) -> Option<TierResult> {
+    let active = ACTIVE_CONNS;
     // Loopback doubles the bill: every connection is a client fd and a
     // server fd in this one process, plus slack for the store and pipes.
     let held = match fd_limit() {
@@ -142,11 +130,8 @@ fn run_tier(core: ServerCore, total: usize, active: usize, label: &str) -> Optio
             let capacity = (limit as usize).saturating_sub(128) / 2;
             if capacity < total && capacity < (total * 3) / 4 {
                 println!(
-                    "| {} | {} | skipped: fd limit {} supports only {} connections |",
-                    core.name(),
-                    label,
-                    limit,
-                    capacity
+                    "| {} | skipped: fd limit {} supports only {} connections |",
+                    total, limit, capacity
                 );
                 return None;
             }
@@ -157,11 +142,11 @@ fn run_tier(core: ServerCore, total: usize, active: usize, label: &str) -> Optio
     if held < total {
         println!(
             "(fd-limit caveat: {} tier holds {} of {} requested connections)",
-            label, held, total
+            total, held, total
         );
     }
-    let dir = temp_dir(&format!("{}-{}", core.name(), held));
-    let server = serve(&dir, core, 4);
+    let dir = temp_dir(&held.to_string());
+    let server = serve(&dir);
     let addr = server.local_addr();
     let idle: Vec<TcpStream> = (active..held)
         .map(|_| TcpStream::connect(addr).expect("idle connect"))
@@ -243,70 +228,42 @@ fn run_tier(core: ServerCore, total: usize, active: usize, label: &str) -> Optio
     })
 }
 
-fn scaling_table() -> (Option<f64>, Option<f64>) {
+fn scaling_table() {
     println!(
         "\ne16_connscale — {} active connections × {} vets each (pipelined in waves of {}), remainder idle",
         ACTIVE_CONNS, VETS_PER_CONN, WAVE
     );
-    println!("| core | connections held | active | vets/s | p50 | p99 |");
-    println!("|---|---|---|---|---|---|");
-    let mut event_loop_64 = None;
+    println!("| connections held | active | vets/s | p50 | p99 |");
+    println!("|---|---|---|---|---|");
     for total in [64usize, 1_000, 10_000] {
-        let label = format!("{}", total);
-        if let Some(tier) = run_tier(ServerCore::EventLoop, total, ACTIVE_CONNS, &label) {
+        if let Some(tier) = run_tier(total) {
             println!(
-                "| event_loop | {} | {} | {:.0} | {:.2?} | {:.2?} |",
+                "| {} | {} | {:.0} | {:.2?} | {:.2?} |",
                 tier.held, ACTIVE_CONNS, tier.throughput, tier.p50, tier.p99
             );
-            if total == 64 {
-                event_loop_64 = Some(tier.throughput);
-            }
         }
     }
-    // The thread-pool baseline at its own capacity: 4 active connections
-    // on 4 workers, nothing idle (idle connections would pin the pool).
-    let baseline = run_tier(ServerCore::ThreadPool, 4, 4, "4").map(|tier| {
-        println!(
-            "| thread_pool | {} | 4 | {:.0} | {:.2?} | {:.2?} |",
-            tier.held, tier.throughput, tier.p50, tier.p99
-        );
-        tier.throughput
-    });
-    (event_loop_64, baseline)
 }
 
 fn bench_round_trip(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e16_connscale/round_trip");
-    for core in ServerCore::all() {
-        let dir = temp_dir(&format!("rt-{}", core.name()));
-        let server = serve(&dir, core, 4);
-        let mut client = AuditClient::connect(server.local_addr()).expect("connect");
-        let mut i = 0u64;
-        group.bench_function(BenchmarkId::from_parameter(core.name()), |b| {
-            b.iter(|| {
-                i += 1;
-                client.request(&vet_request(i)).expect("vet")
-            })
-        });
-        drop(client);
-        server.shutdown().expect("shutdown");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    group.finish();
+    let dir = temp_dir("rt");
+    let server = serve(&dir);
+    let mut client = AuditClient::connect(server.local_addr()).expect("connect");
+    let mut i = 0u64;
+    c.bench_function("e16_connscale/round_trip", |b| {
+        b.iter(|| {
+            i += 1;
+            client.request(&vet_request(i)).expect("vet")
+        })
+    });
+    drop(client);
+    server.shutdown().expect("shutdown");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_summary(c: &mut Criterion) {
     bench_round_trip(c);
-    let (event_loop_64, baseline) = scaling_table();
-    if let (Some(event_loop), Some(baseline)) = (event_loop_64, baseline) {
-        println!(
-            "\ne16 summary: event loop at 64 active conns ≈ {:.0} vets/s vs thread-pool \
-             4-worker capacity ≈ {:.0} vets/s ({:+.0}%)",
-            event_loop,
-            baseline,
-            (event_loop / baseline - 1.0) * 100.0
-        );
-    }
+    scaling_table();
 }
 
 criterion_group! {

@@ -1,7 +1,8 @@
-//! The readiness-based server core ([`crate::ServerCore::EventLoop`]).
+//! The server's readiness-based core.
 //!
-//! One **event-loop thread** owns the listener, an epoll instance (see
-//! [`crate::poll`]), and every connection's state machine:
+//! One **event-loop thread** owns the listener, a [`crate::poll::Poller`]
+//! (epoll on Linux, `poll(2)` on other Unix hosts), and every
+//! connection's state machine:
 //!
 //! ```text
 //!                    ┌─► reads: decode → handle → encode (loop) ─┐
@@ -33,24 +34,19 @@
 //! worker parked on a slow flush stalls only its own connection.
 //!
 //! An idle connection costs exactly one registered fd and its
-//! (empty) buffers — no thread, no timer.  Shutdown is an `eventfd` wake,
-//! not a poll: the loop thread sleeps in `epoll_wait` indefinitely until
-//! the listener, a connection, a finished dispatch job, or the stop flag
-//! (via [`crate::poll::WakeFd`]) rouses it.
+//! (empty) buffers — no thread, no timer.  Shutdown is a wake, not a
+//! poll: the loop thread waits for readiness indefinitely until the
+//! listener, a connection, a finished dispatch job, or the stop flag
+//! rouses it, the last two through a [`crate::poll::WakeFd`].
 //!
-//! Protocol behavior is identical to the thread-pool core: typed error
-//! frames then close on malformed input, `GET /metrics` answered with one
-//! HTTP exposition response, [`crate::ServeConfig::idle_timeout`]
-//! enforced with a best-effort `ServerError{"idle timeout"}` frame.
-
-#![cfg(target_os = "linux")]
+//! Malformed input gets a typed error frame, then the close; a plaintext
+//! `GET` is answered with one HTTP response; and
+//! [`crate::ServeConfig::idle_timeout`] is enforced with a best-effort
+//! `ServerError{"idle timeout"}` frame.
 
 use crate::codec::{decode_request_traced, encode_response, peek_kind, request_kind, WireResponse};
-use crate::poll::{Epoll, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::server::{
-    contains_blank_line, elapsed_ns, handle_request, http_response_for, IDLE_TIMEOUT_MESSAGE,
-    MAX_HTTP_HEAD,
-};
+use crate::poll::{Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::server::{elapsed_ns, handle_request, http_response_for};
 use crate::wire::{try_parse_frame, write_frame, WireError, HTTP_GET_PREFIX};
 use crate::ServeConfig;
 use bytes::Bytes;
@@ -79,7 +75,14 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// peer cannot hold every other connection's I/O hostage.
 const INLINE_BUDGET: Duration = Duration::from_micros(500);
 
-/// The running threads of the event-loop core.  Owned by
+/// The message an idle-expired connection is closed with.
+const IDLE_TIMEOUT_MESSAGE: &str = "idle timeout";
+
+/// Upper bound on a buffered HTTP request head — far beyond any scrape
+/// request, small enough that a hostile peer cannot balloon the buffer.
+const MAX_HTTP_HEAD: usize = 8 * 1024;
+
+/// The running threads of the event loop.  Owned by
 /// [`crate::AuditServer`]; [`EventLoopHandle::stop`] is idempotent.
 #[derive(Debug)]
 pub(crate) struct EventLoopHandle {
@@ -89,21 +92,21 @@ pub(crate) struct EventLoopHandle {
 }
 
 impl EventLoopHandle {
-    /// Registers `listener` with a fresh epoll instance and starts the
+    /// Registers `listener` with a fresh [`Poller`] and starts the
     /// loop thread plus `config.workers` dispatch workers.
     pub(crate) fn start(
         listener: TcpListener,
         engine: Arc<AuditEngine>,
         queue: Arc<IngestQueue>,
         collector: Arc<TraceCollector>,
-        stop: Arc<AtomicBool>,
         config: ServeConfig,
     ) -> std::io::Result<Self> {
         listener.set_nonblocking(true)?;
-        let epoll = Epoll::new()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut poller = Poller::new()?;
         let wake = Arc::new(WakeFd::new()?);
-        epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        epoll.add(wake.raw(), EPOLLIN, TOKEN_WAKE)?;
+        poller.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+        poller.add(wake.raw(), EPOLLIN, TOKEN_WAKE)?;
         let dispatch = Arc::new(Dispatch {
             jobs: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
@@ -133,7 +136,7 @@ impl EventLoopHandle {
                 .name("piprov-event-loop".into())
                 .spawn(move || {
                     Loop {
-                        epoll,
+                        poller,
                         listener,
                         wake,
                         dispatch,
@@ -153,9 +156,10 @@ impl EventLoopHandle {
         })
     }
 
-    /// Wakes the loop thread (the caller has already raised the stop
-    /// flag), lets it drain in-flight work, then joins every thread.
+    /// Raises the stop flag and wakes the loop thread, lets it drain
+    /// in-flight work, then joins every thread.
     pub(crate) fn stop(&mut self) {
+        self.dispatch.stop.store(true, Ordering::SeqCst);
         self.dispatch.wake.wake();
         if let Some(thread) = self.loop_thread.take() {
             let _ = thread.join();
@@ -275,7 +279,7 @@ struct Conn {
     http_head: Option<Vec<u8>>,
     peer_eof: bool,
     last_activity: Instant,
-    /// The epoll interest currently registered for this fd.
+    /// The interest currently registered for this fd.
     interest: u32,
 }
 
@@ -292,7 +296,7 @@ impl Conn {
 }
 
 struct Loop {
-    epoll: Epoll,
+    poller: Poller,
     listener: TcpListener,
     wake: Arc<WakeFd>,
     dispatch: Arc<Dispatch>,
@@ -311,8 +315,8 @@ impl Loop {
                 .config
                 .idle_timeout
                 .map(|t| t.min(Duration::from_millis(200)));
-            if self.epoll.wait(&mut events, timeout).is_err() {
-                // epoll itself failing is unrecoverable for this core;
+            if self.poller.wait(&mut events, timeout).is_err() {
+                // The poller itself failing is unrecoverable for this core;
                 // fall through to the drain path and stop serving.
                 self.stop.store(true, Ordering::SeqCst);
             }
@@ -350,7 +354,11 @@ impl Loop {
             let token = self.next_token;
             self.next_token += 1;
             let interest = EPOLLIN | EPOLLRDHUP;
-            if self.epoll.add(stream.as_raw_fd(), interest, token).is_err() {
+            if self
+                .poller
+                .add(stream.as_raw_fd(), interest, token)
+                .is_err()
+            {
                 continue;
             }
             let conn = Conn {
@@ -470,7 +478,7 @@ impl Loop {
         if desired != conn.interest {
             conn.interest = desired;
             let fd = conn.stream.as_raw_fd();
-            if self.epoll.modify(fd, desired, token).is_err() {
+            if self.poller.modify(fd, desired, token).is_err() {
                 self.close(token);
             }
         }
@@ -514,7 +522,7 @@ impl Loop {
                 break;
             }
             if self
-                .epoll
+                .poller
                 .wait(&mut events, Some(Duration::from_millis(50)))
                 .is_err()
             {
@@ -558,7 +566,7 @@ impl Loop {
 
     fn close(&mut self, token: u64) {
         if let Some((conn, _)) = self.conns.remove(&token) {
-            let _ = self.epoll.delete(conn.stream.as_raw_fd());
+            let _ = self.poller.delete(conn.stream.as_raw_fd());
             self.serving
                 .engine
                 .metrics_registry()
@@ -577,9 +585,9 @@ impl Dispatch {
 /// Per-readiness cap on bytes read into a connection's buffer.  Without
 /// it a peer that writes faster than frames are parsed — e.g. a hostile
 /// multi-megabyte `GET` request line with no newline — balloons
-/// `read_buf` without bound before the parser ever sees it.  Epoll here
+/// `read_buf` without bound before the parser ever sees it.  Readiness
 /// is level-triggered, so leftover bytes simply re-report readiness on
-/// the next `epoll_wait`.
+/// the next wait.
 const READ_BUDGET: usize = 256 * 1024;
 
 /// Reads until `WouldBlock`, EOF, or [`READ_BUDGET`] is consumed.
@@ -663,6 +671,12 @@ fn parse_available(conn: &mut Conn, config: &ServeConfig) {
     }
 }
 
+/// Whether `head` already contains the `\r\n\r\n` ending an HTTP request
+/// head (a bare `\n\n` is tolerated for hand-typed requests).
+fn contains_blank_line(head: &[u8]) -> bool {
+    head.windows(4).any(|w| w == b"\r\n\r\n") || head.windows(2).any(|w| w == b"\n\n")
+}
+
 /// Takes the HTTP head for dispatch once it is complete (blank line seen,
 /// cap reached, or the peer finished sending).
 fn take_complete_http_head(conn: &mut Conn) -> Option<Vec<u8>> {
@@ -723,8 +737,7 @@ fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, collector: &Trace
 }
 
 /// Closes the write span of every pending trace whose response bytes are
-/// fully on the wire, and hands the completed trace to the collector —
-/// the event-loop analogue of the thread-pool core's post-flush stamp.
+/// fully on the wire, and hands the completed trace to the collector.
 fn finish_flushed_traces(out: &mut Outbound, collector: &TraceCollector) {
     let flushed = out.total_flushed;
     let done = out
@@ -831,8 +844,7 @@ fn answer_frames(
 /// by the same code.  Returns the request's trace, its `end_abs` an
 /// offset into `encoded`; or `None` for a frame that did not decode,
 /// answered with a typed error frame after which the connection closes
-/// and the frames behind it go unanswered (the thread-pool core's
-/// contract).
+/// and the frames behind it go unanswered.
 fn answer_frame(frame: Bytes, encoded: &mut Vec<u8>, serving: &Serving) -> Option<PendingTrace> {
     let Serving {
         engine,

@@ -23,22 +23,21 @@
 //! * [`codec`] — the binary message codec; embedded records reuse the
 //!   store's DAG body format, so sharing-heavy provenance stays O(DAG) on
 //!   the wire and re-interns on arrival;
-//! * [`server`] — the [`AuditServer`] with two interchangeable cores
-//!   ([`ServerCore`]): a readiness-based **epoll event loop** (Linux
-//!   default — one loop thread owning accept and every connection's
-//!   read-accumulate → decode → handle → write-drain state machine; it
+//! * [`server`] — the [`AuditServer`]: one readiness-based **event
+//!   loop** — a loop thread owning accept and every connection's
+//!   read-accumulate → decode → handle → write-drain state machine.  It
 //!   answers reads itself and hands ingest, `Flush`, `LoadPack` and
 //!   counterfactuals to a small dispatch pool, so thousands of idle
 //!   connections cost only a registered fd and a parked flush stalls no
-//!   one else's reads) and a portable bounded **accept/worker pool**;
-//!   both share per-connection request pipelining, a plaintext
-//!   `GET /metrics` scrape answer, [`ServeConfig::idle_timeout`]
-//!   enforcement, and **back-pressure on ingest** through the engine's
+//!   one else's reads.  Requests pipeline per connection, a plaintext
+//!   `GET /metrics` is answered with a scrape, [`ServeConfig::idle_timeout`]
+//!   is enforced, and ingest gets **back-pressure** through the engine's
 //!   bounded [`piprov_audit::IngestQueue`] (overflow answers a typed
 //!   `Busy`, each accepted batch applies under one write-lock
-//!   acquisition);
-//! * [`poll`] (Linux) — the zero-dependency `epoll`/`eventfd` FFI shim
-//!   the event loop stands on;
+//!   acquisition).  The server needs a Unix host;
+//! * [`poll`] — the zero-dependency readiness FFI shim the event loop
+//!   stands on: `epoll`/`eventfd` on Linux, `poll(2)` and a socket-pair
+//!   wake on other Unix hosts;
 //! * [`client`] — the blocking [`AuditClient`] with pipelined queries and
 //!   two ingest modes (blocking, fire-and-batch); by default every
 //!   request carries a wire-propagated sampled trace context, and
@@ -83,7 +82,7 @@
 //! # }
 //! ```
 
-// `deny`, not `forbid`: the `poll` module opts back in for the epoll FFI
+// `deny`, not `forbid`: the `poll` module opts back in for its FFI
 // declarations (a `forbid` could not be overridden there).  Everything
 // outside `poll` remains safe code.
 #![deny(unsafe_code)]
@@ -92,9 +91,7 @@
 
 pub mod client;
 pub mod codec;
-#[cfg(target_os = "linux")]
 mod event_loop;
-#[cfg(target_os = "linux")]
 pub mod poll;
 pub mod recorder;
 pub mod server;
@@ -105,5 +102,5 @@ pub use client::{
 };
 pub use codec::{request_kind, RequestTrace, WireRequest, WireResponse};
 pub use recorder::RemoteRecorder;
-pub use server::{AuditServer, ServeConfig, ServerCore};
+pub use server::{AuditServer, ServeConfig};
 pub use wire::{WireError, WireLimits, DEFAULT_MAX_FRAME_LEN, DEFAULT_MAX_RECORDS, WIRE_VERSION};

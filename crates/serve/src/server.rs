@@ -1,27 +1,20 @@
-//! The TCP front-end of the audit engine, with two interchangeable
-//! **server cores** selected by [`ServeConfig::core`]:
+//! The TCP front-end of the audit engine: one readiness-based event loop
+//! (the `event_loop` module).  One thread owns `accept` and a
+//! [`crate::poll::Poller`] registration per connection — epoll on Linux,
+//! `poll(2)` on other Unix hosts — and answers the reads itself from the
+//! engine's lock-free MVCC read path: every audit request but a
+//! counterfactual, plus `Metrics`, `Traces` and `ListPolicies`.  Ingest,
+//! `Flush`, `LoadPack` and counterfactuals go to a small worker pool.
+//! Thousands of idle connections cost only their registered fd.
 //!
-//! * [`ServerCore::EventLoop`] (the default on Linux) — readiness-based
-//!   I/O: one event-loop thread owns `accept` and an `epoll` registration
-//!   per connection (the `event_loop` module) and answers the reads itself
-//!   from the engine's lock-free MVCC read path — every audit request but
-//!   a counterfactual, plus `Metrics`, `Traces` and `ListPolicies`; ingest,
-//!   `Flush`, `LoadPack` and counterfactuals go to a small worker pool.
-//!   Thousands of idle connections cost only their registered fd;
-//! * [`ServerCore::ThreadPool`] — the portable fallback in this module: a
-//!   bounded **accept/worker pool** where `workers` threads share one
-//!   `TcpListener`, each accepting a connection and serving it to
-//!   completion, so at most `workers` connections are live at once and
-//!   the rest wait in the OS backlog.
-//!
-//! Both cores share every protocol behavior.  Within a connection,
-//! requests are **pipelined**: frames are answered strictly in arrival
-//! order, so a client may write many requests before reading the first
-//! response.  Ingest takes the bounded path: an `IngestBatch` frame is
-//! submitted to the engine's [`IngestQueue`]; a full queue answers a
-//! typed [`WireResponse::Busy`] immediately — the server never buffers a
-//! writer's backlog in its own memory — and accepted batches are applied
-//! under one write-lock acquisition each by the queue's drain worker.
+//! Within a connection, requests are **pipelined**: frames are answered
+//! strictly in arrival order, so a client may write many requests before
+//! reading the first response.  Ingest takes the bounded path: an
+//! `IngestBatch` frame is submitted to the engine's [`IngestQueue`]; a
+//! full queue answers a typed [`WireResponse::Busy`] immediately — the
+//! server never buffers a writer's backlog in its own memory — and
+//! accepted batches are applied under one write-lock acquisition each by
+//! the queue's drain worker.
 //!
 //! Malformed input (bad CRC, hostile length prefix, unknown tag) is a
 //! typed error, never a panic: the server sends a best-effort
@@ -30,83 +23,30 @@
 //! `GET /metrics` where a frame header would be is answered with one
 //! HTTP/1.1 response carrying the Prometheus exposition (see
 //! [`ServeConfig`]), and [`ServeConfig::idle_timeout`] bounds how long an
-//! idle connection may hold its resources in either core.
+//! idle connection may hold its resources.
 
-use crate::codec::{
-    decode_request_traced, encode_response, request_kind, WireRequest, WireResponse,
-};
-use crate::wire::{read_frame_or_http, write_frame, FrameOrHttp, WireError, WireLimits};
+use crate::codec::{WireRequest, WireResponse};
+use crate::event_loop::EventLoopHandle;
+use crate::wire::WireLimits;
 use piprov_audit::{
     render_traces, AuditEngine, AuditOutcome, AuditRequest, BarrierError, ExpositionOptions,
-    IngestQueue, PolicyListing, Span, SpanKind, SubmitOutcome, TraceCollector, TraceConfig,
-    TraceContext,
+    IngestQueue, PolicyListing, SubmitOutcome, TraceCollector, TraceConfig, TraceContext,
 };
 use piprov_core::name::Channel;
 use piprov_core::value::Value;
 use piprov_store::StoreError;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which serving core an [`AuditServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerCore {
-    /// Readiness-based I/O: one epoll event-loop thread owning accept and
-    /// per-connection state machines, answering reads itself and handing
-    /// the rest to a worker pool.  Linux-only; on other platforms
-    /// [`AuditServer::bind`] silently falls back to
-    /// [`ServerCore::ThreadPool`].
-    EventLoop,
-    /// The portable accept/worker pool: at most `workers` live
-    /// connections, the rest in the OS backlog.
-    ThreadPool,
-}
-
-impl ServerCore {
-    /// Both cores, event loop first — what the parameterized integration
-    /// suites iterate to pin identical protocol behavior across cores.
-    pub fn all() -> [ServerCore; 2] {
-        [ServerCore::EventLoop, ServerCore::ThreadPool]
-    }
-
-    /// A short, stable name (`"event_loop"` / `"thread_pool"`) for test
-    /// labels and temp-dir suffixes.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ServerCore::EventLoop => "event_loop",
-            ServerCore::ThreadPool => "thread_pool",
-        }
-    }
-}
-
-impl Default for ServerCore {
-    /// The event loop where it exists (Linux), the thread pool elsewhere.
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            ServerCore::EventLoop
-        } else {
-            ServerCore::ThreadPool
-        }
-    }
-}
 
 /// Configuration of an [`AuditServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Which serving core to run (see [`ServerCore`]).
-    pub core: ServerCore,
-    /// For [`ServerCore::ThreadPool`]: the size of the accept/worker pool
-    /// — the maximum number of concurrently served connections (further
-    /// connections wait in the OS backlog).  For
-    /// [`ServerCore::EventLoop`]: the size of the dispatch worker pool,
-    /// which serves only what the loop thread does not answer itself —
-    /// ingest, `Flush`, `LoadPack`, counterfactuals, and reads queued
-    /// behind one of those or past the loop's per-pass budget.
-    /// Connections themselves are unbounded by threads; an idle one costs
-    /// only its fd.
+    /// The size of the dispatch worker pool, which serves only what the
+    /// loop thread does not answer itself — ingest, `Flush`, `LoadPack`,
+    /// counterfactuals, and reads queued behind one of those or past the
+    /// loop's per-pass budget.  Connections themselves are unbounded by
+    /// threads; an idle one costs only its fd.
     pub workers: usize,
     /// Capacity of the bounded ingest queue, in batches; overflow answers
     /// [`WireResponse::Busy`].
@@ -117,26 +57,24 @@ pub struct ServeConfig {
     /// waiting for the ingest queue to drain (the wait goes through
     /// [`IngestQueue::barrier`], which never touches the queue's pause
     /// hook).  On expiry the client gets a typed
-    /// [`WireResponse::ServerError`] and the worker returns to its
-    /// connection — a slow or hostile flusher cannot occupy the pool
-    /// forever.
+    /// [`WireResponse::ServerError`] and the worker returns to the pool —
+    /// a slow or hostile flusher cannot occupy it forever.
     pub flush_timeout: Duration,
     /// When set, a connection idle (no frame started) past this bound is
     /// closed with a best-effort typed `ServerError{"idle timeout"}`
-    /// frame — enforced in **both** cores, so an idle client can neither
-    /// pin a thread-pool worker slot nor hold an event-loop fd forever.
-    /// `None` (the default) never expires idle connections.
+    /// frame, so an idle client cannot hold its fd forever.  `None` (the
+    /// default) never expires idle connections.
     pub idle_timeout: Option<Duration>,
     /// The request-tracing plane: sampling rate, slow threshold, ring
     /// capacity and whether the `/metrics` exposition carries histogram
-    /// exemplars.  Both cores stamp the same span set per request.
+    /// exemplars.  Every traced request records `decode`, `handle` and
+    /// `write` spans, plus `client_encode` when the client sent it.
     pub trace: TraceConfig,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            core: ServerCore::default(),
             workers: 4,
             queue_capacity: 64,
             limits: WireLimits::default(),
@@ -146,9 +84,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-/// The message an idle-expired connection is closed with, in both cores.
-pub(crate) const IDLE_TIMEOUT_MESSAGE: &str = "idle timeout";
 
 /// A running cross-process audit server.
 ///
@@ -161,30 +96,18 @@ pub struct AuditServer {
     queue: Arc<IngestQueue>,
     collector: Arc<TraceCollector>,
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    core: CoreHandle,
+    event_loop: EventLoopHandle,
     stopped: bool,
 }
 
-/// The running threads of whichever core [`AuditServer::bind`] started.
-#[derive(Debug)]
-enum CoreHandle {
-    ThreadPool {
-        workers: Vec<JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    EventLoop(crate::event_loop::EventLoopHandle),
-}
-
 impl AuditServer {
-    /// Binds `addr` and starts the core selected by [`ServeConfig::core`].
+    /// Binds `addr` and starts the event loop and its dispatch workers.
     /// Use port 0 to let the OS pick a free port
     /// ([`AuditServer::local_addr`] reports it).
     ///
     /// # Errors
     ///
-    /// Propagates bind/listen failures (and, for the event-loop core,
-    /// epoll/eventfd setup failures).
+    /// Propagates bind/listen failures and poller/wake setup failures.
     pub fn bind(
         engine: Arc<AuditEngine>,
         addr: impl ToSocketAddrs,
@@ -198,49 +121,19 @@ impl AuditServer {
             config.queue_capacity,
             Some(Arc::clone(&collector)),
         ));
-        let stop = Arc::new(AtomicBool::new(false));
-        let core = match config.core {
-            #[cfg(target_os = "linux")]
-            ServerCore::EventLoop => {
-                CoreHandle::EventLoop(crate::event_loop::EventLoopHandle::start(
-                    listener,
-                    Arc::clone(&engine),
-                    Arc::clone(&queue),
-                    Arc::clone(&collector),
-                    Arc::clone(&stop),
-                    config,
-                )?)
-            }
-            // Off Linux there is no epoll: the event-loop request falls
-            // back to the portable core, keeping `ServeConfig::default()`
-            // usable everywhere.
-            _ => {
-                let listener = Arc::new(listener);
-                let workers = (0..config.workers.max(1))
-                    .map(|i| {
-                        let listener = Arc::clone(&listener);
-                        let engine = Arc::clone(&engine);
-                        let queue = Arc::clone(&queue);
-                        let collector = Arc::clone(&collector);
-                        let stop = Arc::clone(&stop);
-                        std::thread::Builder::new()
-                            .name(format!("piprov-serve-{}", i))
-                            .spawn(move || {
-                                worker_loop(&listener, &engine, &queue, &collector, &stop, &config)
-                            })
-                            .expect("spawn serve worker")
-                    })
-                    .collect();
-                CoreHandle::ThreadPool { workers }
-            }
-        };
+        let event_loop = EventLoopHandle::start(
+            listener,
+            Arc::clone(&engine),
+            Arc::clone(&queue),
+            Arc::clone(&collector),
+            config,
+        )?;
         Ok(AuditServer {
             engine,
             queue,
             collector,
             local_addr,
-            stop,
-            core,
+            event_loop,
             stopped: false,
         })
     }
@@ -261,237 +154,30 @@ impl AuditServer {
         &self.queue
     }
 
-    /// The trace collector both cores deposit per-request span records
+    /// The trace collector the server deposits per-request span records
     /// into — the store behind `GET /trace` and the `Traces` wire request.
     pub fn trace_collector(&self) -> &Arc<TraceCollector> {
         &self.collector
     }
 
-    /// Which core this server is actually running (the configured core,
-    /// after any platform fallback).
-    pub fn core(&self) -> ServerCore {
-        match self.core {
-            CoreHandle::ThreadPool { .. } => ServerCore::ThreadPool,
-            #[cfg(target_os = "linux")]
-            CoreHandle::EventLoop(_) => ServerCore::EventLoop,
-        }
-    }
-
-    /// Stops accepting, joins the core's threads, drains the ingest queue
-    /// and syncs the store.
+    /// Stops accepting, joins the event loop and its workers, drains the
+    /// ingest queue and syncs the store.
     ///
     /// # Errors
     ///
     /// Surfaces the first deferred ingest error or a sync failure.
     pub fn shutdown(mut self) -> Result<(), StoreError> {
-        self.stop_core();
+        self.event_loop.stop();
         self.stopped = true;
         self.queue.flush()
     }
-
-    fn stop_core(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        match &mut self.core {
-            CoreHandle::ThreadPool { workers } => {
-                // Unblock workers parked in accept(): one wake-up
-                // connection each.  The listener may be bound to a
-                // wildcard address (`0.0.0.0:0`), which is not connectable
-                // on every platform — rewrite it to the matching loopback,
-                // where the listener is reachable.
-                let wake = wake_addr(self.local_addr);
-                for _ in 0..workers.len() {
-                    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-                }
-                for worker in workers.drain(..) {
-                    let _ = worker.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            CoreHandle::EventLoop(handle) => handle.stop(),
-        }
-    }
-}
-
-/// The address `stop_workers` connects to, to wake an accept-parked
-/// worker: the bound address, with an unspecified IP (a wildcard bind)
-/// rewritten to the same family's loopback.  Connecting to `0.0.0.0` is
-/// non-portable (some platforms refuse it outright), and a refused wake-up
-/// would leave a worker parked in `accept()` forever.
-fn wake_addr(bound: SocketAddr) -> SocketAddr {
-    let mut addr = bound;
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr.ip() {
-            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        });
-    }
-    addr
 }
 
 impl Drop for AuditServer {
     fn drop(&mut self) {
         if !self.stopped {
-            self.stop_core();
+            self.event_loop.stop();
             let _ = self.queue.flush();
-        }
-    }
-}
-
-fn worker_loop(
-    listener: &TcpListener,
-    engine: &Arc<AuditEngine>,
-    queue: &Arc<IngestQueue>,
-    collector: &Arc<TraceCollector>,
-    stop: &AtomicBool,
-    config: &ServeConfig,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            // Transient accept failures (fd exhaustion, aborted
-            // connections) must not busy-spin the pool; back off briefly
-            // and re-check the stop flag.
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            // A client that raced shutdown must not hang until its own
-            // timeout: tell it why the connection is closing.  Best
-            // effort — the racing connection may be our own wake-up.
-            send_shutdown_notice(stream);
-            return;
-        }
-        // Per-connection errors close that connection only; the worker
-        // goes back to accepting.  The lifecycle gauge brackets the serve:
-        // shutdown wake-ups above are never counted.
-        let registry = engine.metrics_registry();
-        registry.note_connection_accepted();
-        let _ = serve_connection(stream, engine, queue, collector, stop, config);
-        registry.note_connection_closed();
-    }
-}
-
-/// Tells a connection accepted after shutdown began why it is being
-/// closed, instead of dropping it silently.  Entirely best-effort: the
-/// peer may be the shutdown wake-up connection, already gone.
-fn send_shutdown_notice(stream: TcpStream) {
-    stream
-        .set_write_timeout(Some(Duration::from_millis(200)))
-        .ok();
-    let mut writer = BufWriter::new(stream);
-    let response = WireResponse::ServerError {
-        message: "server shutting down".into(),
-    };
-    let _ = write_frame(&mut writer, &encode_response(&response));
-    let _ = writer.flush();
-}
-
-/// Serves one connection until clean close, error, idle expiry, or server
-/// shutdown.
-fn serve_connection(
-    stream: TcpStream,
-    engine: &Arc<AuditEngine>,
-    queue: &Arc<IngestQueue>,
-    collector: &Arc<TraceCollector>,
-    stop: &AtomicBool,
-    config: &ServeConfig,
-) -> Result<(), WireError> {
-    let limits = config.limits;
-    stream.set_nodelay(true).ok();
-    // The idle tick: a read timeout between frames lets the worker notice
-    // a shutdown (or an expired idle bound) without dropping a connected
-    // client's bytes.
-    stream
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut idle_since = Instant::now();
-    loop {
-        let frame = match read_frame_or_http(&mut reader, limits.max_frame_len) {
-            Ok(FrameOrHttp::Eof) => return Ok(()),
-            Ok(FrameOrHttp::Frame(frame)) => frame,
-            Ok(FrameOrHttp::HttpGet(head)) => {
-                return serve_http_get(&head, &mut reader, &mut writer, engine, collector);
-            }
-            Err(e) if e.is_timeout() => {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                if let Some(bound) = config.idle_timeout {
-                    if idle_since.elapsed() >= bound {
-                        let notice = WireResponse::ServerError {
-                            message: IDLE_TIMEOUT_MESSAGE.into(),
-                        };
-                        let _ = write_frame(&mut writer, &encode_response(&notice));
-                        let _ = writer.flush();
-                        return Ok(());
-                    }
-                }
-                continue;
-            }
-            Err(e) => {
-                // Best effort: name the cause, then close.  The client sees
-                // either the typed error frame or the close — never a hang.
-                send_error(&mut writer, &e);
-                return Err(e);
-            }
-        };
-        idle_since = Instant::now();
-        let registry = engine.metrics_registry();
-        // Decode time covers bytes → typed request (the header/body read
-        // is readiness-bound, not decode work).
-        let request_started = Instant::now();
-        let decoded = decode_request_traced(frame, &limits);
-        let decode_ns = elapsed_ns(request_started);
-        registry.record_frame_decode(decode_ns);
-        let (response, trace) = match decoded {
-            Ok((request, wire_trace)) => {
-                let ctx = collector.admit(wire_trace.map(|t| t.context));
-                let kind = request_kind(&request);
-                let service_started = Instant::now();
-                let (response, index_hits, memo_hits) =
-                    handle_request(request, engine, queue, config, collector, ctx);
-                let service_ns = elapsed_ns(service_started);
-                registry.record_request_service_traced(service_ns, ctx.map(|c| c.trace_id));
-                let handle = Span {
-                    kind: SpanKind::Handle,
-                    duration_ns: service_ns,
-                    index_hits,
-                    memo_hits,
-                };
-                let client_encode_ns = wire_trace.map(|t| t.client_encode_ns).unwrap_or(0);
-                (
-                    response,
-                    Some((ctx, kind, client_encode_ns, decode_ns, handle)),
-                )
-            }
-            Err(e) => {
-                send_error(&mut writer, &e);
-                return Err(e);
-            }
-        };
-        let write_started = Instant::now();
-        write_frame(&mut writer, &encode_response(&response))?;
-        writer.flush()?;
-        if let Some((ctx, kind, client_encode_ns, decode_ns, handle)) = trace {
-            // A stack array, not a Vec: finish is on the per-request path.
-            let mut spans = [Span::new(SpanKind::Write, 0); 4];
-            let mut count = 0;
-            if client_encode_ns > 0 {
-                spans[count] = Span::new(SpanKind::ClientEncode, client_encode_ns);
-                count += 1;
-            }
-            spans[count] = Span::new(SpanKind::Decode, decode_ns);
-            spans[count + 1] = handle;
-            spans[count + 2] = Span::new(SpanKind::Write, elapsed_ns(write_started));
-            count += 3;
-            collector.finish(ctx, kind, elapsed_ns(request_started), &spans[..count]);
         }
     }
 }
@@ -499,62 +185,6 @@ fn serve_connection(
 /// Nanoseconds since `start`, saturating into the histogram's `u64`.
 pub(crate) fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Answers a plaintext HTTP `GET` detected at a frame boundary: reads the
-/// rest of the request head (bounded in size and time — a scraper, not a
-/// peer, is on the other side), writes one `Connection: close` response,
-/// and ends the connection.
-fn serve_http_get(
-    head: &[u8],
-    reader: &mut impl BufRead,
-    writer: &mut impl Write,
-    engine: &AuditEngine,
-    collector: &TraceCollector,
-) -> Result<(), WireError> {
-    let mut request = head.to_vec();
-    read_http_head(reader, &mut request);
-    writer.write_all(&http_response_for(&request, engine, collector))?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// Upper bound on a buffered HTTP request head — far beyond any scrape
-/// request, small enough that a hostile peer cannot balloon the buffer.
-pub(crate) const MAX_HTTP_HEAD: usize = 8 * 1024;
-
-/// Accumulates request bytes until the blank line ending the head, EOF,
-/// the size cap, or a two-second deadline — whichever first.  Best
-/// effort: the response is served from whatever arrived (only the request
-/// line matters); draining the full head just lets the scraper read the
-/// response before the close.
-fn read_http_head(reader: &mut impl BufRead, request: &mut Vec<u8>) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while !contains_blank_line(request) && request.len() < MAX_HTTP_HEAD {
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if Instant::now() >= deadline {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        if chunk.is_empty() {
-            return;
-        }
-        let take = chunk.len().min(MAX_HTTP_HEAD - request.len());
-        request.extend_from_slice(&chunk[..take]);
-        reader.consume(take);
-    }
-}
-
-/// Whether `head` already contains the `\r\n\r\n` ending an HTTP request
-/// head (a bare `\n\n` is tolerated for hand-typed requests).
-pub(crate) fn contains_blank_line(head: &[u8]) -> bool {
-    head.windows(4).any(|w| w == b"\r\n\r\n") || head.windows(2).any(|w| w == b"\n\n")
 }
 
 /// Renders the complete HTTP/1.1 response for a sniffed `GET` request:
@@ -715,18 +345,10 @@ fn http_request_path(head: &[u8]) -> Option<&str> {
     parts.next()
 }
 
-fn send_error(writer: &mut impl Write, error: &WireError) {
-    let response = WireResponse::ServerError {
-        message: error.to_string(),
-    };
-    let _ = write_frame(writer, &encode_response(&response));
-    let _ = writer.flush();
-}
-
 /// Maps one decoded request onto the engine/queue.  Never panics; store
-/// failures become [`WireResponse::ServerError`].  Shared by both cores —
-/// the event loop calls it per frame, on its loop thread for reads and on
-/// a dispatch worker for everything else.
+/// failures become [`WireResponse::ServerError`].  The event loop calls
+/// it per frame, on its loop thread for reads and on a dispatch worker
+/// for everything else.
 ///
 /// Returns the response plus the `(index_hits, memo_hits)` the engine
 /// reported, so the caller can stamp them onto the request's `handle`
@@ -802,22 +424,4 @@ pub(crate) fn handle_request(
         WireRequest::ListPolicies => WireResponse::Policies(engine.policies()),
     };
     (response, 0, 0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wake_addr_rewrites_wildcards_to_the_matching_loopback() {
-        let v4: SocketAddr = "0.0.0.0:7141".parse().unwrap();
-        assert_eq!(wake_addr(v4), "127.0.0.1:7141".parse().unwrap());
-        let v6: SocketAddr = "[::]:7141".parse().unwrap();
-        assert_eq!(wake_addr(v6), "[::1]:7141".parse().unwrap());
-        // Concrete addresses pass through untouched.
-        let concrete: SocketAddr = "192.0.2.7:9".parse().unwrap();
-        assert_eq!(wake_addr(concrete), concrete);
-        let loopback: SocketAddr = "127.0.0.1:9".parse().unwrap();
-        assert_eq!(wake_addr(loopback), loopback);
-    }
 }

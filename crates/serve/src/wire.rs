@@ -80,13 +80,6 @@ pub enum WireError {
     /// The body was structurally invalid (truncated field, unknown tag,
     /// over-cap count, bad UTF-8, …).
     Malformed(String),
-    /// A read timeout fired at a frame boundary — no header byte had
-    /// arrived.  This is the server's idle tick between frames, not a
-    /// failure: the stream is still positioned at the boundary and the
-    /// caller may simply call [`read_frame`] again.  A timeout *mid-frame*
-    /// is never this variant (it surfaces as [`WireError::Io`]), so
-    /// retrying on `IdleTimeout` can never desynchronize the framing.
-    IdleTimeout,
 }
 
 impl fmt::Display for WireError {
@@ -105,7 +98,6 @@ impl fmt::Display for WireError {
                 )
             }
             WireError::Malformed(what) => write!(f, "malformed frame: {}", what),
-            WireError::IdleTimeout => write!(f, "idle read timeout at a frame boundary"),
         }
     }
 }
@@ -122,16 +114,6 @@ impl std::error::Error for WireError {
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
-    }
-}
-
-impl WireError {
-    /// `true` only for [`WireError::IdleTimeout`] — the between-frames
-    /// tick it is safe to retry after.  A timeout that fires *mid-frame*
-    /// reports as [`WireError::Io`] and returns `false` here: bytes were
-    /// already consumed, so retrying would desynchronize the framing.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, WireError::IdleTimeout)
     }
 }
 
@@ -152,12 +134,6 @@ pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> Result<(), WireError
 /// Reads one frame, returning `Ok(None)` on a clean end-of-stream at a
 /// frame boundary.
 ///
-/// A read timeout that fires *before any header byte arrived* surfaces as
-/// [`WireError::IdleTimeout`] and leaves the stream positioned at the
-/// boundary, so the caller can poll a shutdown flag and simply call
-/// again; a timeout mid-frame is a real [`WireError::Io`] error
-/// ([`WireError::is_timeout`] distinguishes the two).
-///
 /// # Errors
 ///
 /// [`WireError::FrameTooLarge`] if the length prefix exceeds `max_len`
@@ -177,12 +153,6 @@ pub fn read_frame(reader: &mut impl Read, max_len: u32) -> Result<Option<Bytes>,
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e)
-                if filled == 0
-                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
-            {
-                return Err(WireError::IdleTimeout);
-            }
             Err(e) => return Err(WireError::Io(e)),
         }
     }
@@ -207,8 +177,8 @@ pub fn read_frame(reader: &mut impl Read, max_len: u32) -> Result<Option<Bytes>,
 
 /// Tries to parse one complete frame from the front of `buf` — the
 /// incremental counterpart of [`read_frame`] for non-blocking readers
-/// that accumulate bytes as readiness delivers them (the event-loop
-/// server core's read-accumulate state).
+/// that accumulate bytes as readiness delivers them (the event loop's
+/// read-accumulate state).
 ///
 /// Returns `Ok(None)` when `buf` holds only a prefix of a frame (read
 /// more and call again) and `Ok(Some((consumed, body)))` when a full
@@ -249,72 +219,6 @@ pub fn try_parse_frame(buf: &[u8], max_len: u32) -> Result<Option<(usize, Bytes)
 /// (`0x47455420` ≈ 1.19 GiB, far above any sane frame cap, so no framed
 /// peer can collide with it).
 pub const HTTP_GET_PREFIX: [u8; 4] = *b"GET ";
-
-/// What [`read_frame_or_http`] found at the frame boundary.
-#[derive(Debug)]
-pub enum FrameOrHttp {
-    /// Clean end-of-stream at the boundary.
-    Eof,
-    /// One complete, CRC-checked frame body.
-    Frame(Bytes),
-    /// The peer is speaking plaintext HTTP: the 8 bytes read as a frame
-    /// header are actually the start of a `GET ` request line (returned
-    /// so the caller can keep parsing the line from its beginning).
-    HttpGet([u8; 8]),
-}
-
-/// Reads one frame like [`read_frame`], additionally detecting a
-/// plaintext `GET ` where the length prefix would be — the `/metrics`
-/// scrape path.  Timeout semantics are identical to [`read_frame`]:
-/// a boundary stall is a retryable [`WireError::IdleTimeout`], a
-/// mid-frame stall is [`WireError::Io`].
-///
-/// # Errors
-///
-/// As [`read_frame`].
-pub fn read_frame_or_http(reader: &mut impl Read, max_len: u32) -> Result<FrameOrHttp, WireError> {
-    let mut header = [0u8; 8];
-    let mut filled = 0usize;
-    while filled < header.len() {
-        match reader.read(&mut header[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(FrameOrHttp::Eof);
-                }
-                return Err(WireError::Malformed("truncated frame header".into()));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e)
-                if filled == 0
-                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
-            {
-                return Err(WireError::IdleTimeout);
-            }
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    if header[..4] == HTTP_GET_PREFIX {
-        return Ok(FrameOrHttp::HttpGet(header));
-    }
-    let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes"));
-    let expected_crc = u32::from_be_bytes(header[4..].try_into().expect("4 bytes"));
-    if len > max_len {
-        return Err(WireError::FrameTooLarge { len, max: max_len });
-    }
-    let mut body = vec![0u8; len as usize];
-    reader.read_exact(&mut body).map_err(|e| {
-        if e.kind() == ErrorKind::UnexpectedEof {
-            WireError::Malformed("truncated frame body".into())
-        } else {
-            WireError::Io(e)
-        }
-    })?;
-    if crc32(&body) != expected_crc {
-        return Err(WireError::ChecksumMismatch);
-    }
-    Ok(FrameOrHttp::Frame(Bytes::from(body)))
-}
 
 #[cfg(test)]
 mod tests {
@@ -393,8 +297,6 @@ mod tests {
             .to_string()
             .contains("cap"));
         assert!(WireError::UnsupportedVersion(9).to_string().contains("9"));
-        assert!(!WireError::ChecksumMismatch.is_timeout());
-        assert!(WireError::IdleTimeout.is_timeout());
     }
 
     #[test]
@@ -451,90 +353,5 @@ mod tests {
             try_parse_frame(&wire, 1024),
             Err(WireError::ChecksumMismatch)
         ));
-    }
-
-    #[test]
-    fn the_sniffing_reader_forks_frames_from_http() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"framed").unwrap();
-        let mut cursor = Cursor::new(wire);
-        assert!(matches!(
-            read_frame_or_http(&mut cursor, 1024).unwrap(),
-            FrameOrHttp::Frame(body) if body.as_ref() == b"framed"
-        ));
-        assert!(matches!(
-            read_frame_or_http(&mut cursor, 1024).unwrap(),
-            FrameOrHttp::Eof
-        ));
-
-        let mut http = Cursor::new(b"GET /metrics HTTP/1.1\r\n\r\n".to_vec());
-        match read_frame_or_http(&mut http, 1024).unwrap() {
-            FrameOrHttp::HttpGet(prefix) => assert_eq!(&prefix, b"GET /met"),
-            other => panic!("expected HttpGet, got {:?}", other),
-        }
-    }
-
-    /// Yields `prefix` bytes, then times out on every further read —
-    /// simulating a stalled peer under a socket read timeout.
-    struct StallAfter {
-        prefix: Vec<u8>,
-        served: usize,
-    }
-
-    impl Read for StallAfter {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.served < self.prefix.len() {
-                let n = buf.len().min(self.prefix.len() - self.served);
-                buf[..n].copy_from_slice(&self.prefix[self.served..self.served + n]);
-                self.served += n;
-                Ok(n)
-            } else {
-                Err(std::io::Error::new(ErrorKind::WouldBlock, "stalled"))
-            }
-        }
-    }
-
-    #[test]
-    fn idle_timeout_is_retryable_but_a_mid_frame_stall_is_not() {
-        // Timeout at the frame boundary: typed IdleTimeout, safe to retry.
-        let mut idle = StallAfter {
-            prefix: Vec::new(),
-            served: 0,
-        };
-        let err = read_frame(&mut idle, 1024).unwrap_err();
-        assert!(
-            err.is_timeout(),
-            "boundary stall is the idle tick: {:?}",
-            err
-        );
-
-        // The same timeout after 3 header bytes were consumed must NOT be
-        // retryable — a retry would read the remaining bytes as a fresh
-        // header and desynchronize the framing.
-        let mut frame = Vec::new();
-        write_frame(&mut frame, b"payload").unwrap();
-        let mut stalled = StallAfter {
-            prefix: frame[..3].to_vec(),
-            served: 0,
-        };
-        let err = read_frame(&mut stalled, 1024).unwrap_err();
-        assert!(
-            matches!(&err, WireError::Io(_)),
-            "mid-header stall is a real error: {:?}",
-            err
-        );
-        assert!(!err.is_timeout());
-
-        // Likewise a stall mid-body (full header consumed).
-        let mut stalled = StallAfter {
-            prefix: frame[..frame.len() - 2].to_vec(),
-            served: 0,
-        };
-        let err = read_frame(&mut stalled, 1024).unwrap_err();
-        assert!(
-            !err.is_timeout(),
-            "mid-body stall is a real error: {:?}",
-            err
-        );
     }
 }

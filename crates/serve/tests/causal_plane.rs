@@ -1,10 +1,10 @@
-//! The causal-query plane over the wire, against **both server cores**:
+//! The causal-query plane over the wire:
 //! `AuditClient::why` / `AuditClient::counterfactual` round-tripping the
 //! v6 request/outcome vocabulary, the `GET /why` plaintext endpoint, the
 //! `GET /policies?package=` filter, and — the acceptance bar — the wire
 //! differential harness: counterfactual answers served live must equal a
 //! second server that ingested the **literally filtered** history, across
-//! seeded workloads on every core.
+//! seeded workloads.
 
 use piprov_audit::{AuditEngine, RequestStats};
 use piprov_audit::{AuditOutcome, AuditRequest, EventFilter};
@@ -12,29 +12,25 @@ use piprov_core::name::{Channel, Principal};
 use piprov_core::provenance::{Direction, Event, Provenance};
 use piprov_core::value::Value;
 use piprov_policy::{PackFile, PackSource};
-use piprov_serve::{AuditClient, AuditServer, PackLoadOutcome, ServeConfig, ServerCore};
+use piprov_serve::{AuditClient, AuditServer, PackLoadOutcome, ServeConfig};
 use piprov_store::{Operation, ProvenanceRecord};
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn temp_dir(name: &str, core: ServerCore) -> PathBuf {
+fn temp_dir(name: &str) -> PathBuf {
     let mut dir = std::env::temp_dir();
     dir.push(format!(
-        "piprov-serve-causal-{}-{}-{}",
+        "piprov-serve-causal-{}-{}",
         std::process::id(),
-        name,
-        core.name()
+        name
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-fn config(core: ServerCore) -> ServeConfig {
-    ServeConfig {
-        core,
-        ..ServeConfig::default()
-    }
+fn config() -> ServeConfig {
+    ServeConfig::default()
 }
 
 fn value(name: &str) -> Value {
@@ -89,163 +85,159 @@ const HEAD: &str = "causal::q::head";
 const POLICIES: &[&str] = &["causal::q::head", "causal::q::deep", "causal::q::either"];
 
 #[test]
-fn why_and_counterfactual_answer_over_the_wire_in_both_cores() {
-    for core in ServerCore::all() {
-        let dir = temp_dir("rpc", core);
-        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-        let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", config(core)).unwrap();
-        let addr = server.local_addr();
-        let mut client = AuditClient::connect(addr).unwrap();
+fn why_and_counterfactual_answer_over_the_wire() {
+    let dir = temp_dir("rpc");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", config()).unwrap();
+    let addr = server.local_addr();
+    let mut client = AuditClient::connect(addr).unwrap();
 
-        let empty = Provenance::empty;
-        client
-            .ingest_blocking(vec![
-                // Passes `head`: newest event is an output by s0.
-                record_with("item1", vec![event("s0", Direction::Output, empty())]),
-                // Fails `head` at the very first event (s9 is no vendor);
-                // removing s9 flips it back to passing.
-                record_with(
-                    "item2",
-                    vec![
-                        event("s9", Direction::Input, empty()),
-                        event("s0", Direction::Output, empty()),
-                    ],
-                ),
-            ])
-            .unwrap();
-        client.flush().unwrap();
-        assert!(matches!(
-            client.load_pack(&causal_pack()).unwrap(),
-            PackLoadOutcome::Loaded { version: 1, .. }
-        ));
+    let empty = Provenance::empty;
+    client
+        .ingest_blocking(vec![
+            // Passes `head`: newest event is an output by s0.
+            record_with("item1", vec![event("s0", Direction::Output, empty())]),
+            // Fails `head` at the very first event (s9 is no vendor);
+            // removing s9 flips it back to passing.
+            record_with(
+                "item2",
+                vec![
+                    event("s9", Direction::Input, empty()),
+                    event("s0", Direction::Output, empty()),
+                ],
+            ),
+        ])
+        .unwrap();
+    client.flush().unwrap();
+    assert!(matches!(
+        client.load_pack(&causal_pack()).unwrap(),
+        PackLoadOutcome::Loaded { version: 1, .. }
+    ));
 
-        // A passing why slice: the whole consumed spine, no blocker.
-        let response = client.why(value("item1"), HEAD).unwrap();
-        assert_eq!(response.pack_version, 1);
-        let slice = match &response.outcome {
-            AuditOutcome::Why(slice) => slice,
-            other => panic!("expected a why slice, got {:?}", other),
-        };
-        assert!(slice.verdict);
-        assert_eq!(slice.blocked, None);
-        assert_eq!(slice.events.len(), 1);
-        assert_eq!(slice.events[0].event.to_string(), "s0!ε");
+    // A passing why slice: the whole consumed spine, no blocker.
+    let response = client.why(value("item1"), HEAD).unwrap();
+    assert_eq!(response.pack_version, 1);
+    let slice = match &response.outcome {
+        AuditOutcome::Why(slice) => slice,
+        other => panic!("expected a why slice, got {:?}", other),
+    };
+    assert!(slice.verdict);
+    assert_eq!(slice.blocked, None);
+    assert_eq!(slice.events.len(), 1);
+    assert_eq!(slice.events[0].event.to_string(), "s0!ε");
 
-        // A failing slice blocks at index 0: the newest event mismatches.
-        let response = client.why(value("item2"), HEAD).unwrap();
-        let slice = match &response.outcome {
-            AuditOutcome::Why(slice) => slice,
-            other => panic!("expected a why slice, got {:?}", other),
-        };
-        assert!(!slice.verdict);
-        assert_eq!(slice.blocked, Some(0));
+    // A failing slice blocks at index 0: the newest event mismatches.
+    let response = client.why(value("item2"), HEAD).unwrap();
+    let slice = match &response.outcome {
+        AuditOutcome::Why(slice) => slice,
+        other => panic!("expected a why slice, got {:?}", other),
+    };
+    assert!(!slice.verdict);
+    assert_eq!(slice.blocked, Some(0));
 
-        // Removing the offending principal flips the verdict; the delta
-        // slice names exactly the removed event.
-        let remove = EventFilter::Principal(Principal::new("s9"));
-        let response = client.counterfactual(value("item2"), HEAD, remove).unwrap();
-        let verdict = match &response.outcome {
-            AuditOutcome::Counterfactual(verdict) => verdict,
-            other => panic!("expected a counterfactual verdict, got {:?}", other),
-        };
-        assert!(!verdict.original);
-        assert!(verdict.counterfactual);
-        assert!(verdict.flipped());
-        assert_eq!(verdict.removed.len(), 1);
-        assert_eq!(verdict.removed[0].event.to_string(), "s9?ε");
+    // Removing the offending principal flips the verdict; the delta
+    // slice names exactly the removed event.
+    let remove = EventFilter::Principal(Principal::new("s9"));
+    let response = client.counterfactual(value("item2"), HEAD, remove).unwrap();
+    let verdict = match &response.outcome {
+        AuditOutcome::Counterfactual(verdict) => verdict,
+        other => panic!("expected a counterfactual verdict, got {:?}", other),
+    };
+    assert!(!verdict.original);
+    assert!(verdict.counterfactual);
+    assert!(verdict.flipped());
+    assert_eq!(verdict.removed.len(), 1);
+    assert_eq!(verdict.removed[0].event.to_string(), "s9?ε");
 
-        // A filter that touches nothing: both verdicts equal, no delta.
-        let remove = EventFilter::Principal(Principal::new("nobody"));
-        let response = client.counterfactual(value("item1"), HEAD, remove).unwrap();
-        match &response.outcome {
-            AuditOutcome::Counterfactual(verdict) => {
-                assert!(verdict.original && verdict.counterfactual);
-                assert!(!verdict.flipped());
-                assert!(verdict.removed.is_empty());
-            }
-            other => panic!("expected a counterfactual verdict, got {:?}", other),
+    // A filter that touches nothing: both verdicts equal, no delta.
+    let remove = EventFilter::Principal(Principal::new("nobody"));
+    let response = client.counterfactual(value("item1"), HEAD, remove).unwrap();
+    match &response.outcome {
+        AuditOutcome::Counterfactual(verdict) => {
+            assert!(verdict.original && verdict.counterfactual);
+            assert!(!verdict.flipped());
+            assert!(verdict.removed.is_empty());
         }
-
-        // Diagnostics cross the wire typed, not stringly.
-        let response = client.why(value("ghost"), HEAD).unwrap();
-        assert_eq!(response.outcome, AuditOutcome::UnknownValue);
-        let remove = EventFilter::Kind(Direction::Input);
-        let response = client
-            .counterfactual(value("item1"), "causal::q::heda", remove)
-            .unwrap();
-        match &response.outcome {
-            AuditOutcome::UnknownPattern { nearest, .. } => {
-                assert_eq!(nearest.as_deref(), Some(HEAD));
-            }
-            other => panic!("expected UnknownPattern, got {:?}", other),
-        }
-
-        drop(client);
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        other => panic!("expected a counterfactual verdict, got {:?}", other),
     }
+
+    // Diagnostics cross the wire typed, not stringly.
+    let response = client.why(value("ghost"), HEAD).unwrap();
+    assert_eq!(response.outcome, AuditOutcome::UnknownValue);
+    let remove = EventFilter::Kind(Direction::Input);
+    let response = client
+        .counterfactual(value("item1"), "causal::q::heda", remove)
+        .unwrap();
+    match &response.outcome {
+        AuditOutcome::UnknownPattern { nearest, .. } => {
+            assert_eq!(nearest.as_deref(), Some(HEAD));
+        }
+        other => panic!("expected UnknownPattern, got {:?}", other),
+    }
+
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Deep shared spine: the `memo_reused` counter must survive the v6 wire
 /// — the filtered re-vet rides the original walk's memoized suffix
 /// instead of re-walking the spine.
 #[test]
-fn memo_reuse_stats_surface_over_the_wire_in_both_cores() {
-    for core in ServerCore::all() {
-        let dir = temp_dir("memo", core);
-        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-        let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", config(core)).unwrap();
-        let addr = server.local_addr();
-        let mut client = AuditClient::connect(addr).unwrap();
+fn memo_reuse_stats_surface_over_the_wire() {
+    let dir = temp_dir("memo");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", config()).unwrap();
+    let addr = server.local_addr();
+    let mut client = AuditClient::connect(addr).unwrap();
 
-        let empty = Provenance::empty;
-        let mut events = vec![
-            event("s0", Direction::Output, empty()),
-            event("drop", Direction::Input, empty()),
-        ];
-        events.extend((0..48).map(|_| event("relay", Direction::Input, empty())));
-        client
-            .ingest_blocking(vec![record_with("deep", events)])
-            .unwrap();
-        client.flush().unwrap();
-        assert!(matches!(
-            client.load_pack(&causal_pack()).unwrap(),
-            PackLoadOutcome::Loaded { version: 1, .. }
-        ));
+    let empty = Provenance::empty;
+    let mut events = vec![
+        event("s0", Direction::Output, empty()),
+        event("drop", Direction::Input, empty()),
+    ];
+    events.extend((0..48).map(|_| event("relay", Direction::Input, empty())));
+    client
+        .ingest_blocking(vec![record_with("deep", events)])
+        .unwrap();
+    client.flush().unwrap();
+    assert!(matches!(
+        client.load_pack(&causal_pack()).unwrap(),
+        PackLoadOutcome::Loaded { version: 1, .. }
+    ));
 
-        let remove = EventFilter::Principal(Principal::new("drop"));
-        let response = client.counterfactual(value("deep"), HEAD, remove).unwrap();
-        match &response.outcome {
-            AuditOutcome::Counterfactual(verdict) => {
-                assert!(verdict.original && verdict.counterfactual);
-                assert_eq!(verdict.removed.len(), 1);
-            }
-            other => panic!("expected a counterfactual verdict, got {:?}", other),
+    let remove = EventFilter::Principal(Principal::new("drop"));
+    let response = client.counterfactual(value("deep"), HEAD, remove).unwrap();
+    match &response.outcome {
+        AuditOutcome::Counterfactual(verdict) => {
+            assert!(verdict.original && verdict.counterfactual);
+            assert_eq!(verdict.removed.len(), 1);
         }
-        let RequestStats {
-            memo_reused,
-            dag_nodes_visited,
-            ..
-        } = response.stats;
-        assert!(
-            memo_reused >= 1,
-            "memo reuse must cross the wire: {:?}",
-            response.stats
-        );
-        assert!(
-            dag_nodes_visited <= 48 + 2 + 4,
-            "the filtered walk must not re-walk the shared suffix: {:?}",
-            response.stats
-        );
-
-        drop(client);
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        other => panic!("expected a counterfactual verdict, got {:?}", other),
     }
+    let RequestStats {
+        memo_reused,
+        dag_nodes_visited,
+        ..
+    } = response.stats;
+    assert!(
+        memo_reused >= 1,
+        "memo reuse must cross the wire: {:?}",
+        response.stats
+    );
+    assert!(
+        dag_nodes_visited <= 48 + 2 + 4,
+        "the filtered walk must not re-walk the shared suffix: {:?}",
+        response.stats
+    );
+
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
-// The wire differential harness: seeded workloads, both cores.
+// The wire differential harness: seeded workloads.
 // ---------------------------------------------------------------------------
 
 /// Deterministic splitmix-style generator, so the workload is seeded and
@@ -325,85 +317,82 @@ fn vet_verdict(outcome: &AuditOutcome) -> Option<(bool, u64)> {
 }
 
 #[test]
-fn wire_counterfactuals_match_a_filtered_server_across_seeds_in_both_cores() {
-    for core in ServerCore::all() {
-        for seed in [1u64, 2, 3] {
-            let records = seeded_workload(seed);
-            let filter = seeded_filter(seed);
+fn wire_counterfactuals_match_a_filtered_server_across_seeds() {
+    for seed in [1u64, 2, 3] {
+        let records = seeded_workload(seed);
+        let filter = seeded_filter(seed);
 
-            let live_dir = temp_dir(&format!("diff-live-{}", seed), core);
-            let live_engine = Arc::new(AuditEngine::open(&live_dir).unwrap());
-            let live_server =
-                AuditServer::bind(Arc::clone(&live_engine), "127.0.0.1:0", config(core)).unwrap();
-            let mut live = AuditClient::connect(live_server.local_addr()).unwrap();
-            live.ingest_blocking(records.clone()).unwrap();
-            live.flush().unwrap();
-            assert!(matches!(
-                live.load_pack(&causal_pack()).unwrap(),
-                PackLoadOutcome::Loaded { .. }
-            ));
+        let live_dir = temp_dir(&format!("diff-live-{}", seed));
+        let live_engine = Arc::new(AuditEngine::open(&live_dir).unwrap());
+        let live_server =
+            AuditServer::bind(Arc::clone(&live_engine), "127.0.0.1:0", config()).unwrap();
+        let mut live = AuditClient::connect(live_server.local_addr()).unwrap();
+        live.ingest_blocking(records.clone()).unwrap();
+        live.flush().unwrap();
+        assert!(matches!(
+            live.load_pack(&causal_pack()).unwrap(),
+            PackLoadOutcome::Loaded { .. }
+        ));
 
-            let oracle_dir = temp_dir(&format!("diff-oracle-{}", seed), core);
-            let oracle_engine = Arc::new(AuditEngine::open(&oracle_dir).unwrap());
-            let oracle_server =
-                AuditServer::bind(Arc::clone(&oracle_engine), "127.0.0.1:0", config(core)).unwrap();
-            let mut oracle = AuditClient::connect(oracle_server.local_addr()).unwrap();
-            oracle
-                .ingest_blocking(records.iter().map(|r| filtered(r, &filter)).collect())
-                .unwrap();
-            oracle.flush().unwrap();
-            assert!(matches!(
-                oracle.load_pack(&causal_pack()).unwrap(),
-                PackLoadOutcome::Loaded { .. }
-            ));
+        let oracle_dir = temp_dir(&format!("diff-oracle-{}", seed));
+        let oracle_engine = Arc::new(AuditEngine::open(&oracle_dir).unwrap());
+        let oracle_server =
+            AuditServer::bind(Arc::clone(&oracle_engine), "127.0.0.1:0", config()).unwrap();
+        let mut oracle = AuditClient::connect(oracle_server.local_addr()).unwrap();
+        oracle
+            .ingest_blocking(records.iter().map(|r| filtered(r, &filter)).collect())
+            .unwrap();
+        oracle.flush().unwrap();
+        assert!(matches!(
+            oracle.load_pack(&causal_pack()).unwrap(),
+            PackLoadOutcome::Loaded { .. }
+        ));
 
-            for v in 0..4 {
-                for policy in POLICIES {
-                    let live_response = live
-                        .counterfactual(value(&format!("item{}", v)), *policy, filter.clone())
-                        .unwrap();
-                    let oracle_response = oracle
-                        .request(&AuditRequest::VetValue {
-                            value: value(&format!("item{}", v)),
-                            pattern: (*policy).to_string(),
-                        })
-                        .unwrap();
-                    assert_eq!(
-                        live_response.watermark, oracle_response.watermark,
-                        "seed {} core {:?}: watermarks diverge",
-                        seed, core
-                    );
-                    match &live_response.outcome {
-                        AuditOutcome::UnknownValue => {
-                            assert_eq!(vet_verdict(&oracle_response.outcome), None);
-                        }
-                        AuditOutcome::Counterfactual(verdict) => {
-                            let (oracle_verdict, oracle_seq) =
-                                vet_verdict(&oracle_response.outcome)
-                                    .expect("records survive filtering");
-                            assert_eq!(
-                                verdict.counterfactual, oracle_verdict,
-                                "seed {} core {:?} {} item{}: live counterfactual \
-                                 diverges from the literally filtered server",
-                                seed, core, policy, v
-                            );
-                            assert_eq!(verdict.sequence, oracle_seq);
-                            for removed in &verdict.removed {
-                                assert!(filter.removes(&removed.event));
-                            }
-                        }
-                        other => panic!("expected a counterfactual verdict, got {:?}", other),
+        for v in 0..4 {
+            for policy in POLICIES {
+                let live_response = live
+                    .counterfactual(value(&format!("item{}", v)), *policy, filter.clone())
+                    .unwrap();
+                let oracle_response = oracle
+                    .request(&AuditRequest::VetValue {
+                        value: value(&format!("item{}", v)),
+                        pattern: (*policy).to_string(),
+                    })
+                    .unwrap();
+                assert_eq!(
+                    live_response.watermark, oracle_response.watermark,
+                    "seed {}: watermarks diverge",
+                    seed
+                );
+                match &live_response.outcome {
+                    AuditOutcome::UnknownValue => {
+                        assert_eq!(vet_verdict(&oracle_response.outcome), None);
                     }
+                    AuditOutcome::Counterfactual(verdict) => {
+                        let (oracle_verdict, oracle_seq) = vet_verdict(&oracle_response.outcome)
+                            .expect("records survive filtering");
+                        assert_eq!(
+                            verdict.counterfactual, oracle_verdict,
+                            "seed {} {} item{}: live counterfactual \
+                             diverges from the literally filtered server",
+                            seed, policy, v
+                        );
+                        assert_eq!(verdict.sequence, oracle_seq);
+                        for removed in &verdict.removed {
+                            assert!(filter.removes(&removed.event));
+                        }
+                    }
+                    other => panic!("expected a counterfactual verdict, got {:?}", other),
                 }
             }
-
-            drop(live);
-            drop(oracle);
-            live_server.shutdown().unwrap();
-            oracle_server.shutdown().unwrap();
-            std::fs::remove_dir_all(&live_dir).ok();
-            std::fs::remove_dir_all(&oracle_dir).ok();
         }
+
+        drop(live);
+        drop(oracle);
+        live_server.shutdown().unwrap();
+        oracle_server.shutdown().unwrap();
+        std::fs::remove_dir_all(&live_dir).ok();
+        std::fs::remove_dir_all(&oracle_dir).ok();
     }
 }
 
@@ -412,89 +401,87 @@ fn wire_counterfactuals_match_a_filtered_server_across_seeds_in_both_cores() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn why_endpoint_and_policies_package_filter_in_both_cores() {
-    for core in ServerCore::all() {
-        let dir = temp_dir("http", core);
-        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-        let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", config(core)).unwrap();
-        let addr = server.local_addr();
-        let mut client = AuditClient::connect(addr).unwrap();
+fn why_endpoint_and_policies_package_filter() {
+    let dir = temp_dir("http");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", config()).unwrap();
+    let addr = server.local_addr();
+    let mut client = AuditClient::connect(addr).unwrap();
 
-        let empty = Provenance::empty;
-        client
-            .ingest_blocking(vec![
-                record_with("item1", vec![event("s0", Direction::Output, empty())]),
-                record_with(
-                    "item2",
-                    vec![
-                        event("s9", Direction::Input, empty()),
-                        event("s0", Direction::Output, empty()),
-                    ],
-                ),
-            ])
-            .unwrap();
-        client.flush().unwrap();
-        assert!(matches!(
-            client.load_pack(&causal_pack()).unwrap(),
-            PackLoadOutcome::Loaded { version: 1, .. }
-        ));
+    let empty = Provenance::empty;
+    client
+        .ingest_blocking(vec![
+            record_with("item1", vec![event("s0", Direction::Output, empty())]),
+            record_with(
+                "item2",
+                vec![
+                    event("s9", Direction::Input, empty()),
+                    event("s0", Direction::Output, empty()),
+                ],
+            ),
+        ])
+        .unwrap();
+    client.flush().unwrap();
+    assert!(matches!(
+        client.load_pack(&causal_pack()).unwrap(),
+        PackLoadOutcome::Loaded { version: 1, .. }
+    ));
 
-        // A passing slice renders with the verdict and the κ-tagged
-        // events; a failing one marks the blocking frontier.
-        let ok = http_get(addr, &format!("/why?value=item1&policy={}", HEAD));
-        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{}", ok);
-        assert!(
-            ok.contains("why: verdict=pass sequence=1 events=1"),
-            "{}",
-            ok
-        );
-        assert!(ok.contains("s0!ε"), "{}", ok);
-        let fail = http_get(addr, &format!("/why?value=item2&policy={}", HEAD));
-        assert!(fail.starts_with("HTTP/1.1 200 OK\r\n"), "{}", fail);
-        assert!(fail.contains("why: verdict=fail"), "{}", fail);
-        assert!(fail.contains("every candidate trail dies here"), "{}", fail);
+    // A passing slice renders with the verdict and the κ-tagged
+    // events; a failing one marks the blocking frontier.
+    let ok = http_get(addr, &format!("/why?value=item1&policy={}", HEAD));
+    assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{}", ok);
+    assert!(
+        ok.contains("why: verdict=pass sequence=1 events=1"),
+        "{}",
+        ok
+    );
+    assert!(ok.contains("s0!ε"), "{}", ok);
+    let fail = http_get(addr, &format!("/why?value=item2&policy={}", HEAD));
+    assert!(fail.starts_with("HTTP/1.1 200 OK\r\n"), "{}", fail);
+    assert!(fail.contains("why: verdict=fail"), "{}", fail);
+    assert!(fail.contains("every candidate trail dies here"), "{}", fail);
 
-        // Missing parameters are 400s; unknown names are 404s with the
-        // engine's diagnostics (including the nearest-policy hint).
-        assert!(http_get(addr, "/why").starts_with("HTTP/1.1 400 Bad Request\r\n"));
-        assert!(http_get(addr, "/why?value=item1").starts_with("HTTP/1.1 400 Bad Request\r\n"));
-        let unknown = http_get(addr, &format!("/why?value=ghost&policy={}", HEAD));
-        assert!(
-            unknown.starts_with("HTTP/1.1 404 Not Found\r\n"),
-            "{}",
-            unknown
-        );
-        assert!(unknown.contains("unknown value ghost"), "{}", unknown);
-        let typo = http_get(addr, "/why?value=item1&policy=causal::q::heda");
-        assert!(typo.starts_with("HTTP/1.1 404 Not Found\r\n"), "{}", typo);
-        assert!(typo.contains(&format!("nearest: {}", HEAD)), "{}", typo);
+    // Missing parameters are 400s; unknown names are 404s with the
+    // engine's diagnostics (including the nearest-policy hint).
+    assert!(http_get(addr, "/why").starts_with("HTTP/1.1 400 Bad Request\r\n"));
+    assert!(http_get(addr, "/why?value=item1").starts_with("HTTP/1.1 400 Bad Request\r\n"));
+    let unknown = http_get(addr, &format!("/why?value=ghost&policy={}", HEAD));
+    assert!(
+        unknown.starts_with("HTTP/1.1 404 Not Found\r\n"),
+        "{}",
+        unknown
+    );
+    assert!(unknown.contains("unknown value ghost"), "{}", unknown);
+    let typo = http_get(addr, "/why?value=item1&policy=causal::q::heda");
+    assert!(typo.starts_with("HTTP/1.1 404 Not Found\r\n"), "{}", typo);
+    assert!(typo.contains(&format!("nearest: {}", HEAD)), "{}", typo);
 
-        // /policies?package= filters; an unknown package 404s instead of
-        // rendering an empty (misleading) listing.
-        let all = http_get(addr, "/policies");
-        assert!(all.contains("# pack version 1 (3 policies)"), "{}", all);
-        let filtered = http_get(addr, "/policies?package=causal::q");
-        assert!(filtered.starts_with("HTTP/1.1 200 OK\r\n"), "{}", filtered);
-        assert!(
-            filtered.contains("# pack version 1 (3 policies)"),
-            "{}",
-            filtered
-        );
-        assert!(filtered.contains(HEAD), "{}", filtered);
-        let missing = http_get(addr, "/policies?package=nope");
-        assert!(
-            missing.starts_with("HTTP/1.1 404 Not Found\r\n"),
-            "{}",
-            missing
-        );
-        assert!(missing.contains("unknown package nope"), "{}", missing);
+    // /policies?package= filters; an unknown package 404s instead of
+    // rendering an empty (misleading) listing.
+    let all = http_get(addr, "/policies");
+    assert!(all.contains("# pack version 1 (3 policies)"), "{}", all);
+    let filtered = http_get(addr, "/policies?package=causal::q");
+    assert!(filtered.starts_with("HTTP/1.1 200 OK\r\n"), "{}", filtered);
+    assert!(
+        filtered.contains("# pack version 1 (3 policies)"),
+        "{}",
+        filtered
+    );
+    assert!(filtered.contains(HEAD), "{}", filtered);
+    let missing = http_get(addr, "/policies?package=nope");
+    assert!(
+        missing.starts_with("HTTP/1.1 404 Not Found\r\n"),
+        "{}",
+        missing
+    );
+    assert!(missing.contains("unknown package nope"), "{}", missing);
 
-        // The shared query-string parser keeps /trace?min_us= working.
-        let traces = http_get(addr, "/trace?min_us=0");
-        assert!(traces.starts_with("HTTP/1.1 200 OK\r\n"), "{}", traces);
+    // The shared query-string parser keeps /trace?min_us= working.
+    let traces = http_get(addr, "/trace?min_us=0");
+    assert!(traces.starts_with("HTTP/1.1 200 OK\r\n"), "{}", traces);
 
-        drop(client);
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

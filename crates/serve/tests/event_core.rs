@@ -1,8 +1,6 @@
-//! Behaviors this PR added to the serving layer, pinned against **both**
-//! cores where they are core-independent (idle timeout, the `/metrics`
-//! HTTP scrape) and against the event loop alone where they are its
-//! reason to exist (thousands-of-connections scale, pipelined bursts
-//! through the dispatch pool).
+//! The event loop's connection-level behaviors: idle timeout, the
+//! plaintext HTTP scrapes, thousands-of-connections scale, pipelined
+//! bursts through the dispatch pool, and half-closed peers.
 
 use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest, EventFilter, TraceContext};
 use piprov_core::name::{Channel, Principal};
@@ -13,24 +11,19 @@ use piprov_policy::{PackFile, PackSource};
 use piprov_serve::codec::{append_request_trace, decode_response, encode_request};
 use piprov_serve::wire::{read_frame, write_frame};
 use piprov_serve::{
-    AuditClient, AuditServer, ClientError, IngestOutcome, RequestTrace, ServeConfig, ServerCore,
-    WireLimits, WireRequest, WireResponse,
+    AuditClient, AuditServer, ClientError, IngestOutcome, RequestTrace, ServeConfig, WireLimits,
+    WireRequest, WireResponse,
 };
 use piprov_store::{Operation, ProvenanceRecord};
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn temp_dir(name: &str, core: ServerCore) -> PathBuf {
+fn temp_dir(name: &str) -> PathBuf {
     let mut dir = std::env::temp_dir();
-    dir.push(format!(
-        "piprov-serve-ec-{}-{}-{}",
-        std::process::id(),
-        name,
-        core.name()
-    ));
+    dir.push(format!("piprov-serve-ec-{}-{}", std::process::id(), name));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -52,59 +45,50 @@ fn record(i: u64, who: &str) -> ProvenanceRecord {
 }
 
 #[test]
-fn idle_connections_get_a_typed_timeout_frame_in_both_cores() {
-    for core in ServerCore::all() {
-        let dir = temp_dir("idle", core);
-        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-        let server = AuditServer::bind(
-            Arc::clone(&engine),
-            "127.0.0.1:0",
-            ServeConfig {
-                core,
-                idle_timeout: Some(Duration::from_millis(300)),
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
+fn idle_connections_get_a_typed_timeout_frame() {
+    let dir = temp_dir("idle");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server = AuditServer::bind(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServeConfig {
+            idle_timeout: Some(Duration::from_millis(300)),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
 
-        // An idle client is told why before the close — a typed frame, not
-        // a silent EOF.
-        let mut idler = AuditClient::connect(server.local_addr()).unwrap();
-        match idler.receive_response() {
-            Ok(WireResponse::ServerError { message }) => {
-                assert!(
-                    message.contains("idle timeout"),
-                    "core {}: expected an idle-timeout notice, got {:?}",
-                    core.name(),
-                    message
-                );
-            }
-            other => panic!(
-                "core {}: expected the idle-timeout frame, got {:?}",
-                core.name(),
-                other
-            ),
+    // An idle client is told why before the close — a typed frame, not
+    // a silent EOF.
+    let mut idler = AuditClient::connect(server.local_addr()).unwrap();
+    match idler.receive_response() {
+        Ok(WireResponse::ServerError { message }) => {
+            assert!(
+                message.contains("idle timeout"),
+                "expected an idle-timeout notice, got {:?}",
+                message
+            );
         }
-        assert!(
-            matches!(
-                idler.receive_response(),
-                Err(ClientError::ConnectionClosed) | Err(ClientError::Wire(_))
-            ),
-            "core {}: the notice is followed by the close",
-            core.name()
-        );
-
-        // A connection that keeps talking (gaps well under the bound)
-        // outlives many idle windows.
-        let mut active = AuditClient::connect(server.local_addr()).unwrap();
-        for _ in 0..6 {
-            std::thread::sleep(Duration::from_millis(100));
-            active.stats().unwrap();
-        }
-        drop(active);
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        other => panic!("expected the idle-timeout frame, got {:?}", other),
     }
+    assert!(
+        matches!(
+            idler.receive_response(),
+            Err(ClientError::ConnectionClosed) | Err(ClientError::Wire(_))
+        ),
+        "the notice is followed by the close"
+    );
+
+    // A connection that keeps talking (gaps well under the bound)
+    // outlives many idle windows.
+    let mut active = AuditClient::connect(server.local_addr()).unwrap();
+    for _ in 0..6 {
+        std::thread::sleep(Duration::from_millis(100));
+        active.stats().unwrap();
+    }
+    drop(active);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// One raw HTTP GET against the framed port; returns the full response.
@@ -120,341 +104,289 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 }
 
 #[test]
-fn a_plaintext_get_on_the_framed_port_scrapes_the_exposition_in_both_cores() {
-    for core in ServerCore::all() {
-        let dir = temp_dir("http", core);
-        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-        engine.register_pattern("from-s0", Pattern::originated_at(GroupExpr::single("s0")));
-        let server = AuditServer::bind(
-            Arc::clone(&engine),
-            "127.0.0.1:0",
-            ServeConfig {
-                core,
-                ..ServeConfig::default()
-            },
-        )
+fn a_plaintext_get_on_the_framed_port_scrapes_the_exposition() {
+    let dir = temp_dir("http");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("from-s0", Pattern::originated_at(GroupExpr::single("s0")));
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // Put real numbers on the metrics plane first.
+    let mut client = AuditClient::connect(addr).unwrap();
+    client.ingest_blocking(vec![record(0, "s0")]).unwrap();
+    client.flush().unwrap();
+    client
+        .request(&AuditRequest::VetValue {
+            value: value("item0"),
+            pattern: "from-s0".into(),
+        })
         .unwrap();
-        let addr = server.local_addr();
 
-        // Put real numbers on the metrics plane first.
-        let mut client = AuditClient::connect(addr).unwrap();
-        client.ingest_blocking(vec![record(0, "s0")]).unwrap();
-        client.flush().unwrap();
-        client
-            .request(&AuditRequest::VetValue {
-                value: value("item0"),
-                pattern: "from-s0".into(),
-            })
+    let response = http_get(addr, "/metrics");
+    assert!(
+        response.starts_with("HTTP/1.1 200 OK\r\n"),
+        "{}",
+        &response[..response.len().min(200)]
+    );
+    assert!(response.contains("Content-Type: text/plain; version=0.0.4"));
+    assert!(response.contains("Connection: close"));
+    let body = response
+        .split_once("\r\n\r\n")
+        .expect("header/body split")
+        .1;
+    piprov_audit::validate_exposition(body).unwrap();
+    assert!(body.contains("piprov_ingested_total 1\n"));
+    assert!(body.contains("piprov_vets_passed_total 1\n"));
+    // The serve layer's own histograms observed the framed traffic
+    // that just happened.
+    assert!(body.contains("# TYPE piprov_frame_decode_seconds histogram"));
+    assert!(body.contains("# TYPE piprov_request_service_seconds histogram"));
+    assert!(body.contains("# TYPE piprov_ingest_queue_wait_seconds histogram"));
+    for family in [
+        "piprov_frame_decode_seconds",
+        "piprov_request_service_seconds",
+        "piprov_ingest_queue_wait_seconds",
+    ] {
+        let count_line = body
+            .lines()
+            .find(|l| l.starts_with(&format!("{}_count ", family)))
+            .unwrap_or_else(|| panic!("{} has no _count sample", family));
+        let count: u64 = count_line
+            .split_whitespace()
+            .nth(1)
+            .unwrap()
+            .parse()
             .unwrap();
-
-        let response = http_get(addr, "/metrics");
-        assert!(
-            response.starts_with("HTTP/1.1 200 OK\r\n"),
-            "core {}: {}",
-            core.name(),
-            &response[..response.len().min(200)]
-        );
-        assert!(response.contains("Content-Type: text/plain; version=0.0.4"));
-        assert!(response.contains("Connection: close"));
-        let body = response
-            .split_once("\r\n\r\n")
-            .expect("header/body split")
-            .1;
-        piprov_audit::validate_exposition(body).unwrap();
-        assert!(body.contains("piprov_ingested_total 1\n"));
-        assert!(body.contains("piprov_vets_passed_total 1\n"));
-        // The serve layer's own histograms observed the framed traffic
-        // that just happened.
-        assert!(body.contains("# TYPE piprov_frame_decode_seconds histogram"));
-        assert!(body.contains("# TYPE piprov_request_service_seconds histogram"));
-        assert!(body.contains("# TYPE piprov_ingest_queue_wait_seconds histogram"));
-        for family in [
-            "piprov_frame_decode_seconds",
-            "piprov_request_service_seconds",
-            "piprov_ingest_queue_wait_seconds",
-        ] {
-            let count_line = body
-                .lines()
-                .find(|l| l.starts_with(&format!("{}_count ", family)))
-                .unwrap_or_else(|| panic!("{} has no _count sample", family));
-            let count: u64 = count_line
-                .split_whitespace()
-                .nth(1)
-                .unwrap()
-                .parse()
-                .unwrap();
-            assert!(
-                count >= 1,
-                "core {}: {} never observed",
-                core.name(),
-                family
-            );
-        }
-
-        // Any other path is a 404, not a hang and not a frame error.
-        let missing = http_get(addr, "/nope");
-        assert!(missing.starts_with("HTTP/1.1 404 Not Found\r\n"));
-
-        // The framed protocol is undisturbed by the HTTP detour.
-        assert_eq!(client.stats().unwrap().ingested, 1);
-        drop(client);
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(count >= 1, "{} never observed", family);
     }
+
+    // Any other path is a 404, not a hang and not a frame error.
+    let missing = http_get(addr, "/nope");
+    assert!(missing.starts_with("HTTP/1.1 404 Not Found\r\n"));
+
+    // The framed protocol is undisturbed by the HTTP detour.
+    assert_eq!(client.stats().unwrap().ingested, 1);
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn healthz_and_trace_answer_plaintext_gets_in_both_cores() {
-    for core in ServerCore::all() {
-        let dir = temp_dir("obsget", core);
-        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-        engine.register_pattern("from-s0", Pattern::originated_at(GroupExpr::single("s0")));
-        let server = AuditServer::bind(
-            Arc::clone(&engine),
-            "127.0.0.1:0",
-            ServeConfig {
-                core,
-                ..ServeConfig::default()
-            },
-        )
+fn healthz_and_trace_answer_plaintext_gets() {
+    let dir = temp_dir("obsget");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("from-s0", Pattern::originated_at(GroupExpr::single("s0")));
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // The liveness probe needs no traffic first.
+    let health = http_get(addr, "/healthz");
+    assert!(
+        health.starts_with("HTTP/1.1 200 OK\r\n"),
+        "{}",
+        &health[..health.len().min(200)]
+    );
+    assert_eq!(health.split_once("\r\n\r\n").unwrap().1, "ok\n");
+
+    // Drive traced framed traffic so the ring has something to show.
+    let mut client = AuditClient::connect(addr).unwrap();
+    client.ingest_blocking(vec![record(0, "s0")]).unwrap();
+    client.flush().unwrap();
+    client
+        .request(&AuditRequest::VetValue {
+            value: value("item0"),
+            pattern: "from-s0".into(),
+        })
         .unwrap();
-        let addr = server.local_addr();
 
-        // The liveness probe needs no traffic first.
-        let health = http_get(addr, "/healthz");
+    let response = http_get(addr, "/trace");
+    assert!(
+        response.starts_with("HTTP/1.1 200 OK\r\n"),
+        "{}",
+        &response[..response.len().min(200)]
+    );
+    let body = response.split_once("\r\n\r\n").unwrap().1;
+    piprov_audit::validate_trace_text(body)
+        .unwrap_or_else(|e| panic!("trace body lints clean: {}", e));
+    assert!(
+        body.contains("kind=vet"),
+        "the vet trace is served: {}",
+        body
+    );
+    for stage in ["  client_encode ", "  decode ", "  handle ", "  write "] {
         assert!(
-            health.starts_with("HTTP/1.1 200 OK\r\n"),
-            "core {}: {}",
-            core.name(),
-            &health[..health.len().min(200)]
-        );
-        assert_eq!(health.split_once("\r\n\r\n").unwrap().1, "ok\n");
-
-        // Drive traced framed traffic so the ring has something to show.
-        let mut client = AuditClient::connect(addr).unwrap();
-        client.ingest_blocking(vec![record(0, "s0")]).unwrap();
-        client.flush().unwrap();
-        client
-            .request(&AuditRequest::VetValue {
-                value: value("item0"),
-                pattern: "from-s0".into(),
-            })
-            .unwrap();
-
-        let response = http_get(addr, "/trace");
-        assert!(
-            response.starts_with("HTTP/1.1 200 OK\r\n"),
-            "core {}: {}",
-            core.name(),
-            &response[..response.len().min(200)]
-        );
-        let body = response.split_once("\r\n\r\n").unwrap().1;
-        piprov_audit::validate_trace_text(body)
-            .unwrap_or_else(|e| panic!("core {}: trace body lints clean: {}", core.name(), e));
-        assert!(
-            body.contains("kind=vet"),
-            "core {}: the vet trace is served: {}",
-            core.name(),
+            body.lines().any(|l| l.starts_with(stage)),
+            "missing the {} span line:\n{}",
+            stage.trim(),
             body
         );
-        for stage in ["  client_encode ", "  decode ", "  handle ", "  write "] {
-            assert!(
-                body.lines().any(|l| l.starts_with(stage)),
-                "core {}: missing the {} span line:\n{}",
-                core.name(),
-                stage.trim(),
-                body
-            );
-        }
-
-        // `?min_us=` prunes server-side; an impossible floor leaves nothing.
-        let filtered = http_get(addr, "/trace?min_us=60000000");
-        let filtered_body = filtered.split_once("\r\n\r\n").unwrap().1;
-        assert!(
-            filtered_body.is_empty(),
-            "core {}: a 60s floor filters every trace: {}",
-            core.name(),
-            filtered_body
-        );
-
-        drop(client);
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
+
+    // `?min_us=` prunes server-side; an impossible floor leaves nothing.
+    let filtered = http_get(addr, "/trace?min_us=60000000");
+    let filtered_body = filtered.split_once("\r\n\r\n").unwrap().1;
+    assert!(
+        filtered_body.is_empty(),
+        "a 60s floor filters every trace: {}",
+        filtered_body
+    );
+
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn a_hostile_unterminated_get_is_bounded_and_leaves_the_server_healthy() {
-    for core in ServerCore::all() {
-        let dir = temp_dir("hostile", core);
-        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-        let server = AuditServer::bind(
-            Arc::clone(&engine),
-            "127.0.0.1:0",
-            ServeConfig {
-                core,
-                ..ServeConfig::default()
-            },
-        )
+    let dir = temp_dir("hostile");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // A request line that never ends: no blank line, megabytes of
+    // header bytes.  The server must cap what it buffers (8 KiB head)
+    // and answer-and-close instead of accumulating the flood.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-        let addr = server.local_addr();
-
-        // A request line that never ends: no blank line, megabytes of
-        // header bytes.  The server must cap what it buffers (8 KiB head)
-        // and answer-and-close instead of accumulating the flood.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_write_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        write!(stream, "GET /healthz HTTP/1.1\r\nX-Flood: ").unwrap();
-        let junk = vec![b'a'; 64 * 1024];
-        let mut sent = 0usize;
-        let severed = loop {
-            if sent >= 8 * 1024 * 1024 {
-                break false;
-            }
-            match stream.write(&junk) {
-                Ok(n) => sent += n,
-                // Reset/EPIPE: the server already answered and closed.
-                Err(_) => break true,
-            }
-        };
-        if !severed {
-            // The flood drained into kernel buffers before the close
-            // landed; the response (or a clean EOF) must still arrive.
-            let mut response = String::new();
-            let _ = stream.read_to_string(&mut response);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(stream, "GET /healthz HTTP/1.1\r\nX-Flood: ").unwrap();
+    let junk = vec![b'a'; 64 * 1024];
+    let mut sent = 0usize;
+    let severed = loop {
+        if sent >= 8 * 1024 * 1024 {
+            break false;
         }
-        drop(stream);
-
-        // The regression proof: the server is still healthy and the flood
-        // did not wedge the HTTP path or the framed protocol.
-        let health = http_get(addr, "/healthz");
-        assert!(
-            health.starts_with("HTTP/1.1 200 OK\r\n"),
-            "core {}: server unhealthy after hostile GET: {}",
-            core.name(),
-            &health[..health.len().min(200)]
-        );
-        let mut client = AuditClient::connect(addr).unwrap();
-        assert_eq!(client.stats().unwrap().ingested, 0);
-        drop(client);
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        match stream.write(&junk) {
+            Ok(n) => sent += n,
+            // Reset/EPIPE: the server already answered and closed.
+            Err(_) => break true,
+        }
+    };
+    if !severed {
+        // The flood drained into kernel buffers before the close
+        // landed; the response (or a clean EOF) must still arrive.
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
     }
+    drop(stream);
+
+    // The regression proof: the server is still healthy and the flood
+    // did not wedge the HTTP path or the framed protocol.
+    let health = http_get(addr, "/healthz");
+    assert!(
+        health.starts_with("HTTP/1.1 200 OK\r\n"),
+        "server unhealthy after hostile GET: {}",
+        &health[..health.len().min(200)]
+    );
+    let mut client = AuditClient::connect(addr).unwrap();
+    assert_eq!(client.stats().unwrap().ingested, 0);
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn scrapes_run_concurrently_with_framed_traffic_in_both_cores() {
-    for core in ServerCore::all() {
-        let dir = temp_dir("scrape-race", core);
-        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-        engine.register_pattern("any", Pattern::Any);
-        let server = AuditServer::bind(
-            Arc::clone(&engine),
-            "127.0.0.1:0",
-            ServeConfig {
-                core,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = server.local_addr();
-        {
-            let mut seed = AuditClient::connect(addr).unwrap();
-            seed.ingest_blocking(vec![record(0, "s0")]).unwrap();
-            seed.flush().unwrap();
-        }
+fn scrapes_run_concurrently_with_framed_traffic() {
+    let dir = temp_dir("scrape-race");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("any", Pattern::Any);
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    {
+        let mut seed = AuditClient::connect(addr).unwrap();
+        seed.ingest_blocking(vec![record(0, "s0")]).unwrap();
+        seed.flush().unwrap();
+    }
 
-        // Scrapers hammer /metrics and /trace while a framed client
-        // pipelines distinguishable requests on another connection.
-        let scrapers: Vec<_> = ["/metrics", "/trace"]
-            .into_iter()
-            .map(|path| {
-                std::thread::spawn(move || {
-                    for _ in 0..20 {
-                        let response = http_get(addr, path);
-                        assert!(
-                            response.starts_with("HTTP/1.1 200 OK\r\n"),
-                            "{}: {}",
-                            path,
-                            &response[..response.len().min(200)]
-                        );
-                        let body = response.split_once("\r\n\r\n").unwrap().1;
-                        if path == "/metrics" {
-                            piprov_audit::validate_exposition(body).unwrap();
-                        } else {
-                            piprov_audit::validate_trace_text(body).unwrap();
-                        }
+    // Scrapers hammer /metrics and /trace while a framed client
+    // pipelines distinguishable requests on another connection.
+    let scrapers: Vec<_> = ["/metrics", "/trace"]
+        .into_iter()
+        .map(|path| {
+            std::thread::spawn(move || {
+                for _ in 0..20 {
+                    let response = http_get(addr, path);
+                    assert!(
+                        response.starts_with("HTTP/1.1 200 OK\r\n"),
+                        "{}: {}",
+                        path,
+                        &response[..response.len().min(200)]
+                    );
+                    let body = response.split_once("\r\n\r\n").unwrap().1;
+                    if path == "/metrics" {
+                        piprov_audit::validate_exposition(body).unwrap();
+                    } else {
+                        piprov_audit::validate_trace_text(body).unwrap();
                     }
-                })
+                }
+            })
+        })
+        .collect();
+
+    let mut client = AuditClient::connect(addr).unwrap();
+    for _ in 0..10 {
+        let requests: Vec<AuditRequest> = (0..32u64)
+            .map(|i| {
+                if i % 2 == 0 {
+                    AuditRequest::OriginOf {
+                        value: value("item0"),
+                    }
+                } else {
+                    AuditRequest::VetValue {
+                        value: value("item0"),
+                        pattern: "any".into(),
+                    }
+                }
             })
             .collect();
-
-        let mut client = AuditClient::connect(addr).unwrap();
-        for _ in 0..10 {
-            let requests: Vec<AuditRequest> = (0..32u64)
-                .map(|i| {
-                    if i % 2 == 0 {
-                        AuditRequest::OriginOf {
-                            value: value("item0"),
-                        }
-                    } else {
-                        AuditRequest::VetValue {
-                            value: value("item0"),
-                            pattern: "any".into(),
-                        }
-                    }
-                })
-                .collect();
-            let responses = client.pipeline(&requests).unwrap();
-            // In order: each slot's outcome shape matches its request.
-            for (i, response) in responses.iter().enumerate() {
-                if i % 2 == 0 {
-                    assert!(
-                        matches!(response.outcome, AuditOutcome::Origin { .. }),
-                        "core {}: slot {} got {:?}",
-                        core.name(),
-                        i,
-                        response.outcome
-                    );
-                } else {
-                    assert!(
-                        matches!(response.outcome, AuditOutcome::Vetted { .. }),
-                        "core {}: slot {} got {:?}",
-                        core.name(),
-                        i,
-                        response.outcome
-                    );
-                }
+        let responses = client.pipeline(&requests).unwrap();
+        // In order: each slot's outcome shape matches its request.
+        for (i, response) in responses.iter().enumerate() {
+            if i % 2 == 0 {
+                assert!(
+                    matches!(response.outcome, AuditOutcome::Origin { .. }),
+                    "slot {} got {:?}",
+                    i,
+                    response.outcome
+                );
+            } else {
+                assert!(
+                    matches!(response.outcome, AuditOutcome::Vetted { .. }),
+                    "slot {} got {:?}",
+                    i,
+                    response.outcome
+                );
             }
         }
-        for scraper in scrapers {
-            scraper.join().unwrap();
-        }
-        drop(client);
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
+    for scraper in scrapers {
+        scraper.join().unwrap();
+    }
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-// The fd-limit probe lives in the Linux-only `poll` module; off Linux the
-// event loop itself is a fallback, so there is nothing to prove.
+// The fd-limit probe is Linux-only, and other hosts' default fd limits
+// are below the 300-connection target.
 #[cfg(target_os = "linux")]
 #[test]
 fn the_event_loop_holds_hundreds_of_idle_connections_while_serving_active_ones() {
-    let core = ServerCore::EventLoop;
-    let dir = temp_dir("scale", core);
+    let dir = temp_dir("scale");
     let engine = Arc::new(AuditEngine::open(&dir).unwrap());
     engine.register_pattern("any", Pattern::Any);
     let server = AuditServer::bind(
         Arc::clone(&engine),
         "127.0.0.1:0",
         ServeConfig {
-            core,
             workers: 2,
             ..ServeConfig::default()
         },
@@ -508,15 +440,13 @@ fn the_event_loop_holds_hundreds_of_idle_connections_while_serving_active_ones()
 
 #[test]
 fn a_pipelined_burst_through_the_dispatch_pool_answers_in_request_order() {
-    let core = ServerCore::EventLoop;
-    let dir = temp_dir("burst", core);
+    let dir = temp_dir("burst");
     let engine = Arc::new(AuditEngine::open(&dir).unwrap());
     engine.register_pattern("any", Pattern::Any);
     let server = AuditServer::bind(
         Arc::clone(&engine),
         "127.0.0.1:0",
         ServeConfig {
-            core,
             workers: 4,
             ..ServeConfig::default()
         },
@@ -586,15 +516,13 @@ fn a_pipelined_burst_through_the_dispatch_pool_answers_in_request_order() {
 
 #[test]
 fn a_worker_parked_on_a_flush_does_not_stall_another_connections_reads() {
-    let core = ServerCore::EventLoop;
-    let dir = temp_dir("parked", core);
+    let dir = temp_dir("parked");
     let engine = Arc::new(AuditEngine::open(&dir).unwrap());
     engine.register_pattern("any", Pattern::Any);
     let server = AuditServer::bind(
         Arc::clone(&engine),
         "127.0.0.1:0",
         ServeConfig {
-            core,
             workers: 1,
             flush_timeout: Duration::from_secs(3),
             ..ServeConfig::default()
@@ -788,9 +716,113 @@ fn spine_record(value_name: &str, hops: usize) -> ProvenanceRecord {
 }
 
 #[test]
+fn a_half_closed_peer_gets_every_answer_then_eof() {
+    let dir = temp_dir("halfclose");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("any", Pattern::Any);
+    engine.register_pattern("deep", parse_pattern("Any; s1!Any").unwrap());
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut seed = AuditClient::connect(addr).unwrap();
+    seed.ingest_blocking(vec![record(0, "s0"), spine_record("spine", 8)])
+        .unwrap();
+    seed.flush().unwrap();
+    drop(seed);
+    let limits = WireLimits::default();
+    let connect = || {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    };
+
+    // Reads around a worker job, all written before the peer shuts
+    // down its write half: every answer still arrives, in order, and
+    // only then the server's EOF.
+    let vet = WireRequest::Audit(AuditRequest::VetValue {
+        value: value("item0"),
+        pattern: "any".into(),
+    });
+    let burst = [
+        vet.clone(),
+        WireRequest::Audit(AuditRequest::Counterfactual {
+            value: value("spine"),
+            pattern: "deep".into(),
+            remove: EventFilter::Principal(Principal::new("s1")),
+        }),
+        vet,
+        WireRequest::Metrics,
+    ];
+    let mut stream = connect();
+    let mut frames = Vec::new();
+    for request in &burst {
+        write_frame(&mut frames, &encode_request(request)).unwrap();
+    }
+    stream.write_all(&frames).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reader = BufReader::new(stream);
+    for (slot, request) in burst.iter().enumerate() {
+        let frame = read_frame(&mut reader, limits.max_frame_len)
+            .unwrap()
+            .unwrap_or_else(|| panic!("EOF before slot {}", slot));
+        let response = decode_response(frame, &limits).unwrap();
+        let kind_matches = match (request, &response) {
+            (WireRequest::Audit(AuditRequest::VetValue { .. }), WireResponse::Audit(r)) => {
+                matches!(r.outcome, AuditOutcome::Vetted { verdict: true, .. })
+            }
+            (WireRequest::Audit(AuditRequest::Counterfactual { .. }), WireResponse::Audit(r)) => {
+                matches!(r.outcome, AuditOutcome::Counterfactual(_))
+            }
+            (WireRequest::Metrics, WireResponse::Metrics(_)) => true,
+            _ => false,
+        };
+        assert!(
+            kind_matches,
+            "slot {} ({:?}) answered {:?}",
+            slot, request, response
+        );
+    }
+    assert!(
+        read_frame(&mut reader, limits.max_frame_len)
+            .unwrap()
+            .is_none(),
+        "the last answer is followed by EOF"
+    );
+
+    // A frame cut three bytes short, then the half-close: the server
+    // names the truncation, then closes.
+    let mut truncated = Vec::new();
+    write_frame(&mut truncated, &encode_request(&WireRequest::Metrics)).unwrap();
+    truncated.truncate(truncated.len() - 3);
+    let mut stream = connect();
+    stream.write_all(&truncated).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reader = BufReader::new(stream);
+    let frame = read_frame(&mut reader, limits.max_frame_len)
+        .unwrap()
+        .unwrap_or_else(|| panic!("EOF before the error frame"));
+    match decode_response(frame, &limits).unwrap() {
+        WireResponse::ServerError { message } => {
+            assert!(message.contains("truncated"), "{}", message)
+        }
+        other => panic!("expected a ServerError, got {:?}", other),
+    }
+    assert!(
+        read_frame(&mut reader, limits.max_frame_len)
+            .unwrap()
+            .is_none(),
+        "the error frame is followed by EOF"
+    );
+
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn responses_keep_request_order_across_the_inline_and_worker_paths() {
-    let core = ServerCore::EventLoop;
-    let dir = temp_dir("order", core);
+    let dir = temp_dir("order");
     let engine = Arc::new(AuditEngine::open(&dir).unwrap());
     engine.register_pattern("any", Pattern::Any);
     engine.register_pattern("deep", parse_pattern("Any; s1!Any").unwrap());
@@ -798,7 +830,6 @@ fn responses_keep_request_order_across_the_inline_and_worker_paths() {
         Arc::clone(&engine),
         "127.0.0.1:0",
         ServeConfig {
-            core,
             workers: 2,
             ..ServeConfig::default()
         },

@@ -28,8 +28,8 @@ use piprov_serve::codec::{
 };
 use piprov_serve::wire::{read_frame, write_frame};
 use piprov_serve::{
-    AuditClient, AuditServer, ClientError, RequestTrace, ServeConfig, ServerCore, WireError,
-    WireLimits, WireResponse,
+    AuditClient, AuditServer, ClientError, RequestTrace, ServeConfig, WireError, WireLimits,
+    WireResponse,
 };
 use piprov_store::codec::encode_body_with;
 use piprov_store::record::MAX_PROVENANCE_DEPTH;
@@ -688,24 +688,16 @@ fn max_size_batch_round_trips_and_the_cap_binds() {
 }
 
 // ---------------------------------------------------------------------------
-// Malformed frames against a live server — run against both cores: hostile
-// input must die the same typed death whichever core fields it.
+// Malformed frames against a live server: hostile input dies a typed
+// death, and the server keeps serving everyone else.
 // ---------------------------------------------------------------------------
 
-fn live_server(name: &str, core: ServerCore) -> (AuditServer, std::path::PathBuf) {
+fn live_server(name: &str) -> (AuditServer, std::path::PathBuf) {
     let mut dir = std::env::temp_dir();
-    dir.push(format!(
-        "piprov-serve-mal-{}-{}-{}",
-        std::process::id(),
-        name,
-        core.name()
-    ));
+    dir.push(format!("piprov-serve-mal-{}-{}", std::process::id(), name));
     let _ = std::fs::remove_dir_all(&dir);
     let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-    let config = ServeConfig {
-        core,
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig::default();
     let server = AuditServer::bind(engine, "127.0.0.1:0", config).unwrap();
     (server, dir)
 }
@@ -728,95 +720,87 @@ fn expect_server_error_then_close(client: &mut AuditClient, what: &str) {
 
 #[test]
 fn hostile_length_prefix_gets_a_typed_error_and_the_server_survives() {
-    for core in ServerCore::all() {
-        let (server, dir) = live_server("hostile-len", core);
-        let addr = server.local_addr();
-        {
-            let mut client = AuditClient::connect(addr).unwrap();
-            // A frame header announcing a 4 GiB body.
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&u32::MAX.to_be_bytes());
-            frame.extend_from_slice(&0u32.to_be_bytes());
-            client.send_raw(&frame).unwrap();
-            expect_server_error_then_close(&mut client, "hostile length");
-        }
-        // The pool is not wedged: a fresh connection is served normally.
-        let mut fresh = AuditClient::connect(addr).unwrap();
-        assert_eq!(fresh.stats().unwrap().ingested, 0);
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+    let (server, dir) = live_server("hostile-len");
+    let addr = server.local_addr();
+    {
+        let mut client = AuditClient::connect(addr).unwrap();
+        // A frame header announcing a 4 GiB body.
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&u32::MAX.to_be_bytes());
+        frame.extend_from_slice(&0u32.to_be_bytes());
+        client.send_raw(&frame).unwrap();
+        expect_server_error_then_close(&mut client, "hostile length");
     }
+    // The pool is not wedged: a fresh connection is served normally.
+    let mut fresh = AuditClient::connect(addr).unwrap();
+    assert_eq!(fresh.stats().unwrap().ingested, 0);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bad_crc_gets_a_typed_error_and_the_server_survives() {
-    for core in ServerCore::all() {
-        let (server, dir) = live_server("bad-crc", core);
-        let addr = server.local_addr();
-        {
-            let mut client = AuditClient::connect(addr).unwrap();
-            let mut framed = Vec::new();
-            write_frame(
-                &mut framed,
-                &encode_request(&piprov_serve::WireRequest::Metrics),
-            )
-            .unwrap();
-            let last = framed.len() - 1;
-            framed[last] ^= 0xFF;
-            client.send_raw(&framed).unwrap();
-            expect_server_error_then_close(&mut client, "bad crc");
-        }
-        let mut fresh = AuditClient::connect(addr).unwrap();
-        assert!(fresh.stats().is_ok());
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+    let (server, dir) = live_server("bad-crc");
+    let addr = server.local_addr();
+    {
+        let mut client = AuditClient::connect(addr).unwrap();
+        let mut framed = Vec::new();
+        write_frame(
+            &mut framed,
+            &encode_request(&piprov_serve::WireRequest::Metrics),
+        )
+        .unwrap();
+        let last = framed.len() - 1;
+        framed[last] ^= 0xFF;
+        client.send_raw(&framed).unwrap();
+        expect_server_error_then_close(&mut client, "bad crc");
     }
+    let mut fresh = AuditClient::connect(addr).unwrap();
+    assert!(fresh.stats().is_ok());
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn unknown_tags_and_versions_get_typed_errors() {
-    for core in ServerCore::all() {
-        let (server, dir) = live_server("bad-body", core);
-        let addr = server.local_addr();
-        // (byte offset to clobber, value, scenario): version byte, then tag.
-        for (offset, bad_byte, what) in [(0usize, 99u8, "bad version"), (1, 77, "bad tag")] {
-            let mut client = AuditClient::connect(addr).unwrap();
-            let mut body = encode_request(&piprov_serve::WireRequest::Metrics).to_vec();
-            body[offset] = bad_byte;
-            let mut framed = Vec::new();
-            write_frame(&mut framed, &body).unwrap();
-            client.send_raw(&framed).unwrap();
-            expect_server_error_then_close(&mut client, what);
-        }
-        let mut fresh = AuditClient::connect(addr).unwrap();
-        assert!(fresh.stats().is_ok());
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+    let (server, dir) = live_server("bad-body");
+    let addr = server.local_addr();
+    // (byte offset to clobber, value, scenario): version byte, then tag.
+    for (offset, bad_byte, what) in [(0usize, 99u8, "bad version"), (1, 77, "bad tag")] {
+        let mut client = AuditClient::connect(addr).unwrap();
+        let mut body = encode_request(&piprov_serve::WireRequest::Metrics).to_vec();
+        body[offset] = bad_byte;
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &body).unwrap();
+        client.send_raw(&framed).unwrap();
+        expect_server_error_then_close(&mut client, what);
     }
+    let mut fresh = AuditClient::connect(addr).unwrap();
+    assert!(fresh.stats().is_ok());
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn truncated_frame_closes_cleanly_without_wedging_the_server() {
-    for core in ServerCore::all() {
-        let (server, dir) = live_server("truncated", core);
-        let addr = server.local_addr();
-        {
-            let mut client = AuditClient::connect(addr).unwrap();
-            let mut framed = Vec::new();
-            write_frame(
-                &mut framed,
-                &encode_request(&piprov_serve::WireRequest::Metrics),
-            )
-            .unwrap();
-            // Send only part of the frame, then drop the connection: the
-            // server sees a truncated body and must just close its side.
-            client.send_raw(&framed[..framed.len() - 3]).unwrap();
-        }
-        let mut fresh = AuditClient::connect(addr).unwrap();
-        assert!(fresh.stats().is_ok());
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+    let (server, dir) = live_server("truncated");
+    let addr = server.local_addr();
+    {
+        let mut client = AuditClient::connect(addr).unwrap();
+        let mut framed = Vec::new();
+        write_frame(
+            &mut framed,
+            &encode_request(&piprov_serve::WireRequest::Metrics),
+        )
+        .unwrap();
+        // Send only part of the frame, then drop the connection: the
+        // server sees a truncated body and must just close its side.
+        client.send_raw(&framed[..framed.len() - 3]).unwrap();
     }
+    let mut fresh = AuditClient::connect(addr).unwrap();
+    assert!(fresh.stats().is_ok());
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `levels` events, each sent on a channel whose provenance is the one
@@ -872,54 +856,52 @@ fn nested_ingest(levels: u32, format: BodyFormat) -> Vec<u8> {
 
 #[test]
 fn an_ingest_nested_past_the_depth_limit_gets_a_typed_error_and_the_server_survives() {
-    for core in ServerCore::all() {
-        let (server, dir) = live_server("too-deep", core);
-        server.engine().register_pattern("any", Pattern::Any);
-        let addr = server.local_addr();
-        for format in [BodyFormat::LegacyPreorder, BodyFormat::Dag] {
-            // One level past the limit, and 100,000 levels: a 0.8 MB (tag
-            // 1) or 1.2 MB (tag 2) frame that overflowed the stack of the
-            // dispatch or the ingest thread and aborted the server.
-            for levels in [MAX_PROVENANCE_DEPTH as u32 + 1, 100_000] {
-                let what = format!("{}: {:?}, {} levels", core.name(), format, levels);
-                let mut client = AuditClient::connect(addr).unwrap();
-                let mut framed = Vec::new();
-                write_frame(&mut framed, &nested_ingest(levels, format)).unwrap();
-                client.send_raw(&framed).unwrap();
-                expect_server_error_then_close(&mut client, &what);
-            }
+    let (server, dir) = live_server("too-deep");
+    server.engine().register_pattern("any", Pattern::Any);
+    let addr = server.local_addr();
+    for format in [BodyFormat::LegacyPreorder, BodyFormat::Dag] {
+        // One level past the limit, and 100,000 levels: a 0.8 MB (tag
+        // 1) or 1.2 MB (tag 2) frame that overflowed the stack of the
+        // dispatch or the ingest thread and aborted the server.
+        for levels in [MAX_PROVENANCE_DEPTH as u32 + 1, 100_000] {
+            let what = format!("{:?}, {} levels", format, levels);
+            let mut client = AuditClient::connect(addr).unwrap();
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &nested_ingest(levels, format)).unwrap();
+            client.send_raw(&framed).unwrap();
+            expect_server_error_then_close(&mut client, &what);
         }
-        // The server keeps serving, and the deepest history it accepts
-        // goes through ingest, a why-slice and the client's decoder.
-        let mut client = AuditClient::connect(addr).unwrap();
-        let value = Value::Channel(Channel::new("deep"));
-        let deepest = ProvenanceRecord::new(
-            1,
-            "a",
-            Operation::Send,
-            "m",
-            value.clone(),
-            nested(MAX_PROVENANCE_DEPTH),
-        );
-        client.ingest_blocking(vec![deepest]).unwrap();
-        assert_eq!(client.flush().unwrap().ingested, 1);
-        let response = client
-            .request(&AuditRequest::Why {
-                value,
-                pattern: "any".into(),
-            })
-            .unwrap();
-        match response.outcome {
-            AuditOutcome::Why(slice) => {
-                assert!(slice.verdict);
-                assert_eq!(
-                    slice.events[0].event.channel_provenance,
-                    nested(MAX_PROVENANCE_DEPTH - 1)
-                );
-            }
-            other => panic!("{}: expected a why-slice, got {:?}", core.name(), other),
-        }
-        server.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
+    // The server keeps serving, and the deepest history it accepts
+    // goes through ingest, a why-slice and the client's decoder.
+    let mut client = AuditClient::connect(addr).unwrap();
+    let value = Value::Channel(Channel::new("deep"));
+    let deepest = ProvenanceRecord::new(
+        1,
+        "a",
+        Operation::Send,
+        "m",
+        value.clone(),
+        nested(MAX_PROVENANCE_DEPTH),
+    );
+    client.ingest_blocking(vec![deepest]).unwrap();
+    assert_eq!(client.flush().unwrap().ingested, 1);
+    let response = client
+        .request(&AuditRequest::Why {
+            value,
+            pattern: "any".into(),
+        })
+        .unwrap();
+    match response.outcome {
+        AuditOutcome::Why(slice) => {
+            assert!(slice.verdict);
+            assert_eq!(
+                slice.events[0].event.channel_provenance,
+                nested(MAX_PROVENANCE_DEPTH - 1)
+            );
+        }
+        other => panic!("expected a why-slice, got {:?}", other),
+    }
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

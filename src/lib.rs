@@ -83,7 +83,7 @@ pub mod prelude {
     pub use piprov_runtime::{
         workload, NetworkConfig, SimConfig, SimStop, Simulation, TrackingMode,
     };
-    pub use piprov_serve::{AuditClient, AuditServer, RemoteRecorder, ServeConfig, ServerCore};
+    pub use piprov_serve::{AuditClient, AuditServer, RemoteRecorder, ServeConfig};
     pub use piprov_static::{analyze, elide_redundant_checks, AnalysisConfig};
     pub use piprov_store::{run_and_record, ProvenanceStore, StoreQuery};
 }
