@@ -90,9 +90,23 @@ pub struct WhyEvent {
     pub event: Event,
 }
 
+/// Renders `κ#node a!ε`, or `κ#node a![κ#id]` when the channel has a
+/// history: the channel's interned node id stands in for the history,
+/// whose expanded tree can be exponentially larger than its DAG.
+///
+/// The bracketed id comes from the interner of the process that renders
+/// the event, and only means something there: for `GET /why` that is the
+/// server, whose ids `κ#node` also carries.  A slice decoded by a client
+/// interns its channel histories anew, so rendered there the bracketed id
+/// and `κ#node` come from different id spaces.
 impl fmt::Display for WhyEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "κ#{} {}", self.node, self.event)
+        let event = &self.event;
+        write!(f, "κ#{} {}{}", self.node, event.principal, event.direction)?;
+        match event.channel_provenance.id() {
+            id if id.is_empty() => write!(f, "ε"),
+            id => write!(f, "[κ#{}]", id.as_u32()),
+        }
     }
 }
 
@@ -290,6 +304,24 @@ mod tests {
     }
     fn inp(p: &str) -> Event {
         Event::input(Principal::new(p), Provenance::empty())
+    }
+
+    #[test]
+    fn why_events_render_a_channel_history_by_its_node_id() {
+        let channel = Provenance::from_events(vec![out("a"), inp("c")]);
+        let nested = WhyEvent {
+            node: 12,
+            event: Event::input(Principal::new("b"), channel.clone()),
+        };
+        assert_eq!(
+            nested.to_string(),
+            format!("κ#12 b?[κ#{}]", channel.id().as_u32())
+        );
+        let bare = WhyEvent {
+            node: 3,
+            event: out("s0"),
+        };
+        assert_eq!(bare.to_string(), "κ#3 s0!ε");
     }
 
     #[test]

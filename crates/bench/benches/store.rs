@@ -2,19 +2,16 @@
 //!
 //! Measures append throughput (with and without per-append sync), recovery
 //! scans, audit-trail queries as the number of stored records grows, and
-//! codec cost on deeply *shared* channel provenance (where the DAG format
-//! encodes each interned node once while the legacy preorder format pays
-//! for the whole logical tree).
+//! codec cost on deeply *shared* channel provenance, where a body encodes
+//! each interned node once however large the logical tree grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use piprov_bench::quick_criterion;
 use piprov_core::name::{Channel, Principal};
 use piprov_core::provenance::{Event, Provenance};
 use piprov_core::value::Value;
-use piprov_store::codec::{decode_body, encode_body_with};
-use piprov_store::{
-    BodyFormat, Operation, ProvenanceRecord, ProvenanceStore, StoreConfig, StoreQuery,
-};
+use piprov_store::codec::{decode_body, encode_body};
+use piprov_store::{Operation, ProvenanceRecord, ProvenanceStore, StoreConfig, StoreQuery};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -145,35 +142,23 @@ fn bench_shared_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("e11_shared_codec");
     for hops in [6usize, 9] {
         let record = shared_record(hops);
-        let dag_body = encode_body_with(&record, BodyFormat::Dag);
-        let legacy_body = encode_body_with(&record, BodyFormat::LegacyPreorder);
+        let dag_body = encode_body(&record);
         println!(
-            "e11_shared_codec: hops={} tree={} dag_nodes={} dag_body={}B legacy_body={}B",
+            "e11_shared_codec: hops={} tree={} dag_nodes={} dag_body={}B",
             hops,
             record.provenance.total_size(),
             record.provenance.dag_size(),
             dag_body.len(),
-            legacy_body.len(),
         );
         group.bench_with_input(BenchmarkId::new("encode_dag", hops), &hops, |b, _| {
-            b.iter(|| encode_body_with(&record, BodyFormat::Dag).len())
-        });
-        group.bench_with_input(BenchmarkId::new("encode_legacy", hops), &hops, |b, _| {
-            b.iter(|| encode_body_with(&record, BodyFormat::LegacyPreorder).len())
+            b.iter(|| encode_body(&record).len())
         });
         group.bench_with_input(BenchmarkId::new("decode_dag", hops), &hops, |b, _| {
             b.iter(|| decode_body(dag_body.clone()).unwrap().sequence)
         });
-        group.bench_with_input(BenchmarkId::new("decode_legacy", hops), &hops, |b, _| {
-            b.iter(|| decode_body(legacy_body.clone()).unwrap().sequence)
-        });
-        // The round trip a real append+recovery pays, DAG end to end.
+        // The round trip a real append+recovery pays, end to end.
         group.bench_with_input(BenchmarkId::new("round_trip_dag", hops), &hops, |b, _| {
-            b.iter(|| {
-                decode_body(encode_body_with(&record, BodyFormat::Dag))
-                    .unwrap()
-                    .sequence
-            })
+            b.iter(|| decode_body(encode_body(&record)).unwrap().sequence)
         });
     }
     group.finish();

@@ -318,33 +318,38 @@ impl Provenance {
         visited.len()
     }
 
-    /// All distinct interned nodes reachable from this sequence, in
+    /// All distinct interned nodes reachable from any of `roots`, in
     /// postorder: the channel provenance and tail of a node are listed
-    /// before the node itself, and `ε` is never listed.
+    /// before the node itself, and `ε` is never listed.  A node reachable
+    /// from more than one root is listed once, where the first root to
+    /// reach it lists it.
     ///
-    /// This is the enumeration the store's DAG codec serializes: because
+    /// This is the enumeration the store's node table serializes: because
     /// children precede parents, every node can refer to its children by
     /// their position in this list.
-    pub fn dag_nodes(&self) -> Vec<Provenance> {
+    pub fn dag_nodes<'a>(roots: impl IntoIterator<Item = &'a Provenance>) -> Vec<Provenance> {
         let mut visited: HashSet<ProvId> = HashSet::new();
         let mut order = Vec::new();
-        let mut stack: Vec<(Provenance, bool)> = vec![(self.clone(), false)];
-        while let Some((current, expanded)) = stack.pop() {
-            let Some(node) = current.node.as_ref() else {
-                continue;
-            };
-            if expanded {
-                order.push(current.clone());
-                continue;
+        let mut stack: Vec<(Provenance, bool)> = Vec::new();
+        for root in roots {
+            stack.push((root.clone(), false));
+            while let Some((current, expanded)) = stack.pop() {
+                let Some(node) = current.node.as_ref() else {
+                    continue;
+                };
+                if expanded {
+                    order.push(current.clone());
+                    continue;
+                }
+                if !visited.insert(node.id) {
+                    continue;
+                }
+                let tail = node.tail.clone();
+                let channel = node.event.channel_provenance.clone();
+                stack.push((current.clone(), true));
+                stack.push((tail, false));
+                stack.push((channel, false));
             }
-            if !visited.insert(node.id) {
-                continue;
-            }
-            let tail = node.tail.clone();
-            let channel = node.event.channel_provenance.clone();
-            stack.push((current.clone(), true));
-            stack.push((tail, false));
-            stack.push((channel, false));
         }
         order
     }
@@ -354,18 +359,40 @@ impl Provenance {
     ///
     /// This is the basis of the auditing example of the paper: the
     /// principals that "were involved" with a value.
+    ///
+    /// Visits each DAG node once, so the cost follows
+    /// [`Provenance::dag_size`], not the exponentially larger tree.
     pub fn principals_involved(&self) -> Vec<Principal> {
         let mut out: Vec<Principal> = Vec::new();
-        self.collect_principals(&mut out);
+        self.collect_principals(&mut out, &mut HashSet::new(), false);
         out
     }
 
-    fn collect_principals(&self, out: &mut Vec<Principal>) {
-        for ev in self.iter() {
-            if !out.contains(&ev.principal) {
-                out.push(ev.principal.clone());
+    /// Walks the spine, each channel provenance right after its event.
+    /// Inside a channel provenance (`nested`) every node is remembered in
+    /// `seen`, and a node seen before ends the walk: its whole sub-DAG was
+    /// walked when it was first reached, so its principals are in `out`
+    /// already.  A spine without channel provenances hashes nothing.
+    fn collect_principals(
+        &self,
+        out: &mut Vec<Principal>,
+        seen: &mut HashSet<ProvId>,
+        nested: bool,
+    ) {
+        let mut cursor = self;
+        while let Some(node) = cursor.node.as_ref() {
+            if nested && !seen.insert(node.id) {
+                return;
             }
-            ev.channel_provenance.collect_principals(out);
+            if !out.contains(&node.event.principal) {
+                out.push(node.event.principal.clone());
+            }
+            if !node.event.channel_provenance.is_empty() {
+                node.event
+                    .channel_provenance
+                    .collect_principals(out, seen, true);
+            }
+            cursor = &node.tail;
         }
     }
 
@@ -673,7 +700,7 @@ mod tests {
         let shared = Provenance::single(Event::output(a(), Provenance::empty()));
         let k = Provenance::single(Event::input(b(), shared.clone()))
             .prepend(Event::output(a(), shared.clone()));
-        let nodes = k.dag_nodes();
+        let nodes = Provenance::dag_nodes([&k]);
         // Distinct nodes only.
         let ids: Vec<ProvId> = nodes.iter().map(Provenance::id).collect();
         let mut dedup = ids.clone();
@@ -694,6 +721,16 @@ mod tests {
         }
         // The root is last.
         assert_eq!(nodes.last().unwrap().id(), k.id());
+    }
+
+    #[test]
+    fn dag_nodes_lists_a_node_shared_by_two_roots_once() {
+        let shared = Provenance::single(Event::output(a(), Provenance::empty()));
+        let first = Provenance::single(Event::input(b(), shared.clone()));
+        let second = shared.prepend(Event::output(b(), shared.clone()));
+        let nodes = Provenance::dag_nodes([&first, &Provenance::empty(), &second]);
+        let ids: Vec<ProvId> = nodes.iter().map(Provenance::id).collect();
+        assert_eq!(ids, vec![shared.id(), first.id(), second.id()]);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! Every message body is `version u8 | tag u8 | payload`.  The payload
 //! reuses the store codec's primitive vocabulary
 //! ([`piprov_store::codec::put_str`] and friends) and embeds whole
-//! [`ProvenanceRecord`]s in the store's DAG body format — a record crosses
-//! the socket in exactly the bytes it would occupy in a segment file, so
-//! sharing-heavy provenance stays O(DAG) on the wire too, and the decoder
-//! rebuilds it through the interner on the receiving side.
+//! [`ProvenanceRecord`]s in the store's body format — a record crosses the
+//! socket in exactly the bytes it would occupy in a segment file.  The
+//! events of a why slice or a counterfactual delta carry their channel
+//! provenances as references into one store [`NodeTable`] written ahead
+//! of them.  So sharing-heavy provenance stays O(DAG) on the wire too,
+//! and the decoder rebuilds it through the interner on the receiving side.
 //!
 //! Every sequence is a u32 count followed by its items, written by
 //! `put_seq` and read by `get_seq`.  Decode-side discipline: `get_seq`
@@ -25,16 +27,14 @@ use piprov_audit::{
     Exemplar, HistogramSnapshot, MetricsSnapshot, PolicyInfo, PolicyListing, PolicySnapshot,
     RequestKind, RequestStats, Span, SpanKind, TraceContext, TraceRecord, WhyEvent, WhySlice,
 };
-use piprov_core::provenance::{Direction, Event, InternerStats, Provenance, ShardStats};
+use piprov_core::provenance::{Direction, Event, InternerStats, ShardStats};
 use piprov_patterns::MemoStats;
 use piprov_policy::{PackDiagnostic, PackFile, PackSource};
 use piprov_store::codec::{
-    decode_body, encode_body, get_name, get_str, get_value, put_str, put_value,
+    decode_body, encode_body, get_name, get_node_ref, get_node_table, get_str, get_value, put_str,
+    put_value, NodeTable,
 };
-use piprov_store::record::{
-    direction_from_tag, direction_tag, flatten_provenance, unflatten_provenance,
-    MAX_PROVENANCE_DEPTH,
-};
+use piprov_store::record::{direction_from_tag, direction_tag};
 use piprov_store::{AuditTrail, ProvenanceRecord, StoreStats};
 
 /// A client-to-server message.
@@ -645,58 +645,36 @@ fn get_direction(buf: &mut Bytes, what: &str) -> Result<Direction, WireError> {
     direction_from_tag(buf.get_u8()).ok_or_else(|| malformed(format!("unknown {}", what)))
 }
 
-/// Writes one [`WhyEvent`]: the DAG node id, the event's principal and
-/// direction, then the channel provenance as a flattened preorder
-/// `(depth, direction, principal)` list — the same shape the store's
-/// legacy record codec uses, expanded (sharing inside a single channel
-/// history is rare and slices are operator-facing diagnostics).
-fn put_why_event(buf: &mut BytesMut, event: &WhyEvent) {
-    buf.put_u32(event.node);
-    put_str(buf, event.event.principal.as_str());
-    buf.put_u8(direction_tag(event.event.direction));
-    let flat = flatten_provenance(&event.event.channel_provenance);
-    put_seq(buf, &flat, |buf, (depth, nested)| {
-        buf.put_u32(*depth);
-        buf.put_u8(direction_tag(nested.direction));
-        put_str(buf, nested.principal.as_str());
+/// Writes why events: one [`NodeTable`] holding every event's channel
+/// provenance, then the u32-counted events, each
+/// `node u32 | principal | direction u8 | channel ref u32`.
+fn put_why_events(buf: &mut BytesMut, events: &[WhyEvent]) {
+    let table = NodeTable::new(events.iter().map(|e| &e.event.channel_provenance));
+    table.put(buf);
+    put_seq(buf, events, |buf, event| {
+        buf.put_u32(event.node);
+        put_str(buf, event.event.principal.as_str());
+        buf.put_u8(direction_tag(event.event.direction));
+        buf.put_u32(table.reference(&event.event.channel_provenance));
     });
 }
 
-fn get_why_event(buf: &mut Bytes) -> Result<WhyEvent, WireError> {
-    need(buf, 4, "why event node")?;
-    let node = buf.get_u32();
-    let principal = wire_name(buf)?;
-    let direction = get_direction(buf, "why event direction")?;
-    // A channel entry costs at least its 4 depth + 1 direction + 2
-    // principal-length bytes.
-    let flat = get_seq(buf, "why event channel count", 7, |buf| {
-        let depth = wire_u32(buf, "why event channel depth")?;
-        let direction = get_direction(buf, "why event channel direction")?;
-        let event = Event {
-            principal: wire_name(buf)?,
-            direction,
-            channel_provenance: Provenance::empty(),
-        };
-        Ok((depth, event))
-    })?;
-    let channel_provenance = unflatten_provenance(&flat).ok_or_else(|| {
-        malformed(format!(
-            "why event channel entries out of preorder or nested deeper than {} levels",
-            MAX_PROVENANCE_DEPTH
-        ))
-    })?;
-    let event = Event {
-        principal,
-        direction,
-        channel_provenance,
-    };
-    Ok(WhyEvent { node, event })
-}
-
 fn get_why_events(buf: &mut Bytes) -> Result<Vec<WhyEvent>, WireError> {
+    let table = get_node_table(buf).map_err(store_err)?;
     // A why event costs at least 4 node + 2 principal-length + 1
-    // direction + 4 channel-count bytes.
-    get_seq(buf, "why event count", 11, get_why_event)
+    // direction + 4 channel-reference bytes.
+    get_seq(buf, "why event count", 11, |buf| {
+        let node = wire_u32(buf, "why event node")?;
+        let principal = wire_name(buf)?;
+        let direction = get_direction(buf, "why event direction")?;
+        let channel_provenance = get_node_ref(buf, &table).map_err(store_err)?;
+        let event = Event {
+            principal,
+            direction,
+            channel_provenance,
+        };
+        Ok(WhyEvent { node, event })
+    })
 }
 
 fn get_names<N: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<Vec<N>, WireError> {
@@ -1084,14 +1062,14 @@ pub fn encode_response(response: &WireResponse) -> Bytes {
                     put_opt(buf, slice.blocked.as_ref(), |buf, index| {
                         buf.put_u32(*index)
                     });
-                    put_seq(buf, &slice.events, put_why_event);
+                    put_why_events(buf, &slice.events);
                 }
                 AuditOutcome::Counterfactual(verdict) => {
                     buf.put_u8(OUTCOME_COUNTERFACTUAL);
                     buf.put_u8(verdict.original as u8);
                     buf.put_u8(verdict.counterfactual as u8);
                     buf.put_u64(verdict.sequence);
-                    put_seq(buf, &verdict.removed, put_why_event);
+                    put_why_events(buf, &verdict.removed);
                 }
                 AuditOutcome::UnknownValue => buf.put_u8(OUTCOME_UNKNOWN_VALUE),
                 AuditOutcome::UnknownPattern { known, nearest } => {
@@ -1297,7 +1275,9 @@ pub fn decode_response(mut buf: Bytes, limits: &WireLimits) -> Result<WireRespon
 mod tests {
     use super::*;
     use piprov_core::name::{Channel, Principal};
+    use piprov_core::provenance::Provenance;
     use piprov_core::value::Value;
+    use piprov_store::record::MAX_PROVENANCE_DEPTH;
     use piprov_store::Operation;
 
     fn record(i: u64) -> ProvenanceRecord {
@@ -1581,7 +1561,7 @@ mod tests {
     }
 
     #[test]
-    fn a_why_channel_history_out_of_preorder_is_malformed() {
+    fn a_why_channel_reference_past_the_table_is_malformed() {
         let limits = WireLimits::default();
         let channel =
             Provenance::single(Event::output(Principal::new("nested"), Provenance::empty()));
@@ -1604,14 +1584,12 @@ mod tests {
             decode_response(Bytes::from(body.clone()), &limits).unwrap(),
             response
         );
-        // The channel entry is `depth u32 | direction u8 | name`: move the
-        // first (and only) entry to depth 1, below a parent it never had.
-        let name = body
-            .windows(6)
-            .position(|w| w == b"nested")
-            .expect("the nested principal is on the wire");
-        let depth = name - 2 - 1 - 4;
-        body[depth..depth + 4].copy_from_slice(&1u32.to_be_bytes());
+        // The event's last 4 bytes are its channel reference, followed by
+        // 32 bytes of request stats, the watermark and the pack version.
+        // The table holds one node: point the reference one past it.
+        let channel_ref = body.len() - 48 - 4;
+        assert_eq!(body[channel_ref..channel_ref + 4], 1u32.to_be_bytes());
+        body[channel_ref..channel_ref + 4].copy_from_slice(&2u32.to_be_bytes());
         assert!(matches!(
             decode_response(Bytes::from(body), &limits),
             Err(WireError::Malformed(_))
@@ -1866,7 +1844,7 @@ mod tests {
 
     #[test]
     fn every_version_but_the_current_one_is_unsupported() {
-        assert_eq!(WIRE_VERSION, 7);
+        assert_eq!(WIRE_VERSION, 8);
         let limits = WireLimits::default();
         let request = encode_request(&WireRequest::Audit(AuditRequest::VetValue {
             value: Value::Channel(Channel::new("v")),
@@ -1878,7 +1856,7 @@ mod tests {
         });
         assert!(decode_request_traced(request.clone(), &limits).is_ok());
         assert!(decode_response(response.clone(), &limits).is_ok());
-        for version in [3, 4, 5, 6, 8] {
+        for version in [3, 4, 5, 6, 7] {
             let mut body = request.to_vec();
             body[0] = version;
             assert!(matches!(

@@ -12,8 +12,8 @@
 //! The CRC (the same dependency-free CRC-32 the store's segment files use,
 //! [`piprov_store::codec::crc32`]) covers the body; the body's first byte
 //! is the wire version ([`WIRE_VERSION`]) and its second the message tag —
-//! the same one-byte tag discipline as the store's
-//! [`piprov_store::BodyFormat`], so an unknown version or message kind is a
+//! the same one-byte tag discipline as the store's record bodies (see
+//! [`piprov_store::codec`]), so an unknown version or message kind is a
 //! *typed* decode error, never a guess.
 //!
 //! **Decode-side caps.**  The length prefix is attacker-controlled input:
@@ -32,7 +32,7 @@ use std::io::{ErrorKind, Read, Write};
 /// repository, so a body with any other version byte is refused with a
 /// typed [`WireError::UnsupportedVersion`] rather than read under rules
 /// this codec no longer has.
-pub const WIRE_VERSION: u8 = 7;
+pub const WIRE_VERSION: u8 = 8;
 
 /// Default cap on the length prefix a peer will honour (16 MiB — far above
 /// any legitimate message, far below a memory-exhaustion attack).

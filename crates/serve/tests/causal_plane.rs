@@ -485,3 +485,116 @@ fn why_endpoint_and_policies_package_filter() {
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+// ---------------------------------------------------------------------------
+// Channel-chained histories: every client-reachable path is O(DAG).
+// ---------------------------------------------------------------------------
+
+/// A history relayed `hops` times by `relay`, each hop's send and receive
+/// on a channel carrying the whole history so far: 2 · hops + 1 DAG
+/// nodes, while the logical tree grows ×3 per hop.
+fn channel_chained(hops: usize) -> Provenance {
+    let mut provenance = Provenance::single(event("s1", Direction::Output, Provenance::empty()));
+    for _ in 0..hops {
+        provenance = provenance
+            .prepend(event("relay", Direction::Output, provenance.clone()))
+            .prepend(event("relay", Direction::Input, provenance.clone()));
+    }
+    provenance
+}
+
+#[test]
+fn a_forty_hop_channel_chained_history_is_answered_in_dag_sized_work() {
+    let dir = temp_dir("chained");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", config()).unwrap();
+    let addr = server.local_addr();
+    let mut client = AuditClient::connect(addr).unwrap();
+
+    let provenance = channel_chained(40);
+    let dag_nodes = provenance.dag_size();
+    assert_eq!(dag_nodes, 81);
+    let record = ProvenanceRecord::new(
+        0,
+        "writer",
+        Operation::Send,
+        "m",
+        value("chained"),
+        provenance.clone(),
+    );
+    assert!(piprov_store::codec::encode_body(&record).len() < 1_500);
+    client.ingest_blocking(vec![record]).unwrap();
+    client.flush().unwrap();
+    assert!(matches!(
+        client.load_pack(&causal_pack()).unwrap(),
+        PackLoadOutcome::Loaded { version: 1, .. }
+    ));
+
+    // `deep` passes (the oldest event is s1's send), so the slice holds
+    // the whole spine, every event's channel carrying its history.
+    let requests = [
+        AuditRequest::Why {
+            value: value("chained"),
+            pattern: "causal::q::deep".into(),
+        },
+        AuditRequest::Counterfactual {
+            value: value("chained"),
+            pattern: "causal::q::deep".into(),
+            remove: EventFilter::ChannelVia(Principal::new("relay")),
+        },
+        AuditRequest::AuditTrail {
+            value: value("chained"),
+        },
+        AuditRequest::WhoTouched {
+            principal: Principal::new("relay"),
+        },
+    ];
+    let answers: Vec<_> = requests
+        .iter()
+        .map(|request| {
+            let wire = client.request(request).unwrap();
+            let local = server.engine().handle(request);
+            assert_eq!(wire.outcome, local.outcome, "{:?}", request);
+            assert_eq!(wire.watermark, local.watermark, "{:?}", request);
+            wire
+        })
+        .collect();
+
+    let events = match &answers[0].outcome {
+        AuditOutcome::Why(slice) => {
+            assert!(slice.verdict);
+            slice.events.len()
+        }
+        other => panic!("expected a why slice, got {:?}", other),
+    };
+    assert_eq!(events, provenance.len());
+    let why = piprov_serve::WireResponse::Audit(answers[0].clone());
+    let encoded = piprov_serve::codec::encode_response(&why).len();
+    assert!(
+        encoded <= 64 * (dag_nodes + events),
+        "why response of {} bytes for {} DAG nodes and {} events",
+        encoded,
+        dag_nodes,
+        events
+    );
+    match &answers[1].outcome {
+        // Only the origin and the first hop's two events travelled on a
+        // channel relay had not touched.
+        AuditOutcome::Counterfactual(verdict) => assert_eq!(verdict.removed.len(), events - 3),
+        other => panic!("expected a counterfactual verdict, got {:?}", other),
+    }
+
+    let page = http_get(addr, "/why?value=chained&policy=causal::q::deep");
+    assert!(page.starts_with("HTTP/1.1 200 OK\r\n"), "{}", page);
+    let body = &page[page.find("\r\n\r\n").expect("a header terminator") + 4..];
+    assert!(
+        body.len() <= 64 * events,
+        "/why body of {} bytes for {} events",
+        body.len(),
+        events
+    );
+
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}

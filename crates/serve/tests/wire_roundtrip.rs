@@ -31,9 +31,9 @@ use piprov_serve::{
     AuditClient, AuditServer, ClientError, RequestTrace, ServeConfig, WireError, WireLimits,
     WireResponse,
 };
-use piprov_store::codec::encode_body_with;
+use piprov_store::codec::encode_body;
 use piprov_store::record::MAX_PROVENANCE_DEPTH;
-use piprov_store::{AuditTrail, BodyFormat, Operation, ProvenanceRecord};
+use piprov_store::{AuditTrail, Operation, ProvenanceRecord};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -812,10 +812,9 @@ fn nested(levels: usize) -> Provenance {
 }
 
 /// An ingest request for one record whose provenance is `nested(levels)`,
-/// its body written by hand (the encoders walk a history recursively):
-/// a tag-1 preorder list or a tag-2 node list with each node's channel
-/// the node before.
-fn nested_ingest(levels: u32, format: BodyFormat) -> Vec<u8> {
+/// its body written by hand (the encoder walks a history recursively): a
+/// node table with each node's channel the node before.
+fn nested_ingest(levels: u32) -> Vec<u8> {
     let empty = ProvenanceRecord::new(
         1,
         "a",
@@ -824,28 +823,19 @@ fn nested_ingest(levels: u32, format: BodyFormat) -> Vec<u8> {
         Value::Channel(Channel::new("v")),
         Provenance::empty(),
     );
-    let body = encode_body_with(&empty, format);
-    let empty_section = match format {
-        BodyFormat::LegacyPreorder => 4,
-        BodyFormat::Dag => 8,
-    };
-    let mut record = body[..body.len() - empty_section].to_vec();
+    let body = encode_body(&empty);
+    // Drop the empty provenance section: a zero node count and root 0.
+    let mut record = body[..body.len() - 8].to_vec();
     record.extend(levels.to_be_bytes());
     for level in 0..levels {
-        if format == BodyFormat::LegacyPreorder {
-            record.extend(level.to_be_bytes());
-        }
         record.push(0); // Output
         record.extend(1u16.to_be_bytes());
         record.push(b'p');
-        if format == BodyFormat::Dag {
-            record.extend(level.to_be_bytes()); // channel: the node before
-            record.extend(0u32.to_be_bytes()); // tail: ε
-        }
+        record.extend(level.to_be_bytes()); // channel: the node before
+        record.extend(0u32.to_be_bytes()); // tail: ε
     }
-    if format == BodyFormat::Dag {
-        record.extend(levels.to_be_bytes()); // root
-    }
+    record.extend(levels.to_be_bytes()); // root
+
     // `version | tag | record count | record length | record`.
     let template = encode_request(&piprov_serve::WireRequest::IngestBatch(vec![empty]));
     let mut request = template[..6].to_vec();
@@ -859,18 +849,16 @@ fn an_ingest_nested_past_the_depth_limit_gets_a_typed_error_and_the_server_survi
     let (server, dir) = live_server("too-deep");
     server.engine().register_pattern("any", Pattern::Any);
     let addr = server.local_addr();
-    for format in [BodyFormat::LegacyPreorder, BodyFormat::Dag] {
-        // One level past the limit, and 100,000 levels: a 0.8 MB (tag
-        // 1) or 1.2 MB (tag 2) frame that overflowed the stack of the
-        // dispatch or the ingest thread and aborted the server.
-        for levels in [MAX_PROVENANCE_DEPTH as u32 + 1, 100_000] {
-            let what = format!("{:?}, {} levels", format, levels);
-            let mut client = AuditClient::connect(addr).unwrap();
-            let mut framed = Vec::new();
-            write_frame(&mut framed, &nested_ingest(levels, format)).unwrap();
-            client.send_raw(&framed).unwrap();
-            expect_server_error_then_close(&mut client, &what);
-        }
+    // One level past the limit, and 100,000 levels: a 1.2 MB frame that
+    // overflowed the stack of the dispatch or the ingest thread and
+    // aborted the server.
+    for levels in [MAX_PROVENANCE_DEPTH as u32 + 1, 100_000] {
+        let what = format!("{} levels", levels);
+        let mut client = AuditClient::connect(addr).unwrap();
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &nested_ingest(levels)).unwrap();
+        client.send_raw(&framed).unwrap();
+        expect_server_error_then_close(&mut client, &what);
     }
     // The server keeps serving, and the deepest history it accepts
     // goes through ingest, a why-slice and the client's decoder.

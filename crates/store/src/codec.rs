@@ -10,35 +10,22 @@
 //!
 //! where the CRC covers the body.  It is [`crc32`] (CRC-32/ISO-HDLC, a
 //! slicing-by-8 table kernel), the checksum every wire frame of
-//! `piprov-serve` carries too.  The body starts with a one-byte
-//! **format version tag** followed by length-prefixed fields in a fixed
-//! order; the two versions differ only in how the provenance annotation is
-//! laid out:
+//! `piprov-serve` carries too.  The body is the format tag (2) followed by
+//! length-prefixed fields in a fixed order, the provenance last: a
+//! [`NodeTable`] holding every distinct interned DAG node once, children
+//! (channel provenance and tail) before parents, then the root's
+//! reference.  A body is O(distinct nodes), matching the interner's
+//! sharing, however large the logical tree.
 //!
-//! * [`BodyFormat::LegacyPreorder`] (tag 1) — the original format: the
-//!   provenance *tree* as a preorder `(depth, principal, direction)` list
-//!   (see [`crate::record::flatten_provenance`]).  Record size is
-//!   O(`total_size`), i.e. proportional to the logical tree, which blows
-//!   up exponentially under channel-chained histories.
-//! * [`BodyFormat::Dag`] (tag 2, the default) — the provenance *DAG*:
-//!   every distinct interned node is encoded exactly once, in postorder,
-//!   and refers to its channel provenance and tail by back-reference.
-//!   Record size is O(distinct nodes), matching the in-memory sharing of
-//!   the interner.
-//!
-//! Bodies written before the version tag existed are still readable: the
-//! untagged format began with the record's `u64` sequence number, whose
-//! first byte is 0 for any sequence below 2⁵⁶, and 0 is not a valid tag —
-//! so the decoder treats a leading 0 as an untagged preorder body.  All
-//! formats are self-contained (decoding never requires information outside
-//! the frame) and remain readable forever; only the encoder's default
-//! moved to the DAG format.  Either decoder refuses a provenance nested
-//! deeper than [`MAX_PROVENANCE_DEPTH`] as [`StoreError::Corrupt`].
+//! The node table is the one history codec: `piprov-serve` ships the
+//! channel histories of why slices in it too.  The decoder refuses any
+//! other leading byte — 1 (the preorder tree layout of early stores) and
+//! 0 (the untagged seed layout) included — and any provenance nested
+//! deeper than [`MAX_PROVENANCE_DEPTH`], as [`StoreError::Corrupt`].
 
 use crate::error::StoreError;
 use crate::record::{
-    direction_from_tag, direction_tag, flatten_provenance, unflatten_provenance, Operation,
-    ProvenanceRecord, MAX_PROVENANCE_DEPTH,
+    direction_from_tag, direction_tag, Operation, ProvenanceRecord, MAX_PROVENANCE_DEPTH,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use piprov_core::name::Principal;
@@ -51,37 +38,8 @@ const VALUE_CHANNEL: u8 = 0;
 /// Magic byte identifying a value stored as a principal name.
 const VALUE_PRINCIPAL: u8 = 1;
 
-/// How a record body lays out the provenance annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BodyFormat {
-    /// Version 1: preorder expansion of the provenance tree (the seed
-    /// format, O(tree) sized).  Kept readable for old segments; no longer
-    /// written by default.
-    LegacyPreorder,
-    /// Version 2: one entry per distinct interned DAG node with
-    /// back-references (O(DAG) sized).  The default.
-    #[default]
-    Dag,
-}
-
-impl BodyFormat {
-    /// The on-disk version tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            BodyFormat::LegacyPreorder => 1,
-            BodyFormat::Dag => 2,
-        }
-    }
-
-    /// Inverse of [`BodyFormat::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            1 => Some(BodyFormat::LegacyPreorder),
-            2 => Some(BodyFormat::Dag),
-            _ => None,
-        }
-    }
-}
+/// The leading byte of every record body.
+const BODY_TAG: u8 = 2;
 
 /// The reflected IEEE CRC-32 polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
@@ -230,79 +188,70 @@ pub fn get_value(buf: &mut Bytes) -> Result<Value, StoreError> {
     }
 }
 
-/// Writes the provenance section of a legacy (preorder) body.
-fn put_provenance_preorder(buf: &mut BytesMut, provenance: &Provenance) {
-    let flat = flatten_provenance(provenance);
-    buf.put_u32(flat.len() as u32);
-    for (depth, event) in &flat {
-        buf.put_u32(*depth);
-        buf.put_u8(direction_tag(event.direction));
-        put_str(buf, event.principal.as_str());
-    }
+/// The distinct interned nodes reachable from a set of histories, each
+/// once and children (channel provenance and tail) before parents: the
+/// layout every provenance is written in, on disk and on the wire.
+///
+/// [`NodeTable::put`] writes a u32 node count followed by one
+/// `direction u8 | principal | channel ref u32 | tail ref u32` entry per
+/// node, where reference 0 is `ε` and reference `k` the table's `k`-th
+/// node.
+#[derive(Debug)]
+pub struct NodeTable {
+    nodes: Vec<Provenance>,
+    index: HashMap<ProvId, u32>,
 }
 
-/// Reads the provenance section of a legacy (preorder) body.
-fn get_provenance_preorder(buf: &mut Bytes) -> Result<Provenance, StoreError> {
-    if buf.remaining() < 4 {
-        return Err(StoreError::Corrupt("truncated provenance length".into()));
+impl NodeTable {
+    /// The table of every node reachable from `roots`.
+    pub fn new<'a>(roots: impl IntoIterator<Item = &'a Provenance>) -> Self {
+        let nodes = Provenance::dag_nodes(roots);
+        let index = nodes
+            .iter()
+            .zip(1..)
+            .map(|(node, k)| (node.id(), k))
+            .collect();
+        NodeTable { nodes, index }
     }
-    let count = buf.get_u32() as usize;
-    // A valid entry consumes at least 7 bytes; cap the pre-allocation so a
-    // corrupt count cannot request unbounded memory before the bounds
-    // checks below reject it.
-    let mut flat = Vec::with_capacity(count.min(buf.remaining() / 7 + 1));
-    for _ in 0..count {
-        if buf.remaining() < 5 {
-            return Err(StoreError::Corrupt("truncated provenance entry".into()));
+
+    /// Writes the node count and the nodes.
+    pub fn put(&self, buf: &mut BytesMut) {
+        buf.put_u32(self.nodes.len() as u32);
+        for node in &self.nodes {
+            let event = node.head().expect("table nodes are non-empty");
+            buf.put_u8(direction_tag(event.direction));
+            put_str(buf, event.principal.as_str());
+            buf.put_u32(self.reference(&event.channel_provenance));
+            buf.put_u32(self.reference(node.tail().expect("table nodes are non-empty")));
         }
-        let depth = buf.get_u32();
-        let direction = direction_from_tag(buf.get_u8())
-            .ok_or_else(|| StoreError::Corrupt("unknown direction tag".into()))?;
-        let p: Principal = get_name(buf)?;
-        let event = match direction {
-            Direction::Output => Event::output(p, Provenance::empty()),
-            Direction::Input => Event::input(p, Provenance::empty()),
-        };
-        flat.push((depth, event));
     }
-    unflatten_provenance(&flat).ok_or_else(|| {
-        StoreError::Corrupt(format!(
-            "provenance entries out of preorder or nested deeper than {} levels",
-            MAX_PROVENANCE_DEPTH
-        ))
-    })
-}
 
-/// Writes the provenance section of a DAG body: one entry per distinct
-/// interned node, children (channel provenance and tail) before parents,
-/// then the root reference.  Reference 0 is `ε`; reference `k` is the
-/// `k`-th node of the section (1-based).
-fn put_provenance_dag(buf: &mut BytesMut, provenance: &Provenance, nodes: &[Provenance]) {
-    let mut index: HashMap<ProvId, u32> = HashMap::with_capacity(nodes.len());
-    let reference = |index: &HashMap<ProvId, u32>, p: &Provenance| -> u32 {
-        if p.is_empty() {
+    /// The reference of `provenance`: 0 for `ε`, `k` for the table's
+    /// `k`-th node.
+    ///
+    /// # Panics
+    ///
+    /// If `provenance` is not reachable from the table's roots.
+    pub fn reference(&self, provenance: &Provenance) -> u32 {
+        if provenance.is_empty() {
             0
         } else {
-            *index.get(&p.id()).expect("postorder lists children first")
+            self.index[&provenance.id()]
         }
-    };
-    buf.put_u32(nodes.len() as u32);
-    for (i, node) in nodes.iter().enumerate() {
-        let event = node.head().expect("dag nodes are non-empty");
-        let tail = node.tail().expect("dag nodes are non-empty");
-        buf.put_u8(direction_tag(event.direction));
-        put_str(buf, event.principal.as_str());
-        buf.put_u32(reference(&index, &event.channel_provenance));
-        buf.put_u32(reference(&index, tail));
-        index.insert(node.id(), (i + 1) as u32);
     }
-    buf.put_u32(reference(&index, provenance));
 }
 
-/// Reads the provenance section of a DAG body, rebuilding nodes through
-/// the interner so the decoded value shares structure with everything else
-/// in the process.
-fn get_provenance_dag(buf: &mut Bytes) -> Result<Provenance, StoreError> {
+/// Reads a table written by [`NodeTable::put`], rebuilding every node
+/// through the interner so the result shares structure with everything
+/// else in the process.  Index 0 of the result is `ε` and index `k` the
+/// `k`-th node, so [`get_node_ref`] resolves references in it.
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] on truncation, an unknown direction, a
+/// reference to a node not yet read, or a node nested deeper than
+/// [`MAX_PROVENANCE_DEPTH`].
+pub fn get_node_table(buf: &mut Bytes) -> Result<Vec<Provenance>, StoreError> {
     if buf.remaining() < 4 {
         return Err(StoreError::Corrupt(
             "truncated provenance node count".into(),
@@ -312,8 +261,8 @@ fn get_provenance_dag(buf: &mut Bytes) -> Result<Provenance, StoreError> {
     // A valid node consumes at least 11 bytes; cap the pre-allocation so a
     // corrupt count cannot request unbounded memory before the bounds
     // checks below reject it.
-    let mut built: Vec<Provenance> = Vec::with_capacity(count.min(buf.remaining() / 11) + 1);
-    built.push(Provenance::empty());
+    let mut table: Vec<Provenance> = Vec::with_capacity(count.min(buf.remaining() / 11) + 1);
+    table.push(Provenance::empty());
     for _ in 0..count {
         if buf.remaining() < 1 {
             return Err(StoreError::Corrupt("truncated provenance node".into()));
@@ -321,17 +270,8 @@ fn get_provenance_dag(buf: &mut Bytes) -> Result<Provenance, StoreError> {
         let direction = direction_from_tag(buf.get_u8())
             .ok_or_else(|| StoreError::Corrupt("unknown direction tag".into()))?;
         let principal: Principal = get_name(buf)?;
-        if buf.remaining() < 8 {
-            return Err(StoreError::Corrupt("truncated provenance node refs".into()));
-        }
-        let channel_ref = buf.get_u32() as usize;
-        let tail_ref = buf.get_u32() as usize;
-        if channel_ref >= built.len() || tail_ref >= built.len() {
-            return Err(StoreError::Corrupt(
-                "provenance node references a later node".into(),
-            ));
-        }
-        let channel = built[channel_ref].clone();
+        let channel = get_node_ref(buf, &table)?;
+        let tail = get_node_ref(buf, &table)?;
         if channel.depth() >= MAX_PROVENANCE_DEPTH {
             return Err(StoreError::Corrupt(format!(
                 "provenance nests deeper than {} levels",
@@ -342,86 +282,63 @@ fn get_provenance_dag(buf: &mut Bytes) -> Result<Provenance, StoreError> {
             Direction::Output => Event::output(principal, channel),
             Direction::Input => Event::input(principal, channel),
         };
-        let node = built[tail_ref].prepend(event);
-        built.push(node);
+        table.push(tail.prepend(event));
     }
-    if buf.remaining() < 4 {
-        return Err(StoreError::Corrupt("truncated provenance root".into()));
-    }
-    let root = buf.get_u32() as usize;
-    if root >= built.len() {
-        return Err(StoreError::Corrupt(
-            "provenance root references a missing node".into(),
-        ));
-    }
-    Ok(built[root].clone())
+    Ok(table)
 }
 
-/// Encodes a record body (without framing) in the given format.
-pub fn encode_body_with(record: &ProvenanceRecord, format: BodyFormat) -> Bytes {
-    // Enumerate the DAG once: both the capacity hint and the provenance
-    // section consume the same postorder.
-    let dag_nodes = match format {
-        BodyFormat::Dag => Some(record.provenance.dag_nodes()),
-        BodyFormat::LegacyPreorder => None,
-    };
-    let base = 80
+/// Reads one reference written for [`NodeTable::reference`] and resolves
+/// it in `table`, as read by [`get_node_table`].
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] on truncation or a reference past the table.
+pub fn get_node_ref(buf: &mut Bytes, table: &[Provenance]) -> Result<Provenance, StoreError> {
+    if buf.remaining() < 4 {
+        return Err(StoreError::Corrupt(
+            "truncated provenance node reference".into(),
+        ));
+    }
+    table
+        .get(buf.get_u32() as usize)
+        .cloned()
+        .ok_or_else(|| StoreError::Corrupt("provenance reference past the node table".into()))
+}
+
+/// Encodes a record body (without framing).
+pub fn encode_body(record: &ProvenanceRecord) -> Bytes {
+    let table = NodeTable::new([&record.provenance]);
+    let capacity = 80
         + record.channel.as_str().len()
         + record.value.as_str().len()
-        + record.principal.as_str().len();
-    let capacity = match &dag_nodes {
-        Some(nodes) => base + nodes.len() * 24,
-        // The preorder section is O(tree); cap the hint and let the buffer
-        // grow, rather than requesting exponential capacity up front.
-        None => {
-            base + record
-                .provenance
-                .total_size()
-                .saturating_mul(12)
-                .min(1 << 16)
-        }
-    };
+        + record.principal.as_str().len()
+        + table.nodes.len() * 24;
     let mut buf = BytesMut::with_capacity(capacity);
-    buf.put_u8(format.tag());
+    buf.put_u8(BODY_TAG);
     buf.put_u64(record.sequence);
     buf.put_u64(record.logical_time);
     buf.put_u8(record.operation.tag());
     put_str(&mut buf, record.principal.as_str());
     put_str(&mut buf, record.channel.as_str());
     put_value(&mut buf, &record.value);
-    match &dag_nodes {
-        Some(nodes) => put_provenance_dag(&mut buf, &record.provenance, nodes),
-        None => put_provenance_preorder(&mut buf, &record.provenance),
-    }
+    table.put(&mut buf);
+    buf.put_u32(table.reference(&record.provenance));
     buf.freeze()
 }
 
-/// Encodes a record body (without framing) in the default (DAG) format.
-pub fn encode_body(record: &ProvenanceRecord) -> Bytes {
-    encode_body_with(record, BodyFormat::default())
-}
-
-/// Decodes a record body (without framing), dispatching on its version
-/// tag.  Tagged preorder (1) and DAG (2) bodies are accepted, as are
-/// untagged bodies written before the version header existed: those begin
-/// with the `u64` sequence number, whose first byte is 0 for any sequence
-/// below 2⁵⁶ — never a valid tag.
+/// Decodes a record body (without framing).
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] on truncation, any leading byte but the format
+/// tag, or a malformed field or node table.
 pub fn decode_body(mut buf: Bytes) -> Result<ProvenanceRecord, StoreError> {
-    if buf.remaining() < 17 {
+    if buf.remaining() < 18 {
         return Err(StoreError::Corrupt("record body too short".into()));
     }
-    let format = match buf[0] {
-        0 => BodyFormat::LegacyPreorder,
-        tag => {
-            let format = BodyFormat::from_tag(tag)
-                .ok_or_else(|| StoreError::Corrupt("unknown record format version".into()))?;
-            buf.advance(1);
-            if buf.remaining() < 17 {
-                return Err(StoreError::Corrupt("record body too short".into()));
-            }
-            format
-        }
-    };
+    if buf.get_u8() != BODY_TAG {
+        return Err(StoreError::Corrupt("unknown record format version".into()));
+    }
     let sequence = buf.get_u64();
     let logical_time = buf.get_u64();
     let operation = Operation::from_tag(buf.get_u8())
@@ -429,10 +346,8 @@ pub fn decode_body(mut buf: Bytes) -> Result<ProvenanceRecord, StoreError> {
     let principal = get_name(&mut buf)?;
     let channel = get_name(&mut buf)?;
     let value = get_value(&mut buf)?;
-    let provenance = match format {
-        BodyFormat::LegacyPreorder => get_provenance_preorder(&mut buf)?,
-        BodyFormat::Dag => get_provenance_dag(&mut buf)?,
-    };
+    let table = get_node_table(&mut buf)?;
+    let provenance = get_node_ref(&mut buf, &table)?;
     Ok(ProvenanceRecord {
         sequence,
         logical_time,
@@ -444,21 +359,14 @@ pub fn decode_body(mut buf: Bytes) -> Result<ProvenanceRecord, StoreError> {
     })
 }
 
-/// Encodes a record with framing (length + CRC + body) in the given
-/// format.
-pub fn encode_framed_with(record: &ProvenanceRecord, format: BodyFormat) -> Bytes {
-    let body = encode_body_with(record, format);
+/// Encodes a record with framing (length + CRC + body).
+pub fn encode_framed(record: &ProvenanceRecord) -> Bytes {
+    let body = encode_body(record);
     let mut out = BytesMut::with_capacity(body.len() + 8);
     out.put_u32(body.len() as u32);
     out.put_u32(crc32(&body));
     out.put_slice(&body);
     out.freeze()
-}
-
-/// Encodes a record with framing (length + CRC + body) in the default
-/// (DAG) format.
-pub fn encode_framed(record: &ProvenanceRecord) -> Bytes {
-    encode_framed_with(record, BodyFormat::default())
 }
 
 /// Attempts to decode one framed record from the front of `buf`.
@@ -486,9 +394,9 @@ pub fn decode_framed(buf: &mut Bytes) -> Result<Option<ProvenanceRecord>, StoreE
 
 /// A body whose provenance nests `levels` events, each sent on a
 /// channel whose provenance is the one before, written by hand (the
-/// encoders walk the history recursively).
+/// encoder walks the history recursively).
 #[cfg(test)]
-pub(crate) fn nested_body(levels: u32, format: BodyFormat) -> Bytes {
+pub(crate) fn nested_body(levels: u32) -> Bytes {
     let record = ProvenanceRecord::new(
         1,
         "a",
@@ -497,32 +405,19 @@ pub(crate) fn nested_body(levels: u32, format: BodyFormat) -> Bytes {
         Value::Channel(piprov_core::name::Channel::new("v")),
         Provenance::empty(),
     );
-    let body = encode_body_with(&record, format);
-    // The empty provenance section: a zero entry count, or a zero node
-    // count and root 0.
-    let empty_section = match format {
-        BodyFormat::LegacyPreorder => 4,
-        BodyFormat::Dag => 8,
-    };
+    let body = encode_body(&record);
+    // Drop the empty provenance section: a zero node count and root 0.
     let mut out = BytesMut::new();
-    out.put_slice(&body[..body.len() - empty_section]);
+    out.put_slice(&body[..body.len() - 8]);
     out.put_u32(levels);
     for level in 0..levels {
-        if format == BodyFormat::LegacyPreorder {
-            out.put_u32(level);
-            out.put_u8(direction_tag(Direction::Output));
-            put_str(&mut out, "p");
-        } else {
-            // Node `level + 1`: channel = node `level`, tail = ε.
-            out.put_u8(direction_tag(Direction::Output));
-            put_str(&mut out, "p");
-            out.put_u32(level);
-            out.put_u32(0);
-        }
+        // Node `level + 1`: channel = node `level`, tail = ε.
+        out.put_u8(direction_tag(Direction::Output));
+        put_str(&mut out, "p");
+        out.put_u32(level);
+        out.put_u32(0);
     }
-    if format == BodyFormat::Dag {
-        out.put_u32(levels);
-    }
+    out.put_u32(levels);
     out.freeze()
 }
 
@@ -621,26 +516,58 @@ mod tests {
     }
 
     #[test]
-    fn body_format_tags_round_trip() {
-        for format in [BodyFormat::LegacyPreorder, BodyFormat::Dag] {
-            assert_eq!(BodyFormat::from_tag(format.tag()), Some(format));
-        }
-        assert_eq!(BodyFormat::from_tag(0), None);
-        assert_eq!(BodyFormat::from_tag(99), None);
-        assert_eq!(BodyFormat::default(), BodyFormat::Dag);
+    fn body_round_trip_in_both_formats() {
+        let record = sample_record();
+        let body = encode_body(&record);
+        let decoded = decode_body(body).unwrap();
+        assert_eq!(decoded, record);
+        // Equality above is O(1) id comparison; be explicit that the
+        // decoder rebuilt the very same interned node.
+        assert_eq!(decoded.provenance.id(), record.provenance.id());
     }
 
     #[test]
-    fn body_round_trip_in_both_formats() {
-        let record = sample_record();
-        for format in [BodyFormat::LegacyPreorder, BodyFormat::Dag] {
-            let body = encode_body_with(&record, format);
-            let decoded = decode_body(body).unwrap();
-            assert_eq!(decoded, record, "round trip through {:?}", format);
-            // Equality above is O(1) id comparison; be explicit that the
-            // decoder rebuilt the very same interned node.
-            assert_eq!(decoded.provenance.id(), record.provenance.id());
-        }
+    fn record_bodies_keep_their_bytes() {
+        // Tag 2, sequence, logical time, operation, principal, channel and
+        // value, then the node count, one line per node (direction,
+        // principal, channel reference, tail reference; 0 is ε) and the
+        // root reference.
+        let shared = [
+            &b"\x02"[..],
+            b"\0\0\0\0\0\0\0\x2a",
+            b"\0\0\0\0\0\0\0\x07",
+            b"\x01",
+            b"\0\x01b",
+            b"\0\x01m",
+            b"\0\0\x01v",
+            b"\0\0\0\x03",
+            b"\0\0\x01c\0\0\0\0\0\0\0\0",
+            b"\0\0\x01a\0\0\0\x01\0\0\0\0",
+            b"\x01\0\x01b\0\0\0\x01\0\0\0\x02",
+            b"\0\0\0\x03",
+        ]
+        .concat();
+        assert_eq!(&encode_body(&sample_record())[..], &shared[..]);
+        let chained = [
+            &b"\x02"[..],
+            b"\0\0\0\0\0\0\0\x01",
+            b"\0\0\0\0\0\0\0\x01",
+            b"\x01",
+            b"\0\x07auditor",
+            b"\0\x01m",
+            b"\0\0\x01v",
+            b"\0\0\0\x07",
+            b"\0\0\x06origin\0\0\0\0\0\0\0\0",
+            b"\0\0\x04hop0\0\0\0\x01\0\0\0\x01",
+            b"\x01\0\x04hop0\0\0\0\x01\0\0\0\x02",
+            b"\0\0\x04hop1\0\0\0\x03\0\0\0\x03",
+            b"\x01\0\x04hop1\0\0\0\x03\0\0\0\x04",
+            b"\0\0\x04hop2\0\0\0\x05\0\0\0\x05",
+            b"\x01\0\x04hop2\0\0\0\x05\0\0\0\x06",
+            b"\0\0\0\x07",
+        ]
+        .concat();
+        assert_eq!(&encode_body(&chained_record(3))[..], &chained[..]);
     }
 
     #[test]
@@ -653,27 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_frames_remain_readable() {
-        let record = sample_record();
-        let mut framed = encode_framed_with(&record, BodyFormat::LegacyPreorder);
-        let decoded = decode_framed(&mut framed).unwrap().unwrap();
-        assert_eq!(decoded, record);
-    }
-
-    #[test]
-    fn untagged_seed_bodies_remain_readable() {
-        // Bodies written before the version header are byte-for-byte a
-        // tagged preorder body minus the leading tag: they start with the
-        // u64 sequence, whose first byte is 0 below 2⁵⁶.
-        let record = sample_record();
-        let tagged = encode_body_with(&record, BodyFormat::LegacyPreorder);
-        let untagged = Bytes::from(tagged[1..].to_vec());
-        assert_eq!(untagged[0], 0, "sequence high byte is 0");
-        let decoded = decode_body(untagged).unwrap();
-        assert_eq!(decoded, record);
-    }
-
-    #[test]
     fn multiple_frames_decode_in_sequence() {
         let mut r1 = sample_record();
         r1.sequence = 1;
@@ -682,7 +588,7 @@ mod tests {
         r2.value = Value::Principal(Principal::new("a"));
         let mut joined = BytesMut::new();
         joined.put_slice(&encode_framed(&r1));
-        joined.put_slice(&encode_framed_with(&r2, BodyFormat::LegacyPreorder));
+        joined.put_slice(&encode_framed(&r2));
         let mut buf = joined.freeze();
         assert_eq!(decode_framed(&mut buf).unwrap().unwrap(), r1);
         assert_eq!(decode_framed(&mut buf).unwrap().unwrap(), r2);
@@ -720,60 +626,36 @@ mod tests {
         let mut body = encode_body(&record).to_vec();
         body[17] = 200;
         assert!(decode_body(Bytes::from(body)).is_err());
-        // Unknown format version tag (byte 0).
-        let mut body = encode_body(&record).to_vec();
-        body[0] = 77;
-        assert!(decode_body(Bytes::from(body)).is_err());
-    }
-
-    #[test]
-    fn preorder_bodies_out_of_preorder_are_corrupt() {
-        // A tag-1 body whose provenance section holds two entries at depths
-        // [1, 0]: the first has no parent, so no provenance can hold both.
-        let record = ProvenanceRecord {
-            provenance: Provenance::empty(),
-            ..sample_record()
-        };
-        let body = encode_body_with(&record, BodyFormat::LegacyPreorder);
-        let mut tagged = BytesMut::new();
-        tagged.put_slice(&body[..body.len() - 4]);
-        tagged.put_u32(2);
-        for (depth, name) in [(1, "x"), (0, "y")] {
-            tagged.put_u32(depth);
-            tagged.put_u8(direction_tag(Direction::Output));
-            put_str(&mut tagged, name);
-        }
-        let tagged = tagged.freeze();
-        // The same section in an untagged body (no leading version byte).
-        let untagged = Bytes::from(tagged[1..].to_vec());
-        for body in [tagged, untagged] {
-            assert!(matches!(decode_body(body), Err(StoreError::Corrupt(_))));
+        // Unknown format version tags (byte 0): 0 and 1 are the untagged
+        // and preorder layouts, which are no longer read.
+        for tag in [0, 1, 77] {
+            let mut body = encode_body(&record).to_vec();
+            body[0] = tag;
+            assert!(
+                matches!(decode_body(Bytes::from(body)), Err(StoreError::Corrupt(_))),
+                "tag {}",
+                tag
+            );
         }
     }
 
     #[test]
     fn bodies_nested_past_the_depth_limit_are_corrupt() {
         let limit = MAX_PROVENANCE_DEPTH as u32;
-        for format in [BodyFormat::LegacyPreorder, BodyFormat::Dag] {
-            let deepest = decode_body(nested_body(limit, format)).unwrap();
-            assert_eq!(deepest.provenance.depth(), MAX_PROVENANCE_DEPTH);
-            assert_eq!(
-                decode_body(encode_body_with(&deepest, format)).unwrap(),
-                deepest
+        let deepest = decode_body(nested_body(limit)).unwrap();
+        assert_eq!(deepest.provenance.depth(), MAX_PROVENANCE_DEPTH);
+        assert_eq!(decode_body(encode_body(&deepest)).unwrap(), deepest);
+        // 100,000 levels overflowed the stack of whichever thread walked
+        // the result.
+        for levels in [limit + 1, 100_000] {
+            assert!(
+                matches!(
+                    decode_body(nested_body(levels)),
+                    Err(StoreError::Corrupt(_))
+                ),
+                "{} levels",
+                levels
             );
-            // 100,000 levels overflowed the stack of the decoding thread
-            // (tag 1) or of whichever thread walked the result (tag 2).
-            for levels in [limit + 1, 100_000] {
-                assert!(
-                    matches!(
-                        decode_body(nested_body(levels, format)),
-                        Err(StoreError::Corrupt(_))
-                    ),
-                    "{:?}, {} levels",
-                    format,
-                    levels
-                );
-            }
         }
     }
 
@@ -813,14 +695,7 @@ mod tests {
             "tree is exponential: {}",
             record.provenance.total_size()
         );
-        let dag = encode_body_with(&record, BodyFormat::Dag);
-        let legacy = encode_body_with(&record, BodyFormat::LegacyPreorder);
-        assert!(
-            dag.len() < legacy.len(),
-            "dag {} bytes vs legacy {} bytes",
-            dag.len(),
-            legacy.len()
-        );
+        let dag = encode_body(&record);
         // O(DAG nodes), not O(tree): generous constant per node.
         assert!(dag.len() < 64 * (record.provenance.dag_size() + 4));
         // And the shared record still round-trips exactly.

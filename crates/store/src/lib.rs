@@ -58,7 +58,6 @@ pub mod segment;
 pub mod store;
 pub mod view;
 
-pub use codec::BodyFormat;
 pub use error::StoreError;
 pub use index::SharedStoreIndex;
 pub use query::{AuditTrail, StoreQuery};

@@ -8,7 +8,7 @@
 //! the paper's citation \[20\]) must retain to answer audit queries later.
 
 use piprov_core::name::{Channel, Principal};
-use piprov_core::provenance::{Direction, Event, Provenance};
+use piprov_core::provenance::{Direction, Provenance};
 use piprov_core::reduction::{StepEvent, StepKind};
 use piprov_core::value::Value;
 use std::fmt;
@@ -203,26 +203,6 @@ impl fmt::Display for ProvenanceRecord {
     }
 }
 
-/// Flattens a provenance sequence (with its nested channel provenances)
-/// into a preorder list of `(depth, event)` pairs; the inverse operation is
-/// performed by the codec when decoding.
-///
-/// This expands all sharing — the list has `total_size` entries, i.e. one
-/// per *tree* occurrence — and is used only by the legacy preorder record
-/// format; the default DAG format serializes each distinct node once (see
-/// [`crate::codec::BodyFormat`]).
-pub fn flatten_provenance(provenance: &Provenance) -> Vec<(u32, Event)> {
-    fn go(provenance: &Provenance, depth: u32, out: &mut Vec<(u32, Event)>) {
-        for event in provenance.iter() {
-            out.push((depth, event.clone()));
-            go(&event.channel_provenance, depth + 1, out);
-        }
-    }
-    let mut out = Vec::new();
-    go(provenance, 0, &mut out);
-    out
-}
-
 /// The deepest channel-provenance nesting ([`Provenance::depth`]) a record
 /// may carry.  Decoding, indexing and querying a history recurse once per
 /// nesting level, so the decoders refuse anything deeper (a hostile frame
@@ -231,44 +211,6 @@ pub fn flatten_provenance(provenance: &Provenance) -> Vec<(u32, Event)> {
 /// write what they would refuse to read.  Histories the calculus produces
 /// nest a handful of levels.
 pub const MAX_PROVENANCE_DEPTH: usize = 256;
-
-/// Reconstructs a provenance sequence from the preorder `(depth, event)`
-/// list produced by [`flatten_provenance`].
-///
-/// Returns `None` unless the list is a whole preorder — it starts at depth
-/// 0 and no entry is more than one level deeper than the one before it —
-/// so a decoder never returns the prefix it could place and drops the
-/// rest.  Also `None` when the provenance would nest deeper than
-/// [`MAX_PROVENANCE_DEPTH`]: that is checked before the recursive rebuild.
-pub fn unflatten_provenance(items: &[(u32, Event)]) -> Option<Provenance> {
-    fn build(items: &[(u32, Event)], depth: u32, cursor: &mut usize) -> Provenance {
-        let mut events = Vec::new();
-        while *cursor < items.len() && items[*cursor].0 == depth {
-            let (_, event) = &items[*cursor];
-            *cursor += 1;
-            let nested = build(items, depth + 1, cursor);
-            events.push(Event {
-                principal: event.principal.clone(),
-                direction: event.direction,
-                channel_provenance: nested,
-            });
-        }
-        Provenance::from_events(events)
-    }
-    // An entry at list depth `d` nests its event `d + 1` levels deep.
-    if items
-        .iter()
-        .any(|(depth, _)| *depth as usize >= MAX_PROVENANCE_DEPTH)
-    {
-        return None;
-    }
-    let mut cursor = 0;
-    let provenance = build(items, 0, &mut cursor);
-    (cursor == items.len()).then_some(provenance)
-}
-
-/// Re-export used by the codec to avoid a dependency cycle in imports.
-pub use piprov_core::provenance::Direction as EventDirection;
 
 /// Helper: a direction's stable tag for the codec.
 pub fn direction_tag(direction: Direction) -> u8 {
@@ -291,6 +233,7 @@ pub fn direction_from_tag(tag: u8) -> Option<Direction> {
 mod tests {
     use super::*;
     use piprov_core::name::Principal;
+    use piprov_core::provenance::Event;
 
     fn sample_provenance() -> Provenance {
         let km = Provenance::single(Event::output(Principal::new("c"), Provenance::empty()));
@@ -323,15 +266,6 @@ mod tests {
             Some(Direction::Input)
         );
         assert_eq!(direction_from_tag(7), None);
-    }
-
-    #[test]
-    fn flatten_unflatten_round_trip() {
-        let p = sample_provenance();
-        let flat = flatten_provenance(&p);
-        assert_eq!(flat.len(), p.total_size());
-        assert_eq!(unflatten_provenance(&flat), Some(p));
-        assert_eq!(unflatten_provenance(&[]), Some(Provenance::empty()));
     }
 
     #[test]

@@ -130,11 +130,13 @@ pub struct SegmentScan {
     /// Length in bytes of the cleanly decodable prefix; recovery truncates
     /// a torn segment to this length before resuming appends.
     pub valid_len: usize,
-    /// When a decode error stopped the scan, `true` iff no decodable frame
-    /// exists anywhere after the failing one: the signature of an append
-    /// interrupted by a crash.  `false` means valid frames follow the bad
-    /// one — that is mid-file corruption, which recovery must never
-    /// truncate away.
+    /// When a decode error stopped the scan, `true` iff the failing frame
+    /// is not whole and CRC-valid and no decodable frame exists anywhere
+    /// after it: the signature of an append interrupted by a crash.
+    /// `false` means the frame was written whole but does not decode (a
+    /// retired body format, say), or valid frames follow the bad one —
+    /// either way the bytes are not a torn append, and recovery must
+    /// never truncate them away.
     pub torn_tail: bool,
     /// `Some(error)` if the scan stopped early due to a torn or corrupt
     /// frame (everything before it is still returned).
@@ -176,14 +178,17 @@ pub fn scan_segment(path: impl AsRef<Path>) -> Result<SegmentScan, StoreError> {
                 })
             }
             Err(e) => {
-                // A failing frame with nothing decodable after it is a torn
-                // append; decodable frames after it mean mid-file
+                // A whole frame that passes its CRC was not torn by a
+                // crash: if it fails to decode, it was written that way,
+                // and recovery must refuse it, not truncate it.  Otherwise
+                // a failing frame with nothing decodable after it is a
+                // torn append; decodable frames after it mean mid-file
                 // corruption.  The bad frame's own length prefix cannot be
                 // trusted to find "after" (the flipped bit may be *in* the
                 // prefix), so scan for any CRC-valid frame at a later
                 // offset instead.
-                let tail = total - clean_prefix;
-                let torn_tail = tail < 8 || !contains_valid_frame(&full, clean_prefix + 1);
+                let torn_tail = crc_valid_body(&full, clean_prefix).is_none()
+                    && !contains_valid_frame(&full, clean_prefix + 1);
                 return Ok(SegmentScan {
                     records,
                     valid_len: clean_prefix,
@@ -195,42 +200,31 @@ pub fn scan_segment(path: impl AsRef<Path>) -> Result<SegmentScan, StoreError> {
     }
 }
 
+/// The smallest body [`crate::codec::decode_body`] can accept (version
+/// tag + sequence + logical time + operation tag); a run of zero bytes
+/// reads as a CRC-valid empty frame, so shorter candidates never count.
+const MIN_BODY: usize = 18;
+
+/// The body of the whole, CRC-valid frame of at least [`MIN_BODY`] bytes
+/// that starts at byte `offset`, if there is one.
+fn crc_valid_body(data: &[u8], offset: usize) -> Option<&[u8]> {
+    let header = data.get(offset..offset + 8)?;
+    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    let crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
+    let body = data.get(offset + 8..)?.get(..len)?;
+    (len >= MIN_BODY && crate::codec::crc32(body) == crc).then_some(body)
+}
+
 /// Whether any complete, CRC-valid, decodable frame starts at or after
 /// byte `from`.  Used only on the scan error path to tell a torn final
 /// append (safe to truncate) from mid-file corruption (must be preserved).
 /// A candidate only counts if its body also decodes, so runs of zero bytes
 /// left by out-of-order block writes cannot masquerade as frames.
 fn contains_valid_frame(data: &[u8], from: usize) -> bool {
-    // The smallest real body is well above decode_body's 18-byte floor
-    // (version tag + sequence + logical time + operation tag).
-    const MIN_BODY: usize = 18;
-    let total = data.len();
-    let mut offset = from;
-    while offset + 8 + MIN_BODY <= total {
-        let len = u32::from_be_bytes([
-            data[offset],
-            data[offset + 1],
-            data[offset + 2],
-            data[offset + 3],
-        ]) as usize;
-        let body_start = offset + 8;
-        if (MIN_BODY..=total - body_start).contains(&len) {
-            let crc = u32::from_be_bytes([
-                data[offset + 4],
-                data[offset + 5],
-                data[offset + 6],
-                data[offset + 7],
-            ]);
-            let body = &data[body_start..body_start + len];
-            if crate::codec::crc32(body) == crc
-                && crate::codec::decode_body(Bytes::copy_from_slice(body)).is_ok()
-            {
-                return true;
-            }
-        }
-        offset += 1;
-    }
-    false
+    (from..data.len()).any(|offset| {
+        crc_valid_body(data, offset)
+            .is_some_and(|body| crate::codec::decode_body(Bytes::copy_from_slice(body)).is_ok())
+    })
 }
 
 #[cfg(test)]

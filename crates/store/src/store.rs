@@ -94,10 +94,11 @@ impl ProvenanceStore {
     ///
     /// A torn final append (crash mid-write) is repaired automatically.
     /// Corruption that recovery cannot attribute to a torn append — a bad
-    /// frame with decodable frames after it, or any bad frame in a sealed
-    /// segment — makes `open` refuse, leaving every byte in place; see
-    /// [`ProvenanceStore::repair`] for the explicit, destructive way to
-    /// accept the data loss and bring such a store back online.
+    /// frame with decodable frames after it, a whole CRC-valid frame that
+    /// does not decode (a body in a retired format, say), or any bad frame
+    /// in a sealed segment — makes `open` refuse, leaving every byte in
+    /// place; see [`ProvenanceStore::repair`] for the explicit, destructive
+    /// way to accept the data loss and bring such a store back online.
     ///
     /// # Errors
     ///
@@ -189,11 +190,12 @@ impl ProvenanceStore {
                 }
                 // Anything else is corruption that recovery cannot repair:
                 // a bad frame with valid frames after it (bitrot, partial
-                // sector rewrite) in the newest segment, or any decode
-                // error in a sealed segment, which is never written again
-                // and so can never have a legitimately torn tail.  Refuse
-                // to open rather than silently serving a partial store:
-                // the file is left untouched as evidence for repair.
+                // sector rewrite) or a whole frame that does not decode in
+                // the newest segment, or any decode error in a sealed
+                // segment, which is never written again and so can never
+                // have a legitimately torn tail.  Refuse to open rather
+                // than silently serving a partial store: the file is left
+                // untouched as evidence for repair.
                 Some(error) => return Err(error),
                 None => bytes_on_disk += disk_len,
             }
@@ -630,12 +632,12 @@ mod tests {
         let mut store = ProvenanceStore::open(&dir).unwrap();
         store.append(record(1, "a", "v")).unwrap();
         drop(store);
-        // A CRC-valid tag-1 frame whose provenance nests one level past
-        // the limit, followed by a good frame, so recovery cannot call it
+        // A CRC-valid frame whose provenance nests one level past the
+        // limit, followed by a good frame, so recovery cannot call it
         // torn.  (The codec tests decode 100,000 levels, which overflowed
-        // the decoding thread's stack.)
+        // the stack of the thread that walked the result.)
         let levels = MAX_PROVENANCE_DEPTH as u32 + 1;
-        let body = crate::codec::nested_body(levels, crate::BodyFormat::LegacyPreorder);
+        let body = crate::codec::nested_body(levels);
         let mut segment = OpenOptions::new()
             .append(true)
             .open(segment_path(&dir, 1))
@@ -658,6 +660,37 @@ mod tests {
             Err(StoreError::Corrupt(_))
         ));
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_refuses_a_lone_frame_in_a_retired_body_format() {
+        // A store holding only untagged (seed) or tag-1 (preorder) bodies:
+        // every frame is whole and passes its CRC, so none of it is a torn
+        // append, and open must refuse rather than truncate the segment.
+        for tag in [0u8, 1] {
+            let dir = temp_dir(&format!("retired-{}", tag));
+            fs::create_dir_all(&dir).unwrap();
+            let mut body = crate::codec::encode_body(&record(1, "a", "v")).to_vec();
+            body[0] = tag;
+            let mut frame = Vec::new();
+            frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+            frame.extend_from_slice(&crate::codec::crc32(&body).to_be_bytes());
+            frame.extend_from_slice(&body);
+            let path = segment_path(&dir, 1);
+            fs::write(&path, &frame).unwrap();
+
+            assert!(
+                matches!(ProvenanceStore::open(&dir), Err(StoreError::Corrupt(_))),
+                "a tag-{} body is refused",
+                tag
+            );
+            assert_eq!(
+                fs::metadata(&path).unwrap().len(),
+                frame.len() as u64,
+                "the refused segment is left untouched"
+            );
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -1,22 +1,24 @@
 //! Round-trip properties of the store codec on *deeply shared* channel
 //! provenance.
 //!
-//! The DAG record format (see [`piprov_store::BodyFormat`]) encodes every
-//! distinct interned provenance node exactly once; these tests generate
-//! provenance values with heavy, adversarial sharing — channel provenances
-//! and tails drawn from a pool of previously built sequences — and check
-//! that
+//! A record body encodes every distinct interned provenance node exactly
+//! once, in a node table (see [`piprov_store::codec::NodeTable`]); these
+//! tests generate provenance values with heavy, adversarial sharing —
+//! channel provenances and tails drawn from a pool of previously built
+//! sequences — and check that
 //!
-//! * `decode(encode(r)) == r` for both the DAG format and the legacy
-//!   preorder format (and the decoded value interns to the *same* node);
-//! * the DAG encoding of a pathologically shared record is strictly (and
-//!   asymptotically) smaller than the legacy preorder encoding.
+//! * `decode(encode(r)) == r` (and the decoded value interns to the *same*
+//!   node);
+//! * a body is O(DAG nodes), even when the logical tree is exponentially
+//!   larger;
+//! * `Provenance::principals_involved`, which visits each DAG node once,
+//!   agrees with a walk of the logical tree.
 
 use piprov_core::name::{Channel, Principal};
 use piprov_core::provenance::{Event, Provenance};
 use piprov_core::value::Value;
-use piprov_store::codec::{decode_body, decode_framed, encode_body_with, encode_framed_with};
-use piprov_store::{BodyFormat, Operation, ProvenanceRecord};
+use piprov_store::codec::{decode_body, decode_framed, encode_body, encode_framed};
+use piprov_store::{Operation, ProvenanceRecord};
 use proptest::prelude::*;
 
 /// One step of the DAG-building program: prepend one event whose channel
@@ -61,6 +63,18 @@ fn build_shared_provenance(steps: &[BuildStep]) -> Provenance {
     pool.last().expect("pool starts non-empty").clone()
 }
 
+/// The tree walk `principals_involved` must agree with: every event's
+/// principal, most recent first, each channel provenance walked right
+/// after its event, a principal kept at its first appearance.
+fn principals_by_tree_walk(provenance: &Provenance, out: &mut Vec<Principal>) {
+    for event in provenance.iter() {
+        if !out.contains(&event.principal) {
+            out.push(event.principal.clone());
+        }
+        principals_by_tree_walk(&event.channel_provenance, out);
+    }
+}
+
 fn record_with(provenance: Provenance) -> ProvenanceRecord {
     ProvenanceRecord {
         sequence: 9000,
@@ -81,7 +95,7 @@ proptest! {
     #[test]
     fn dag_bodies_round_trip_shared_provenance(steps in proptest::collection::vec(arb_step(), 0..40)) {
         let record = record_with(build_shared_provenance(&steps));
-        let decoded = decode_body(encode_body_with(&record, BodyFormat::Dag)).unwrap();
+        let decoded = decode_body(encode_body(&record)).unwrap();
         prop_assert_eq!(&decoded, &record);
         // The decoder rebuilt through the interner: same node, not merely
         // an equal copy.
@@ -89,23 +103,22 @@ proptest! {
     }
 
     #[test]
-    fn legacy_bodies_round_trip_shared_provenance(steps in proptest::collection::vec(arb_step(), 0..24)) {
-        let record = record_with(build_shared_provenance(&steps));
-        // The preorder expansion is O(tree); skip pathological cases the
-        // legacy format was never expected to handle at speed (the cached
-        // total_size makes this guard O(1)).
-        if record.provenance.total_size() > 1 << 16 {
+    fn principals_involved_equals_the_tree_walk(steps in proptest::collection::vec(arb_step(), 0..40)) {
+        let provenance = build_shared_provenance(&steps);
+        // The oracle walks the tree; the cached total_size keeps this
+        // guard O(1).
+        if provenance.total_size() > 1 << 16 {
             return;
         }
-        let decoded = decode_body(encode_body_with(&record, BodyFormat::LegacyPreorder)).unwrap();
-        prop_assert_eq!(&decoded, &record);
-        prop_assert_eq!(decoded.provenance.id(), record.provenance.id());
+        let mut tree_walk = Vec::new();
+        principals_by_tree_walk(&provenance, &mut tree_walk);
+        prop_assert_eq!(provenance.principals_involved(), tree_walk);
     }
 
     #[test]
     fn framed_dag_records_round_trip(steps in proptest::collection::vec(arb_step(), 0..40)) {
         let record = record_with(build_shared_provenance(&steps));
-        let mut framed = encode_framed_with(&record, BodyFormat::Dag);
+        let mut framed = encode_framed(&record);
         let decoded = decode_framed(&mut framed).unwrap().unwrap();
         prop_assert_eq!(decoded, record);
         prop_assert_eq!(decode_framed(&mut framed).unwrap(), None);
@@ -114,7 +127,7 @@ proptest! {
     #[test]
     fn dag_encoding_never_stores_a_node_twice(steps in proptest::collection::vec(arb_step(), 0..40)) {
         let record = record_with(build_shared_provenance(&steps));
-        let body = encode_body_with(&record, BodyFormat::Dag);
+        let body = encode_body(&record);
         // Size is O(DAG): a generous per-node constant bounds the body.
         let nodes = record.provenance.dag_size();
         prop_assert!(body.len() <= 96 + 32 * nodes,
@@ -144,21 +157,9 @@ fn dag_encoding_is_strictly_smaller_on_pathological_sharing() {
     let dag_nodes = record.provenance.dag_size();
     assert!(tree > 1 << 9, "tree is exponential: {}", tree);
     assert!(dag_nodes <= 2 * 9 + 1, "dag is linear: {}", dag_nodes);
-    let dag = encode_body_with(&record, BodyFormat::Dag);
-    let legacy = encode_body_with(&record, BodyFormat::LegacyPreorder);
-    assert!(
-        dag.len() < legacy.len(),
-        "dag {} bytes must beat legacy {} bytes",
-        dag.len(),
-        legacy.len()
-    );
-    // The gap is asymptotic, not incidental: the legacy body pays per tree
-    // event, the DAG body per distinct node.
-    assert!(legacy.len() >= tree * 5, "legacy is O(tree)");
+    let dag = encode_body(&record);
     assert!(dag.len() <= 96 + 32 * dag_nodes, "dag is O(dag nodes)");
-    // Both still decode to the same record.
     assert_eq!(decode_body(dag).unwrap(), record);
-    assert_eq!(decode_body(legacy).unwrap(), record);
 }
 
 #[test]
@@ -172,10 +173,5 @@ fn direction_mix_survives_the_dag_round_trip() {
         .prepend(Event::input(Principal::new("a"), Provenance::empty()))
         .prepend(Event::output(Principal::new("b"), km));
     let record = record_with(provenance);
-    for format in [BodyFormat::Dag, BodyFormat::LegacyPreorder] {
-        assert_eq!(
-            decode_body(encode_body_with(&record, format)).unwrap(),
-            record
-        );
-    }
+    assert_eq!(decode_body(encode_body(&record)).unwrap(), record);
 }
