@@ -408,24 +408,23 @@ fn drain_loop(shared: &Shared) {
         // Submit → applied: the wait a producer's read-your-writes poll
         // experiences, queue time and apply time included.
         let waited = u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        shared
-            .engine
-            .metrics_registry()
-            .record_ingest_queue_wait(waited);
         // The serve layer already recorded the synchronous half of the
         // trace (decode/handle/write around the IngestAck); this record
         // carries only the asynchronous queue-wait span and merges with it
         // by trace id at snapshot time.
-        if let (Some(collector), Some(trace)) = (shared.collector.as_ref(), trace) {
-            if trace.sampled {
-                collector.record(&TraceRecord {
-                    trace_id: trace.trace_id,
-                    kind: RequestKind::Ingest,
-                    total_ns: 0,
-                    spans: vec![Span::new(SpanKind::QueueWait, waited)],
-                });
-            }
+        let trace_id = trace.filter(|t| t.sampled).map(|t| t.trace_id);
+        if let (Some(collector), Some(trace_id)) = (shared.collector.as_ref(), trace_id) {
+            collector.record(&TraceRecord {
+                trace_id,
+                kind: RequestKind::Ingest,
+                total_ns: 0,
+                spans: vec![Span::new(SpanKind::QueueWait, waited)],
+            });
         }
+        shared
+            .engine
+            .metrics_registry()
+            .record_stage(SpanKind::QueueWait, waited, trace_id);
         let mut state = shared.lock();
         state.in_flight = false;
         shared.publish_gauges(&state);

@@ -6,7 +6,9 @@
 //! latency histogram plus verdict counters, all plain atomics, recorded on
 //! the `handle()` hot path without taking any lock beyond one uncontended
 //! registry read (see the `e15_metrics` bench group for the measured
-//! overhead budget).
+//! overhead budget).  It also keeps one latency histogram per trace
+//! [`SpanKind`], fed with the spans the serving layer and the ingest drain
+//! hand to the trace collector.
 //!
 //! [`AuditEngine::metrics`](crate::AuditEngine::metrics) gathers the
 //! registry together with every other counter surface the workspace keeps
@@ -25,6 +27,7 @@
 //! test.
 
 use crate::engine::{AuditEngine, EngineStats};
+use crate::trace::SpanKind;
 use piprov_core::provenance::{InternerStats, ShardStats};
 use piprov_patterns::MemoStats;
 use piprov_store::StoreStats;
@@ -128,10 +131,6 @@ struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    fn record(&self, elapsed_ns: u64) {
-        self.record_traced(elapsed_ns, None);
-    }
-
     fn record_traced(&self, elapsed_ns: u64, trace_id: Option<u128>) {
         let slot = LATENCY_BUCKET_BOUNDS_NS.partition_point(|&bound| bound < elapsed_ns);
         match self.buckets.get(slot) {
@@ -221,12 +220,8 @@ impl PolicyMetrics {
 pub struct MetricsRegistry {
     policies: RwLock<HashMap<String, Arc<PolicyMetrics>>>,
     vets_unknown_pattern: AtomicU64,
-    /// Wire-level: time to decode one frame body into a typed request.
-    frame_decode: LatencyHistogram,
-    /// Wire-level: time from decoded request to encoded response.
-    request_service: LatencyHistogram,
-    /// Ingest: time a batch spent queued, submit-accepted → applied.
-    ingest_queue_wait: LatencyHistogram,
+    /// One histogram per [`SpanKind`], in [`SpanKind::ALL`] order.
+    stages: [LatencyHistogram; SpanKind::ALL.len()],
     /// Serving: TCP connections accepted, over the registry lifetime.
     connections_accepted: AtomicU64,
     /// Serving: TCP connections closed, over the registry lifetime.
@@ -286,31 +281,31 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one wire frame's decode time (frame body → typed request).
-    /// Recorded by the serving layer, in both server cores.
-    pub fn record_frame_decode(&self, elapsed_ns: u64) {
-        self.frame_decode.record(elapsed_ns);
+    /// Records one span of `stage` into that stage's histogram, keeping
+    /// `trace_id` as the landing bucket's exemplar when the request left a
+    /// trace.  Callers record every span they hand to the
+    /// [`crate::TraceCollector`], sampled or not, so `piprov_stage_seconds`
+    /// cuts every request into the stages `/trace` shows.
+    pub fn record_stage(&self, stage: SpanKind, elapsed_ns: u64, trace_id: Option<u128>) {
+        // The kinds are numbered 1.. in `SpanKind::ALL` order.
+        self.stages[stage as usize - 1].record_traced(elapsed_ns, trace_id);
     }
 
-    /// Records one request's service time (decoded request → encoded
-    /// response, including the engine or queue work in between).
-    pub fn record_request_service(&self, elapsed_ns: u64) {
-        self.request_service.record(elapsed_ns);
+    /// Snapshots of every stage histogram, in [`SpanKind::ALL`] order.
+    pub fn stage_snapshots(&self) -> Vec<(SpanKind, HistogramSnapshot)> {
+        SpanKind::ALL
+            .into_iter()
+            .zip(&self.stages)
+            .map(|(stage, histogram)| (stage, histogram.snapshot()))
+            .collect()
     }
 
-    /// Like [`MetricsRegistry::record_request_service`], additionally
-    /// keeping `trace_id` as the landing bucket's exemplar when the request
-    /// was sampled.
-    pub fn record_request_service_traced(&self, elapsed_ns: u64, trace_id: Option<u128>) {
-        self.request_service.record_traced(elapsed_ns, trace_id);
-    }
-
-    /// Counts one accepted TCP connection (either server core).
+    /// Counts one accepted TCP connection.
     pub fn note_connection_accepted(&self) {
         self.connections_accepted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one closed TCP connection (either server core).
+    /// Counts one closed TCP connection.
     pub fn note_connection_closed(&self) {
         self.connections_closed.fetch_add(1, Ordering::Relaxed);
     }
@@ -323,28 +318,6 @@ impl MetricsRegistry {
     /// TCP connections closed over the registry lifetime.
     pub fn connections_closed(&self) -> u64 {
         self.connections_closed.load(Ordering::Relaxed)
-    }
-
-    /// Records how long one accepted ingest batch waited in the bounded
-    /// queue before its apply finished (submit → applied) — the latency a
-    /// producer's read-your-writes poll actually experiences.
-    pub fn record_ingest_queue_wait(&self, elapsed_ns: u64) {
-        self.ingest_queue_wait.record(elapsed_ns);
-    }
-
-    /// Snapshot of the frame-decode histogram.
-    pub fn frame_decode_snapshot(&self) -> HistogramSnapshot {
-        self.frame_decode.snapshot()
-    }
-
-    /// Snapshot of the request-service histogram.
-    pub fn request_service_snapshot(&self) -> HistogramSnapshot {
-        self.request_service.snapshot()
-    }
-
-    /// Snapshot of the ingest queue-wait histogram.
-    pub fn ingest_queue_wait_snapshot(&self) -> HistogramSnapshot {
-        self.ingest_queue_wait.snapshot()
     }
 
     /// Counts one vet that named a policy the engine does not know.
@@ -409,8 +382,8 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Per-bucket exemplars: one entry per bound in
     /// [`LATENCY_BUCKET_BOUNDS_NS`] plus a final entry for the overflow
-    /// (`+Inf`) bucket.  Empty when the histogram never saw a sampled
-    /// observation carrier (e.g. a snapshot decoded from an old wire peer).
+    /// (`+Inf`) bucket.  May be empty in a snapshot built by hand, which
+    /// renders without exemplars.
     pub exemplars: Vec<Option<Exemplar>>,
 }
 
@@ -427,11 +400,10 @@ pub struct PolicySnapshot {
     pub vets_failed: u64,
     /// Vets whose value had no recorded history.
     pub vets_unknown_value: u64,
-    /// Counterfactual audits served against this policy.  (0 when the
-    /// snapshot was decoded from a pre-v6 wire peer.)
+    /// Counterfactual audits served against this policy.
     pub counterfactuals: u64,
     /// Counterfactual audits whose filtered verdict differed from the
-    /// original — the removed events were causal.  (0 pre-v6.)
+    /// original — the removed events were causal.
     pub counterfactual_flips: u64,
     /// The vet latency histogram.
     pub latency: HistogramSnapshot,
@@ -453,15 +425,9 @@ pub struct MetricsSnapshot {
     /// Vets that named a policy the engine does not know (these have no
     /// per-policy row to land in).
     pub vets_unknown_pattern: u64,
-    /// Wire-level: frame-decode time (frame body → typed request),
-    /// recorded by the serving layer in both server cores.
-    pub frame_decode: HistogramSnapshot,
-    /// Wire-level: per-request service time (decoded request → encoded
-    /// response).
-    pub request_service: HistogramSnapshot,
-    /// Ingest: how long accepted batches waited in the bounded queue
-    /// (submit → applied).
-    pub ingest_queue_wait: HistogramSnapshot,
+    /// One latency histogram per pipeline stage, in [`SpanKind::ALL`]
+    /// order: every request's spans, cut into the stages `/trace` shows.
+    pub stages: Vec<(SpanKind, HistogramSnapshot)>,
     /// Seconds since the engine was opened — the liveness-probe companion.
     pub uptime_seconds: u64,
     /// TCP connections accepted by the serving layer, lifetime.
@@ -502,9 +468,7 @@ impl AuditEngine {
             interner: piprov_core::provenance::interner_stats(),
             interner_shards: piprov_core::provenance::interner_shard_stats(),
             vets_unknown_pattern: registry.unknown_pattern_vets(),
-            frame_decode: registry.frame_decode_snapshot(),
-            request_service: registry.request_service_snapshot(),
-            ingest_queue_wait: registry.ingest_queue_wait_snapshot(),
+            stages: registry.stage_snapshots(),
             uptime_seconds: self.uptime_seconds(),
             connections_accepted: registry.connections_accepted(),
             connections_closed: registry.connections_closed(),
@@ -580,9 +544,7 @@ pub fn render_exposition_with(snapshot: &MetricsSnapshot, options: &ExpositionOp
         interner,
         interner_shards,
         vets_unknown_pattern,
-        frame_decode,
-        request_service,
-        ingest_queue_wait,
+        stages,
         uptime_seconds,
         connections_accepted,
         connections_closed,
@@ -837,26 +799,15 @@ pub fn render_exposition_with(snapshot: &MetricsSnapshot, options: &ExpositionOp
         "TCP connections currently open (accepted minus closed).",
         *open_connections,
     );
-    // -- wire + ingest latency ----------------------------------------------
-    plain_histogram(
+    // -- per-stage latency ---------------------------------------------------
+    histogram_family(
         &mut out,
-        "piprov_frame_decode_seconds",
-        "Wire frame decode time (frame body to typed request), either server core.",
-        frame_decode,
-        options,
-    );
-    plain_histogram(
-        &mut out,
-        "piprov_request_service_seconds",
-        "Request service time (decoded request to encoded response).",
-        request_service,
-        options,
-    );
-    plain_histogram(
-        &mut out,
-        "piprov_ingest_queue_wait_seconds",
-        "Time accepted ingest batches spent queued (submit to applied).",
-        ingest_queue_wait,
+        "piprov_stage_seconds",
+        "Time per request stage, by the stage names /trace shows.",
+        "stage",
+        stages
+            .iter()
+            .map(|(stage, histogram)| (stage.name(), histogram)),
         options,
     );
     // -- per-policy ---------------------------------------------------------
@@ -886,44 +837,51 @@ fn exemplar_suffix(
     }
 }
 
-/// Renders one label-free histogram family: cumulative buckets over
-/// [`LATENCY_BUCKET_BOUNDS_NS`], `+Inf`, then the `_sum`/`_count` pair.
-fn plain_histogram(
+/// Renders one labelled histogram family: HELP/TYPE once, then for each
+/// `(label value, histogram)` row cumulative buckets over
+/// [`LATENCY_BUCKET_BOUNDS_NS`], `+Inf`, and the `_sum`/`_count` pair.
+fn histogram_family<'a>(
     out: &mut String,
     name: &str,
     help: &str,
-    histogram: &HistogramSnapshot,
+    label: &str,
+    rows: impl IntoIterator<Item = (&'a str, &'a HistogramSnapshot)>,
     options: &ExpositionOptions,
 ) {
-    let HistogramSnapshot {
-        counts,
-        overflow: _,
-        sum_ns,
-        count,
-        exemplars: _,
-    } = histogram;
     header(out, name, "histogram", help);
-    let mut cumulative = 0u64;
-    for (slot, (bound, bucket)) in LATENCY_BUCKET_BOUNDS_NS.iter().zip(counts).enumerate() {
-        cumulative += bucket;
+    for (value, histogram) in rows {
+        let HistogramSnapshot {
+            counts,
+            overflow: _,
+            sum_ns,
+            count,
+            exemplars: _,
+        } = histogram;
+        let series = format!("{}=\"{}\"", label, escape_label(value));
+        let mut cumulative = 0u64;
+        for (slot, (bound, bucket)) in LATENCY_BUCKET_BOUNDS_NS.iter().zip(counts).enumerate() {
+            cumulative += bucket;
+            let _ = writeln!(
+                out,
+                "{}_bucket{{{},le=\"{}\"}} {}{}",
+                name,
+                series,
+                fmt_seconds(*bound),
+                cumulative,
+                exemplar_suffix(histogram, slot, options)
+            );
+        }
         let _ = writeln!(
             out,
-            "{}_bucket{{le=\"{}\"}} {}{}",
+            "{}_bucket{{{},le=\"+Inf\"}} {}{}",
             name,
-            fmt_seconds(*bound),
-            cumulative,
-            exemplar_suffix(histogram, slot, options)
+            series,
+            count,
+            exemplar_suffix(histogram, LATENCY_BUCKET_BOUNDS_NS.len(), options)
         );
+        let _ = writeln!(out, "{}_sum{{{}}} {}", name, series, fmt_seconds(*sum_ns));
+        let _ = writeln!(out, "{}_count{{{}}} {}", name, series, count);
     }
-    let _ = writeln!(
-        out,
-        "{}_bucket{{le=\"+Inf\"}} {}{}",
-        name,
-        count,
-        exemplar_suffix(histogram, LATENCY_BUCKET_BOUNDS_NS.len(), options)
-    );
-    let _ = writeln!(out, "{}_sum {}", name, fmt_seconds(*sum_ns));
-    let _ = writeln!(out, "{}_count {}", name, count);
 }
 
 /// One labeled family: HELP/TYPE once, then one sample per policy.
@@ -1053,53 +1011,14 @@ fn render_policy_families(
             retained: _,
         } = policies[0].memo;
     }
-    // The latency histogram.
-    header(
+    histogram_family(
         out,
         "piprov_vet_latency_seconds",
-        "histogram",
         "Vet request latency through the engine, per policy.",
+        "policy",
+        policies.iter().map(|p| (p.policy.as_str(), &p.latency)),
+        options,
     );
-    for p in policies {
-        let HistogramSnapshot {
-            counts,
-            overflow: _,
-            sum_ns,
-            count,
-            exemplars: _,
-        } = &p.latency;
-        let label = escape_label(&p.policy);
-        let mut cumulative = 0u64;
-        for (slot, (bound, bucket)) in LATENCY_BUCKET_BOUNDS_NS.iter().zip(counts).enumerate() {
-            cumulative += bucket;
-            let _ = writeln!(
-                out,
-                "piprov_vet_latency_seconds_bucket{{policy=\"{}\",le=\"{}\"}} {}{}",
-                label,
-                fmt_seconds(*bound),
-                cumulative,
-                exemplar_suffix(&p.latency, slot, options)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "piprov_vet_latency_seconds_bucket{{policy=\"{}\",le=\"+Inf\"}} {}{}",
-            label,
-            count,
-            exemplar_suffix(&p.latency, LATENCY_BUCKET_BOUNDS_NS.len(), options)
-        );
-        let _ = writeln!(
-            out,
-            "piprov_vet_latency_seconds_sum{{policy=\"{}\"}} {}",
-            label,
-            fmt_seconds(*sum_ns)
-        );
-        let _ = writeln!(
-            out,
-            "piprov_vet_latency_seconds_count{{policy=\"{}\"}} {}",
-            label, count
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1375,10 +1294,10 @@ mod tests {
     #[test]
     fn histogram_records_into_the_right_bucket() {
         let h = LatencyHistogram::default();
-        h.record(1); // <= 256 -> bucket 0
-        h.record(256); // == bound 0 (inclusive)
-        h.record(257); // bucket 1
-        h.record(u64::MAX); // overflow
+        h.record_traced(1, None); // <= 256 -> bucket 0
+        h.record_traced(256, None); // == bound 0 (inclusive)
+        h.record_traced(257, None); // bucket 1
+        h.record_traced(u64::MAX, None); // overflow
         let snap = h.snapshot();
         assert_eq!(snap.counts[0], 2);
         assert_eq!(snap.counts[1], 1);
@@ -1402,7 +1321,7 @@ mod tests {
                     // Walk every bucket and the overflow.
                     let mut shift = writer;
                     while !stop.load(Ordering::Relaxed) {
-                        registry.record_request_service(1 << (shift % 26));
+                        registry.record_stage(SpanKind::Handle, 1 << (shift % 26), None);
                         shift += 1;
                     }
                 })
@@ -1412,7 +1331,11 @@ mod tests {
         let (mut snapshots, mut torn) = (0u64, 0u64);
         let mut last = HistogramSnapshot::default();
         while std::time::Instant::now() < deadline {
-            last = registry.request_service_snapshot();
+            let mut stages = registry.stage_snapshots().into_iter();
+            last = stages
+                .find(|(stage, _)| *stage == SpanKind::Handle)
+                .unwrap()
+                .1;
             snapshots += 1;
             if last.counts.iter().sum::<u64>() + last.overflow != last.count {
                 torn += 1;
@@ -1428,14 +1351,34 @@ mod tests {
             "the writers recorded before the last snapshot"
         );
         let mut text = String::new();
-        plain_histogram(
+        histogram_family(
             &mut text,
             "h",
             "racing",
-            &last,
+            "stage",
+            [("handle", &last)],
             &ExpositionOptions::default(),
         );
         validate_exposition(&text).unwrap();
+    }
+
+    #[test]
+    fn each_stage_records_into_its_own_histogram() {
+        let registry = MetricsRegistry::new();
+        for (i, stage) in SpanKind::ALL.into_iter().enumerate() {
+            registry.record_stage(stage, 1_000 * (i as u64 + 1), None);
+        }
+        let snapshots = registry.stage_snapshots();
+        let stages: Vec<SpanKind> = snapshots.iter().map(|(stage, _)| *stage).collect();
+        assert_eq!(stages, SpanKind::ALL);
+        for (i, (stage, histogram)) in snapshots.iter().enumerate() {
+            assert_eq!(
+                (histogram.count, histogram.sum_ns),
+                (1, 1_000 * (i as u64 + 1)),
+                "{}",
+                stage.name()
+            );
+        }
     }
 
     #[test]
@@ -1521,9 +1464,9 @@ mod tests {
             );
         }
         registry.record_vet("beta", 1 << 30, VetOutcomeKind::UnknownValue);
-        registry.record_frame_decode(512);
-        registry.record_request_service(4096);
-        registry.record_ingest_queue_wait(1 << 24); // overflow bucket
+        registry.record_stage(SpanKind::Decode, 512, None);
+        registry.record_stage(SpanKind::Handle, 4096, None);
+        registry.record_stage(SpanKind::QueueWait, 1 << 24, None); // overflow bucket
         for _ in 0..3 {
             registry.note_connection_accepted();
         }
@@ -1534,9 +1477,7 @@ mod tests {
             interner: piprov_core::provenance::interner_stats(),
             interner_shards: piprov_core::provenance::interner_shard_stats(),
             vets_unknown_pattern: registry.unknown_pattern_vets(),
-            frame_decode: registry.frame_decode_snapshot(),
-            request_service: registry.request_service_snapshot(),
-            ingest_queue_wait: registry.ingest_queue_wait_snapshot(),
+            stages: registry.stage_snapshots(),
             uptime_seconds: 12,
             connections_accepted: registry.connections_accepted(),
             connections_closed: registry.connections_closed(),
@@ -1548,12 +1489,14 @@ mod tests {
         assert!(text.contains("piprov_vet_latency_seconds_bucket{policy=\"alpha\","));
         assert!(text.contains("le=\"+Inf\"} 100"));
         assert!(text.contains("piprov_policy_vets_unknown_value_total{policy=\"beta\"} 1"));
-        // The wire-level histograms render label-free and lint clean even
-        // with only the overflow bucket populated.
-        assert!(text.contains("piprov_frame_decode_seconds_bucket{le=\"0.000000512\"} 1"));
-        assert!(text.contains("piprov_request_service_seconds_count 1"));
-        assert!(text.contains("piprov_ingest_queue_wait_seconds_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("piprov_ingest_queue_wait_seconds_count 1"));
+        // Every stage renders a series, recorded or not, and lints clean
+        // even with only the overflow bucket populated.
+        assert!(text.contains("piprov_stage_seconds_bucket{stage=\"decode\",le=\"0.000000512\"} 1"));
+        assert!(text.contains("piprov_stage_seconds_count{stage=\"handle\"} 1"));
+        assert!(text.contains("piprov_stage_seconds_bucket{stage=\"queue_wait\",le=\"+Inf\"} 1"));
+        assert!(text.contains("piprov_stage_seconds_count{stage=\"queue_wait\"} 1"));
+        assert!(text.contains("piprov_stage_seconds_count{stage=\"client_encode\"} 0"));
+        assert!(text.contains("piprov_stage_seconds_count{stage=\"write\"} 0"));
         // The serving-lifecycle families render.
         assert!(text.contains("piprov_uptime_seconds 12"));
         assert!(text.contains("piprov_connections_accepted_total 3"));
@@ -1568,17 +1511,15 @@ mod tests {
         let policy = registry.policy("alpha").unwrap();
         policy.record_traced(300, VetOutcomeKind::Passed, Some(0xabcd));
         policy.record_traced(1 << 30, VetOutcomeKind::Failed, Some(0x1234)); // +Inf bucket
-        registry.record_request_service_traced(4096, Some(0x77));
-        registry.record_request_service(8192); // untraced: leaves no exemplar
+        registry.record_stage(SpanKind::Handle, 4096, Some(0x77));
+        registry.record_stage(SpanKind::Handle, 8192, None); // untraced: leaves no exemplar
         let snapshot = MetricsSnapshot {
             engine: EngineStats::default(),
             store: StoreStats::default(),
             interner: piprov_core::provenance::interner_stats(),
             interner_shards: Vec::new(),
             vets_unknown_pattern: 0,
-            frame_decode: registry.frame_decode_snapshot(),
-            request_service: registry.request_service_snapshot(),
-            ingest_queue_wait: registry.ingest_queue_wait_snapshot(),
+            stages: registry.stage_snapshots(),
             uptime_seconds: 0,
             connections_accepted: 0,
             connections_closed: 0,

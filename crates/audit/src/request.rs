@@ -97,8 +97,7 @@ pub struct RequestStats {
     /// Memoized verdicts reused by a counterfactual re-vet specifically:
     /// the cache hits scored while matching the *filtered* view, i.e. the
     /// untouched subgraphs the filtered re-walk did not have to
-    /// re-simulate.  Zero for every other request kind.  (0 on the wire
-    /// when a pre-v6 peer omitted it.)
+    /// re-simulate.  Zero for every other request kind.
     pub memo_reused: usize,
 }
 
@@ -166,7 +165,6 @@ pub struct AuditResponse {
     /// loads one [`crate::PolicySet`] at entry and answers entirely
     /// from it, so every response is explained by exactly one pack
     /// version even while a hot reload swaps the registry underneath.
-    /// (0 on the wire when a pre-v5 peer omitted it.)
     pub pack_version: u64,
 }
 

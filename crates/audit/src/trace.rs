@@ -14,7 +14,8 @@
 //! Traces surface three ways: rendered as deterministic text for the plain
 //! `GET /trace` endpoint (see [`render_traces`] and its linter
 //! [`validate_trace_text`]), returned over the wire for `AuditClient::traces`,
-//! and as histogram exemplars keyed by trace id in the metrics exposition.
+//! and aggregated by [`SpanKind`] into the metrics exposition's
+//! `piprov_stage_seconds` family, whose exemplars are trace ids.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -92,7 +93,17 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Stable lowercase name used in rendered traces and log lines.
+    /// Every stage, in pipeline (and tag) order.
+    pub const ALL: [SpanKind; 5] = [
+        SpanKind::ClientEncode,
+        SpanKind::Decode,
+        SpanKind::QueueWait,
+        SpanKind::Handle,
+        SpanKind::Write,
+    ];
+
+    /// Stable lowercase name used in rendered traces, log lines and the
+    /// `stage` label of `piprov_stage_seconds`.
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::ClientEncode => "client_encode",
@@ -105,14 +116,7 @@ impl SpanKind {
 
     /// Decodes a wire/ring byte back into a kind.
     pub fn from_u8(value: u8) -> Option<Self> {
-        match value {
-            1 => Some(SpanKind::ClientEncode),
-            2 => Some(SpanKind::Decode),
-            3 => Some(SpanKind::QueueWait),
-            4 => Some(SpanKind::Handle),
-            5 => Some(SpanKind::Write),
-            _ => None,
-        }
+        SpanKind::ALL.into_iter().find(|&kind| kind as u8 == value)
     }
 }
 
@@ -172,6 +176,22 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
+    /// Every request kind, in tag order.
+    pub const ALL: [RequestKind; 12] = [
+        RequestKind::Vet,
+        RequestKind::Trail,
+        RequestKind::Touched,
+        RequestKind::Origin,
+        RequestKind::Ingest,
+        RequestKind::Flush,
+        RequestKind::Metrics,
+        RequestKind::Traces,
+        RequestKind::LoadPack,
+        RequestKind::ListPolicies,
+        RequestKind::Why,
+        RequestKind::Counterfactual,
+    ];
+
     /// Stable lowercase name used in rendered traces and log lines.
     pub fn name(self) -> &'static str {
         match self {
@@ -192,21 +212,9 @@ impl RequestKind {
 
     /// Decodes a wire/ring byte back into a kind.
     pub fn from_u8(value: u8) -> Option<Self> {
-        match value {
-            1 => Some(RequestKind::Vet),
-            2 => Some(RequestKind::Trail),
-            3 => Some(RequestKind::Touched),
-            4 => Some(RequestKind::Origin),
-            5 => Some(RequestKind::Ingest),
-            6 => Some(RequestKind::Flush),
-            7 => Some(RequestKind::Metrics),
-            8 => Some(RequestKind::Traces),
-            9 => Some(RequestKind::LoadPack),
-            10 => Some(RequestKind::ListPolicies),
-            11 => Some(RequestKind::Why),
-            12 => Some(RequestKind::Counterfactual),
-            _ => None,
-        }
+        RequestKind::ALL
+            .into_iter()
+            .find(|&kind| kind as u8 == value)
     }
 }
 
@@ -589,23 +597,6 @@ pub fn slow_line(record: &TraceRecord) -> String {
 /// indented span lines that follow; every span line must name a known stage
 /// with a parseable duration and well-formed optional hit counters.
 pub fn validate_trace_text(text: &str) -> Result<(), String> {
-    const KINDS: [&str; 13] = [
-        "vet",
-        "trail",
-        "touched",
-        "origin",
-        "ingest",
-        "flush",
-        "stats",
-        "metrics",
-        "traces",
-        "load_pack",
-        "list_policies",
-        "why",
-        "counterfactual",
-    ];
-    const STAGES: [&str; 5] = ["client_encode", "decode", "queue_wait", "handle", "write"];
-
     let mut lines = text.lines().peekable();
     while let Some(line) = lines.next() {
         if line.starts_with("  ") {
@@ -629,7 +620,7 @@ pub fn validate_trace_text(text: &str) -> Result<(), String> {
             .next()
             .and_then(|p| p.strip_prefix("kind="))
             .ok_or_else(|| format!("missing kind= field: {line:?}"))?;
-        if !KINDS.contains(&kind) {
+        if !RequestKind::ALL.iter().any(|k| k.name() == kind) {
             return Err(format!("unknown trace kind {kind:?}"));
         }
         let total = parts
@@ -657,7 +648,7 @@ pub fn validate_trace_text(text: &str) -> Result<(), String> {
                 .ok_or_else(|| format!("expected an indented span line, got: {span_line:?}"))?;
             let mut fields = body.split(' ');
             let stage = fields.next().unwrap_or_default();
-            if !STAGES.contains(&stage) {
+            if !SpanKind::ALL.iter().any(|k| k.name() == stage) {
                 return Err(format!("unknown span stage {stage:?}"));
             }
             let duration = fields
@@ -896,6 +887,8 @@ mod tests {
             "  handle 0.001\n",                      // span without header
             "trace zz kind=vet total=0.1 spans=0\n", // bad id
             &format!("trace {:032x} kind=nope total=0.1 spans=0\n", 1u128), // bad kind
+            // `stats` named the `Stats` request, which the wire no longer has.
+            &format!("trace {:032x} kind=stats total=0.1 spans=0\n", 1u128),
             &format!("trace {:032x} kind=vet total=abc spans=0\n", 1u128), // bad total
             &format!(
                 "trace {:032x} kind=vet total=0.1 spans=2\n  handle 0.1\n",
@@ -919,6 +912,31 @@ mod tests {
                 validate_trace_text(body).is_err(),
                 "should reject: {body:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_trace_of_every_kind_and_every_stage_lints_clean() {
+        let records: Vec<TraceRecord> = RequestKind::ALL
+            .into_iter()
+            .zip(1u128..)
+            .map(|(kind, trace_id)| TraceRecord {
+                trace_id,
+                kind,
+                total_ns: 5_000,
+                spans: SpanKind::ALL
+                    .into_iter()
+                    .map(|stage| Span::new(stage, 1_000))
+                    .collect(),
+            })
+            .collect();
+        let text = render_traces(&records);
+        validate_trace_text(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
+        for name in RequestKind::ALL.map(RequestKind::name) {
+            assert!(text.contains(&format!(" kind={name} ")), "{name}");
+        }
+        for name in SpanKind::ALL.map(SpanKind::name) {
+            assert!(text.contains(&format!("  {name} ")), "{name}");
         }
     }
 

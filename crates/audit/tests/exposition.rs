@@ -15,8 +15,8 @@
 //!   from the output still fails.
 
 use piprov_audit::{
-    render_exposition, render_exposition_with, validate_exposition, EngineStats, Exemplar,
-    ExpositionOptions, HistogramSnapshot, MetricsSnapshot, PolicySnapshot,
+    render_exposition, render_exposition_with, validate_exposition, AuditEngine, EngineStats,
+    Exemplar, ExpositionOptions, HistogramSnapshot, MetricsSnapshot, PolicySnapshot, SpanKind,
     LATENCY_BUCKET_BOUNDS_NS,
 };
 use piprov_core::provenance::{InternerStats, ShardStats};
@@ -106,38 +106,29 @@ fn sentinel_snapshot() -> (MetricsSnapshot, Vec<u64>) {
         counterfactual_flips: take(&mut s),
         latency,
     };
-    // The wire-level histograms are label-free registry singletons; like
-    // the per-policy latency they are asserted structurally below.
-    let frame_decode = HistogramSnapshot {
-        counts: vec![2; LATENCY_BUCKET_BOUNDS_NS.len()],
-        overflow: 1,
-        sum_ns: 2_000_000_000,
-        count: 2 * LATENCY_BUCKET_BOUNDS_NS.len() as u64 + 1,
-        exemplars: Vec::new(),
-    };
-    let request_service = HistogramSnapshot {
-        counts: vec![5; LATENCY_BUCKET_BOUNDS_NS.len()],
-        overflow: 0,
-        sum_ns: 3_000_000_000,
-        count: 5 * LATENCY_BUCKET_BOUNDS_NS.len() as u64,
-        exemplars: Vec::new(),
-    };
-    let ingest_queue_wait = HistogramSnapshot {
-        counts: vec![7; LATENCY_BUCKET_BOUNDS_NS.len()],
-        overflow: 2,
-        sum_ns: 4_000_000_000,
-        count: 7 * LATENCY_BUCKET_BOUNDS_NS.len() as u64 + 2,
-        exemplars: Vec::new(),
-    };
+    // The stage histograms are one family labelled by stage; like the
+    // per-policy latency they are asserted structurally below.
+    let stages = SpanKind::ALL
+        .into_iter()
+        .zip(1u64..)
+        .map(|(stage, i)| {
+            let histogram = HistogramSnapshot {
+                counts: vec![i; LATENCY_BUCKET_BOUNDS_NS.len()],
+                overflow: i,
+                sum_ns: i * 1_000_000_000,
+                count: (LATENCY_BUCKET_BOUNDS_NS.len() as u64 + 1) * i,
+                exemplars: Vec::new(),
+            };
+            (stage, histogram)
+        })
+        .collect();
     let snapshot = MetricsSnapshot {
         engine,
         store,
         interner,
         interner_shards: vec![shard],
         vets_unknown_pattern,
-        frame_decode,
-        request_service,
-        ingest_queue_wait,
+        stages,
         uptime_seconds: take(&mut s),
         connections_accepted: take(&mut s),
         connections_closed: take(&mut s),
@@ -191,36 +182,36 @@ fn every_stats_field_surfaces_in_the_exposition() {
         policy.latency.count
     )));
 
-    // The three wire-level histograms render label-free with the same
-    // bucket schedule; each is pinned by its +Inf/count pair so a
-    // transposed pair of histograms fails too.
-    for (family, histogram) in [
-        ("piprov_frame_decode_seconds", &snapshot.frame_decode),
-        ("piprov_request_service_seconds", &snapshot.request_service),
-        (
-            "piprov_ingest_queue_wait_seconds",
-            &snapshot.ingest_queue_wait,
-        ),
-    ] {
+    // Every stage renders one series of the stage family with the same
+    // bucket schedule; each is pinned by its +Inf/count/sum so a
+    // transposed pair of stages fails too.
+    assert_eq!(snapshot.stages.len(), SpanKind::ALL.len());
+    for (stage, histogram) in &snapshot.stages {
+        let series = format!("stage=\"{}\"", stage.name());
         let bucket_lines = text
             .lines()
-            .filter(|l| l.starts_with(&format!("{}_bucket{{", family)))
+            .filter(|l| l.starts_with(&format!("piprov_stage_seconds_bucket{{{},", series)))
             .count();
         assert_eq!(
             bucket_lines,
             LATENCY_BUCKET_BOUNDS_NS.len() + 1,
             "{}",
-            family
+            series
         );
         assert!(text.contains(&format!(
-            "{}_bucket{{le=\"+Inf\"}} {}\n",
-            family, histogram.count
+            "piprov_stage_seconds_bucket{{{},le=\"+Inf\"}} {}\n",
+            series, histogram.count
         )));
-        assert!(text.contains(&format!("{}_count {}\n", family, histogram.count)));
+        assert!(text.contains(&format!(
+            "piprov_stage_seconds_count{{{}}} {}\n",
+            series, histogram.count
+        )));
+        assert!(text.contains(&format!(
+            "piprov_stage_seconds_sum{{{}}} {}.0\n",
+            series,
+            histogram.sum_ns / 1_000_000_000
+        )));
     }
-    assert!(text.contains("piprov_frame_decode_seconds_sum 2.0\n"));
-    assert!(text.contains("piprov_request_service_seconds_sum 3.0\n"));
-    assert!(text.contains("piprov_ingest_queue_wait_seconds_sum 4.0\n"));
 }
 
 #[test]
@@ -309,9 +300,7 @@ fn the_exposition_golden_shape_is_stable() {
         "piprov_policy_memo_misses_total",
         "piprov_policy_memo_retained_total",
         "piprov_vet_latency_seconds",
-        "piprov_frame_decode_seconds",
-        "piprov_request_service_seconds",
-        "piprov_ingest_queue_wait_seconds",
+        "piprov_stage_seconds",
         "piprov_uptime_seconds",
         "piprov_connections_accepted_total",
         "piprov_connections_closed_total",
@@ -346,13 +335,7 @@ fn the_exposition_golden_shape_is_stable() {
             ),
             "gauge" => assert!(!name.ends_with("_total"), "gauge {} ends in _total", name),
             "histogram" => assert!(
-                [
-                    "piprov_vet_latency_seconds",
-                    "piprov_frame_decode_seconds",
-                    "piprov_request_service_seconds",
-                    "piprov_ingest_queue_wait_seconds",
-                ]
-                .contains(&name),
+                ["piprov_vet_latency_seconds", "piprov_stage_seconds"].contains(&name),
                 "unexpected histogram family {}",
                 name
             ),
@@ -374,9 +357,7 @@ fn an_empty_registry_renders_a_lintable_exposition() {
         },
         interner_shards: Vec::new(),
         vets_unknown_pattern: 0,
-        frame_decode: HistogramSnapshot::default(),
-        request_service: HistogramSnapshot::default(),
-        ingest_queue_wait: HistogramSnapshot::default(),
+        stages: Vec::new(),
         uptime_seconds: 0,
         connections_accepted: 0,
         connections_closed: 0,
@@ -395,8 +376,9 @@ fn an_empty_registry_renders_a_lintable_exposition() {
 #[test]
 fn exemplars_are_opt_in_and_keep_the_exposition_lintable() {
     let (mut snapshot, _) = sentinel_snapshot();
-    snapshot.frame_decode.exemplars = vec![None; LATENCY_BUCKET_BOUNDS_NS.len()];
-    snapshot.frame_decode.exemplars[0] = Some(Exemplar {
+    let decode = &mut snapshot.stages[1].1;
+    decode.exemplars = vec![None; LATENCY_BUCKET_BOUNDS_NS.len()];
+    decode.exemplars[0] = Some(Exemplar {
         trace_id: 0xfeed_beef_dead_cafe_0123_4567_89ab_cdef,
         value_ns: 750,
     });
@@ -415,7 +397,7 @@ fn exemplars_are_opt_in_and_keep_the_exposition_lintable() {
         .find(|l| l.contains(" # {trace_id="))
         .expect("an exemplar-annotated bucket line");
     assert!(
-        line.starts_with("piprov_frame_decode_seconds_bucket{"),
+        line.starts_with("piprov_stage_seconds_bucket{stage=\"decode\","),
         "exemplars ride only on bucket samples: {}",
         line
     );
@@ -424,4 +406,108 @@ fn exemplars_are_opt_in_and_keep_the_exposition_lintable() {
         "exemplar trace id renders as 32 hex digits: {}",
         line
     );
+}
+
+/// The per-policy vet-latency family, every line of it, from a fixed
+/// snapshot: dashboards and the CI scrape key on these bytes, so a
+/// renderer refactor must leave them exactly as they are.
+#[test]
+fn the_vet_latency_family_renders_byte_for_byte() {
+    let dir = std::env::temp_dir().join(format!("piprov-exposition-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut snapshot = AuditEngine::open(&dir).unwrap().metrics();
+    std::fs::remove_dir_all(&dir).ok();
+    let mut counts = vec![0; LATENCY_BUCKET_BOUNDS_NS.len()];
+    counts[0] = 1;
+    counts[3] = 2;
+    counts[15] = 1;
+    let mut exemplars = vec![None; LATENCY_BUCKET_BOUNDS_NS.len() + 1];
+    exemplars[3] = Some(Exemplar {
+        trace_id: 0xabc,
+        value_ns: 2_000,
+    });
+    exemplars[LATENCY_BUCKET_BOUNDS_NS.len()] = Some(Exemplar {
+        trace_id: u128::MAX,
+        value_ns: 10_000_000_000,
+    });
+    let policy = |name: &str, latency: HistogramSnapshot| PolicySnapshot {
+        policy: name.into(),
+        memo: MemoStats {
+            entries: 0,
+            bound: 0,
+            epochs: 0,
+            hits: 0,
+            misses: 0,
+            retained: 0,
+        },
+        vets_passed: 0,
+        vets_failed: 0,
+        vets_unknown_value: 0,
+        counterfactuals: 0,
+        counterfactual_flips: 0,
+        latency,
+    };
+    snapshot.policies = vec![
+        policy(
+            "alpha",
+            HistogramSnapshot {
+                counts,
+                overflow: 1,
+                sum_ns: 9_000_123,
+                count: 5,
+                exemplars,
+            },
+        ),
+        policy("q\"uote\\", HistogramSnapshot::default()),
+    ];
+    let family = |text: String| -> String {
+        text.lines()
+            .filter(|l| l.contains("piprov_vet_latency_seconds"))
+            .map(|l| format!("{}\n", l))
+            .collect()
+    };
+    let plain = family(render_exposition(&snapshot));
+    assert_eq!(
+        plain,
+        "# HELP piprov_vet_latency_seconds Vet request latency through the engine, per policy.
+# TYPE piprov_vet_latency_seconds histogram
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000000256\"} 1
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000000512\"} 1
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000001024\"} 1
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000002048\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000004096\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000008192\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000016384\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000032768\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000065536\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000131072\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000262144\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.000524288\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.001048576\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.002097152\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.004194304\"} 3
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"0.008388608\"} 4
+piprov_vet_latency_seconds_bucket{policy=\"alpha\",le=\"+Inf\"} 5
+piprov_vet_latency_seconds_sum{policy=\"alpha\"} 0.009000123
+piprov_vet_latency_seconds_count{policy=\"alpha\"} 5
+piprov_vet_latency_seconds_bucket{policy=\"q\\\"uote\\\\\",le=\"+Inf\"} 0
+piprov_vet_latency_seconds_sum{policy=\"q\\\"uote\\\\\"} 0.0
+piprov_vet_latency_seconds_count{policy=\"q\\\"uote\\\\\"} 0
+"
+    );
+    let annotated = family(render_exposition_with(
+        &snapshot,
+        &ExpositionOptions { exemplars: true },
+    ));
+    let expected = plain
+        .replace(
+            "le=\"0.000002048\"} 3\n",
+            "le=\"0.000002048\"} 3 # {trace_id=\"00000000000000000000000000000abc\"} 0.000002\n",
+        )
+        .replace(
+            "policy=\"alpha\",le=\"+Inf\"} 5\n",
+            "policy=\"alpha\",le=\"+Inf\"} 5 # {trace_id=\"ffffffffffffffffffffffffffffffff\"} 10.0\n",
+        );
+    assert_ne!(expected, plain, "both exemplars are placed");
+    assert_eq!(annotated, expected);
 }

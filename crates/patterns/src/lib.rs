@@ -40,8 +40,7 @@ pub mod parse;
 
 pub use ast::{EventPattern, GroupExpr, Pattern};
 pub use nfa::{
-    CompiledPattern, MatchStats, MemoEviction, MemoStats, WitnessStep, WitnessTrail,
-    DEFAULT_MEMO_BOUND,
+    CompiledPattern, MatchStats, MemoStats, WitnessStep, WitnessTrail, DEFAULT_MEMO_BOUND,
 };
 pub use parse::{parse_pattern, ParsePatternError};
 

@@ -45,13 +45,10 @@
 //! requests for the lifetime of the process) caps the number of cached
 //! verdicts at a configurable bound ([`CompiledPattern::set_memo_bound`],
 //! default [`DEFAULT_MEMO_BOUND`]) and, when an insert would exceed it,
-//! starts a fresh **epoch**.  What the rollover does with the old epoch is
-//! the [`MemoEviction`] policy: [`MemoEviction::Wholesale`] clears
-//! everything (the original scheme), while the default
-//! [`MemoEviction::Generational`] keeps the entries that actually answered
-//! lookups during the ending epoch — up to half the bound — so a stable
-//! working set survives the rollover and only the one-shot tail pays the
-//! cold-start cost again.  Inserting a pair the memo already holds changes
+//! starts a fresh **epoch**.  The rollover is generational: it keeps the
+//! entries that actually answered lookups during the ending epoch — up to
+//! half the bound — so a stable working set survives the rollover and only
+//! the one-shot tail pays the cold-start cost again.  Inserting a pair the memo already holds changes
 //! nothing, so a walk that re-seeds memoized pairs neither demotes them nor
 //! starts an epoch.  [`CompiledPattern::memo_stats`] reports entries, hits,
 //! misses, the epoch counter and the cumulative survivors.
@@ -129,20 +126,6 @@ type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 /// automaton level memoizes before starting a fresh epoch.
 pub const DEFAULT_MEMO_BOUND: usize = 65_536;
 
-/// What an epoch rollover does with the entries it is evicting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemoEviction {
-    /// Clear the memo wholesale (the original scheme): every cached verdict
-    /// is dropped and the working set re-simulates from cold.
-    Wholesale,
-    /// Keep the **hot** entries of the ending epoch — those answered from
-    /// the memo since the last rollover — up to half the bound, so a stable
-    /// working set survives and only the one-shot tail is evicted.  The
-    /// default.
-    #[default]
-    Generational,
-}
-
 /// One cached verdict plus its generation bit: `hot` is set when the entry
 /// answers a lookup and cleared when it survives a rollover, so "hot" means
 /// *used during the current epoch*.
@@ -169,8 +152,6 @@ struct Memo {
     misses: u64,
     /// Entries that survived a rollover, summed over all rollovers.
     retained: u64,
-    /// What a rollover does with the evicted epoch.
-    eviction: MemoEviction,
 }
 
 impl Memo {
@@ -183,7 +164,6 @@ impl Memo {
             hits: 0,
             misses: 0,
             retained: 0,
-            eviction: MemoEviction::default(),
         }
     }
 
@@ -203,38 +183,29 @@ impl Memo {
         found
     }
 
-    /// Starts a new epoch.  Under [`MemoEviction::Wholesale`] everything is
-    /// dropped; under [`MemoEviction::Generational`] up to `bound / 2` hot
-    /// entries survive with their hotness reset (they must earn their place
-    /// in the new epoch too).  Capping the survivors at half the bound
-    /// guarantees every rollover frees at least half the memo, so a fully
-    /// hot working set cannot wedge the memo into rolling over on every
-    /// insert.
+    /// Starts a new epoch: up to `bound / 2` hot entries survive with
+    /// their hotness reset (they must earn their place in the new epoch
+    /// too), and the rest are dropped.  Capping the survivors at half the
+    /// bound guarantees every rollover frees at least half the memo, so a
+    /// fully hot working set cannot wedge the memo into rolling over on
+    /// every insert.
     fn rollover(&mut self) {
-        match self.eviction {
-            MemoEviction::Wholesale => {
-                self.verdicts.clear();
-                self.entries = 0;
-            }
-            MemoEviction::Generational => {
-                let budget = self.bound / 2;
-                let mut kept = 0usize;
-                self.verdicts.retain(|_, per_states| {
-                    per_states.retain(|_, cached| {
-                        if cached.hot && kept < budget {
-                            cached.hot = false;
-                            kept += 1;
-                            true
-                        } else {
-                            false
-                        }
-                    });
-                    !per_states.is_empty()
-                });
-                self.entries = kept;
-                self.retained += kept as u64;
-            }
-        }
+        let budget = self.bound / 2;
+        let mut kept = 0usize;
+        self.verdicts.retain(|_, per_states| {
+            per_states.retain(|_, cached| {
+                if cached.hot && kept < budget {
+                    cached.hot = false;
+                    kept += 1;
+                    true
+                } else {
+                    false
+                }
+            });
+            !per_states.is_empty()
+        });
+        self.entries = kept;
+        self.retained += kept as u64;
         self.epochs += 1;
     }
 
@@ -291,7 +262,7 @@ pub struct MemoStats {
     /// Lookups that fell through to NFA simulation.
     pub misses: u64,
     /// Entries that survived a rollover because they were hot, summed over
-    /// all rollovers (always 0 under [`MemoEviction::Wholesale`]).
+    /// all rollovers.
     pub retained: u64,
 }
 
@@ -453,14 +424,8 @@ impl Clone for CompiledPattern {
             atoms: self.atoms.clone(),
             start: self.start,
             accept: self.accept,
-            // The memo is a cache: clones start cold but keep the bound and
-            // eviction policy.
-            memo: Mutex::new({
-                let source = self.lock_memo();
-                let mut memo = Memo::new(source.bound);
-                memo.eviction = source.eviction;
-                memo
-            }),
+            // The memo is a cache: clones start cold but keep the bound.
+            memo: Mutex::new(Memo::new(self.lock_memo().bound)),
         }
     }
 }
@@ -638,18 +603,6 @@ impl CompiledPattern {
         }
         for atom in &self.atoms {
             atom.channel.set_memo_bound(bound);
-        }
-    }
-
-    /// Sets the eviction policy applied at epoch rollover, for this
-    /// automaton *and every nested channel automaton*.  The default is
-    /// [`MemoEviction::Generational`]; [`MemoEviction::Wholesale`] is the
-    /// original clear-everything scheme, kept selectable as the ablation
-    /// baseline.
-    pub fn set_memo_eviction(&self, eviction: MemoEviction) {
-        self.lock_memo().eviction = eviction;
-        for atom in &self.atoms {
-            atom.channel.set_memo_eviction(eviction);
         }
     }
 
@@ -1045,20 +998,24 @@ mod tests {
         assert!(incremental.memo_hits >= 1);
     }
 
-    /// Drives one compiled pattern through the hot-set-plus-cold-stream
-    /// workload that distinguishes the eviction policies: a small working
-    /// set is re-vetted on every iteration while a stream of one-shot
-    /// histories forces epoch rollovers.  Returns the memo stats.
-    fn hot_and_cold_workload(eviction: MemoEviction) -> MemoStats {
+    #[test]
+    fn generational_eviction_retains_the_hot_working_set() {
+        // A small working set is re-vetted on every iteration while a
+        // stream of one-shot histories forces epoch rollovers.  The hot
+        // set's verdicts survive every rollover: after the first pass,
+        // each re-vet answers from the memo at its root.
         let pattern = Pattern::send(GroupExpr::all(), Pattern::Any).star();
         let compiled = CompiledPattern::compile(&pattern);
         compiled.set_memo_bound(16);
-        compiled.set_memo_eviction(eviction);
         let hot: Vec<Provenance> = (0..4)
             .map(|i| seq(vec![out(&format!("hot-{}", i)), out("shared")]))
             .collect();
         for i in 0..300 {
-            assert!(compiled.matches(&hot[i % hot.len()]));
+            let (verdict, stats) = compiled.matches_with_stats(&hot[i % hot.len()]);
+            assert!(verdict);
+            if i >= hot.len() {
+                assert_eq!(stats.nodes_visited, 0, "re-vet {} of the hot set walked", i);
+            }
             let cold = seq(vec![out(&format!("cold-{}", i))]);
             assert!(compiled.matches(&cold));
             assert!(
@@ -1067,29 +1024,9 @@ mod tests {
                 compiled.memo_entries()
             );
         }
-        compiled.memo_stats()
-    }
-
-    #[test]
-    fn generational_eviction_retains_the_hot_working_set() {
-        let generational = hot_and_cold_workload(MemoEviction::Generational);
-        let wholesale = hot_and_cold_workload(MemoEviction::Wholesale);
-        assert!(generational.epochs > 0, "the cold stream forced rollovers");
-        assert!(wholesale.epochs > 0);
-        assert!(
-            generational.retained > 0,
-            "hot entries survived at least one rollover"
-        );
-        assert_eq!(wholesale.retained, 0, "wholesale keeps nothing");
-        // The regression the policy exists for: after a rollover the hot
-        // working set still answers from the memo instead of re-simulating
-        // from cold, so the identical workload misses less.
-        assert!(
-            generational.misses < wholesale.misses,
-            "generational {} misses must beat wholesale {}",
-            generational.misses,
-            wholesale.misses
-        );
+        let stats = compiled.memo_stats();
+        assert!(stats.epochs > 0, "the cold stream forced rollovers");
+        assert!(stats.retained > 0, "hot entries survived the rollovers");
     }
 
     #[test]

@@ -922,9 +922,7 @@ fn put_metrics_snapshot(buf: &mut BytesMut, metrics: &MetricsSnapshot) {
         interner,
         interner_shards,
         vets_unknown_pattern,
-        frame_decode,
-        request_service,
-        ingest_queue_wait,
+        stages,
         uptime_seconds,
         connections_accepted,
         connections_closed,
@@ -936,9 +934,10 @@ fn put_metrics_snapshot(buf: &mut BytesMut, metrics: &MetricsSnapshot) {
     put_interner_stats(buf, interner);
     put_seq(buf, interner_shards, put_shard_stats);
     buf.put_u64(*vets_unknown_pattern);
-    put_histogram(buf, frame_decode);
-    put_histogram(buf, request_service);
-    put_histogram(buf, ingest_queue_wait);
+    put_seq(buf, stages, |buf, (stage, histogram)| {
+        buf.put_u8(*stage as u8);
+        put_histogram(buf, histogram);
+    });
     buf.put_u64(*uptime_seconds);
     buf.put_u64(*connections_accepted);
     buf.put_u64(*connections_closed);
@@ -953,9 +952,11 @@ fn get_metrics_snapshot(buf: &mut Bytes) -> Result<MetricsSnapshot, WireError> {
     // A shard costs 32 bytes on the wire.
     let interner_shards = get_seq(buf, "shard count", 32, get_shard_stats)?;
     let vets_unknown_pattern = wire_u64(buf, "unknown-pattern counter")?;
-    let frame_decode = get_histogram(buf)?;
-    let request_service = get_histogram(buf)?;
-    let ingest_queue_wait = get_histogram(buf)?;
+    // A stage costs its kind byte and a 32-byte histogram with no buckets.
+    let stages = get_seq(buf, "stage count", 33, |buf| {
+        need(buf, 1, "stage kind")?;
+        Ok((get_span_kind(buf)?, get_histogram(buf)?))
+    })?;
     need(buf, 32, "serving lifecycle counters")?;
     Ok(MetricsSnapshot {
         engine,
@@ -963,9 +964,7 @@ fn get_metrics_snapshot(buf: &mut Bytes) -> Result<MetricsSnapshot, WireError> {
         interner,
         interner_shards,
         vets_unknown_pattern,
-        frame_decode,
-        request_service,
-        ingest_queue_wait,
+        stages,
         uptime_seconds: buf.get_u64(),
         connections_accepted: buf.get_u64(),
         connections_closed: buf.get_u64(),
@@ -974,6 +973,12 @@ fn get_metrics_snapshot(buf: &mut Bytes) -> Result<MetricsSnapshot, WireError> {
         // 40 counter bytes and a 32-byte histogram with no buckets.
         policies: get_seq(buf, "policy count", 122, get_policy_snapshot)?,
     })
+}
+
+/// Reads one [`SpanKind`] byte; the caller has checked it is there.
+fn get_span_kind(buf: &mut Bytes) -> Result<SpanKind, WireError> {
+    let kind = buf.get_u8();
+    SpanKind::from_u8(kind).ok_or_else(|| malformed(format!("bad span kind {}", kind)))
 }
 
 fn put_trace_record(buf: &mut BytesMut, record: &TraceRecord) {
@@ -1010,11 +1015,8 @@ fn get_trace_record(buf: &mut Bytes) -> Result<TraceRecord, WireError> {
     // A span costs 1 kind + 3 × 8 counter bytes.
     let spans = get_seq(buf, "trace span count", 25, |buf| {
         need(buf, 25, "trace span")?;
-        let kind = buf.get_u8();
-        let kind =
-            SpanKind::from_u8(kind).ok_or_else(|| malformed(format!("bad span kind {}", kind)))?;
         Ok(Span {
-            kind,
+            kind: get_span_kind(buf)?,
             duration_ns: buf.get_u64(),
             index_hits: buf.get_u64(),
             memo_hits: buf.get_u64(),
@@ -1442,35 +1444,44 @@ mod tests {
                 },
             ],
             vets_unknown_pattern: 4,
-            frame_decode: HistogramSnapshot {
-                counts: vec![2; piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len()],
-                overflow: 1,
-                sum_ns: 777,
-                count: 33,
-                exemplars: {
-                    // One populated bucket exemplar plus an overflow
-                    // exemplar, to exercise the flag-gated wire form.
-                    let mut exemplars: Vec<Option<Exemplar>> =
-                        vec![None; piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len() + 1];
-                    exemplars[3] = Some(Exemplar {
-                        trace_id: 0xfeed_beef_0123,
-                        value_ns: 4_096,
-                    });
-                    exemplars[piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len()] = Some(Exemplar {
-                        trace_id: u128::MAX,
-                        value_ns: u64::MAX,
-                    });
-                    exemplars
-                },
-            },
-            request_service: HistogramSnapshot {
-                counts: vec![0; piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len()],
-                overflow: 9,
-                sum_ns: 888,
-                count: 9,
-                exemplars: Vec::new(),
-            },
-            ingest_queue_wait: HistogramSnapshot::default(),
+            stages: vec![
+                (
+                    SpanKind::Decode,
+                    HistogramSnapshot {
+                        counts: vec![2; piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len()],
+                        overflow: 1,
+                        sum_ns: 777,
+                        count: 33,
+                        exemplars: {
+                            // One populated bucket exemplar plus an overflow
+                            // exemplar, to exercise the flag-gated wire form.
+                            let mut exemplars: Vec<Option<Exemplar>> =
+                                vec![None; piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len() + 1];
+                            exemplars[3] = Some(Exemplar {
+                                trace_id: 0xfeed_beef_0123,
+                                value_ns: 4_096,
+                            });
+                            exemplars[piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len()] =
+                                Some(Exemplar {
+                                    trace_id: u128::MAX,
+                                    value_ns: u64::MAX,
+                                });
+                            exemplars
+                        },
+                    },
+                ),
+                (
+                    SpanKind::Handle,
+                    HistogramSnapshot {
+                        counts: vec![0; piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len()],
+                        overflow: 9,
+                        sum_ns: 888,
+                        count: 9,
+                        exemplars: Vec::new(),
+                    },
+                ),
+                (SpanKind::Write, HistogramSnapshot::default()),
+            ],
             uptime_seconds: 3_601,
             connections_accepted: 12,
             connections_closed: 9,
@@ -1514,9 +1525,7 @@ mod tests {
             },
             interner_shards: Vec::new(),
             vets_unknown_pattern: 0,
-            frame_decode: HistogramSnapshot::default(),
-            request_service: HistogramSnapshot::default(),
-            ingest_queue_wait: HistogramSnapshot::default(),
+            stages: Vec::new(),
             uptime_seconds: 0,
             connections_accepted: 0,
             connections_closed: 0,
@@ -1525,6 +1534,47 @@ mod tests {
         }));
         let decoded = decode_response(encode_response(&empty), &limits).unwrap();
         assert_eq!(decoded, empty);
+    }
+
+    #[test]
+    fn a_metrics_stage_with_an_unknown_kind_is_malformed() {
+        let limits = WireLimits::default();
+        let encode = |stage: SpanKind| {
+            encode_response(&WireResponse::Metrics(Box::new(MetricsSnapshot {
+                engine: EngineStats::default(),
+                store: StoreStats::default(),
+                interner: InternerStats {
+                    interned_nodes: 0,
+                    hits: 0,
+                    misses: 0,
+                    shards: 0,
+                },
+                interner_shards: Vec::new(),
+                vets_unknown_pattern: 0,
+                stages: vec![(stage, HistogramSnapshot::default())],
+                uptime_seconds: 0,
+                connections_accepted: 0,
+                connections_closed: 0,
+                open_connections: 0,
+                policies: Vec::new(),
+            })))
+        };
+        // The two bodies differ only in the stage's kind byte.
+        let (decode, write) = (encode(SpanKind::Decode), encode(SpanKind::Write));
+        let at = (0..decode.len()).find(|&i| decode[i] != write[i]).unwrap();
+        assert_eq!((decode[at], write[at]), (2, 5));
+        for kind in [0, 6] {
+            let mut body = decode.to_vec();
+            body[at] = kind;
+            assert!(
+                matches!(
+                    decode_response(Bytes::from(body), &limits),
+                    Err(WireError::Malformed(_))
+                ),
+                "stage kind {}",
+                kind
+            );
+        }
     }
 
     #[test]
@@ -1543,10 +1593,10 @@ mod tests {
     fn version_and_tag_errors_are_typed() {
         let limits = WireLimits::default();
         let mut body = encode_request(&WireRequest::Flush).to_vec();
-        body[0] = 9;
+        body[0] = WIRE_VERSION + 1;
         assert!(matches!(
             decode_request(Bytes::from(body), &limits),
-            Err(WireError::UnsupportedVersion(9))
+            Err(WireError::UnsupportedVersion(v)) if v == WIRE_VERSION + 1
         ));
         let mut body = encode_request(&WireRequest::Flush).to_vec();
         body[1] = 99;
@@ -1844,7 +1894,7 @@ mod tests {
 
     #[test]
     fn every_version_but_the_current_one_is_unsupported() {
-        assert_eq!(WIRE_VERSION, 8);
+        assert_eq!(WIRE_VERSION, 9);
         let limits = WireLimits::default();
         let request = encode_request(&WireRequest::Audit(AuditRequest::VetValue {
             value: Value::Channel(Channel::new("v")),
@@ -1856,7 +1906,7 @@ mod tests {
         });
         assert!(decode_request_traced(request.clone(), &limits).is_ok());
         assert!(decode_response(response.clone(), &limits).is_ok());
-        for version in [3, 4, 5, 6, 7] {
+        for version in [3, 4, 5, 6, 7, 8] {
             let mut body = request.to_vec();
             body[0] = version;
             assert!(matches!(

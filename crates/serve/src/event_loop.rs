@@ -392,7 +392,7 @@ impl Loop {
             self.close(token);
             return;
         }
-        if revents & EPOLLOUT != 0 && !flush_outbound(conn, out, &self.serving.collector) {
+        if revents & EPOLLOUT != 0 && !flush_outbound(conn, out, &self.serving) {
             self.close(token);
             return;
         }
@@ -454,7 +454,7 @@ impl Loop {
         let Some((conn, out)) = self.conns.get_mut(&token) else {
             return;
         };
-        if !flush_outbound(conn, out, &self.serving.collector) {
+        if !flush_outbound(conn, out, &self.serving) {
             self.close(token);
             return;
         }
@@ -471,10 +471,17 @@ impl Loop {
             self.close(token);
             return;
         }
-        // Re-arm interest: always readable (readiness is how EOF and new
-        // frames arrive), writable only while the outbound buffer holds
-        // unsent bytes.
-        let desired = EPOLLIN | EPOLLRDHUP | if wants_write { EPOLLOUT } else { 0 };
+        // Re-arm interest: readable until the peer's EOF has been read
+        // (readiness is how EOF and new frames arrive, and a level-triggered
+        // socket past its EOF would report readable on every wait), writable
+        // only while the outbound buffer holds unsent bytes.  Hangup and
+        // error are reported whatever the interest.
+        let read = if conn.peer_eof {
+            0
+        } else {
+            EPOLLIN | EPOLLRDHUP
+        };
+        let desired = read | if wants_write { EPOLLOUT } else { 0 };
         if desired != conn.interest {
             conn.interest = desired;
             let fd = conn.stream.as_raw_fd();
@@ -533,7 +540,7 @@ impl Loop {
                     self.wake.drain();
                 } else if token >= FIRST_CONN_TOKEN && revents & EPOLLOUT != 0 {
                     if let Some((conn, out)) = self.conns.get_mut(&token) {
-                        if !flush_outbound(conn, out, &self.serving.collector) {
+                        if !flush_outbound(conn, out, &self.serving) {
                             self.close(token);
                         }
                     }
@@ -543,7 +550,7 @@ impl Loop {
             for token in done {
                 if let Some((conn, out)) = self.conns.get_mut(&token) {
                     conn.in_flight = false;
-                    if !flush_outbound(conn, out, &self.serving.collector) {
+                    if !flush_outbound(conn, out, &self.serving) {
                         self.close(token);
                     }
                 }
@@ -704,7 +711,7 @@ fn append_error_frame(out: &mut Outbound, message: &str) {
 /// trace of every request whose response just reached the wire.  Returns
 /// `false` when the connection should close (fatal write error, or
 /// drained with `closing` set).
-fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, collector: &TraceCollector) -> bool {
+fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, serving: &Serving) -> bool {
     let mut out = out.lock().expect("outbound lock");
     while out.start < out.buf.len() {
         let start = out.start;
@@ -719,7 +726,7 @@ fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, collector: &Trace
             Err(_) => return false,
         }
     }
-    finish_flushed_traces(&mut out, collector);
+    finish_flushed_traces(&mut out, serving);
     if out.is_drained() {
         out.buf.clear();
         out.start = 0;
@@ -737,8 +744,11 @@ fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, collector: &Trace
 }
 
 /// Closes the write span of every pending trace whose response bytes are
-/// fully on the wire, and hands the completed trace to the collector.
-fn finish_flushed_traces(out: &mut Outbound, collector: &TraceCollector) {
+/// fully on the wire, hands the completed trace to the collector, and
+/// records each of its spans into its stage histogram, with the trace id
+/// the collector kept (if any) as the exemplar.
+fn finish_flushed_traces(out: &mut Outbound, serving: &Serving) {
+    let registry = serving.engine.metrics_registry();
     let flushed = out.total_flushed;
     let done = out
         .pending_traces
@@ -757,12 +767,14 @@ fn finish_flushed_traces(out: &mut Outbound, collector: &TraceCollector) {
         spans[count + 1] = trace.handle;
         spans[count + 2] = Span::new(SpanKind::Write, elapsed_ns(trace.enqueued));
         count += 3;
-        collector.finish(
-            trace.ctx,
-            trace.kind,
-            elapsed_ns(trace.started),
-            &spans[..count],
-        );
+        let spans = &spans[..count];
+        let trace_id =
+            serving
+                .collector
+                .finish(trace.ctx, trace.kind, elapsed_ns(trace.started), spans);
+        for span in spans {
+            registry.record_stage(span.kind, span.duration_ns, trace_id);
+        }
     }
 }
 
@@ -840,11 +852,11 @@ fn answer_frames(
 
 /// Answers one frame — decode → [`handle_request`] → encode — appending
 /// the response frame to `encoded`.  The loop thread and the workers both
-/// answer through here, so the wire histograms and every span are stamped
-/// by the same code.  Returns the request's trace, its `end_abs` an
-/// offset into `encoded`; or `None` for a frame that did not decode,
-/// answered with a typed error frame after which the connection closes
-/// and the frames behind it go unanswered.
+/// answer through here, so every span is stamped by the same code.
+/// Returns the request's trace, its `end_abs` an offset into `encoded`;
+/// or `None` for a frame that did not decode, answered with a typed error
+/// frame after which the connection closes and the frames behind it go
+/// unanswered.
 fn answer_frame(frame: Bytes, encoded: &mut Vec<u8>, serving: &Serving) -> Option<PendingTrace> {
     let Serving {
         engine,
@@ -852,11 +864,9 @@ fn answer_frame(frame: Bytes, encoded: &mut Vec<u8>, serving: &Serving) -> Optio
         collector,
         config,
     } = serving;
-    let registry = engine.metrics_registry();
     let request_started = Instant::now();
     let decoded = decode_request_traced(frame, &config.limits);
     let decode_ns = elapsed_ns(request_started);
-    registry.record_frame_decode(decode_ns);
     let (request, wire_trace) = match decoded {
         Ok(decoded) => decoded,
         Err(e) => {
@@ -873,7 +883,6 @@ fn answer_frame(frame: Bytes, encoded: &mut Vec<u8>, serving: &Serving) -> Optio
     let (response, index_hits, memo_hits) =
         handle_request(request, engine, queue, config, collector, ctx);
     let service_ns = elapsed_ns(service_started);
-    registry.record_request_service_traced(service_ns, ctx.map(|c| c.trace_id));
     write_frame(encoded, &encode_response(&response)).expect("vec write");
     Some(PendingTrace {
         end_abs: encoded.len() as u64,

@@ -32,7 +32,7 @@ use std::io::{ErrorKind, Read, Write};
 /// repository, so a body with any other version byte is refused with a
 /// typed [`WireError::UnsupportedVersion`] rather than read under rules
 /// this codec no longer has.
-pub const WIRE_VERSION: u8 = 8;
+pub const WIRE_VERSION: u8 = 9;
 
 /// Default cap on the length prefix a peer will honour (16 MiB — far above
 /// any legitimate message, far below a memory-exhaustion attack).

@@ -380,9 +380,10 @@ fn arb_metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
         (
             (
                 0u64..1 << 40,
-                arb_histogram(),
-                arb_histogram(),
-                arb_histogram(),
+                proptest::collection::vec(
+                    arb_histogram(),
+                    SpanKind::ALL.len()..SpanKind::ALL.len() + 1,
+                ),
             ),
             (0u64..1 << 31, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 20),
         ),
@@ -395,7 +396,7 @@ fn arb_metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
                 (hits, misses, shards, interned_nodes),
                 shard_rows,
                 (
-                    (vets_unknown_pattern, frame_decode, request_service, ingest_queue_wait),
+                    (vets_unknown_pattern, stages),
                     (uptime_seconds, connections_accepted, connections_closed, open_connections),
                 ),
                 policies,
@@ -422,9 +423,7 @@ fn arb_metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
                     })
                     .collect(),
                 vets_unknown_pattern,
-                frame_decode,
-                request_service,
-                ingest_queue_wait,
+                stages: SpanKind::ALL.into_iter().zip(stages).collect(),
                 uptime_seconds,
                 connections_accepted,
                 connections_closed,
@@ -437,18 +436,26 @@ fn arb_metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
 fn arb_trace_record() -> impl Strategy<Value = TraceRecord> {
     (
         arb_trace_id(),
-        0u8..9,
+        0..RequestKind::ALL.len(),
         0u64..1 << 48,
-        proptest::collection::vec((0u8..5, 0u64..1 << 40, 0u64..1 << 20, 0u64..1 << 20), 0..6),
+        proptest::collection::vec(
+            (
+                0..SpanKind::ALL.len(),
+                0u64..1 << 40,
+                0u64..1 << 20,
+                0u64..1 << 20,
+            ),
+            0..6,
+        ),
     )
         .prop_map(|(trace_id, kind, total_ns, spans)| TraceRecord {
             trace_id,
-            kind: RequestKind::from_u8(kind + 1).expect("kind in range"),
+            kind: RequestKind::ALL[kind],
             total_ns,
             spans: spans
                 .into_iter()
                 .map(|(k, duration_ns, index_hits, memo_hits)| Span {
-                    kind: SpanKind::from_u8(k + 1).expect("span kind in range"),
+                    kind: SpanKind::ALL[k],
                     duration_ns,
                     index_hits,
                     memo_hits,

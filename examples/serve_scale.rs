@@ -144,8 +144,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for line in body.lines() {
         if line.starts_with("piprov_ingested_total")
             || line.starts_with("piprov_vets_passed_total")
-            || line.contains("request_service_seconds_count")
-            || line.contains("frame_decode_seconds_count")
+            || line.starts_with("piprov_stage_seconds_count")
         {
             println!("{}", line);
         }
