@@ -22,17 +22,21 @@
 //! channel's own history (the paper's δ(k) discipline records a channel's
 //! *provenance* on each event, not its name, so "remove channel c's
 //! events" is grounded in who built the channel).  [`filtered_view`]
-//! produces the filtered history *without materializing a copy of the
-//! DAG*: the spine suffix strictly older than the deepest removed event
-//! is kept as the very same interned nodes — so every NFA memo verdict
-//! for it remains valid and is reused — and only the kept events above it
-//! are re-interned (one hash-cons lookup each).  The re-vet's memo reuse
-//! is surfaced as `RequestStats::memo_reused`.
+//! describes the filtered history *without building it*: the kept events
+//! above the deepest removed one, as plain borrowed events, and the spine
+//! suffix strictly older than it, as the very same interned nodes.  The
+//! re-vet steps the automaton over the kept events and then continues
+//! its memoized walk on the suffix (`CompiledPattern::matches_after`), so
+//! every memo verdict for the suffix is reused and nothing is interned:
+//! a wire client's what-if questions cannot grow the process-global
+//! interner.  The re-vet's memo reuse is surfaced as
+//! `RequestStats::memo_reused`.
 
 use piprov_core::name::Principal;
-use piprov_core::provenance::{Direction, Event, Provenance};
+use piprov_core::provenance::{Direction, Event, ProvId, Provenance};
 use piprov_patterns::{WitnessStep, WitnessTrail};
 use piprov_store::SequenceNumber;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Names the spine events a counterfactual removes.
@@ -55,7 +59,10 @@ pub enum EventFilter {
 }
 
 impl EventFilter {
-    /// Whether this filter removes `event` from a history.
+    /// Whether this filter removes `event` from a history: the reference
+    /// definition the differential oracles filter with.  [`filtered_view`]
+    /// answers `ChannelVia` from a memo shared along its walk, which
+    /// agrees with this.
     pub fn removes(&self, event: &Event) -> bool {
         match self {
             EventFilter::Principal(principal) => event.principal == *principal,
@@ -229,70 +236,97 @@ impl fmt::Display for CounterfactualVerdict {
     }
 }
 
-/// A filtered view of one history: the rebuilt spine plus the delta.
+/// A filtered view of one history, borrowed from it: the filtered history
+/// is `kept ; suffix`, and nothing is built or interned for it.
 #[derive(Debug, Clone)]
-pub struct FilteredView {
-    /// The filtered history.  When nothing was removed this is the *same*
-    /// interned handle as the input (id-equal), so a re-vet is answered
-    /// entirely from the memo.
-    pub provenance: Provenance,
+pub struct FilteredView<'a> {
+    /// The events above the deepest removed one that the filter keeps,
+    /// most recent first.  Empty when nothing was removed.
+    pub kept: Vec<&'a Event>,
+    /// The spine strictly older than the deepest removed event — the
+    /// original interned nodes, whose memoized verdicts a re-vet reuses —
+    /// or the whole input when nothing was removed.
+    pub suffix: &'a Provenance,
     /// The removed events, most recent first, tagged with their original
     /// DAG node ids.
     pub removed: Vec<WhyEvent>,
 }
 
-/// Applies `filter` to the spine of `provenance` without materializing a
-/// DAG copy.
+/// Applies `filter` to the spine of `provenance` without building the
+/// filtered history.
 ///
-/// The walk finds the deepest (oldest) removed event; the spine suffix
-/// strictly older than it is kept as-is — the identical interned nodes,
-/// which is what lets the NFA memo answer for that whole subgraph — and
-/// only the kept events above it are re-interned, one hash-cons lookup
-/// per event.  If the filter removes nothing, the input handle is
-/// returned unchanged.
-pub fn filtered_view(provenance: &Provenance, filter: &EventFilter) -> FilteredView {
-    // One pass down the spine: remember each suffix handle and which
-    // heads the filter removes.
-    let mut suffixes: Vec<&Provenance> = Vec::with_capacity(provenance.len());
+/// One walk down the spine decides each event.  The suffix below the
+/// deepest removed event is returned as the input's own node, and the
+/// kept events above it are borrowed: the kept events between two removed
+/// ones are collected when the lower of the two is found, so the events
+/// below the deepest removal are passed over once and never collected.
+/// `ChannelVia` is decided with a memo over the channel histories' DAG
+/// nodes that lasts for this one walk, so the walk costs the spine plus
+/// the distinct channel-history nodes, however many events share them.
+pub fn filtered_view<'a>(provenance: &'a Provenance, filter: &EventFilter) -> FilteredView<'a> {
+    let mut memo = HashMap::new();
+    let mut removes = |event: &Event| match filter {
+        EventFilter::ChannelVia(principal) => {
+            involves(&event.channel_provenance, principal, &mut memo)
+        }
+        filter => filter.removes(event),
+    };
+    let mut kept = Vec::new();
+    let mut removed = Vec::new();
+    let mut suffix = provenance;
+    // Events kept since the last removal: above the deepest removed event
+    // only if another removal follows.
+    let mut pending = 0;
     let mut cursor = provenance;
-    while let Some(tail) = cursor.tail() {
-        suffixes.push(cursor);
-        cursor = tail;
-    }
-    let mut removed: Vec<WhyEvent> = Vec::new();
-    let mut deepest: Option<usize> = None;
-    for (index, suffix) in suffixes.iter().enumerate() {
-        let event = suffix.head().expect("suffix is non-empty");
-        if filter.removes(event) {
+    while let (Some(event), Some(tail)) = (cursor.head(), cursor.tail()) {
+        if removes(event) {
+            kept.extend(suffix.iter().take(pending));
+            pending = 0;
             removed.push(WhyEvent {
-                node: suffix.id().as_u32(),
+                node: cursor.id().as_u32(),
                 event: event.clone(),
             });
-            deepest = Some(index);
+            suffix = tail;
+        } else {
+            pending += 1;
         }
-    }
-    let Some(deepest) = deepest else {
-        return FilteredView {
-            provenance: provenance.clone(),
-            removed,
-        };
-    };
-    // Everything strictly older than the deepest removed event is shared
-    // verbatim; re-prepend the kept newer events oldest-first.
-    let mut rebuilt = suffixes[deepest]
-        .tail()
-        .expect("suffix is non-empty")
-        .clone();
-    for suffix in suffixes[..deepest].iter().rev() {
-        let event = suffix.head().expect("suffix is non-empty");
-        if !filter.removes(event) {
-            rebuilt = rebuilt.prepend(event.clone());
-        }
+        cursor = tail;
     }
     FilteredView {
-        provenance: rebuilt,
+        kept,
+        suffix,
         removed,
     }
+}
+
+/// Whether `principal` performs any event in the DAG below `history` —
+/// its spine and, recursively, every channel history on it: the memoized
+/// form of `history.principals_involved().contains(principal)`.
+///
+/// The spine is walked down to the first node whose answer `memo` holds,
+/// or to one that settles it; every node passed shares that answer, so
+/// each node is decided once.  The recursion follows channel nesting,
+/// never the spine's length.
+fn involves(history: &Provenance, principal: &Principal, memo: &mut HashMap<ProvId, bool>) -> bool {
+    let mut passed = Vec::new();
+    let mut cursor = history;
+    let answer = loop {
+        let (Some(event), Some(tail)) = (cursor.head(), cursor.tail()) else {
+            break false;
+        };
+        if let Some(&known) = memo.get(&cursor.id()) {
+            break known;
+        }
+        passed.push(cursor.id());
+        if event.principal == *principal || involves(&event.channel_provenance, principal, memo) {
+            break true;
+        }
+        cursor = tail;
+    };
+    for id in passed {
+        memo.insert(id, answer);
+    }
+    answer
 }
 
 #[cfg(test)]
@@ -324,49 +358,123 @@ mod tests {
         assert_eq!(bare.to_string(), "κ#3 s0!ε");
     }
 
+    /// `kept ; suffix` as one event list, most recent first.
+    fn joined(view: &FilteredView<'_>) -> Vec<Event> {
+        view.kept
+            .iter()
+            .map(|event| (*event).clone())
+            .chain(view.suffix.to_vec())
+            .collect()
+    }
+
     #[test]
     fn empty_filter_returns_the_identical_handle() {
         let k = Provenance::from_events(vec![out("a"), inp("b"), out("c")]);
         let view = filtered_view(&k, &EventFilter::Principal(Principal::new("nobody")));
-        assert_eq!(view.provenance.id(), k.id());
+        assert!(view.kept.is_empty());
+        assert!(std::ptr::eq(view.suffix, &k), "the suffix is the input");
         assert!(view.removed.is_empty());
     }
 
     #[test]
     fn filtering_matches_rebuilding_from_filtered_events() {
-        let k = Provenance::from_events(vec![out("a"), inp("b"), out("a"), inp("c")]);
+        let k = Provenance::from_events(vec![out("a"), inp("b"), out("a"), inp("c"), out("d")]);
         for filter in [
             EventFilter::Principal(Principal::new("a")),
             EventFilter::Principal(Principal::new("b")),
+            EventFilter::Principal(Principal::new("d")),
             EventFilter::Kind(Direction::Output),
             EventFilter::Kind(Direction::Input),
         ] {
             let view = filtered_view(&k, &filter);
-            let oracle =
-                Provenance::from_events(k.to_vec().into_iter().filter(|e| !filter.removes(e)));
+            let oracle: Vec<Event> = k.iter().filter(|e| !filter.removes(e)).cloned().collect();
             assert_eq!(
-                view.provenance.id(),
-                oracle.id(),
+                joined(&view),
+                oracle,
                 "filtered view diverges for {}",
                 filter
             );
-            let removed = k.to_vec().into_iter().filter(|e| filter.removes(e)).count();
-            assert_eq!(view.removed.len(), removed);
+            let removed: Vec<Event> = k.iter().filter(|e| filter.removes(e)).cloned().collect();
+            let got: Vec<Event> = view.removed.iter().map(|r| r.event.clone()).collect();
+            assert_eq!(got, removed, "removed events for {}", filter);
         }
     }
 
     #[test]
     fn untouched_suffix_keeps_its_interned_nodes() {
-        // Remove only the newest event: every older suffix must keep its id.
-        let k = Provenance::from_events(vec![out("x"), inp("b"), out("a")]);
-        let view = filtered_view(&k, &EventFilter::Principal(Principal::new("x")));
-        assert_eq!(
-            view.provenance.id(),
-            k.tail().unwrap().id(),
-            "tail after removing the head must be the shared suffix"
-        );
+        let x = EventFilter::Principal(Principal::new("x"));
+        // Remove the newest event: the suffix is the original tail.
+        let head_only = Provenance::from_events(vec![out("x"), inp("b"), out("a")]);
+        let view = filtered_view(&head_only, &x);
+        assert!(view.kept.is_empty());
+        assert_eq!(view.suffix.id(), head_only.tail().unwrap().id());
         assert_eq!(view.removed.len(), 1);
-        assert_eq!(view.removed[0].node, k.id().as_u32());
+        assert_eq!(view.removed[0].node, head_only.id().as_u32());
+        // Remove two events: everything below the deeper one is shared
+        // verbatim, and each removed event keeps its original node id.
+        let k = Provenance::from_events(vec![out("x"), inp("b"), out("x"), inp("c"), out("a")]);
+        let tail = |depth: usize| (0..depth).fold(&k, |p, _| p.tail().unwrap());
+        let view = filtered_view(&k, &x);
+        assert_eq!(view.suffix.id(), tail(3).id());
+        assert_eq!(view.kept, vec![&inp("b")]);
+        let nodes: Vec<u32> = view.removed.iter().map(|r| r.node).collect();
+        assert_eq!(nodes, vec![k.id().as_u32(), tail(2).id().as_u32()]);
+    }
+
+    /// `channel_chained` in the serve crate's causal-plane tests: each hop
+    /// sends and receives on a channel carrying the whole history so far.
+    fn channel_chained(hops: usize) -> Provenance {
+        let mut provenance = Provenance::single(out("s1"));
+        for hop in 0..hops {
+            let relay = Principal::new(format!("relay{}", hop % 3));
+            provenance = provenance
+                .prepend(Event::output(relay.clone(), provenance.clone()))
+                .prepend(Event::input(relay, provenance.clone()));
+        }
+        provenance
+    }
+
+    #[test]
+    fn the_channel_via_memo_agrees_with_removes() {
+        // Many events sharing one channel history, and histories whose
+        // channels overlap one another.
+        let channel = Provenance::from_events(vec![out("m"), inp("n"), out("o")]);
+        let inner = Provenance::single(Event::input(Principal::new("q"), channel.clone()));
+        let shared = Provenance::from_events(vec![
+            Event::input(Principal::new("a"), channel.clone()),
+            Event::output(Principal::new("b"), inner.clone()),
+            out("c"),
+            Event::input(Principal::new("d"), channel.tail().unwrap().clone()),
+            Event::output(Principal::new("e"), channel),
+            Event::input(Principal::new("f"), inner),
+        ]);
+        let names = [
+            "s1", "relay0", "relay1", "relay2", "m", "n", "o", "q", "a", "nobody",
+        ];
+        for history in [channel_chained(12), shared] {
+            for name in names {
+                let principal = Principal::new(name);
+                let filter = EventFilter::ChannelVia(principal.clone());
+                // One memo across the spine, as filtered_view keeps it.
+                let mut memo = HashMap::new();
+                for event in history.iter() {
+                    assert_eq!(
+                        involves(&event.channel_provenance, &principal, &mut memo),
+                        filter.removes(event),
+                        "{} on {}",
+                        filter,
+                        event
+                    );
+                }
+                let view = filtered_view(&history, &filter);
+                let oracle: Vec<Event> = history
+                    .iter()
+                    .filter(|e| !filter.removes(e))
+                    .cloned()
+                    .collect();
+                assert_eq!(joined(&view), oracle, "{}", filter);
+            }
+        }
     }
 
     #[test]

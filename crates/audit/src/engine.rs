@@ -798,11 +798,12 @@ impl AuditEngine {
     }
 
     /// Serves [`AuditRequest::Counterfactual`]: vets the newest history
-    /// as-is, re-vets it with the filtered events removed (via
-    /// [`filtered_view`] — untouched suffixes keep their interned nodes,
-    /// so their verdicts answer from the memo), and reports both verdicts
-    /// plus the delta slice.  The filtered re-vet's cache hits are
-    /// surfaced as [`RequestStats::memo_reused`].
+    /// as-is, re-vets it with the filtered events removed, and reports
+    /// both verdicts plus the delta slice.  The re-vet steps the kept
+    /// events of [`filtered_view`] and continues on the untouched suffix,
+    /// whose verdicts answer from the memo
+    /// ([`CompiledPattern::matches_after`]): nothing is interned.  Its
+    /// cache hits are surfaced as [`RequestStats::memo_reused`].
     fn counterfactual(
         &self,
         snapshot: &EngineSnapshot,
@@ -836,7 +837,7 @@ impl AuditEngine {
         };
         let (original, original_stats) = compiled.matches_with_stats(&record.provenance);
         let view = filtered_view(&record.provenance, remove);
-        let (counterfactual, cf_stats) = compiled.matches_with_stats(&view.provenance);
+        let (counterfactual, cf_stats) = compiled.matches_after(&view.kept, view.suffix);
         stats.memo_hits = original_stats.memo_hits + cf_stats.memo_hits;
         stats.dag_nodes_visited = original_stats.nodes_visited + cf_stats.nodes_visited;
         stats.memo_reused = cf_stats.memo_hits;
@@ -1113,6 +1114,68 @@ mod tests {
                 principal: Some(Principal::new("a"))
             }
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_channel_via_counterfactual_costs_the_dag_not_the_tree() {
+        // 2,000 spine events, each carrying the same 2,000-event channel
+        // history: ~4,000 DAG nodes, whose logical tree is 4M events.
+        use std::time::Duration;
+        let dir = temp_dir("channel-via");
+        let engine = AuditEngine::open(&dir).unwrap();
+        engine.register_pattern(
+            "receives",
+            Pattern::receive(GroupExpr::all(), Pattern::Any).star(),
+        );
+        let mut channel: Vec<Event> = (0..1_999)
+            .map(|j| Event::input(Principal::new(format!("c{}", j % 16)), Provenance::empty()))
+            .collect();
+        channel.push(Event::output(Principal::new("origin"), Provenance::empty()));
+        let channel = Provenance::from_events(channel);
+        let spine = Provenance::from_events(
+            (0..2_000)
+                .map(|i| Event::input(Principal::new(format!("r{}", i % 4)), channel.clone()))
+                .collect::<Vec<_>>(),
+        );
+        engine
+            .ingest(ProvenanceRecord::new(
+                0,
+                "r0",
+                Operation::Receive,
+                "m",
+                value("wide"),
+                spine,
+            ))
+            .unwrap();
+        let ask = |remove: EventFilter| {
+            let response = engine.handle(&AuditRequest::Counterfactual {
+                value: value("wide"),
+                pattern: "receives".into(),
+                remove,
+            });
+            match response.outcome {
+                AuditOutcome::Counterfactual(verdict) => verdict,
+                other => panic!("expected a counterfactual, got {:?}", other),
+            }
+        };
+        // The first request warms the memos, so the timed one costs the
+        // filter's walk.
+        assert!(ask(EventFilter::Principal(Principal::new("nobody"))).original);
+        let started = Instant::now();
+        let verdict = ask(EventFilter::ChannelVia(Principal::new("nobody")));
+        let elapsed = started.elapsed();
+        assert!(verdict.original && verdict.counterfactual && verdict.removed.is_empty());
+        assert!(
+            elapsed < Duration::from_millis(100),
+            "a channel-via counterfactual took {:?}",
+            elapsed
+        );
+        // Only the channel's oldest event names `origin`: every spine
+        // event goes, and ε passes the policy.
+        let verdict = ask(EventFilter::ChannelVia(Principal::new("origin")));
+        assert_eq!(verdict.removed.len(), 2_000);
+        assert!(verdict.counterfactual);
         std::fs::remove_dir_all(&dir).ok();
     }
 

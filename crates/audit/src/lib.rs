@@ -26,7 +26,7 @@
 //! * [`causal`] — the causal-query layer: [`WhySlice`] witness sets
 //!   explaining a verdict event-by-event against the interned DAG, and
 //!   [`EventFilter`]-driven counterfactual audits that re-vet a filtered
-//!   view of a history without materializing a copy
+//!   view of a history without building or interning it
 //!   ([`causal::filtered_view`]);
 //! * [`registry`] — the versioned policy registry: immutable
 //!   [`PolicySet`]s published by single pointer swap, so a whole

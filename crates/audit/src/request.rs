@@ -95,9 +95,10 @@ pub struct RequestStats {
     /// of the consulted records (an O(1) cached read per record).
     pub dag_nodes_visited: usize,
     /// Memoized verdicts reused by a counterfactual re-vet specifically:
-    /// the cache hits scored while matching the *filtered* view, i.e. the
-    /// untouched subgraphs the filtered re-walk did not have to
-    /// re-simulate.  Zero for every other request kind.
+    /// the cache hits scored while matching the *filtered* view — on the
+    /// untouched suffix the re-walk did not have to re-simulate, and in
+    /// nested channel memos while the kept events above it are stepped.
+    /// Zero for every other request kind.
     pub memo_reused: usize,
 }
 

@@ -9,10 +9,10 @@
 //!   the spine length, and never a second pass;
 //! * **counterfactual re-vet vs from-scratch** — the headline number: on
 //!   a deep spine where the filter touches only near-top events, the
-//!   memo-warm counterfactual (re-intern the touched prefix, hit the
-//!   memoized shared suffix) against a from-scratch engine that compiles
-//!   the policy and walks the literally filtered history.  Target: ≥ 5×
-//!   at depth ≥ 256.
+//!   memo-warm counterfactual (step the kept events above the removed
+//!   one, then hit the memoized shared suffix; nothing interned) against
+//!   a from-scratch engine that compiles the policy and walks the
+//!   literally filtered history.  Target: ≥ 5× at depth ≥ 256.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use piprov_audit::{filtered_view, EventFilter};
@@ -62,14 +62,14 @@ fn bench_counterfactual(c: &mut Criterion) {
         let prov = deep_spine(depth);
 
         // Memo-warm: the original vet has memoized every suffix; the
-        // counterfactual re-interns the touched prefix and rides the
-        // shared suffix out of the memo.
+        // counterfactual steps the kept events and rides the shared
+        // suffix out of the memo.
         let warm = CompiledPattern::compile(&pattern);
         assert!(warm.matches(&prov), "the deep spine passes the policy");
         group.bench_with_input(BenchmarkId::new("memo_warm", depth), &depth, |b, _| {
             b.iter(|| {
                 let view = filtered_view(&prov, &filter);
-                warm.matches(&view.provenance)
+                warm.matches_after(&view.kept, view.suffix)
             })
         });
 

@@ -21,7 +21,10 @@
 //! spine's cached length, so a walk allocates a fixed handful of buffers
 //! however long the spine is.  A walk answered at the root — a memo-warm
 //! vet, or a nested channel check on a memoized history — borrows the
-//! start state's row and allocates nothing.
+//! start state's row and allocates nothing.  A walk may also start from a
+//! state set reached elsewhere: [`CompiledPattern::matches_after`] steps
+//! a few plain events first, then joins the memoized walk at an interned
+//! suffix.
 //!
 //! On top of the simulation sits a **match memo** keyed by
 //! `(ProvId, state set)`: provenance sequences are interned DAG nodes
@@ -672,16 +675,50 @@ impl CompiledPattern {
         (verdict, stats)
     }
 
+    /// Decides `kept ; suffix ⊨ π` without building that history: steps
+    /// the automaton over the plain events `kept` (most recent first),
+    /// which have no interned node and so no memo entry, then continues
+    /// the ordinary memoized walk over the interned `suffix` from the
+    /// state set it reached.  Nested channel atoms consult their own
+    /// memos, whose keys are the events' real channel histories.
+    ///
+    /// This is how a counterfactual re-vets a history with some events
+    /// removed: nothing is interned, and only `suffix` nodes enter the
+    /// memo.  With `kept` empty it is [`CompiledPattern::matches_with_stats`]
+    /// on `suffix`.
+    pub fn matches_after(&self, kept: &[&Event], suffix: &Provenance) -> (bool, MatchStats) {
+        let mut stats = MatchStats::default();
+        if kept.is_empty() {
+            let verdict = self.matches_collect(suffix, &mut stats);
+            return (verdict, stats);
+        }
+        let mut states = self.row(self.start).to_vec();
+        let mut next = vec![0u64; self.words];
+        for event in kept {
+            stats.nodes_visited += 1;
+            if !self.step(&states, event, &mut next, &mut stats) {
+                return (false, stats);
+            }
+            std::mem::swap(&mut states, &mut next);
+        }
+        let verdict = self.matches_from(&states, suffix, &mut stats);
+        (verdict, stats)
+    }
+
     fn matches_collect(&self, provenance: &Provenance, stats: &mut MatchStats) -> bool {
-        if let Some(cached) = self
-            .lock_memo()
-            .lookup(provenance.id(), self.row(self.start))
-        {
+        self.matches_from(self.row(self.start), provenance, stats)
+    }
+
+    /// The memoized walk over `provenance` from the state set `from`.  A
+    /// walk answered at its first node borrows `from` and allocates
+    /// nothing.
+    fn matches_from(&self, from: &[u64], provenance: &Provenance, stats: &mut MatchStats) -> bool {
+        if let Some(cached) = self.lock_memo().lookup(provenance.id(), from) {
             stats.memo_hits += 1;
             return cached;
         }
         let mut trail = Trail::with_capacity(provenance.len() + 1, self.words);
-        let mut states = self.row(self.start).to_vec();
+        let mut states = from.to_vec();
         let mut next = vec![0u64; self.words];
         let mut cursor = provenance;
         let verdict = loop {
@@ -996,6 +1033,44 @@ mod tests {
         let (_, incremental) = compiled.matches_with_stats(&grown);
         assert!(incremental.nodes_visited <= 2);
         assert!(incremental.memo_hits >= 1);
+    }
+
+    #[test]
+    fn matches_after_agrees_with_matching_the_joined_history() {
+        let patterns = [
+            Pattern::send(GroupExpr::single("a"), Pattern::Any).star(),
+            Pattern::originated_at(GroupExpr::single("a")),
+            Pattern::only_touched_by(GroupExpr::any_of(["a", "b"])),
+            Pattern::send(
+                GroupExpr::single("a"),
+                Pattern::send(GroupExpr::single("b"), Pattern::Any).then(Pattern::Any),
+            ),
+        ];
+        for pattern in &patterns {
+            let compiled = CompiledPattern::compile(pattern);
+            for provenance in sample_provenances() {
+                let events = provenance.to_vec();
+                let mut suffix = &provenance;
+                for split in 0..=events.len() {
+                    // Every other event above the split is kept.
+                    let kept: Vec<&Event> = events[..split].iter().step_by(2).collect();
+                    let joined = Provenance::from_events(
+                        kept.iter().map(|e| (*e).clone()).chain(suffix.to_vec()),
+                    );
+                    let (verdict, _) = compiled.matches_after(&kept, suffix);
+                    assert_eq!(
+                        verdict,
+                        satisfies(&joined, pattern),
+                        "{} ⊨ {}",
+                        joined,
+                        pattern
+                    );
+                    if let Some(tail) = suffix.tail() {
+                        suffix = tail;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,14 +20,14 @@
 //! [`crate::server::handle_request`], encode — on one of two threads.
 //! While a connection has no job in flight, the loop thread answers its
 //! queued **reads** itself, in order, and writes the responses in the
-//! same pass: every audit request but a counterfactual, plus `Metrics`,
-//! `Traces` and `ListPolicies`, all served from the engine's lock-free
-//! MVCC read path.  The first frame of any other kind (ingest, `Flush`,
-//! `LoadPack`, a counterfactual, or a body that names no kind), every
-//! frame after it, and every frame left once the loop has spent its
-//! per-pass budget on the connection go as one job to a small **dispatch
-//! worker pool**, which appends the encoded responses to the connection's
-//! outbound buffer.  At most one job per connection is in flight, a job
+//! same pass: every audit request (counterfactuals included), plus
+//! `Metrics`, `Traces` and `ListPolicies`, all served from the engine's
+//! lock-free MVCC read path.  The first frame of any other kind (ingest,
+//! `Flush`, `LoadPack`, or a body that names no kind), every frame after
+//! it, and every frame left once the loop has spent its per-pass budget
+//! on the connection go as one job to a small **dispatch worker pool**,
+//! which appends the encoded responses to the connection's outbound
+//! buffer.  At most one job per connection is in flight, a job
 //! answers its frames in order, and the loop answers nothing for a
 //! connection whose job is in flight, so pipelining keeps the wire
 //! contract: responses strictly in request order per connection.  A
@@ -779,10 +779,10 @@ fn finish_flushed_traces(out: &mut Outbound, serving: &Serving) {
 }
 
 /// Whether the loop thread answers a frame of this kind itself: the reads
-/// the engine serves from its lock-free MVCC snapshot, which never wait.
-/// Ingest and `Flush` go through the ingest queue (a flush may park for
-/// [`ServeConfig::flush_timeout`]), `LoadPack` compiles a pack, and a
-/// counterfactual re-walks a filtered history: those go to the workers.
+/// the engine serves from its lock-free MVCC snapshot, which never wait
+/// and intern nothing.  Ingest and `Flush` go through the ingest queue (a
+/// flush may park for [`ServeConfig::flush_timeout`]) and `LoadPack`
+/// compiles a pack: those go to the workers.
 fn answers_inline(kind: RequestKind) -> bool {
     matches!(
         kind,
@@ -791,6 +791,7 @@ fn answers_inline(kind: RequestKind) -> bool {
             | RequestKind::Touched
             | RequestKind::Origin
             | RequestKind::Why
+            | RequestKind::Counterfactual
             | RequestKind::Metrics
             | RequestKind::Traces
             | RequestKind::ListPolicies

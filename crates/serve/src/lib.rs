@@ -26,10 +26,10 @@
 //! * [`server`] — the [`AuditServer`]: one readiness-based **event
 //!   loop** — a loop thread owning accept and every connection's
 //!   read-accumulate → decode → handle → write-drain state machine.  It
-//!   answers reads itself and hands ingest, `Flush`, `LoadPack` and
-//!   counterfactuals to a small dispatch pool, so thousands of idle
-//!   connections cost only a registered fd and a parked flush stalls no
-//!   one else's reads.  Requests pipeline per connection, a plaintext
+//!   answers every audit request and the other reads itself and hands
+//!   ingest, `Flush` and `LoadPack` to a small dispatch pool, so
+//!   thousands of idle connections cost only a registered fd and a
+//!   parked flush stalls no one else's reads.  Requests pipeline per connection, a plaintext
 //!   `GET /metrics` is answered with a scrape, [`ServeConfig::idle_timeout`]
 //!   is enforced, and ingest gets **back-pressure** through the engine's
 //!   bounded [`piprov_audit::IngestQueue`] (overflow answers a typed

@@ -2,9 +2,9 @@
 //! (the `event_loop` module).  One thread owns `accept` and a
 //! [`crate::poll::Poller`] registration per connection — epoll on Linux,
 //! `poll(2)` on other Unix hosts — and answers the reads itself from the
-//! engine's lock-free MVCC read path: every audit request but a
-//! counterfactual, plus `Metrics`, `Traces` and `ListPolicies`.  Ingest,
-//! `Flush`, `LoadPack` and counterfactuals go to a small worker pool.
+//! engine's lock-free MVCC read path: every audit request, plus
+//! `Metrics`, `Traces` and `ListPolicies`.  Ingest, `Flush` and
+//! `LoadPack` go to a small worker pool.
 //! Thousands of idle connections cost only their registered fd.
 //!
 //! Within a connection, requests are **pipelined**: frames are answered
@@ -44,8 +44,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// The size of the dispatch worker pool, which serves only what the
     /// loop thread does not answer itself — ingest, `Flush`, `LoadPack`,
-    /// counterfactuals, and reads queued behind one of those or past the
-    /// loop's per-pass budget.  Connections themselves are unbounded by
+    /// and reads queued behind one of those or past the loop's per-pass
+    /// budget.  Connections themselves are unbounded by
     /// threads; an idle one costs only its fd.
     pub workers: usize,
     /// Capacity of the bounded ingest queue, in batches; overflow answers

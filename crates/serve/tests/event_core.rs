@@ -580,6 +580,75 @@ fn a_worker_parked_on_a_flush_does_not_stall_another_connections_reads() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_worker_parked_on_a_flush_does_not_delay_another_connections_counterfactuals() {
+    let dir = temp_dir("parked-cf");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("any", Pattern::Any);
+    let server = AuditServer::bind(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            flush_timeout: Duration::from_secs(3),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut auditor = AuditClient::connect(addr).unwrap();
+    auditor.ingest_blocking(vec![record(0, "s0")]).unwrap();
+    auditor.flush().unwrap();
+
+    // The same parked flush as above: the only worker waits out the
+    // whole flush timeout behind a batch the paused queue never drains.
+    server.ingest_queue().set_paused(true);
+    let mut flusher = AuditClient::connect(addr).unwrap();
+    assert!(matches!(
+        flusher.ingest_batch(vec![record(1, "s1")]).unwrap(),
+        IngestOutcome::Acked { accepted: 1, .. }
+    ));
+    let mut flush = Vec::new();
+    write_frame(&mut flush, &encode_request(&WireRequest::Flush)).unwrap();
+    flusher.send_raw(&flush).unwrap();
+    let parked = std::thread::spawn(move || flusher.receive_response());
+
+    let started = Instant::now();
+    for _ in 0..10 {
+        let response = auditor
+            .counterfactual(
+                value("item0"),
+                "any",
+                EventFilter::Principal(Principal::new("s0")),
+            )
+            .unwrap();
+        match response.outcome {
+            AuditOutcome::Counterfactual(verdict) => {
+                assert!(verdict.original && verdict.counterfactual);
+                assert_eq!(verdict.removed.len(), 1);
+            }
+            other => panic!("expected a counterfactual, got {:?}", other),
+        }
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "10 counterfactuals took {:?} behind a worker parked on another connection's flush",
+        elapsed
+    );
+
+    match parked.join().unwrap() {
+        Ok(WireResponse::ServerError { message }) => {
+            assert!(message.contains("flush failed"), "{}", message)
+        }
+        other => panic!("expected the flush to time out, got {:?}", other),
+    }
+    server.ingest_queue().set_paused(false);
+    drop(auditor);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// One framed connection driven with raw wire requests, so a burst can mix
 /// every request kind the way a pipelining peer may.
 struct RawConn {
