@@ -23,8 +23,8 @@
 //!   batch: a response mentions either none of a batch's records or all
 //!   of the ones relevant to it, and never a record above its snapshot's
 //!   watermark.
-//! * **Monotone watermarks** — publications are ordered by the store's
-//!   write lock, so the watermark carried by every [`AuditResponse`] is
+//! * **Monotone watermarks** — publications are ordered by the store
+//!   lock, so the watermark carried by every [`AuditResponse`] is
 //!   non-decreasing across any sequence of requests to one engine.
 //! * **Read-your-writes** — [`AuditEngine::ingest_batch`] publishes
 //!   before it returns: a caller that observes the returned sequence
@@ -56,7 +56,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Configuration of an [`AuditEngine`].
@@ -92,7 +92,7 @@ pub struct EngineStats {
     pub index_hits: u64,
     /// Pattern-memo hits, summed over all vet requests.
     pub memo_hits: u64,
-    /// Ingest batches applied (each under a single write-lock
+    /// Ingest batches applied (each under a single store-lock
     /// acquisition); single-record [`AuditEngine::ingest`] calls count as
     /// one-record batches.
     pub ingest_batches: u64,
@@ -166,8 +166,11 @@ impl fmt::Display for EngineStats {
 #[derive(Debug)]
 pub struct AuditEngine {
     /// The durable log.  Writers only: audit queries answer from the
-    /// published snapshot and never acquire this lock in any mode.
-    store: RwLock<ProvenanceStore>,
+    /// published snapshot and never acquire this lock.
+    store: Mutex<ProvenanceStore>,
+    /// The store's statistics as of its last append, published under the
+    /// store lock, so a metrics read never waits for an ingest or a sync.
+    store_stats: Mutex<StoreStats>,
     /// The published [`EngineSnapshot`] every query reads.
     snapshot: SnapshotCell,
     /// The versioned policy registry.  Requests load one immutable
@@ -215,7 +218,8 @@ impl AuditEngine {
     pub fn with_config(store: ProvenanceStore, config: AuditConfig) -> Self {
         AuditEngine {
             snapshot: SnapshotCell::new(store.view()),
-            store: RwLock::new(store),
+            store_stats: Mutex::new(store.stats()),
+            store: Mutex::new(store),
             registry: PolicyRegistry::new(),
             config,
             metrics: MetricsRegistry::new(),
@@ -388,7 +392,7 @@ impl AuditEngine {
         Ok(*sequences.first().expect("one record in, one sequence out"))
     }
 
-    /// Appends a whole batch under **one** write-lock acquisition and
+    /// Appends a whole batch under **one** store-lock acquisition and
     /// publishes **one** snapshot for it, so a burst of ingest pays for
     /// the append lock and the publication once per batch instead of once
     /// per record — and readers observe the batch atomically (all of it
@@ -415,7 +419,7 @@ impl AuditEngine {
             return Ok(Vec::new());
         }
         let mut sequences = Vec::with_capacity(records.len());
-        let mut store = self.write_store();
+        let mut store = lock(&self.store);
         let mut failure = None;
         for record in records {
             match store.append(record) {
@@ -432,16 +436,17 @@ impl AuditEngine {
         self.ingest_batches.fetch_add(1, Ordering::Relaxed);
         // The appends built the next snapshot off to the side: the store's
         // view copied its skeleton on the first append, because the
-        // published snapshot shares it.  Publish it while the write lock
-        // is still held, so publications carry the same total order as the
-        // appends they describe (monotone watermarks).  Readers never wait
-        // on any of this: they keep loading the previous snapshot until
-        // the single-pointer swap.
+        // published snapshot shares it.  Publish it, and the store's
+        // statistics, while the store lock is still held, so publications
+        // carry the same total order as the appends they describe
+        // (monotone watermarks).  Readers never wait on any of this: they
+        // keep loading the previous snapshot until the single-pointer swap.
         let next = store.view();
         if next.watermark() > self.snapshot.load().watermark() {
             self.snapshot.publish(next);
             self.snapshots_published.fetch_add(1, Ordering::Relaxed);
         }
+        *lock(&self.store_stats) = store.stats();
         drop(store);
         match failure {
             Some(error) => Err(error),
@@ -472,7 +477,7 @@ impl AuditEngine {
     ///
     /// Propagates store sync failures.
     pub fn sync(&self) -> Result<(), StoreError> {
-        self.write_store().sync()
+        lock(&self.store).sync()
     }
 
     /// The currently published snapshot.
@@ -570,10 +575,10 @@ impl AuditEngine {
         }
     }
 
-    /// Statistics of the underlying store (read lock; an operator call,
-    /// not an audit query path).
+    /// Statistics of the underlying store as of its last append; never
+    /// waits for the store lock.
     pub fn store_stats(&self) -> StoreStats {
-        self.read_store().stats()
+        *lock(&self.store_stats)
     }
 
     /// Whole seconds since this engine was opened.
@@ -857,19 +862,14 @@ impl AuditEngine {
             pack_version,
         )
     }
+}
 
-    fn read_store(&self) -> RwLockReadGuard<'_, ProvenanceStore> {
-        match self.store.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn write_store(&self) -> RwLockWriteGuard<'_, ProvenanceStore> {
-        match self.store.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+/// Locks `mutex`, recovering the guard if a holder panicked, so that one
+/// panic does not fail every later ingest, sync and metrics read.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    match mutex.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
@@ -1387,6 +1387,60 @@ mod tests {
                 .outcome,
             AuditOutcome::Trail(_)
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_metrics_read_does_not_wait_for_the_store_lock() {
+        let dir = temp_dir("metrics-unlocked");
+        let engine = Arc::new(seeded_engine(&dir));
+        let (held, holding) = std::sync::mpsc::channel();
+        let holder = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                // What an ingest or an fsync does: hold the store lock.
+                let _store = lock(&engine.store);
+                held.send(()).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(500));
+            })
+        };
+        holding.recv().unwrap();
+        let started = Instant::now();
+        let metrics = engine.metrics();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_millis(100),
+            "metrics() waited {:?} for the store lock",
+            elapsed
+        );
+        assert_eq!(metrics.store.records, 4);
+        holder.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn published_store_stats_follow_appends_across_a_rotation() {
+        let dir = temp_dir("store-stats");
+        let config = piprov_store::StoreConfig {
+            segment_budget: 256,
+            sync_every_append: false,
+        };
+        let engine = AuditEngine::new(ProvenanceStore::open_with(&dir, config).unwrap());
+        assert_eq!(engine.metrics().store, lock(&engine.store).stats());
+        for i in 0..8u64 {
+            let k = Provenance::single(Event::output(Principal::new("a"), Provenance::empty()));
+            let batch = vec![
+                ProvenanceRecord::new(2 * i, "a", Operation::Send, "m", value("v"), k.clone()),
+                ProvenanceRecord::new(2 * i + 1, "a", Operation::Send, "m", value("w"), k),
+            ];
+            engine.ingest_batch(batch).unwrap();
+            assert_eq!(engine.metrics().store, lock(&engine.store).stats());
+        }
+        engine.sync().unwrap();
+        let stats = engine.metrics().store;
+        assert_eq!(stats, lock(&engine.store).stats());
+        assert_eq!(stats.records, 16);
+        assert!(stats.segments > 1, "the segments rotated: {}", stats);
         std::fs::remove_dir_all(&dir).ok();
     }
 

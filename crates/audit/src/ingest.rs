@@ -6,7 +6,7 @@
 //! immediately with [`SubmitOutcome::Busy`] (counted in
 //! [`crate::EngineStats::busy_rejections`]) instead of growing the heap.
 //! Accepted batches are drained by one worker thread that applies each
-//! batch to the [`AuditEngine`] under a **single write-lock acquisition**
+//! batch to the [`AuditEngine`] under a **single store-lock acquisition**
 //! ([`AuditEngine::ingest_batch`]), so ingest pays for the lock — and for
 //! the auditors it excludes — once per batch rather than once per record.
 //!
@@ -101,6 +101,21 @@ impl Shared {
         // lag an operator watches where `queue_depth` alone would hide it.
         self.engine
             .set_snapshot_lag(depth + state.in_flight as usize);
+    }
+
+    /// `Some(queue_depth)` when a non-empty batch would be refused now —
+    /// the queue is full or shut down — having counted the rejection and
+    /// refreshed the gauges; `None` when it would be accepted.
+    fn refuse_if_full(&self, state: &QueueState) -> Option<usize> {
+        let depth = state.batches.len();
+        if !state.closed && depth < self.capacity {
+            return None;
+        }
+        // Refresh the gauges on rejection too: a Busy flood must leave
+        // them describing the real queue, not the last acceptance.
+        self.publish_gauges(state);
+        self.engine.note_busy_rejection();
+        Some(depth)
     }
 }
 
@@ -246,13 +261,8 @@ impl IngestQueue {
         if batch.is_empty() {
             return SubmitOutcome::Accepted { queue_depth: depth };
         }
-        if state.closed || depth >= self.shared.capacity {
-            // Refresh the gauges on rejection too: a Busy flood must leave
-            // them describing the real queue, not the last acceptance.
-            self.shared.publish_gauges(&state);
-            drop(state);
-            self.shared.engine.note_busy_rejection();
-            return SubmitOutcome::Busy { queue_depth: depth };
+        if let Some(queue_depth) = self.shared.refuse_if_full(&state) {
+            return SubmitOutcome::Busy { queue_depth };
         }
         state.batches.push_back((Instant::now(), batch, trace));
         let queue_depth = state.batches.len();
@@ -260,6 +270,16 @@ impl IngestQueue {
         drop(state);
         self.shared.work.notify_one();
         SubmitOutcome::Accepted { queue_depth }
+    }
+
+    /// Answers for a non-empty batch not yet in hand: `Some(queue_depth)`
+    /// when [`IngestQueue::try_submit`] would answer `Busy` now, counting
+    /// the rejection and refreshing the gauges as it does, or `None` when
+    /// the batch would be accepted.  A front end asks this before it
+    /// decodes a batch, so a refused one costs no decode; a batch that
+    /// finds the queue full by the time it is submitted is still refused.
+    pub fn refuse_if_full(&self) -> Option<usize> {
+        self.shared.refuse_if_full(&self.shared.lock())
     }
 
     /// Pauses or resumes the drain worker.  While paused, accepted batches
@@ -376,7 +396,7 @@ impl Drop for IngestQueue {
     }
 }
 
-/// The worker: pop a batch (unless paused), apply it under one write lock,
+/// The worker: pop a batch (unless paused), apply it under one store lock,
 /// publish the depth gauge, repeat until closed and drained.
 fn drain_loop(shared: &Shared) {
     loop {

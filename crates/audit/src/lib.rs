@@ -39,7 +39,7 @@
 //!   delivered messages into the engine while auditors query it;
 //! * [`ingest`] — the bounded [`IngestQueue`]: batched ingest with typed
 //!   back-pressure (`Busy` instead of unbounded buffering), each batch
-//!   applied under one write-lock acquisition;
+//!   applied under one store-lock acquisition;
 //! * [`metrics`] — the observability plane: a [`MetricsRegistry`] of
 //!   per-policy verdict counters and lock-free latency histograms recorded
 //!   on the vet hot path, the aggregated [`MetricsSnapshot`] over every

@@ -458,8 +458,9 @@ impl AuditEngine {
     /// and per shard), and each registered policy's memo, verdict counters
     /// and latency histogram — into one [`MetricsSnapshot`].
     ///
-    /// An operator/scrape path: it takes the store read lock briefly for
-    /// [`StoreStats`] and never touches the query hot path.
+    /// An operator/scrape path: it reads the [`StoreStats`] the engine
+    /// published at its last append, never waits for the store lock, and
+    /// never touches the query hot path.
     pub fn metrics(&self) -> MetricsSnapshot {
         let registry = self.metrics_registry();
         MetricsSnapshot {

@@ -172,34 +172,24 @@ pub fn request_kind(request: &WireRequest) -> RequestKind {
     }
 }
 
-/// The [`RequestKind`] of an encoded request body, read from its version,
-/// tag and audit sub-tag alone: what the event loop routes a frame by
-/// without decoding it.  `None` for a body too short to hold them, any
-/// version but [`WIRE_VERSION`], or an unknown tag — [`decode_request`]
-/// gives those their typed error.
-pub(crate) fn peek_kind(body: &Bytes) -> Option<RequestKind> {
-    let (&version, rest) = body.split_first()?;
-    if version != WIRE_VERSION {
-        return None;
+/// Whether the event loop hands an encoded request body to a worker: an
+/// `IngestBatch`, whose decode is linear in a frame of up to
+/// [`crate::DEFAULT_MAX_FRAME_LEN`], or a `Flush`, which may wait for
+/// [`crate::ServeConfig::flush_timeout`].  Reads the version and tag
+/// bytes alone; a body too short to hold them, of any version but
+/// [`WIRE_VERSION`], or with an unknown tag stays on the loop, where
+/// [`decode_request`] gives it its typed error.
+pub(crate) fn routes_to_worker(body: &[u8]) -> bool {
+    matches!(body, [WIRE_VERSION, REQ_INGEST | REQ_FLUSH, ..])
+}
+
+/// The record count of an encoded `IngestBatch` body, read without
+/// decoding a record; `None` for any other body.
+pub(crate) fn ingest_record_count(body: &[u8]) -> Option<u32> {
+    match *body {
+        [WIRE_VERSION, REQ_INGEST, a, b, c, d, ..] => Some(u32::from_be_bytes([a, b, c, d])),
+        _ => None,
     }
-    Some(match *rest.first()? {
-        REQ_AUDIT => match *rest.get(1)? {
-            AUDIT_VET => RequestKind::Vet,
-            AUDIT_TRAIL => RequestKind::Trail,
-            AUDIT_TOUCHED => RequestKind::Touched,
-            AUDIT_ORIGIN => RequestKind::Origin,
-            AUDIT_WHY => RequestKind::Why,
-            AUDIT_COUNTERFACTUAL => RequestKind::Counterfactual,
-            _ => return None,
-        },
-        REQ_INGEST => RequestKind::Ingest,
-        REQ_FLUSH => RequestKind::Flush,
-        REQ_METRICS => RequestKind::Metrics,
-        REQ_TRACES => RequestKind::Traces,
-        REQ_LOAD_PACK => RequestKind::LoadPack,
-        REQ_LIST_POLICIES => RequestKind::ListPolicies,
-        _ => return None,
-    })
 }
 
 const REQ_AUDIT: u8 = 1;
@@ -1295,10 +1285,10 @@ mod tests {
         )
     }
 
-    #[test]
-    fn requests_round_trip() {
-        let limits = WireLimits::default();
-        let requests = vec![
+    /// One request of every kind and audit sub-kind, every event filter,
+    /// an empty batch and pack, and both `Traces` bounds.
+    fn sample_requests() -> Vec<WireRequest> {
+        vec![
             WireRequest::Audit(AuditRequest::VetValue {
                 value: Value::Channel(Channel::new("v")),
                 pattern: "from-a".into(),
@@ -1351,53 +1341,78 @@ mod tests {
             )),
             WireRequest::LoadPack(PackSource::new("empty", Vec::new())),
             WireRequest::ListPolicies,
-        ];
-        let trace = RequestTrace {
+        ]
+    }
+
+    fn sample_trace() -> RequestTrace {
+        RequestTrace {
             context: TraceContext {
                 trace_id: 42,
                 sampled: true,
             },
             client_encode_ns: 7,
-        };
-        for request in requests {
+        }
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        let limits = WireLimits::default();
+        let trace = sample_trace();
+        for request in sample_requests() {
             let body = encode_request(&request);
-            assert_eq!(peek_kind(&body), Some(request_kind(&request)));
             let decoded = decode_request(body.clone(), &limits).unwrap();
             assert_eq!(decoded, request);
-            // The trace field rides after the payload: it decodes back and
-            // leaves the peeked kind alone.
+            // The trace field rides after the payload and decodes back.
             let traced = append_request_trace(&body, &trace);
-            assert_eq!(peek_kind(&traced), Some(request_kind(&request)));
             assert_eq!(
                 decode_request_traced(traced, &limits).unwrap(),
                 (request.clone(), Some(trace))
             );
-            // Too short to name the kind: an audit body cut before its
-            // sub-tag, any body cut before its tag.
-            let cut = if matches!(request, WireRequest::Audit(_)) {
-                2
-            } else {
-                1
+        }
+    }
+
+    #[test]
+    fn only_ingest_batches_and_flushes_route_to_a_worker() {
+        let limits = WireLimits::default();
+        let trace = sample_trace();
+        for request in sample_requests() {
+            let body = encode_request(&request);
+            let worker = matches!(request, WireRequest::IngestBatch(_) | WireRequest::Flush);
+            assert_eq!(routes_to_worker(&body), worker, "{:?}", request);
+            let traced = append_request_trace(&body, &trace);
+            assert_eq!(routes_to_worker(&traced), worker, "{:?}", request);
+            // The record count is read without decoding a record.
+            let count = match &request {
+                WireRequest::IngestBatch(records) => Some(records.len() as u32),
+                _ => None,
             };
-            for len in 0..=cut {
-                assert_eq!(
-                    peek_kind(&Bytes::from(body[..len].to_vec())),
-                    None,
-                    "{:?}",
-                    request
-                );
-            }
-            // Any other version peeks to nothing, like it decodes to an error.
+            assert_eq!(ingest_record_count(&body), count, "{:?}", request);
+            assert_eq!(ingest_record_count(&traced), count, "{:?}", request);
+            // Too short to name the kind, or of another version: the loop
+            // keeps the body, and its decode answers with the typed error.
+            let mut strays = vec![body[..0].to_vec(), body[..1].to_vec()];
             for version in [0, WIRE_VERSION - 1, WIRE_VERSION + 1, u8::MAX] {
                 let mut other = body.to_vec();
                 other[0] = version;
-                assert_eq!(peek_kind(&Bytes::from(other)), None);
+                strays.push(other);
+            }
+            for stray in strays {
+                assert!(!routes_to_worker(&stray), "{:?}", stray);
+                assert_eq!(ingest_record_count(&stray), None, "{:?}", stray);
+                assert!(matches!(
+                    decode_request(Bytes::from(stray), &limits),
+                    Err(WireError::Malformed(_) | WireError::UnsupportedVersion(_))
+                ));
             }
         }
-        // Unknown tags and audit sub-tags are not a kind either.
-        for body in [vec![WIRE_VERSION, 99], vec![WIRE_VERSION, REQ_AUDIT, 99]] {
-            assert_eq!(peek_kind(&Bytes::from(body)), None);
-        }
+        // An unknown tag stays on the loop too, and decodes to an error.
+        let unknown = vec![WIRE_VERSION, 99, 0, 0, 0, 1];
+        assert!(!routes_to_worker(&unknown));
+        assert_eq!(ingest_record_count(&unknown), None);
+        assert!(matches!(
+            decode_request(Bytes::from(unknown), &limits),
+            Err(WireError::Malformed(_))
+        ));
     }
 
     #[test]

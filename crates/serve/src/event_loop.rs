@@ -2,14 +2,14 @@
 //!
 //! One **event-loop thread** owns the listener, a [`crate::poll::Poller`]
 //! (epoll on Linux, `poll(2)` on other Unix hosts), and every
-//! connection's state machine:
+//! connection's state, its outbound buffer included:
 //!
 //! ```text
-//!                    ┌─► reads: decode → handle → encode (loop) ─┐
-//! read-accumulate ───┤                                           ├─► write-drain
-//!       ▲   (loop)   └─► the rest: decode → handle → encode ─────┘       │
-//!       │                          (worker pool)                         │
-//!       └────────────────────────────────────────────────────────────────┘
+//!                    ┌─► most frames: decode → handle → encode (loop) ──┐
+//! read-accumulate ───┤                                                  ├─► write-drain
+//!       ▲   (loop)   └─► ingest, Flush: decode → handle → encode ───────┘       │
+//!       │                         (one frame per worker)                        │
+//!       └───────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! The loop thread accepts, reads whatever readiness delivers into a
@@ -17,34 +17,41 @@
 //! [`crate::wire::try_parse_frame`], and drains each connection's
 //! outbound buffer (partial writes re-arm `EPOLLOUT`).  Every frame is
 //! answered by one function, `answer_frame` — decode,
-//! [`crate::server::handle_request`], encode — on one of two threads.
-//! While a connection has no job in flight, the loop thread answers its
-//! queued **reads** itself, in order, and writes the responses in the
-//! same pass: every audit request (counterfactuals included), plus
-//! `Metrics`, `Traces` and `ListPolicies`, all served from the engine's
-//! lock-free MVCC read path.  The first frame of any other kind (ingest,
-//! `Flush`, `LoadPack`, or a body that names no kind), every frame after
-//! it, and every frame left once the loop has spent its per-pass budget
-//! on the connection go as one job to a small **dispatch worker pool**,
-//! which appends the encoded responses to the connection's outbound
-//! buffer.  At most one job per connection is in flight, a job
-//! answers its frames in order, and the loop answers nothing for a
-//! connection whose job is in flight, so pipelining keeps the wire
-//! contract: responses strictly in request order per connection.  A
-//! worker parked on a slow flush stalls only its own connection.
+//! [`crate::server::handle_request`], encode.  The loop thread runs it
+//! itself, in order, and writes the responses in the same pass, for
+//! every frame but two kinds; plaintext `GET`s are answered there too.
+//! An ingest batch, whose decode is linear in a frame of up to
+//! [`crate::DEFAULT_MAX_FRAME_LEN`], and a `Flush`, which may wait for
+//! [`crate::ServeConfig::flush_timeout`], each go alone to a small
+//! **worker pool**, routed by their version and tag bytes.  A worker
+//! returns the encoded answer and its trace; the loop appends them and
+//! then answers the frames behind it.  While a connection's frame is at
+//! a worker the loop answers nothing else for it, so pipelining keeps
+//! the wire contract: responses strictly in request order per
+//! connection.  A worker parked on a slow flush stalls only its own
+//! connection.  A full ingest queue answers an ingest frame `Busy` on the
+//! loop thread, before anything in it is decoded.
+//!
+//! The loop spends at most `INLINE_BUDGET` on one connection per pass.
+//! Frames left over stay queued, and the connection goes on a ready list
+//! that makes the next poller wait non-blocking, so one pipelining peer
+//! cannot hold every other connection's I/O hostage.
 //!
 //! An idle connection costs exactly one registered fd and its
 //! (empty) buffers — no thread, no timer.  Shutdown is a wake, not a
 //! poll: the loop thread waits for readiness indefinitely until the
-//! listener, a connection, a finished dispatch job, or the stop flag
-//! rouses it, the last two through a [`crate::poll::WakeFd`].
+//! listener, a connection, a worker's answer, or the stop flag rouses
+//! it, the last two through a [`crate::poll::WakeFd`].
 //!
 //! Malformed input gets a typed error frame, then the close; a plaintext
 //! `GET` is answered with one HTTP response; and
 //! [`crate::ServeConfig::idle_timeout`] is enforced with a best-effort
 //! `ServerError{"idle timeout"}` frame.
 
-use crate::codec::{decode_request_traced, encode_response, peek_kind, request_kind, WireResponse};
+use crate::codec::{
+    decode_request_traced, encode_response, ingest_record_count, request_kind, routes_to_worker,
+    WireResponse,
+};
 use crate::poll::{Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::server::{elapsed_ns, handle_request, http_response_for};
 use crate::wire::{try_parse_frame, write_frame, WireError, HTTP_GET_PREFIX};
@@ -70,9 +77,9 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// responses to drain before closing connections anyway.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
-/// How long the loop thread may spend answering one connection's reads in
-/// one pass; the frames left over go to the workers, so one pipelining
-/// peer cannot hold every other connection's I/O hostage.
+/// How long the loop thread may spend answering one connection's frames
+/// in one pass; the frames left over wait for the next pass, so one
+/// pipelining peer cannot hold every other connection's I/O hostage.
 const INLINE_BUDGET: Duration = Duration::from_micros(500);
 
 /// The message an idle-expired connection is closed with.
@@ -93,7 +100,7 @@ pub(crate) struct EventLoopHandle {
 
 impl EventLoopHandle {
     /// Registers `listener` with a fresh [`Poller`] and starts the
-    /// loop thread plus `config.workers` dispatch workers.
+    /// loop thread plus `config.workers` workers.
     pub(crate) fn start(
         listener: TcpListener,
         engine: Arc<AuditEngine>,
@@ -143,6 +150,7 @@ impl EventLoopHandle {
                         stop,
                         serving,
                         conns: HashMap::new(),
+                        ready: Vec::new(),
                         next_token: FIRST_CONN_TOKEN,
                     }
                     .run()
@@ -164,8 +172,8 @@ impl EventLoopHandle {
         if let Some(thread) = self.loop_thread.take() {
             let _ = thread.join();
         }
-        // The loop thread has stopped producing jobs; rouse any worker
-        // parked on an empty queue so it observes the stop flag.
+        // The loop thread has stopped handing out frames; rouse any
+        // worker parked on an empty queue so it observes the stop flag.
         self.dispatch.work.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -173,8 +181,8 @@ impl EventLoopHandle {
     }
 }
 
-/// What answering a request needs; the loop thread and every dispatch
-/// worker share one.
+/// What answering a request needs; the loop thread and every worker
+/// share one.
 #[derive(Debug)]
 struct Serving {
     engine: Arc<AuditEngine>,
@@ -183,39 +191,26 @@ struct Serving {
     config: ServeConfig,
 }
 
-/// The loop-thread ⇄ worker-pool boundary.
+/// The loop-thread ⇄ worker-pool boundary: frames go out one at a time,
+/// tagged with their connection's token, and answers come back.
 #[derive(Debug)]
 struct Dispatch {
-    jobs: Mutex<VecDeque<Job>>,
+    jobs: Mutex<VecDeque<(u64, Bytes)>>,
     work: Condvar,
-    /// Tokens whose job finished; the loop thread drains this after a
-    /// [`WakeFd`] wake and re-examines those connections.
-    done: Mutex<Vec<u64>>,
+    /// Answered frames; the loop thread drains this after a [`WakeFd`]
+    /// wake and appends each answer to its connection.
+    done: Mutex<Vec<Answer>>,
     wake: Arc<WakeFd>,
     stop: Arc<AtomicBool>,
 }
 
-/// One unit of CPU work for a dispatch worker.  The worker appends its
-/// encoded output to `out` and reports `token` done — it never touches
-/// the socket.
-#[derive(Debug)]
-enum Job {
-    /// Complete frames from one connection, answered strictly in order.
-    Frames {
-        token: u64,
-        frames: Vec<Bytes>,
-        out: Arc<Mutex<Outbound>>,
-    },
-    /// A sniffed plaintext HTTP request head (the `/metrics` scrape).
-    Http {
-        token: u64,
-        head: Vec<u8>,
-        out: Arc<Mutex<Outbound>>,
-    },
-}
+/// A worker's answer to one frame: its connection's token, the encoded
+/// response, and the request's trace (`None` for a frame that did not
+/// decode, after whose error the connection closes).
+type Answer = (u64, Vec<u8>, Option<PendingTrace>);
 
-/// A connection's outbound buffer, shared between the loop thread (which
-/// drains it to the socket) and the worker currently encoding into it.
+/// A connection's outbound buffer, drained to the socket by the loop
+/// thread.
 #[derive(Debug, Default)]
 struct Outbound {
     buf: Vec<u8>,
@@ -239,6 +234,20 @@ struct Outbound {
 impl Outbound {
     fn is_drained(&self) -> bool {
         self.start >= self.buf.len()
+    }
+
+    /// Appends answered frames' responses, back to back in `encoded`,
+    /// and their traces, whose `end_abs` are offsets into `encoded`.
+    fn append(&mut self, encoded: &[u8], traces: impl IntoIterator<Item = PendingTrace>) {
+        let base = self.total_enqueued;
+        let now = Instant::now();
+        self.buf.extend_from_slice(encoded);
+        self.total_enqueued += encoded.len() as u64;
+        for mut trace in traces {
+            trace.end_abs += base;
+            trace.enqueued = now;
+            self.pending_traces.push(trace);
+        }
     }
 }
 
@@ -266,10 +275,11 @@ struct Conn {
     stream: TcpStream,
     /// read-accumulate: bytes readiness delivered, not yet a full frame.
     read_buf: Vec<u8>,
-    /// Complete frames waiting for the connection's next dispatch slot.
+    /// Complete frames not yet answered, in arrival order.
     pending: VecDeque<Bytes>,
-    /// A dispatch job for this connection is at the workers; at most one,
-    /// which is what keeps pipelined responses in request order.
+    /// A frame of this connection is at a worker.  Nothing behind it is
+    /// answered until its answer is appended, which keeps pipelined
+    /// responses in request order.
     in_flight: bool,
     /// A frame-layer error to emit (typed frame, then close) once the
     /// frames that arrived before it have been answered.
@@ -281,17 +291,18 @@ struct Conn {
     last_activity: Instant,
     /// The interest currently registered for this fd.
     interest: u32,
+    out: Outbound,
 }
 
 impl Conn {
     /// No request in any stage — the state an idle-timeout may expire.
-    fn is_idle(&self, out: &Outbound) -> bool {
+    fn is_idle(&self) -> bool {
         !self.in_flight
             && self.pending.is_empty()
             && self.pending_error.is_none()
             && self.read_buf.is_empty()
             && self.http_head.is_none()
-            && out.is_drained()
+            && self.out.is_drained()
     }
 }
 
@@ -302,7 +313,10 @@ struct Loop {
     dispatch: Arc<Dispatch>,
     stop: Arc<AtomicBool>,
     serving: Arc<Serving>,
-    conns: HashMap<u64, (Conn, Arc<Mutex<Outbound>>)>,
+    conns: HashMap<u64, Conn>,
+    /// Connections with frames left after a pass's [`INLINE_BUDGET`]: the
+    /// next wait does not block while this is non-empty.
+    ready: Vec<u64>,
     next_token: u64,
 }
 
@@ -310,11 +324,15 @@ impl Loop {
     fn run(mut self) {
         let mut events = Vec::new();
         loop {
-            let timeout = self
-                .serving
-                .config
-                .idle_timeout
-                .map(|t| t.min(Duration::from_millis(200)));
+            let ready = std::mem::take(&mut self.ready);
+            let timeout = if ready.is_empty() {
+                self.serving
+                    .config
+                    .idle_timeout
+                    .map(|t| t.min(Duration::from_millis(200)))
+            } else {
+                Some(Duration::ZERO)
+            };
             if self.poller.wait(&mut events, timeout).is_err() {
                 // The poller itself failing is unrecoverable for this core;
                 // fall through to the drain path and stop serving.
@@ -327,7 +345,12 @@ impl Loop {
                     _ => self.conn_ready(token, revents),
                 }
             }
-            self.reap_done();
+            for token in self.take_done() {
+                self.advance(token);
+            }
+            for token in ready {
+                self.advance(token);
+            }
             if self.stop.load(Ordering::SeqCst) {
                 self.drain_and_close();
                 return;
@@ -371,9 +394,9 @@ impl Loop {
                 peer_eof: false,
                 last_activity: Instant::now(),
                 interest,
+                out: Outbound::default(),
             };
-            self.conns
-                .insert(token, (conn, Arc::new(Mutex::new(Outbound::default()))));
+            self.conns.insert(token, conn);
             self.serving
                 .engine
                 .metrics_registry()
@@ -382,91 +405,72 @@ impl Loop {
     }
 
     /// Handles readiness on a connection: reads whatever is available,
-    /// parses frames (or an HTTP head), flushes the outbound buffer, and
-    /// advances the state machine.
+    /// then advances the state machine, which also drains the outbound
+    /// buffer.
     fn conn_ready(&mut self, token: u64, revents: u32) {
-        let Some((conn, out)) = self.conns.get_mut(&token) else {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         if revents & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 && !read_available(conn) {
             self.close(token);
             return;
         }
-        if revents & EPOLLOUT != 0 && !flush_outbound(conn, out, &self.serving) {
-            self.close(token);
-            return;
-        }
         self.advance(token);
     }
 
-    /// Drains finished-job notifications from the workers and re-examines
-    /// those connections (their outbound buffers just grew).
-    fn reap_done(&mut self) {
+    /// Appends every answer the workers finished to its connection and
+    /// returns those connections' tokens.
+    fn take_done(&mut self) -> Vec<u64> {
         let done = std::mem::take(&mut *self.dispatch.done.lock().expect("done lock"));
-        for token in done {
-            if let Some((conn, _)) = self.conns.get_mut(&token) {
+        let mut tokens = Vec::with_capacity(done.len());
+        for (token, encoded, trace) in done {
+            if let Some(conn) = self.conns.get_mut(&token) {
                 conn.in_flight = false;
-                self.advance(token);
+                // A frame that did not decode is the last one answered.
+                conn.out.closing |= trace.is_none();
+                conn.out.append(&encoded, trace);
+                tokens.push(token);
             }
         }
+        tokens
     }
 
-    /// The connection state machine: parse → answer reads → dispatch →
-    /// error/EOF → flush → close, in a fixed order so every path converges.
+    /// The connection state machine: parse → answer → error/EOF → flush →
+    /// close, in a fixed order so every path converges.
     fn advance(&mut self, token: u64) {
-        let Some((conn, out)) = self.conns.get_mut(&token) else {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let closing = out.lock().expect("outbound lock").closing;
-        if !closing {
+        if !conn.out.closing {
             parse_available(conn, &self.serving.config);
-            // With the connection's single job slot free: dispatch a
-            // complete HTTP head, or answer the reads at the front here
-            // and dispatch the frames left behind them.
-            if !conn.in_flight {
+            if !conn.in_flight
+                && answer_pending(token, conn, &self.serving, &self.dispatch)
+                && !self.ready.contains(&token)
+            {
+                self.ready.push(token);
+            }
+            if !conn.out.closing && !conn.in_flight && conn.pending.is_empty() {
                 if let Some(head) = take_complete_http_head(conn) {
-                    conn.in_flight = true;
-                    self.dispatch.push(Job::Http {
-                        token,
-                        head,
-                        out: Arc::clone(out),
-                    });
-                } else if answer_frames(inline_reads(&mut conn.pending), out, &self.serving) {
-                    // A frame did not decode: its error frame is the last
-                    // answer the connection gets.
-                    conn.pending.clear();
-                } else if !conn.pending.is_empty() {
-                    let frames = conn.pending.drain(..).collect();
-                    conn.in_flight = true;
-                    self.dispatch.push(Job::Frames {
-                        token,
-                        frames,
-                        out: Arc::clone(out),
-                    });
+                    let response =
+                        http_response_for(&head, &self.serving.engine, &self.serving.collector);
+                    conn.out.append(&response, None);
+                    conn.out.closing = true;
                 } else if let Some(error) = conn.pending_error.take() {
                     // Everything before the bad bytes has been answered:
                     // name the cause, then close.
-                    let mut out = out.lock().expect("outbound lock");
-                    append_error_frame(&mut out, &error.to_string());
+                    append_error_frame(&mut conn.out, &error.to_string());
                 }
             }
         }
-        let Some((conn, out)) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if !flush_outbound(conn, out, &self.serving) {
+        if !flush_outbound(conn, &self.serving) {
             self.close(token);
             return;
         }
-        let (conn, out) = self.conns.get_mut(&token).expect("conn");
-        let guard = out.lock().expect("outbound lock");
         let finished = conn.peer_eof
             && !conn.in_flight
             && conn.pending.is_empty()
             && conn.pending_error.is_none()
-            && guard.is_drained();
-        let wants_write = !guard.is_drained();
-        drop(guard);
+            && conn.out.is_drained();
         if finished {
             self.close(token);
             return;
@@ -481,7 +485,7 @@ impl Loop {
         } else {
             EPOLLIN | EPOLLRDHUP
         };
-        let desired = read | if wants_write { EPOLLOUT } else { 0 };
+        let desired = read | if conn.out.is_drained() { 0 } else { EPOLLOUT };
         if desired != conn.interest {
             conn.interest = desired;
             let fd = conn.stream.as_raw_fd();
@@ -500,31 +504,26 @@ impl Loop {
         let expired: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, (conn, out))| {
-                conn.last_activity.elapsed() >= bound
-                    && conn.is_idle(&out.lock().expect("outbound lock"))
-            })
+            .filter(|(_, conn)| conn.last_activity.elapsed() >= bound && conn.is_idle())
             .map(|(&token, _)| token)
             .collect();
         for token in expired {
-            let (_, out) = self.conns.get_mut(&token).expect("conn");
-            append_error_frame(
-                &mut out.lock().expect("outbound lock"),
-                IDLE_TIMEOUT_MESSAGE,
-            );
+            let conn = self.conns.get_mut(&token).expect("conn");
+            append_error_frame(&mut conn.out, IDLE_TIMEOUT_MESSAGE);
             self.advance(token);
         }
     }
 
-    /// Shutdown: wait (bounded) for in-flight jobs to finish and their
-    /// responses to drain, notify the survivors, close everything.
+    /// Shutdown: wait (bounded) for frames at the workers to be answered
+    /// and the responses to drain, notify the survivors, close everything.
     fn drain_and_close(&mut self) {
         let deadline = Instant::now() + DRAIN_DEADLINE;
         let mut events = Vec::new();
         while Instant::now() < deadline {
-            let busy = self.conns.iter().any(|(_, (conn, out))| {
-                conn.in_flight || !out.lock().expect("outbound lock").is_drained()
-            });
+            let busy = self
+                .conns
+                .values()
+                .any(|conn| conn.in_flight || !conn.out.is_drained());
             if !busy {
                 break;
             }
@@ -539,21 +538,11 @@ impl Loop {
                 if token == TOKEN_WAKE {
                     self.wake.drain();
                 } else if token >= FIRST_CONN_TOKEN && revents & EPOLLOUT != 0 {
-                    if let Some((conn, out)) = self.conns.get_mut(&token) {
-                        if !flush_outbound(conn, out, &self.serving) {
-                            self.close(token);
-                        }
-                    }
+                    self.flush_or_close(token);
                 }
             }
-            let done = std::mem::take(&mut *self.dispatch.done.lock().expect("done lock"));
-            for token in done {
-                if let Some((conn, out)) = self.conns.get_mut(&token) {
-                    conn.in_flight = false;
-                    if !flush_outbound(conn, out, &self.serving) {
-                        self.close(token);
-                    }
-                }
+            for token in self.take_done() {
+                self.flush_or_close(token);
             }
         }
         // Anyone still connected gets told why, best effort, then closed.
@@ -564,15 +553,25 @@ impl Loop {
         write_frame(&mut notice, &encode_response(&response)).expect("vec write");
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
-            if let Some((conn, _)) = self.conns.get_mut(&token) {
+            if let Some(conn) = self.conns.get_mut(&token) {
                 let _ = conn.stream.write(&notice);
             }
             self.close(token);
         }
     }
 
+    /// Writes what the socket takes of a connection's outbound buffer and
+    /// closes the connection if it should close.
+    fn flush_or_close(&mut self, token: u64) {
+        if let Some(conn) = self.conns.get_mut(&token) {
+            if !flush_outbound(conn, &self.serving) {
+                self.close(token);
+            }
+        }
+    }
+
     fn close(&mut self, token: u64) {
-        if let Some((conn, _)) = self.conns.remove(&token) {
+        if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
             self.serving
                 .engine
@@ -583,8 +582,11 @@ impl Loop {
 }
 
 impl Dispatch {
-    fn push(&self, job: Job) {
-        self.jobs.lock().expect("jobs lock").push_back(job);
+    fn push(&self, token: u64, frame: Bytes) {
+        self.jobs
+            .lock()
+            .expect("jobs lock")
+            .push_back((token, frame));
         self.work.notify_one();
     }
 }
@@ -684,7 +686,7 @@ fn contains_blank_line(head: &[u8]) -> bool {
     head.windows(4).any(|w| w == b"\r\n\r\n") || head.windows(2).any(|w| w == b"\n\n")
 }
 
-/// Takes the HTTP head for dispatch once it is complete (blank line seen,
+/// Takes the HTTP head to answer once it is complete (blank line seen,
 /// cap reached, or the peer finished sending).
 fn take_complete_http_head(conn: &mut Conn) -> Option<Vec<u8>> {
     let head = conn.http_head.as_ref()?;
@@ -711,8 +713,8 @@ fn append_error_frame(out: &mut Outbound, message: &str) {
 /// trace of every request whose response just reached the wire.  Returns
 /// `false` when the connection should close (fatal write error, or
 /// drained with `closing` set).
-fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, serving: &Serving) -> bool {
-    let mut out = out.lock().expect("outbound lock");
+fn flush_outbound(conn: &mut Conn, serving: &Serving) -> bool {
+    let out = &mut conn.out;
     while out.start < out.buf.len() {
         let start = out.start;
         match conn.stream.write(&out.buf[start..]) {
@@ -726,7 +728,7 @@ fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, serving: &Serving
             Err(_) => return false,
         }
     }
-    finish_flushed_traces(&mut out, serving);
+    finish_flushed_traces(out, serving);
     if out.is_drained() {
         out.buf.clear();
         out.start = 0;
@@ -778,77 +780,65 @@ fn finish_flushed_traces(out: &mut Outbound, serving: &Serving) {
     }
 }
 
-/// Whether the loop thread answers a frame of this kind itself: the reads
-/// the engine serves from its lock-free MVCC snapshot, which never wait
-/// and intern nothing.  Ingest and `Flush` go through the ingest queue (a
-/// flush may park for [`ServeConfig::flush_timeout`]) and `LoadPack`
-/// compiles a pack: those go to the workers.
-fn answers_inline(kind: RequestKind) -> bool {
-    matches!(
-        kind,
-        RequestKind::Vet
-            | RequestKind::Trail
-            | RequestKind::Touched
-            | RequestKind::Origin
-            | RequestKind::Why
-            | RequestKind::Counterfactual
-            | RequestKind::Metrics
-            | RequestKind::Traces
-            | RequestKind::ListPolicies
-    )
-}
-
-/// Pops the read frames at the front of `pending` — what the loop thread
-/// answers itself — until a frame of another kind or [`INLINE_BUDGET`];
-/// the frames left go to the workers.  Drawn only with no job in flight,
-/// so every answer lands after all earlier ones.
-fn inline_reads(pending: &mut VecDeque<Bytes>) -> impl Iterator<Item = Bytes> + '_ {
+/// Answers `conn`'s queued frames in order on the loop thread, for at
+/// most [`INLINE_BUDGET`], and appends the responses at once, anchoring
+/// each trace to the outbound stream.  A frame that
+/// [`routes_to_worker`] stops the pass: it goes to a worker, unless
+/// [`refuse_ingest`] answers it here.  A frame that does not decode also
+/// stops it, and the connection closes after that frame's error.
+/// Returns `true` when the budget ran out with frames left.
+fn answer_pending(token: u64, conn: &mut Conn, serving: &Serving, dispatch: &Dispatch) -> bool {
     let started = Instant::now();
-    std::iter::from_fn(move || {
-        let read = peek_kind(pending.front()?).is_some_and(answers_inline);
-        if read && started.elapsed() < INLINE_BUDGET {
-            pending.pop_front()
-        } else {
-            None
-        }
-    })
-}
-
-/// Answers `frames` in order through [`answer_frame`] and appends the
-/// responses to `out` at once, anchoring each trace to the outbound
-/// stream.  Stops after a frame that did not decode and returns `true`:
-/// the connection closes after that frame's error.
-fn answer_frames(
-    frames: impl IntoIterator<Item = Bytes>,
-    out: &Mutex<Outbound>,
-    serving: &Serving,
-) -> bool {
     let mut encoded = Vec::new();
     let mut traces = Vec::new();
-    let mut closing = false;
-    for frame in frames {
-        match answer_frame(frame, &mut encoded, serving) {
-            Some(trace) => traces.push(trace),
-            None => {
-                closing = true;
-                break;
-            }
+    let mut left_over = false;
+    while let Some(frame) = conn.pending.pop_front() {
+        let trace = if !routes_to_worker(&frame) {
+            answer_frame(frame, &mut encoded, serving)
+        } else if let Some(trace) = refuse_ingest(&frame, &mut encoded, serving) {
+            Some(trace)
+        } else {
+            conn.in_flight = true;
+            dispatch.push(token, frame);
+            break;
+        };
+        let Some(trace) = trace else {
+            conn.out.closing = true;
+            break;
+        };
+        traces.push(trace);
+        if started.elapsed() >= INLINE_BUDGET {
+            left_over = !conn.pending.is_empty();
+            break;
         }
     }
-    if !encoded.is_empty() {
-        let mut out = out.lock().expect("outbound lock");
-        let base = out.total_enqueued;
-        let now = Instant::now();
-        out.buf.extend_from_slice(&encoded);
-        out.total_enqueued += encoded.len() as u64;
-        for mut trace in traces {
-            trace.end_abs += base;
-            trace.enqueued = now;
-            out.pending_traces.push(trace);
-        }
-        out.closing |= closing;
+    conn.out.append(&encoded, traces);
+    left_over
+}
+
+/// Answers an ingest frame `Busy` without decoding it when the ingest
+/// queue is full, so a refused batch interns nothing; the queue counts
+/// the rejection as [`IngestQueue::try_submit`] does.  `None` for an
+/// empty batch or a queue with room: the frame goes to a worker, which
+/// decodes and submits it.  A refused frame's trace field is not read.
+fn refuse_ingest(frame: &[u8], encoded: &mut Vec<u8>, serving: &Serving) -> Option<PendingTrace> {
+    let started = Instant::now();
+    if ingest_record_count(frame)? == 0 {
+        return None;
     }
-    closing
+    let queue_depth = serving.queue.refuse_if_full()? as u32;
+    let response = WireResponse::Busy { queue_depth };
+    write_frame(encoded, &encode_response(&response)).expect("vec write");
+    Some(PendingTrace {
+        end_abs: encoded.len() as u64,
+        started,
+        enqueued: started,
+        ctx: serving.collector.admit(None),
+        kind: RequestKind::Ingest,
+        client_encode_ns: 0,
+        decode_ns: 0,
+        handle: Span::new(SpanKind::Handle, elapsed_ns(started)),
+    })
 }
 
 /// Answers one frame — decode → [`handle_request`] → encode — appending
@@ -902,10 +892,11 @@ fn answer_frame(frame: Bytes, encoded: &mut Vec<u8>, serving: &Serving) -> Optio
     })
 }
 
-/// A dispatch worker: answers one job at a time, never touching a socket.
+/// A worker: answers one frame at a time and hands the loop thread the
+/// encoded response, never touching a connection.
 fn dispatch_loop(dispatch: &Dispatch, serving: &Serving) {
     loop {
-        let job = {
+        let (token, frame) = {
             let mut jobs = dispatch.jobs.lock().expect("jobs lock");
             loop {
                 if let Some(job) = jobs.pop_front() {
@@ -921,28 +912,13 @@ fn dispatch_loop(dispatch: &Dispatch, serving: &Serving) {
                     .0;
             }
         };
-        match job {
-            Job::Frames { token, frames, out } => {
-                answer_frames(frames, &out, serving);
-                dispatch.report_done(token);
-            }
-            Job::Http { token, head, out } => {
-                let response = http_response_for(&head, &serving.engine, &serving.collector);
-                {
-                    let mut out = out.lock().expect("outbound lock");
-                    out.buf.extend_from_slice(&response);
-                    out.total_enqueued += response.len() as u64;
-                    out.closing = true;
-                }
-                dispatch.report_done(token);
-            }
-        }
-    }
-}
-
-impl Dispatch {
-    fn report_done(&self, token: u64) {
-        self.done.lock().expect("done lock").push(token);
-        self.wake.wake();
+        let mut encoded = Vec::new();
+        let trace = answer_frame(frame, &mut encoded, serving);
+        dispatch
+            .done
+            .lock()
+            .expect("done lock")
+            .push((token, encoded, trace));
+        dispatch.wake.wake();
     }
 }

@@ -1,20 +1,20 @@
 //! The TCP front-end of the audit engine: one readiness-based event loop
-//! (the `event_loop` module).  One thread owns `accept` and a
+//! (the `event_loop` module).  One thread owns `accept`, a
 //! [`crate::poll::Poller`] registration per connection — epoll on Linux,
-//! `poll(2)` on other Unix hosts — and answers the reads itself from the
-//! engine's lock-free MVCC read path: every audit request, plus
-//! `Metrics`, `Traces` and `ListPolicies`.  Ingest, `Flush` and
-//! `LoadPack` go to a small worker pool.
+//! `poll(2)` on other Unix hosts — and every connection's state.  It
+//! answers every frame itself, plaintext `GET`s included, except ingest
+//! batches and `Flush`: a small worker pool answers those one frame at a
+//! time and hands the encoded answer back to the loop.
 //! Thousands of idle connections cost only their registered fd.
 //!
 //! Within a connection, requests are **pipelined**: frames are answered
 //! strictly in arrival order, so a client may write many requests before
 //! reading the first response.  Ingest takes the bounded path: an
 //! `IngestBatch` frame is submitted to the engine's [`IngestQueue`]; a
-//! full queue answers a typed [`WireResponse::Busy`] immediately — the
-//! server never buffers a writer's backlog in its own memory — and
-//! accepted batches are applied under one write-lock acquisition each by
-//! the queue's drain worker.
+//! full queue answers a typed [`WireResponse::Busy`] immediately, before
+//! the frame is decoded — the server never buffers a writer's backlog in
+//! its own memory — and accepted batches are applied under one store-lock
+//! acquisition each by the queue's drain worker.
 //!
 //! Malformed input (bad CRC, hostile length prefix, unknown tag) is a
 //! typed error, never a panic: the server sends a best-effort
@@ -42,11 +42,9 @@ use std::time::{Duration, Instant};
 /// Configuration of an [`AuditServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// The size of the dispatch worker pool, which serves only what the
-    /// loop thread does not answer itself — ingest, `Flush`, `LoadPack`,
-    /// and reads queued behind one of those or past the loop's per-pass
-    /// budget.  Connections themselves are unbounded by
-    /// threads; an idle one costs only its fd.
+    /// The number of threads that answer ingest batches and `Flush`; the
+    /// event-loop thread answers every other frame.  Connections
+    /// themselves are unbounded by threads; an idle one costs only its fd.
     pub workers: usize,
     /// Capacity of the bounded ingest queue, in batches; overflow answers
     /// [`WireResponse::Busy`].
@@ -58,7 +56,9 @@ pub struct ServeConfig {
     /// [`IngestQueue::barrier`], which never touches the queue's pause
     /// hook).  On expiry the client gets a typed
     /// [`WireResponse::ServerError`] and the worker returns to the pool —
-    /// a slow or hostile flusher cannot occupy it forever.
+    /// a slow or hostile flusher cannot occupy it forever.  Meanwhile the
+    /// flusher's connection gets no other answer, and every other
+    /// connection is answered as usual.
     pub flush_timeout: Duration,
     /// When set, a connection idle (no frame started) past this bound is
     /// closed with a best-effort typed `ServerError{"idle timeout"}`
@@ -101,7 +101,7 @@ pub struct AuditServer {
 }
 
 impl AuditServer {
-    /// Binds `addr` and starts the event loop and its dispatch workers.
+    /// Binds `addr` and starts the event loop and its workers.
     /// Use port 0 to let the OS pick a free port
     /// ([`AuditServer::local_addr`] reports it).
     ///
@@ -347,8 +347,8 @@ fn http_request_path(head: &[u8]) -> Option<&str> {
 
 /// Maps one decoded request onto the engine/queue.  Never panics; store
 /// failures become [`WireResponse::ServerError`].  The event loop calls
-/// it per frame, on its loop thread for reads and on a dispatch worker
-/// for everything else.
+/// it per frame, on a worker for ingest and `Flush` and on its loop
+/// thread for everything else.
 ///
 /// Returns the response plus the `(index_hits, memo_hits)` the engine
 /// reported, so the caller can stamp them onto the request's `handle`

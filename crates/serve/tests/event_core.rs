@@ -1,6 +1,7 @@
 //! The event loop's connection-level behaviors: idle timeout, the
 //! plaintext HTTP scrapes, thousands-of-connections scale, pipelined
-//! bursts through the dispatch pool, and half-closed peers.
+//! bursts across the loop thread and the ingest/flush workers, and
+//! half-closed peers.
 
 use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest, EventFilter, TraceContext};
 use piprov_core::name::{Channel, Principal};
@@ -11,8 +12,8 @@ use piprov_policy::{PackFile, PackSource};
 use piprov_serve::codec::{append_request_trace, decode_response, encode_request};
 use piprov_serve::wire::{read_frame, write_frame};
 use piprov_serve::{
-    AuditClient, AuditServer, ClientError, IngestOutcome, RequestTrace, ServeConfig, WireLimits,
-    WireRequest, WireResponse,
+    AuditClient, AuditServer, ClientError, IngestOutcome, PackLoadOutcome, RequestTrace,
+    ServeConfig, WireLimits, WireRequest, WireResponse,
 };
 use piprov_store::{Operation, ProvenanceRecord};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -649,6 +650,90 @@ fn a_worker_parked_on_a_flush_does_not_delay_another_connections_counterfactuals
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_parked_worker_delays_no_other_connections_pack_load_scrape_or_long_pipeline() {
+    let dir = temp_dir("parked-loop");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server = AuditServer::bind(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            flush_timeout: Duration::from_secs(3),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut auditor = AuditClient::connect(addr).unwrap();
+    auditor
+        .ingest_blocking(vec![record(0, "s0"), spine_record("spine", 300)])
+        .unwrap();
+    auditor.flush().unwrap();
+
+    // The only worker waits out the whole flush timeout behind a batch
+    // the paused queue never drains.
+    server.ingest_queue().set_paused(true);
+    let mut flusher = AuditClient::connect(addr).unwrap();
+    assert!(matches!(
+        flusher.ingest_batch(vec![record(1, "s1")]).unwrap(),
+        IngestOutcome::Acked { accepted: 1, .. }
+    ));
+    let mut flush = Vec::new();
+    write_frame(&mut flush, &encode_request(&WireRequest::Flush)).unwrap();
+    flusher.send_raw(&flush).unwrap();
+    let parked = std::thread::spawn(move || flusher.receive_response());
+
+    let started = Instant::now();
+    let pack = PackSource::new(
+        "parked",
+        vec![PackFile::new(
+            "p.ppol",
+            "package parked::p\n\npolicy deep = Any; s1!Any\n",
+        )],
+    );
+    assert!(matches!(
+        auditor.load_pack(&pack).unwrap(),
+        PackLoadOutcome::Loaded { installed: 1, .. }
+    ));
+    let scrape = http_get(addr, "/metrics");
+    assert!(scrape.starts_with("HTTP/1.1 200 OK"), "{}", scrape);
+    // More why-slices over the 300-hop spine than the loop answers in one
+    // pass: the rest wait for the loop's next pass, not for a worker.
+    let why = WireRequest::Audit(AuditRequest::Why {
+        value: value("spine"),
+        pattern: "parked::p::deep".into(),
+    });
+    let burst = vec![why; 96];
+    let mut conn = RawConn::connect(addr);
+    for (slot, response) in conn.pipeline(&burst).iter().enumerate() {
+        assert!(
+            matches!(response, WireResponse::Audit(r) if matches!(r.outcome, AuditOutcome::Why(_))),
+            "slot {} answered {:?}",
+            slot,
+            response
+        );
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a pack load, a scrape and 96 why-slices took {:?} beside a worker parked on a flush",
+        elapsed
+    );
+
+    match parked.join().unwrap() {
+        Ok(WireResponse::ServerError { message }) => {
+            assert!(message.contains("flush failed"), "{}", message)
+        }
+        other => panic!("expected the flush to time out, got {:?}", other),
+    }
+    server.ingest_queue().set_paused(false);
+    drop(auditor);
+    drop(conn);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// One framed connection driven with raw wire requests, so a burst can mix
 /// every request kind the way a pipelining peer may.
 struct RawConn {
@@ -804,7 +889,7 @@ fn a_half_closed_peer_gets_every_answer_then_eof() {
         stream
     };
 
-    // Reads around a worker job, all written before the peer shuts
+    // Reads around a counterfactual, all written before the peer shuts
     // down its write half: every answer still arrives, in order, and
     // only then the server's EOF.
     let vet = WireRequest::Audit(AuditRequest::VetValue {
@@ -887,6 +972,71 @@ fn a_half_closed_peer_gets_every_answer_then_eof() {
 }
 
 #[test]
+fn a_half_closed_peer_gets_its_worker_answers_in_order_then_eof() {
+    let dir = temp_dir("halfclose-worker");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("any", Pattern::Any);
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut seed = AuditClient::connect(server.local_addr()).unwrap();
+    seed.ingest_blocking(vec![record(0, "s0")]).unwrap();
+    seed.flush().unwrap();
+    drop(seed);
+
+    // Two frames for a worker among reads, all written before the peer
+    // shuts down its write half, so the loop reads the EOF while a frame
+    // waits for a worker or sits at one.
+    let vet = WireRequest::Audit(AuditRequest::VetValue {
+        value: value("item0"),
+        pattern: "any".into(),
+    });
+    let burst = [
+        vet.clone(),
+        WireRequest::IngestBatch(vec![record(1, "s1")]),
+        vet,
+        WireRequest::Flush,
+        WireRequest::Metrics,
+    ];
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frames = Vec::new();
+    for request in &burst {
+        write_frame(&mut frames, &encode_request(request)).unwrap();
+    }
+    (&stream).write_all(&frames).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let limits = WireLimits::default();
+    let mut reader = BufReader::new(stream);
+    let mut answers = Vec::new();
+    while let Some(frame) = read_frame(&mut reader, limits.max_frame_len).unwrap() {
+        answers.push(decode_response(frame, &limits).unwrap());
+    }
+    assert_eq!(answers.len(), burst.len(), "{:?}", answers);
+    let vetted = |r: &WireResponse| matches!(r, WireResponse::Audit(a) if matches!(a.outcome, AuditOutcome::Vetted { verdict: true, .. }));
+    assert!(vetted(&answers[0]), "{:?}", answers[0]);
+    assert!(
+        matches!(answers[1], WireResponse::IngestAck { accepted: 1, .. }),
+        "{:?}",
+        answers[1]
+    );
+    assert!(vetted(&answers[2]), "{:?}", answers[2]);
+    assert!(
+        matches!(answers[3], WireResponse::Flushed { ingested: 2, .. }),
+        "{:?}",
+        answers[3]
+    );
+    assert!(
+        matches!(answers[4], WireResponse::Metrics(_)),
+        "{:?}",
+        answers[4]
+    );
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn responses_keep_request_order_across_the_inline_and_worker_paths() {
     let dir = temp_dir("order");
     let engine = Arc::new(AuditEngine::open(&dir).unwrap());
@@ -933,7 +1083,7 @@ fn responses_keep_request_order_across_the_inline_and_worker_paths() {
     };
     let mut conn = RawConn::connect(server.local_addr());
 
-    // Reads, then a counterfactual and everything behind it for a worker.
+    // Reads only, counterfactuals among them: the loop answers them all.
     let burst = vec![
         vet(0, "any"),
         origin(1),
@@ -954,7 +1104,7 @@ fn responses_keep_request_order_across_the_inline_and_worker_paths() {
     let unchanged = burst.len();
     check_burst(&mut conn, &engine, &burst, unchanged);
 
-    // A worker kind first: the whole burst is one job.
+    // A counterfactual first, then reads.
     let burst = vec![counterfactual("r1"), vet(6, "deep"), origin(7), why("any")];
     check_burst(&mut conn, &engine, &burst, burst.len());
 
@@ -975,7 +1125,8 @@ fn responses_keep_request_order_across_the_inline_and_worker_paths() {
 
     // Reads only, and more of them than the loop answers in one pass: 64
     // why-slices (every slot but the multiples of three) over the 300-hop
-    // spine trip the budget mid-burst, and the rest go to a worker.
+    // spine trip the budget mid-burst, and the rest wait for the loop's
+    // next pass.
     let burst: Vec<WireRequest> = (0..96u64)
         .map(|i| match i % 3 {
             _ if i == 48 => WireRequest::Traces { min_total_ns: 0 },
