@@ -49,6 +49,7 @@ use crate::registry::{
 };
 use crate::request::{AuditOutcome, AuditRequest, AuditResponse, RequestStats};
 use crate::snapshot::{EngineSnapshot, SnapshotCell};
+use piprov_core::value::Value;
 use piprov_patterns::{CompiledPattern, MatchStats, MemoStats, Pattern};
 use piprov_policy::PolicyPack;
 use piprov_store::{ProvenanceRecord, ProvenanceStore, SequenceNumber, StoreError, StoreStats};
@@ -178,8 +179,9 @@ pub struct AuditEngine {
     /// set with a single pointer swap (see [`crate::registry`]).
     registry: PolicyRegistry,
     config: AuditConfig,
-    /// Per-policy verdict counters and latency histograms (see
-    /// [`crate::metrics`]).
+    /// The engine-wide metrics: stage histograms, connection counters
+    /// and unknown-pattern requests (see [`crate::metrics`]).  Each
+    /// policy's own metrics live on its [`PolicyEntry`].
     metrics: MetricsRegistry,
     /// When this engine was opened — the `piprov_uptime_seconds` anchor.
     started: Instant,
@@ -246,25 +248,21 @@ impl AuditEngine {
     /// Compiles `pattern` and registers it under `name`, replacing any
     /// previous pattern of that name.  The compiled automaton's memo (and
     /// every nested channel automaton's) is bounded by
-    /// [`AuditConfig::memo_bound`].
+    /// [`AuditConfig::memo_bound`].  A replaced pattern's metrics carry
+    /// over to the new entry, so its metric timeline does not reset.
     ///
     /// A programmatic registration is a one-policy copy-on-write edit of
     /// the current [`PolicySet`]: it bumps the pack version like a pack
     /// install does, and in-flight requests keep the set they loaded.
     pub fn register_pattern(&self, name: impl Into<String>, pattern: Pattern) {
         let name = name.into();
-        let compiled = CompiledPattern::compile(&pattern);
-        compiled.set_memo_bound(self.config.memo_bound);
-        // Register with the metrics plane first so a vet racing this
-        // registration always finds the policy's histogram in place; a
-        // replaced pattern keeps its metric timeline.
-        self.metrics.register_policy(&name);
-        let entry = Arc::new(PolicyEntry {
-            package: String::new(),
-            source: pattern.to_string(),
-            compiled: Arc::new(compiled),
-        });
         let current = self.registry.load();
+        let entry = self.compile_entry(
+            current.get(&name),
+            String::new(),
+            pattern.to_string(),
+            &pattern,
+        );
         let mut next: HashMap<String, Arc<PolicyEntry>> = current
             .iter()
             .map(|(n, e)| (n.clone(), Arc::clone(e)))
@@ -277,7 +275,7 @@ impl AuditEngine {
     /// set, atomically.
     ///
     /// The next [`PolicySet`] is built off to the side — NFA compilation,
-    /// memo bounds, metrics rows — and published with one pointer swap.
+    /// memo bounds, metrics — and published with one pointer swap.
     /// In-flight requests keep answering from the set they loaded at
     /// entry, so no vet ever observes a half-installed pack; the caller
     /// is responsible for all-or-nothing *compilation* (a
@@ -286,50 +284,64 @@ impl AuditEngine {
     /// A policy whose name, package, and canonical source are unchanged
     /// from the current set keeps its compiled automaton: memo state and
     /// metric timeline carry over ([`PackInstall::reused`] counts them).
-    /// Policies absent from the pack — including programmatic
-    /// [`AuditEngine::register_pattern`] registrations — are dropped and
-    /// their metric rows retired.
+    /// A policy whose body or package changed is compiled anew and keeps
+    /// its metric timeline.  Policies absent from the pack — including
+    /// programmatic [`AuditEngine::register_pattern`] registrations — are
+    /// dropped, metric rows and all.
     pub fn install_pack(&self, pack: &PolicyPack) -> PackInstall {
         let current = self.registry.load();
         let mut next: HashMap<String, Arc<PolicyEntry>> =
             HashMap::with_capacity(pack.policies.len());
         let mut reused = 0usize;
         for def in &pack.policies {
-            let entry = match current.get(&def.name) {
+            let previous = current.get(&def.name);
+            let entry = match previous {
                 Some(existing)
                     if existing.source == def.source && existing.package == def.package =>
                 {
                     reused += 1;
                     Arc::clone(existing)
                 }
-                _ => {
-                    let compiled = CompiledPattern::compile(&def.pattern);
-                    compiled.set_memo_bound(self.config.memo_bound);
-                    Arc::new(PolicyEntry {
-                        package: def.package.clone(),
-                        source: def.source.clone(),
-                        compiled: Arc::new(compiled),
-                    })
-                }
+                _ => self.compile_entry(
+                    previous,
+                    def.package.clone(),
+                    def.source.clone(),
+                    &def.pattern,
+                ),
             };
-            // Metrics rows exist before the set becomes visible, so a vet
-            // racing the publish always finds its histogram; unchanged
-            // names keep their timelines.
-            self.metrics.register_policy(&def.name);
             next.insert(def.name.clone(), entry);
         }
         let installed = next.len();
         let published = self.registry.publish(next);
-        // Retire rows the new set no longer names.  A vet that pinned the
-        // *old* set and races this retirement finds `metrics.policy()`
-        // empty and simply skips recording — never a panic.
-        self.metrics
-            .retain_policies(|name| published.get(name).is_some());
         PackInstall {
             version: published.version(),
             installed,
             reused,
         }
+    }
+
+    /// Compiles `pattern` into a policy entry whose memo is bounded by
+    /// [`AuditConfig::memo_bound`].  The entry takes over the metrics of
+    /// `previous`, the entry it replaces under the same name, so the
+    /// policy's metric timeline survives; a name new to the set starts
+    /// from zero.
+    fn compile_entry(
+        &self,
+        previous: Option<&Arc<PolicyEntry>>,
+        package: String,
+        source: String,
+        pattern: &Pattern,
+    ) -> Arc<PolicyEntry> {
+        let compiled = CompiledPattern::compile(pattern);
+        compiled.set_memo_bound(self.config.memo_bound);
+        Arc::new(PolicyEntry {
+            package,
+            source,
+            compiled: Arc::new(compiled),
+            metrics: previous
+                .map(|entry| Arc::clone(&entry.metrics))
+                .unwrap_or_default(),
+        })
     }
 
     /// Lists the current policy set: its version plus every policy's
@@ -358,14 +370,19 @@ impl AuditEngine {
         self.registry.load().version()
     }
 
-    /// The engine's per-policy metrics registry (see [`crate::metrics`]).
+    /// The engine-wide metrics registry (see [`crate::metrics`]): the
+    /// stage histograms and connection counters the serving layer records
+    /// into, and the count of requests that named no policy.
     ///
-    /// [`AuditEngine::metrics`] is the aggregated snapshot; this is the
-    /// live registry, for callers that want a policy's
-    /// [`crate::metrics::PolicyMetrics`] handle directly (benchmarks,
-    /// tests).
+    /// [`AuditEngine::metrics`] is the aggregated snapshot; a policy's own
+    /// [`crate::metrics::PolicyMetrics`] live on its [`PolicyEntry`].
     pub fn metrics_registry(&self) -> &MetricsRegistry {
         &self.metrics
+    }
+
+    /// The current policy set, loaded once.
+    pub(crate) fn policy_set(&self) -> Arc<PolicySet> {
+        self.registry.load()
     }
 
     /// Names of the registered patterns, sorted.
@@ -596,7 +613,7 @@ impl AuditEngine {
         &self,
         snapshot: &EngineSnapshot,
         policies: &PolicySet,
-        value: &piprov_core::value::Value,
+        value: &Value,
         pattern: &str,
         trace_id: Option<u128>,
     ) -> AuditResponse {
@@ -608,35 +625,16 @@ impl AuditEngine {
         let watermark = snapshot.watermark();
         let pack_version = policies.version();
         let Some(entry) = policies.get(pattern) else {
-            // No per-policy row to land in: counted separately.  The
-            // payload spares the operator a second round trip: every
-            // registered name, plus the nearest if the request looks
-            // like a typo for it.
-            self.metrics.note_unknown_pattern();
-            let known = policies.names();
-            let nearest = piprov_policy::nearest_name(pattern, known.iter().map(String::as_str));
-            return AuditResponse::new(
-                AuditOutcome::UnknownPattern { known, nearest },
-                RequestStats::default(),
-                watermark,
-                pack_version,
-            );
+            return self.unknown_pattern(snapshot, policies, pattern);
         };
-        let compiled = Arc::clone(&entry.compiled);
-        let policy = self.metrics.policy(pattern);
-        let postings = snapshot.index().by_value(value);
-        let mut stats = RequestStats {
-            index_hits: postings.len(),
-            ..RequestStats::default()
-        };
-        // The newest record carries the value's current history.
-        let Some(record) = postings.last().and_then(|seq| snapshot.get(*seq)) else {
-            if let Some(policy) = &policy {
-                policy.record_traced(elapsed_ns(started), VetOutcomeKind::UnknownValue, trace_id);
-            }
+        let (record, mut stats) = newest_record(snapshot, value);
+        let Some(record) = record else {
+            entry
+                .metrics
+                .record(elapsed_ns(started), VetOutcomeKind::UnknownValue, trace_id);
             return AuditResponse::new(AuditOutcome::UnknownValue, stats, watermark, pack_version);
         };
-        let (verdict, match_stats) = compiled.matches_with_stats(&record.provenance);
+        let (verdict, match_stats) = entry.compiled.matches_with_stats(&record.provenance);
         stats.memo_hits = match_stats.memo_hits;
         stats.dag_nodes_visited = match_stats.nodes_visited;
         let outcome = if verdict {
@@ -646,9 +644,7 @@ impl AuditEngine {
             self.vets_failed.fetch_add(1, Ordering::Relaxed);
             VetOutcomeKind::Failed
         };
-        if let Some(policy) = &policy {
-            policy.record_traced(elapsed_ns(started), outcome, trace_id);
-        }
+        entry.metrics.record(elapsed_ns(started), outcome, trace_id);
         AuditResponse::new(
             AuditOutcome::Vetted {
                 verdict,
@@ -663,7 +659,7 @@ impl AuditEngine {
     fn audit_trail(
         &self,
         snapshot: &EngineSnapshot,
-        value: &piprov_core::value::Value,
+        value: &Value,
         pack_version: u64,
     ) -> AuditResponse {
         let watermark = snapshot.watermark();
@@ -729,7 +725,7 @@ impl AuditEngine {
     fn origin_of(
         &self,
         snapshot: &EngineSnapshot,
-        value: &piprov_core::value::Value,
+        value: &Value,
         pack_version: u64,
     ) -> AuditResponse {
         let watermark = snapshot.watermark();
@@ -769,33 +765,20 @@ impl AuditEngine {
         &self,
         snapshot: &EngineSnapshot,
         policies: &PolicySet,
-        value: &piprov_core::value::Value,
+        value: &Value,
         pattern: &str,
     ) -> AuditResponse {
         let watermark = snapshot.watermark();
         let pack_version = policies.version();
         let Some(entry) = policies.get(pattern) else {
-            self.metrics.note_unknown_pattern();
-            let known = policies.names();
-            let nearest = piprov_policy::nearest_name(pattern, known.iter().map(String::as_str));
-            return AuditResponse::new(
-                AuditOutcome::UnknownPattern { known, nearest },
-                RequestStats::default(),
-                watermark,
-                pack_version,
-            );
+            return self.unknown_pattern(snapshot, policies, pattern);
         };
-        let compiled = Arc::clone(&entry.compiled);
-        let postings = snapshot.index().by_value(value);
-        let mut stats = RequestStats {
-            index_hits: postings.len(),
-            ..RequestStats::default()
-        };
-        let Some(record) = postings.last().and_then(|seq| snapshot.get(*seq)) else {
+        let (record, mut stats) = newest_record(snapshot, value);
+        let Some(record) = record else {
             return AuditResponse::new(AuditOutcome::UnknownValue, stats, watermark, pack_version);
         };
         let mut match_stats = MatchStats::default();
-        let trail = compiled.witness(&record.provenance, &mut match_stats);
+        let trail = entry.compiled.witness(&record.provenance, &mut match_stats);
         stats.memo_hits = match_stats.memo_hits;
         stats.dag_nodes_visited = match_stats.nodes_visited;
         let slice = WhySlice::from_trail(trail, record.sequence);
@@ -813,33 +796,20 @@ impl AuditEngine {
         &self,
         snapshot: &EngineSnapshot,
         policies: &PolicySet,
-        value: &piprov_core::value::Value,
+        value: &Value,
         pattern: &str,
         remove: &EventFilter,
     ) -> AuditResponse {
         let watermark = snapshot.watermark();
         let pack_version = policies.version();
         let Some(entry) = policies.get(pattern) else {
-            self.metrics.note_unknown_pattern();
-            let known = policies.names();
-            let nearest = piprov_policy::nearest_name(pattern, known.iter().map(String::as_str));
-            return AuditResponse::new(
-                AuditOutcome::UnknownPattern { known, nearest },
-                RequestStats::default(),
-                watermark,
-                pack_version,
-            );
+            return self.unknown_pattern(snapshot, policies, pattern);
         };
-        let compiled = Arc::clone(&entry.compiled);
-        let policy = self.metrics.policy(pattern);
-        let postings = snapshot.index().by_value(value);
-        let mut stats = RequestStats {
-            index_hits: postings.len(),
-            ..RequestStats::default()
-        };
-        let Some(record) = postings.last().and_then(|seq| snapshot.get(*seq)) else {
+        let (record, mut stats) = newest_record(snapshot, value);
+        let Some(record) = record else {
             return AuditResponse::new(AuditOutcome::UnknownValue, stats, watermark, pack_version);
         };
+        let compiled = &entry.compiled;
         let (original, original_stats) = compiled.matches_with_stats(&record.provenance);
         let view = filtered_view(&record.provenance, remove);
         let (counterfactual, cf_stats) = compiled.matches_after(&view.kept, view.suffix);
@@ -852,9 +822,7 @@ impl AuditEngine {
             sequence: record.sequence,
             removed: view.removed,
         };
-        if let Some(policy) = &policy {
-            policy.record_counterfactual(verdict.flipped());
-        }
+        entry.metrics.record_counterfactual(verdict.flipped());
         AuditResponse::new(
             AuditOutcome::Counterfactual(verdict),
             stats,
@@ -862,6 +830,41 @@ impl AuditEngine {
             pack_version,
         )
     }
+
+    /// The answer to a request that names no policy of `policies`.  It has
+    /// no policy row to land in, so it is counted engine-wide; the payload
+    /// spares the operator a second round trip: every registered name,
+    /// plus the nearest if `pattern` looks like a typo for it.
+    fn unknown_pattern(
+        &self,
+        snapshot: &EngineSnapshot,
+        policies: &PolicySet,
+        pattern: &str,
+    ) -> AuditResponse {
+        self.metrics.note_unknown_pattern();
+        let known = policies.names();
+        let nearest = piprov_policy::nearest_name(pattern, known.iter().map(String::as_str));
+        AuditResponse::new(
+            AuditOutcome::UnknownPattern { known, nearest },
+            RequestStats::default(),
+            snapshot.watermark(),
+            policies.version(),
+        )
+    }
+}
+
+/// The newest record of `value`, which carries the value's current
+/// history, and request stats counting the postings the lookup read.
+fn newest_record<'s>(
+    snapshot: &'s EngineSnapshot,
+    value: &Value,
+) -> (Option<&'s ProvenanceRecord>, RequestStats) {
+    let postings = snapshot.index().by_value(value);
+    let stats = RequestStats {
+        index_hits: postings.len(),
+        ..RequestStats::default()
+    };
+    (postings.last().and_then(|seq| snapshot.get(*seq)), stats)
 }
 
 /// Locks `mutex`, recovering the guard if a holder panicked, so that one
@@ -1648,9 +1651,10 @@ mod tests {
         assert!(engine.pattern_memo_stats("rules::gate::tail").is_none());
         assert!(
             engine
-                .metrics_registry()
-                .policy("rules::gate::tail")
-                .is_none(),
+                .metrics()
+                .policies
+                .iter()
+                .all(|p| p.policy != "rules::gate::tail"),
             "dropped policies retire their metric rows"
         );
 

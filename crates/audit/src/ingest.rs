@@ -16,6 +16,8 @@
 //! remote `Flush` frames are answered by [`IngestQueue::barrier`], the
 //! bounded wait that (unlike the owner-facing [`IngestQueue::flush`])
 //! never flips the pause hook and never parks a server thread forever.
+//! A barrier waits for the batches accepted before it, never for later
+//! ones, so producers that keep the queue full cannot starve a flusher.
 
 use crate::engine::AuditEngine;
 use crate::trace::{RequestKind, Span, SpanKind, TraceCollector, TraceContext, TraceRecord};
@@ -57,9 +59,16 @@ struct QueueState {
     /// trace context of the submitting request (if it was sampled) so the
     /// asynchronous queue-wait span lands in the same trace.
     batches: VecDeque<(Instant, Vec<ProvenanceRecord>, Option<TraceContext>)>,
-    /// The worker is currently applying a popped batch (it no longer counts
-    /// against the capacity, but a flush must still wait for it).
-    in_flight: bool,
+    /// Batches accepted over the queue's lifetime.
+    accepted: u64,
+    /// Batches applied over the queue's lifetime.  `accepted - applied`
+    /// counts the queued batches plus the one the worker is applying.
+    applied: u64,
+    /// The targets (`accepted` counts) of the barriers in progress.  While
+    /// one of them has been reached, that barrier is syncing, and the
+    /// worker starts no further batch: a later batch must not hold the
+    /// store lock the barrier's sync waits for.
+    barriers: Vec<u64>,
     /// While paused the worker leaves the queue untouched — a test hook
     /// that makes back-pressure deterministic to observe.
     paused: bool,
@@ -71,10 +80,11 @@ struct QueueState {
 struct Shared {
     engine: Arc<AuditEngine>,
     state: Mutex<QueueState>,
-    /// Wakes the worker: new batch, unpause, or close.
+    /// Wakes the worker: new batch, unpause, close, or a barrier's sync
+    /// done.
     work: Condvar,
-    /// Wakes flushers: the queue drained and the worker went idle.
-    idle: Condvar,
+    /// Wakes barriers: the worker applied a batch.
+    progress: Condvar,
     capacity: usize,
     /// Where the drain worker deposits queue-wait spans for traced batches.
     collector: Option<Arc<TraceCollector>>,
@@ -94,13 +104,22 @@ impl Shared {
     /// after-apply), so the gauges can never drift from the state they
     /// describe as call sites multiply.
     fn publish_gauges(&self, state: &QueueState) {
-        let depth = state.batches.len();
-        self.engine.set_queue_depth(depth);
+        self.engine.set_queue_depth(state.batches.len());
         // A popped batch no longer counts against the queue depth but is
         // still invisible to readers until its snapshot publishes — the
         // lag an operator watches where `queue_depth` alone would hide it.
         self.engine
-            .set_snapshot_lag(depth + state.in_flight as usize);
+            .set_snapshot_lag((state.accepted - state.applied) as usize);
+    }
+
+    /// Retires the barrier waiting for `target` and wakes the worker, which
+    /// holds off while a reached barrier syncs.
+    fn end_barrier(&self, mut state: MutexGuard<'_, QueueState>, target: u64) {
+        if let Some(at) = state.barriers.iter().position(|&t| t == target) {
+            state.barriers.swap_remove(at);
+        }
+        drop(state);
+        self.work.notify_all();
     }
 
     /// `Some(queue_depth)` when a non-empty batch would be refused now —
@@ -122,8 +141,9 @@ impl Shared {
 /// Why [`IngestQueue::barrier`] did not come back clean.
 #[derive(Debug)]
 pub enum BarrierError {
-    /// The queue did not drain within the allowed wait.  The queue itself
-    /// is unharmed — batches keep draining; only this caller gave up.
+    /// The batches accepted before the barrier were not all applied
+    /// within the allowed wait.  The queue itself is unharmed — batches
+    /// keep draining; only this caller gave up.
     TimedOut {
         /// Batches still waiting when the barrier gave up.
         queue_depth: usize,
@@ -203,13 +223,15 @@ impl IngestQueue {
             engine,
             state: Mutex::new(QueueState {
                 batches: VecDeque::new(),
-                in_flight: false,
+                accepted: 0,
+                applied: 0,
+                barriers: Vec::new(),
                 paused: false,
                 closed: false,
                 error: None,
             }),
             work: Condvar::new(),
-            idle: Condvar::new(),
+            progress: Condvar::new(),
             capacity: capacity.max(1),
             collector,
         });
@@ -265,6 +287,7 @@ impl IngestQueue {
             return SubmitOutcome::Busy { queue_depth };
         }
         state.batches.push_back((Instant::now(), batch, trace));
+        state.accepted += 1;
         let queue_depth = state.batches.len();
         self.shared.publish_gauges(&state);
         drop(state);
@@ -290,9 +313,9 @@ impl IngestQueue {
         self.shared.work.notify_all();
     }
 
-    /// Blocks until every queued batch has been applied and the worker is
-    /// idle, then syncs the engine's store, so everything submitted before
-    /// the call is both queryable and durable after it.
+    /// Blocks until every batch accepted before the call has been applied,
+    /// then syncs the engine's store, so everything submitted before the
+    /// call is both queryable and durable after it.
     ///
     /// Unpauses the worker first (a paused queue would otherwise never
     /// drain) and waits without bound — this is the owner/test path; a
@@ -305,66 +328,70 @@ impl IngestQueue {
     /// Surfaces the first error the worker hit since the last flush, or a
     /// sync failure.
     pub fn flush(&self) -> Result<(), StoreError> {
-        let mut state = self.shared.lock();
-        state.paused = false;
-        self.shared.work.notify_all();
-        while !state.batches.is_empty() || state.in_flight {
-            state = match self.shared.idle.wait(state) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+        self.set_paused(false);
+        match self.barrier(Duration::MAX) {
+            Ok(()) => Ok(()),
+            Err(BarrierError::Store(error)) => Err(error),
+            Err(timed_out) => unreachable!("a wait without a deadline ended: {}", timed_out),
         }
-        if let Some(error) = state.error.take() {
-            return Err(error);
-        }
-        drop(state);
-        self.shared.engine.sync()
     }
 
-    /// Waits — at most `timeout` — for every queued batch to be applied
-    /// and the worker to go idle, then syncs the engine's store: the
-    /// wire-facing flush barrier.
+    /// Waits — at most `timeout` — until every batch accepted before the
+    /// call has been applied, then syncs the engine's store: the
+    /// wire-facing flush barrier.  Batches accepted after the call cannot
+    /// delay it: the worker starts none of them while the barrier syncs.
     ///
     /// Unlike [`IngestQueue::flush`], this is safe to expose to untrusted
     /// remote callers:
     ///
     /// * it **never touches the pause hook** — a queue deliberately paused
     ///   by its owner (a deterministic test, an operator) stays paused; the
-    ///   barrier simply times out if the queue cannot drain;
+    ///   barrier simply times out if its batches cannot be applied;
     /// * the wait is **bounded** — a slow or hostile flusher parks the
-    ///   calling thread for at most `timeout`, not forever.
+    ///   calling thread for at most `timeout` plus one store sync, not
+    ///   forever.
     ///
     /// # Errors
     ///
-    /// [`BarrierError::TimedOut`] if the queue did not drain in time (the
-    /// queue keeps draining; only this wait gave up), or
+    /// [`BarrierError::TimedOut`] if the batches were not applied in time
+    /// (the queue keeps draining; only this wait gave up), or
     /// [`BarrierError::Store`] surfacing the first error the worker hit
     /// since the last flush/barrier, or a sync failure.
     pub fn barrier(&self, timeout: Duration) -> Result<(), BarrierError> {
         let deadline = Instant::now().checked_add(timeout);
         let mut state = self.shared.lock();
-        while !state.batches.is_empty() || state.in_flight {
+        let target = state.accepted;
+        state.barriers.push(target);
+        while state.applied < target {
             let remaining = deadline
                 .map(|d| d.saturating_duration_since(Instant::now()))
                 .unwrap_or(Duration::MAX);
             if remaining.is_zero() {
-                return Err(BarrierError::TimedOut {
-                    queue_depth: state.batches.len(),
-                    in_flight: state.in_flight,
-                });
+                let queue_depth = state.batches.len();
+                let timed_out = BarrierError::TimedOut {
+                    queue_depth,
+                    in_flight: state.accepted - state.applied > queue_depth as u64,
+                };
+                self.shared.end_barrier(state, target);
+                return Err(timed_out);
             }
-            let (guard, _) = match self.shared.idle.wait_timeout(state, remaining) {
+            let (guard, _) = match self.shared.progress.wait_timeout(state, remaining) {
                 Ok(result) => result,
                 Err(poisoned) => poisoned.into_inner(),
             };
             state = guard;
         }
-        if let Some(error) = state.error.take() {
-            return Err(BarrierError::Store(error));
-        }
-        drop(state);
-        self.shared.engine.sync()?;
-        Ok(())
+        let result = match state.error.take() {
+            Some(error) => Err(error),
+            None => {
+                drop(state);
+                let synced = self.shared.engine.sync();
+                state = self.shared.lock();
+                synced
+            }
+        };
+        self.shared.end_barrier(state, target);
+        result.map_err(BarrierError::Store)
     }
 
     /// Drains the queue, stops the worker and surfaces any deferred error.
@@ -396,22 +423,23 @@ impl Drop for IngestQueue {
     }
 }
 
-/// The worker: pop a batch (unless paused), apply it under one store lock,
-/// publish the depth gauge, repeat until closed and drained.
+/// The worker: pop a batch (unless paused, or a barrier it reached is
+/// syncing), apply it under one store lock, publish the gauges, wake the
+/// barriers, repeat until closed and drained.
 fn drain_loop(shared: &Shared) {
     loop {
         let batch = {
             let mut state = shared.lock();
             loop {
+                let syncing = state.barriers.iter().any(|&t| t <= state.applied);
                 // A closed queue still drains what was accepted.
-                if !state.paused || state.closed {
+                if (!state.paused || state.closed) && !syncing {
                     if let Some(stamped) = state.batches.pop_front() {
-                        state.in_flight = true;
                         shared.publish_gauges(&state);
                         break Some(stamped);
                     }
                 }
-                if state.closed {
+                if state.closed && state.batches.is_empty() {
                     break None;
                 }
                 state = match shared.work.wait(state) {
@@ -421,7 +449,6 @@ fn drain_loop(shared: &Shared) {
             }
         };
         let Some((submitted, batch, trace)) = batch else {
-            shared.idle.notify_all();
             return;
         };
         let result = shared.engine.ingest_batch(batch);
@@ -446,15 +473,13 @@ fn drain_loop(shared: &Shared) {
             .metrics_registry()
             .record_stage(SpanKind::QueueWait, waited, trace_id);
         let mut state = shared.lock();
-        state.in_flight = false;
+        state.applied += 1;
         shared.publish_gauges(&state);
         if let (Err(error), None) = (result, state.error.as_ref()) {
             state.error = Some(error);
         }
-        if state.batches.is_empty() {
-            drop(state);
-            shared.idle.notify_all();
-        }
+        drop(state);
+        shared.progress.notify_all();
     }
 }
 
@@ -609,6 +634,52 @@ mod tests {
         queue.barrier(Duration::from_millis(1)).unwrap();
         queue.set_paused(false);
         queue.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_barrier_waits_only_for_the_batches_accepted_before_it() {
+        // Records that each carry one 1,000-event history: a batch of
+        // 2,000 takes ~0.4 s to apply in a release build and seconds in a
+        // debug one, many times the barrier's timeout, which need only
+        // cover applying the one-record batch.
+        const TIMEOUT: Duration = Duration::from_millis(50);
+        let dir = temp_dir("later-batches");
+        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+        let queue = Arc::new(IngestQueue::start(Arc::clone(&engine), 4));
+        let history =
+            Provenance::from_events((0..1_000).map(|i| {
+                Event::output(Principal::new(format!("p{}", i % 7)), Provenance::empty())
+            }));
+        let slow: Vec<ProvenanceRecord> = (0..2_000u64)
+            .map(|i| {
+                let value = Value::Channel(Channel::new(format!("slow{}", i)));
+                ProvenanceRecord::new(i, "p0", Operation::Send, "m", value, history.clone())
+            })
+            .collect();
+        queue.set_paused(true);
+        assert!(queue.try_submit(batch(0, 1)).is_accepted());
+        let flusher = {
+            let (queue, engine) = (Arc::clone(&queue), Arc::clone(&engine));
+            std::thread::spawn(move || {
+                let result = queue.barrier(TIMEOUT);
+                (result, engine.record_count())
+            })
+        };
+        // The barrier has taken its target once it is registered.
+        while queue.shared.lock().barriers.is_empty() {
+            std::thread::yield_now();
+        }
+        assert!(queue.try_submit(slow).is_accepted());
+        queue.set_paused(false);
+        let (result, visible) = flusher.join().unwrap();
+        result.expect("the barrier waits for the first batch alone");
+        assert_eq!(
+            visible, 1,
+            "the barrier returned before the later batch applied"
+        );
+        queue.flush().unwrap();
+        assert_eq!(engine.record_count(), 2_001);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -40,12 +40,13 @@
 //! * [`ingest`] — the bounded [`IngestQueue`]: batched ingest with typed
 //!   back-pressure (`Busy` instead of unbounded buffering), each batch
 //!   applied under one store-lock acquisition;
-//! * [`metrics`] — the observability plane: a [`MetricsRegistry`] of
-//!   per-policy verdict counters and lock-free latency histograms recorded
-//!   on the vet hot path, the aggregated [`MetricsSnapshot`] over every
-//!   stats surface the workspace keeps, and a Prometheus-style text
-//!   exposition with a validating parser
-//!   ([`metrics::validate_exposition`]);
+//! * [`metrics`] — the observability plane: each policy's verdict
+//!   counters and lock-free latency histogram ([`PolicyMetrics`], carried
+//!   by its [`PolicyEntry`]) recorded on the vet hot path, a
+//!   [`MetricsRegistry`] of per-stage histograms and connection counters,
+//!   the aggregated [`MetricsSnapshot`] over every stats surface the
+//!   workspace keeps, and a Prometheus-style text exposition with a
+//!   validating parser ([`metrics::validate_exposition`]);
 //! * [`trace`] — the request tracing plane: wire-propagated
 //!   [`TraceContext`]s, per-stage [`Span`]s (client encode, decode, queue
 //!   wait, engine handle, response write), and the bounded lock-free

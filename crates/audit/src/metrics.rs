@@ -1,22 +1,24 @@
 //! The observability plane: per-policy latency/verdict histograms and a
 //! Prometheus-style text exposition over every counter the system keeps.
 //!
-//! A [`MetricsRegistry`] lives inside every [`crate::AuditEngine`] and owns
-//! one [`PolicyMetrics`] per registered policy: a log-spaced, fixed-bucket
-//! latency histogram plus verdict counters, all plain atomics, recorded on
-//! the `handle()` hot path without taking any lock beyond one uncontended
-//! registry read (see the `e15_metrics` bench group for the measured
-//! overhead budget).  It also keeps one latency histogram per trace
-//! [`SpanKind`], fed with the spans the serving layer and the ingest drain
-//! hand to the trace collector.
+//! Every registered policy's [`crate::PolicyEntry`] carries one
+//! [`PolicyMetrics`]: a log-spaced, fixed-bucket latency histogram plus
+//! verdict counters, all plain atomics, recorded on the `handle()` hot
+//! path into the entry the request already looked up, without taking any
+//! lock (see the `e15_metrics` bench group for the measured overhead
+//! budget).  The engine-wide [`MetricsRegistry`] keeps one latency
+//! histogram per trace [`SpanKind`], fed with the spans the serving layer
+//! and the ingest drain hand to the trace collector, plus the connection
+//! counters and the count of requests that named no policy.
 //!
 //! [`AuditEngine::metrics`](crate::AuditEngine::metrics) gathers the
-//! registry together with every other counter surface the workspace keeps
-//! — [`EngineStats`], [`StoreStats`], the interner's [`InternerStats`] and
-//! per-shard [`ShardStats`], each policy's [`MemoStats`] — into one typed
-//! [`MetricsSnapshot`], and [`MetricsSnapshot::exposition`] renders it in
-//! the Prometheus text format (`# HELP`/`# TYPE`, stable names under the
-//! `piprov_` prefix, the policy name as a label).
+//! registry, one row per policy of the current set, and every other
+//! counter surface the workspace keeps — [`EngineStats`], [`StoreStats`],
+//! the interner's [`InternerStats`] and per-shard [`ShardStats`], each
+//! policy's [`MemoStats`] — into one typed [`MetricsSnapshot`], and
+//! [`MetricsSnapshot::exposition`] renders it in the Prometheus text
+//! format (`# HELP`/`# TYPE`, stable names under the `piprov_` prefix, the
+//! policy name as a label).
 //!
 //! **Drift guard.**  The exposition writer destructures every stats struct
 //! exhaustively (no `..`), so adding a field to [`EngineStats`],
@@ -34,7 +36,6 @@ use piprov_store::StoreStats;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Upper bounds (nanoseconds, inclusive) of the fixed log-spaced latency
 /// buckets: powers of two from 256 ns to ~8.4 ms.  A vet that takes longer
@@ -182,14 +183,9 @@ pub struct PolicyMetrics {
 
 impl PolicyMetrics {
     /// Records one vet against this policy: `elapsed_ns` into the latency
-    /// histogram, the outcome into its verdict counter.
-    pub fn record(&self, elapsed_ns: u64, outcome: VetOutcomeKind) {
-        self.record_traced(elapsed_ns, outcome, None);
-    }
-
-    /// Like [`PolicyMetrics::record`], additionally keeping `trace_id` as
-    /// the landing bucket's exemplar when the request was sampled.
-    pub fn record_traced(&self, elapsed_ns: u64, outcome: VetOutcomeKind, trace_id: Option<u128>) {
+    /// histogram, keeping `trace_id` as the landing bucket's exemplar when
+    /// the request was sampled, and the outcome into its verdict counter.
+    pub fn record(&self, elapsed_ns: u64, outcome: VetOutcomeKind, trace_id: Option<u128>) {
         match outcome {
             VetOutcomeKind::Passed => self.vets_passed.fetch_add(1, Ordering::Relaxed),
             VetOutcomeKind::Failed => self.vets_failed.fetch_add(1, Ordering::Relaxed),
@@ -207,18 +203,29 @@ impl PolicyMetrics {
             self.counterfactual_flips.fetch_add(1, Ordering::Relaxed);
         }
     }
+
+    /// This policy's row of a [`MetricsSnapshot`], labelled `name`, with
+    /// `memo` as its automaton's memo statistics.
+    pub fn snapshot(&self, name: &str, memo: MemoStats) -> PolicySnapshot {
+        PolicySnapshot {
+            policy: name.to_string(),
+            memo,
+            vets_passed: self.vets_passed.load(Ordering::Relaxed),
+            vets_failed: self.vets_failed.load(Ordering::Relaxed),
+            vets_unknown_value: self.vets_unknown_value.load(Ordering::Relaxed),
+            counterfactuals: self.counterfactuals.load(Ordering::Relaxed),
+            counterfactual_flips: self.counterfactual_flips.load(Ordering::Relaxed),
+            latency: self.latency.snapshot(),
+        }
+    }
 }
 
-/// The per-policy histogram registry every [`crate::AuditEngine`] owns.
-///
-/// Policies are registered once (by
-/// [`crate::AuditEngine::register_pattern`]); the vet hot path then records
-/// through one uncontended read-lock acquisition and plain atomic adds.
-/// Re-registering a policy name keeps its counters: the metric timeline of
-/// a hot-reloaded policy does not reset.
+/// The engine-wide metrics every [`crate::AuditEngine`] owns: one latency
+/// histogram per pipeline stage, the serving layer's connection counters,
+/// and the requests that named no policy.  A policy's own metrics live on
+/// its [`crate::PolicyEntry`].
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    policies: RwLock<HashMap<String, Arc<PolicyMetrics>>>,
     vets_unknown_pattern: AtomicU64,
     /// One histogram per [`SpanKind`], in [`SpanKind::ALL`] order.
     stages: [LatencyHistogram; SpanKind::ALL.len()],
@@ -232,53 +239,6 @@ impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, Arc<PolicyMetrics>>> {
-        match self.policies.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, Arc<PolicyMetrics>>> {
-        match self.policies.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Registers `policy` (idempotent: an existing entry — and its
-    /// counters — is kept) and returns its metrics handle.
-    pub fn register_policy(&self, policy: &str) -> Arc<PolicyMetrics> {
-        if let Some(existing) = self.read().get(policy) {
-            return Arc::clone(existing);
-        }
-        Arc::clone(self.write().entry(policy.to_string()).or_default())
-    }
-
-    /// The metrics handle of a registered policy.
-    pub fn policy(&self, policy: &str) -> Option<Arc<PolicyMetrics>> {
-        self.read().get(policy).cloned()
-    }
-
-    /// Retires every policy row `keep` rejects — called after a pack
-    /// install publishes a set that no longer names them.  A vet that
-    /// pinned the old policy set and races this retirement simply finds
-    /// [`MetricsRegistry::policy`] empty and skips recording; handles
-    /// already cloned out keep working (the rows are `Arc`'d), they just
-    /// stop being exposed.
-    pub fn retain_policies(&self, keep: impl Fn(&str) -> bool) {
-        self.write().retain(|name, _| keep(name));
-    }
-
-    /// Records one vet on the hot path.  Unregistered policy names are
-    /// ignored (the engine counts those through
-    /// [`MetricsRegistry::note_unknown_pattern`]).
-    pub fn record_vet(&self, policy: &str, elapsed_ns: u64, outcome: VetOutcomeKind) {
-        if let Some(metrics) = self.read().get(policy) {
-            metrics.record(elapsed_ns, outcome);
-        }
     }
 
     /// Records one span of `stage` into that stage's histogram, keeping
@@ -320,51 +280,17 @@ impl MetricsRegistry {
         self.connections_closed.load(Ordering::Relaxed)
     }
 
-    /// Counts one vet that named a policy the engine does not know.
+    /// Counts one request that named a policy the engine does not know.
     pub fn note_unknown_pattern(&self) {
         self.vets_unknown_pattern.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Vets that named an unregistered policy, over the registry lifetime.
+    /// Requests that named an unregistered policy, over the registry
+    /// lifetime.
     pub fn unknown_pattern_vets(&self) -> u64 {
         self.vets_unknown_pattern.load(Ordering::Relaxed)
     }
-
-    /// Immutable per-policy counters, sorted by policy name.  `memo` is
-    /// filled by the engine (the registry does not own the pattern memos).
-    pub fn policy_snapshots(
-        &self,
-        memo_of: impl Fn(&str) -> Option<MemoStats>,
-    ) -> Vec<PolicySnapshot> {
-        let mut policies: Vec<PolicySnapshot> = self
-            .read()
-            .iter()
-            .map(|(name, metrics)| PolicySnapshot {
-                policy: name.clone(),
-                memo: memo_of(name).unwrap_or(EMPTY_MEMO),
-                vets_passed: metrics.vets_passed.load(Ordering::Relaxed),
-                vets_failed: metrics.vets_failed.load(Ordering::Relaxed),
-                vets_unknown_value: metrics.vets_unknown_value.load(Ordering::Relaxed),
-                counterfactuals: metrics.counterfactuals.load(Ordering::Relaxed),
-                counterfactual_flips: metrics.counterfactual_flips.load(Ordering::Relaxed),
-                latency: metrics.latency.snapshot(),
-            })
-            .collect();
-        policies.sort_by(|a, b| a.policy.cmp(&b.policy));
-        policies
-    }
 }
-
-/// Memo stats of a policy whose automaton no longer exists (can only
-/// happen if registration raced deregistration; rendered as zeros).
-const EMPTY_MEMO: MemoStats = MemoStats {
-    entries: 0,
-    bound: 0,
-    epochs: 0,
-    hits: 0,
-    misses: 0,
-    retained: 0,
-};
 
 /// An immutable copy of one latency histogram: per-bucket counts aligned
 /// with [`LATENCY_BUCKET_BOUNDS_NS`], the overflow bucket, and the
@@ -456,13 +382,21 @@ impl MetricsSnapshot {
 impl AuditEngine {
     /// Gathers every counter surface — engine, store, interner (aggregate
     /// and per shard), and each registered policy's memo, verdict counters
-    /// and latency histogram — into one [`MetricsSnapshot`].
+    /// and latency histogram — into one [`MetricsSnapshot`].  The policy
+    /// rows come from one load of the current policy set: exactly its
+    /// policies, sorted by name.
     ///
     /// An operator/scrape path: it reads the [`StoreStats`] the engine
     /// published at its last append, never waits for the store lock, and
     /// never touches the query hot path.
     pub fn metrics(&self) -> MetricsSnapshot {
         let registry = self.metrics_registry();
+        let mut policies: Vec<PolicySnapshot> = self
+            .policy_set()
+            .iter()
+            .map(|(name, entry)| entry.metrics.snapshot(name, entry.compiled.memo_stats()))
+            .collect();
+        policies.sort_by(|a, b| a.policy.cmp(&b.policy));
         MetricsSnapshot {
             engine: self.stats(),
             store: self.store_stats(),
@@ -476,7 +410,7 @@ impl AuditEngine {
             open_connections: registry
                 .connections_accepted()
                 .saturating_sub(registry.connections_closed()),
-            policies: registry.policy_snapshots(|name| self.pattern_memo_stats(name)),
+            policies,
         }
     }
 }
@@ -1284,6 +1218,17 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    /// The memo statistics of a row whose automaton has seen no vet.
+    const COLD_MEMO: MemoStats = MemoStats {
+        entries: 0,
+        bound: 0,
+        epochs: 0,
+        hits: 0,
+        misses: 0,
+        retained: 0,
+    };
 
     #[test]
     fn buckets_are_log_spaced_and_sorted() {
@@ -1383,27 +1328,22 @@ mod tests {
     }
 
     #[test]
-    fn registry_is_idempotent_and_records_by_name() {
-        let registry = MetricsRegistry::new();
-        let first = registry.register_policy("p");
-        first.record(100, VetOutcomeKind::Passed);
-        // Re-registration keeps the counters.
-        let again = registry.register_policy("p");
-        assert!(Arc::ptr_eq(&first, &again));
-        registry.record_vet("p", 300, VetOutcomeKind::Failed);
-        registry.record_vet("p", 1_000_000, VetOutcomeKind::UnknownValue);
-        registry.record_vet("ghost", 1, VetOutcomeKind::Passed); // ignored
-        registry.note_unknown_pattern();
-        let snaps = registry.policy_snapshots(|_| None);
-        assert_eq!(snaps.len(), 1);
-        let p = &snaps[0];
+    fn policy_metrics_count_each_outcome() {
+        let policy = PolicyMetrics::default();
+        policy.record(100, VetOutcomeKind::Passed, None);
+        policy.record(300, VetOutcomeKind::Failed, None);
+        policy.record(1_000_000, VetOutcomeKind::UnknownValue, None);
+        policy.record_counterfactual(true);
+        policy.record_counterfactual(false);
+        let p = policy.snapshot("p", COLD_MEMO);
+        assert_eq!(p.policy, "p");
         assert_eq!(
             (p.vets_passed, p.vets_failed, p.vets_unknown_value),
             (1, 1, 1)
         );
+        assert_eq!((p.counterfactuals, p.counterfactual_flips), (2, 1));
         assert_eq!(p.latency.count, 3);
         assert_eq!(p.latency.sum_ns, 1_000_400);
-        assert_eq!(registry.unknown_pattern_vets(), 1);
     }
 
     #[test]
@@ -1451,20 +1391,19 @@ mod tests {
     #[test]
     fn rendered_exposition_validates() {
         let registry = MetricsRegistry::new();
-        registry.register_policy("alpha");
-        registry.register_policy("beta");
+        let (alpha, beta) = (PolicyMetrics::default(), PolicyMetrics::default());
         for i in 0..100u64 {
-            registry.record_vet(
-                "alpha",
+            alpha.record(
                 i * 97,
                 if i % 3 == 0 {
                     VetOutcomeKind::Failed
                 } else {
                     VetOutcomeKind::Passed
                 },
+                None,
             );
         }
-        registry.record_vet("beta", 1 << 30, VetOutcomeKind::UnknownValue);
+        beta.record(1 << 30, VetOutcomeKind::UnknownValue, None);
         registry.record_stage(SpanKind::Decode, 512, None);
         registry.record_stage(SpanKind::Handle, 4096, None);
         registry.record_stage(SpanKind::QueueWait, 1 << 24, None); // overflow bucket
@@ -1483,7 +1422,10 @@ mod tests {
             connections_accepted: registry.connections_accepted(),
             connections_closed: registry.connections_closed(),
             open_connections: 2,
-            policies: registry.policy_snapshots(|_| None),
+            policies: vec![
+                alpha.snapshot("alpha", COLD_MEMO),
+                beta.snapshot("beta", COLD_MEMO),
+            ],
         };
         let text = snapshot.exposition();
         validate_exposition(&text).unwrap_or_else(|e| panic!("{}\n---\n{}", e, text));
@@ -1508,10 +1450,9 @@ mod tests {
     #[test]
     fn exemplars_render_behind_the_flag_and_lint_clean() {
         let registry = MetricsRegistry::new();
-        registry.register_policy("alpha");
-        let policy = registry.policy("alpha").unwrap();
-        policy.record_traced(300, VetOutcomeKind::Passed, Some(0xabcd));
-        policy.record_traced(1 << 30, VetOutcomeKind::Failed, Some(0x1234)); // +Inf bucket
+        let policy = PolicyMetrics::default();
+        policy.record(300, VetOutcomeKind::Passed, Some(0xabcd));
+        policy.record(1 << 30, VetOutcomeKind::Failed, Some(0x1234)); // +Inf bucket
         registry.record_stage(SpanKind::Handle, 4096, Some(0x77));
         registry.record_stage(SpanKind::Handle, 8192, None); // untraced: leaves no exemplar
         let snapshot = MetricsSnapshot {
@@ -1525,7 +1466,7 @@ mod tests {
             connections_accepted: 0,
             connections_closed: 0,
             open_connections: 0,
-            policies: registry.policy_snapshots(|_| None),
+            policies: vec![policy.snapshot("alpha", COLD_MEMO)],
         };
         let plain = snapshot.exposition();
         assert!(!plain.contains(" # {"), "exemplars are off by default");

@@ -9,15 +9,21 @@
 //! the set (and the version) they started with, and no vet can observe
 //! a half-installed pack.  Every published set carries a monotonically
 //! increasing version, stamped onto each [`crate::AuditResponse`].
+//!
+//! The set is the engine's only table of policies.  Each [`PolicyEntry`]
+//! carries its own [`PolicyMetrics`]: a request records into the entry it
+//! looked up, and a scrape reads one row per entry of the set it loaded,
+//! so a policy the set drops loses its row with it.
 
+use crate::metrics::PolicyMetrics;
 use piprov_patterns::CompiledPattern;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
 /// One registered policy: its origin package, canonical source text,
-/// and compiled automaton (shared so memo state survives reinstalls of
-/// an unchanged policy).
+/// compiled automaton (shared so memo state survives reinstalls of an
+/// unchanged policy) and metrics.
 #[derive(Debug)]
 pub struct PolicyEntry {
     /// The policy's package (`supply_chain::build`), empty for
@@ -27,6 +33,10 @@ pub struct PolicyEntry {
     pub source: String,
     /// The compiled automaton, memo and all.
     pub compiled: Arc<CompiledPattern>,
+    /// Verdict counters and the vet latency histogram.  An entry that
+    /// replaces one of the same name takes these over, so the policy's
+    /// metric timeline survives a changed body or a reinstall.
+    pub metrics: Arc<PolicyMetrics>,
 }
 
 /// An immutable, versioned set of policies.
@@ -180,6 +190,7 @@ mod tests {
             package: String::new(),
             source: source.to_string(),
             compiled: Arc::new(CompiledPattern::compile(&pattern)),
+            metrics: Arc::default(),
         })
     }
 

@@ -17,6 +17,7 @@
 //! and aggregated by [`SpanKind`] into the metrics exposition's
 //! `piprov_stage_seconds` family, whose exemplars are trace ids.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -514,11 +515,15 @@ impl TraceCollector {
 
         // Merge records that share a trace id: concatenate spans (capped and
         // ordered by stage), keep the larger total, prefer the kind of the
-        // record that carries the primary (non-queue-wait) spans.
+        // record that carries the primary (non-queue-wait) spans.  Each id
+        // maps to its merged record's position, so the merge stays linear
+        // in the ring size.
         let mut merged: Vec<TraceRecord> = Vec::with_capacity(raw.len());
+        let mut position: HashMap<u128, usize> = HashMap::with_capacity(raw.len());
         for (_, record) in raw {
-            match merged.iter_mut().find(|m| m.trace_id == record.trace_id) {
-                Some(existing) => {
+            match position.entry(record.trace_id) {
+                Entry::Occupied(at) => {
+                    let existing = &mut merged[*at.get()];
                     let only_queue_wait =
                         existing.spans.iter().all(|s| s.kind == SpanKind::QueueWait);
                     if only_queue_wait && !record.spans.is_empty() {
@@ -528,7 +533,10 @@ impl TraceCollector {
                     existing.spans.truncate(MAX_TRACE_SPANS);
                     existing.total_ns = existing.total_ns.max(record.total_ns);
                 }
-                None => merged.push(record),
+                Entry::Vacant(at) => {
+                    at.insert(merged.len());
+                    merged.push(record);
+                }
             }
         }
         for record in &mut merged {
@@ -858,6 +866,59 @@ mod tests {
                 SpanKind::Write
             ]
         );
+    }
+
+    #[test]
+    fn a_full_ring_snapshots_in_linear_time() {
+        // 32,768 slots hold 28,672 distinct traces: every seventh is split
+        // the way an ingest is, its queue-wait half recorded first.
+        const SLOTS: usize = 1 << 15;
+        const TRACES: u128 = 28_672;
+        let collector = TraceCollector::new(TraceConfig {
+            capacity: SLOTS,
+            ..quiet_config()
+        });
+        for id in 1..=TRACES {
+            if id % 7 == 0 {
+                collector.record(&TraceRecord {
+                    trace_id: id,
+                    kind: RequestKind::Ingest,
+                    total_ns: 0,
+                    spans: vec![Span::new(SpanKind::QueueWait, 7_000)],
+                });
+            }
+            collector.record(&vet_record(id, 1_000));
+        }
+        let started = std::time::Instant::now();
+        let snap = collector.snapshot(0);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "a {}-slot snapshot took {:?}",
+            SLOTS,
+            elapsed
+        );
+        let ids: Vec<u128> = snap.iter().map(|r| r.trace_id).collect();
+        assert_eq!(
+            ids,
+            (1..=TRACES).collect::<Vec<_>>(),
+            "one record per trace, in arrival order, none overwritten"
+        );
+        for record in snap.iter().filter(|r| r.trace_id % 7 == 0) {
+            let kinds: Vec<SpanKind> = record.spans.iter().map(|s| s.kind).collect();
+            assert_eq!(
+                kinds,
+                vec![
+                    SpanKind::Decode,
+                    SpanKind::QueueWait,
+                    SpanKind::Handle,
+                    SpanKind::Write
+                ],
+                "trace {} merged once",
+                record.trace_id
+            );
+            assert_eq!(record.kind, RequestKind::Vet);
+        }
     }
 
     #[test]

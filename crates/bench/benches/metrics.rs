@@ -16,8 +16,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use piprov_audit::{
-    render_exposition, validate_exposition, AuditEngine, AuditOutcome, AuditRequest,
-    MetricsRegistry, VetOutcomeKind,
+    render_exposition, validate_exposition, AuditEngine, AuditOutcome, AuditRequest, PolicyMetrics,
+    PolicySnapshot, VetOutcomeKind,
 };
 use piprov_bench::quick_criterion;
 use piprov_core::name::{Channel, Principal};
@@ -76,8 +76,7 @@ fn bench_record_overhead(c: &mut Criterion) {
         assert!(vet(&engine, i));
     }
 
-    let registry = MetricsRegistry::new();
-    let policy = registry.register_policy("bench");
+    let policy = PolicyMetrics::default();
 
     let mut group = c.benchmark_group("e15_metrics/record_overhead");
     group.bench_function("vet_memo_warm", |b| {
@@ -92,7 +91,7 @@ fn bench_record_overhead(c: &mut Criterion) {
         b.iter(|| {
             i = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
             // Spread across buckets so the binary search sees real work.
-            policy.record(i % (1 << 24), VetOutcomeKind::Passed);
+            policy.record(i % (1 << 24), VetOutcomeKind::Passed, None);
         })
     });
     group.finish();
@@ -111,7 +110,7 @@ fn bench_record_overhead(c: &mut Criterion) {
 
     let started = Instant::now();
     for i in 0..rounds {
-        policy.record((i as u64) % (1 << 24), VetOutcomeKind::Passed);
+        policy.record((i as u64) % (1 << 24), VetOutcomeKind::Passed, None);
     }
     let record_ns = started.elapsed().as_nanos() as f64 / rounds as f64;
     let ratio = 100.0 * record_ns / vet_ns;
@@ -131,23 +130,24 @@ fn bench_record_overhead(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A registry with `policies` policies, each carrying a spread of
-/// recorded vets so every histogram bucket line renders.
-fn populated_registry(policies: usize) -> MetricsRegistry {
-    let registry = MetricsRegistry::new();
-    for p in 0..policies {
-        let name = format!("policy-{:03}", p);
-        let metrics = registry.register_policy(&name);
-        for i in 0..64u64 {
-            let outcome = if i % 3 == 0 {
-                VetOutcomeKind::Failed
-            } else {
-                VetOutcomeKind::Passed
-            };
-            metrics.record(1 << (i % 24), outcome);
-        }
-    }
-    registry
+/// `policies` policy rows, each carrying a spread of recorded vets so
+/// every histogram bucket line renders, and the memo of `engine`'s policy.
+fn populated_rows(engine: &AuditEngine, policies: usize) -> Vec<PolicySnapshot> {
+    let memo = engine.pattern_memo_stats("from-s").expect("registered");
+    (0..policies)
+        .map(|p| {
+            let metrics = PolicyMetrics::default();
+            for i in 0..64u64 {
+                let outcome = if i % 3 == 0 {
+                    VetOutcomeKind::Failed
+                } else {
+                    VetOutcomeKind::Passed
+                };
+                metrics.record(1 << (i % 24), outcome, None);
+            }
+            metrics.snapshot(&format!("policy-{:03}", p), memo)
+        })
+        .collect()
 }
 
 fn bench_exposition_render(c: &mut Criterion) {
@@ -155,10 +155,9 @@ fn bench_exposition_render(c: &mut Criterion) {
     let engine = seeded_engine(&dir);
     let mut group = c.benchmark_group("e15_metrics/exposition_render");
     for policies in [1usize, 16, 64] {
-        let registry = populated_registry(policies);
         let snapshot = {
             let mut snapshot = engine.metrics();
-            snapshot.policies = registry.policy_snapshots(|_| None);
+            snapshot.policies = populated_rows(&engine, policies);
             snapshot
         };
         validate_exposition(&render_exposition(&snapshot)).expect("render lints clean");
@@ -173,9 +172,8 @@ fn bench_exposition_render(c: &mut Criterion) {
     println!("\ne15 summary — exposition render cost vs registered policies");
     println!("  {:<10} {:>12} {:>12}", "policies", "bytes", "µs/render");
     for policies in [1usize, 16, 64] {
-        let registry = populated_registry(policies);
         let mut snapshot = engine.metrics();
-        snapshot.policies = registry.policy_snapshots(|_| None);
+        snapshot.policies = populated_rows(&engine, policies);
         let rounds = 200usize;
         let started = Instant::now();
         let mut bytes = 0usize;

@@ -498,11 +498,12 @@ impl AuditClient {
         self.batch.len()
     }
 
-    /// Ships any buffered tail, then asks the server to drain its ingest
-    /// queue and sync its store.  After this returns, everything buffered
-    /// or acked before the call is queryable and durable server-side; the
-    /// returned [`FlushAck::watermark`] names the snapshot that makes it
-    /// so (any later query answers at or above it).
+    /// Ships any buffered tail, then asks the server to apply every batch
+    /// it accepted before the flush and sync its store.  After this
+    /// returns, everything buffered or acked before the call is queryable
+    /// and durable server-side; the returned [`FlushAck::watermark`] names
+    /// the snapshot that makes it so (any later query answers at or above
+    /// it).
     ///
     /// # Errors
     ///

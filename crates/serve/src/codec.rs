@@ -44,10 +44,12 @@ pub enum WireRequest {
     Audit(AuditRequest),
     /// A batch of records for the bounded ingest queue.
     IngestBatch(Vec<ProvenanceRecord>),
-    /// Barrier: drain the ingest queue and sync the store, so everything
+    /// Barrier: wait until the ingest queue has applied every batch it
+    /// accepted before this request, then sync the store, so everything
     /// submitted before this request is queryable and durable after it.
-    /// The server's wait is bounded ([`crate::ServeConfig::flush_timeout`])
-    /// and never touches the queue's pause hook; a timeout answers
+    /// Batches accepted later cannot delay it.  The server's wait is
+    /// bounded ([`crate::ServeConfig::flush_timeout`]) and never touches
+    /// the queue's pause hook; a timeout answers
     /// [`WireResponse::ServerError`].
     Flush,
     /// The full metrics plane: engine/store/interner counters plus every

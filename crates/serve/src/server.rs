@@ -52,9 +52,10 @@ pub struct ServeConfig {
     /// Decode-side caps applied to every frame and record count.
     pub limits: WireLimits,
     /// Bound on how long a remote `Flush` may park its worker thread
-    /// waiting for the ingest queue to drain (the wait goes through
-    /// [`IngestQueue::barrier`], which never touches the queue's pause
-    /// hook).  On expiry the client gets a typed
+    /// waiting for the ingest queue to apply the batches it accepted
+    /// before the `Flush` (the wait goes through [`IngestQueue::barrier`],
+    /// which never touches the queue's pause hook and never waits for
+    /// later batches).  On expiry the client gets a typed
     /// [`WireResponse::ServerError`] and the worker returns to the pool —
     /// a slow or hostile flusher cannot occupy it forever.  Meanwhile the
     /// flusher's connection gets no other answer, and every other
@@ -386,7 +387,7 @@ pub(crate) fn handle_request(
         // peer must be able to neither un-pause a deliberately paused
         // queue nor park one of the pool's workers without bound.
         WireRequest::Flush => match queue.barrier(config.flush_timeout) {
-            // The watermark is read after the drain: everything submitted
+            // The watermark is read after the barrier: everything submitted
             // before the flush is visible at (or below) it — the anchor a
             // client's read-your-writes polls against.
             Ok(()) => WireResponse::Flushed {
