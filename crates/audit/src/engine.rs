@@ -254,8 +254,10 @@ impl AuditEngine {
     /// A programmatic registration is a one-policy copy-on-write edit of
     /// the current [`PolicySet`]: it bumps the pack version like a pack
     /// install does, and in-flight requests keep the set they loaded.
+    /// Concurrent edits apply one after the other, so none is lost.
     pub fn register_pattern(&self, name: impl Into<String>, pattern: Pattern) {
         let name = name.into();
+        let _edit = self.registry.lock_edits();
         let current = self.registry.load();
         let entry = self.compile_entry(
             current.get(&name),
@@ -289,6 +291,7 @@ impl AuditEngine {
     /// programmatic [`AuditEngine::register_pattern`] registrations — are
     /// dropped, metric rows and all.
     pub fn install_pack(&self, pack: &PolicyPack) -> PackInstall {
+        let _edit = self.registry.lock_edits();
         let current = self.registry.load();
         let mut next: HashMap<String, Arc<PolicyEntry>> =
             HashMap::with_capacity(pack.policies.len());
@@ -1574,6 +1577,37 @@ mod tests {
             "known names are sorted"
         );
         assert_eq!(nearest, &Some("vendor-only".to_string()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_policy_edits_lose_no_update() {
+        let dir = temp_dir("concurrent-edits");
+        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+        // Each round releases two editors at once, each registering its
+        // own name: an edit built on a set the other just replaced would
+        // drop the other's name.
+        for round in 0..200 {
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let editors: Vec<_> = (0..2)
+                .map(|editor| {
+                    let (engine, start) = (Arc::clone(&engine), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        engine.register_pattern(format!("p{}-{}", round, editor), Pattern::Any);
+                    })
+                })
+                .collect();
+            for editor in editors {
+                editor.join().unwrap();
+            }
+        }
+        assert_eq!(engine.pack_version(), 400);
+        assert_eq!(
+            engine.pattern_names().len(),
+            400,
+            "every registration survives"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,20 +13,20 @@
 //! The queue is what a network front-end (see `piprov-serve`) answers
 //! `IngestBatch` requests with: `Accepted` becomes an `IngestAck` frame,
 //! `Busy` becomes a typed `Busy` frame the client can back off on — and
-//! remote `Flush` frames are answered by [`IngestQueue::barrier`], the
-//! bounded wait that (unlike the owner-facing [`IngestQueue::flush`])
-//! never flips the pause hook and never parks a server thread forever.
-//! A barrier waits for the batches accepted before it, never for later
-//! ones, so producers that keep the queue full cannot starve a flusher.
+//! a remote `Flush` frame becomes a ticket, [`IngestQueue::flush_then`]:
+//! once the batches accepted before it are applied, the drain worker
+//! syncs the store and runs the ticket's callback with the result.  No
+//! thread waits for a ticket, a ticket never flips the pause hook, and
+//! batches accepted after it cannot delay it, so producers that keep the
+//! queue full cannot starve a flusher.
 
 use crate::engine::AuditEngine;
 use crate::trace::{RequestKind, Span, SpanKind, TraceCollector, TraceContext, TraceRecord};
 use piprov_store::{ProvenanceRecord, StoreError};
 use std::collections::VecDeque;
-use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The immediate answer to one batch submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +52,11 @@ impl SubmitOutcome {
     }
 }
 
+/// What a flush ticket runs on the drain worker: `Ok` once the batches
+/// accepted before the ticket are applied and the store is synced, or the
+/// first store error the worker hit since the last ticket ran.
+pub type FlushDone = Box<dyn FnOnce(Result<(), StoreError>) + Send>;
+
 /// Mutable queue state, guarded by one mutex.
 struct QueueState {
     /// Accepted batches, each stamped with its submit instant so the
@@ -64,27 +69,23 @@ struct QueueState {
     /// Batches applied over the queue's lifetime.  `accepted - applied`
     /// counts the queued batches plus the one the worker is applying.
     applied: u64,
-    /// The targets (`accepted` counts) of the barriers in progress.  While
-    /// one of them has been reached, that barrier is syncing, and the
-    /// worker starts no further batch: a later batch must not hold the
-    /// store lock the barrier's sync waits for.
-    barriers: Vec<u64>,
+    /// Flush tickets in submission order, each with the `accepted` count
+    /// it waits for.  The worker runs a ticket as soon as `applied`
+    /// reaches that count, before it starts any later batch.
+    tickets: VecDeque<(u64, FlushDone)>,
     /// While paused the worker leaves the queue untouched — a test hook
     /// that makes back-pressure deterministic to observe.
     paused: bool,
     closed: bool,
-    /// First store error the worker hit; surfaced by flush/shutdown.
+    /// First store error the worker hit; surfaced by the next ticket.
     error: Option<StoreError>,
 }
 
 struct Shared {
     engine: Arc<AuditEngine>,
     state: Mutex<QueueState>,
-    /// Wakes the worker: new batch, unpause, close, or a barrier's sync
-    /// done.
+    /// Wakes the worker: new batch, new ticket, unpause or close.
     work: Condvar,
-    /// Wakes barriers: the worker applied a batch.
-    progress: Condvar,
     capacity: usize,
     /// Where the drain worker deposits queue-wait spans for traced batches.
     collector: Option<Arc<TraceCollector>>,
@@ -112,16 +113,6 @@ impl Shared {
             .set_snapshot_lag((state.accepted - state.applied) as usize);
     }
 
-    /// Retires the barrier waiting for `target` and wakes the worker, which
-    /// holds off while a reached barrier syncs.
-    fn end_barrier(&self, mut state: MutexGuard<'_, QueueState>, target: u64) {
-        if let Some(at) = state.barriers.iter().position(|&t| t == target) {
-            state.barriers.swap_remove(at);
-        }
-        drop(state);
-        self.work.notify_all();
-    }
-
     /// `Some(queue_depth)` when a non-empty batch would be refused now —
     /// the queue is full or shut down — having counted the rejection and
     /// refreshed the gauges; `None` when it would be accepted.
@@ -135,54 +126,6 @@ impl Shared {
         self.publish_gauges(state);
         self.engine.note_busy_rejection();
         Some(depth)
-    }
-}
-
-/// Why [`IngestQueue::barrier`] did not come back clean.
-#[derive(Debug)]
-pub enum BarrierError {
-    /// The batches accepted before the barrier were not all applied
-    /// within the allowed wait.  The queue itself is unharmed — batches
-    /// keep draining; only this caller gave up.
-    TimedOut {
-        /// Batches still waiting when the barrier gave up.
-        queue_depth: usize,
-        /// Whether the worker was mid-application at that moment.
-        in_flight: bool,
-    },
-    /// The worker (or the final store sync) hit a store error.
-    Store(StoreError),
-}
-
-impl fmt::Display for BarrierError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BarrierError::TimedOut {
-                queue_depth,
-                in_flight,
-            } => write!(
-                f,
-                "ingest barrier timed out ({} batches queued, worker {})",
-                queue_depth,
-                if *in_flight { "applying" } else { "idle" }
-            ),
-            BarrierError::Store(error) => write!(f, "ingest barrier: {}", error),
-        }
-    }
-}
-
-impl std::error::Error for BarrierError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BarrierError::TimedOut { .. } => None,
-            BarrierError::Store(error) => Some(error),
-        }
-    }
-}
-
-impl From<StoreError> for BarrierError {
-    fn from(error: StoreError) -> Self {
-        BarrierError::Store(error)
     }
 }
 
@@ -225,13 +168,12 @@ impl IngestQueue {
                 batches: VecDeque::new(),
                 accepted: 0,
                 applied: 0,
-                barriers: Vec::new(),
+                tickets: VecDeque::new(),
                 paused: false,
                 closed: false,
                 error: None,
             }),
             work: Condvar::new(),
-            progress: Condvar::new(),
             capacity: capacity.max(1),
             collector,
         });
@@ -319,9 +261,9 @@ impl IngestQueue {
     ///
     /// Unpauses the worker first (a paused queue would otherwise never
     /// drain) and waits without bound — this is the owner/test path; a
-    /// network front-end answering remote `Flush` frames must use
-    /// [`IngestQueue::barrier`] instead, which touches neither the pause
-    /// hook nor a thread's patience.
+    /// network front-end answering remote `Flush` frames takes a ticket
+    /// with [`IngestQueue::flush_then`] instead, which neither touches the
+    /// pause hook nor blocks a thread.
     ///
     /// # Errors
     ///
@@ -329,69 +271,32 @@ impl IngestQueue {
     /// sync failure.
     pub fn flush(&self) -> Result<(), StoreError> {
         self.set_paused(false);
-        match self.barrier(Duration::MAX) {
-            Ok(()) => Ok(()),
-            Err(BarrierError::Store(error)) => Err(error),
-            Err(timed_out) => unreachable!("a wait without a deadline ended: {}", timed_out),
-        }
+        let (sender, receiver) = mpsc::channel();
+        self.flush_then(Box::new(move |result| {
+            let _ = sender.send(result);
+        }));
+        receiver.recv().expect("the drain worker runs every ticket")
     }
 
-    /// Waits — at most `timeout` — until every batch accepted before the
-    /// call has been applied, then syncs the engine's store: the
-    /// wire-facing flush barrier.  Batches accepted after the call cannot
-    /// delay it: the worker starts none of them while the barrier syncs.
+    /// Takes a flush ticket and returns at once: the wire-facing flush.
+    /// Once every batch accepted before the call has been applied, and
+    /// before it starts any later batch, the drain worker syncs the
+    /// engine's store and runs `done` with the result — or, without a
+    /// sync, with the first store error it hit since the last ticket ran.
+    /// Batches accepted after the call cannot delay it.
     ///
     /// Unlike [`IngestQueue::flush`], this is safe to expose to untrusted
-    /// remote callers:
-    ///
-    /// * it **never touches the pause hook** — a queue deliberately paused
-    ///   by its owner (a deterministic test, an operator) stays paused; the
-    ///   barrier simply times out if its batches cannot be applied;
-    /// * the wait is **bounded** — a slow or hostile flusher parks the
-    ///   calling thread for at most `timeout` plus one store sync, not
-    ///   forever.
-    ///
-    /// # Errors
-    ///
-    /// [`BarrierError::TimedOut`] if the batches were not applied in time
-    /// (the queue keeps draining; only this wait gave up), or
-    /// [`BarrierError::Store`] surfacing the first error the worker hit
-    /// since the last flush/barrier, or a sync failure.
-    pub fn barrier(&self, timeout: Duration) -> Result<(), BarrierError> {
-        let deadline = Instant::now().checked_add(timeout);
+    /// remote callers: it **never touches the pause hook** (behind a
+    /// paused queue's batches the ticket waits until the owner resumes
+    /// the queue; on an idle queue it runs at once, paused or not), and no
+    /// thread waits for it.  `done` runs on the drain worker, so it should
+    /// hand its result on rather than do slow work.
+    pub fn flush_then(&self, done: FlushDone) {
         let mut state = self.shared.lock();
         let target = state.accepted;
-        state.barriers.push(target);
-        while state.applied < target {
-            let remaining = deadline
-                .map(|d| d.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::MAX);
-            if remaining.is_zero() {
-                let queue_depth = state.batches.len();
-                let timed_out = BarrierError::TimedOut {
-                    queue_depth,
-                    in_flight: state.accepted - state.applied > queue_depth as u64,
-                };
-                self.shared.end_barrier(state, target);
-                return Err(timed_out);
-            }
-            let (guard, _) = match self.shared.progress.wait_timeout(state, remaining) {
-                Ok(result) => result,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            state = guard;
-        }
-        let result = match state.error.take() {
-            Some(error) => Err(error),
-            None => {
-                drop(state);
-                let synced = self.shared.engine.sync();
-                state = self.shared.lock();
-                synced
-            }
-        };
-        self.shared.end_barrier(state, target);
-        result.map_err(BarrierError::Store)
+        state.tickets.push_back((target, done));
+        drop(state);
+        self.shared.work.notify_one();
     }
 
     /// Drains the queue, stops the worker and surfaces any deferred error.
@@ -423,33 +328,39 @@ impl Drop for IngestQueue {
     }
 }
 
-/// The worker: pop a batch (unless paused, or a barrier it reached is
-/// syncing), apply it under one store lock, publish the gauges, wake the
-/// barriers, repeat until closed and drained.
+/// The worker: run each ticket whose batches are applied, else pop a
+/// batch (unless paused), apply it under one store lock and publish the
+/// gauges; repeat until closed and drained.
 fn drain_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let (submitted, batch, trace) = {
             let mut state = shared.lock();
             loop {
-                let syncing = state.barriers.iter().any(|&t| t <= state.applied);
+                if matches!(state.tickets.front(), Some(&(target, _)) if target <= state.applied) {
+                    let (_, done) = state.tickets.pop_front().expect("a ticket is due");
+                    let error = state.error.take();
+                    drop(state);
+                    // The worker syncs before it starts any later batch,
+                    // so no batch holds the store lock the sync waits for.
+                    done(error.map_or_else(|| shared.engine.sync(), Err));
+                    state = shared.lock();
+                    continue;
+                }
                 // A closed queue still drains what was accepted.
-                if (!state.paused || state.closed) && !syncing {
+                if !state.paused || state.closed {
                     if let Some(stamped) = state.batches.pop_front() {
                         shared.publish_gauges(&state);
-                        break Some(stamped);
+                        break stamped;
                     }
                 }
                 if state.closed && state.batches.is_empty() {
-                    break None;
+                    return;
                 }
                 state = match shared.work.wait(state) {
                     Ok(guard) => guard,
                     Err(poisoned) => poisoned.into_inner(),
                 };
             }
-        };
-        let Some((submitted, batch, trace)) = batch else {
-            return;
         };
         let result = shared.engine.ingest_batch(batch);
         // Submit → applied: the wait a producer's read-your-writes poll
@@ -478,8 +389,6 @@ fn drain_loop(shared: &Shared) {
         if let (Err(error), None) = (result, state.error.as_ref()) {
             state.error = Some(error);
         }
-        drop(state);
-        shared.progress.notify_all();
     }
 }
 
@@ -491,6 +400,7 @@ mod tests {
     use piprov_core::value::Value;
     use piprov_store::Operation;
     use std::path::PathBuf;
+    use std::time::Duration;
 
     fn temp_dir(name: &str) -> PathBuf {
         let mut dir = std::env::temp_dir();
@@ -595,58 +505,58 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Takes a ticket whose result arrives on the returned channel.
+    fn ticket(queue: &IngestQueue) -> mpsc::Receiver<Result<(), StoreError>> {
+        let (sender, receiver) = mpsc::channel();
+        queue.flush_then(Box::new(move |result| {
+            let _ = sender.send(result);
+        }));
+        receiver
+    }
+
     #[test]
-    fn barrier_never_unpauses_and_times_out_bounded() {
-        let dir = temp_dir("barrier");
+    fn a_ticket_never_unpauses_and_runs_once_the_owner_resumes() {
+        const RUN: Duration = Duration::from_secs(30);
+        let dir = temp_dir("ticket");
         let engine = Arc::new(AuditEngine::open(&dir).unwrap());
         let queue = IngestQueue::start(Arc::clone(&engine), 4);
         queue.set_paused(true);
         assert!(queue.try_submit(batch(0, 3)).is_accepted());
-        // The barrier must not flip the pause hook: the queue cannot
-        // drain, so the bounded wait times out with the typed error...
-        let started = Instant::now();
-        let error = queue.barrier(Duration::from_millis(50)).unwrap_err();
-        assert!(
-            matches!(
-                error,
-                BarrierError::TimedOut {
-                    queue_depth: 1,
-                    in_flight: false
-                }
-            ),
-            "{:?}",
-            error
-        );
-        assert!(error.to_string().contains("timed out"));
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "the wait is bounded"
-        );
+        // The ticket must not flip the pause hook: behind the paused
+        // queue's batch it does not run...
+        let answer = ticket(&queue);
+        assert!(matches!(
+            answer.recv_timeout(Duration::from_millis(50)),
+            Err(mpsc::RecvTimeoutError::Timeout)
+        ));
         // ...and the queue is still paused: nothing was applied.
-        assert_eq!(engine.stats().ingested, 0, "barrier left the pause alone");
+        assert_eq!(
+            engine.stats().ingested,
+            0,
+            "the ticket left the pause alone"
+        );
         assert_eq!(queue.queue_depth(), 1);
-        // Once the owner resumes, the same barrier succeeds.
+        // Once the owner resumes, the same ticket runs.
         queue.set_paused(false);
-        queue.barrier(Duration::from_secs(30)).unwrap();
+        answer.recv_timeout(RUN).unwrap().unwrap();
         assert_eq!(engine.stats().ingested, 3);
-        // An idle queue's barrier returns immediately even while paused.
+        // An idle queue's ticket runs at once even while paused.
         queue.set_paused(true);
-        queue.barrier(Duration::from_millis(1)).unwrap();
+        ticket(&queue).recv_timeout(RUN).unwrap().unwrap();
         queue.set_paused(false);
         queue.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn a_barrier_waits_only_for_the_batches_accepted_before_it() {
+    fn a_ticket_waits_only_for_the_batches_accepted_before_it() {
         // Records that each carry one 1,000-event history: a batch of
         // 2,000 takes ~0.4 s to apply in a release build and seconds in a
-        // debug one, many times the barrier's timeout, which need only
-        // cover applying the one-record batch.
-        const TIMEOUT: Duration = Duration::from_millis(50);
+        // debug one.  The ticket reads the visible count on the drain
+        // worker, so a ticket that waited for that batch would see it.
         let dir = temp_dir("later-batches");
         let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-        let queue = Arc::new(IngestQueue::start(Arc::clone(&engine), 4));
+        let queue = IngestQueue::start(Arc::clone(&engine), 4);
         let history =
             Provenance::from_events((0..1_000).map(|i| {
                 Event::output(Principal::new(format!("p{}", i % 7)), Provenance::empty())
@@ -659,25 +569,16 @@ mod tests {
             .collect();
         queue.set_paused(true);
         assert!(queue.try_submit(batch(0, 1)).is_accepted());
-        let flusher = {
-            let (queue, engine) = (Arc::clone(&queue), Arc::clone(&engine));
-            std::thread::spawn(move || {
-                let result = queue.barrier(TIMEOUT);
-                (result, engine.record_count())
-            })
-        };
-        // The barrier has taken its target once it is registered.
-        while queue.shared.lock().barriers.is_empty() {
-            std::thread::yield_now();
-        }
+        let (sender, answer) = mpsc::channel();
+        let counted = Arc::clone(&engine);
+        queue.flush_then(Box::new(move |result| {
+            let _ = sender.send((result, counted.record_count()));
+        }));
         assert!(queue.try_submit(slow).is_accepted());
         queue.set_paused(false);
-        let (result, visible) = flusher.join().unwrap();
-        result.expect("the barrier waits for the first batch alone");
-        assert_eq!(
-            visible, 1,
-            "the barrier returned before the later batch applied"
-        );
+        let (result, visible) = answer.recv().unwrap();
+        result.expect("the ticket waits for the first batch alone");
+        assert_eq!(visible, 1, "the ticket ran before the later batch applied");
         queue.flush().unwrap();
         assert_eq!(engine.record_count(), 2_001);
         std::fs::remove_dir_all(&dir).ok();

@@ -104,7 +104,7 @@ pub use causal::{
     filtered_view, CounterfactualVerdict, EventFilter, FilteredView, WhyEvent, WhySlice,
 };
 pub use engine::{AuditConfig, AuditEngine, EngineStats};
-pub use ingest::{BarrierError, IngestQueue, SubmitOutcome};
+pub use ingest::{FlushDone, IngestQueue, SubmitOutcome};
 pub use metrics::{
     render_exposition, render_exposition_with, validate_exposition, Exemplar, ExpositionOptions,
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot, PolicyMetrics, PolicySnapshot,

@@ -9,6 +9,10 @@
 //! the set (and the version) they started with, and no vet can observe
 //! a half-installed pack.  Every published set carries a monotonically
 //! increasing version, stamped onto each [`crate::AuditResponse`].
+//! Edits (a pack install, a programmatic registration) hold one edit lock
+//! from their load of the current set to their publish of the next, so
+//! concurrent edits apply one after the other and none is lost; readers
+//! never take it, so a vet never waits for a pack compile.
 //!
 //! The set is the engine's only table of policies.  Each [`PolicyEntry`]
 //! carries its own [`PolicyMetrics`]: a request records into the entry it
@@ -19,7 +23,7 @@ use crate::metrics::PolicyMetrics;
 use piprov_patterns::CompiledPattern;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// One registered policy: its origin package, canonical source text,
 /// compiled automaton (shared so memo state survives reinstalls of an
@@ -140,6 +144,10 @@ pub struct PackInstall {
 #[derive(Debug)]
 pub(crate) struct PolicyRegistry {
     current: RwLock<Arc<PolicySet>>,
+    /// Held by an edit from its load of the current set to its publish
+    /// of the next, so two concurrent edits cannot both build on one set
+    /// and lose an update.  Readers never take it.
+    edits: Mutex<()>,
 }
 
 impl PolicyRegistry {
@@ -150,6 +158,16 @@ impl PolicyRegistry {
                 version: 0,
                 policies: HashMap::new(),
             })),
+            edits: Mutex::new(()),
+        }
+    }
+
+    /// Serialises edits: an edit holds the guard from its
+    /// [`PolicyRegistry::load`] to its [`PolicyRegistry::publish`].
+    pub(crate) fn lock_edits(&self) -> MutexGuard<'_, ()> {
+        match self.edits.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
         }
     }
 

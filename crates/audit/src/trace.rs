@@ -160,7 +160,7 @@ pub enum RequestKind {
     Origin = 4,
     /// An ingest batch submission (the queue-wait half arrives asynchronously).
     Ingest = 5,
-    /// A flush barrier.
+    /// A flush: an ingest-queue ticket.
     Flush = 6,
     /// A metrics snapshot.
     Metrics = 7,

@@ -505,6 +505,13 @@ impl AuditClient {
     /// the snapshot that makes it so (any later query answers at or above
     /// it).
     ///
+    /// The server answers once those batches are applied and synced,
+    /// however long that takes; it sets no deadline of its own.  To bound
+    /// the wait, configure a read timeout on the socket and wrap it with
+    /// [`AuditClient::from_stream`]: a flush that outlasts it fails with
+    /// a [`ClientError::Wire`] I/O error, and the connection is then out
+    /// of step with its answers and should be dropped.
+    ///
     /// # Errors
     ///
     /// As [`AuditClient::ingest_blocking`], plus flush-side server errors.

@@ -47,10 +47,11 @@ pub enum WireRequest {
     /// Barrier: wait until the ingest queue has applied every batch it
     /// accepted before this request, then sync the store, so everything
     /// submitted before this request is queryable and durable after it.
-    /// Batches accepted later cannot delay it.  The server's wait is
-    /// bounded ([`crate::ServeConfig::flush_timeout`]) and never touches
-    /// the queue's pause hook; a timeout answers
-    /// [`WireResponse::ServerError`].
+    /// Batches accepted later cannot delay it.  The server takes an
+    /// ingest-queue ticket ([`piprov_audit::IngestQueue::flush_then`]):
+    /// no server thread waits for it, it never touches the queue's pause
+    /// hook, and it waits as long as its batches take to apply and sync.
+    /// A store error answers [`WireResponse::ServerError`].
     Flush,
     /// The full metrics plane: engine/store/interner counters plus every
     /// registered policy's verdict counters and latency histogram (see
@@ -176,13 +177,19 @@ pub fn request_kind(request: &WireRequest) -> RequestKind {
 
 /// Whether the event loop hands an encoded request body to a worker: an
 /// `IngestBatch`, whose decode is linear in a frame of up to
-/// [`crate::DEFAULT_MAX_FRAME_LEN`], or a `Flush`, which may wait for
-/// [`crate::ServeConfig::flush_timeout`].  Reads the version and tag
-/// bytes alone; a body too short to hold them, of any version but
+/// [`crate::DEFAULT_MAX_FRAME_LEN`].  Reads the version and tag bytes
+/// alone; a body too short to hold them, of any version but
 /// [`WIRE_VERSION`], or with an unknown tag stays on the loop, where
 /// [`decode_request`] gives it its typed error.
 pub(crate) fn routes_to_worker(body: &[u8]) -> bool {
-    matches!(body, [WIRE_VERSION, REQ_INGEST | REQ_FLUSH, ..])
+    matches!(body, [WIRE_VERSION, REQ_INGEST, ..])
+}
+
+/// Whether an encoded request body is a `Flush`, which the event loop
+/// hands to the ingest queue as a ticket.  Reads the version and tag
+/// bytes alone, as [`routes_to_worker`] does.
+pub(crate) fn is_flush(body: &[u8]) -> bool {
+    matches!(body, [WIRE_VERSION, REQ_FLUSH, ..])
 }
 
 /// The record count of an encoded `IngestBatch` body, read without
@@ -1374,15 +1381,18 @@ mod tests {
     }
 
     #[test]
-    fn only_ingest_batches_and_flushes_route_to_a_worker() {
+    fn only_ingest_batches_route_to_a_worker_and_only_flushes_to_a_ticket() {
         let limits = WireLimits::default();
         let trace = sample_trace();
         for request in sample_requests() {
             let body = encode_request(&request);
-            let worker = matches!(request, WireRequest::IngestBatch(_) | WireRequest::Flush);
-            assert_eq!(routes_to_worker(&body), worker, "{:?}", request);
+            let worker = matches!(request, WireRequest::IngestBatch(_));
+            let flush = request == WireRequest::Flush;
             let traced = append_request_trace(&body, &trace);
-            assert_eq!(routes_to_worker(&traced), worker, "{:?}", request);
+            for body in [&body, &traced] {
+                assert_eq!(routes_to_worker(body), worker, "{:?}", request);
+                assert_eq!(is_flush(body), flush, "{:?}", request);
+            }
             // The record count is read without decoding a record.
             let count = match &request {
                 WireRequest::IngestBatch(records) => Some(records.len() as u32),
@@ -1399,7 +1409,11 @@ mod tests {
                 strays.push(other);
             }
             for stray in strays {
-                assert!(!routes_to_worker(&stray), "{:?}", stray);
+                assert!(
+                    !routes_to_worker(&stray) && !is_flush(&stray),
+                    "{:?}",
+                    stray
+                );
                 assert_eq!(ingest_record_count(&stray), None, "{:?}", stray);
                 assert!(matches!(
                     decode_request(Bytes::from(stray), &limits),
@@ -1409,7 +1423,7 @@ mod tests {
         }
         // An unknown tag stays on the loop too, and decodes to an error.
         let unknown = vec![WIRE_VERSION, 99, 0, 0, 0, 1];
-        assert!(!routes_to_worker(&unknown));
+        assert!(!routes_to_worker(&unknown) && !is_flush(&unknown));
         assert_eq!(ingest_record_count(&unknown), None);
         assert!(matches!(
             decode_request(Bytes::from(unknown), &limits),

@@ -6,29 +6,33 @@
 //!
 //! ```text
 //!                    ┌─► most frames: decode → handle → encode (loop) ──┐
-//! read-accumulate ───┤                                                  ├─► write-drain
-//!       ▲   (loop)   └─► ingest, Flush: decode → handle → encode ───────┘       │
-//!       │                         (one frame per worker)                        │
+//!                    │                                                  │
+//! read-accumulate ───┼─► ingest: decode → handle → encode (a worker) ───┼─► write-drain
+//!       ▲   (loop)   │                                                  │       │
+//!       │            └─► Flush: decode (loop) → ticket → sync → encode ─┘       │
+//!       │                              (ingest drain worker)                    │
 //!       └───────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! The loop thread accepts, reads whatever readiness delivers into a
 //! per-connection buffer, carves complete frames out of it with
 //! [`crate::wire::try_parse_frame`], and drains each connection's
-//! outbound buffer (partial writes re-arm `EPOLLOUT`).  Every frame is
-//! answered by one function, `answer_frame` — decode,
+//! outbound buffer (partial writes re-arm `EPOLLOUT`).  Every frame but
+//! `Flush` is answered by one function, `answer_frame` — decode,
 //! [`crate::server::handle_request`], encode.  The loop thread runs it
 //! itself, in order, and writes the responses in the same pass, for
-//! every frame but two kinds; plaintext `GET`s are answered there too.
-//! An ingest batch, whose decode is linear in a frame of up to
-//! [`crate::DEFAULT_MAX_FRAME_LEN`], and a `Flush`, which may wait for
-//! [`crate::ServeConfig::flush_timeout`], each go alone to a small
-//! **worker pool**, routed by their version and tag bytes.  A worker
-//! returns the encoded answer and its trace; the loop appends them and
-//! then answers the frames behind it.  While a connection's frame is at
-//! a worker the loop answers nothing else for it, so pipelining keeps
-//! the wire contract: responses strictly in request order per
-//! connection.  A worker parked on a slow flush stalls only its own
+//! every frame but ingest batches; plaintext `GET`s are answered there
+//! too.  An ingest batch, whose decode is linear in a frame of up to
+//! [`crate::DEFAULT_MAX_FRAME_LEN`], goes alone to a small **worker
+//! pool**, routed by its version and tag bytes.  A `Flush` is decoded on
+//! the loop and handed to the ingest queue as a ticket
+//! ([`IngestQueue::flush_then`]): the queue's drain worker answers it
+//! once the batches accepted before it are applied and synced, so no
+//! thread waits for a flush.  A worker or a ticket returns the encoded
+//! answer and its trace; the loop appends them and then answers the
+//! frames behind it.  While a connection's frame is at a worker or its
+//! ticket waits, the loop answers nothing else for it, so pipelining
+//! keeps the wire contract: responses strictly in request order per
 //! connection.  A full ingest queue answers an ingest frame `Busy` on the
 //! loop thread, before anything in it is decoded.
 //!
@@ -40,8 +44,8 @@
 //! An idle connection costs exactly one registered fd and its
 //! (empty) buffers — no thread, no timer.  Shutdown is a wake, not a
 //! poll: the loop thread waits for readiness indefinitely until the
-//! listener, a connection, a worker's answer, or the stop flag rouses
-//! it, the last two through a [`crate::poll::WakeFd`].
+//! listener, a connection, a worker's or a ticket's answer, or the stop
+//! flag rouses it, the last two through a [`crate::poll::WakeFd`].
 //!
 //! Malformed input gets a typed error frame, then the close; a plaintext
 //! `GET` is answered with one HTTP response; and
@@ -49,8 +53,8 @@
 //! `ServerError{"idle timeout"}` frame.
 
 use crate::codec::{
-    decode_request_traced, encode_response, ingest_record_count, request_kind, routes_to_worker,
-    WireResponse,
+    decode_request_traced, encode_response, ingest_record_count, is_flush, request_kind,
+    routes_to_worker, WireResponse,
 };
 use crate::poll::{Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::server::{elapsed_ns, handle_request, http_response_for};
@@ -73,8 +77,9 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// How long shutdown waits for in-flight requests to finish and their
-/// responses to drain before closing connections anyway.
+/// How long shutdown waits for in-flight requests (a frame at a worker,
+/// a waiting `Flush` ticket) to finish and their responses to drain
+/// before closing connections anyway.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// How long the loop thread may spend answering one connection's frames
@@ -191,22 +196,24 @@ struct Serving {
     config: ServeConfig,
 }
 
-/// The loop-thread ⇄ worker-pool boundary: frames go out one at a time,
-/// tagged with their connection's token, and answers come back.
+/// The loop-thread ⇄ worker-pool boundary: ingest frames go out one at a
+/// time, tagged with their connection's token, and answers come back,
+/// from the workers and from the ingest queue's `Flush` tickets.
 #[derive(Debug)]
 struct Dispatch {
     jobs: Mutex<VecDeque<(u64, Bytes)>>,
     work: Condvar,
     /// Answered frames; the loop thread drains this after a [`WakeFd`]
-    /// wake and appends each answer to its connection.
+    /// wake and appends each answer to its connection, or drops it if
+    /// the connection is gone.
     done: Mutex<Vec<Answer>>,
     wake: Arc<WakeFd>,
     stop: Arc<AtomicBool>,
 }
 
-/// A worker's answer to one frame: its connection's token, the encoded
-/// response, and the request's trace (`None` for a frame that did not
-/// decode, after whose error the connection closes).
+/// A worker's or a ticket's answer to one frame: its connection's token,
+/// the encoded response, and the request's trace (`None` for a frame that
+/// did not decode, after whose error the connection closes).
 type Answer = (u64, Vec<u8>, Option<PendingTrace>);
 
 /// A connection's outbound buffer, drained to the socket by the loop
@@ -277,9 +284,9 @@ struct Conn {
     read_buf: Vec<u8>,
     /// Complete frames not yet answered, in arrival order.
     pending: VecDeque<Bytes>,
-    /// A frame of this connection is at a worker.  Nothing behind it is
-    /// answered until its answer is appended, which keeps pipelined
-    /// responses in request order.
+    /// A frame of this connection is at a worker, or its `Flush` ticket
+    /// waits.  Nothing behind it is answered until its answer is
+    /// appended, which keeps pipelined responses in request order.
     in_flight: bool,
     /// A frame-layer error to emit (typed frame, then close) once the
     /// frames that arrived before it have been answered.
@@ -418,8 +425,8 @@ impl Loop {
         self.advance(token);
     }
 
-    /// Appends every answer the workers finished to its connection and
-    /// returns those connections' tokens.
+    /// Appends every answer the workers and tickets finished to its
+    /// connection and returns those connections' tokens.
     fn take_done(&mut self) -> Vec<u64> {
         let done = std::mem::take(&mut *self.dispatch.done.lock().expect("done lock"));
         let mut tokens = Vec::with_capacity(done.len());
@@ -514,8 +521,9 @@ impl Loop {
         }
     }
 
-    /// Shutdown: wait (bounded) for frames at the workers to be answered
-    /// and the responses to drain, notify the survivors, close everything.
+    /// Shutdown: wait (bounded) for frames at the workers and waiting
+    /// tickets to be answered and the responses to drain, notify the
+    /// survivors, close everything.
     fn drain_and_close(&mut self) {
         let deadline = Instant::now() + DRAIN_DEADLINE;
         let mut events = Vec::new();
@@ -588,6 +596,16 @@ impl Dispatch {
             .expect("jobs lock")
             .push_back((token, frame));
         self.work.notify_one();
+    }
+
+    /// Hands the loop thread one frame's encoded answer and its trace:
+    /// push to `done`, then wake.
+    fn answered(&self, token: u64, encoded: Vec<u8>, trace: Option<PendingTrace>) {
+        self.done
+            .lock()
+            .expect("done lock")
+            .push((token, encoded, trace));
+        self.wake.wake();
     }
 }
 
@@ -782,18 +800,31 @@ fn finish_flushed_traces(out: &mut Outbound, serving: &Serving) {
 
 /// Answers `conn`'s queued frames in order on the loop thread, for at
 /// most [`INLINE_BUDGET`], and appends the responses at once, anchoring
-/// each trace to the outbound stream.  A frame that
-/// [`routes_to_worker`] stops the pass: it goes to a worker, unless
+/// each trace to the outbound stream.  A `Flush` stops the pass: it
+/// becomes an ingest-queue ticket ([`flush_ticket`]).  So does a frame
+/// that [`routes_to_worker`]: it goes to a worker, unless
 /// [`refuse_ingest`] answers it here.  A frame that does not decode also
 /// stops it, and the connection closes after that frame's error.
 /// Returns `true` when the budget ran out with frames left.
-fn answer_pending(token: u64, conn: &mut Conn, serving: &Serving, dispatch: &Dispatch) -> bool {
+fn answer_pending(
+    token: u64,
+    conn: &mut Conn,
+    serving: &Serving,
+    dispatch: &Arc<Dispatch>,
+) -> bool {
     let started = Instant::now();
     let mut encoded = Vec::new();
     let mut traces = Vec::new();
     let mut left_over = false;
     while let Some(frame) = conn.pending.pop_front() {
-        let trace = if !routes_to_worker(&frame) {
+        let trace = if is_flush(&frame) {
+            if flush_ticket(token, frame, &mut encoded, serving, dispatch) {
+                conn.in_flight = true;
+            } else {
+                conn.out.closing = true;
+            }
+            break;
+        } else if !routes_to_worker(&frame) {
             answer_frame(frame, &mut encoded, serving)
         } else if let Some(trace) = refuse_ingest(&frame, &mut encoded, serving) {
             Some(trace)
@@ -871,8 +902,7 @@ fn answer_frame(frame: Bytes, encoded: &mut Vec<u8>, serving: &Serving) -> Optio
     let ctx = collector.admit(wire_trace.map(|t| t.context));
     let kind = request_kind(&request);
     let service_started = Instant::now();
-    let (response, index_hits, memo_hits) =
-        handle_request(request, engine, queue, config, collector, ctx);
+    let (response, index_hits, memo_hits) = handle_request(request, engine, queue, collector, ctx);
     let service_ns = elapsed_ns(service_started);
     write_frame(encoded, &encode_response(&response)).expect("vec write");
     Some(PendingTrace {
@@ -890,6 +920,67 @@ fn answer_frame(frame: Bytes, encoded: &mut Vec<u8>, serving: &Serving) -> Optio
             memo_hits,
         },
     })
+}
+
+/// Hands a `Flush` frame to the ingest queue as a ticket
+/// ([`IngestQueue::flush_then`]) and returns `true`.  The frame is
+/// decoded here first, so a malformed one is answered at once: its typed
+/// error goes to `encoded`, and `false` closes the connection.  The
+/// queue's drain worker runs the ticket once the batches accepted before
+/// it are applied and synced, and hands the encoded answer back through
+/// [`Dispatch::answered`].  The trace starts here; the wait counts in its
+/// `handle` span.
+fn flush_ticket(
+    token: u64,
+    frame: Bytes,
+    encoded: &mut Vec<u8>,
+    serving: &Serving,
+    dispatch: &Arc<Dispatch>,
+) -> bool {
+    let started = Instant::now();
+    let wire_trace = match decode_request_traced(frame, &serving.config.limits) {
+        Ok((_, wire_trace)) => wire_trace,
+        Err(e) => {
+            let response = WireResponse::ServerError {
+                message: e.to_string(),
+            };
+            write_frame(encoded, &encode_response(&response)).expect("vec write");
+            return false;
+        }
+    };
+    let decode_ns = elapsed_ns(started);
+    let ctx = serving.collector.admit(wire_trace.map(|t| t.context));
+    let client_encode_ns = wire_trace.map(|t| t.client_encode_ns).unwrap_or(0);
+    let (engine, dispatch) = (Arc::clone(&serving.engine), Arc::clone(dispatch));
+    let handed_off = Instant::now();
+    serving.queue.flush_then(Box::new(move |result| {
+        // Both are read after the sync: everything submitted before the
+        // flush is visible at (or below) the watermark — the anchor a
+        // client's read-your-writes polls against.
+        let response = match result {
+            Ok(()) => WireResponse::Flushed {
+                ingested: engine.stats().ingested,
+                watermark: engine.watermark(),
+            },
+            Err(e) => WireResponse::ServerError {
+                message: format!("flush failed: {}", e),
+            },
+        };
+        let mut encoded = Vec::new();
+        write_frame(&mut encoded, &encode_response(&response)).expect("vec write");
+        let trace = PendingTrace {
+            end_abs: encoded.len() as u64,
+            started,
+            enqueued: started,
+            ctx,
+            kind: RequestKind::Flush,
+            client_encode_ns,
+            decode_ns,
+            handle: Span::new(SpanKind::Handle, elapsed_ns(handed_off)),
+        };
+        dispatch.answered(token, encoded, Some(trace));
+    }));
+    true
 }
 
 /// A worker: answers one frame at a time and hands the loop thread the
@@ -914,11 +1005,6 @@ fn dispatch_loop(dispatch: &Dispatch, serving: &Serving) {
         };
         let mut encoded = Vec::new();
         let trace = answer_frame(frame, &mut encoded, serving);
-        dispatch
-            .done
-            .lock()
-            .expect("done lock")
-            .push((token, encoded, trace));
-        dispatch.wake.wake();
+        dispatch.answered(token, encoded, trace);
     }
 }

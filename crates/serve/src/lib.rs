@@ -26,10 +26,11 @@
 //! * [`server`] — the [`AuditServer`]: one readiness-based **event
 //!   loop** — a loop thread owning accept and every connection's
 //!   read-accumulate → decode → handle → write-drain state machine.  It
-//!   answers every frame itself except ingest batches and `Flush`, which
-//!   a small worker pool answers one frame at a time, so thousands of
-//!   idle connections cost only a registered fd and a parked flush stalls
-//!   no other connection.  Requests pipeline per connection, a plaintext
+//!   answers every frame itself but two kinds: a small worker pool
+//!   decodes ingest batches one frame at a time, and a `Flush` is a
+//!   ticket the ingest queue's drain worker answers, so no thread waits
+//!   for a flush.  Thousands of idle connections cost only a registered
+//!   fd.  Requests pipeline per connection, a plaintext
 //!   `GET /metrics` is answered with a scrape, [`ServeConfig::idle_timeout`]
 //!   is enforced, and ingest gets **back-pressure** through the engine's
 //!   bounded [`piprov_audit::IngestQueue`] (overflow answers a typed

@@ -3,8 +3,9 @@
 //! [`crate::poll::Poller`] registration per connection — epoll on Linux,
 //! `poll(2)` on other Unix hosts — and every connection's state.  It
 //! answers every frame itself, plaintext `GET`s included, except ingest
-//! batches and `Flush`: a small worker pool answers those one frame at a
-//! time and hands the encoded answer back to the loop.
+//! batches and `Flush`: a small worker pool decodes ingest batches one
+//! frame at a time, and a `Flush` is a ticket the ingest queue's drain
+//! worker answers; both answers come back to the loop.
 //! Thousands of idle connections cost only their registered fd.
 //!
 //! Within a connection, requests are **pipelined**: frames are answered
@@ -29,8 +30,8 @@ use crate::codec::{WireRequest, WireResponse};
 use crate::event_loop::EventLoopHandle;
 use crate::wire::WireLimits;
 use piprov_audit::{
-    render_traces, AuditEngine, AuditOutcome, AuditRequest, BarrierError, ExpositionOptions,
-    IngestQueue, PolicyListing, SubmitOutcome, TraceCollector, TraceConfig, TraceContext,
+    render_traces, AuditEngine, AuditOutcome, AuditRequest, ExpositionOptions, IngestQueue,
+    PolicyListing, SubmitOutcome, TraceCollector, TraceConfig, TraceContext,
 };
 use piprov_core::name::Channel;
 use piprov_core::value::Value;
@@ -42,25 +43,16 @@ use std::time::{Duration, Instant};
 /// Configuration of an [`AuditServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// The number of threads that answer ingest batches and `Flush`; the
-    /// event-loop thread answers every other frame.  Connections
-    /// themselves are unbounded by threads; an idle one costs only its fd.
+    /// The number of threads that decode ingest batches; the event-loop
+    /// thread answers every other frame but `Flush`, which the ingest
+    /// queue's drain worker answers.  Connections themselves are
+    /// unbounded by threads; an idle one costs only its fd.
     pub workers: usize,
     /// Capacity of the bounded ingest queue, in batches; overflow answers
     /// [`WireResponse::Busy`].
     pub queue_capacity: usize,
     /// Decode-side caps applied to every frame and record count.
     pub limits: WireLimits,
-    /// Bound on how long a remote `Flush` may park its worker thread
-    /// waiting for the ingest queue to apply the batches it accepted
-    /// before the `Flush` (the wait goes through [`IngestQueue::barrier`],
-    /// which never touches the queue's pause hook and never waits for
-    /// later batches).  On expiry the client gets a typed
-    /// [`WireResponse::ServerError`] and the worker returns to the pool —
-    /// a slow or hostile flusher cannot occupy it forever.  Meanwhile the
-    /// flusher's connection gets no other answer, and every other
-    /// connection is answered as usual.
-    pub flush_timeout: Duration,
     /// When set, a connection idle (no frame started) past this bound is
     /// closed with a best-effort typed `ServerError{"idle timeout"}`
     /// frame, so an idle client cannot hold its fd forever.  `None` (the
@@ -79,7 +71,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 64,
             limits: WireLimits::default(),
-            flush_timeout: Duration::from_secs(10),
             idle_timeout: None,
             trace: TraceConfig::default(),
         }
@@ -346,10 +337,11 @@ fn http_request_path(head: &[u8]) -> Option<&str> {
     parts.next()
 }
 
-/// Maps one decoded request onto the engine/queue.  Never panics; store
-/// failures become [`WireResponse::ServerError`].  The event loop calls
-/// it per frame, on a worker for ingest and `Flush` and on its loop
-/// thread for everything else.
+/// Maps one decoded request other than `Flush` onto the engine/queue.
+/// Never panics; store failures become [`WireResponse::ServerError`].
+/// The event loop calls it per frame, on a worker for ingest and on its
+/// loop thread for everything but `Flush`, which it hands to the ingest
+/// queue as a ticket ([`IngestQueue::flush_then`]).
 ///
 /// Returns the response plus the `(index_hits, memo_hits)` the engine
 /// reported, so the caller can stamp them onto the request's `handle`
@@ -358,7 +350,6 @@ pub(crate) fn handle_request(
     request: WireRequest,
     engine: &Arc<AuditEngine>,
     queue: &Arc<IngestQueue>,
-    config: &ServeConfig,
     collector: &TraceCollector,
     ctx: Option<TraceContext>,
 ) -> (WireResponse, u64, u64) {
@@ -383,24 +374,8 @@ pub(crate) fn handle_request(
                 },
             }
         }
-        // The wire-facing barrier, NOT the owner-facing `flush()`: a remote
-        // peer must be able to neither un-pause a deliberately paused
-        // queue nor park one of the pool's workers without bound.
-        WireRequest::Flush => match queue.barrier(config.flush_timeout) {
-            // The watermark is read after the barrier: everything submitted
-            // before the flush is visible at (or below) it — the anchor a
-            // client's read-your-writes polls against.
-            Ok(()) => WireResponse::Flushed {
-                ingested: engine.stats().ingested,
-                watermark: engine.watermark(),
-            },
-            Err(e @ BarrierError::TimedOut { .. }) => WireResponse::ServerError {
-                message: format!("flush failed: {}", e),
-            },
-            Err(BarrierError::Store(e)) => WireResponse::ServerError {
-                message: format!("flush failed: {}", e),
-            },
-        },
+        // Routed by its tag bytes, a `Flush` frame never reaches here.
+        WireRequest::Flush => unreachable!("a Flush is an ingest-queue ticket"),
         WireRequest::Metrics => WireResponse::Metrics(Box::new(engine.metrics())),
         WireRequest::Traces { min_total_ns } => {
             WireResponse::Traces(collector.snapshot(min_total_ns))

@@ -1,7 +1,7 @@
 //! The event loop's connection-level behaviors: idle timeout, the
 //! plaintext HTTP scrapes, thousands-of-connections scale, pipelined
-//! bursts across the loop thread and the ingest/flush workers, and
-//! half-closed peers.
+//! bursts across the loop thread, the ingest workers and the ingest
+//! queue's `Flush` tickets, and half-closed or departed peers.
 
 use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest, EventFilter, TraceContext};
 use piprov_core::name::{Channel, Principal};
@@ -522,7 +522,6 @@ fn a_worker_parked_on_a_flush_does_not_stall_another_connections_reads() {
         "127.0.0.1:0",
         ServeConfig {
             workers: 1,
-            flush_timeout: Duration::from_secs(3),
             ..ServeConfig::default()
         },
     )
@@ -532,11 +531,12 @@ fn a_worker_parked_on_a_flush_does_not_stall_another_connections_reads() {
     auditor.ingest_blocking(vec![record(0, "s0")]).unwrap();
     auditor.flush().unwrap();
 
-    // One accepted batch that the paused queue never drains: a flush
-    // behind it parks the only worker for the whole flush timeout.  The
-    // flush frame is on the server's socket before the first vet is
-    // written, so the loop sees it no later than that vet; only the wait
-    // for its answer runs on another thread.
+    // One accepted batch that the paused queue does not drain: a flush
+    // behind it waits until the queue resumes, and must hold no thread
+    // the other connection needs.  The flush frame is on the server's
+    // socket before the first vet is written, so the loop sees it no
+    // later than that vet; only the wait for its answer runs on another
+    // thread.
     server.ingest_queue().set_paused(true);
     let mut flusher = AuditClient::connect(addr).unwrap();
     assert!(matches!(
@@ -568,14 +568,12 @@ fn a_worker_parked_on_a_flush_does_not_stall_another_connections_reads() {
         elapsed
     );
 
-    // The parked flush still gets its answer: the barrier times out.
-    match parked.join().unwrap() {
-        Ok(WireResponse::ServerError { message }) => {
-            assert!(message.contains("flush failed"), "{}", message)
-        }
-        other => panic!("expected the flush to time out, got {:?}", other),
-    }
+    // The waiting flush gets its answer once the owner resumes the queue.
     server.ingest_queue().set_paused(false);
+    match parked.join().unwrap() {
+        Ok(WireResponse::Flushed { ingested, .. }) => assert_eq!(ingested, 2),
+        other => panic!("expected the flush to answer Flushed, got {:?}", other),
+    }
     drop(auditor);
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -591,7 +589,6 @@ fn a_worker_parked_on_a_flush_does_not_delay_another_connections_counterfactuals
         "127.0.0.1:0",
         ServeConfig {
             workers: 1,
-            flush_timeout: Duration::from_secs(3),
             ..ServeConfig::default()
         },
     )
@@ -601,8 +598,8 @@ fn a_worker_parked_on_a_flush_does_not_delay_another_connections_counterfactuals
     auditor.ingest_blocking(vec![record(0, "s0")]).unwrap();
     auditor.flush().unwrap();
 
-    // The same parked flush as above: the only worker waits out the
-    // whole flush timeout behind a batch the paused queue never drains.
+    // The same waiting flush as above, behind a batch the paused queue
+    // does not drain.
     server.ingest_queue().set_paused(true);
     let mut flusher = AuditClient::connect(addr).unwrap();
     assert!(matches!(
@@ -638,13 +635,12 @@ fn a_worker_parked_on_a_flush_does_not_delay_another_connections_counterfactuals
         elapsed
     );
 
-    match parked.join().unwrap() {
-        Ok(WireResponse::ServerError { message }) => {
-            assert!(message.contains("flush failed"), "{}", message)
-        }
-        other => panic!("expected the flush to time out, got {:?}", other),
-    }
+    // The waiting flush gets its answer once the owner resumes the queue.
     server.ingest_queue().set_paused(false);
+    match parked.join().unwrap() {
+        Ok(WireResponse::Flushed { ingested, .. }) => assert_eq!(ingested, 2),
+        other => panic!("expected the flush to answer Flushed, got {:?}", other),
+    }
     drop(auditor);
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -659,7 +655,6 @@ fn a_parked_worker_delays_no_other_connections_pack_load_scrape_or_long_pipeline
         "127.0.0.1:0",
         ServeConfig {
             workers: 1,
-            flush_timeout: Duration::from_secs(3),
             ..ServeConfig::default()
         },
     )
@@ -671,8 +666,7 @@ fn a_parked_worker_delays_no_other_connections_pack_load_scrape_or_long_pipeline
         .unwrap();
     auditor.flush().unwrap();
 
-    // The only worker waits out the whole flush timeout behind a batch
-    // the paused queue never drains.
+    // A flush waits behind a batch the paused queue does not drain.
     server.ingest_queue().set_paused(true);
     let mut flusher = AuditClient::connect(addr).unwrap();
     assert!(matches!(
@@ -721,15 +715,123 @@ fn a_parked_worker_delays_no_other_connections_pack_load_scrape_or_long_pipeline
         elapsed
     );
 
-    match parked.join().unwrap() {
-        Ok(WireResponse::ServerError { message }) => {
-            assert!(message.contains("flush failed"), "{}", message)
-        }
-        other => panic!("expected the flush to time out, got {:?}", other),
-    }
+    // The waiting flush gets its answer once the owner resumes the queue.
     server.ingest_queue().set_paused(false);
+    match parked.join().unwrap() {
+        Ok(WireResponse::Flushed { ingested, .. }) => assert_eq!(ingested, 3),
+        other => panic!("expected the flush to answer Flushed, got {:?}", other),
+    }
     drop(auditor);
     drop(conn);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_waiting_flush_holds_no_worker() {
+    let dir = temp_dir("waiting-flush");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server = AuditServer::bind(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // A flush behind a batch the paused queue does not drain.
+    server.ingest_queue().set_paused(true);
+    let mut flusher = AuditClient::connect(addr).unwrap();
+    assert!(matches!(
+        flusher.ingest_batch(vec![record(0, "s0")]).unwrap(),
+        IngestOutcome::Acked { accepted: 1, .. }
+    ));
+    let mut flush = Vec::new();
+    write_frame(&mut flush, &encode_request(&WireRequest::Flush)).unwrap();
+    flusher.send_raw(&flush).unwrap();
+    let waiting = std::thread::spawn(move || flusher.receive_response());
+
+    // Another connection's ingest batches need the only worker to decode
+    // them: a flush that held it would hold them all.
+    let mut producer = AuditClient::connect(addr).unwrap();
+    let started = Instant::now();
+    for i in 1..=10 {
+        assert!(matches!(
+            producer.ingest_batch(vec![record(i, "s1")]).unwrap(),
+            IngestOutcome::Acked { accepted: 1, .. }
+        ));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "10 one-record batches took {:?} beside another connection's waiting flush",
+        elapsed
+    );
+
+    // Resumed, the queue answers the flush once its one batch is applied,
+    // before any of the ten accepted after it.
+    server.ingest_queue().set_paused(false);
+    match waiting.join().unwrap() {
+        Ok(WireResponse::Flushed { ingested, .. }) => assert_eq!(ingested, 1),
+        other => panic!("expected the flush to answer Flushed, got {:?}", other),
+    }
+    assert_eq!(producer.flush().unwrap().ingested, 11);
+    drop(producer);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_flush_whose_peer_left_is_answered_to_no_one() {
+    let dir = temp_dir("flush-peer-left");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut bystander = AuditClient::connect(addr).unwrap();
+    assert_eq!(bystander.stats().unwrap().ingested, 0);
+
+    // An ingest batch and a flush behind it, to a paused queue.
+    server.ingest_queue().set_paused(true);
+    let mut frames = Vec::new();
+    write_frame(
+        &mut frames,
+        &encode_request(&WireRequest::IngestBatch(vec![record(0, "s0")])),
+    )
+    .unwrap();
+    write_frame(&mut frames, &encode_request(&WireRequest::Flush)).unwrap();
+    let leaver = TcpStream::connect(addr).unwrap();
+    (&leaver).write_all(&frames).unwrap();
+    // The loop takes the flush's ticket in the pass that writes the
+    // batch's ack.  Leaving that ack unread makes the close a reset, so
+    // the loop drops the connection while its ticket waits.
+    let mut peeked = [0u8; 8];
+    while leaver.peek(&mut peeked).unwrap() < peeked.len() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let closed = engine.metrics_registry().connections_closed();
+    drop(leaver);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while engine.metrics_registry().connections_closed() == closed {
+        assert!(
+            Instant::now() < deadline,
+            "the loop never saw the peer leave"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Resumed, the queue answers the ticket; the answer has no connection
+    // to go to.  The server stays up, the batch counts, and no other
+    // connection hears of the late answer.
+    server.ingest_queue().set_paused(false);
+    let mut fresh = AuditClient::connect(addr).unwrap();
+    assert_eq!(fresh.flush().unwrap().ingested, 1);
+    assert_eq!(bystander.stats().unwrap().ingested, 1);
+    assert_eq!(fresh.stats().unwrap().ingested, 1);
+    drop((bystander, fresh));
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

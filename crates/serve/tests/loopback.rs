@@ -420,21 +420,13 @@ fn metrics_round_trip_over_the_wire_and_the_exposition_lints_clean() {
 }
 
 #[test]
-fn wire_flush_is_bounded_and_never_unpauses_the_drain_worker() {
+fn wire_flush_never_unpauses_the_drain_worker() {
     let dir = temp_dir("flush-bound");
     let engine = Arc::new(AuditEngine::open(&dir).unwrap());
-    let server = AuditServer::bind(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        ServeConfig {
-            flush_timeout: std::time::Duration::from_millis(100),
-            ..config()
-        },
-    )
-    .unwrap();
-    // A paused worker with one accepted batch: the old wire flush would
-    // unpause the queue (clobbering operator intent) or park the worker
-    // thread forever; the barrier must do neither.
+    let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", config()).unwrap();
+    // A paused worker with one accepted batch: a wire flush must not
+    // unpause the queue (clobbering operator intent); its ticket waits
+    // for the owner instead.
     server.ingest_queue().set_paused(true);
     let mut client = AuditClient::connect(server.local_addr()).unwrap();
     assert!(matches!(
@@ -442,30 +434,23 @@ fn wire_flush_is_bounded_and_never_unpauses_the_drain_worker() {
         IngestOutcome::Acked { .. }
     ));
 
-    let started = std::time::Instant::now();
-    match client.flush() {
-        Err(piprov_serve::ClientError::Server(message)) => {
-            assert!(
-                message.contains("flush failed"),
-                "timeout surfaces as a typed server error: {}",
-                message
-            );
-        }
-        other => panic!("expected a server error, got {:?}", other),
-    }
-    assert!(
-        started.elapsed() < std::time::Duration::from_secs(5),
-        "the wire flush is bounded by flush_timeout"
-    );
-    // The queue is still paused (nothing drained) and the connection
-    // survived the failed flush.
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.ingested, 0, "the barrier never unpauses the worker");
+    let waiting = std::thread::spawn(move || (client.flush(), client));
+    // The queue is still paused (nothing drained), as another connection
+    // sees while the flush waits.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let stats = AuditClient::connect(server.local_addr())
+        .unwrap()
+        .stats()
+        .unwrap();
+    assert_eq!(stats.ingested, 0, "the flush never unpauses the worker");
     assert_eq!(stats.queue_depth, 1);
 
+    // Resumed by its owner, the queue answers the flush, and the
+    // connection goes on serving.
     server.ingest_queue().set_paused(false);
-    let ack = client.flush().unwrap();
-    assert_eq!(ack.ingested, 1);
+    let (ack, mut client) = waiting.join().unwrap();
+    assert_eq!(ack.unwrap().ingested, 1);
+    assert_eq!(client.flush().unwrap().ingested, 1);
     drop(client);
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -668,6 +653,38 @@ fn concurrent_clients_are_served_by_the_worker_pool() {
     let passed: usize = clients.into_iter().map(|h| h.join().unwrap()).sum();
     assert_eq!(passed, 150);
     assert_eq!(engine.stats().vets_passed, 150);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_client_bounds_its_flush_with_a_socket_read_timeout() {
+    let dir = temp_dir("flush-client-bound");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", config()).unwrap();
+    // The server sets no deadline on a flush: behind a paused queue's
+    // batch it waits for the owner.  The client bounds its own wait.
+    server.ingest_queue().set_paused(true);
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_millis(100)))
+        .unwrap();
+    let mut client = AuditClient::from_stream(stream).unwrap();
+    assert!(matches!(
+        client.ingest_batch(vec![record(0, "s0")]).unwrap(),
+        IngestOutcome::Acked { .. }
+    ));
+    let started = std::time::Instant::now();
+    assert!(
+        matches!(client.flush(), Err(piprov_serve::ClientError::Wire(_))),
+        "the socket's read timeout ends the wait"
+    );
+    assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    drop(client);
+    server.ingest_queue().set_paused(false);
+    let mut fresh = AuditClient::connect(server.local_addr()).unwrap();
+    assert_eq!(fresh.flush().unwrap().ingested, 1);
+    drop(fresh);
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
