@@ -2,31 +2,47 @@
 //!
 //! The serving layer must never buffer a hostile or merely over-eager
 //! writer without bound: the [`IngestQueue`] holds at most a configured
-//! number of *batches*; a submission that finds the queue full is rejected
-//! immediately with [`SubmitOutcome::Busy`] (counted in
+//! number of *batches*, and at most [`MAX_QUEUED_BYTES`] of encoded record
+//! bodies; a submission that does not fit is rejected immediately with
+//! [`SubmitOutcome::Busy`] (counted in
 //! [`crate::EngineStats::busy_rejections`]) instead of growing the heap.
 //! Accepted batches are drained by one worker thread that applies each
 //! batch to the [`AuditEngine`] under a **single store-lock acquisition**
 //! ([`AuditEngine::ingest_batch`]), so ingest pays for the lock — and for
 //! the auditors it excludes — once per batch rather than once per record.
 //!
-//! The queue is what a network front-end (see `piprov-serve`) answers
-//! `IngestBatch` requests with: `Accepted` becomes an `IngestAck` frame,
-//! `Busy` becomes a typed `Busy` frame the client can back off on — and
-//! a remote `Flush` frame becomes a ticket, [`IngestQueue::flush_then`]:
-//! once the batches accepted before it are applied, the drain worker
-//! syncs the store and runs the ticket's callback with the result.  No
-//! thread waits for a ticket, a ticket never flips the pause hook, and
-//! batches accepted after it cannot delay it, so producers that keep the
-//! queue full cannot starve a flusher.
+//! A network front-end (see `piprov-serve`) admits an `IngestBatch` frame
+//! with [`IngestQueue::admit`] before anything in it is decoded: `Accepted`
+//! becomes an `IngestAck` frame, which means *queued*, and `Busy` a typed
+//! `Busy` frame the client can back off on.  The drain worker decodes an
+//! admitted batch's record bodies outside the store lock, and applies the
+//! batch only if every body decodes.  Each batch carries its *origin*, the
+//! id of whoever submitted it (a connection), and a failure belongs to
+//! that origin alone: the origin's next flush ticket
+//! ([`IngestQueue::flush_then`]) reports it, no other origin's ticket sees
+//! it, and [`IngestQueue::forget`] drops it once the origin has gone.
+//!
+//! A ticket runs on the drain worker once the batches accepted before it
+//! are applied, and before any later batch starts.  Tickets that fall due
+//! together share one store sync (group commit).  No thread waits for a
+//! ticket, a ticket never flips the pause hook, and batches accepted after
+//! it cannot delay it, so producers that keep the queue full cannot
+//! starve a flusher.
 
 use crate::engine::AuditEngine;
 use crate::trace::{RequestKind, Span, SpanKind, TraceCollector, TraceContext, TraceRecord};
+use piprov_store::codec::{decode_body, Bytes};
 use piprov_store::{ProvenanceRecord, StoreError};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// The most encoded record-body bytes the queue holds.  A batch that
+/// would take the queue past it is refused `Busy`, unless the queue is
+/// empty: an empty queue admits one batch of any size, so every frame the
+/// wire's size cap lets through can be admitted.
+pub const MAX_QUEUED_BYTES: usize = 64 << 20;
 
 /// The immediate answer to one batch submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,31 +70,55 @@ impl SubmitOutcome {
 
 /// What a flush ticket runs on the drain worker: `Ok` once the batches
 /// accepted before the ticket are applied and the store is synced, or the
-/// first store error the worker hit since the last ticket ran.
+/// first failure among its origin's batches since that origin's last
+/// ticket ran.
 pub type FlushDone = Box<dyn FnOnce(Result<(), StoreError>) + Send>;
+
+/// A batch's records: decoded by an in-process caller, or the record
+/// bodies of an admitted wire frame, which the drain worker decodes.
+enum Records {
+    Decoded(Vec<ProvenanceRecord>),
+    Encoded(Vec<Bytes>),
+}
+
+/// One accepted batch.
+struct Batch {
+    /// When it was accepted: the drain worker records submit → applied
+    /// as the batch's queue wait.
+    submitted: Instant,
+    records: Records,
+    origin: u64,
+    /// Encoded bytes it holds (zero for decoded records).
+    bytes: usize,
+    /// The submitting request's trace context (if it was sampled), so the
+    /// asynchronous queue-wait span lands in the same trace.
+    trace: Option<TraceContext>,
+}
+
+/// A flush ticket: the `accepted` count it waits for, its origin, and what
+/// it runs — nothing for the mark that its origin has gone.
+type Ticket = (u64, u64, Option<FlushDone>);
 
 /// Mutable queue state, guarded by one mutex.
 struct QueueState {
-    /// Accepted batches, each stamped with its submit instant so the
-    /// drain worker can record submit→applied queue-wait latency, plus the
-    /// trace context of the submitting request (if it was sampled) so the
-    /// asynchronous queue-wait span lands in the same trace.
-    batches: VecDeque<(Instant, Vec<ProvenanceRecord>, Option<TraceContext>)>,
+    batches: VecDeque<Batch>,
+    /// Encoded bytes held by `batches`.
+    bytes: usize,
     /// Batches accepted over the queue's lifetime.
     accepted: u64,
     /// Batches applied over the queue's lifetime.  `accepted - applied`
     /// counts the queued batches plus the one the worker is applying.
     applied: u64,
-    /// Flush tickets in submission order, each with the `accepted` count
-    /// it waits for.  The worker runs a ticket as soon as `applied`
-    /// reaches that count, before it starts any later batch.
-    tickets: VecDeque<(u64, FlushDone)>,
+    /// Tickets in submission order.  The worker runs a ticket as soon as
+    /// `applied` reaches its target, before it starts any later batch.
+    tickets: VecDeque<Ticket>,
+    /// The first failure of each origin that no ticket of that origin
+    /// has taken yet.
+    failures: HashMap<u64, StoreError>,
     /// While paused the worker leaves the queue untouched — a test hook
     /// that makes back-pressure deterministic to observe.
     paused: bool,
     closed: bool,
-    /// First store error the worker hit; surfaced by the next ticket.
-    error: Option<StoreError>,
 }
 
 struct Shared {
@@ -89,6 +129,9 @@ struct Shared {
     capacity: usize,
     /// Where the drain worker deposits queue-wait spans for traced batches.
     collector: Option<Arc<TraceCollector>>,
+    /// Store syncs the drain worker has run.
+    #[cfg(test)]
+    syncs: std::sync::atomic::AtomicU64,
 }
 
 impl Shared {
@@ -113,19 +156,49 @@ impl Shared {
             .set_snapshot_lag((state.accepted - state.applied) as usize);
     }
 
-    /// `Some(queue_depth)` when a non-empty batch would be refused now —
-    /// the queue is full or shut down — having counted the rejection and
-    /// refreshed the gauges; `None` when it would be accepted.
-    fn refuse_if_full(&self, state: &QueueState) -> Option<usize> {
+    /// Queues a batch if it fits, or refuses it, counting the rejection.
+    fn submit(&self, origin: u64, records: Records, trace: Option<TraceContext>) -> SubmitOutcome {
+        let (len, bytes) = match &records {
+            Records::Decoded(records) => (records.len(), 0),
+            Records::Encoded(bodies) => (bodies.len(), bodies.iter().map(Bytes::len).sum()),
+        };
+        let mut state = self.lock();
         let depth = state.batches.len();
-        if !state.closed && depth < self.capacity {
-            return None;
+        if len == 0 {
+            return SubmitOutcome::Accepted { queue_depth: depth };
         }
-        // Refresh the gauges on rejection too: a Busy flood must leave
-        // them describing the real queue, not the last acceptance.
-        self.publish_gauges(state);
-        self.engine.note_busy_rejection();
-        Some(depth)
+        let too_big = depth > 0 && state.bytes + bytes > MAX_QUEUED_BYTES;
+        if state.closed || depth >= self.capacity || too_big {
+            // Refresh the gauges on rejection too: a Busy flood must leave
+            // them describing the real queue, not the last acceptance.
+            self.publish_gauges(&state);
+            self.engine.note_busy_rejection();
+            return SubmitOutcome::Busy { queue_depth: depth };
+        }
+        state.bytes += bytes;
+        state.batches.push_back(Batch {
+            submitted: Instant::now(),
+            records,
+            origin,
+            bytes,
+            trace,
+        });
+        state.accepted += 1;
+        self.publish_gauges(&state);
+        drop(state);
+        self.work.notify_one();
+        SubmitOutcome::Accepted {
+            queue_depth: depth + 1,
+        }
+    }
+
+    /// Queues a ticket behind every batch accepted so far.
+    fn ticket(&self, origin: u64, done: Option<FlushDone>) {
+        let mut state = self.lock();
+        let target = state.accepted;
+        state.tickets.push_back((target, origin, done));
+        drop(state);
+        self.work.notify_one();
     }
 }
 
@@ -148,6 +221,10 @@ impl std::fmt::Debug for Shared {
 }
 
 impl IngestQueue {
+    /// The origin of [`IngestQueue::try_submit`]'s batches, which
+    /// [`IngestQueue::flush`] reports on.
+    pub const OWNER: u64 = 0;
+
     /// Starts a queue holding at most `capacity` batches (clamped to at
     /// least 1) draining into `engine`.
     pub fn start(engine: Arc<AuditEngine>, capacity: usize) -> Self {
@@ -166,16 +243,19 @@ impl IngestQueue {
             engine,
             state: Mutex::new(QueueState {
                 batches: VecDeque::new(),
+                bytes: 0,
                 accepted: 0,
                 applied: 0,
                 tickets: VecDeque::new(),
+                failures: HashMap::new(),
                 paused: false,
                 closed: false,
-                error: None,
             }),
             work: Condvar::new(),
             capacity: capacity.max(1),
             collector,
+            #[cfg(test)]
+            syncs: Default::default(),
         });
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
@@ -204,47 +284,43 @@ impl IngestQueue {
         self.shared.lock().batches.len()
     }
 
-    /// Submits one batch without blocking.  An empty batch is accepted as
-    /// a no-op.  A full (or shut-down) queue rejects with
-    /// [`SubmitOutcome::Busy`] — nothing is buffered, and the rejection is
-    /// counted in the engine's `busy_rejections`.
-    pub fn try_submit(&self, batch: Vec<ProvenanceRecord>) -> SubmitOutcome {
-        self.try_submit_traced(batch, None)
+    /// Origins whose failure no ticket has taken yet: each holds one
+    /// error until its next ticket, or [`IngestQueue::forget`], takes it.
+    pub fn unclaimed_failures(&self) -> usize {
+        self.shared.lock().failures.len()
     }
 
-    /// [`IngestQueue::try_submit`] for a traced request: `trace` rides
-    /// along with the batch so the drain worker can stamp the asynchronous
+    /// Submits one batch of decoded records without blocking, as
+    /// [`IngestQueue::OWNER`].  An empty batch is accepted as a no-op.  A
+    /// full (or shut-down) queue rejects with [`SubmitOutcome::Busy`] —
+    /// nothing is buffered, and the rejection is counted in the engine's
+    /// `busy_rejections`.
+    pub fn try_submit(&self, batch: Vec<ProvenanceRecord>) -> SubmitOutcome {
+        self.shared
+            .submit(Self::OWNER, Records::Decoded(batch), None)
+    }
+
+    /// Admits a batch still encoded — one record body per record, in the
+    /// store's body format — on behalf of `origin`, without blocking and
+    /// without decoding anything: a front end answers its ingest frames
+    /// with this.  The batch counts against the queue's batch capacity
+    /// and against [`MAX_QUEUED_BYTES`], and is refused as
+    /// [`IngestQueue::try_submit`] refuses.
+    ///
+    /// The drain worker decodes the bodies outside the store lock and
+    /// applies the batch only if every body decodes.  A body that fails
+    /// to decode, or a failed append, is recorded against `origin`: its
+    /// next ticket reports it, and no other origin's does.  A body that
+    /// fails partway leaves the nodes decoded before it interned.  `trace`
+    /// rides along so the drain worker can stamp the asynchronous
     /// queue-wait span into the same trace.
-    pub fn try_submit_traced(
+    pub fn admit(
         &self,
-        batch: Vec<ProvenanceRecord>,
+        origin: u64,
+        bodies: Vec<Bytes>,
         trace: Option<TraceContext>,
     ) -> SubmitOutcome {
-        let mut state = self.shared.lock();
-        let depth = state.batches.len();
-        if batch.is_empty() {
-            return SubmitOutcome::Accepted { queue_depth: depth };
-        }
-        if let Some(queue_depth) = self.shared.refuse_if_full(&state) {
-            return SubmitOutcome::Busy { queue_depth };
-        }
-        state.batches.push_back((Instant::now(), batch, trace));
-        state.accepted += 1;
-        let queue_depth = state.batches.len();
-        self.shared.publish_gauges(&state);
-        drop(state);
-        self.shared.work.notify_one();
-        SubmitOutcome::Accepted { queue_depth }
-    }
-
-    /// Answers for a non-empty batch not yet in hand: `Some(queue_depth)`
-    /// when [`IngestQueue::try_submit`] would answer `Busy` now, counting
-    /// the rejection and refreshing the gauges as it does, or `None` when
-    /// the batch would be accepted.  A front end asks this before it
-    /// decodes a batch, so a refused one costs no decode; a batch that
-    /// finds the queue full by the time it is submitted is still refused.
-    pub fn refuse_if_full(&self) -> Option<usize> {
-        self.shared.refuse_if_full(&self.shared.lock())
+        self.shared.submit(origin, Records::Encoded(bodies), trace)
     }
 
     /// Pauses or resumes the drain worker.  While paused, accepted batches
@@ -267,23 +343,28 @@ impl IngestQueue {
     ///
     /// # Errors
     ///
-    /// Surfaces the first error the worker hit since the last flush, or a
-    /// sync failure.
+    /// Surfaces the first failure among [`IngestQueue::OWNER`]'s batches
+    /// since its last flush, or a sync failure.  An admitted batch's
+    /// failure belongs to its own origin, and this never reports it.
     pub fn flush(&self) -> Result<(), StoreError> {
         self.set_paused(false);
         let (sender, receiver) = mpsc::channel();
-        self.flush_then(Box::new(move |result| {
-            let _ = sender.send(result);
-        }));
+        self.flush_then(
+            Self::OWNER,
+            Box::new(move |result| {
+                let _ = sender.send(result);
+            }),
+        );
         receiver.recv().expect("the drain worker runs every ticket")
     }
 
-    /// Takes a flush ticket and returns at once: the wire-facing flush.
-    /// Once every batch accepted before the call has been applied, and
-    /// before it starts any later batch, the drain worker syncs the
-    /// engine's store and runs `done` with the result — or, without a
-    /// sync, with the first store error it hit since the last ticket ran.
-    /// Batches accepted after the call cannot delay it.
+    /// Takes a flush ticket for `origin` and returns at once: the
+    /// wire-facing flush.  Once every batch accepted before the call has
+    /// been applied, and before it starts any later batch, the drain
+    /// worker runs `done` with `origin`'s first failure since its last
+    /// ticket, if it has one, or else with the result of a store sync
+    /// that every ticket falling due with this one shares.  Batches
+    /// accepted after the call cannot delay it.
     ///
     /// Unlike [`IngestQueue::flush`], this is safe to expose to untrusted
     /// remote callers: it **never touches the pause hook** (behind a
@@ -291,12 +372,16 @@ impl IngestQueue {
     /// the queue; on an idle queue it runs at once, paused or not), and no
     /// thread waits for it.  `done` runs on the drain worker, so it should
     /// hand its result on rather than do slow work.
-    pub fn flush_then(&self, done: FlushDone) {
-        let mut state = self.shared.lock();
-        let target = state.accepted;
-        state.tickets.push_back((target, done));
-        drop(state);
-        self.shared.work.notify_one();
+    pub fn flush_then(&self, origin: u64, done: FlushDone) {
+        self.shared.ticket(origin, Some(done));
+    }
+
+    /// Says that `origin` has gone: once its batches accepted so far are
+    /// applied, the drain worker drops its unclaimed failure, so an origin
+    /// that never flushes leaves nothing behind.  The origin must submit
+    /// nothing after this.
+    pub fn forget(&self, origin: u64) {
+        self.shared.ticket(origin, None);
     }
 
     /// Drains the queue, stops the worker and surfaces any deferred error.
@@ -328,29 +413,37 @@ impl Drop for IngestQueue {
     }
 }
 
-/// The worker: run each ticket whose batches are applied, else pop a
-/// batch (unless paused), apply it under one store lock and publish the
-/// gauges; repeat until closed and drained.
+/// The worker: run every ticket whose batches are applied, else pop a
+/// batch (unless paused), decode and apply it under one store lock and
+/// publish the gauges; repeat until closed and drained.
 fn drain_loop(shared: &Shared) {
     loop {
-        let (submitted, batch, trace) = {
+        let batch = {
             let mut state = shared.lock();
             loop {
-                if matches!(state.tickets.front(), Some(&(target, _)) if target <= state.applied) {
-                    let (_, done) = state.tickets.pop_front().expect("a ticket is due");
-                    let error = state.error.take();
+                let mut due = Vec::new();
+                while let Some(&(target, origin, _)) = state.tickets.front() {
+                    if target > state.applied {
+                        break;
+                    }
+                    let (_, _, done) = state.tickets.pop_front().expect("a ticket");
+                    let failure = state.failures.remove(&origin);
+                    due.extend(done.map(|done| (done, failure)));
+                }
+                if !due.is_empty() {
                     drop(state);
                     // The worker syncs before it starts any later batch,
                     // so no batch holds the store lock the sync waits for.
-                    done(error.map_or_else(|| shared.engine.sync(), Err));
+                    answer_tickets(shared, due);
                     state = shared.lock();
                     continue;
                 }
                 // A closed queue still drains what was accepted.
                 if !state.paused || state.closed {
-                    if let Some(stamped) = state.batches.pop_front() {
+                    if let Some(batch) = state.batches.pop_front() {
+                        state.bytes -= batch.bytes;
                         shared.publish_gauges(&state);
-                        break stamped;
+                        break batch;
                     }
                 }
                 if state.closed && state.batches.is_empty() {
@@ -362,15 +455,21 @@ fn drain_loop(shared: &Shared) {
                 };
             }
         };
-        let result = shared.engine.ingest_batch(batch);
+        // Decode every body before the first append, outside the store
+        // lock: a body that fails leaves the whole batch unapplied.
+        let records = match batch.records {
+            Records::Decoded(records) => Ok(records),
+            Records::Encoded(bodies) => bodies.into_iter().map(decode_body).collect(),
+        };
+        let result = records.and_then(|records| shared.engine.ingest_batch(records));
         // Submit → applied: the wait a producer's read-your-writes poll
-        // experiences, queue time and apply time included.
-        let waited = u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        // experiences, queue time, decode and apply time included.
+        let waited = u64::try_from(batch.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // The serve layer already recorded the synchronous half of the
         // trace (decode/handle/write around the IngestAck); this record
         // carries only the asynchronous queue-wait span and merges with it
         // by trace id at snapshot time.
-        let trace_id = trace.filter(|t| t.sampled).map(|t| t.trace_id);
+        let trace_id = batch.trace.filter(|t| t.sampled).map(|t| t.trace_id);
         if let (Some(collector), Some(trace_id)) = (shared.collector.as_ref(), trace_id) {
             collector.record(&TraceRecord {
                 trace_id,
@@ -386,9 +485,38 @@ fn drain_loop(shared: &Shared) {
         let mut state = shared.lock();
         state.applied += 1;
         shared.publish_gauges(&state);
-        if let (Err(error), None) = (result, state.error.as_ref()) {
-            state.error = Some(error);
+        if let Err(error) = result {
+            state.failures.entry(batch.origin).or_insert(error);
         }
+    }
+}
+
+/// Runs the tickets that fell due together, each with its origin's
+/// failure if it has one, or else with the result of one shared sync.
+fn answer_tickets(shared: &Shared, due: Vec<(FlushDone, Option<StoreError>)>) {
+    let needs_sync = due.iter().any(|(_, failure)| failure.is_none());
+    let synced = needs_sync.then(|| {
+        #[cfg(test)]
+        shared
+            .syncs
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        shared.engine.sync()
+    });
+    for (done, failure) in due {
+        done(match (failure, &synced) {
+            (Some(failure), _) => Err(failure),
+            (None, Some(Err(error))) => Err(copy_error(error)),
+            (None, _) => Ok(()),
+        });
+    }
+}
+
+/// One more value of a store error, for each ticket a failed sync fails:
+/// [`StoreError`] is not `Clone`, because `std::io::Error` is not.
+fn copy_error(error: &StoreError) -> StoreError {
+    match error {
+        StoreError::Io(e) => StoreError::Io(std::io::Error::new(e.kind(), e.to_string())),
+        other => StoreError::Io(std::io::Error::other(other.to_string())),
     }
 }
 
@@ -505,13 +633,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Takes a ticket whose result arrives on the returned channel.
-    fn ticket(queue: &IngestQueue) -> mpsc::Receiver<Result<(), StoreError>> {
+    /// Takes a ticket for `origin` whose result arrives on the returned
+    /// channel.
+    fn ticket_for(queue: &IngestQueue, origin: u64) -> mpsc::Receiver<Result<(), StoreError>> {
         let (sender, receiver) = mpsc::channel();
-        queue.flush_then(Box::new(move |result| {
-            let _ = sender.send(result);
-        }));
+        queue.flush_then(
+            origin,
+            Box::new(move |result| {
+                let _ = sender.send(result);
+            }),
+        );
         receiver
+    }
+
+    /// Takes a ticket as the queue's owner.
+    fn ticket(queue: &IngestQueue) -> mpsc::Receiver<Result<(), StoreError>> {
+        ticket_for(queue, IngestQueue::OWNER)
+    }
+
+    /// The record bodies of `records`, as a front end admits them.
+    fn bodies(records: &[ProvenanceRecord]) -> Vec<Bytes> {
+        records
+            .iter()
+            .map(piprov_store::codec::encode_body)
+            .collect()
     }
 
     #[test]
@@ -571,9 +716,12 @@ mod tests {
         assert!(queue.try_submit(batch(0, 1)).is_accepted());
         let (sender, answer) = mpsc::channel();
         let counted = Arc::clone(&engine);
-        queue.flush_then(Box::new(move |result| {
-            let _ = sender.send((result, counted.record_count()));
-        }));
+        queue.flush_then(
+            IngestQueue::OWNER,
+            Box::new(move |result| {
+                let _ = sender.send((result, counted.record_count()));
+            }),
+        );
         assert!(queue.try_submit(slow).is_accepted());
         queue.set_paused(false);
         let (result, visible) = answer.recv().unwrap();
@@ -636,10 +784,10 @@ mod tests {
             sampled: false,
         };
         assert!(queue
-            .try_submit_traced(batch(0, 3), Some(sampled))
+            .admit(7, bodies(&batch(0, 3)), Some(sampled))
             .is_accepted());
         assert!(queue
-            .try_submit_traced(batch(10, 2), Some(unsampled))
+            .admit(7, bodies(&batch(10, 2)), Some(unsampled))
             .is_accepted());
         assert!(queue.try_submit(batch(20, 1)).is_accepted());
         queue.flush().unwrap();
@@ -649,6 +797,140 @@ mod tests {
         assert_eq!(traces[0].spans.len(), 1);
         assert_eq!(traces[0].spans[0].kind, SpanKind::QueueWait);
         assert!(traces[0].spans[0].duration_ns > 0);
+        queue.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The body of `record` with its root reference pointed past its node
+    /// table: it fails to decode.
+    fn dangling_body(record: &ProvenanceRecord) -> Bytes {
+        let mut body = piprov_store::codec::encode_body(record).to_vec();
+        let root = body.len() - 4;
+        body[root..].copy_from_slice(&999u32.to_be_bytes());
+        Bytes::from(body)
+    }
+
+    /// Before group commit every ticket synced on its own: three that fell
+    /// due together cost three syncs.
+    #[test]
+    fn three_tickets_that_fall_due_together_cost_one_sync() {
+        let dir = temp_dir("group-commit");
+        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+        let queue = IngestQueue::start(Arc::clone(&engine), 4);
+        queue.set_paused(true);
+        assert!(queue.try_submit(batch(0, 2)).is_accepted());
+        let answers: Vec<_> = (1..=3).map(|origin| ticket_for(&queue, origin)).collect();
+        queue.set_paused(false);
+        for answer in answers {
+            answer.recv().unwrap().unwrap();
+        }
+        let syncs = &queue.shared.syncs;
+        assert_eq!(syncs.load(std::sync::atomic::Ordering::Relaxed), 1);
+        // A ticket whose origin failed answers its failure and needs no
+        // sync of its own.
+        assert!(queue
+            .admit(5, vec![dangling_body(&record(9))], None)
+            .is_accepted());
+        assert!(ticket_for(&queue, 5).recv().unwrap().is_err());
+        assert_eq!(syncs.load(std::sync::atomic::Ordering::Relaxed), 1);
+        queue.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Before per-origin attribution one error slot went to whichever
+    /// ticket ran next, and a failing batch's good records were stored.
+    #[test]
+    fn a_failed_batch_applies_nothing_and_fails_only_its_own_origins_ticket() {
+        let dir = temp_dir("attribution");
+        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+        let queue = IngestQueue::start(Arc::clone(&engine), 4);
+        queue.set_paused(true);
+        let mut failing = bodies(&batch(0, 2));
+        failing.push(dangling_body(&record(2)));
+        assert!(queue.admit(1, failing, None).is_accepted());
+        assert!(queue.admit(2, bodies(&batch(10, 1)), None).is_accepted());
+        let second = ticket_for(&queue, 2);
+        let first = ticket_for(&queue, 1);
+        queue.set_paused(false);
+        second.recv().unwrap().expect("origin 2's batch applied");
+        match first.recv().unwrap() {
+            Err(StoreError::Corrupt(what)) => assert!(what.contains("reference"), "{}", what),
+            other => panic!("expected origin 1's decode failure, got {:?}", other),
+        }
+        assert_eq!(engine.record_count(), 1, "the failed batch applied nothing");
+        assert_eq!(queue.unclaimed_failures(), 0, "the ticket took the failure");
+        // The failure was reported once: origin 1's next ticket is clean.
+        ticket_for(&queue, 1).recv().unwrap().unwrap();
+        queue.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_forgotten_origin_leaves_no_failure_behind() {
+        let dir = temp_dir("forget");
+        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+        let queue = IngestQueue::start(Arc::clone(&engine), 4);
+        let failing = || vec![dangling_body(&record(0))];
+        // Forgotten after its failure was recorded...
+        assert!(queue.admit(3, failing(), None).is_accepted());
+        queue
+            .flush()
+            .expect("the owner hears of no other origin's failure");
+        assert_eq!(queue.unclaimed_failures(), 1);
+        queue.forget(3);
+        queue.flush().unwrap();
+        assert_eq!(queue.unclaimed_failures(), 0);
+        // ...and before its batch was applied.
+        queue.set_paused(true);
+        assert!(queue.admit(4, failing(), None).is_accepted());
+        queue.forget(4);
+        queue.flush().unwrap();
+        assert_eq!(queue.unclaimed_failures(), 0);
+        assert_eq!(engine.record_count(), 0);
+        queue.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn admitted_bytes_stay_under_the_byte_bound_and_an_empty_queue_admits_any_batch() {
+        // Bodies are slices of one buffer: the queue counts their lengths,
+        // and the test allocates 1 MiB.  They never decode, so the queue
+        // stays paused until they are forgotten.
+        const MIB: usize = 1 << 20;
+        let buffer = Bytes::from(vec![0u8; MIB]);
+        let frame = |mib: usize| vec![buffer.clone(); mib];
+        let dir = temp_dir("byte-bound");
+        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+        let queue = IngestQueue::start(Arc::clone(&engine), 64);
+        queue.set_paused(true);
+        // Frames of the wire's default 16 MiB cap: four fill the bound,
+        // with 60 batch slots left.
+        for depth in 1..=4 {
+            assert_eq!(
+                queue.admit(1, frame(16), None),
+                SubmitOutcome::Accepted { queue_depth: depth }
+            );
+        }
+        for mib in [16, 1] {
+            assert_eq!(
+                queue.admit(1, frame(mib), None),
+                SubmitOutcome::Busy { queue_depth: 4 }
+            );
+        }
+        assert_eq!(queue.shared.lock().bytes, MAX_QUEUED_BYTES);
+        assert_eq!(engine.stats().busy_rejections, 2);
+        queue.forget(1);
+        queue.flush().unwrap();
+        assert_eq!(queue.shared.lock().bytes, 0);
+        // An empty queue admits one batch past the bound, and nothing
+        // behind it.
+        queue.set_paused(true);
+        assert!(queue.admit(2, frame(80), None).is_accepted());
+        assert!(!queue.admit(2, frame(1), None).is_accepted());
+        queue.forget(2);
+        queue.flush().unwrap();
+        assert_eq!(queue.unclaimed_failures(), 0);
+        assert_eq!(engine.record_count(), 0);
         queue.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -38,8 +38,11 @@
 //!   [`piprov_runtime::DeliverySink`] that streams a simulation's
 //!   delivered messages into the engine while auditors query it;
 //! * [`ingest`] — the bounded [`IngestQueue`]: batched ingest with typed
-//!   back-pressure (`Busy` instead of unbounded buffering), each batch
-//!   applied under one store-lock acquisition;
+//!   back-pressure (`Busy` instead of unbounded buffering, counted in
+//!   batches and in encoded bytes); the drain worker decodes admitted
+//!   batches and applies each under one store-lock acquisition, reports a
+//!   failure to the submitter's own flush ticket alone, and answers the
+//!   tickets that fall due together after one sync;
 //! * [`metrics`] — the observability plane: each policy's verdict
 //!   counters and lock-free latency histogram ([`PolicyMetrics`], carried
 //!   by its [`PolicyEntry`]) recorded on the vet hot path, a

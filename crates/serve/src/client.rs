@@ -195,6 +195,12 @@ pub enum IngestOutcome {
     },
 }
 
+/// Request bytes [`AuditClient::pipeline`] writes before it reads their
+/// responses: well within the smallest socket buffers a host starts a
+/// connection with, so the window's requests are all sent however long
+/// the server takes to drain its answers.
+const PIPELINE_WINDOW: usize = 64 * 1024;
+
 /// A blocking client for one [`crate::AuditServer`] connection.
 #[derive(Debug)]
 pub struct AuditClient {
@@ -358,9 +364,14 @@ impl AuditClient {
         })
     }
 
-    /// Writes every request, *then* reads every response — pipelining that
-    /// amortizes the round-trip latency over the whole slice.  Responses
-    /// are returned in request order (the order the server guarantees).
+    /// Writes the requests, *then* reads their responses — pipelining that
+    /// amortizes the round-trip latency over the slice.  Responses are
+    /// returned in request order (the order the server guarantees).  A
+    /// long slice goes out in windows of 64 KiB of requests, each
+    /// window's responses read before the next is written: the server
+    /// stops reading a connection whose responses go unread, so a client
+    /// that wrote more than the sockets buffer before reading would wait
+    /// forever.
     ///
     /// # Errors
     ///
@@ -369,20 +380,29 @@ impl AuditClient {
         &mut self,
         requests: &[AuditRequest],
     ) -> Result<Vec<AuditResponse>, ClientError> {
-        for request in requests {
-            let body = self.encode_traced(&WireRequest::Audit(request.clone()));
-            write_frame(&mut self.writer, &body)?;
-        }
-        self.writer.flush()?;
         let mut responses = Vec::with_capacity(requests.len());
-        for _ in requests {
-            match self.receive()? {
-                WireResponse::Audit(response) => responses.push(response),
-                WireResponse::ServerError { message } => return Err(ClientError::Server(message)),
-                other => {
-                    return Err(ClientError::UnexpectedResponse(format!("{:?}", other)));
+        let mut rest = requests;
+        while !rest.is_empty() {
+            let (mut window, mut bytes) = (0, 0);
+            while window < rest.len() && bytes < PIPELINE_WINDOW {
+                let body = self.encode_traced(&WireRequest::Audit(rest[window].clone()));
+                bytes += body.len();
+                write_frame(&mut self.writer, &body)?;
+                window += 1;
+            }
+            self.writer.flush()?;
+            for _ in 0..window {
+                match self.receive()? {
+                    WireResponse::Audit(response) => responses.push(response),
+                    WireResponse::ServerError { message } => {
+                        return Err(ClientError::Server(message))
+                    }
+                    other => {
+                        return Err(ClientError::UnexpectedResponse(format!("{:?}", other)));
+                    }
                 }
             }
+            rest = &rest[window..];
         }
         Ok(responses)
     }
@@ -500,10 +520,17 @@ impl AuditClient {
 
     /// Ships any buffered tail, then asks the server to apply every batch
     /// it accepted before the flush and sync its store.  After this
-    /// returns, everything buffered or acked before the call is queryable
-    /// and durable server-side; the returned [`FlushAck::watermark`] names
-    /// the snapshot that makes it so (any later query answers at or above
-    /// it).
+    /// returns `Ok`, everything buffered or acked before the call is
+    /// queryable and durable server-side; the returned
+    /// [`FlushAck::watermark`] names the snapshot that makes it so (any
+    /// later query answers at or above it).
+    ///
+    /// An ack means only that a batch was queued.  If one of this
+    /// connection's batches since its previous flush failed to apply — a
+    /// record body the server could not decode, or an append error — the
+    /// flush fails with [`ClientError::Server`] naming the first such
+    /// failure, and that batch stored nothing.  Another connection's
+    /// failures never reach this one.
     ///
     /// The server answers once those batches are applied and synced,
     /// however long that takes; it sets no deadline of its own.  To bound

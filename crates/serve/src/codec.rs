@@ -43,6 +43,20 @@ pub enum WireRequest {
     /// One typed audit question.
     Audit(AuditRequest),
     /// A batch of records for the bounded ingest queue.
+    ///
+    /// The server checks the frame's structure — record count within
+    /// [`WireLimits::max_records`], each record's length prefix, the
+    /// optional trace field — and queues the record bodies without
+    /// decoding them: [`WireResponse::IngestAck`] means *queued*, and a
+    /// queue without room answers [`WireResponse::Busy`].  A frame that
+    /// fails the structural check gets its typed
+    /// [`WireResponse::ServerError`], then the close.  The batch is
+    /// applied all or nothing: a record body that fails to decode (too
+    /// deep, a reference past its node table, any other fault) stops the
+    /// whole batch before anything is appended, and an append error stops
+    /// it where it happens.  Either failure fails the submitting
+    /// connection's next [`WireRequest::Flush`], and no other
+    /// connection's.
     IngestBatch(Vec<ProvenanceRecord>),
     /// Barrier: wait until the ingest queue has applied every batch it
     /// accepted before this request, then sync the store, so everything
@@ -50,8 +64,12 @@ pub enum WireRequest {
     /// Batches accepted later cannot delay it.  The server takes an
     /// ingest-queue ticket ([`piprov_audit::IngestQueue::flush_then`]):
     /// no server thread waits for it, it never touches the queue's pause
-    /// hook, and it waits as long as its batches take to apply and sync.
-    /// A store error answers [`WireResponse::ServerError`].
+    /// hook, and it waits as long as its batches take to apply and sync;
+    /// flushes that fall due together share one sync.  It answers
+    /// [`WireResponse::ServerError`] with the first failure among this
+    /// connection's batches since its previous flush (a body that failed
+    /// to decode, or an append error), and otherwise with a sync error.
+    /// Another connection's failure never reaches it.
     Flush,
     /// The full metrics plane: engine/store/interner counters plus every
     /// registered policy's verdict counters and latency histogram (see
@@ -94,7 +112,9 @@ pub struct RequestTrace {
 pub enum WireResponse {
     /// Answer to [`WireRequest::Audit`].
     Audit(AuditResponse),
-    /// The batch was queued.
+    /// The batch was queued: it passed the structural check and fits the
+    /// queue.  Nothing in it is decoded or stored yet; the connection's
+    /// next [`WireRequest::Flush`] reports whether it applied.
     IngestAck {
         /// Records accepted (the whole batch; acceptance is atomic).
         accepted: u32,
@@ -175,30 +195,30 @@ pub fn request_kind(request: &WireRequest) -> RequestKind {
     }
 }
 
-/// Whether the event loop hands an encoded request body to a worker: an
-/// `IngestBatch`, whose decode is linear in a frame of up to
-/// [`crate::DEFAULT_MAX_FRAME_LEN`].  Reads the version and tag bytes
-/// alone; a body too short to hold them, of any version but
-/// [`WIRE_VERSION`], or with an unknown tag stays on the loop, where
-/// [`decode_request`] gives it its typed error.
-pub(crate) fn routes_to_worker(body: &[u8]) -> bool {
+/// Whether an encoded request body is an `IngestBatch`, which the event
+/// loop admits to the ingest queue still encoded ([`split_ingest`]).
+/// Reads the version and tag bytes alone; a body too short to hold them,
+/// of any version but [`WIRE_VERSION`], or with an unknown tag is answered
+/// by [`decode_request`]'s typed error.
+pub(crate) fn is_ingest(body: &[u8]) -> bool {
     matches!(body, [WIRE_VERSION, REQ_INGEST, ..])
 }
 
-/// Whether an encoded request body is a `Flush`, which the event loop
-/// hands to the ingest queue as a ticket.  Reads the version and tag
-/// bytes alone, as [`routes_to_worker`] does.
-pub(crate) fn is_flush(body: &[u8]) -> bool {
-    matches!(body, [WIRE_VERSION, REQ_FLUSH, ..])
-}
-
-/// The record count of an encoded `IngestBatch` body, read without
-/// decoding a record; `None` for any other body.
-pub(crate) fn ingest_record_count(body: &[u8]) -> Option<u32> {
-    match *body {
-        [WIRE_VERSION, REQ_INGEST, a, b, c, d, ..] => Some(u32::from_be_bytes([a, b, c, d])),
-        _ => None,
-    }
+/// Checks the structure of a body [`is_ingest`] names without decoding a
+/// record — a record count within [`WireLimits::max_records`],
+/// each record's length prefix, and the optional trace field — and returns
+/// the record bodies, slices of `buf`, with the trace field.
+///
+/// # Errors
+///
+/// As [`decode_request`], for every fault but one inside a record body.
+pub(crate) fn split_ingest(
+    mut buf: Bytes,
+    limits: &WireLimits,
+) -> Result<(Vec<Bytes>, Option<RequestTrace>), WireError> {
+    open_message(&mut buf)?;
+    let bodies = get_record_bodies(&mut buf, limits, "ingest batch")?;
+    Ok((bodies, get_request_fields(&mut buf)?))
 }
 
 const REQ_AUDIT: u8 = 1;
@@ -359,20 +379,13 @@ fn put_record(buf: &mut BytesMut, record: &ProvenanceRecord) {
     buf.put_slice(&body);
 }
 
-fn get_record(buf: &mut Bytes) -> Result<ProvenanceRecord, WireError> {
-    need(buf, 4, "record length")?;
-    let len = buf.get_u32() as usize;
-    need(buf, len, "record body")?;
-    decode_body(buf.copy_to_bytes(len)).map_err(store_err)
-}
-
-/// Reads a record list, refusing a count above [`WireLimits::max_records`]
-/// before any record is decoded.
-fn get_records(
+/// Reads a record list's bodies without decoding them, refusing a count
+/// above [`WireLimits::max_records`] before reading any.
+fn get_record_bodies(
     buf: &mut Bytes,
     limits: &WireLimits,
     what: &str,
-) -> Result<Vec<ProvenanceRecord>, WireError> {
+) -> Result<Vec<Bytes>, WireError> {
     need(buf, 4, "record count")?;
     let count = u32::from_be_bytes(buf[..4].try_into().expect("4 bytes"));
     if count > limits.max_records {
@@ -382,7 +395,25 @@ fn get_records(
         )));
     }
     // A record costs at least 4 length bytes + the 18-byte minimum body.
-    get_seq(buf, "record count", 22, get_record)
+    get_seq(buf, "record count", 22, |buf| {
+        need(buf, 4, "record length")?;
+        let len = buf.get_u32() as usize;
+        need(buf, len, "record body")?;
+        Ok(buf.copy_to_bytes(len))
+    })
+}
+
+/// Reads a record list, refusing a count above [`WireLimits::max_records`]
+/// before any record is decoded.
+fn get_records(
+    buf: &mut Bytes,
+    limits: &WireLimits,
+    what: &str,
+) -> Result<Vec<ProvenanceRecord>, WireError> {
+    get_record_bodies(buf, limits, what)?
+        .into_iter()
+        .map(|body| decode_body(body).map_err(store_err))
+        .collect()
 }
 
 /// A u32-length-prefixed text blob: pack file sources (and canonical
@@ -579,20 +610,24 @@ pub fn decode_request_traced(
         REQ_LIST_POLICIES => WireRequest::ListPolicies,
         other => return Err(malformed(format!("unknown request tag {}", other))),
     };
-    // Optional per-request fields after the payload; the only one defined
-    // is the trace field.  An unknown field tag is malformed, not skipped,
-    // so "garbage we tolerate" never becomes a compatibility constraint by
-    // accident.
+    Ok((request, get_request_fields(&mut buf)?))
+}
+
+/// Reads the optional per-request fields after a payload; the only one
+/// defined is the trace field.  An unknown field tag is malformed, not
+/// skipped, so "garbage we tolerate" never becomes a compatibility
+/// constraint by accident.
+fn get_request_fields(buf: &mut Bytes) -> Result<Option<RequestTrace>, WireError> {
     let mut trace = None;
     while buf.has_remaining() {
         match buf.get_u8() {
             REQUEST_FIELD_TRACE if trace.is_none() => {
-                trace = Some(get_request_trace(&mut buf)?);
+                trace = Some(get_request_trace(buf)?);
             }
             _ => return Err(malformed("trailing bytes after request")),
         }
     }
-    Ok((request, trace))
+    Ok(trace)
 }
 
 fn put_request_stats(buf: &mut BytesMut, stats: &RequestStats) {
@@ -1381,27 +1416,30 @@ mod tests {
     }
 
     #[test]
-    fn only_ingest_batches_route_to_a_worker_and_only_flushes_to_a_ticket() {
+    fn only_ingest_frames_split_without_decoding() {
         let limits = WireLimits::default();
         let trace = sample_trace();
         for request in sample_requests() {
             let body = encode_request(&request);
-            let worker = matches!(request, WireRequest::IngestBatch(_));
-            let flush = request == WireRequest::Flush;
+            let ingest = matches!(request, WireRequest::IngestBatch(_));
             let traced = append_request_trace(&body, &trace);
             for body in [&body, &traced] {
-                assert_eq!(routes_to_worker(body), worker, "{:?}", request);
-                assert_eq!(is_flush(body), flush, "{:?}", request);
+                assert_eq!(is_ingest(body), ingest, "{:?}", request);
             }
-            // The record count is read without decoding a record.
-            let count = match &request {
-                WireRequest::IngestBatch(records) => Some(records.len() as u32),
-                _ => None,
-            };
-            assert_eq!(ingest_record_count(&body), count, "{:?}", request);
-            assert_eq!(ingest_record_count(&traced), count, "{:?}", request);
+            // The record bodies come back as encoded, beside the trace.
+            if let WireRequest::IngestBatch(records) = &request {
+                let bodies: Vec<Bytes> = records.iter().map(encode_body).collect();
+                assert_eq!(
+                    split_ingest(body.clone(), &limits).unwrap(),
+                    (bodies.clone(), None)
+                );
+                assert_eq!(
+                    split_ingest(traced, &limits).unwrap(),
+                    (bodies, Some(trace))
+                );
+            }
             // Too short to name the kind, or of another version: the loop
-            // keeps the body, and its decode answers with the typed error.
+            // decodes the body, and the decode answers with the typed error.
             let mut strays = vec![body[..0].to_vec(), body[..1].to_vec()];
             for version in [0, WIRE_VERSION - 1, WIRE_VERSION + 1, u8::MAX] {
                 let mut other = body.to_vec();
@@ -1409,26 +1447,63 @@ mod tests {
                 strays.push(other);
             }
             for stray in strays {
-                assert!(
-                    !routes_to_worker(&stray) && !is_flush(&stray),
-                    "{:?}",
-                    stray
-                );
-                assert_eq!(ingest_record_count(&stray), None, "{:?}", stray);
+                assert!(!is_ingest(&stray), "{:?}", stray);
                 assert!(matches!(
                     decode_request(Bytes::from(stray), &limits),
                     Err(WireError::Malformed(_) | WireError::UnsupportedVersion(_))
                 ));
             }
         }
-        // An unknown tag stays on the loop too, and decodes to an error.
+        // An unknown tag is decoded too, to an error.
         let unknown = vec![WIRE_VERSION, 99, 0, 0, 0, 1];
-        assert!(!routes_to_worker(&unknown) && !is_flush(&unknown));
-        assert_eq!(ingest_record_count(&unknown), None);
+        assert!(!is_ingest(&unknown));
         assert!(matches!(
             decode_request(Bytes::from(unknown), &limits),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn the_ingest_split_checks_structure_and_leaves_bodies_to_the_decoder() {
+        let limits = WireLimits {
+            max_records: 2,
+            ..WireLimits::default()
+        };
+        let record = ProvenanceRecord::new(
+            1,
+            "p",
+            Operation::Send,
+            "m",
+            Value::Channel(Channel::new("v")),
+            Provenance::single(Event::output(Principal::new("p"), Provenance::empty())),
+        );
+        let body = encode_ingest_batch(&[record.clone(), record.clone()]);
+        assert!(split_ingest(body.clone(), &limits).is_ok());
+        // Past the record cap, a truncated length or body, trailing bytes:
+        // each is a typed error before any record is decoded.
+        let faults = [
+            encode_ingest_batch(&[record.clone(), record.clone(), record]),
+            Bytes::from(body[..body.len() - 1].to_vec()),
+            Bytes::from(body[..8].to_vec()),
+            Bytes::from([&body[..], &[0xff]].concat()),
+        ];
+        for fault in faults {
+            assert!(
+                matches!(
+                    split_ingest(fault.clone(), &limits),
+                    Err(WireError::Malformed(_))
+                ),
+                "{:?}",
+                fault
+            );
+        }
+        // A body whose bytes do not decode passes the split: its length
+        // prefix holds.  Decoding it is the drain worker's job.
+        let mut garbled = body.to_vec();
+        garbled[10] ^= 0xff;
+        let (bodies, _) = split_ingest(Bytes::from(garbled.clone()), &limits).unwrap();
+        assert!(decode_body(bodies[0].clone()).is_err());
+        assert!(decode_request(Bytes::from(garbled), &limits).is_err());
     }
 
     #[test]

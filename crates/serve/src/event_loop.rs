@@ -5,47 +5,49 @@
 //! connection's state, its outbound buffer included:
 //!
 //! ```text
-//!                    ┌─► most frames: decode → handle → encode (loop) ──┐
-//!                    │                                                  │
-//! read-accumulate ───┼─► ingest: decode → handle → encode (a worker) ───┼─► write-drain
-//!       ▲   (loop)   │                                                  │       │
-//!       │            └─► Flush: decode (loop) → ticket → sync → encode ─┘       │
-//!       │                              (ingest drain worker)                    │
-//!       └───────────────────────────────────────────────────────────────────────┘
+//!                    ┌─► most frames: decode → handle → encode ────────────┐
+//!                    │                                                     │
+//! read-accumulate ───┼─► ingest: check → admit (queued) → IngestAck ───────┼─► write-drain
+//!       ▲   (loop)   │                                                     │       │
+//!       │            └─► Flush: decode → ticket ┄┄ sync → encode ──────────┘       │
+//!       │                           (ingest drain worker)                          │
+//!       └──────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! The loop thread accepts, reads whatever readiness delivers into a
 //! per-connection buffer, carves complete frames out of it with
 //! [`crate::wire::try_parse_frame`], and drains each connection's
-//! outbound buffer (partial writes re-arm `EPOLLOUT`).  Every frame but
-//! `Flush` is answered by one function, `answer_frame` — decode,
-//! [`crate::server::handle_request`], encode.  The loop thread runs it
-//! itself, in order, and writes the responses in the same pass, for
-//! every frame but ingest batches; plaintext `GET`s are answered there
-//! too.  An ingest batch, whose decode is linear in a frame of up to
-//! [`crate::DEFAULT_MAX_FRAME_LEN`], goes alone to a small **worker
-//! pool**, routed by its version and tag bytes.  A `Flush` is decoded on
-//! the loop and handed to the ingest queue as a ticket
-//! ([`IngestQueue::flush_then`]): the queue's drain worker answers it
-//! once the batches accepted before it are applied and synced, so no
-//! thread waits for a flush.  A worker or a ticket returns the encoded
-//! answer and its trace; the loop appends them and then answers the
-//! frames behind it.  While a connection's frame is at a worker or its
-//! ticket waits, the loop answers nothing else for it, so pipelining
-//! keeps the wire contract: responses strictly in request order per
-//! connection.  A full ingest queue answers an ingest frame `Busy` on the
-//! loop thread, before anything in it is decoded.
+//! outbound buffer (partial writes re-arm `EPOLLOUT`).  It answers every
+//! frame itself, in order, and writes the responses in the same pass:
+//! most through `answer_frame` — decode, [`crate::server::handle_request`],
+//! encode — and plaintext `GET`s too.  An ingest batch is checked for
+//! structure without decoding a record and admitted to the ingest queue
+//! still encoded ([`IngestQueue::admit`]): the loop answers `IngestAck`
+//! (queued) or `Busy` at once, and the queue's drain worker decodes and
+//! applies the batch later.  A `Flush` is decoded on the loop and handed to
+//! the queue as a ticket ([`IngestQueue::flush_then`]): the drain worker
+//! answers it once the batches accepted before it are applied and synced,
+//! and hands the encoded answer back; no thread waits for a flush.  While
+//! a connection's ticket waits, the loop answers nothing else for it, so
+//! pipelining keeps the wire contract: responses strictly in request order
+//! per connection.
 //!
 //! The loop spends at most `INLINE_BUDGET` on one connection per pass.
 //! Frames left over stay queued, and the connection goes on a ready list
 //! that makes the next poller wait non-blocking, so one pipelining peer
-//! cannot hold every other connection's I/O hostage.
+//! cannot hold every other connection's I/O hostage.  A connection's
+//! backlog is bounded too: the loop reads from it only while every frame
+//! read so far is answered, stops answering it (and reading) while its
+//! unsent answers pass `OUTBOUND_HIGH_WATER` or its ticket waits, and
+//! resumes it from the write drain or the ticket's answer, through the
+//! ready list.  A peer that writes and never reads stalls on its own
+//! socket.
 //!
 //! An idle connection costs exactly one registered fd and its
 //! (empty) buffers — no thread, no timer.  Shutdown is a wake, not a
 //! poll: the loop thread waits for readiness indefinitely until the
-//! listener, a connection, a worker's or a ticket's answer, or the stop
-//! flag rouses it, the last two through a [`crate::poll::WakeFd`].
+//! listener, a connection, a ticket's answer, or the stop flag rouses it,
+//! the last two through a [`crate::poll::WakeFd`].
 //!
 //! Malformed input gets a typed error frame, then the close; a plaintext
 //! `GET` is answered with one HTTP response; and
@@ -53,8 +55,8 @@
 //! `ServerError{"idle timeout"}` frame.
 
 use crate::codec::{
-    decode_request_traced, encode_response, ingest_record_count, is_flush, request_kind,
-    routes_to_worker, WireResponse,
+    decode_request_traced, encode_response, is_ingest, request_kind, split_ingest, WireRequest,
+    WireResponse,
 };
 use crate::poll::{Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::server::{elapsed_ns, handle_request, http_response_for};
@@ -62,14 +64,15 @@ use crate::wire::{try_parse_frame, write_frame, WireError, HTTP_GET_PREFIX};
 use crate::ServeConfig;
 use bytes::Bytes;
 use piprov_audit::{
-    AuditEngine, IngestQueue, RequestKind, Span, SpanKind, TraceCollector, TraceContext,
+    AuditEngine, IngestQueue, RequestKind, Span, SpanKind, SubmitOutcome, TraceCollector,
+    TraceContext,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -77,15 +80,20 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// How long shutdown waits for in-flight requests (a frame at a worker,
-/// a waiting `Flush` ticket) to finish and their responses to drain
-/// before closing connections anyway.
+/// How long shutdown waits for in-flight requests (a waiting `Flush`
+/// ticket) to finish and their responses to drain before closing
+/// connections anyway.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// How long the loop thread may spend answering one connection's frames
 /// in one pass; the frames left over wait for the next pass, so one
 /// pipelining peer cannot hold every other connection's I/O hostage.
 const INLINE_BUDGET: Duration = Duration::from_micros(500);
+
+/// Unsent answer bytes past which the loop stops answering and reading a
+/// connection until the socket takes them, so a peer that writes and
+/// never reads costs the server a bounded buffer, not its backlog.
+const OUTBOUND_HIGH_WATER: usize = 256 * 1024;
 
 /// The message an idle-expired connection is closed with.
 const IDLE_TIMEOUT_MESSAGE: &str = "idle timeout";
@@ -94,18 +102,18 @@ const IDLE_TIMEOUT_MESSAGE: &str = "idle timeout";
 /// request, small enough that a hostile peer cannot balloon the buffer.
 const MAX_HTTP_HEAD: usize = 8 * 1024;
 
-/// The running threads of the event loop.  Owned by
-/// [`crate::AuditServer`]; [`EventLoopHandle::stop`] is idempotent.
+/// The running event-loop thread.  Owned by [`crate::AuditServer`];
+/// [`EventLoopHandle::stop`] is idempotent.
 #[derive(Debug)]
 pub(crate) struct EventLoopHandle {
     loop_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    dispatch: Arc<Dispatch>,
+    stop: Arc<AtomicBool>,
+    wake: Arc<WakeFd>,
 }
 
 impl EventLoopHandle {
-    /// Registers `listener` with a fresh [`Poller`] and starts the
-    /// loop thread plus `config.workers` workers.
+    /// Registers `listener` with a fresh [`Poller`] and starts the loop
+    /// thread.
     pub(crate) fn start(
         listener: TcpListener,
         engine: Arc<AuditEngine>,
@@ -119,75 +127,47 @@ impl EventLoopHandle {
         let wake = Arc::new(WakeFd::new()?);
         poller.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
         poller.add(wake.raw(), EPOLLIN, TOKEN_WAKE)?;
-        let dispatch = Arc::new(Dispatch {
-            jobs: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
-            done: Mutex::new(Vec::new()),
-            wake: Arc::clone(&wake),
+        let event_loop = Loop {
+            poller,
+            listener,
+            answers: Arc::new(Answers {
+                done: Mutex::new(Vec::new()),
+                wake: Arc::clone(&wake),
+            }),
             stop: Arc::clone(&stop),
-        });
-        let serving = Arc::new(Serving {
-            engine,
-            queue,
-            collector,
-            config,
-        });
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let dispatch = Arc::clone(&dispatch);
-                let serving = Arc::clone(&serving);
-                std::thread::Builder::new()
-                    .name(format!("piprov-dispatch-{}", i))
-                    .spawn(move || dispatch_loop(&dispatch, &serving))
-                    .expect("spawn dispatch worker")
-            })
-            .collect();
-        let loop_thread = {
-            let dispatch = Arc::clone(&dispatch);
-            std::thread::Builder::new()
-                .name("piprov-event-loop".into())
-                .spawn(move || {
-                    Loop {
-                        poller,
-                        listener,
-                        wake,
-                        dispatch,
-                        stop,
-                        serving,
-                        conns: HashMap::new(),
-                        ready: Vec::new(),
-                        next_token: FIRST_CONN_TOKEN,
-                    }
-                    .run()
-                })
-                .expect("spawn event loop")
+            serving: Serving {
+                engine,
+                queue,
+                collector,
+                config,
+            },
+            conns: HashMap::new(),
+            ready: Vec::new(),
+            next_token: FIRST_CONN_TOKEN,
         };
+        let loop_thread = std::thread::Builder::new()
+            .name("piprov-event-loop".into())
+            .spawn(move || event_loop.run())
+            .expect("spawn event loop");
         Ok(EventLoopHandle {
             loop_thread: Some(loop_thread),
-            workers,
-            dispatch,
+            stop,
+            wake,
         })
     }
 
     /// Raises the stop flag and wakes the loop thread, lets it drain
-    /// in-flight work, then joins every thread.
+    /// in-flight work, then joins it.
     pub(crate) fn stop(&mut self) {
-        self.dispatch.stop.store(true, Ordering::SeqCst);
-        self.dispatch.wake.wake();
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake.wake();
         if let Some(thread) = self.loop_thread.take() {
             let _ = thread.join();
-        }
-        // The loop thread has stopped handing out frames; rouse any
-        // worker parked on an empty queue so it observes the stop flag.
-        self.dispatch.work.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
 
-/// What answering a request needs; the loop thread and every worker
-/// share one.
+/// What answering a request needs.
 #[derive(Debug)]
 struct Serving {
     engine: Arc<AuditEngine>,
@@ -196,25 +176,19 @@ struct Serving {
     config: ServeConfig,
 }
 
-/// The loop-thread ⇄ worker-pool boundary: ingest frames go out one at a
-/// time, tagged with their connection's token, and answers come back,
-/// from the workers and from the ingest queue's `Flush` tickets.
+/// Where the ingest queue's drain worker hands back answered `Flush`
+/// tickets; the loop thread drains `done` after a [`WakeFd`] wake and
+/// appends each answer to its connection, or drops it if the connection
+/// is gone.
 #[derive(Debug)]
-struct Dispatch {
-    jobs: Mutex<VecDeque<(u64, Bytes)>>,
-    work: Condvar,
-    /// Answered frames; the loop thread drains this after a [`WakeFd`]
-    /// wake and appends each answer to its connection, or drops it if
-    /// the connection is gone.
+struct Answers {
     done: Mutex<Vec<Answer>>,
     wake: Arc<WakeFd>,
-    stop: Arc<AtomicBool>,
 }
 
-/// A worker's or a ticket's answer to one frame: its connection's token,
-/// the encoded response, and the request's trace (`None` for a frame that
-/// did not decode, after whose error the connection closes).
-type Answer = (u64, Vec<u8>, Option<PendingTrace>);
+/// A ticket's answer: its connection's token, the encoded response, and
+/// the request's trace.
+type Answer = (u64, Vec<u8>, PendingTrace);
 
 /// A connection's outbound buffer, drained to the socket by the loop
 /// thread.
@@ -239,8 +213,13 @@ struct Outbound {
 }
 
 impl Outbound {
+    /// Bytes appended but not yet written to the socket.
+    fn unsent(&self) -> usize {
+        self.buf.len() - self.start
+    }
+
     fn is_drained(&self) -> bool {
-        self.start >= self.buf.len()
+        self.unsent() == 0
     }
 
     /// Appends answered frames' responses, back to back in `encoded`,
@@ -284,9 +263,9 @@ struct Conn {
     read_buf: Vec<u8>,
     /// Complete frames not yet answered, in arrival order.
     pending: VecDeque<Bytes>,
-    /// A frame of this connection is at a worker, or its `Flush` ticket
-    /// waits.  Nothing behind it is answered until its answer is
-    /// appended, which keeps pipelined responses in request order.
+    /// This connection's `Flush` ticket waits.  Nothing behind it is
+    /// answered until its answer is appended, which keeps pipelined
+    /// responses in request order.
     in_flight: bool,
     /// A frame-layer error to emit (typed frame, then close) once the
     /// frames that arrived before it have been answered.
@@ -311,18 +290,31 @@ impl Conn {
             && self.http_head.is_none()
             && self.out.is_drained()
     }
+
+    /// Whether the loop answers this connection's frames now: not while
+    /// its ticket waits, nor while its unsent answers pass
+    /// [`OUTBOUND_HIGH_WATER`].
+    fn answers(&self) -> bool {
+        !self.in_flight && self.out.unsent() <= OUTBOUND_HIGH_WATER
+    }
+
+    /// Whether the loop reads from this connection now: only while it
+    /// answers and every frame read so far is answered, so a connection
+    /// holds at most one read's worth of unanswered frames.
+    fn reads(&self) -> bool {
+        !self.peer_eof && !self.out.closing && self.answers() && self.pending.is_empty()
+    }
 }
 
 struct Loop {
     poller: Poller,
     listener: TcpListener,
-    wake: Arc<WakeFd>,
-    dispatch: Arc<Dispatch>,
+    answers: Arc<Answers>,
     stop: Arc<AtomicBool>,
-    serving: Arc<Serving>,
+    serving: Serving,
     conns: HashMap<u64, Conn>,
-    /// Connections with frames left after a pass's [`INLINE_BUDGET`]: the
-    /// next wait does not block while this is non-empty.
+    /// Connections with frames to answer and nothing holding them back:
+    /// the next wait does not block while this is non-empty.
     ready: Vec<u64>,
     next_token: u64,
 }
@@ -348,7 +340,7 @@ impl Loop {
             for &(token, revents) in events.iter() {
                 match token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.wake.drain(),
+                    TOKEN_WAKE => self.answers.wake.drain(),
                     _ => self.conn_ready(token, revents),
                 }
             }
@@ -411,31 +403,32 @@ impl Loop {
         }
     }
 
-    /// Handles readiness on a connection: reads whatever is available,
-    /// then advances the state machine, which also drains the outbound
-    /// buffer.
+    /// Handles readiness on a connection: reads whatever is available if
+    /// the connection reads now (and always on hangup or error, which are
+    /// reported whatever the interest), then advances the state machine,
+    /// which also drains the outbound buffer.
     fn conn_ready(&mut self, token: u64, revents: u32) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if revents & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 && !read_available(conn) {
+        let read = revents & (EPOLLHUP | EPOLLERR) != 0
+            || (revents & (EPOLLIN | EPOLLRDHUP) != 0 && conn.reads());
+        if read && !read_available(conn) {
             self.close(token);
             return;
         }
         self.advance(token);
     }
 
-    /// Appends every answer the workers and tickets finished to its
-    /// connection and returns those connections' tokens.
+    /// Appends every answer the tickets finished to its connection and
+    /// returns those connections' tokens.
     fn take_done(&mut self) -> Vec<u64> {
-        let done = std::mem::take(&mut *self.dispatch.done.lock().expect("done lock"));
+        let done = std::mem::take(&mut *self.answers.done.lock().expect("done lock"));
         let mut tokens = Vec::with_capacity(done.len());
         for (token, encoded, trace) in done {
             if let Some(conn) = self.conns.get_mut(&token) {
                 conn.in_flight = false;
-                // A frame that did not decode is the last one answered.
-                conn.out.closing |= trace.is_none();
-                conn.out.append(&encoded, trace);
+                conn.out.append(&encoded, [trace]);
                 tokens.push(token);
             }
         }
@@ -450,11 +443,8 @@ impl Loop {
         };
         if !conn.out.closing {
             parse_available(conn, &self.serving.config);
-            if !conn.in_flight
-                && answer_pending(token, conn, &self.serving, &self.dispatch)
-                && !self.ready.contains(&token)
-            {
-                self.ready.push(token);
+            if conn.answers() {
+                answer_pending(token, conn, &self.serving, &self.answers);
             }
             if !conn.out.closing && !conn.in_flight && conn.pending.is_empty() {
                 if let Some(head) = take_complete_http_head(conn) {
@@ -482,15 +472,25 @@ impl Loop {
             self.close(token);
             return;
         }
-        // Re-arm interest: readable until the peer's EOF has been read
-        // (readiness is how EOF and new frames arrive, and a level-triggered
-        // socket past its EOF would report readable on every wait), writable
-        // only while the outbound buffer holds unsent bytes.  Hangup and
-        // error are reported whatever the interest.
-        let read = if conn.peer_eof {
-            0
-        } else {
+        // Frames left over (the pass's budget ran out, or the backlog the
+        // drain just took below the mark held them) wait for the next
+        // pass, so none strands without a readiness to rouse it.
+        if !conn.out.closing
+            && conn.answers()
+            && !conn.pending.is_empty()
+            && !self.ready.contains(&token)
+        {
+            self.ready.push(token);
+        }
+        // Re-arm interest: readable while the connection reads (readiness
+        // is how EOF and new frames arrive, and a level-triggered socket
+        // past its EOF would report readable on every wait), writable only
+        // while the outbound buffer holds unsent bytes.  Hangup and error
+        // are reported whatever the interest.
+        let read = if conn.reads() {
             EPOLLIN | EPOLLRDHUP
+        } else {
+            0
         };
         let desired = read | if conn.out.is_drained() { 0 } else { EPOLLOUT };
         if desired != conn.interest {
@@ -521,9 +521,8 @@ impl Loop {
         }
     }
 
-    /// Shutdown: wait (bounded) for frames at the workers and waiting
-    /// tickets to be answered and the responses to drain, notify the
-    /// survivors, close everything.
+    /// Shutdown: wait (bounded) for waiting tickets to be answered and the
+    /// responses to drain, notify the survivors, close everything.
     fn drain_and_close(&mut self) {
         let deadline = Instant::now() + DRAIN_DEADLINE;
         let mut events = Vec::new();
@@ -544,7 +543,7 @@ impl Loop {
             }
             for &(token, revents) in events.iter() {
                 if token == TOKEN_WAKE {
-                    self.wake.drain();
+                    self.answers.wake.drain();
                 } else if token >= FIRST_CONN_TOKEN && revents & EPOLLOUT != 0 {
                     self.flush_or_close(token);
                 }
@@ -581,31 +580,13 @@ impl Loop {
     fn close(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
+            // A failure of its batches that it never flushed goes with it.
+            self.serving.queue.forget(token);
             self.serving
                 .engine
                 .metrics_registry()
                 .note_connection_closed();
         }
-    }
-}
-
-impl Dispatch {
-    fn push(&self, token: u64, frame: Bytes) {
-        self.jobs
-            .lock()
-            .expect("jobs lock")
-            .push_back((token, frame));
-        self.work.notify_one();
-    }
-
-    /// Hands the loop thread one frame's encoded answer and its trace:
-    /// push to `done`, then wake.
-    fn answered(&self, token: u64, encoded: Vec<u8>, trace: Option<PendingTrace>) {
-        self.done
-            .lock()
-            .expect("done lock")
-            .push((token, encoded, trace));
-        self.wake.wake();
     }
 }
 
@@ -799,161 +780,154 @@ fn finish_flushed_traces(out: &mut Outbound, serving: &Serving) {
 }
 
 /// Answers `conn`'s queued frames in order on the loop thread, for at
-/// most [`INLINE_BUDGET`], and appends the responses at once, anchoring
+/// most [`INLINE_BUDGET`] and until its unsent answers pass
+/// [`OUTBOUND_HIGH_WATER`], and appends the responses at once, anchoring
 /// each trace to the outbound stream.  A `Flush` stops the pass: it
-/// becomes an ingest-queue ticket ([`flush_ticket`]).  So does a frame
-/// that [`routes_to_worker`]: it goes to a worker, unless
-/// [`refuse_ingest`] answers it here.  A frame that does not decode also
-/// stops it, and the connection closes after that frame's error.
-/// Returns `true` when the budget ran out with frames left.
-fn answer_pending(
-    token: u64,
-    conn: &mut Conn,
-    serving: &Serving,
-    dispatch: &Arc<Dispatch>,
-) -> bool {
+/// becomes an ingest-queue ticket, and the connection waits for its
+/// answer.  A frame that does not decode also stops it, and the
+/// connection closes after that frame's error.
+fn answer_pending(token: u64, conn: &mut Conn, serving: &Serving, answers: &Arc<Answers>) {
     let started = Instant::now();
     let mut encoded = Vec::new();
     let mut traces = Vec::new();
-    let mut left_over = false;
     while let Some(frame) = conn.pending.pop_front() {
-        let trace = if is_flush(&frame) {
-            if flush_ticket(token, frame, &mut encoded, serving, dispatch) {
+        match answer_frame(token, frame, &mut encoded, serving, answers) {
+            Outcome::Answered(trace) => traces.push(trace),
+            Outcome::Ticketed => {
                 conn.in_flight = true;
-            } else {
-                conn.out.closing = true;
+                break;
             }
-            break;
-        } else if !routes_to_worker(&frame) {
-            answer_frame(frame, &mut encoded, serving)
-        } else if let Some(trace) = refuse_ingest(&frame, &mut encoded, serving) {
-            Some(trace)
-        } else {
-            conn.in_flight = true;
-            dispatch.push(token, frame);
-            break;
-        };
-        let Some(trace) = trace else {
-            conn.out.closing = true;
-            break;
-        };
-        traces.push(trace);
-        if started.elapsed() >= INLINE_BUDGET {
-            left_over = !conn.pending.is_empty();
+            Outcome::Malformed => {
+                conn.out.closing = true;
+                break;
+            }
+        }
+        if started.elapsed() >= INLINE_BUDGET
+            || conn.out.unsent() + encoded.len() > OUTBOUND_HIGH_WATER
+        {
             break;
         }
     }
     conn.out.append(&encoded, traces);
-    left_over
 }
 
-/// Answers an ingest frame `Busy` without decoding it when the ingest
-/// queue is full, so a refused batch interns nothing; the queue counts
-/// the rejection as [`IngestQueue::try_submit`] does.  `None` for an
-/// empty batch or a queue with room: the frame goes to a worker, which
-/// decodes and submits it.  A refused frame's trace field is not read.
-fn refuse_ingest(frame: &[u8], encoded: &mut Vec<u8>, serving: &Serving) -> Option<PendingTrace> {
-    let started = Instant::now();
-    if ingest_record_count(frame)? == 0 {
-        return None;
-    }
-    let queue_depth = serving.queue.refuse_if_full()? as u32;
-    let response = WireResponse::Busy { queue_depth };
-    write_frame(encoded, &encode_response(&response)).expect("vec write");
-    Some(PendingTrace {
-        end_abs: encoded.len() as u64,
-        started,
-        enqueued: started,
-        ctx: serving.collector.admit(None),
-        kind: RequestKind::Ingest,
-        client_encode_ns: 0,
-        decode_ns: 0,
-        handle: Span::new(SpanKind::Handle, elapsed_ns(started)),
-    })
+/// A frame as the loop takes it: a decoded request, or an ingest batch's
+/// record bodies, checked for structure ([`split_ingest`]) and still
+/// encoded.
+enum Frame {
+    Request(WireRequest),
+    Ingest(Vec<Bytes>),
 }
 
-/// Answers one frame — decode → [`handle_request`] → encode — appending
-/// the response frame to `encoded`.  The loop thread and the workers both
-/// answer through here, so every span is stamped by the same code.
-/// Returns the request's trace, its `end_abs` an offset into `encoded`;
-/// or `None` for a frame that did not decode, answered with a typed error
-/// frame after which the connection closes and the frames behind it go
-/// unanswered.
-fn answer_frame(frame: Bytes, encoded: &mut Vec<u8>, serving: &Serving) -> Option<PendingTrace> {
+/// What became of one frame.
+enum Outcome {
+    /// Answered into `encoded`; the trace's `end_abs` is an offset there.
+    Answered(PendingTrace),
+    /// A `Flush`, handed to the ingest queue as a ticket.
+    Ticketed,
+    /// It did not decode: a typed error answered it, and the connection
+    /// closes with the frames behind it unanswered.
+    Malformed,
+}
+
+/// Appends one response frame to `encoded`.
+fn put_response(encoded: &mut Vec<u8>, response: &WireResponse) {
+    write_frame(encoded, &encode_response(response)).expect("vec write");
+}
+
+/// Answers one frame — decode → handle → encode — appending the response
+/// frame to `encoded`.  Most requests go to [`handle_request`].  An
+/// ingest batch is admitted to the queue still encoded
+/// ([`IngestQueue::admit`], on behalf of connection `token`): `IngestAck`
+/// once it is queued, `Busy` when it does not fit.  A `Flush` becomes a
+/// ticket ([`flush_ticket`]).  Every span is stamped here, so every kind
+/// is traced alike.
+fn answer_frame(
+    token: u64,
+    frame: Bytes,
+    encoded: &mut Vec<u8>,
+    serving: &Serving,
+    answers: &Arc<Answers>,
+) -> Outcome {
     let Serving {
         engine,
         queue,
         collector,
         config,
     } = serving;
-    let request_started = Instant::now();
-    let decoded = decode_request_traced(frame, &config.limits);
-    let decode_ns = elapsed_ns(request_started);
-    let (request, wire_trace) = match decoded {
+    let started = Instant::now();
+    let decoded = if is_ingest(&frame) {
+        split_ingest(frame, &config.limits).map(|(bodies, trace)| (Frame::Ingest(bodies), trace))
+    } else {
+        decode_request_traced(frame, &config.limits)
+            .map(|(request, trace)| (Frame::Request(request), trace))
+    };
+    let decode_ns = elapsed_ns(started);
+    let (frame, wire_trace) = match decoded {
         Ok(decoded) => decoded,
         Err(e) => {
-            let response = WireResponse::ServerError {
-                message: e.to_string(),
-            };
-            write_frame(encoded, &encode_response(&response)).expect("vec write");
-            return None;
+            let message = e.to_string();
+            put_response(encoded, &WireResponse::ServerError { message });
+            return Outcome::Malformed;
         }
     };
     let ctx = collector.admit(wire_trace.map(|t| t.context));
-    let kind = request_kind(&request);
-    let service_started = Instant::now();
-    let (response, index_hits, memo_hits) = handle_request(request, engine, queue, collector, ctx);
-    let service_ns = elapsed_ns(service_started);
-    write_frame(encoded, &encode_response(&response)).expect("vec write");
-    Some(PendingTrace {
-        end_abs: encoded.len() as u64,
-        started: request_started,
-        enqueued: request_started,
+    let mut trace = PendingTrace {
+        end_abs: 0,
+        started,
+        enqueued: started,
         ctx,
-        kind,
+        kind: match &frame {
+            Frame::Request(request) => request_kind(request),
+            Frame::Ingest(_) => RequestKind::Ingest,
+        },
         client_encode_ns: wire_trace.map(|t| t.client_encode_ns).unwrap_or(0),
         decode_ns,
-        handle: Span {
-            kind: SpanKind::Handle,
-            duration_ns: service_ns,
-            index_hits,
-            memo_hits,
-        },
-    })
-}
-
-/// Hands a `Flush` frame to the ingest queue as a ticket
-/// ([`IngestQueue::flush_then`]) and returns `true`.  The frame is
-/// decoded here first, so a malformed one is answered at once: its typed
-/// error goes to `encoded`, and `false` closes the connection.  The
-/// queue's drain worker runs the ticket once the batches accepted before
-/// it are applied and synced, and hands the encoded answer back through
-/// [`Dispatch::answered`].  The trace starts here; the wait counts in its
-/// `handle` span.
-fn flush_ticket(
-    token: u64,
-    frame: Bytes,
-    encoded: &mut Vec<u8>,
-    serving: &Serving,
-    dispatch: &Arc<Dispatch>,
-) -> bool {
-    let started = Instant::now();
-    let wire_trace = match decode_request_traced(frame, &serving.config.limits) {
-        Ok((_, wire_trace)) => wire_trace,
-        Err(e) => {
-            let response = WireResponse::ServerError {
-                message: e.to_string(),
+        handle: Span::new(SpanKind::Handle, 0),
+    };
+    let service_started = Instant::now();
+    let (response, index_hits, memo_hits) = match frame {
+        Frame::Request(WireRequest::Flush) => {
+            flush_ticket(token, trace, serving, answers);
+            return Outcome::Ticketed;
+        }
+        Frame::Request(request) => handle_request(request, engine, collector, ctx),
+        // The drain worker adds the batch's `queue_wait` span.
+        Frame::Ingest(bodies) => {
+            let accepted = bodies.len() as u32;
+            let response = match queue.admit(token, bodies, ctx) {
+                SubmitOutcome::Accepted { queue_depth } => WireResponse::IngestAck {
+                    accepted,
+                    queue_depth: queue_depth as u32,
+                },
+                SubmitOutcome::Busy { queue_depth } => WireResponse::Busy {
+                    queue_depth: queue_depth as u32,
+                },
             };
-            write_frame(encoded, &encode_response(&response)).expect("vec write");
-            return false;
+            (response, 0, 0)
         }
     };
-    let decode_ns = elapsed_ns(started);
-    let ctx = serving.collector.admit(wire_trace.map(|t| t.context));
-    let client_encode_ns = wire_trace.map(|t| t.client_encode_ns).unwrap_or(0);
-    let (engine, dispatch) = (Arc::clone(&serving.engine), Arc::clone(dispatch));
+    trace.handle = Span {
+        kind: SpanKind::Handle,
+        duration_ns: elapsed_ns(service_started),
+        index_hits,
+        memo_hits,
+    };
+    put_response(encoded, &response);
+    trace.end_abs = encoded.len() as u64;
+    Outcome::Answered(trace)
+}
+
+/// Hands a `Flush` to the ingest queue as connection `token`'s ticket
+/// ([`IngestQueue::flush_then`]).  The queue's drain worker runs it once
+/// the batches accepted before it are applied, encodes `Flushed` after a
+/// sync, or the first failure of this connection's batches since its last
+/// `Flush`, and hands the answer and `trace` back through `answers`; the
+/// wait counts in the trace's `handle` span.
+fn flush_ticket(token: u64, mut trace: PendingTrace, serving: &Serving, answers: &Arc<Answers>) {
+    let (engine, answers) = (Arc::clone(&serving.engine), Arc::clone(answers));
     let handed_off = Instant::now();
-    serving.queue.flush_then(Box::new(move |result| {
+    let done = move |result: Result<(), piprov_store::StoreError>| {
         // Both are read after the sync: everything submitted before the
         // flush is visible at (or below) the watermark — the anchor a
         // client's read-your-writes polls against.
@@ -967,44 +941,14 @@ fn flush_ticket(
             },
         };
         let mut encoded = Vec::new();
-        write_frame(&mut encoded, &encode_response(&response)).expect("vec write");
-        let trace = PendingTrace {
-            end_abs: encoded.len() as u64,
-            started,
-            enqueued: started,
-            ctx,
-            kind: RequestKind::Flush,
-            client_encode_ns,
-            decode_ns,
-            handle: Span::new(SpanKind::Handle, elapsed_ns(handed_off)),
-        };
-        dispatch.answered(token, encoded, Some(trace));
-    }));
-    true
-}
-
-/// A worker: answers one frame at a time and hands the loop thread the
-/// encoded response, never touching a connection.
-fn dispatch_loop(dispatch: &Dispatch, serving: &Serving) {
-    loop {
-        let (token, frame) = {
-            let mut jobs = dispatch.jobs.lock().expect("jobs lock");
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    break job;
-                }
-                if dispatch.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                jobs = dispatch
-                    .work
-                    .wait_timeout(jobs, Duration::from_millis(200))
-                    .expect("jobs lock")
-                    .0;
-            }
-        };
-        let mut encoded = Vec::new();
-        let trace = answer_frame(frame, &mut encoded, serving);
-        dispatch.answered(token, encoded, trace);
-    }
+        put_response(&mut encoded, &response);
+        trace.end_abs = encoded.len() as u64;
+        trace.handle = Span::new(SpanKind::Handle, elapsed_ns(handed_off));
+        // Push to `done`, then wake the loop thread.
+        let mut done = answers.done.lock().expect("done lock");
+        done.push((token, encoded, trace));
+        drop(done);
+        answers.wake.wake();
+    };
+    serving.queue.flush_then(token, Box::new(done));
 }

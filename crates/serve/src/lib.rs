@@ -25,17 +25,20 @@
 //!   the wire and re-interns on arrival;
 //! * [`server`] — the [`AuditServer`]: one readiness-based **event
 //!   loop** — a loop thread owning accept and every connection's
-//!   read-accumulate → decode → handle → write-drain state machine.  It
-//!   answers every frame itself but two kinds: a small worker pool
-//!   decodes ingest batches one frame at a time, and a `Flush` is a
-//!   ticket the ingest queue's drain worker answers, so no thread waits
-//!   for a flush.  Thousands of idle connections cost only a registered
-//!   fd.  Requests pipeline per connection, a plaintext
-//!   `GET /metrics` is answered with a scrape, [`ServeConfig::idle_timeout`]
-//!   is enforced, and ingest gets **back-pressure** through the engine's
-//!   bounded [`piprov_audit::IngestQueue`] (overflow answers a typed
-//!   `Busy`, each accepted batch applies under one write-lock
-//!   acquisition).  The server needs a Unix host;
+//!   read-accumulate → decode → handle → write-drain state machine — and
+//!   the ingest queue's drain worker, two threads in all.  The loop
+//!   answers every frame itself: an ingest batch is checked for structure
+//!   and queued still encoded (`IngestAck` means queued), and a `Flush`
+//!   is a ticket the drain worker answers, so no thread waits for a
+//!   flush.  Thousands of idle connections cost only a registered fd.
+//!   Requests pipeline per connection, a plaintext `GET /metrics` is
+//!   answered with a scrape, [`ServeConfig::idle_timeout`] is enforced, a
+//!   peer that does not read its answers stalls on its own socket, and
+//!   ingest gets **back-pressure** through the engine's bounded
+//!   [`piprov_audit::IngestQueue`] (overflow answers a typed `Busy`; the
+//!   drain worker decodes each batch and applies it under one write-lock
+//!   acquisition, or not at all, and a failure goes to the submitting
+//!   connection's next `Flush`).  The server needs a Unix host;
 //! * [`poll`] — the zero-dependency readiness FFI shim the event loop
 //!   stands on: `epoll`/`eventfd` on Linux, `poll(2)` and a socket-pair
 //!   wake on other Unix hosts;

@@ -1,21 +1,25 @@
 //! The TCP front-end of the audit engine: one readiness-based event loop
 //! (the `event_loop` module).  One thread owns `accept`, a
 //! [`crate::poll::Poller`] registration per connection — epoll on Linux,
-//! `poll(2)` on other Unix hosts — and every connection's state.  It
-//! answers every frame itself, plaintext `GET`s included, except ingest
-//! batches and `Flush`: a small worker pool decodes ingest batches one
-//! frame at a time, and a `Flush` is a ticket the ingest queue's drain
-//! worker answers; both answers come back to the loop.
-//! Thousands of idle connections cost only their registered fd.
+//! `poll(2)` on other Unix hosts — and every connection's state, and
+//! answers every frame itself, plaintext `GET`s and ingest batches
+//! included.  The only other thread is the ingest queue's drain worker,
+//! which decodes and applies admitted batches and answers `Flush`
+//! tickets, handing those answers back to the loop.  Thousands of idle
+//! connections cost only their registered fd.
 //!
 //! Within a connection, requests are **pipelined**: frames are answered
 //! strictly in arrival order, so a client may write many requests before
-//! reading the first response.  Ingest takes the bounded path: an
-//! `IngestBatch` frame is submitted to the engine's [`IngestQueue`]; a
-//! full queue answers a typed [`WireResponse::Busy`] immediately, before
-//! the frame is decoded — the server never buffers a writer's backlog in
-//! its own memory — and accepted batches are applied under one store-lock
-//! acquisition each by the queue's drain worker.
+//! reading the first response.  Ingest takes the bounded path: the loop
+//! checks an `IngestBatch` frame's structure and admits it, still encoded,
+//! to the engine's [`IngestQueue`], which bounds it in batches and in
+//! bytes; `IngestAck` means queued, and a queue without room answers a
+//! typed [`WireResponse::Busy`] — nothing is decoded on the loop.  The
+//! drain worker decodes each batch and applies it under one store-lock
+//! acquisition, or not at all; a failure goes to the submitting
+//! connection's next `Flush`.  The server never buffers a writer's
+//! backlog in its own memory: it stops reading a connection whose answers
+//! the peer does not read.
 //!
 //! Malformed input (bad CRC, hostile length prefix, unknown tag) is a
 //! typed error, never a panic: the server sends a best-effort
@@ -31,7 +35,7 @@ use crate::event_loop::EventLoopHandle;
 use crate::wire::WireLimits;
 use piprov_audit::{
     render_traces, AuditEngine, AuditOutcome, AuditRequest, ExpositionOptions, IngestQueue,
-    PolicyListing, SubmitOutcome, TraceCollector, TraceConfig, TraceContext,
+    PolicyListing, TraceCollector, TraceConfig, TraceContext,
 };
 use piprov_core::name::Channel;
 use piprov_core::value::Value;
@@ -43,10 +47,10 @@ use std::time::{Duration, Instant};
 /// Configuration of an [`AuditServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// The number of threads that decode ingest batches; the event-loop
-    /// thread answers every other frame but `Flush`, which the ingest
-    /// queue's drain worker answers.  Connections themselves are
-    /// unbounded by threads; an idle one costs only its fd.
+    /// Has no effect.  The server runs two threads, the event loop and
+    /// the ingest queue's drain worker, whatever this says; the field
+    /// stays so that configurations which set it still compile, until
+    /// ROADMAP item 1(d) removes it.
     pub workers: usize,
     /// Capacity of the bounded ingest queue, in batches; overflow answers
     /// [`WireResponse::Busy`].
@@ -93,7 +97,7 @@ pub struct AuditServer {
 }
 
 impl AuditServer {
-    /// Binds `addr` and starts the event loop and its workers.
+    /// Binds `addr` and starts the event loop and the ingest queue.
     /// Use port 0 to let the OS pick a free port
     /// ([`AuditServer::local_addr`] reports it).
     ///
@@ -152,12 +156,15 @@ impl AuditServer {
         &self.collector
     }
 
-    /// Stops accepting, joins the event loop and its workers, drains the
-    /// ingest queue and syncs the store.
+    /// Stops accepting, joins the event loop, drains the ingest queue and
+    /// syncs the store.  Every batch acked before the stop is applied (if
+    /// it decodes and appends) and synced.
     ///
     /// # Errors
     ///
-    /// Surfaces the first deferred ingest error or a sync failure.
+    /// Surfaces a sync failure.  A batch's failure belongs to the
+    /// connection that shipped it: that connection's next `Flush` reports
+    /// it, and once the connection has gone nobody does.
     pub fn shutdown(mut self) -> Result<(), StoreError> {
         self.event_loop.stop();
         self.stopped = true;
@@ -337,11 +344,11 @@ fn http_request_path(head: &[u8]) -> Option<&str> {
     parts.next()
 }
 
-/// Maps one decoded request other than `Flush` onto the engine/queue.
-/// Never panics; store failures become [`WireResponse::ServerError`].
-/// The event loop calls it per frame, on a worker for ingest and on its
-/// loop thread for everything but `Flush`, which it hands to the ingest
-/// queue as a ticket ([`IngestQueue::flush_then`]).
+/// Maps one decoded request other than `IngestBatch` and `Flush` onto
+/// the engine.  Never panics.  The event loop calls it per frame on its
+/// loop thread; it admits ingest frames to the queue without decoding
+/// them ([`IngestQueue::admit`]) and hands a `Flush` to the queue as a
+/// ticket ([`IngestQueue::flush_then`]).
 ///
 /// Returns the response plus the `(index_hits, memo_hits)` the engine
 /// reported, so the caller can stamp them onto the request's `handle`
@@ -349,7 +356,6 @@ fn http_request_path(head: &[u8]) -> Option<&str> {
 pub(crate) fn handle_request(
     request: WireRequest,
     engine: &Arc<AuditEngine>,
-    queue: &Arc<IngestQueue>,
     collector: &TraceCollector,
     ctx: Option<TraceContext>,
 ) -> (WireResponse, u64, u64) {
@@ -360,22 +366,10 @@ pub(crate) fn handle_request(
             let memo_hits = response.stats.memo_hits as u64;
             return (WireResponse::Audit(response), index_hits, memo_hits);
         }
-        WireRequest::IngestBatch(records) => {
-            let accepted = records.len() as u32;
-            // The queue-wait span for this batch is deposited later by the
-            // drain worker, under the same trace id.
-            match queue.try_submit_traced(records, ctx) {
-                SubmitOutcome::Accepted { queue_depth } => WireResponse::IngestAck {
-                    accepted,
-                    queue_depth: queue_depth as u32,
-                },
-                SubmitOutcome::Busy { queue_depth } => WireResponse::Busy {
-                    queue_depth: queue_depth as u32,
-                },
-            }
+        // Routed by their tag bytes, these frames never reach here.
+        WireRequest::IngestBatch(_) | WireRequest::Flush => {
+            unreachable!("the event loop admits ingest frames and tickets a Flush")
         }
-        // Routed by its tag bytes, a `Flush` frame never reaches here.
-        WireRequest::Flush => unreachable!("a Flush is an ingest-queue ticket"),
         WireRequest::Metrics => WireResponse::Metrics(Box::new(engine.metrics())),
         WireRequest::Traces { min_total_ns } => {
             WireResponse::Traces(collector.snapshot(min_total_ns))

@@ -1,7 +1,8 @@
 //! The event loop's connection-level behaviors: idle timeout, the
 //! plaintext HTTP scrapes, thousands-of-connections scale, pipelined
-//! bursts across the loop thread, the ingest workers and the ingest
-//! queue's `Flush` tickets, and half-closed or departed peers.
+//! bursts across the loop thread and the ingest queue's `Flush` tickets,
+//! ingest failures that belong to the connection that shipped them, a
+//! peer's backlog, and half-closed or departed peers.
 
 use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest, EventFilter, TraceContext};
 use piprov_core::name::{Channel, Principal};
@@ -15,8 +16,9 @@ use piprov_serve::{
     AuditClient, AuditServer, ClientError, IngestOutcome, PackLoadOutcome, RequestTrace,
     ServeConfig, WireLimits, WireRequest, WireResponse,
 };
+use piprov_store::codec::encode_body;
 use piprov_store::{Operation, ProvenanceRecord};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -1268,6 +1270,364 @@ fn responses_keep_request_order_across_the_inline_and_worker_paths() {
     check_burst(&mut conn, &engine, &burst, burst.len());
 
     drop(conn);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An ingest frame whose record bodies are given as bytes, so a test can
+/// ship bodies the encoder would never write.
+fn ingest_frame(bodies: &[Vec<u8>]) -> Vec<u8> {
+    let template = encode_request(&WireRequest::IngestBatch(Vec::new()));
+    let mut request = template[..2].to_vec();
+    request.extend((bodies.len() as u32).to_be_bytes());
+    for body in bodies {
+        request.extend((body.len() as u32).to_be_bytes());
+        request.extend(body);
+    }
+    let mut framed = Vec::new();
+    write_frame(&mut framed, &request).unwrap();
+    framed
+}
+
+/// The body of `record` with its root reference pointed past its node
+/// table.
+fn dangling_body(record: &ProvenanceRecord) -> Vec<u8> {
+    let mut body = encode_body(record).to_vec();
+    let root = body.len() - 4;
+    body[root..].copy_from_slice(&999u32.to_be_bytes());
+    body
+}
+
+/// The body of a record whose provenance nests `levels` deep, each
+/// node's channel the node before, written by hand: the encoder refuses
+/// to write what the decoder would refuse to read.
+fn nested_body(levels: u32) -> Vec<u8> {
+    let empty = ProvenanceRecord::new(
+        1,
+        "a",
+        Operation::Send,
+        "m",
+        value("deep"),
+        Provenance::empty(),
+    );
+    let body = encode_body(&empty);
+    // Drop the empty provenance section: a zero node count and root 0.
+    let mut nested = body[..body.len() - 8].to_vec();
+    nested.extend(levels.to_be_bytes());
+    for level in 0..levels {
+        nested.push(0); // Output
+        nested.extend(1u16.to_be_bytes());
+        nested.push(b'p');
+        nested.extend(level.to_be_bytes()); // channel: the node before
+        nested.extend(0u32.to_be_bytes()); // tail: ε
+    }
+    nested.extend(levels.to_be_bytes()); // root
+    nested
+}
+
+/// Before batches were admitted still encoded, such bodies got a typed
+/// error and the close, and a batch that failed in the store handed its
+/// error to whichever flush ran next.
+#[test]
+fn a_batch_that_fails_to_decode_is_acked_and_fails_only_its_own_connections_flush() {
+    let dir = temp_dir("attribution");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    server.ingest_queue().set_paused(true);
+
+    // A good record beside one whose reference dangles, then a record
+    // nested past the depth limit: both frames pass the loop's check.
+    let mut shipper = AuditClient::connect(addr).unwrap();
+    let frames = [
+        ingest_frame(&[
+            encode_body(&record(0, "s0")).to_vec(),
+            dangling_body(&record(1, "s0")),
+        ]),
+        ingest_frame(&[nested_body(MAX_DEPTH + 1)]),
+    ];
+    for (frame, accepted) in frames.iter().zip([2, 1]) {
+        shipper.send_raw(frame).unwrap();
+        match shipper.receive_response().unwrap() {
+            WireResponse::IngestAck { accepted: got, .. } => assert_eq!(got, accepted),
+            other => panic!("expected the frame to be queued, got {:?}", other),
+        }
+    }
+    // Another connection's batch, and its flush, which runs once the
+    // failed batches are applied.
+    let mut other = AuditClient::connect(addr).unwrap();
+    assert!(matches!(
+        other.ingest_batch(vec![record(2, "s1")]).unwrap(),
+        IngestOutcome::Acked { accepted: 1, .. }
+    ));
+    let mut flush = Vec::new();
+    write_frame(&mut flush, &encode_request(&WireRequest::Flush)).unwrap();
+    other.send_raw(&flush).unwrap();
+    let waiting = std::thread::spawn(move || other.receive_response());
+    server.ingest_queue().set_paused(false);
+    match waiting.join().unwrap() {
+        Ok(WireResponse::Flushed { ingested, .. }) => assert_eq!(ingested, 1),
+        other => panic!(
+            "another connection's failure reached this flush: {:?}",
+            other
+        ),
+    }
+
+    // The shipper's flush names its first failure, once; neither of its
+    // batches stored anything.
+    match shipper.flush() {
+        Err(ClientError::Server(message)) => assert!(message.contains("reference"), "{}", message),
+        other => panic!("expected the dangling reference's error, got {:?}", other),
+    }
+    assert_eq!(shipper.flush().unwrap().ingested, 1);
+    assert_eq!(engine.record_count(), 1, "a failed batch applies nothing");
+    assert_eq!(server.ingest_queue().unclaimed_failures(), 0);
+    drop(shipper);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The deepest provenance the store accepts.
+const MAX_DEPTH: u32 = piprov_store::record::MAX_PROVENANCE_DEPTH as u32;
+
+/// Before per-connection attribution there was no per-connection state:
+/// one error slot held the failure until any connection's flush took it.
+#[test]
+fn a_connection_that_leaves_without_flushing_takes_its_failure_with_it() {
+    let dir = temp_dir("leaver-failure");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut leaver = AuditClient::connect(addr).unwrap();
+    leaver
+        .send_raw(&ingest_frame(&[dangling_body(&record(0, "s0"))]))
+        .unwrap();
+    assert!(matches!(
+        leaver.receive_response().unwrap(),
+        WireResponse::IngestAck { accepted: 1, .. }
+    ));
+    // Another connection's flush runs after the failed batch is applied,
+    // and does not take its failure.
+    let mut bystander = AuditClient::connect(addr).unwrap();
+    assert_eq!(bystander.flush().unwrap().ingested, 0);
+    assert_eq!(server.ingest_queue().unclaimed_failures(), 1);
+
+    let closed = engine.metrics_registry().connections_closed();
+    drop(leaver);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while engine.metrics_registry().connections_closed() == closed
+        || server.ingest_queue().unclaimed_failures() > 0
+    {
+        assert!(
+            Instant::now() < deadline,
+            "the leaver's failure outlived it"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(bystander.flush().unwrap().ingested, 0);
+    drop(bystander);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The most a stalled peer may have written: the server's bounded
+/// buffers plus the kernel's socket buffers on both sides, which take
+/// several megabytes on a loopback connection.
+const STALL_BOUND: usize = 16 << 20;
+/// Request bytes a flooding peer writes at most; a server that reads them
+/// all never stalls it.
+const FLOOD_CAP: usize = 2 * STALL_BOUND;
+
+/// Whether probe `i` asks about the known value: a pattern no shift of
+/// the stream reproduces.
+fn probes_known(i: usize) -> bool {
+    (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 1
+}
+
+/// A read with a small answer that says which of two values it asked
+/// about.
+fn probe(i: usize) -> WireRequest {
+    let name = if probes_known(i) { "item0" } else { "absent" };
+    WireRequest::Audit(AuditRequest::OriginOf { value: value(name) })
+}
+
+/// A peer that writes `prelude` and then probes and reads nothing, until
+/// a write times out.
+struct Flood {
+    stream: TcpStream,
+    frames: Vec<u8>,
+    /// Where each probe's frame ends in `frames`.
+    ends: Vec<usize>,
+    written: usize,
+}
+
+impl Flood {
+    fn start(addr: std::net::SocketAddr, prelude: &[WireRequest]) -> Flood {
+        let mut frames = Vec::new();
+        for request in prelude {
+            write_frame(&mut frames, &encode_request(request)).unwrap();
+        }
+        // Two distinct probe frames, encoded once.
+        let framed: Vec<Vec<u8>> = (0..2)
+            .map(|known| {
+                let slot = (0..).find(|&i| probes_known(i) == (known == 1)).unwrap();
+                let mut frame = Vec::new();
+                write_frame(&mut frame, &encode_request(&probe(slot))).unwrap();
+                frame
+            })
+            .collect();
+        let mut ends = Vec::new();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_write_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let mut written = 0;
+        while written < FLOOD_CAP {
+            if written == frames.len() {
+                // Probes are built as the socket takes them.
+                while frames.len() < written + 64 * 1024 {
+                    frames.extend_from_slice(&framed[probes_known(ends.len()) as usize]);
+                    ends.push(frames.len());
+                }
+            }
+            match stream.write(&frames[written..]) {
+                Ok(n) => written += n,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+                Err(e) => panic!("flood write: {}", e),
+            }
+        }
+        assert!(
+            written < STALL_BOUND,
+            "the server read {} bytes from a peer that reads nothing",
+            written
+        );
+        assert!(written > ends[0], "the prelude and a probe went out");
+        Flood {
+            stream,
+            frames,
+            ends,
+            written,
+        }
+    }
+
+    /// Finishes the probe the stall cut, then reads every answer: the
+    /// prelude's, checked by `prelude`, then each probe's, in order.
+    fn drain(
+        self,
+        engine: &AuditEngine,
+        prelude: impl FnOnce(&mut dyn FnMut() -> WireResponse) + Send + 'static,
+    ) {
+        let end = *self.ends.iter().find(|&&end| end >= self.written).unwrap();
+        let probes = self.ends.iter().position(|&e| e == end).unwrap() + 1;
+        let known = engine
+            .handle(&AuditRequest::OriginOf {
+                value: value("item0"),
+            })
+            .outcome;
+        let reader_stream = self.stream.try_clone().unwrap();
+        reader_stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let reader = std::thread::spawn(move || {
+            let limits = WireLimits::default();
+            let mut reader = BufReader::new(reader_stream);
+            let mut next = || {
+                let frame = read_frame(&mut reader, limits.max_frame_len)
+                    .unwrap()
+                    .expect("an answer per request");
+                decode_response(frame, &limits).unwrap()
+            };
+            prelude(&mut next);
+            for slot in 0..probes {
+                match next() {
+                    WireResponse::Audit(response) => assert_eq!(
+                        response.outcome == known,
+                        probes_known(slot),
+                        "probe {} answered {:?}",
+                        slot,
+                        response.outcome
+                    ),
+                    other => panic!("probe {} answered {:?}", slot, other),
+                }
+            }
+        });
+        let mut stream = self.stream;
+        stream
+            .set_write_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(&self.frames[self.written..end]).unwrap();
+        reader.join().unwrap();
+    }
+}
+
+/// A server with one record, `item0`, and a served connection.
+fn flood_server(name: &str) -> (AuditServer, Arc<AuditEngine>, AuditClient, PathBuf) {
+    let dir = temp_dir(name);
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("any", Pattern::Any);
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut served = AuditClient::connect(server.local_addr()).unwrap();
+    served.ingest_blocking(vec![record(0, "s0")]).unwrap();
+    served.flush().unwrap();
+    (server, engine, served, dir)
+}
+
+/// A vet on the served connection answers at once.
+fn vet_answers(served: &mut AuditClient) {
+    let started = Instant::now();
+    let vet = served
+        .request(&AuditRequest::VetValue {
+            value: value("item0"),
+            pattern: "any".into(),
+        })
+        .unwrap();
+    assert!(matches!(
+        vet.outcome,
+        AuditOutcome::Vetted { verdict: true, .. }
+    ));
+    assert!(started.elapsed() < Duration::from_secs(1));
+}
+
+/// Before the backlog bound the loop read everything a peer wrote and
+/// buffered every answer: 2 MB of `Metrics` requests grew the server by
+/// hundreds of megabytes, and this peer's writes never stalled.
+#[test]
+fn a_peer_that_never_reads_stalls_on_its_own_socket_and_then_gets_every_answer_in_order() {
+    let (server, engine, mut served, dir) = flood_server("flood");
+    let flood = Flood::start(server.local_addr(), &[]);
+    vet_answers(&mut served);
+    flood.drain(&engine, |_| {});
+    vet_answers(&mut served);
+    drop(served);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Before, the loop kept reading a connection whose `Flush` ticket
+/// waited, and buffered everything behind it.
+#[test]
+fn a_peer_whose_flush_waits_stalls_on_its_own_socket_and_then_gets_every_answer_in_order() {
+    let (server, engine, mut served, dir) = flood_server("flood-flush");
+    server.ingest_queue().set_paused(true);
+    let prelude = [
+        WireRequest::IngestBatch(vec![record(1, "s1")]),
+        WireRequest::Flush,
+    ];
+    let flood = Flood::start(server.local_addr(), &prelude);
+    vet_answers(&mut served);
+    server.ingest_queue().set_paused(false);
+    flood.drain(&engine, |next| {
+        assert!(matches!(
+            next(),
+            WireResponse::IngestAck { accepted: 1, .. }
+        ));
+        assert!(matches!(next(), WireResponse::Flushed { ingested: 2, .. }));
+    });
+    vet_answers(&mut served);
+    drop(served);
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

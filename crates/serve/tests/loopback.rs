@@ -688,3 +688,46 @@ fn a_client_bounds_its_flush_with_a_socket_read_timeout() {
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The server stops reading a connection whose answers go unread, so a
+/// pipeline that wrote every request before reading any once waited
+/// forever when its requests outgrew the sockets' buffers: 200,000
+/// traced `OriginOf` requests (~10 MB) did on a 2-vCPU Linux host.  The
+/// client writes a long pipeline in windows, and every answer comes back
+/// in order.
+#[test]
+fn a_pipeline_longer_than_the_socket_buffers_completes_in_order() {
+    // ~230-byte requests with small answers: 34 MB of requests, over
+    // twice what that host's loopback buffers held.
+    const REQUESTS: usize = 150_000;
+    let dir = temp_dir("long-pipeline");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", config()).unwrap();
+    let untraced = ClientConfig {
+        trace: false,
+        ..ClientConfig::default()
+    };
+    let mut client = AuditClient::connect_with(server.local_addr(), untraced).unwrap();
+    client.ingest_blocking(vec![record(0, "s0")]).unwrap();
+    client.flush().unwrap();
+    // Every seventh request asks about the known value.
+    let absent = value(&"absent".repeat(35));
+    let requests: Vec<AuditRequest> = (0..REQUESTS)
+        .map(|i| AuditRequest::OriginOf {
+            value: if i % 7 == 0 {
+                value("item0")
+            } else {
+                absent.clone()
+            },
+        })
+        .collect();
+    let responses = client.pipeline(&requests).unwrap();
+    assert_eq!(responses.len(), REQUESTS);
+    for (i, response) in responses.iter().enumerate() {
+        let known = matches!(response.outcome, AuditOutcome::Origin { .. });
+        assert_eq!(known, i % 7 == 0, "slot {}: {:?}", i, response.outcome);
+    }
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}

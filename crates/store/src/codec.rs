@@ -27,7 +27,10 @@ use crate::error::StoreError;
 use crate::record::{
     direction_from_tag, direction_tag, Operation, ProvenanceRecord, MAX_PROVENANCE_DEPTH,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+/// The buffer [`decode_body`] reads, re-exported for callers that hold
+/// record bodies without depending on `bytes` themselves.
+pub use bytes::Bytes;
+use bytes::{Buf, BufMut, BytesMut};
 use piprov_core::name::Principal;
 use piprov_core::provenance::{Direction, Event, ProvId, Provenance};
 use piprov_core::value::Value;

@@ -72,14 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "supplier3",
         ])),
     );
-    let server = AuditServer::bind(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        },
-    )?;
+    let server = AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default())?;
     let addr = server.local_addr();
     println!("serve_scale: event loop on {}", addr);
 
