@@ -24,16 +24,23 @@
 //! events" is grounded in who built the channel).  [`filtered_view`]
 //! describes the filtered history *without building it*: the kept events
 //! above the deepest removed one, as plain borrowed events, and the spine
-//! suffix strictly older than it, as the very same interned nodes.  The
-//! re-vet steps the automaton over the kept events and then continues
-//! its memoized walk on the suffix (`CompiledPattern::matches_after`), so
+//! suffix strictly older than it, as the very same interned nodes.  Its
+//! walk stops at the first spine node whose principal filter
+//! (`Provenance::principal_filter`, cached on every interned node) rules
+//! the [`EventFilter`] out, since no event at or below that node can be
+//! removed: a `Principal` or `ChannelVia` filter whose removals sit near
+//! the head costs the events down to its deepest removal, not the spine.
+//! The node filter over-approximates, like the paper's §5 static
+//! analysis: its "no" is exact, and on "maybe" the walk goes on.  The
+//! re-vet steps the automaton over the kept events and then continues its
+//! memoized walk on the suffix (`CompiledPattern::matches_after`), so
 //! every memo verdict for the suffix is reused and nothing is interned:
 //! a wire client's what-if questions cannot grow the process-global
 //! interner.  The re-vet's memo reuse is surfaced as
 //! `RequestStats::memo_reused`.
 
 use piprov_core::name::Principal;
-use piprov_core::provenance::{Direction, Event, ProvId, Provenance};
+use piprov_core::provenance::{principal_bit, Direction, Event, ProvId, Provenance};
 use piprov_patterns::{WitnessStep, WitnessTrail};
 use piprov_store::SequenceNumber;
 use std::collections::HashMap;
@@ -250,24 +257,39 @@ pub struct FilteredView<'a> {
     /// The removed events, most recent first, tagged with their original
     /// DAG node ids.
     pub removed: Vec<WhyEvent>,
+    /// Spine nodes whose event the walk decided: the work the view cost,
+    /// which a counterfactual adds to `RequestStats::dag_nodes_visited`.
+    pub decided: usize,
 }
 
 /// Applies `filter` to the spine of `provenance` without building the
 /// filtered history.
 ///
-/// One walk down the spine decides each event.  The suffix below the
-/// deepest removed event is returned as the input's own node, and the
-/// kept events above it are borrowed: the kept events between two removed
-/// ones are collected when the lower of the two is found, so the events
-/// below the deepest removal are passed over once and never collected.
+/// One walk down the spine decides each event, and stops at the first
+/// node whose principal filter rules out a `Principal` or `ChannelVia`
+/// filter's principal: that node's filter covers every spine principal
+/// and every channel-history principal below it, so none of its events
+/// can be removed.  A `Kind` filter walks the whole spine.  The suffix
+/// below the deepest removed event is returned as the input's own node,
+/// and the kept events above it are borrowed: the kept events between two
+/// removed ones are collected when the lower of the two is found, so the
+/// events decided below the deepest removal are never collected.
 /// `ChannelVia` is decided with a memo over the channel histories' DAG
-/// nodes that lasts for this one walk, so the walk costs the spine plus
-/// the distinct channel-history nodes, however many events share them.
+/// nodes that lasts for this one walk, so the walk costs the decided
+/// spine plus the distinct channel-history nodes, however many events
+/// share them.
 pub fn filtered_view<'a>(provenance: &'a Provenance, filter: &EventFilter) -> FilteredView<'a> {
+    let bit = match filter {
+        EventFilter::Principal(principal) | EventFilter::ChannelVia(principal) => {
+            principal_bit(principal)
+        }
+        // No node's filter is 0, so a `Kind` filter walks the spine.
+        EventFilter::Kind(_) => u64::MAX,
+    };
     let mut memo = HashMap::new();
     let mut removes = |event: &Event| match filter {
         EventFilter::ChannelVia(principal) => {
-            involves(&event.channel_provenance, principal, &mut memo)
+            involves(&event.channel_provenance, principal, bit, &mut memo)
         }
         filter => filter.removes(event),
     };
@@ -277,8 +299,13 @@ pub fn filtered_view<'a>(provenance: &'a Provenance, filter: &EventFilter) -> Fi
     // Events kept since the last removal: above the deepest removed event
     // only if another removal follows.
     let mut pending = 0;
+    let mut decided = 0;
     let mut cursor = provenance;
     while let (Some(event), Some(tail)) = (cursor.head(), cursor.tail()) {
+        if cursor.principal_filter() & bit == 0 {
+            break;
+        }
+        decided += 1;
         if removes(event) {
             kept.extend(suffix.iter().take(pending));
             pending = 0;
@@ -296,29 +323,42 @@ pub fn filtered_view<'a>(provenance: &'a Provenance, filter: &EventFilter) -> Fi
         kept,
         suffix,
         removed,
+        decided,
     }
 }
 
 /// Whether `principal` performs any event in the DAG below `history` —
 /// its spine and, recursively, every channel history on it: the memoized
-/// form of `history.principals_involved().contains(principal)`.
+/// form of `history.principals_involved().contains(principal)`.  `bit` is
+/// the principal's [`principal_bit`].
 ///
-/// The spine is walked down to the first node whose answer `memo` holds,
-/// or to one that settles it; every node passed shares that answer, so
+/// The spine is walked down to the first node whose principal filter
+/// lacks `bit` (a "no" for it and everything below), whose answer `memo`
+/// holds, or that settles it; every node passed shares that answer, so
 /// each node is decided once.  The recursion follows channel nesting,
 /// never the spine's length.
-fn involves(history: &Provenance, principal: &Principal, memo: &mut HashMap<ProvId, bool>) -> bool {
+fn involves(
+    history: &Provenance,
+    principal: &Principal,
+    bit: u64,
+    memo: &mut HashMap<ProvId, bool>,
+) -> bool {
     let mut passed = Vec::new();
     let mut cursor = history;
     let answer = loop {
         let (Some(event), Some(tail)) = (cursor.head(), cursor.tail()) else {
             break false;
         };
+        if cursor.principal_filter() & bit == 0 {
+            break false;
+        }
         if let Some(&known) = memo.get(&cursor.id()) {
             break known;
         }
         passed.push(cursor.id());
-        if event.principal == *principal || involves(&event.channel_provenance, principal, memo) {
+        if event.principal == *principal
+            || involves(&event.channel_provenance, principal, bit, memo)
+        {
             break true;
         }
         cursor = tail;
@@ -454,12 +494,13 @@ mod tests {
         for history in [channel_chained(12), shared] {
             for name in names {
                 let principal = Principal::new(name);
+                let bit = principal_bit(&principal);
                 let filter = EventFilter::ChannelVia(principal.clone());
                 // One memo across the spine, as filtered_view keeps it.
                 let mut memo = HashMap::new();
                 for event in history.iter() {
                     assert_eq!(
-                        involves(&event.channel_provenance, &principal, &mut memo),
+                        involves(&event.channel_provenance, &principal, bit, &mut memo),
                         filter.removes(event),
                         "{} on {}",
                         filter,

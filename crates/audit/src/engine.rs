@@ -794,7 +794,9 @@ impl AuditEngine {
     /// events of [`filtered_view`] and continues on the untouched suffix,
     /// whose verdicts answer from the memo
     /// ([`CompiledPattern::matches_after`]): nothing is interned.  Its
-    /// cache hits are surfaced as [`RequestStats::memo_reused`].
+    /// cache hits are surfaced as [`RequestStats::memo_reused`], and the
+    /// spine nodes the view decided count in
+    /// [`RequestStats::dag_nodes_visited`] with both walks' nodes.
     fn counterfactual(
         &self,
         snapshot: &EngineSnapshot,
@@ -817,7 +819,8 @@ impl AuditEngine {
         let view = filtered_view(&record.provenance, remove);
         let (counterfactual, cf_stats) = compiled.matches_after(&view.kept, view.suffix);
         stats.memo_hits = original_stats.memo_hits + cf_stats.memo_hits;
-        stats.dag_nodes_visited = original_stats.nodes_visited + cf_stats.nodes_visited;
+        stats.dag_nodes_visited =
+            original_stats.nodes_visited + view.decided + cf_stats.nodes_visited;
         stats.memo_reused = cf_stats.memo_hits;
         let verdict = CounterfactualVerdict {
             original,
@@ -1183,6 +1186,62 @@ mod tests {
         assert_eq!(verdict.removed.len(), 2_000);
         assert!(verdict.counterfactual);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_warm_counterfactual_removing_the_second_event_costs_the_same_at_any_depth() {
+        // [vendor!, inspector?, relay? × depth]: the filtered view decides
+        // the two events above the relay suffix, whose principal filter
+        // rules the inspector out, and the re-vet rides the memo below.
+        let visited = |depth: usize| {
+            let dir = temp_dir(&format!("cf-depth-{}", depth));
+            let engine = AuditEngine::open(&dir).unwrap();
+            engine.register_pattern(
+                "vendor",
+                Pattern::send(GroupExpr::single("vendor"), Pattern::Any).then(Pattern::Any),
+            );
+            let relays =
+                (0..depth).map(|_| Event::input(Principal::new("relay"), Provenance::empty()));
+            let spine = Provenance::from_events(
+                [
+                    Event::output(Principal::new("vendor"), Provenance::empty()),
+                    Event::input(Principal::new("inspector"), Provenance::empty()),
+                ]
+                .into_iter()
+                .chain(relays)
+                .collect::<Vec<_>>(),
+            );
+            engine
+                .ingest(ProvenanceRecord::new(
+                    0,
+                    "vendor",
+                    Operation::Send,
+                    "ship",
+                    value("deep"),
+                    spine,
+                ))
+                .unwrap();
+            let request = AuditRequest::Counterfactual {
+                value: value("deep"),
+                pattern: "vendor".into(),
+                remove: EventFilter::Principal(Principal::new("inspector")),
+            };
+            // The first answer warms the memo for both walks.
+            engine.handle(&request);
+            let response = engine.handle(&request);
+            match &response.outcome {
+                AuditOutcome::Counterfactual(verdict) => {
+                    assert!(verdict.original && verdict.counterfactual);
+                    assert_eq!(verdict.removed.len(), 1);
+                }
+                other => panic!("expected a counterfactual, got {:?}", other),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+            response.stats.dag_nodes_visited
+        };
+        let shallow = visited(64);
+        assert_eq!(shallow, visited(1024), "the walk grew with the spine");
+        assert!(shallow <= 4, "{} nodes for a warm counterfactual", shallow);
     }
 
     #[test]

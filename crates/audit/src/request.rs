@@ -88,11 +88,15 @@ pub struct RequestStats {
     /// Posting-list entries the store's secondary indexes supplied — the
     /// records the request consulted *without* scanning the store.
     pub index_hits: usize,
-    /// Pattern-memo lookups answered from a cache (vet requests only).
+    /// Pattern-memo lookups answered from a cache, in every walk of a vet,
+    /// a why or a counterfactual.
     pub memo_hits: usize,
     /// Provenance DAG nodes actually walked: spine nodes the NFA
-    /// simulated for a vet; for trails and origins, the top-level events
-    /// of the consulted records (an O(1) cached read per record).
+    /// simulated for a vet or a why; for a counterfactual, the nodes both
+    /// of its NFA walks simulated plus the spine nodes its filtered view
+    /// decided ([`FilteredView::decided`](crate::FilteredView::decided));
+    /// for trails and origins, the top-level events of the consulted
+    /// records (an O(1) cached read per record).
     pub dag_nodes_visited: usize,
     /// Memoized verdicts reused by a counterfactual re-vet specifically:
     /// the cache hits scored while matching the *filtered* view — on the

@@ -20,14 +20,16 @@
 //!   `memo_reused` fires without changing the answer.
 
 use piprov_audit::{
-    AuditEngine, AuditOutcome, AuditRequest, CounterfactualVerdict, EventFilter, WhySlice,
+    filtered_view, AuditEngine, AuditOutcome, AuditRequest, CounterfactualVerdict, EventFilter,
+    WhySlice,
 };
 use piprov_core::name::{Channel, Principal};
-use piprov_core::provenance::{Direction, Event, Provenance};
+use piprov_core::provenance::{principal_bit, Direction, Event, Provenance};
 use piprov_core::value::Value;
 use piprov_patterns::parse_pattern;
 use piprov_store::{Operation, ProvenanceRecord};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -129,12 +131,47 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
         .prop_map(|(steps, picks)| build_workload(&steps, &picks))
 }
 
+/// Filters over `p0`–`p9`: workloads use `p0`–`p4`, so `p5`–`p9` are
+/// absent and a node's principal filter may rule them out of a whole
+/// spine.
 fn arb_filter() -> impl Strategy<Value = EventFilter> {
     prop_oneof![
-        (0u32..5).prop_map(|p| EventFilter::Principal(Principal::new(format!("p{}", p)))),
+        (0u32..10).prop_map(|p| EventFilter::Principal(Principal::new(format!("p{}", p)))),
         prop_oneof![Just(Direction::Output), Just(Direction::Input)].prop_map(EventFilter::Kind),
-        (0u32..5).prop_map(|p| EventFilter::ChannelVia(Principal::new(format!("p{}", p)))),
+        (0u32..10).prop_map(|p| EventFilter::ChannelVia(Principal::new(format!("p{}", p)))),
     ]
+}
+
+/// The `Principal` and `ChannelVia` filters over `p0`–`p9`, the ones a
+/// node's principal filter can rule out.
+fn principal_filters() -> Vec<(Principal, EventFilter)> {
+    (0..10)
+        .flat_map(|p| {
+            let principal = Principal::new(format!("p{}", p));
+            [
+                (principal.clone(), EventFilter::Principal(principal.clone())),
+                (principal.clone(), EventFilter::ChannelVia(principal)),
+            ]
+        })
+        .collect()
+}
+
+/// Asserts that `filtered_view` of `history` equals the literal filter:
+/// `kept ; suffix` are the events `removes` keeps, and `removed` the ones
+/// it drops, in spine order.
+fn assert_view_matches_removes(history: &Provenance, filter: &EventFilter) {
+    let view = filtered_view(history, filter);
+    let joined: Vec<Event> = view
+        .kept
+        .iter()
+        .map(|event| (*event).clone())
+        .chain(view.suffix.to_vec())
+        .collect();
+    let (removed, kept): (Vec<Event>, Vec<Event>) =
+        history.iter().cloned().partition(|e| filter.removes(e));
+    assert_eq!(joined, kept, "kept events for {} on {}", filter, history);
+    let got: Vec<Event> = view.removed.iter().map(|r| r.event.clone()).collect();
+    assert_eq!(got, removed, "removed events for {} on {}", filter, history);
 }
 
 /// Unwraps a counterfactual outcome, or returns `None` for the
@@ -263,6 +300,36 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&live_dir);
         let _ = std::fs::remove_dir_all(&scratch_dir);
+    }
+
+    /// Summary soundness: a node's principal filter over-approximates.
+    /// Over every node of a workload's pool (spines and the channel
+    /// histories nested in them), whenever `removes` holds for a spine
+    /// event at or below the node, the node's filter says "maybe" for the
+    /// filter's principal, and the early-stopping `filtered_view` equals
+    /// the literal filter.
+    #[test]
+    fn node_filters_never_rule_out_a_removable_event(
+        steps in proptest::collection::vec(
+            (0u8..5, any::<bool>(), 0usize..24, 0usize..24),
+            1..24,
+        ),
+    ) {
+        // One record per pool entry, so every pool node is reachable.
+        let picks: Vec<(usize, usize)> = (0..=steps.len()).map(|i| (0, i)).collect();
+        let workload = build_workload(&steps, &picks);
+        let nodes = Provenance::dag_nodes(workload.records.iter().map(|r| &r.provenance));
+        for node in &nodes {
+            for (principal, filter) in principal_filters() {
+                if node.iter().any(|event| filter.removes(event)) {
+                    prop_assert!(
+                        node.principal_filter() & principal_bit(&principal) != 0,
+                        "the filter of {} rules out {}, which removes an event", node, filter
+                    );
+                }
+                assert_view_matches_removes(node, &filter);
+            }
+        }
     }
 
     /// Why-slice soundness over random workloads: every `Passed` slice,
@@ -508,4 +575,55 @@ fn counterfactual_reuses_memoized_suffixes_on_deep_spines() {
         response.stats
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// More distinct principals than a node filter has bits, so by pigeonhole
+/// some share one: a walk for a principal whose bit another principal
+/// below it shares goes on past its deepest removal, and must still equal
+/// the literal filter, for spine and channel-history principals alike.
+#[test]
+fn filtered_views_stay_exact_when_principals_share_a_filter_bit() {
+    const NAMES: usize = 80;
+    let name = |i: usize| Principal::new(format!("crowd{}", i));
+    // Spine event i is by crowd{i}; every third one travels on a channel
+    // whose one-event history is by another member of the crowd.
+    let spine = Provenance::from_events(
+        (0..NAMES)
+            .map(|i| {
+                let channel = if i % 3 == 0 {
+                    Provenance::single(Event::output(
+                        name((i * 7 + 3) % NAMES),
+                        Provenance::empty(),
+                    ))
+                } else {
+                    Provenance::empty()
+                };
+                Event::input(name(i), channel)
+            })
+            .collect::<Vec<_>>(),
+    );
+    let bits: HashSet<u64> = (0..NAMES).map(|i| principal_bit(&name(i))).collect();
+    assert!(
+        bits.len() < NAMES,
+        "pigeonhole: some principals share a bit"
+    );
+    let mut walked_past = 0;
+    for i in 0..NAMES + 4 {
+        let principal = name(i);
+        for filter in [
+            EventFilter::Principal(principal.clone()),
+            EventFilter::ChannelVia(principal),
+        ] {
+            assert_view_matches_removes(&spine, &filter);
+        }
+        // crowd{i} performs only spine event i, so a walk that decides
+        // more than i + 1 events was kept going by a shared bit below.
+        if i < NAMES && filtered_view(&spine, &EventFilter::Principal(name(i))).decided > i + 1 {
+            walked_past += 1;
+        }
+    }
+    assert!(
+        walked_past > 0,
+        "no principal shared a bit with one below it"
+    );
 }

@@ -12,6 +12,16 @@
 //! * **O(1) size queries** — `len`, `depth` and `total_size` are computed
 //!   once, when the node is interned, from the already-cached values of
 //!   its children;
+//! * **O(1) "is this principal below?" answers** — the fourth cached
+//!   quantity is a 64-bit filter of every principal at or below the node,
+//!   on its spine and in its channel histories: the principal's bit
+//!   ([`principal_bit`]) OR the channel's filter OR the tail's filter,
+//!   computed on an intern miss.  Like the paper's §5 static analysis it
+//!   over-approximates: a clear bit is an exact "no", a set bit only
+//!   "maybe", since names share the 64 bits.  One filter serves the
+//!   causal plane's principal and channel-history filters alike, because
+//!   the spine's principals and the channels' principals are each a
+//!   subset of it; a second filter would cost 8 more bytes per node;
 //! * **DAG-sized serialization** — downstream layers (the store codec, the
 //!   pattern-match memo, the simulator's sharing metrics) can key work by
 //!   `ProvId` and pay per *distinct* node instead of per tree occurrence.
@@ -26,6 +36,13 @@
 //! [`interner_stats`] aggregates them and [`interner_shard_stats`] exposes
 //! the per-shard breakdown.  Nodes are never reclaimed; compacting
 //! unreferenced nodes remains a ROADMAP open item.
+//!
+//! The filter is paid for by narrowing `len` and `depth` to `u32`, so a
+//! node still takes 72 bytes on 64-bit targets.  Both are bounded by the
+//! number of distinct nodes, which [`ProvId`]'s `u32` already caps: every
+//! node of a spine, and every level of a channel nesting, is a distinct
+//! node.  `total_size` stays `usize`: it counts the logical tree, which
+//! grows exponentially under channel-chained histories.
 
 use super::{Direction, Event, Provenance};
 use crate::name::Principal;
@@ -74,9 +91,27 @@ pub(super) struct Node {
     pub(super) id: ProvId,
     pub(super) event: Event,
     pub(super) tail: Provenance,
-    pub(super) len: usize,
-    pub(super) depth: usize,
+    pub(super) len: u32,
+    pub(super) depth: u32,
     pub(super) total_size: usize,
+    /// [`principal_bit`] of every principal at or below this node, on the
+    /// spine and in channel histories.
+    pub(super) principals: u64,
+}
+
+/// The bit of `principal` in a node's principal filter (see
+/// [`Provenance::principal_filter`]): one of 64, picked by a fixed
+/// multiply-rotate hash of the name's bytes.  The top six bits of the hash
+/// choose it, because the low bits of a product depend only on the low
+/// bits of its factors.
+pub fn principal_bit(principal: &Principal) -> u64 {
+    let mut hash = 0u64;
+    for chunk in principal.as_str().as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        hash = (hash.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    1 << (hash >> 58)
 }
 
 /// Shared handle onto an interned node.
@@ -171,8 +206,9 @@ impl InternTable {
         // the lock; saturating arithmetic because the logical tree size
         // grows exponentially under channel-chained histories.
         let channel = &event.channel_provenance;
-        let len = tail.len() + 1;
-        let depth = tail.depth().max(1 + channel.depth());
+        // Both fit: each counts distinct nodes, which ProvId's u32 caps.
+        let len = tail.len() as u32 + 1;
+        let depth = tail.depth().max(1 + channel.depth()) as u32;
         let total_size = 1usize
             .saturating_add(channel.total_size())
             .saturating_add(tail.total_size());
@@ -207,6 +243,8 @@ impl InternTable {
                 Err(actual) => raw = actual,
             }
         }
+        let principals =
+            principal_bit(&event.principal) | channel.principal_filter() | tail.principal_filter();
         let node = Arc::new(Node {
             id: ProvId(raw),
             event: event.clone(),
@@ -214,6 +252,7 @@ impl InternTable {
             len,
             depth,
             total_size,
+            principals,
         });
         shard.map.insert(key, node.clone());
         node
@@ -337,6 +376,33 @@ pub fn interner_shard_stats() -> Vec<ShardStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_principal_filter_keeps_a_node_at_72_bytes() {
+        assert!(std::mem::size_of::<Node>() <= 72);
+    }
+
+    #[test]
+    fn the_principal_filter_covers_spine_and_channel_principals() {
+        let bit = |name: &str| principal_bit(&Principal::new(name));
+        let channel = Provenance::single(Event::output(
+            Principal::new("filter-chan"),
+            Provenance::empty(),
+        ));
+        let k = Provenance::single(Event::input(Principal::new("filter-tail"), channel.clone()))
+            .prepend(Event::output(
+                Principal::new("filter-head"),
+                Provenance::empty(),
+            ));
+        assert_eq!(Provenance::empty().principal_filter(), 0);
+        assert_eq!(channel.principal_filter(), bit("filter-chan"));
+        assert_eq!(
+            k.principal_filter(),
+            bit("filter-head") | bit("filter-tail") | bit("filter-chan")
+        );
+        assert_eq!(bit("filter-head").count_ones(), 1);
+    }
 
     #[test]
     fn ids_are_stable_and_deduplicated() {

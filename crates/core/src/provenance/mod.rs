@@ -11,8 +11,8 @@
 //! larger than its underlying DAG.  The canonical representation here is a
 //! **hash-consed (interned) DAG**: every distinct `(event, tail)` node is
 //! created exactly once by the global [`interner`], carries a stable
-//! [`ProvId`], and caches its `len`, `depth` and `total_size`.  As a
-//! result:
+//! [`ProvId`], and caches its `len`, `depth`, `total_size` and principal
+//! filter.  As a result:
 //!
 //! * [`Provenance::prepend`] — the operation performed by the reduction
 //!   rules (`κ ↦ a!κₘ; κ`) — is O(1) plus one interner lookup and shares
@@ -38,7 +38,8 @@ pub mod cons;
 pub mod interner;
 
 pub use interner::{
-    interner_shard_stats, interner_stats, InternTable, InternerStats, ProvId, ShardStats,
+    interner_shard_stats, interner_stats, principal_bit, InternTable, InternerStats, ProvId,
+    ShardStats,
 };
 
 /// The direction of a provenance event: output (`!`) or input (`?`).
@@ -254,7 +255,7 @@ impl Provenance {
     /// provenances are not counted; see [`Provenance::total_size`]).  O(1):
     /// cached on the interned node.
     pub fn len(&self) -> usize {
-        self.node.as_ref().map(|n| n.len).unwrap_or(0)
+        self.node.as_ref().map_or(0, |n| n.len as usize)
     }
 
     /// The most recent event, if any.
@@ -289,7 +290,18 @@ impl Provenance {
     /// Maximum nesting depth of channel provenances (ε has depth 0).
     /// O(1): cached on the interned node.
     pub fn depth(&self) -> usize {
-        self.node.as_ref().map(|n| n.depth).unwrap_or(0)
+        self.node.as_ref().map_or(0, |n| n.depth as usize)
+    }
+
+    /// The [`principal_bit`]s of every principal at or below this node, on
+    /// the spine and in every channel history (0 for `ε`).  O(1): cached
+    /// on the interned node.
+    ///
+    /// A clear bit is an exact "no": a principal whose bit is clear
+    /// performs no event anywhere in the DAG below.  A set bit is only
+    /// "maybe", because 64 bits are shared among all names.
+    pub fn principal_filter(&self) -> u64 {
+        self.node.as_ref().map_or(0, |n| n.principals)
     }
 
     /// Number of *distinct* interned nodes reachable from this sequence

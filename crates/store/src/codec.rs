@@ -249,12 +249,31 @@ impl NodeTable {
 /// else in the process.  Index 0 of the result is `ε` and index `k` the
 /// `k`-th node, so [`get_node_ref`] resolves references in it.
 ///
+/// The whole table is read and checked before its first node is
+/// interned, so a table that fails partway leaves nothing in the
+/// process-global interner, which never frees.
+///
 /// # Errors
 ///
 /// [`StoreError::Corrupt`] on truncation, an unknown direction, a
 /// reference to a node not yet read, or a node nested deeper than
 /// [`MAX_PROVENANCE_DEPTH`].
 pub fn get_node_table(buf: &mut Bytes) -> Result<Vec<Provenance>, StoreError> {
+    read_node_entries(buf).map(intern_node_entries)
+}
+
+/// One node of a table as read, before it is interned.
+struct NodeEntry {
+    direction: Direction,
+    principal: Principal,
+    channel: u32,
+    tail: u32,
+}
+
+/// Reads and checks a table written by [`NodeTable::put`] without
+/// interning it: the direction tags, the names, each reference below its
+/// own index, and each node's depth, computed from the references.
+fn read_node_entries(buf: &mut Bytes) -> Result<Vec<NodeEntry>, StoreError> {
     if buf.remaining() < 4 {
         return Err(StoreError::Corrupt(
             "truncated provenance node count".into(),
@@ -264,8 +283,11 @@ pub fn get_node_table(buf: &mut Bytes) -> Result<Vec<Provenance>, StoreError> {
     // A valid node consumes at least 11 bytes; cap the pre-allocation so a
     // corrupt count cannot request unbounded memory before the bounds
     // checks below reject it.
-    let mut table: Vec<Provenance> = Vec::with_capacity(count.min(buf.remaining() / 11) + 1);
-    table.push(Provenance::empty());
+    let capacity = count.min(buf.remaining() / 11);
+    let mut entries = Vec::with_capacity(capacity);
+    // `depths[k]` is the nesting depth of reference `k`; 0 is ε.
+    let mut depths: Vec<usize> = Vec::with_capacity(capacity + 1);
+    depths.push(0);
     for _ in 0..count {
         if buf.remaining() < 1 {
             return Err(StoreError::Corrupt("truncated provenance node".into()));
@@ -273,21 +295,58 @@ pub fn get_node_table(buf: &mut Bytes) -> Result<Vec<Provenance>, StoreError> {
         let direction = direction_from_tag(buf.get_u8())
             .ok_or_else(|| StoreError::Corrupt("unknown direction tag".into()))?;
         let principal: Principal = get_name(buf)?;
-        let channel = get_node_ref(buf, &table)?;
-        let tail = get_node_ref(buf, &table)?;
-        if channel.depth() >= MAX_PROVENANCE_DEPTH {
+        let channel = get_ref(buf, depths.len())?;
+        let tail = get_ref(buf, depths.len())?;
+        let channel_depth = depths[channel as usize];
+        if channel_depth >= MAX_PROVENANCE_DEPTH {
             return Err(StoreError::Corrupt(format!(
                 "provenance nests deeper than {} levels",
                 MAX_PROVENANCE_DEPTH
             )));
         }
-        let event = match direction {
-            Direction::Output => Event::output(principal, channel),
-            Direction::Input => Event::input(principal, channel),
-        };
-        table.push(tail.prepend(event));
+        depths.push(depths[tail as usize].max(1 + channel_depth));
+        entries.push(NodeEntry {
+            direction,
+            principal,
+            channel,
+            tail,
+        });
     }
-    Ok(table)
+    Ok(entries)
+}
+
+/// Interns entries that [`read_node_entries`] checked; index 0 of the
+/// result is `ε`.
+fn intern_node_entries(entries: Vec<NodeEntry>) -> Vec<Provenance> {
+    let mut table = Vec::with_capacity(entries.len() + 1);
+    table.push(Provenance::empty());
+    for entry in entries {
+        let channel = table[entry.channel as usize].clone();
+        let event = match entry.direction {
+            Direction::Output => Event::output(entry.principal, channel),
+            Direction::Input => Event::input(entry.principal, channel),
+        };
+        let node = table[entry.tail as usize].prepend(event);
+        table.push(node);
+    }
+    table
+}
+
+/// Reads one node reference and checks that it is below `bound`, the
+/// length of the table it indexes.
+fn get_ref(buf: &mut Bytes, bound: usize) -> Result<u32, StoreError> {
+    if buf.remaining() < 4 {
+        return Err(StoreError::Corrupt(
+            "truncated provenance node reference".into(),
+        ));
+    }
+    let reference = buf.get_u32();
+    if reference as usize >= bound {
+        return Err(StoreError::Corrupt(
+            "provenance reference past the node table".into(),
+        ));
+    }
+    Ok(reference)
 }
 
 /// Reads one reference written for [`NodeTable::reference`] and resolves
@@ -297,15 +356,7 @@ pub fn get_node_table(buf: &mut Bytes) -> Result<Vec<Provenance>, StoreError> {
 ///
 /// [`StoreError::Corrupt`] on truncation or a reference past the table.
 pub fn get_node_ref(buf: &mut Bytes, table: &[Provenance]) -> Result<Provenance, StoreError> {
-    if buf.remaining() < 4 {
-        return Err(StoreError::Corrupt(
-            "truncated provenance node reference".into(),
-        ));
-    }
-    table
-        .get(buf.get_u32() as usize)
-        .cloned()
-        .ok_or_else(|| StoreError::Corrupt("provenance reference past the node table".into()))
+    get_ref(buf, table.len()).map(|reference| table[reference as usize].clone())
 }
 
 /// Encodes a record body (without framing).
@@ -349,8 +400,10 @@ pub fn decode_body(mut buf: Bytes) -> Result<ProvenanceRecord, StoreError> {
     let principal = get_name(&mut buf)?;
     let channel = get_name(&mut buf)?;
     let value = get_value(&mut buf)?;
-    let table = get_node_table(&mut buf)?;
-    let provenance = get_node_ref(&mut buf, &table)?;
+    // The root reference is checked too before anything is interned.
+    let entries = read_node_entries(&mut buf)?;
+    let root = get_ref(&mut buf, entries.len() + 1)?;
+    let provenance = intern_node_entries(entries)[root as usize].clone();
     Ok(ProvenanceRecord {
         sequence,
         logical_time,
