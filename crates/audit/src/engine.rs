@@ -3,7 +3,7 @@
 //! An [`AuditEngine`] owns a [`ProvenanceStore`] (the durable log) and a
 //! versioned registry of named, pre-compiled policy patterns (see
 //! [`crate::registry`]) — but audit queries never touch the store or its
-//! reader-writer lock.  Instead, the ingest path appends each batch to the
+//! lock.  Instead, the ingest path appends each batch to the
 //! store and publishes the store's copy-on-write view
 //! ([`ProvenanceStore::view`]) as the next [`EngineSnapshot`] (`Arc`'d
 //! record chunks + a structurally shared
@@ -35,12 +35,12 @@
 //!   and serve any number of requests from it via
 //!   [`AuditEngine::handle_at`]: all of them see the same frozen state.
 //!
-//! Two further shared structures make the concurrency real rather than
-//! nominal: the core provenance interner is sharded (auditor threads
-//! re-interning decoded histories contend per shard, not on one global
-//! mutex), and each registered pattern's `(ProvId, state set)` memo is
-//! bounded with epoch-based eviction ([`AuditConfig::memo_bound`]), so a
-//! long-lived engine cannot grow without bound.
+//! Queries intern nothing: they read the histories the store decoded, and
+//! a counterfactual borrows a filtered view of one, so auditor threads
+//! never take the core provenance interner's lock.  What they do share is
+//! each registered pattern's `(ProvId, state set)` memo, bounded with
+//! epoch-based eviction ([`AuditConfig::memo_bound`]) so that a long-lived
+//! engine cannot grow without bound.
 
 use crate::causal::{filtered_view, CounterfactualVerdict, EventFilter, WhySlice};
 use crate::metrics::{MetricsRegistry, VetOutcomeKind};

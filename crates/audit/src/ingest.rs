@@ -31,7 +31,7 @@
 
 use crate::engine::AuditEngine;
 use crate::trace::{RequestKind, Span, SpanKind, TraceCollector, TraceContext, TraceRecord};
-use piprov_store::codec::{decode_body, Bytes};
+use piprov_store::codec::{decode_bodies, Bytes};
 use piprov_store::{ProvenanceRecord, StoreError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -310,10 +310,11 @@ impl IngestQueue {
     /// The drain worker decodes the bodies outside the store lock and
     /// applies the batch only if every body decodes.  A body that fails
     /// to decode, or a failed append, is recorded against `origin`: its
-    /// next ticket reports it, and no other origin's does.  A body that
-    /// fails partway leaves the nodes decoded before it interned.  `trace`
-    /// rides along so the drain worker can stamp the asynchronous
-    /// queue-wait span into the same trace.
+    /// next ticket reports it, and no other origin's does.  Every body is
+    /// checked before any is interned, so a batch that fails to decode
+    /// leaves nothing in the interner.  `trace` rides along so the drain
+    /// worker can stamp the asynchronous queue-wait span into the same
+    /// trace.
     pub fn admit(
         &self,
         origin: u64,
@@ -456,10 +457,11 @@ fn drain_loop(shared: &Shared) {
             }
         };
         // Decode every body before the first append, outside the store
-        // lock: a body that fails leaves the whole batch unapplied.
+        // lock: a body that fails leaves the whole batch unapplied, and
+        // nothing of it interned.
         let records = match batch.records {
             Records::Decoded(records) => Ok(records),
-            Records::Encoded(bodies) => bodies.into_iter().map(decode_body).collect(),
+            Records::Encoded(bodies) => decode_bodies(bodies),
         };
         let result = records.and_then(|records| shared.engine.ingest_batch(records));
         // Submit → applied: the wait a producer's read-your-writes poll

@@ -14,23 +14,21 @@
 //! [`AuditEngine::metrics`](crate::AuditEngine::metrics) gathers the
 //! registry, one row per policy of the current set, and every other
 //! counter surface the workspace keeps — [`EngineStats`], [`StoreStats`],
-//! the interner's [`InternerStats`] and per-shard [`ShardStats`], each
-//! policy's [`MemoStats`] — into one typed [`MetricsSnapshot`], and
-//! [`MetricsSnapshot::exposition`] renders it in the Prometheus text
-//! format (`# HELP`/`# TYPE`, stable names under the `piprov_` prefix, the
-//! policy name as a label).
+//! the interner's [`InternerStats`], each policy's [`MemoStats`] — into
+//! one typed [`MetricsSnapshot`], and [`MetricsSnapshot::exposition`]
+//! renders it in the Prometheus text format (`# HELP`/`# TYPE`, stable
+//! names under the `piprov_` prefix, the policy name as a label).
 //!
 //! **Drift guard.**  The exposition writer destructures every stats struct
 //! exhaustively (no `..`), so adding a field to [`EngineStats`],
-//! [`MemoStats`], [`ShardStats`], [`StoreStats`] or [`InternerStats`]
-//! without exporting it is a *compile* error here — and the
-//! `exposition.rs` test suite additionally feeds sentinel values through
-//! the renderer so a field that is destructured but dropped still fails a
-//! test.
+//! [`MemoStats`], [`StoreStats`] or [`InternerStats`] without exporting it
+//! is a *compile* error here — and the `exposition.rs` test suite
+//! additionally feeds sentinel values through the renderer so a field that
+//! is destructured but dropped still fails a test.
 
 use crate::engine::{AuditEngine, EngineStats};
 use crate::trace::SpanKind;
-use piprov_core::provenance::{InternerStats, ShardStats};
+use piprov_core::provenance::InternerStats;
 use piprov_patterns::MemoStats;
 use piprov_store::StoreStats;
 use std::collections::HashMap;
@@ -344,10 +342,8 @@ pub struct MetricsSnapshot {
     pub engine: EngineStats,
     /// The durable store underneath it.
     pub store: StoreStats,
-    /// The process-global provenance interner, aggregated.
+    /// The process-global provenance interner.
     pub interner: InternerStats,
-    /// The interner's per-shard breakdown.
-    pub interner_shards: Vec<ShardStats>,
     /// Vets that named a policy the engine does not know (these have no
     /// per-policy row to land in).
     pub vets_unknown_pattern: u64,
@@ -370,21 +366,20 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Renders the snapshot in the Prometheus text exposition format.
     ///
-    /// Deterministic: policies are sorted by name, shards by index, and
-    /// metric families appear in a fixed order — the same snapshot always
-    /// renders the same text, wherever it is rendered (the wire ships the
-    /// typed snapshot; client and server render identical expositions).
+    /// Deterministic: policies are sorted by name, and metric families
+    /// appear in a fixed order — the same snapshot always renders the same
+    /// text, wherever it is rendered (the wire ships the typed snapshot;
+    /// client and server render identical expositions).
     pub fn exposition(&self) -> String {
         render_exposition(self)
     }
 }
 
 impl AuditEngine {
-    /// Gathers every counter surface — engine, store, interner (aggregate
-    /// and per shard), and each registered policy's memo, verdict counters
-    /// and latency histogram — into one [`MetricsSnapshot`].  The policy
-    /// rows come from one load of the current policy set: exactly its
-    /// policies, sorted by name.
+    /// Gathers every counter surface — engine, store, interner, and each
+    /// registered policy's memo, verdict counters and latency histogram —
+    /// into one [`MetricsSnapshot`].  The policy rows come from one load
+    /// of the current policy set: exactly its policies, sorted by name.
     ///
     /// An operator/scrape path: it reads the [`StoreStats`] the engine
     /// published at its last append, never waits for the store lock, and
@@ -401,7 +396,6 @@ impl AuditEngine {
             engine: self.stats(),
             store: self.store_stats(),
             interner: piprov_core::provenance::interner_stats(),
-            interner_shards: piprov_core::provenance::interner_shard_stats(),
             vets_unknown_pattern: registry.unknown_pattern_vets(),
             stages: registry.stage_snapshots(),
             uptime_seconds: self.uptime_seconds(),
@@ -477,7 +471,6 @@ pub fn render_exposition_with(snapshot: &MetricsSnapshot, options: &ExpositionOp
         engine,
         store,
         interner,
-        interner_shards,
         vets_unknown_pattern,
         stages,
         uptime_seconds,
@@ -509,7 +502,6 @@ pub fn render_exposition_with(snapshot: &MetricsSnapshot, options: &ExpositionOp
         interned_nodes,
         hits: interner_hits,
         misses: interner_misses,
-        shards,
     } = *interner;
 
     let mut out = String::with_capacity(4096);
@@ -569,7 +561,7 @@ pub fn render_exposition_with(snapshot: &MetricsSnapshot, options: &ExpositionOp
         &mut out,
         "piprov_ingest_batches_total",
         c,
-        "Ingest batches applied (one write-lock acquisition each).",
+        "Ingest batches applied (one store-lock acquisition each).",
         ingest_batches,
     );
     scalar(
@@ -651,60 +643,6 @@ pub fn render_exposition_with(snapshot: &MetricsSnapshot, options: &ExpositionOp
         "Intern calls that created a new node.",
         interner_misses,
     );
-    scalar(
-        &mut out,
-        "piprov_interner_shards",
-        g,
-        "Shards the intern table is split into.",
-        shards as u64,
-    );
-    if !interner_shards.is_empty() {
-        header(
-            &mut out,
-            "piprov_interner_shard_entries",
-            g,
-            "Distinct nodes owned by one interner shard.",
-        );
-        for stats in interner_shards {
-            let ShardStats {
-                shard,
-                entries,
-                hits: _,
-                misses: _,
-            } = *stats;
-            let _ = writeln!(
-                out,
-                "piprov_interner_shard_entries{{shard=\"{}\"}} {}",
-                shard, entries
-            );
-        }
-        header(
-            &mut out,
-            "piprov_interner_shard_hits_total",
-            c,
-            "Intern calls one shard answered from its map.",
-        );
-        for stats in interner_shards {
-            let _ = writeln!(
-                out,
-                "piprov_interner_shard_hits_total{{shard=\"{}\"}} {}",
-                stats.shard, stats.hits
-            );
-        }
-        header(
-            &mut out,
-            "piprov_interner_shard_misses_total",
-            c,
-            "Intern calls that created a node in one shard.",
-        );
-        for stats in interner_shards {
-            let _ = writeln!(
-                out,
-                "piprov_interner_shard_misses_total{{shard=\"{}\"}} {}",
-                stats.shard, stats.misses
-            );
-        }
-    }
     // -- serving lifecycle ---------------------------------------------------
     scalar(
         &mut out,
@@ -1415,7 +1353,6 @@ mod tests {
             engine: EngineStats::default(),
             store: StoreStats::default(),
             interner: piprov_core::provenance::interner_stats(),
-            interner_shards: piprov_core::provenance::interner_shard_stats(),
             vets_unknown_pattern: registry.unknown_pattern_vets(),
             stages: registry.stage_snapshots(),
             uptime_seconds: 12,
@@ -1459,7 +1396,6 @@ mod tests {
             engine: EngineStats::default(),
             store: StoreStats::default(),
             interner: piprov_core::provenance::interner_stats(),
-            interner_shards: Vec::new(),
             vets_unknown_pattern: 0,
             stages: registry.stage_snapshots(),
             uptime_seconds: 0,

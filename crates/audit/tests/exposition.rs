@@ -19,7 +19,7 @@ use piprov_audit::{
     Exemplar, ExpositionOptions, HistogramSnapshot, MetricsSnapshot, PolicySnapshot, SpanKind,
     LATENCY_BUCKET_BOUNDS_NS,
 };
-use piprov_core::provenance::{InternerStats, ShardStats};
+use piprov_core::provenance::InternerStats;
 use piprov_patterns::MemoStats;
 use piprov_store::StoreStats;
 
@@ -31,9 +31,6 @@ impl Sentinels {
     fn next(&mut self) -> u64 {
         self.0 += 1;
         self.0
-    }
-    fn next_usize(&mut self) -> usize {
-        self.next() as usize
     }
 }
 
@@ -67,14 +64,6 @@ fn sentinel_snapshot() -> (MetricsSnapshot, Vec<u64>) {
     };
     let interner = InternerStats {
         interned_nodes: take(&mut s) as usize,
-        hits: take(&mut s),
-        misses: take(&mut s),
-        shards: take(&mut s) as usize,
-    };
-    // The shard index surfaces as a label, not a sample — tracked apart.
-    let shard = ShardStats {
-        shard: s.next_usize(),
-        entries: take(&mut s) as usize,
         hits: take(&mut s),
         misses: take(&mut s),
     };
@@ -126,7 +115,6 @@ fn sentinel_snapshot() -> (MetricsSnapshot, Vec<u64>) {
         engine,
         store,
         interner,
-        interner_shards: vec![shard],
         vets_unknown_pattern,
         stages,
         uptime_seconds: take(&mut s),
@@ -155,12 +143,10 @@ fn every_stats_field_surfaces_in_the_exposition() {
     // No two plain fields shared a sentinel, so N fields ⇒ N values.
     assert_eq!(
         sentinels.len(),
-        12 + 3 + 4 + 3 + 6 + 1 + 5 + 4,
-        "engine + store + interner + shard(values) + memo + unknown-pattern \
+        12 + 3 + 3 + 6 + 1 + 5 + 4,
+        "engine + store + interner + memo + unknown-pattern \
          + policy verdicts/counterfactuals + serving lifecycle"
     );
-    // The shard index rides as a label.
-    assert!(text.contains("piprov_interner_shard_entries{shard=\"9000020\"}"));
 
     // Histogram: one bucket line per bound plus +Inf, cumulative counts,
     // an exact-decimal seconds sum, and a matching count.
@@ -286,10 +272,6 @@ fn the_exposition_golden_shape_is_stable() {
         "piprov_interner_nodes",
         "piprov_interner_hits_total",
         "piprov_interner_misses_total",
-        "piprov_interner_shards",
-        "piprov_interner_shard_entries",
-        "piprov_interner_shard_hits_total",
-        "piprov_interner_shard_misses_total",
         "piprov_policy_vets_passed_total",
         "piprov_policy_vets_failed_total",
         "piprov_policy_vets_unknown_value_total",
@@ -353,9 +335,7 @@ fn an_empty_registry_renders_a_lintable_exposition() {
             interned_nodes: 0,
             hits: 0,
             misses: 0,
-            shards: 0,
         },
-        interner_shards: Vec::new(),
         vets_unknown_pattern: 0,
         stages: Vec::new(),
         uptime_seconds: 0,

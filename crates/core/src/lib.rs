@@ -67,10 +67,7 @@ pub use interpreter::{Executor, RunOutcome, SchedulerPolicy, StopReason};
 pub use name::{Channel, NameSupply, Principal, Variable};
 pub use pattern::{AnyPattern, PatternLanguage, TrivialPatterns};
 pub use process::{InputBranch, Process};
-pub use provenance::{
-    interner_shard_stats, interner_stats, Direction, Event, InternTable, InternerStats, ProvId,
-    Provenance, ShardStats,
-};
+pub use provenance::{interner_stats, Direction, Event, InternerStats, ProvId, Provenance};
 pub use reduction::{
     apply_redex, enumerate_redexes, successors, Redex, ReductionError, StepEvent, StepKind,
 };

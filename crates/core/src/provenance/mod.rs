@@ -37,10 +37,7 @@ pub mod compact;
 pub mod cons;
 pub mod interner;
 
-pub use interner::{
-    interner_shard_stats, interner_stats, principal_bit, InternTable, InternerStats, ProvId,
-    ShardStats,
-};
+pub use interner::{interner_stats, principal_bit, InternerStats, ProvId};
 
 /// The direction of a provenance event: output (`!`) or input (`?`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]

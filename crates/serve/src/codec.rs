@@ -27,12 +27,12 @@ use piprov_audit::{
     Exemplar, HistogramSnapshot, MetricsSnapshot, PolicyInfo, PolicyListing, PolicySnapshot,
     RequestKind, RequestStats, Span, SpanKind, TraceContext, TraceRecord, WhyEvent, WhySlice,
 };
-use piprov_core::provenance::{Direction, Event, InternerStats, ShardStats};
+use piprov_core::provenance::{Direction, Event, InternerStats};
 use piprov_patterns::MemoStats;
 use piprov_policy::{PackDiagnostic, PackFile, PackSource};
 use piprov_store::codec::{
-    decode_body, encode_body, get_name, get_node_ref, get_node_table, get_str, get_value, put_str,
-    put_value, NodeTable,
+    decode_bodies, encode_body, get_name, get_node_ref, get_node_table, get_str, get_value,
+    put_str, put_value, NodeTable,
 };
 use piprov_store::record::{direction_from_tag, direction_tag};
 use piprov_store::{AuditTrail, ProvenanceRecord, StoreStats};
@@ -404,16 +404,14 @@ fn get_record_bodies(
 }
 
 /// Reads a record list, refusing a count above [`WireLimits::max_records`]
-/// before any record is decoded.
+/// before any record is decoded, and checking every record before any is
+/// interned.
 fn get_records(
     buf: &mut Bytes,
     limits: &WireLimits,
     what: &str,
 ) -> Result<Vec<ProvenanceRecord>, WireError> {
-    get_record_bodies(buf, limits, what)?
-        .into_iter()
-        .map(|body| decode_body(body).map_err(store_err))
-        .collect()
+    decode_bodies(get_record_bodies(buf, limits, what)?).map_err(store_err)
 }
 
 /// A u32-length-prefixed text blob: pack file sources (and canonical
@@ -795,42 +793,16 @@ fn put_interner_stats(buf: &mut BytesMut, stats: &InternerStats) {
         interned_nodes,
         hits,
         misses,
-        shards,
     } = *stats;
     buf.put_u64(interned_nodes as u64);
     buf.put_u64(hits);
     buf.put_u64(misses);
-    buf.put_u64(shards as u64);
 }
 
 fn get_interner_stats(buf: &mut Bytes) -> Result<InternerStats, WireError> {
-    need(buf, 32, "interner stats")?;
+    need(buf, 24, "interner stats")?;
     Ok(InternerStats {
         interned_nodes: buf.get_u64() as usize,
-        hits: buf.get_u64(),
-        misses: buf.get_u64(),
-        shards: buf.get_u64() as usize,
-    })
-}
-
-fn put_shard_stats(buf: &mut BytesMut, stats: &ShardStats) {
-    let ShardStats {
-        shard,
-        entries,
-        hits,
-        misses,
-    } = *stats;
-    buf.put_u64(shard as u64);
-    buf.put_u64(entries as u64);
-    buf.put_u64(hits);
-    buf.put_u64(misses);
-}
-
-fn get_shard_stats(buf: &mut Bytes) -> Result<ShardStats, WireError> {
-    need(buf, 32, "shard stats")?;
-    Ok(ShardStats {
-        shard: buf.get_u64() as usize,
-        entries: buf.get_u64() as usize,
         hits: buf.get_u64(),
         misses: buf.get_u64(),
     })
@@ -954,7 +926,6 @@ fn put_metrics_snapshot(buf: &mut BytesMut, metrics: &MetricsSnapshot) {
         engine,
         store,
         interner,
-        interner_shards,
         vets_unknown_pattern,
         stages,
         uptime_seconds,
@@ -966,7 +937,6 @@ fn put_metrics_snapshot(buf: &mut BytesMut, metrics: &MetricsSnapshot) {
     put_engine_stats(buf, engine);
     put_store_stats(buf, store);
     put_interner_stats(buf, interner);
-    put_seq(buf, interner_shards, put_shard_stats);
     buf.put_u64(*vets_unknown_pattern);
     put_seq(buf, stages, |buf, (stage, histogram)| {
         buf.put_u8(*stage as u8);
@@ -983,8 +953,6 @@ fn get_metrics_snapshot(buf: &mut Bytes) -> Result<MetricsSnapshot, WireError> {
     let engine = get_engine_stats(buf)?;
     let store = get_store_stats(buf)?;
     let interner = get_interner_stats(buf)?;
-    // A shard costs 32 bytes on the wire.
-    let interner_shards = get_seq(buf, "shard count", 32, get_shard_stats)?;
     let vets_unknown_pattern = wire_u64(buf, "unknown-pattern counter")?;
     // A stage costs its kind byte and a 32-byte histogram with no buckets.
     let stages = get_seq(buf, "stage count", 33, |buf| {
@@ -996,7 +964,6 @@ fn get_metrics_snapshot(buf: &mut Bytes) -> Result<MetricsSnapshot, WireError> {
         engine,
         store,
         interner,
-        interner_shards,
         vets_unknown_pattern,
         stages,
         uptime_seconds: buf.get_u64(),
@@ -1313,6 +1280,7 @@ mod tests {
     use piprov_core::name::{Channel, Principal};
     use piprov_core::provenance::Provenance;
     use piprov_core::value::Value;
+    use piprov_store::codec::decode_body;
     use piprov_store::record::MAX_PROVENANCE_DEPTH;
     use piprov_store::Operation;
 
@@ -1533,22 +1501,7 @@ mod tests {
                 interned_nodes: 50,
                 hits: 200,
                 misses: 50,
-                shards: 2,
             },
-            interner_shards: vec![
-                ShardStats {
-                    shard: 0,
-                    entries: 30,
-                    hits: 120,
-                    misses: 30,
-                },
-                ShardStats {
-                    shard: 1,
-                    entries: 20,
-                    hits: 80,
-                    misses: 20,
-                },
-            ],
             vets_unknown_pattern: 4,
             stages: vec![
                 (
@@ -1627,9 +1580,7 @@ mod tests {
                 interned_nodes: 0,
                 hits: 0,
                 misses: 0,
-                shards: 0,
             },
-            interner_shards: Vec::new(),
             vets_unknown_pattern: 0,
             stages: Vec::new(),
             uptime_seconds: 0,
@@ -1653,9 +1604,7 @@ mod tests {
                     interned_nodes: 0,
                     hits: 0,
                     misses: 0,
-                    shards: 0,
                 },
-                interner_shards: Vec::new(),
                 vets_unknown_pattern: 0,
                 stages: vec![(stage, HistogramSnapshot::default())],
                 uptime_seconds: 0,
@@ -2000,7 +1949,7 @@ mod tests {
 
     #[test]
     fn every_version_but_the_current_one_is_unsupported() {
-        assert_eq!(WIRE_VERSION, 9);
+        assert_eq!(WIRE_VERSION, 10);
         let limits = WireLimits::default();
         let request = encode_request(&WireRequest::Audit(AuditRequest::VetValue {
             value: Value::Channel(Channel::new("v")),
@@ -2012,7 +1961,7 @@ mod tests {
         });
         assert!(decode_request_traced(request.clone(), &limits).is_ok());
         assert!(decode_response(response.clone(), &limits).is_ok());
-        for version in [3, 4, 5, 6, 7, 8] {
+        for version in [3, 4, 5, 6, 7, 8, 9] {
             let mut body = request.to_vec();
             body[0] = version;
             assert!(matches!(

@@ -36,7 +36,7 @@
 //!   peer that does not read its answers stalls on its own socket, and
 //!   ingest gets **back-pressure** through the engine's bounded
 //!   [`piprov_audit::IngestQueue`] (overflow answers a typed `Busy`; the
-//!   drain worker decodes each batch and applies it under one write-lock
+//!   drain worker decodes each batch and applies it under one store-lock
 //!   acquisition, or not at all, and a failure goes to the submitting
 //!   connection's next `Flush`).  The server needs a Unix host;
 //! * [`poll`] — the zero-dependency readiness FFI shim the event loop

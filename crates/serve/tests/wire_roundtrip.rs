@@ -18,7 +18,7 @@ use piprov_audit::{
     WhySlice,
 };
 use piprov_core::name::{Channel, Principal};
-use piprov_core::provenance::{Direction, Event, InternerStats, Provenance, ShardStats};
+use piprov_core::provenance::{Direction, Event, InternerStats, Provenance};
 use piprov_core::value::Value;
 use piprov_patterns::{MemoStats, Pattern};
 use piprov_policy::{PackDiagnostic, PackFile, PackSource};
@@ -372,11 +372,7 @@ fn arb_metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
     (
         arb_engine_stats(),
         (0usize..1 << 30, 0usize..1 << 10, 0usize..1 << 40),
-        (0u64..u64::MAX, 0u64..u64::MAX, 0usize..64, 0usize..1 << 20),
-        proptest::collection::vec(
-            (0usize..64, 0usize..1 << 20, 0u64..1 << 40, 0u64..1 << 40),
-            0..5,
-        ),
+        (0u64..u64::MAX, 0u64..u64::MAX, 0usize..1 << 20),
         (
             (
                 0u64..1 << 40,
@@ -393,8 +389,7 @@ fn arb_metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
             |(
                 engine,
                 (records, segments, bytes),
-                (hits, misses, shards, interned_nodes),
-                shard_rows,
+                (hits, misses, interned_nodes),
                 (
                     (vets_unknown_pattern, stages),
                     (uptime_seconds, connections_accepted, connections_closed, open_connections),
@@ -411,17 +406,7 @@ fn arb_metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
                     interned_nodes,
                     hits,
                     misses,
-                    shards,
                 },
-                interner_shards: shard_rows
-                    .into_iter()
-                    .map(|(shard, entries, hits, misses)| ShardStats {
-                        shard,
-                        entries,
-                        hits,
-                        misses,
-                    })
-                    .collect(),
                 vets_unknown_pattern,
                 stages: SpanKind::ALL.into_iter().zip(stages).collect(),
                 uptime_seconds,

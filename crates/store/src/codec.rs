@@ -382,11 +382,46 @@ pub fn encode_body(record: &ProvenanceRecord) -> Bytes {
 
 /// Decodes a record body (without framing).
 ///
+/// The whole body is read and checked before its first node is interned,
+/// so a body that fails leaves nothing in the process-global interner,
+/// which never frees.
+///
 /// # Errors
 ///
 /// [`StoreError::Corrupt`] on truncation, any leading byte but the format
 /// tag, or a malformed field or node table.
-pub fn decode_body(mut buf: Bytes) -> Result<ProvenanceRecord, StoreError> {
+pub fn decode_body(buf: Bytes) -> Result<ProvenanceRecord, StoreError> {
+    check_body(buf).map(CheckedBody::intern)
+}
+
+/// Decodes a batch of record bodies, checking every body before it
+/// interns any: a batch with one malformed body leaves nothing in the
+/// interner, however many good bodies come before it.
+///
+/// # Errors
+///
+/// The error of the first body that fails, as [`decode_body`] reports it.
+pub fn decode_bodies(
+    bodies: impl IntoIterator<Item = Bytes>,
+) -> Result<Vec<ProvenanceRecord>, StoreError> {
+    let checked = bodies
+        .into_iter()
+        .map(check_body)
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(checked.into_iter().map(CheckedBody::intern).collect())
+}
+
+/// A record body read and checked: the record, its provenance still
+/// empty, and the node table and root reference to intern it from.
+pub(crate) struct CheckedBody {
+    record: ProvenanceRecord,
+    entries: Vec<NodeEntry>,
+    root: u32,
+}
+
+/// Reads and checks a record body without interning anything: the
+/// fields, the node table ([`read_node_entries`]) and the root reference.
+pub(crate) fn check_body(mut buf: Bytes) -> Result<CheckedBody, StoreError> {
     if buf.remaining() < 18 {
         return Err(StoreError::Corrupt("record body too short".into()));
     }
@@ -400,19 +435,30 @@ pub fn decode_body(mut buf: Bytes) -> Result<ProvenanceRecord, StoreError> {
     let principal = get_name(&mut buf)?;
     let channel = get_name(&mut buf)?;
     let value = get_value(&mut buf)?;
-    // The root reference is checked too before anything is interned.
-    let entries = read_node_entries(&mut buf)?;
-    let root = get_ref(&mut buf, entries.len() + 1)?;
-    let provenance = intern_node_entries(entries)[root as usize].clone();
-    Ok(ProvenanceRecord {
+    let record = ProvenanceRecord {
         sequence,
         logical_time,
         principal,
         operation,
         channel,
         value,
-        provenance,
+        provenance: Provenance::empty(),
+    };
+    let entries = read_node_entries(&mut buf)?;
+    let root = get_ref(&mut buf, entries.len() + 1)?;
+    Ok(CheckedBody {
+        record,
+        entries,
+        root,
     })
+}
+
+impl CheckedBody {
+    /// Interns the provenance into the record.
+    fn intern(mut self) -> ProvenanceRecord {
+        self.record.provenance = intern_node_entries(self.entries)[self.root as usize].clone();
+        self.record
+    }
 }
 
 /// Encodes a record with framing (length + CRC + body).

@@ -218,12 +218,13 @@ fn crc_valid_body(data: &[u8], offset: usize) -> Option<&[u8]> {
 /// Whether any complete, CRC-valid, decodable frame starts at or after
 /// byte `from`.  Used only on the scan error path to tell a torn final
 /// append (safe to truncate) from mid-file corruption (must be preserved).
-/// A candidate only counts if its body also decodes, so runs of zero bytes
-/// left by out-of-order block writes cannot masquerade as frames.
+/// A candidate only counts if its body also passes the decoder's checks,
+/// so runs of zero bytes left by out-of-order block writes cannot
+/// masquerade as frames.  The probe interns nothing.
 fn contains_valid_frame(data: &[u8], from: usize) -> bool {
     (from..data.len()).any(|offset| {
         crc_valid_body(data, offset)
-            .is_some_and(|body| crate::codec::decode_body(Bytes::copy_from_slice(body)).is_ok())
+            .is_some_and(|body| crate::codec::check_body(Bytes::copy_from_slice(body)).is_ok())
     })
 }
 

@@ -1,18 +1,23 @@
-//! A record body that fails to decode interns nothing.
+//! A record body, or a batch of them, that fails to decode interns
+//! nothing.
 //!
 //! The process-global interner never frees a node, so a body whose node
 //! table is read up to a fault must not have interned the nodes before
-//! it.  Each body below puts a valid prefix of fresh nodes ahead of its
-//! fault; the interner's node count must not move across any of them.
-//! This file is a test binary of its own because the interner's counters
-//! are process-global: another test interning at the same time would
-//! move them.
+//! it, and a batch whose last body is bad must not have interned the good
+//! bodies before it.  Each input below but the last puts fresh nodes
+//! ahead of its fault; the last is a segment whose good frame comes after
+//! a corrupt one, which recovery's scan probes for without interning it.
+//! The interner's node count must not move across any of them.  This
+//! file is a test binary of its own because the interner's counters are
+//! process-global: another test interning at the same time would move
+//! them.
 
 use piprov_core::name::Channel;
 use piprov_core::provenance::{interner_stats, Direction, Provenance};
 use piprov_core::value::Value;
-use piprov_store::codec::{decode_body, encode_body, Bytes};
+use piprov_store::codec::{crc32, decode_bodies, decode_body, encode_body, Bytes};
 use piprov_store::record::{direction_tag, MAX_PROVENANCE_DEPTH};
+use piprov_store::segment::scan_segment;
 use piprov_store::{Operation, ProvenanceRecord, StoreError};
 
 /// Fresh nodes in each valid prefix.
@@ -65,8 +70,8 @@ impl Body {
     }
 }
 
-fn corrupt(body: Bytes) -> String {
-    match decode_body(body) {
+fn corrupt<T: std::fmt::Debug>(decoded: Result<T, StoreError>) -> String {
+    match decoded {
         Err(StoreError::Corrupt(message)) => message,
         other => panic!("expected a corrupt body, got {:?}", other),
     }
@@ -96,21 +101,54 @@ fn a_body_that_fails_to_decode_interns_nothing() {
     let truncated = Bytes::from(truncated);
     // A whole valid table whose root reference is past it.
     let root_past = Body::new(PREFIX).spine("root").root(PREFIX + 1);
+    // A batch of two good bodies, each a fresh spine, then a bad one.
+    let batch = vec![
+        Body::new(PREFIX).spine("batch-a").root(PREFIX),
+        Body::new(PREFIX).spine("batch-b").root(PREFIX),
+        Body::new(PREFIX).spine("batch-c").root(PREFIX + 1),
+    ];
+    // A segment: a frame whose body fails its checksum, then a good frame
+    // holding a fresh spine.  The scan stops at the first and probes on,
+    // finding the second, to tell mid-file corruption from a torn tail.
+    let framed = |body: &[u8]| {
+        let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(&crc32(body).to_be_bytes());
+        frame.extend_from_slice(body);
+        frame
+    };
+    let mut segment = framed(&Body::new(PREFIX).spine("probe-bad").root(PREFIX));
+    let last = segment.len() - 1;
+    segment[last] ^= 0xff;
+    segment.extend(framed(&Body::new(PREFIX).spine("probe-good").root(PREFIX)));
+    let path = std::env::temp_dir().join(format!("piprov-probe-{}.plog", std::process::id()));
+    std::fs::write(&path, &segment).unwrap();
 
     let before = interner_stats().interned_nodes;
     assert_eq!(
-        corrupt(past_the_table),
+        corrupt(decode_body(past_the_table)),
         "provenance reference past the node table"
     );
     assert_eq!(
-        corrupt(too_deep),
+        corrupt(decode_body(too_deep)),
         format!("provenance nests deeper than {} levels", limit)
     );
-    assert_eq!(corrupt(truncated), "truncated provenance node reference");
     assert_eq!(
-        corrupt(root_past),
+        corrupt(decode_body(truncated)),
+        "truncated provenance node reference"
+    );
+    assert_eq!(
+        corrupt(decode_body(root_past)),
         "provenance reference past the node table"
     );
+    assert_eq!(
+        corrupt(decode_bodies(batch)),
+        "provenance reference past the node table"
+    );
+    let scan = scan_segment(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(matches!(scan.error, Some(StoreError::ChecksumMismatch)));
+    assert!(scan.records.is_empty());
+    assert!(!scan.torn_tail, "the probe found the good frame");
     assert_eq!(
         interner_stats().interned_nodes,
         before,

@@ -16,7 +16,7 @@
 //! Run with: `cargo run --example audit_service`
 
 use piprov::audit::{AuditConfig, AuditEngine, AuditOutcome, AuditRecorder, AuditRequest};
-use piprov::core::provenance::{interner_shard_stats, interner_stats};
+use piprov::core::provenance::interner_stats;
 use piprov::prelude::*;
 use piprov::runtime::workload;
 use piprov::store::ProvenanceStore;
@@ -160,18 +160,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(memo.entries <= memo.bound);
     let interner = interner_stats();
     println!(
-        "interner: {} nodes over {} shards ({:.1}% hit ratio)",
+        "interner: {} nodes ({:.1}% hit ratio)",
         interner.interned_nodes,
-        interner.shards,
         interner.hit_ratio() * 100.0
-    );
-    let busiest = interner_shard_stats()
-        .into_iter()
-        .max_by_key(|s| s.entries)
-        .unwrap();
-    println!(
-        "busiest shard: #{} with {} entries",
-        busiest.shard, busiest.entries
     );
 
     // 5. The same accounting as a scrape endpoint would serve it: the

@@ -5,12 +5,11 @@
 //! demonstrates, held to assertions.
 //!
 //! The workload size scales with `PIPROV_PROPTEST_CASES` (the workspace's
-//! deep-run CI knob), so the concurrent paths — sharded interning, the
-//! store's reader-writer lock, the bounded pattern memos — get hammered
-//! harder in CI than in a quick local run.
+//! deep-run CI knob), so the concurrent paths — snapshot reads beside a
+//! live ingest, the bounded pattern memos — get hammered harder in CI than
+//! in a quick local run.
 
 use piprov::audit::{AuditConfig, AuditEngine, AuditOutcome, AuditRecorder, AuditRequest};
-use piprov::core::provenance::interner_shard_stats;
 use piprov::prelude::*;
 use piprov::runtime::workload;
 use piprov::store::ProvenanceStore;
@@ -182,19 +181,13 @@ fn audit_service_end_to_end_under_concurrent_auditors() {
     }
     validate_exposition(&metrics.exposition()).unwrap();
 
-    // Sharded interner sanity.  Exact shard-sum-vs-aggregate equality is
-    // checked in piprov-core on a quiescent secondary table; here sibling
-    // tests intern concurrently, so only stable facts are asserted.
-    let shards = interner_shard_stats();
-    let aggregated = piprov::core::provenance::interner_stats();
-    assert_eq!(shards.len(), aggregated.shards);
+    // Interner sanity.  Exact counts are checked in piprov-core on a
+    // quiescent secondary table; here sibling tests intern concurrently,
+    // so only stable facts are asserted.
+    let interner = piprov::core::provenance::interner_stats();
     assert!(
-        aggregated.interned_nodes > 0 && aggregated.misses > 0,
+        interner.interned_nodes > 0 && interner.misses > 0,
         "the workload interned fresh histories"
-    );
-    assert!(
-        shards.iter().map(|s| s.entries).sum::<usize>() > 0,
-        "shards own the interned nodes"
     );
 
     std::fs::remove_dir_all(&dir).ok();
