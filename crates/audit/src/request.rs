@@ -89,7 +89,8 @@ pub struct RequestStats {
     /// records the request consulted *without* scanning the store.
     pub index_hits: usize,
     /// Pattern-memo lookups answered from a cache, in every walk of a vet,
-    /// a why or a counterfactual.
+    /// a why or a counterfactual.  An event whose channel history is ε is
+    /// decided without a nested memo lookup, so it counts none.
     pub memo_hits: usize,
     /// Provenance DAG nodes actually walked: spine nodes the NFA
     /// simulated for a vet or a why; for a counterfactual, the nodes both
@@ -101,7 +102,8 @@ pub struct RequestStats {
     /// Memoized verdicts reused by a counterfactual re-vet specifically:
     /// the cache hits scored while matching the *filtered* view — on the
     /// untouched suffix the re-walk did not have to re-simulate, and in
-    /// nested channel memos while the kept events above it are stepped.
+    /// nested channel memos for the kept events above it whose channel
+    /// history is not ε (an ε channel is decided without a lookup).
     /// Zero for every other request kind.
     pub memo_reused: usize,
 }

@@ -16,7 +16,7 @@ use std::sync::{Arc, RwLock};
 /// one watermark.
 ///
 /// All audit request kinds answer entirely from a snapshot, and the store
-/// itself — including its reader-writer lock — is never touched.
+/// itself — including the engine's lock around it — is never touched.
 /// Snapshots are cheap to hold: pin one (via
 /// [`crate::AuditEngine::snapshot`]) and every query served through
 /// [`crate::AuditEngine::handle_at`] sees the same frozen state, however

@@ -1,9 +1,12 @@
 //! E11 — provenance store throughput and query latency.
 //!
 //! Measures append throughput (with and without per-append sync), recovery
-//! scans, audit-trail queries as the number of stored records grows, and
+//! scans, audit-trail queries as the number of stored records grows,
 //! codec cost on deeply *shared* channel provenance, where a body encodes
-//! each interned node once however large the logical tree grows.
+//! each interned node once however large the logical tree grows, and
+//! codec cost per node on a deep spine of one repeated principal, the
+//! shape of perfbench's causal_deep records
+//! (`cargo bench -p piprov-bench --bench store -- e11_deep_codec`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use piprov_bench::quick_criterion;
@@ -12,7 +15,9 @@ use piprov_core::provenance::{Event, Provenance};
 use piprov_core::value::Value;
 use piprov_store::codec::{decode_body, encode_body};
 use piprov_store::{Operation, ProvenanceRecord, ProvenanceStore, StoreConfig, StoreQuery};
+use std::hint::black_box;
 use std::path::PathBuf;
+use std::time::Instant;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -164,10 +169,68 @@ fn bench_shared_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// perfbench's causal_deep record: a vendor send, one inspection hop,
+/// then 1,024 relay hops, every event on a channel with no history.
+fn deep_spine_record() -> ProvenanceRecord {
+    let head = [
+        Event::output(Principal::new("s0"), Provenance::empty()),
+        Event::input(Principal::new("d0"), Provenance::empty()),
+    ];
+    let relays = (0..1_024).map(|_| Event::input(Principal::new("relay"), Provenance::empty()));
+    ProvenanceRecord::new(
+        1,
+        "s0",
+        Operation::Send,
+        "ship",
+        Value::Channel(Channel::new("item-1")),
+        Provenance::from_events(head.into_iter().chain(relays)),
+    )
+}
+
+/// Mean nanoseconds per node of `run` over 200 calls.
+fn ns_per_node<T>(nodes: usize, mut run: impl FnMut() -> T) -> f64 {
+    const CALLS: u32 = 200;
+    let started = Instant::now();
+    for _ in 0..CALLS {
+        black_box(run());
+    }
+    started.elapsed().as_nanos() as f64 / f64::from(CALLS) / nodes as f64
+}
+
+/// Encode and decode of one deep-spine body.  Building the record interns
+/// every node, so a decode measures the node-table read and one interner
+/// hit per node, as store recovery and the ingest drain worker pay it.
+fn bench_deep_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e11_deep_codec");
+    let record = deep_spine_record();
+    let body = encode_body(&record);
+    let nodes = record.provenance.dag_size();
+    group.bench_with_input(BenchmarkId::new("encode", nodes), &nodes, |b, _| {
+        b.iter(|| encode_body(&record).len());
+        println!(
+            "e11_deep_codec/encode: {} nodes, {} B body, {:.1} ns per node",
+            nodes,
+            body.len(),
+            ns_per_node(nodes, || encode_body(&record).len())
+        );
+    });
+    group.bench_with_input(BenchmarkId::new("decode", nodes), &nodes, |b, _| {
+        b.iter(|| decode_body(body.clone()).unwrap().sequence);
+        println!(
+            "e11_deep_codec/decode: {} nodes, {} B body, {:.1} ns per node",
+            nodes,
+            body.len(),
+            ns_per_node(nodes, || decode_body(body.clone()).unwrap().sequence)
+        );
+    });
+    group.finish();
+}
+
 fn all(c: &mut Criterion) {
     bench_append(c);
     bench_queries_and_recovery(c);
     bench_shared_codec(c);
+    bench_deep_codec(c);
 }
 
 criterion_group! {

@@ -324,11 +324,100 @@ mod proptests {
         }
     }
 
+    /// A channel pattern that rejects ε (`H!Any`, `H?Any;Any`) or accepts
+    /// only ε, so that deciding an ε channel history the wrong way round
+    /// changes the verdict of the atom that nests it.
+    fn arb_channel_pattern() -> BoxedStrategy<Pattern> {
+        prop_oneof![
+            arb_group(1).prop_map(|h| Pattern::send(h, Pattern::Any)),
+            arb_group(1).prop_map(|h| Pattern::receive(h, Pattern::Any).then(Pattern::Any)),
+            Just(Pattern::Empty),
+        ]
+        .boxed()
+    }
+
+    /// Patterns whose every atom nests an [`arb_channel_pattern`]:
+    /// `G!(H!Any)`, `G?(H?Any;Any);Any`, `(G!ε)*` and their sequences and
+    /// choices.
+    fn arb_nested_pattern(depth: u32) -> BoxedStrategy<Pattern> {
+        let atom =
+            (arb_group(1), any::<bool>(), arb_channel_pattern()).prop_map(|(g, send, channel)| {
+                if send {
+                    Pattern::send(g, channel)
+                } else {
+                    Pattern::receive(g, channel)
+                }
+            });
+        if depth == 0 {
+            atom.boxed()
+        } else {
+            prop_oneof![
+                2 => atom,
+                2 => arb_nested_pattern(depth - 1).prop_map(|a| a.then(Pattern::Any)),
+                2 => (arb_nested_pattern(depth - 1), arb_nested_pattern(depth - 1))
+                    .prop_map(|(a, b)| a.then(b)),
+                1 => (arb_nested_pattern(depth - 1), arb_nested_pattern(depth - 1))
+                    .prop_map(|(a, b)| a.or(b)),
+                1 => arb_nested_pattern(depth - 1).prop_map(|a| a.star()),
+            ]
+            .boxed()
+        }
+    }
+
+    /// Histories whose events travel on ε channels and on channels with a
+    /// one- or two-event history, about half each.
+    fn arb_mixed_provenance() -> BoxedStrategy<Provenance> {
+        let channel = prop_oneof![
+            Just(Provenance::empty()),
+            proptest::collection::vec(arb_event(0), 1..3).prop_map(Provenance::from_events),
+        ];
+        let event = (arb_principal(), any::<bool>(), channel).prop_map(|(p, send, channel)| {
+            if send {
+                Event::output(p, channel)
+            } else {
+                Event::input(p, channel)
+            }
+        });
+        proptest::collection::vec(event, 0..5)
+            .prop_map(Provenance::from_events)
+            .boxed()
+    }
+
+    /// `matches`, `witness` and `matches_after` (over every split, keeping
+    /// every other event above it) against the reference matcher.
+    fn check_walks_against_reference(pattern: &Pattern, prov: &Provenance) {
+        let expected = matching::satisfies(prov, pattern);
+        prop_assert_eq!(CompiledPattern::compile(pattern).matches(prov), expected);
+        let trail =
+            CompiledPattern::compile(pattern).witness(prov, &mut nfa::MatchStats::default());
+        prop_assert_eq!(trail.verdict(), expected);
+        let compiled = CompiledPattern::compile(pattern);
+        let events = prov.to_vec();
+        for (split, suffix) in suffixes_oldest_first(prov).iter().rev().enumerate() {
+            let kept: Vec<&Event> = events[..split].iter().step_by(2).collect();
+            let joined =
+                Provenance::from_events(kept.iter().map(|e| (*e).clone()).chain(suffix.to_vec()));
+            let (verdict, _) = compiled.matches_after(&kept, suffix);
+            prop_assert_eq!(verdict, matching::satisfies(&joined, pattern));
+        }
+    }
+
     proptest! {
         // 128 cases by default; the PIPROV_PROPTEST_CASES environment
         // variable overrides it (handled inside with_cases) for deeper CI
         // runs.
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The automaton decides an atom's ε channel history without the
+        /// nested memo; nesting only channel patterns that reject ε or
+        /// accept only ε makes every such decision count.
+        #[test]
+        fn epsilon_channels_are_decided_as_the_reference_decides_them(
+            pattern in arb_nested_pattern(2),
+            prov in arb_mixed_provenance(),
+        ) {
+            check_walks_against_reference(&pattern, &prov);
+        }
 
         #[test]
         fn nfa_agrees_with_reference(pattern in arb_pattern(2), prov in arb_provenance(1)) {

@@ -56,6 +56,15 @@
 //! starts an epoch.  [`CompiledPattern::memo_stats`] reports entries, hits,
 //! misses, the epoch counter and the cumulative survivors.
 //!
+//! **ε channels.**  An event whose channel history is ε is decided
+//! without the nested memo: the nested automaton accepts ε exactly when
+//! its accept state is in its start state's closure row, which is what
+//! its memoized walk over ε would return.  So crossing such an atom takes
+//! no lock, hashes nothing, counts no memo hit and stores no nested
+//! entry.  On a spine whose every event travels on a channel with no
+//! history, such as a long relay chain, the witness walk makes no nested
+//! lookup at all.
+//!
 //! The equivalence of the two engines is checked by unit tests here and by
 //! property-based tests over random patterns and provenances.
 
@@ -275,6 +284,8 @@ pub struct MemoStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MatchStats {
     /// Memo lookups answered from a cache (this level and nested levels).
+    /// An event whose channel history is ε is decided without a nested
+    /// lookup (see the module docs), so it adds no hit.
     pub memo_hits: usize,
     /// Spine nodes actually simulated (events consumed by some automaton).
     pub nodes_visited: usize,
@@ -786,13 +797,24 @@ impl CompiledPattern {
         outcome
     }
 
+    /// Whether the event satisfies the indexed atom.  An ε channel history
+    /// is decided without the nested memo (see the module docs).
     fn atom_matches(&self, idx: usize, event: &Event, stats: &mut MatchStats) -> bool {
         let atom = &self.atoms[idx];
         event.direction == atom.pattern.direction
             && atom.pattern.group.contains(&event.principal)
-            && atom
-                .channel
-                .matches_collect(&event.channel_provenance, stats)
+            && if event.channel_provenance.is_empty() {
+                atom.channel.accepts_empty()
+            } else {
+                atom.channel
+                    .matches_collect(&event.channel_provenance, stats)
+            }
+    }
+
+    /// Whether the automaton accepts ε: its accept state is in the
+    /// ε-closure of its start state.
+    fn accepts_empty(&self) -> bool {
+        get_bit(self.row(self.start), self.accept)
     }
 
     /// Checks that the NFA agrees with the reference matcher on a single
@@ -1018,10 +1040,11 @@ mod tests {
         let prov = seq(vec![out("ws-a"), out("ws-b"), out("ws-c")]);
         let (verdict, cold) = compiled.matches_with_stats(&prov);
         assert!(verdict);
-        // The outer spine is fully simulated; the only hits come from the
-        // nested channel automaton re-vetting the (memoized) ε history.
+        // The outer spine is fully simulated, and nothing answers from a
+        // memo: every event's channel history is ε, which the nested
+        // automaton decides by its nullability, with no lookup.
         assert_eq!(cold.nodes_visited, 3);
-        assert_eq!(cold.memo_hits, 2);
+        assert_eq!(cold.memo_hits, 0);
         let (verdict, warm) = compiled.matches_with_stats(&prov);
         assert!(verdict);
         assert_eq!(warm.nodes_visited, 0, "second query simulates nothing");
@@ -1033,6 +1056,48 @@ mod tests {
         let (_, incremental) = compiled.matches_with_stats(&grown);
         assert!(incremental.nodes_visited <= 2);
         assert!(incremental.memo_hits >= 1);
+    }
+
+    #[test]
+    fn an_epsilon_channel_is_decided_without_the_nested_memo() {
+        // `a!(b!Any)` rejects a!ε and `a!Any` accepts it: either way the
+        // nested automaton answers from its closure row, so a cold walk of
+        // each kind counts no memo hit, and the nested memo holds no entry
+        // and saw no lookup.
+        let prov = seq(vec![out("a")]);
+        for (channel, expected) in [
+            (Pattern::send(GroupExpr::single("b"), Pattern::Any), false),
+            (Pattern::Any, true),
+        ] {
+            let pattern = Pattern::send(GroupExpr::single("a"), channel);
+            type Walk = fn(&CompiledPattern, &Provenance) -> (bool, MatchStats);
+            let walks: [Walk; 3] = [
+                |compiled, prov| compiled.matches_with_stats(prov),
+                |compiled, prov| {
+                    let mut stats = MatchStats::default();
+                    (compiled.witness(prov, &mut stats).verdict(), stats)
+                },
+                |compiled, prov| {
+                    let head = prov.head().expect("one event");
+                    compiled.matches_after(&[head], prov.tail().expect("one event"))
+                },
+            ];
+            for walk in walks {
+                let compiled = CompiledPattern::compile(&pattern);
+                let (verdict, stats) = walk(&compiled, &prov);
+                assert_eq!(verdict, expected);
+                assert_eq!(stats.memo_hits, 0);
+                let nested = compiled.atoms[0].channel.memo_stats();
+                assert_eq!(nested.entries, 0, "no nested memo entry");
+                assert_eq!(nested.hits + nested.misses, 0, "no nested memo lookup");
+            }
+        }
+        // A channel with a history still takes the nested memo.
+        let compiled =
+            CompiledPattern::compile(&Pattern::send(GroupExpr::single("a"), Pattern::Any));
+        let prov = Provenance::single(Event::output(Principal::new("a"), seq(vec![out("b")])));
+        assert!(compiled.matches(&prov));
+        assert!(compiled.atoms[0].channel.memo_entries() > 0);
     }
 
     #[test]

@@ -31,8 +31,8 @@ use piprov_core::provenance::{Direction, Event, InternerStats};
 use piprov_patterns::MemoStats;
 use piprov_policy::{PackDiagnostic, PackFile, PackSource};
 use piprov_store::codec::{
-    decode_bodies, encode_body, get_name, get_node_ref, get_node_table, get_str, get_value,
-    put_str, put_value, NodeTable,
+    decode_bodies, encode_body, get_name, get_name_in_run, get_node_ref, get_node_table, get_str,
+    get_value, put_str, put_value, NodeTable,
 };
 use piprov_store::record::{direction_from_tag, direction_tag};
 use piprov_store::{AuditTrail, ProvenanceRecord, StoreStats};
@@ -691,13 +691,17 @@ fn put_why_events(buf: &mut BytesMut, events: &[WhyEvent]) {
     });
 }
 
+/// Reads events written by [`put_why_events`].  Principals are read with
+/// [`get_name_in_run`], so consecutive events of one principal share its
+/// name.
 fn get_why_events(buf: &mut Bytes) -> Result<Vec<WhyEvent>, WireError> {
     let table = get_node_table(buf).map_err(store_err)?;
+    let mut previous = None;
     // A why event costs at least 4 node + 2 principal-length + 1
     // direction + 4 channel-reference bytes.
     get_seq(buf, "why event count", 11, |buf| {
         let node = wire_u32(buf, "why event node")?;
-        let principal = wire_name(buf)?;
+        let principal = get_name_in_run(buf, &mut previous).map_err(store_err)?;
         let direction = get_direction(buf, "why event direction")?;
         let channel_provenance = get_node_ref(buf, &table).map_err(store_err)?;
         let event = Event {
@@ -1699,6 +1703,68 @@ mod tests {
             decode_response(Bytes::from(body), &limits),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    /// A why response whose events are inputs by `principals` on ε
+    /// channels, through the response codec.
+    fn why_round_trip(principals: &[&str]) -> (WireResponse, WireResponse) {
+        let response = WireResponse::Audit(AuditResponse {
+            outcome: AuditOutcome::Why(WhySlice {
+                verdict: true,
+                sequence: 1,
+                events: principals
+                    .iter()
+                    .zip(1..)
+                    .map(|(principal, node)| WhyEvent {
+                        node,
+                        event: Event::input(Principal::new(*principal), Provenance::empty()),
+                    })
+                    .collect(),
+                blocked: None,
+            }),
+            stats: RequestStats::default(),
+            watermark: 1,
+            pack_version: 1,
+        });
+        let decoded = decode_response(encode_response(&response), &WireLimits::default()).unwrap();
+        (response, decoded)
+    }
+
+    fn why_principals(response: &WireResponse) -> Vec<&Principal> {
+        match response {
+            WireResponse::Audit(AuditResponse {
+                outcome: AuditOutcome::Why(slice),
+                ..
+            }) => slice.events.iter().map(|e| &e.event.principal).collect(),
+            other => panic!("not a why response: {:?}", other),
+        }
+    }
+
+    #[test]
+    fn a_why_run_of_one_principal_decodes_into_one_allocation() {
+        let (response, decoded) = why_round_trip(&["relay"; 1024]);
+        assert_eq!(decoded, response);
+        let principals = why_principals(&decoded);
+        assert_eq!(principals.len(), 1024);
+        let first = principals[0].as_str().as_ptr();
+        assert!(principals.iter().all(|p| p.as_str().as_ptr() == first));
+    }
+
+    #[test]
+    fn why_principals_that_differ_in_length_or_last_byte_round_trip() {
+        // Every ordered pair of `relay`, `relaz`, `relay2` and `""` is
+        // adjacent, so the list read either way round covers each pair.
+        let names = [
+            "relay", "relaz", "relay", "relay2", "relay", "", "relaz", "relay2", "relaz", "",
+            "relay2", "", "relay", "relay",
+        ];
+        let (response, decoded) = why_round_trip(&names);
+        assert_eq!(decoded, response);
+        let principals: Vec<&str> = why_principals(&decoded)
+            .iter()
+            .map(|p| p.as_str())
+            .collect();
+        assert_eq!(principals, names);
     }
 
     #[test]

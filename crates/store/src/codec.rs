@@ -145,6 +145,44 @@ pub fn get_str(buf: &mut Bytes) -> Result<String, StoreError> {
 ///
 /// As [`get_str`].
 pub fn get_name<N: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<N, StoreError> {
+    let len = get_str_len(buf)?;
+    let name = utf8_name(&buf[..len])?;
+    buf.advance(len);
+    Ok(name)
+}
+
+/// Reads a name written by [`put_str`] in a run of names, such as the
+/// principals of a node table: when its bytes equal those of `previous`,
+/// the name read before it, the result is a clone of that name (an `Arc`
+/// increment for [`Principal`]) and its bytes, already checked, are not
+/// checked for UTF-8 again.  Otherwise the name is built as [`get_name`]
+/// builds it and becomes `previous`.  A run of one principal, such as a
+/// relay tier's spine, decodes into one shared allocation.
+///
+/// # Errors
+///
+/// As [`get_str`]; `previous` is left as it was.
+pub fn get_name_in_run<N>(buf: &mut Bytes, previous: &mut Option<N>) -> Result<N, StoreError>
+where
+    N: for<'a> From<&'a str> + AsRef<str> + Clone,
+{
+    let len = get_str_len(buf)?;
+    let bytes = &buf[..len];
+    let name = match previous {
+        Some(prev) if prev.as_ref().as_bytes() == bytes => prev.clone(),
+        _ => {
+            let name: N = utf8_name(bytes)?;
+            *previous = Some(name.clone());
+            name
+        }
+    };
+    buf.advance(len);
+    Ok(name)
+}
+
+/// Reads the length prefix of a string written by [`put_str`] and checks
+/// that its body is in `buf`.
+fn get_str_len(buf: &mut Bytes) -> Result<usize, StoreError> {
     if buf.remaining() < 2 {
         return Err(StoreError::Corrupt("truncated string length".into()));
     }
@@ -152,11 +190,14 @@ pub fn get_name<N: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<N, StoreErr
     if buf.remaining() < len {
         return Err(StoreError::Corrupt("truncated string body".into()));
     }
-    let name = std::str::from_utf8(&buf[..len])
+    Ok(len)
+}
+
+/// Builds a name from its bytes, checking UTF-8.
+fn utf8_name<N: for<'a> From<&'a str>>(bytes: &[u8]) -> Result<N, StoreError> {
+    std::str::from_utf8(bytes)
         .map(N::from)
-        .map_err(|_| StoreError::Corrupt("invalid utf-8 in record".into()))?;
-    buf.advance(len);
-    Ok(name)
+        .map_err(|_| StoreError::Corrupt("invalid utf-8 in record".into()))
 }
 
 /// Writes a tagged [`Value`] (channel or principal name).
@@ -251,7 +292,9 @@ impl NodeTable {
 ///
 /// The whole table is read and checked before its first node is
 /// interned, so a table that fails partway leaves nothing in the
-/// process-global interner, which never frees.
+/// process-global interner, which never frees.  Principals are read with
+/// [`get_name_in_run`], so the nodes of a run of one principal that the
+/// interner has not seen share one allocation of its name.
 ///
 /// # Errors
 ///
@@ -288,13 +331,14 @@ fn read_node_entries(buf: &mut Bytes) -> Result<Vec<NodeEntry>, StoreError> {
     // `depths[k]` is the nesting depth of reference `k`; 0 is ε.
     let mut depths: Vec<usize> = Vec::with_capacity(capacity + 1);
     depths.push(0);
+    let mut previous = None;
     for _ in 0..count {
         if buf.remaining() < 1 {
             return Err(StoreError::Corrupt("truncated provenance node".into()));
         }
         let direction = direction_from_tag(buf.get_u8())
             .ok_or_else(|| StoreError::Corrupt("unknown direction tag".into()))?;
-        let principal: Principal = get_name(buf)?;
+        let principal: Principal = get_name_in_run(buf, &mut previous)?;
         let channel = get_ref(buf, depths.len())?;
         let tail = get_ref(buf, depths.len())?;
         let channel_depth = depths[channel as usize];
@@ -499,6 +543,17 @@ pub fn decode_framed(buf: &mut Bytes) -> Result<Option<ProvenanceRecord>, StoreE
 /// encoder walks the history recursively).
 #[cfg(test)]
 pub(crate) fn nested_body(levels: u32) -> Bytes {
+    // Node `level + 1`: channel = node `level`, tail = ε.
+    body_with_nodes((0..levels).map(|level| (Direction::Output, "p", level, 0)))
+}
+
+/// A body whose node table is `nodes`, each `(direction, principal,
+/// channel reference, tail reference)`, rooted at its last node, written
+/// by hand so that its nodes are first interned when it is decoded.
+#[cfg(test)]
+fn body_with_nodes<'a>(
+    nodes: impl ExactSizeIterator<Item = (Direction, &'a str, u32, u32)>,
+) -> Bytes {
     let record = ProvenanceRecord::new(
         1,
         "a",
@@ -511,15 +566,15 @@ pub(crate) fn nested_body(levels: u32) -> Bytes {
     // Drop the empty provenance section: a zero node count and root 0.
     let mut out = BytesMut::new();
     out.put_slice(&body[..body.len() - 8]);
-    out.put_u32(levels);
-    for level in 0..levels {
-        // Node `level + 1`: channel = node `level`, tail = ε.
-        out.put_u8(direction_tag(Direction::Output));
-        put_str(&mut out, "p");
-        out.put_u32(level);
-        out.put_u32(0);
+    let count = nodes.len() as u32;
+    out.put_u32(count);
+    for (direction, principal, channel, tail) in nodes {
+        out.put_u8(direction_tag(direction));
+        put_str(&mut out, principal);
+        out.put_u32(channel);
+        out.put_u32(tail);
     }
-    out.put_u32(levels);
+    out.put_u32(count);
     out.freeze()
 }
 
@@ -670,6 +725,51 @@ mod tests {
         ]
         .concat();
         assert_eq!(&encode_body(&chained_record(3))[..], &chained[..]);
+    }
+
+    /// A body whose spine is one input event per name, `names[0]` the
+    /// newest, each on an ε channel.
+    fn spine_body(names: &[&str]) -> Bytes {
+        // Oldest first: node `k + 1` has node `k` as its tail.
+        body_with_nodes(
+            names
+                .iter()
+                .rev()
+                .enumerate()
+                .map(|(k, name)| (Direction::Input, *name, 0, k as u32)),
+        )
+    }
+
+    #[test]
+    fn a_run_of_one_fresh_principal_decodes_into_one_allocation() {
+        let names = vec!["relay-of-the-name-run-test"; 1024];
+        let decoded = decode_body(spine_body(&names)).unwrap();
+        let events = decoded.provenance.to_vec();
+        assert_eq!(events.len(), 1024);
+        let first = events[0].principal.as_str().as_ptr();
+        assert!(events
+            .iter()
+            .all(|event| event.principal.as_str().as_ptr() == first));
+    }
+
+    #[test]
+    fn names_that_differ_in_length_or_last_byte_round_trip() {
+        // Every ordered pair of `relay`, `relaz`, `relay2` and `""` is
+        // adjacent, so the list read either way round covers each pair.
+        let names = [
+            "relay", "relaz", "relay", "relay2", "relay", "", "relaz", "relay2", "relaz", "",
+            "relay2", "", "relay", "relay",
+        ];
+        let decoded = decode_body(spine_body(&names)).unwrap();
+        let principals: Vec<String> = decoded
+            .provenance
+            .to_vec()
+            .iter()
+            .map(|event| event.principal.as_str().to_string())
+            .collect();
+        assert_eq!(principals, names);
+        let reencoded = decode_body(encode_body(&decoded)).unwrap();
+        assert_eq!(reencoded.provenance.id(), decoded.provenance.id());
     }
 
     #[test]
