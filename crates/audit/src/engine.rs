@@ -48,7 +48,7 @@ use crate::registry::{
     PackInstall, PolicyEntry, PolicyInfo, PolicyListing, PolicyRegistry, PolicySet,
 };
 use crate::request::{AuditOutcome, AuditRequest, AuditResponse, RequestStats};
-use crate::snapshot::{EngineSnapshot, SnapshotCell};
+use crate::snapshot::{EngineSnapshot, Published};
 use piprov_core::value::Value;
 use piprov_patterns::{CompiledPattern, MatchStats, MemoStats, Pattern};
 use piprov_policy::PolicyPack;
@@ -173,7 +173,7 @@ pub struct AuditEngine {
     /// store lock, so a metrics read never waits for an ingest or a sync.
     store_stats: Mutex<StoreStats>,
     /// The published [`EngineSnapshot`] every query reads.
-    snapshot: SnapshotCell,
+    snapshot: Published<EngineSnapshot>,
     /// The versioned policy registry.  Requests load one immutable
     /// [`PolicySet`] at entry; pack installation publishes the next
     /// set with a single pointer swap (see [`crate::registry`]).
@@ -219,7 +219,7 @@ impl AuditEngine {
     /// copied.
     pub fn with_config(store: ProvenanceStore, config: AuditConfig) -> Self {
         AuditEngine {
-            snapshot: SnapshotCell::new(store.view()),
+            snapshot: Published::new(store.view()),
             store_stats: Mutex::new(store.stats()),
             store: Mutex::new(store),
             registry: PolicyRegistry::new(),
@@ -270,7 +270,7 @@ impl AuditEngine {
             .map(|(n, e)| (n.clone(), Arc::clone(e)))
             .collect();
         next.insert(name, entry);
-        self.registry.publish(next);
+        self.registry.publish(&current, next);
     }
 
     /// Installs a compiled policy pack as the engine's **entire** policy
@@ -315,7 +315,7 @@ impl AuditEngine {
             next.insert(def.name.clone(), entry);
         }
         let installed = next.len();
-        let published = self.registry.publish(next);
+        let published = self.registry.publish(&current, next);
         PackInstall {
             version: published.version(),
             installed,
@@ -1459,26 +1459,77 @@ mod tests {
     fn a_metrics_read_does_not_wait_for_the_store_lock() {
         let dir = temp_dir("metrics-unlocked");
         let engine = Arc::new(seeded_engine(&dir));
+        engine.register_pattern("origin-a", Pattern::originated_at(GroupExpr::single("a")));
         let (held, holding) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
         let holder = {
             let engine = Arc::clone(&engine);
             std::thread::spawn(move || {
-                // What an ingest or an fsync does: hold the store lock.
+                // What an ingest or an fsync does: hold the store lock, here
+                // until the reads below are done, or for 5 s if one waits.
                 let _store = lock(&engine.store);
                 held.send(()).unwrap();
-                std::thread::sleep(std::time::Duration::from_millis(500));
+                let _ = released.recv_timeout(std::time::Duration::from_secs(5));
             })
         };
         holding.recv().unwrap();
+        let bound = std::time::Duration::from_millis(100);
         let started = Instant::now();
         let metrics = engine.metrics();
         let elapsed = started.elapsed();
         assert!(
-            elapsed < std::time::Duration::from_millis(100),
+            elapsed < bound,
             "metrics() waited {:?} for the store lock",
             elapsed
         );
         assert_eq!(metrics.store.records, 4);
+        // Nor does a request of any kind: each answers from the snapshot.
+        let pattern = || "origin-a".to_string();
+        for request in [
+            AuditRequest::VetValue {
+                value: value("v"),
+                pattern: pattern(),
+            },
+            AuditRequest::AuditTrail { value: value("v") },
+            AuditRequest::WhoTouched {
+                principal: Principal::new("s"),
+            },
+            AuditRequest::OriginOf { value: value("v") },
+            AuditRequest::Why {
+                value: value("v"),
+                pattern: pattern(),
+            },
+            AuditRequest::Counterfactual {
+                value: value("v"),
+                pattern: pattern(),
+                remove: EventFilter::Principal(Principal::new("s")),
+            },
+        ] {
+            let started = Instant::now();
+            let response = engine.handle(&request);
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < bound,
+                "{} waited {:?} for the store lock",
+                request,
+                elapsed
+            );
+            assert_eq!(response.watermark, 4, "{}", request);
+            assert!(
+                !matches!(
+                    response.outcome,
+                    AuditOutcome::UnknownValue | AuditOutcome::UnknownPattern { .. }
+                ),
+                "{} answered {:?}",
+                request,
+                response.outcome
+            );
+        }
+        assert!(
+            engine.store.try_lock().is_err(),
+            "the store lock was held throughout"
+        );
+        release.send(()).unwrap();
         holder.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

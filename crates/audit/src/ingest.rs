@@ -31,7 +31,7 @@
 
 use crate::engine::AuditEngine;
 use crate::trace::{RequestKind, Span, SpanKind, TraceCollector, TraceContext, TraceRecord};
-use piprov_store::codec::{decode_bodies, Bytes};
+use piprov_store::codec::{decode_bodies, encode_body, Bytes};
 use piprov_store::{ProvenanceRecord, StoreError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -74,21 +74,15 @@ impl SubmitOutcome {
 /// ticket ran.
 pub type FlushDone = Box<dyn FnOnce(Result<(), StoreError>) + Send>;
 
-/// A batch's records: decoded by an in-process caller, or the record
-/// bodies of an admitted wire frame, which the drain worker decodes.
-enum Records {
-    Decoded(Vec<ProvenanceRecord>),
-    Encoded(Vec<Bytes>),
-}
-
 /// One accepted batch.
 struct Batch {
     /// When it was accepted: the drain worker records submit → applied
     /// as the batch's queue wait.
     submitted: Instant,
-    records: Records,
+    /// One record body per record, which the drain worker decodes.
+    bodies: Vec<Bytes>,
     origin: u64,
-    /// Encoded bytes it holds (zero for decoded records).
+    /// Encoded bytes it holds.
     bytes: usize,
     /// The submitting request's trace context (if it was sampled), so the
     /// asynchronous queue-wait span lands in the same trace.
@@ -154,42 +148,6 @@ impl Shared {
         // lag an operator watches where `queue_depth` alone would hide it.
         self.engine
             .set_snapshot_lag((state.accepted - state.applied) as usize);
-    }
-
-    /// Queues a batch if it fits, or refuses it, counting the rejection.
-    fn submit(&self, origin: u64, records: Records, trace: Option<TraceContext>) -> SubmitOutcome {
-        let (len, bytes) = match &records {
-            Records::Decoded(records) => (records.len(), 0),
-            Records::Encoded(bodies) => (bodies.len(), bodies.iter().map(Bytes::len).sum()),
-        };
-        let mut state = self.lock();
-        let depth = state.batches.len();
-        if len == 0 {
-            return SubmitOutcome::Accepted { queue_depth: depth };
-        }
-        let too_big = depth > 0 && state.bytes + bytes > MAX_QUEUED_BYTES;
-        if state.closed || depth >= self.capacity || too_big {
-            // Refresh the gauges on rejection too: a Busy flood must leave
-            // them describing the real queue, not the last acceptance.
-            self.publish_gauges(&state);
-            self.engine.note_busy_rejection();
-            return SubmitOutcome::Busy { queue_depth: depth };
-        }
-        state.bytes += bytes;
-        state.batches.push_back(Batch {
-            submitted: Instant::now(),
-            records,
-            origin,
-            bytes,
-            trace,
-        });
-        state.accepted += 1;
-        self.publish_gauges(&state);
-        drop(state);
-        self.work.notify_one();
-        SubmitOutcome::Accepted {
-            queue_depth: depth + 1,
-        }
     }
 
     /// Queues a ticket behind every batch accepted so far.
@@ -290,22 +248,27 @@ impl IngestQueue {
         self.shared.lock().failures.len()
     }
 
-    /// Submits one batch of decoded records without blocking, as
-    /// [`IngestQueue::OWNER`].  An empty batch is accepted as a no-op.  A
-    /// full (or shut-down) queue rejects with [`SubmitOutcome::Busy`] —
-    /// nothing is buffered, and the rejection is counted in the engine's
-    /// `busy_rejections`.
+    /// Submits one batch of records without blocking, as
+    /// [`IngestQueue::OWNER`]: encodes each record's body and
+    /// [`IngestQueue::admit`]s them, so the batch takes the wire's path
+    /// through the queue.  Like a wire batch, it counts its encoded bytes
+    /// against [`MAX_QUEUED_BYTES`], and it applies only if the drain
+    /// worker decodes every record: one the decoder refuses (for example,
+    /// one nested deeper than [`piprov_store::record::MAX_PROVENANCE_DEPTH`])
+    /// fails the whole batch, and [`IngestQueue::flush`] reports it.
     pub fn try_submit(&self, batch: Vec<ProvenanceRecord>) -> SubmitOutcome {
-        self.shared
-            .submit(Self::OWNER, Records::Decoded(batch), None)
+        let bodies = batch.iter().map(encode_body).collect();
+        self.admit(Self::OWNER, bodies, None)
     }
 
     /// Admits a batch still encoded — one record body per record, in the
     /// store's body format — on behalf of `origin`, without blocking and
     /// without decoding anything: a front end answers its ingest frames
-    /// with this.  The batch counts against the queue's batch capacity
-    /// and against [`MAX_QUEUED_BYTES`], and is refused as
-    /// [`IngestQueue::try_submit`] refuses.
+    /// with this.  An empty batch is accepted as a no-op.  The batch
+    /// counts against the queue's batch capacity and against
+    /// [`MAX_QUEUED_BYTES`]; a full (or shut-down) queue rejects it with
+    /// [`SubmitOutcome::Busy`] — nothing is buffered, and the rejection
+    /// is counted in the engine's `busy_rejections`.
     ///
     /// The drain worker decodes the bodies outside the store lock and
     /// applies the batch only if every body decodes.  A body that fails
@@ -321,7 +284,36 @@ impl IngestQueue {
         bodies: Vec<Bytes>,
         trace: Option<TraceContext>,
     ) -> SubmitOutcome {
-        self.shared.submit(origin, Records::Encoded(bodies), trace)
+        let shared = &self.shared;
+        let bytes = bodies.iter().map(Bytes::len).sum();
+        let mut state = shared.lock();
+        let depth = state.batches.len();
+        if bodies.is_empty() {
+            return SubmitOutcome::Accepted { queue_depth: depth };
+        }
+        let too_big = depth > 0 && state.bytes + bytes > MAX_QUEUED_BYTES;
+        if state.closed || depth >= shared.capacity || too_big {
+            // Refresh the gauges on rejection too: a Busy flood must leave
+            // them describing the real queue, not the last acceptance.
+            shared.publish_gauges(&state);
+            shared.engine.note_busy_rejection();
+            return SubmitOutcome::Busy { queue_depth: depth };
+        }
+        state.bytes += bytes;
+        state.batches.push_back(Batch {
+            submitted: Instant::now(),
+            bodies,
+            origin,
+            bytes,
+            trace,
+        });
+        state.accepted += 1;
+        shared.publish_gauges(&state);
+        drop(state);
+        shared.work.notify_one();
+        SubmitOutcome::Accepted {
+            queue_depth: depth + 1,
+        }
     }
 
     /// Pauses or resumes the drain worker.  While paused, accepted batches
@@ -459,11 +451,8 @@ fn drain_loop(shared: &Shared) {
         // Decode every body before the first append, outside the store
         // lock: a body that fails leaves the whole batch unapplied, and
         // nothing of it interned.
-        let records = match batch.records {
-            Records::Decoded(records) => Ok(records),
-            Records::Encoded(bodies) => decode_bodies(bodies),
-        };
-        let result = records.and_then(|records| shared.engine.ingest_batch(records));
+        let result =
+            decode_bodies(batch.bodies).and_then(|records| shared.engine.ingest_batch(records));
         // Submit → applied: the wait a producer's read-your-writes poll
         // experiences, queue time, decode and apply time included.
         let waited = u64::try_from(batch.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -864,6 +853,37 @@ mod tests {
         // The failure was reported once: origin 1's next ticket is clean.
         ticket_for(&queue, 1).recv().unwrap().unwrap();
         queue.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An owner's batch takes the wire's path: it counts its encoded
+    /// bytes, and a record the decoder refuses fails the whole batch.
+    #[test]
+    fn a_submitted_batch_counts_its_bytes_and_fails_whole() {
+        let dir = temp_dir("submitted-whole");
+        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+        let queue = IngestQueue::start(Arc::clone(&engine), 4);
+        let deep = (0..=piprov_store::record::MAX_PROVENANCE_DEPTH)
+            .fold(Provenance::empty(), |channel, _| {
+                Provenance::single(Event::output(Principal::new("p"), channel))
+            });
+        let mut failing = batch(0, 2);
+        failing.push(ProvenanceRecord {
+            provenance: deep,
+            ..record(2)
+        });
+        let encoded: usize = bodies(&failing).iter().map(Bytes::len).sum();
+        queue.set_paused(true);
+        assert!(queue.try_submit(failing).is_accepted());
+        assert_eq!(queue.shared.lock().bytes, encoded);
+        match queue.flush() {
+            Err(StoreError::Corrupt(what)) => assert!(what.contains("deeper"), "{}", what),
+            other => panic!("expected the deep record's decode failure, got {:?}", other),
+        }
+        assert_eq!(engine.record_count(), 0, "the failed batch applied nothing");
+        assert!(queue.try_submit(batch(10, 1)).is_accepted());
+        queue.shutdown().unwrap();
+        assert_eq!(engine.record_count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -20,10 +20,11 @@
 //! so a policy the set drops loses its row with it.
 
 use crate::metrics::PolicyMetrics;
+use crate::snapshot::Published;
 use piprov_patterns::CompiledPattern;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One registered policy: its origin package, canonical source text,
 /// compiled automaton (shared so memo state survives reinstalls of an
@@ -143,7 +144,7 @@ pub struct PackInstall {
 /// The swappable registry cell.
 #[derive(Debug)]
 pub(crate) struct PolicyRegistry {
-    current: RwLock<Arc<PolicySet>>,
+    current: Published<PolicySet>,
     /// Held by an edit from its load of the current set to its publish
     /// of the next, so two concurrent edits cannot both build on one set
     /// and lose an update.  Readers never take it.
@@ -154,7 +155,7 @@ impl PolicyRegistry {
     /// An empty registry at version 0.
     pub(crate) fn new() -> PolicyRegistry {
         PolicyRegistry {
-            current: RwLock::new(Arc::new(PolicySet {
+            current: Published::new(Arc::new(PolicySet {
                 version: 0,
                 policies: HashMap::new(),
             })),
@@ -174,25 +175,23 @@ impl PolicyRegistry {
     /// Loads the current set: one `Arc` clone under a read lock held
     /// for the pointer copy alone.
     pub(crate) fn load(&self) -> Arc<PolicySet> {
-        match self.current.read() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-        }
+        self.current.load()
     }
 
-    /// Publishes `policies` as the next set, bumping the version.
+    /// Publishes `policies` as the set after `current`, the set the edit
+    /// loaded under the edit lock, at the version after `current`'s.
     /// Readers that loaded the previous set keep it alive through
     /// their `Arc`; new loads observe the new set immediately.
-    pub(crate) fn publish(&self, policies: HashMap<String, Arc<PolicyEntry>>) -> Arc<PolicySet> {
-        let mut guard = match self.current.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+    pub(crate) fn publish(
+        &self,
+        current: &PolicySet,
+        policies: HashMap<String, Arc<PolicyEntry>>,
+    ) -> Arc<PolicySet> {
         let next = Arc::new(PolicySet {
-            version: guard.version + 1,
+            version: current.version + 1,
             policies,
         });
-        *guard = Arc::clone(&next);
+        self.current.publish(Arc::clone(&next));
         next
     }
 }
@@ -229,7 +228,7 @@ mod tests {
 
         let mut policies = HashMap::new();
         policies.insert("a".to_string(), entry("Any"));
-        let published = registry.publish(policies);
+        let published = registry.publish(&before, policies);
         assert_eq!(published.version(), 1);
 
         // The pinned set is unaffected; a fresh load sees the new one.

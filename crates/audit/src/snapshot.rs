@@ -23,8 +23,9 @@ use std::sync::{Arc, RwLock};
 /// much ingest lands in the meantime.
 pub type EngineSnapshot = piprov_store::StoreView;
 
-/// The publication point: readers load the current snapshot, the ingest
-/// path swaps in the next one.
+/// A publication point: readers load the current value, a writer swaps
+/// in the next one.  The engine publishes its snapshots and its policy
+/// sets ([`crate::registry`]) through one each.
 ///
 /// Publication is a single `Arc` pointer swap under a reader-writer latch
 /// held only for the swap itself (writers) or an `Arc` clone (readers) —
@@ -32,32 +33,33 @@ pub type EngineSnapshot = piprov_store::StoreView;
 /// the next snapshot is built by the store's appends, outside the latch,
 /// so a reader is never blocked behind a batch being applied, which is
 /// exactly the starvation the old design (queries behind the store's
-/// reader-writer lock) suffered.
+/// reader-writer lock) suffered.  A swap cannot leave the value half
+/// written, so a poisoned latch is used as it stands.
 #[derive(Debug)]
-pub(crate) struct SnapshotCell {
-    current: RwLock<Arc<EngineSnapshot>>,
+pub(crate) struct Published<T> {
+    current: RwLock<Arc<T>>,
 }
 
-impl SnapshotCell {
-    pub(crate) fn new(snapshot: Arc<EngineSnapshot>) -> Self {
-        SnapshotCell {
-            current: RwLock::new(snapshot),
+impl<T> Published<T> {
+    pub(crate) fn new(value: Arc<T>) -> Self {
+        Published {
+            current: RwLock::new(value),
         }
     }
 
-    /// The currently published snapshot.
-    pub(crate) fn load(&self) -> Arc<EngineSnapshot> {
+    /// The currently published value.
+    pub(crate) fn load(&self) -> Arc<T> {
         match self.current.read() {
             Ok(guard) => Arc::clone(&guard),
             Err(poisoned) => Arc::clone(&poisoned.into_inner()),
         }
     }
 
-    /// Atomically replaces the published snapshot.
-    pub(crate) fn publish(&self, snapshot: Arc<EngineSnapshot>) {
+    /// Atomically replaces the published value.
+    pub(crate) fn publish(&self, value: Arc<T>) {
         match self.current.write() {
-            Ok(mut guard) => *guard = snapshot,
-            Err(poisoned) => *poisoned.into_inner() = snapshot,
+            Ok(mut guard) => *guard = value,
+            Err(poisoned) => *poisoned.into_inner() = value,
         }
     }
 }
@@ -88,7 +90,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = ProvenanceStore::open(&dir).unwrap();
         store.append(record("a", "v")).unwrap();
-        let cell = SnapshotCell::new(store.view());
+        let cell = Published::new(store.view());
         let pinned = cell.load();
         store.append(record("b", "w")).unwrap();
         assert_eq!(cell.load().watermark(), 1, "nothing published yet");

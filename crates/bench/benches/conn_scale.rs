@@ -4,26 +4,22 @@
 //! idle* population of connections cost, and does holding it cost the
 //! active minority anything?
 //!
-//! * **`e16_connscale/round_trip`** — single-connection vet round-trip
-//!   ns/op: the per-request floor, no concurrency.
-//! * **scaling table** — total connections at 64/1k/10k (the active 64
-//!   issue vets; the rest sit idle, costing the event loop one registered
-//!   fd each).  Prints aggregate vets/s plus hand-rolled p50/p99
-//!   per-request latency (the vendored criterion reports means only).
-//!   Tiers whose two-fds-per-connection cost overflows `RLIMIT_NOFILE`
-//!   are scaled down or skipped with a printed caveat — degrade, don't
-//!   die.
+//! The scaling table holds 64/1k/10k total connections (the active 64
+//! issue vets; the rest sit idle, costing the event loop one registered
+//! fd each) and prints aggregate vets/s plus hand-rolled p50/p99
+//! per-request latency.  Tiers whose two-fds-per-connection cost
+//! overflows `RLIMIT_NOFILE` are scaled down or skipped with a printed
+//! caveat — degrade, don't die.  The one-connection round trip is
+//! perfbench's vet_wire `latency_p50_us`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use piprov_audit::{AuditConfig, AuditEngine, AuditOutcome, AuditRequest};
-use piprov_bench::quick_criterion;
 use piprov_core::name::{Channel, Principal};
 use piprov_core::provenance::{Event, Provenance};
 use piprov_core::value::Value;
 use piprov_patterns::{GroupExpr, Pattern};
 use piprov_serve::codec::{decode_response, encode_request};
 use piprov_serve::wire::{read_frame, write_frame};
-use piprov_serve::{AuditClient, AuditServer, ServeConfig, WireLimits, WireRequest, WireResponse};
+use piprov_serve::{AuditServer, ServeConfig, WireLimits, WireRequest, WireResponse};
 use piprov_store::{Operation, ProvenanceRecord, ProvenanceStore};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -228,7 +224,7 @@ fn run_tier(total: usize) -> Option<TierResult> {
     })
 }
 
-fn scaling_table() {
+fn main() {
     println!(
         "\ne16_connscale — {} active connections × {} vets each (pipelined in waves of {}), remainder idle",
         ACTIVE_CONNS, VETS_PER_CONN, WAVE
@@ -244,31 +240,3 @@ fn scaling_table() {
         }
     }
 }
-
-fn bench_round_trip(c: &mut Criterion) {
-    let dir = temp_dir("rt");
-    let server = serve(&dir);
-    let mut client = AuditClient::connect(server.local_addr()).expect("connect");
-    let mut i = 0u64;
-    c.bench_function("e16_connscale/round_trip", |b| {
-        b.iter(|| {
-            i += 1;
-            client.request(&vet_request(i)).expect("vet")
-        })
-    });
-    drop(client);
-    server.shutdown().expect("shutdown");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-fn bench_summary(c: &mut Criterion) {
-    bench_round_trip(c);
-    scaling_table();
-}
-
-criterion_group! {
-    name = e16_connscale;
-    config = quick_criterion();
-    targets = bench_summary
-}
-criterion_main!(e16_connscale);

@@ -19,15 +19,3 @@ pub fn quick_criterion() -> Criterion {
         .measurement_time(Duration::from_millis(800))
         .configure_from_args()
 }
-
-/// Formats a mean nanoseconds-per-iteration figure for the summary tables
-/// printed at the end of each bench target.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns >= 1_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
-    } else if ns >= 1_000.0 {
-        format!("{:.2} µs", ns / 1_000.0)
-    } else {
-        format!("{:.0} ns", ns)
-    }
-}

@@ -279,23 +279,6 @@ impl ProvenanceStore {
         Ok(seq)
     }
 
-    /// Appends every record produced by an iterator, returning the sequence
-    /// number of the last one appended (if any).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any write fails.
-    pub fn append_all(
-        &mut self,
-        records: impl IntoIterator<Item = ProvenanceRecord>,
-    ) -> Result<Option<SequenceNumber>, StoreError> {
-        let mut last = None;
-        for record in records {
-            last = Some(self.append(record)?);
-        }
-        Ok(last)
-    }
-
     /// Flushes and syncs the active segment.
     ///
     /// # Errors
@@ -369,9 +352,9 @@ impl ProvenanceStore {
 
     /// A query handle over this store.
     ///
-    /// Equivalent to `StoreQuery::new(&store)`; callers that serve many
-    /// audit requests (the `piprov-audit` engine) create one handle per
-    /// request under their read lock.
+    /// Equivalent to `StoreQuery::new(&store)`.  The `piprov-audit`
+    /// engine does not query the store: it answers every request from the
+    /// view it last published ([`ProvenanceStore::view`]).
     pub fn query(&self) -> crate::query::StoreQuery<'_> {
         crate::query::StoreQuery::new(self)
     }
@@ -532,18 +515,6 @@ mod tests {
         drop(store);
         let store = ProvenanceStore::open(&dir).unwrap();
         assert_eq!(store.len(), 50);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn append_all_returns_last_sequence() {
-        let dir = temp_dir("append-all");
-        let mut store = ProvenanceStore::open(&dir).unwrap();
-        let last = store
-            .append_all((0..5).map(|i| record(i, "a", "v")))
-            .unwrap();
-        assert_eq!(last, Some(5));
-        assert_eq!(store.append_all(std::iter::empty()).unwrap(), None);
         fs::remove_dir_all(&dir).ok();
     }
 
