@@ -1417,10 +1417,7 @@ mod tests {
     #[test]
     fn a_failed_rotation_leaves_the_published_view_equal_to_the_log() {
         let dir = temp_dir("failed-rotation");
-        let config = piprov_store::StoreConfig {
-            segment_budget: 1,
-            sync_every_append: false,
-        };
+        let config = piprov_store::StoreConfig { segment_budget: 1 };
         let engine = AuditEngine::new(ProvenanceStore::open_with(&dir, config).unwrap());
         // A directory where the next segment file would go: the rotation
         // after the first append cannot create it.
@@ -1539,7 +1536,6 @@ mod tests {
         let dir = temp_dir("store-stats");
         let config = piprov_store::StoreConfig {
             segment_budget: 256,
-            sync_every_append: false,
         };
         let engine = AuditEngine::new(ProvenanceStore::open_with(&dir, config).unwrap());
         assert_eq!(engine.metrics().store, lock(&engine.store).stats());

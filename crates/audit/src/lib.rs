@@ -49,7 +49,8 @@
 //!   [`MetricsRegistry`] of per-stage histograms and connection counters,
 //!   the aggregated [`MetricsSnapshot`] over every stats surface the
 //!   workspace keeps, and a Prometheus-style text exposition with a
-//!   validating parser ([`metrics::validate_exposition`]);
+//!   validating parser ([`metrics::validate_exposition`]) and a sample
+//!   lookup on the same parser ([`metrics::exposition_sample`]);
 //! * [`trace`] — the request tracing plane: wire-propagated
 //!   [`TraceContext`]s, per-stage [`Span`]s (client encode, decode, queue
 //!   wait, engine handle, response write), and the bounded lock-free
@@ -109,9 +110,9 @@ pub use causal::{
 pub use engine::{AuditConfig, AuditEngine, EngineStats};
 pub use ingest::{FlushDone, IngestQueue, SubmitOutcome};
 pub use metrics::{
-    render_exposition, render_exposition_with, validate_exposition, Exemplar, ExpositionOptions,
-    HistogramSnapshot, MetricsRegistry, MetricsSnapshot, PolicyMetrics, PolicySnapshot,
-    VetOutcomeKind, LATENCY_BUCKET_BOUNDS_NS,
+    exposition_sample, render_exposition, render_exposition_with, validate_exposition, Exemplar,
+    ExpositionOptions, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, PolicyMetrics,
+    PolicySnapshot, VetOutcomeKind, LATENCY_BUCKET_BOUNDS_NS,
 };
 pub use recorder::AuditRecorder;
 pub use registry::{PackInstall, PolicyEntry, PolicyInfo, PolicyListing, PolicySet};

@@ -333,9 +333,9 @@ pub struct PolicySnapshot {
     pub latency: HistogramSnapshot,
 }
 
-/// Every counter surface of one engine, frozen at a point in time — the
-/// typed half of the `Metrics` wire response; the text half is
-/// [`MetricsSnapshot::exposition`].
+/// Every counter surface of one engine, frozen at a point in time.  It
+/// leaves the process only as text: [`render_exposition_with`] renders it,
+/// and [`exposition_sample`] reads one sample back out of that text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// The engine's lifetime counters and gauges.
@@ -368,8 +368,8 @@ impl MetricsSnapshot {
     ///
     /// Deterministic: policies are sorted by name, and metric families
     /// appear in a fixed order — the same snapshot always renders the same
-    /// text, wherever it is rendered (the wire ships the typed snapshot;
-    /// client and server render identical expositions).
+    /// text.  Renders without exemplars; [`render_exposition_with`] takes
+    /// the options.
     pub fn exposition(&self) -> String {
         render_exposition(self)
     }
@@ -907,7 +907,8 @@ fn valid_metric_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-/// Splits `policy="x",le="+Inf"` into pairs, honouring `\"` escapes.
+/// Splits `policy="x",le="+Inf"` into pairs, undoing the `\\`, `\"` and
+/// `\n` escapes of [`escape_label`].
 fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
     let mut pairs = Vec::new();
     let mut rest = body;
@@ -934,7 +935,7 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
                     let (_, escaped) = chars
                         .next()
                         .ok_or_else(|| "dangling escape in label value".to_string())?;
-                    value.push(escaped);
+                    value.push(if escaped == 'n' { '\n' } else { escaped });
                 }
                 '"' => {
                     closed = true;
@@ -956,6 +957,67 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
         }
     }
     Ok(pairs)
+}
+
+/// One sample line, `name{labels} value [# {exemplar-labels} value]`, cut
+/// into its parts; the label body stays unparsed for [`parse_labels`].
+struct SampleLine<'a> {
+    name: &'a str,
+    labels: &'a str,
+    value: &'a str,
+    exemplar: Option<&'a str>,
+}
+
+/// Cuts a sample line into its parts.  [`validate_exposition`] and
+/// [`exposition_sample`] both read samples through it, so the lint and the
+/// lookup cannot disagree on what a line says.
+fn split_sample(line: &str) -> Result<SampleLine<'_>, String> {
+    let (line, exemplar) = match line.split_once(" # ") {
+        Some((base, exemplar)) => (base, Some(exemplar)),
+        None => (line, None),
+    };
+    let (series, value) = line
+        .rsplit_once(' ')
+        .ok_or_else(|| "sample without value".to_string())?;
+    let (name, labels) = match series.split_once('{') {
+        Some((name, rest)) => (
+            name,
+            rest.strip_suffix('}')
+                .ok_or_else(|| "unclosed label braces".to_string())?,
+        ),
+        None => (series, ""),
+    };
+    Ok(SampleLine {
+        name,
+        labels,
+        value,
+        exemplar,
+    })
+}
+
+/// The value text of the sample `name` whose label set is exactly
+/// `labels` (in any order, values unescaped), or `None` when `text` holds
+/// no such sample.  An exemplar suffix is not part of the value.  The text
+/// is returned as written, so a caller parses a counter as an exact `u64`
+/// and a `_sum` as a decimal.
+pub fn exposition_sample<'a>(
+    text: &'a str,
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Option<&'a str> {
+    text.lines()
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .filter_map(|line| split_sample(line).ok())
+        .filter(|sample| sample.name == name)
+        .find(|sample| {
+            parse_labels(sample.labels).is_ok_and(|pairs| {
+                pairs.len() == labels.len()
+                    && labels
+                        .iter()
+                        .all(|(k, v)| pairs.iter().any(|(pk, pv)| pk == k && pv == v))
+            })
+        })
+        .map(|sample| sample.value)
 }
 
 /// The family a sample belongs to: histogram samples strip their
@@ -1016,26 +1078,13 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
             }
             continue;
         }
-        // A sample: name[{labels}] value [# {exemplar-labels} exemplar-value]
-        let (line, exemplar) = match line.split_once(" # ") {
-            Some((base, exemplar)) => (base, Some(exemplar)),
-            None => (line, None),
-        };
-        let (series, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: sample without value", lineno))?;
-        let (name, labels) = match series.split_once('{') {
-            Some((name, rest)) => {
-                let body = rest
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("line {}: unclosed label braces", lineno))?;
-                (
-                    name,
-                    parse_labels(body).map_err(|e| format!("line {}: {}", lineno, e))?,
-                )
-            }
-            None => (series, Vec::new()),
-        };
+        let SampleLine {
+            name,
+            labels,
+            value,
+            exemplar,
+        } = split_sample(line).map_err(|e| format!("line {}: {}", lineno, e))?;
+        let labels = parse_labels(labels).map_err(|e| format!("line {}: {}", lineno, e))?;
         if !valid_metric_name(name) {
             return Err(format!("line {}: bad metric name {:?}", lineno, name));
         }
@@ -1439,5 +1488,126 @@ mod tests {
         // Unparseable exemplar value.
         let bad = format!("{head}h_bucket{{le=\"+Inf\"}} 1 # {{trace_id=\"{id}\"}} x\n");
         assert!(validate_exposition(&bad).is_err());
+    }
+
+    /// One policy named `policy` with two vets: 300 ns (exemplar `0xabcd`)
+    /// and 2^30 ns, past the last bound.
+    fn one_policy_snapshot(policy: &str) -> MetricsSnapshot {
+        let metrics = PolicyMetrics::default();
+        metrics.record(300, VetOutcomeKind::Passed, Some(0xabcd));
+        metrics.record(1 << 30, VetOutcomeKind::Failed, None);
+        MetricsSnapshot {
+            engine: EngineStats::default(),
+            store: StoreStats::default(),
+            interner: piprov_core::provenance::interner_stats(),
+            vets_unknown_pattern: 0,
+            stages: Vec::new(),
+            uptime_seconds: 0,
+            connections_accepted: 0,
+            connections_closed: 0,
+            open_connections: 0,
+            policies: vec![metrics.snapshot(policy, COLD_MEMO)],
+        }
+    }
+
+    #[test]
+    fn the_lookup_unescapes_label_values() {
+        let policy = "a\"b\\c\nd";
+        let text = one_policy_snapshot(policy).exposition();
+        assert!(
+            text.contains("{policy=\"a\\\"b\\\\c\\nd\"} 1\n"),
+            "{}",
+            text
+        );
+        let passed = "piprov_policy_vets_passed_total";
+        assert_eq!(
+            exposition_sample(&text, passed, &[("policy", policy)]),
+            Some("1")
+        );
+        assert_eq!(
+            exposition_sample(&text, passed, &[("policy", "a\\\"b\\\\c\\nd")]),
+            None,
+            "the lookup takes values unescaped"
+        );
+    }
+
+    #[test]
+    fn the_lookup_reads_a_bucket_value_before_its_exemplar() {
+        let text = render_exposition_with(
+            &one_policy_snapshot("alpha"),
+            &ExpositionOptions { exemplars: true },
+        );
+        let bucket = "piprov_vet_latency_seconds_bucket";
+        let le = fmt_seconds(512);
+        let line = format!(
+            "{}{{policy=\"alpha\",le=\"{}\"}} 1 # {{trace_id=",
+            bucket, le
+        );
+        assert!(text.contains(&line), "{}", text);
+        assert_eq!(
+            exposition_sample(&text, bucket, &[("policy", "alpha"), ("le", &le)]),
+            Some("1")
+        );
+        assert_eq!(
+            exposition_sample(&text, bucket, &[("le", "+Inf"), ("policy", "alpha")]),
+            Some("2"),
+            "label order does not matter"
+        );
+    }
+
+    #[test]
+    fn the_lookup_returns_a_decimal_sum_as_written() {
+        let text = one_policy_snapshot("alpha").exposition();
+        let sum = exposition_sample(
+            &text,
+            "piprov_vet_latency_seconds_sum",
+            &[("policy", "alpha")],
+        );
+        assert_eq!(sum, Some("1.073742124"));
+        assert_eq!(sum.map(str::parse::<f64>), Some(Ok(1.073742124)));
+        assert!(sum.unwrap().parse::<u64>().is_err());
+    }
+
+    #[test]
+    fn the_lookup_finds_nothing_for_an_absent_family_or_label_set() {
+        let text = one_policy_snapshot("alpha").exposition();
+        let passed = "piprov_policy_vets_passed_total";
+        let bucket = "piprov_vet_latency_seconds_bucket";
+        assert_eq!(
+            exposition_sample(&text, passed, &[("policy", "alpha")]),
+            Some("1")
+        );
+        assert_eq!(
+            exposition_sample(&text, "piprov_requests_total", &[]),
+            Some("0")
+        );
+        assert_eq!(exposition_sample(&text, "piprov_no_such_family", &[]), None);
+        assert_eq!(
+            exposition_sample(&text, passed, &[("policy", "beta")]),
+            None
+        );
+        assert_eq!(
+            exposition_sample(&text, passed, &[]),
+            None,
+            "a label too few"
+        );
+        assert_eq!(
+            exposition_sample(&text, "piprov_requests_total", &[("policy", "alpha")]),
+            None,
+            "a label too many"
+        );
+        assert_eq!(
+            exposition_sample(&text, bucket, &[("policy", "alpha")]),
+            None
+        );
+        assert_eq!(
+            exposition_sample(&text, bucket, &[("policy", "alpha"), ("le", "3")]),
+            None
+        );
+        assert_eq!(
+            exposition_sample(&text, "piprov_vet_latency_seconds", &[("policy", "alpha")]),
+            None,
+            "a histogram family has no sample of its own name"
+        );
     }
 }

@@ -7,10 +7,11 @@
 //! The scaling table holds 64/1k/10k total connections (the active 64
 //! issue vets; the rest sit idle, costing the event loop one registered
 //! fd each) and prints aggregate vets/s plus hand-rolled p50/p99
-//! per-request latency.  Tiers whose two-fds-per-connection cost
-//! overflows `RLIMIT_NOFILE` are scaled down or skipped with a printed
-//! caveat — degrade, don't die.  The one-connection round trip is
-//! perfbench's vet_wire `latency_p50_us`.
+//! per-request latency.  The clock starts once every connection is
+//! connected and accepted, so it times vets alone.  Tiers whose
+//! two-fds-per-connection cost overflows `RLIMIT_NOFILE` are scaled down
+//! or skipped with a printed caveat — degrade, don't die.  The
+//! one-connection round trip is perfbench's vet_wire `latency_p50_us`.
 
 use piprov_audit::{AuditConfig, AuditEngine, AuditOutcome, AuditRequest};
 use piprov_core::name::{Channel, Principal};
@@ -24,7 +25,7 @@ use piprov_store::{Operation, ProvenanceRecord, ProvenanceStore};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -148,19 +149,27 @@ fn run_tier(total: usize) -> Option<TierResult> {
         .map(|_| TcpStream::connect(addr).expect("idle connect"))
         .collect();
     let per_driver = active / DRIVERS;
-    let started = Instant::now();
+    // Every driver connects first; the clock starts once all of them and
+    // this thread have met at the barrier, so a slow connect is not timed
+    // as vets.
+    let connected = Arc::new(Barrier::new(DRIVERS + 1));
     let drivers: Vec<_> = (0..DRIVERS)
         .map(|d| {
+            let connected = Arc::clone(&connected);
             thread::spawn(move || {
                 let limits = WireLimits::default();
-                let mut conns: Vec<(TcpStream, BufReader<TcpStream>)> = (0..per_driver)
+                let conns = (0..per_driver)
                     .map(|_| {
-                        let stream = TcpStream::connect(addr).expect("active connect");
+                        let stream = TcpStream::connect(addr)?;
                         stream.set_nodelay(true).ok();
-                        let reader = BufReader::new(stream.try_clone().expect("clone"));
-                        (stream, reader)
+                        let reader = BufReader::new(stream.try_clone()?);
+                        Ok((stream, reader))
                     })
-                    .collect();
+                    .collect::<std::io::Result<Vec<_>>>();
+                // Meet the others before any panic, so a failed connect
+                // cannot leave them waiting.
+                connected.wait();
+                let mut conns = conns.expect("active connect");
                 let mut latencies = Vec::with_capacity(per_driver * VETS_PER_CONN);
                 for wave in 0..VETS_PER_CONN / WAVE {
                     // Phase 1: a wave of pipelined requests to every
@@ -207,6 +216,16 @@ fn run_tier(total: usize) -> Option<TierResult> {
             })
         })
         .collect();
+    // The drivers wait at the barrier only once they connected, and the
+    // server must also have accepted every connection: an accept still
+    // pending would be timed as the first wave's vets.
+    let registry = server.engine().metrics_registry();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while registry.connections_accepted() < held as u64 && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(1));
+    }
+    connected.wait();
+    let started = Instant::now();
     let mut latencies: Vec<u64> = drivers
         .into_iter()
         .flat_map(|h| h.join().expect("driver"))

@@ -11,8 +11,10 @@
 //! * **`e15_metrics/exposition_render`** — the cost of rendering the
 //!   Prometheus text exposition as the engine grows (1/16/64 registered
 //!   policies, each with a fully-populated latency histogram), plus the
-//!   rendered size.  Rendering happens off the hot path (client-side for
-//!   wire scrapes), so this bounds scrape cost, not request cost.
+//!   rendered size.  Rendering happens off the hot path, on the server,
+//!   for the wire `Metrics` answer and `GET /metrics` alike, so this
+//!   bounds scrape cost, not request cost; the `bytes` column is the size
+//!   of that answer's text.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use piprov_audit::{

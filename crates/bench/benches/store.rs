@@ -1,11 +1,11 @@
 //! E11 — provenance store throughput and query latency.
 //!
-//! Measures append throughput (with and without per-append sync), recovery
-//! scans, audit-trail queries as the number of stored records grows,
-//! codec cost on deeply *shared* channel provenance, where a body encodes
-//! each interned node once however large the logical tree grows, and
-//! codec cost per node on a deep spine of one repeated principal, the
-//! shape of perfbench's causal_deep records
+//! Measures append throughput (buffered, and with a `sync` after each
+//! append), recovery scans, audit-trail queries as the number of stored
+//! records grows, codec cost on deeply *shared* channel provenance, where
+//! a body encodes each interned node once however large the logical tree
+//! grows, and codec cost per node on a deep spine of one repeated
+//! principal, the shape of perfbench's causal_deep records
 //! (`cargo bench -p piprov-bench --bench store -- e11_deep_codec`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -14,7 +14,7 @@ use piprov_core::name::{Channel, Principal};
 use piprov_core::provenance::{Event, Provenance};
 use piprov_core::value::Value;
 use piprov_store::codec::{decode_body, encode_body};
-use piprov_store::{Operation, ProvenanceRecord, ProvenanceStore, StoreConfig, StoreQuery};
+use piprov_store::{Operation, ProvenanceRecord, ProvenanceStore, StoreQuery};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -71,17 +71,11 @@ fn bench_append(c: &mut Criterion) {
     }
     group.bench_function("synced_every_append", |b| {
         let dir = temp_dir("append-sync");
-        let mut store = ProvenanceStore::open_with(
-            &dir,
-            StoreConfig {
-                sync_every_append: true,
-                ..StoreConfig::default()
-            },
-        )
-        .unwrap();
+        let mut store = ProvenanceStore::open(&dir).unwrap();
         let mut i = 0u64;
         b.iter(|| {
             store.append(record(i, 8)).unwrap();
+            store.sync().unwrap();
             i += 1;
         });
         std::fs::remove_dir_all(&dir).ok();

@@ -25,7 +25,7 @@ use crate::server::elapsed_ns;
 use crate::wire::{read_frame, write_frame, WireError, WireLimits};
 use bytes::Bytes;
 use piprov_audit::{
-    AuditRequest, AuditResponse, EngineStats, EventFilter, MetricsSnapshot, PolicyListing,
+    exposition_sample, AuditRequest, AuditResponse, EngineStats, EventFilter, PolicyListing,
     TraceContext, TraceRecord,
 };
 use piprov_core::value::Value;
@@ -139,21 +139,6 @@ pub struct FlushAck {
     /// this sequence number: any later query's response watermark is `>=`
     /// it, which is the wire protocol's read-your-writes guarantee.
     pub watermark: u64,
-}
-
-/// The server's metrics plane, as [`AuditClient::metrics`] returns it:
-/// the typed snapshot plus its Prometheus-style text rendering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsReport {
-    /// Every counter surface of the server's engine, typed (see
-    /// [`piprov_audit::MetricsSnapshot`]).
-    pub snapshot: MetricsSnapshot,
-    /// The snapshot rendered in the Prometheus text exposition format —
-    /// rendered client-side from the decoded snapshot, which is
-    /// byte-identical to what the server would render
-    /// ([`MetricsSnapshot::exposition`] is deterministic), so the wire
-    /// carries the compact typed form only.
-    pub exposition: String,
 }
 
 /// The server's typed answer to one [`AuditClient::load_pack`] call.
@@ -560,35 +545,55 @@ impl AuditClient {
         }
     }
 
-    /// Snapshot of the server engine's lifetime counters: the `engine`
-    /// part of [`AuditClient::metrics`].
+    /// Snapshot of the server engine's lifetime counters, read from the
+    /// twelve engine samples of [`AuditClient::metrics`].
     ///
     /// # Errors
     ///
-    /// As [`AuditClient::request`].
+    /// As [`AuditClient::request`]; [`ClientError::UnexpectedResponse`]
+    /// when the text lacks one of the samples or it is not a `u64`.
     pub fn stats(&mut self) -> Result<EngineStats, ClientError> {
-        Ok(self.metrics_snapshot()?.engine)
-    }
-
-    /// The server's full metrics plane: engine/store/interner counters
-    /// plus every registered policy's verdict counters and vet-latency
-    /// histogram, both as the typed [`MetricsSnapshot`] and as Prometheus
-    /// exposition text ready to hand to a scrape endpoint.
-    ///
-    /// # Errors
-    ///
-    /// As [`AuditClient::request`].
-    pub fn metrics(&mut self) -> Result<MetricsReport, ClientError> {
-        let snapshot = self.metrics_snapshot()?;
-        Ok(MetricsReport {
-            exposition: snapshot.exposition(),
-            snapshot,
+        let text = self.metrics()?;
+        let sample = |name: &str| {
+            exposition_sample(&text, name, &[])
+                .and_then(|value| value.parse::<u64>().ok())
+                .ok_or_else(|| {
+                    ClientError::UnexpectedResponse(format!(
+                        "metrics text without {} as a u64",
+                        name
+                    ))
+                })
+        };
+        // Every field named: a field added to `EngineStats` does not
+        // compile here until it is read.
+        Ok(EngineStats {
+            requests: sample("piprov_requests_total")?,
+            ingested: sample("piprov_ingested_total")?,
+            vets_passed: sample("piprov_vets_passed_total")?,
+            vets_failed: sample("piprov_vets_failed_total")?,
+            index_hits: sample("piprov_index_hits_total")?,
+            memo_hits: sample("piprov_memo_hits_total")?,
+            ingest_batches: sample("piprov_ingest_batches_total")?,
+            busy_rejections: sample("piprov_busy_rejections_total")?,
+            queue_depth: sample("piprov_queue_depth")?,
+            snapshots_published: sample("piprov_snapshots_published_total")?,
+            snapshot_lag: sample("piprov_snapshot_lag")?,
+            watermark: sample("piprov_watermark")?,
         })
     }
 
-    fn metrics_snapshot(&mut self) -> Result<MetricsSnapshot, ClientError> {
+    /// The server's full metrics plane as Prometheus exposition text:
+    /// engine, store and interner counters, the stage histograms, and every
+    /// registered policy's verdict counters and vet-latency histogram.  It
+    /// is the body `GET /metrics` serves; read one sample with
+    /// [`piprov_audit::exposition_sample`].
+    ///
+    /// # Errors
+    ///
+    /// As [`AuditClient::request`].
+    pub fn metrics(&mut self) -> Result<String, ClientError> {
         match self.round_trip(&WireRequest::Metrics)? {
-            WireResponse::Metrics(snapshot) => Ok(*snapshot),
+            WireResponse::Metrics(text) => Ok(text),
             WireResponse::ServerError { message } => Err(ClientError::Server(message)),
             other => Err(ClientError::UnexpectedResponse(format!("{:?}", other))),
         }

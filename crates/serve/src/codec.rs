@@ -23,19 +23,18 @@
 use crate::wire::{WireError, WireLimits, WIRE_VERSION};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use piprov_audit::{
-    AuditOutcome, AuditRequest, AuditResponse, CounterfactualVerdict, EngineStats, EventFilter,
-    Exemplar, HistogramSnapshot, MetricsSnapshot, PolicyInfo, PolicyListing, PolicySnapshot,
-    RequestKind, RequestStats, Span, SpanKind, TraceContext, TraceRecord, WhyEvent, WhySlice,
+    AuditOutcome, AuditRequest, AuditResponse, CounterfactualVerdict, EventFilter, PolicyInfo,
+    PolicyListing, RequestKind, RequestStats, Span, SpanKind, TraceContext, TraceRecord, WhyEvent,
+    WhySlice,
 };
-use piprov_core::provenance::{Direction, Event, InternerStats};
-use piprov_patterns::MemoStats;
+use piprov_core::provenance::{Direction, Event};
 use piprov_policy::{PackDiagnostic, PackFile, PackSource};
 use piprov_store::codec::{
     decode_bodies, encode_body, get_name, get_name_in_run, get_node_ref, get_node_table, get_str,
     get_value, put_str, put_value, NodeTable,
 };
 use piprov_store::record::{direction_from_tag, direction_tag};
-use piprov_store::{AuditTrail, ProvenanceRecord, StoreStats};
+use piprov_store::{AuditTrail, ProvenanceRecord};
 
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,9 +70,8 @@ pub enum WireRequest {
     /// to decode, or an append error), and otherwise with a sync error.
     /// Another connection's failure never reaches it.
     Flush,
-    /// The full metrics plane: engine/store/interner counters plus every
-    /// registered policy's verdict counters and latency histogram (see
-    /// [`piprov_audit::MetricsSnapshot`]).
+    /// The full metrics plane as Prometheus text (see
+    /// [`WireResponse::Metrics`]).
     Metrics,
     /// Recent traces from the server's ring-buffer collector, oldest
     /// first, dropping traces shorter than `min_total_ns` end to end.
@@ -137,13 +135,20 @@ pub enum WireResponse {
         /// polling for it.
         watermark: u64,
     },
-    /// Answer to [`WireRequest::Metrics`]: the typed snapshot; the client
-    /// renders the Prometheus exposition locally from it
-    /// ([`piprov_audit::MetricsSnapshot::exposition`] is deterministic, so
-    /// client and server render identical text).  Boxed: the snapshot is
-    /// by far the largest payload, and boxing it keeps every other
-    /// response variant small on the stack.
-    Metrics(Box<MetricsSnapshot>),
+    /// Answer to [`WireRequest::Metrics`]: the Prometheus exposition of
+    /// every counter surface, byte for byte the body `GET /metrics` serves
+    /// at the same state (exemplars included when
+    /// [`piprov_audit::TraceConfig::exemplars`] is set), as u32-length
+    /// text.  [`piprov_audit::exposition_sample`] reads one sample back.
+    /// Each registered policy adds 2,008 B to the ~11 KB of the engine and
+    /// stage families (e15's `bytes` column, `cargo bench -p piprov-bench
+    /// --bench metrics`: 13,028 B at one policy, 139,532 B at 64), so
+    /// without exemplars the answer reaches the default 16 MiB frame cap
+    /// ([`crate::DEFAULT_MAX_FRAME_LEN`]) at about 8,350 policies.  An
+    /// exemplar adds about 60 B to each of a policy's 17 bucket lines,
+    /// which brings that down to about 5,500.  A client refuses a larger
+    /// answer with [`WireError::FrameTooLarge`].
+    Metrics(String),
     /// Answer to [`WireRequest::Traces`]: recent traces from the ring
     /// collector, oldest first, already merged by trace id.
     Traces(Vec<TraceRecord>),
@@ -414,9 +419,9 @@ fn get_records(
     decode_bodies(get_record_bodies(buf, limits, what)?).map_err(store_err)
 }
 
-/// A u32-length-prefixed text blob: pack file sources (and canonical
-/// policy text) routinely outgrow the u16-prefixed name vocabulary of
-/// [`put_str`].
+/// A u32-length-prefixed text blob: pack file sources, canonical policy
+/// text and the metrics exposition routinely outgrow the u16-prefixed name
+/// vocabulary of [`put_str`].
 fn put_text(buf: &mut BytesMut, text: &str) {
     buf.put_u32(text.len() as u32);
     buf.put_slice(text.as_bytes());
@@ -718,268 +723,6 @@ fn get_names<N: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<Vec<N>, WireEr
     get_seq(buf, "name count", 2, wire_name)
 }
 
-fn put_engine_stats(buf: &mut BytesMut, stats: &EngineStats) {
-    // Exhaustive destructuring (no `..`): adding a field to `EngineStats`
-    // without threading it through the wire is a compile error here —
-    // this codec already forgot `snapshots_published`/`snapshot_lag` once.
-    let EngineStats {
-        requests,
-        ingested,
-        vets_passed,
-        vets_failed,
-        index_hits,
-        memo_hits,
-        ingest_batches,
-        busy_rejections,
-        queue_depth,
-        snapshots_published,
-        snapshot_lag,
-        watermark,
-    } = *stats;
-    for field in [
-        requests,
-        ingested,
-        vets_passed,
-        vets_failed,
-        index_hits,
-        memo_hits,
-        ingest_batches,
-        busy_rejections,
-        queue_depth,
-        snapshots_published,
-        snapshot_lag,
-        watermark,
-    ] {
-        buf.put_u64(field);
-    }
-}
-
-fn get_engine_stats(buf: &mut Bytes) -> Result<EngineStats, WireError> {
-    need(buf, 96, "engine stats")?;
-    Ok(EngineStats {
-        requests: buf.get_u64(),
-        ingested: buf.get_u64(),
-        vets_passed: buf.get_u64(),
-        vets_failed: buf.get_u64(),
-        index_hits: buf.get_u64(),
-        memo_hits: buf.get_u64(),
-        ingest_batches: buf.get_u64(),
-        busy_rejections: buf.get_u64(),
-        queue_depth: buf.get_u64(),
-        snapshots_published: buf.get_u64(),
-        snapshot_lag: buf.get_u64(),
-        watermark: buf.get_u64(),
-    })
-}
-
-fn put_store_stats(buf: &mut BytesMut, stats: &StoreStats) {
-    let StoreStats {
-        records,
-        segments,
-        bytes,
-    } = *stats;
-    buf.put_u64(records as u64);
-    buf.put_u64(segments as u64);
-    buf.put_u64(bytes as u64);
-}
-
-fn get_store_stats(buf: &mut Bytes) -> Result<StoreStats, WireError> {
-    need(buf, 24, "store stats")?;
-    Ok(StoreStats {
-        records: buf.get_u64() as usize,
-        segments: buf.get_u64() as usize,
-        bytes: buf.get_u64() as usize,
-    })
-}
-
-fn put_interner_stats(buf: &mut BytesMut, stats: &InternerStats) {
-    let InternerStats {
-        interned_nodes,
-        hits,
-        misses,
-    } = *stats;
-    buf.put_u64(interned_nodes as u64);
-    buf.put_u64(hits);
-    buf.put_u64(misses);
-}
-
-fn get_interner_stats(buf: &mut Bytes) -> Result<InternerStats, WireError> {
-    need(buf, 24, "interner stats")?;
-    Ok(InternerStats {
-        interned_nodes: buf.get_u64() as usize,
-        hits: buf.get_u64(),
-        misses: buf.get_u64(),
-    })
-}
-
-fn put_memo_stats(buf: &mut BytesMut, stats: &MemoStats) {
-    let MemoStats {
-        entries,
-        bound,
-        epochs,
-        hits,
-        misses,
-        retained,
-    } = *stats;
-    buf.put_u64(entries as u64);
-    buf.put_u64(bound as u64);
-    buf.put_u64(epochs);
-    buf.put_u64(hits);
-    buf.put_u64(misses);
-    buf.put_u64(retained);
-}
-
-fn get_memo_stats(buf: &mut Bytes) -> Result<MemoStats, WireError> {
-    need(buf, 48, "memo stats")?;
-    Ok(MemoStats {
-        entries: buf.get_u64() as usize,
-        bound: buf.get_u64() as usize,
-        epochs: buf.get_u64(),
-        hits: buf.get_u64(),
-        misses: buf.get_u64(),
-        retained: buf.get_u64(),
-    })
-}
-
-fn put_histogram(buf: &mut BytesMut, histogram: &HistogramSnapshot) {
-    let HistogramSnapshot {
-        counts,
-        overflow,
-        sum_ns,
-        count,
-        exemplars,
-    } = histogram;
-    put_seq(buf, counts, |buf, bucket| buf.put_u64(*bucket));
-    buf.put_u64(*overflow);
-    buf.put_u64(*sum_ns);
-    buf.put_u64(*count);
-    put_seq(buf, exemplars, |buf, exemplar| {
-        put_opt(buf, exemplar.as_ref(), |buf, exemplar| {
-            put_trace_id(buf, exemplar.trace_id);
-            buf.put_u64(exemplar.value_ns);
-        })
-    });
-}
-
-fn get_histogram(buf: &mut Bytes) -> Result<HistogramSnapshot, WireError> {
-    let counts = get_seq(buf, "histogram bucket count", 8, |buf| {
-        wire_u64(buf, "histogram bucket")
-    })?;
-    need(buf, 24, "histogram tail")?;
-    let overflow = buf.get_u64();
-    let sum_ns = buf.get_u64();
-    let count = buf.get_u64();
-    // An exemplar slot costs at least its presence byte.
-    let exemplars = get_seq(buf, "exemplar count", 1, |buf| {
-        get_opt(buf, "exemplar flag", |buf| {
-            need(buf, 24, "exemplar")?;
-            Ok(Exemplar {
-                trace_id: get_trace_id(buf),
-                value_ns: buf.get_u64(),
-            })
-        })
-    })?;
-    Ok(HistogramSnapshot {
-        counts,
-        overflow,
-        sum_ns,
-        count,
-        exemplars,
-    })
-}
-
-fn put_policy_snapshot(buf: &mut BytesMut, policy: &PolicySnapshot) {
-    let PolicySnapshot {
-        policy: name,
-        memo,
-        vets_passed,
-        vets_failed,
-        vets_unknown_value,
-        counterfactuals,
-        counterfactual_flips,
-        latency,
-    } = policy;
-    put_str(buf, name);
-    put_memo_stats(buf, memo);
-    buf.put_u64(*vets_passed);
-    buf.put_u64(*vets_failed);
-    buf.put_u64(*vets_unknown_value);
-    buf.put_u64(*counterfactuals);
-    buf.put_u64(*counterfactual_flips);
-    put_histogram(buf, latency);
-}
-
-fn get_policy_snapshot(buf: &mut Bytes) -> Result<PolicySnapshot, WireError> {
-    let policy = wire_str(buf)?;
-    let memo = get_memo_stats(buf)?;
-    need(buf, 40, "policy counters")?;
-    Ok(PolicySnapshot {
-        policy,
-        memo,
-        vets_passed: buf.get_u64(),
-        vets_failed: buf.get_u64(),
-        vets_unknown_value: buf.get_u64(),
-        counterfactuals: buf.get_u64(),
-        counterfactual_flips: buf.get_u64(),
-        latency: get_histogram(buf)?,
-    })
-}
-
-fn put_metrics_snapshot(buf: &mut BytesMut, metrics: &MetricsSnapshot) {
-    let MetricsSnapshot {
-        engine,
-        store,
-        interner,
-        vets_unknown_pattern,
-        stages,
-        uptime_seconds,
-        connections_accepted,
-        connections_closed,
-        open_connections,
-        policies,
-    } = metrics;
-    put_engine_stats(buf, engine);
-    put_store_stats(buf, store);
-    put_interner_stats(buf, interner);
-    buf.put_u64(*vets_unknown_pattern);
-    put_seq(buf, stages, |buf, (stage, histogram)| {
-        buf.put_u8(*stage as u8);
-        put_histogram(buf, histogram);
-    });
-    buf.put_u64(*uptime_seconds);
-    buf.put_u64(*connections_accepted);
-    buf.put_u64(*connections_closed);
-    buf.put_u64(*open_connections);
-    put_seq(buf, policies, put_policy_snapshot);
-}
-
-fn get_metrics_snapshot(buf: &mut Bytes) -> Result<MetricsSnapshot, WireError> {
-    let engine = get_engine_stats(buf)?;
-    let store = get_store_stats(buf)?;
-    let interner = get_interner_stats(buf)?;
-    let vets_unknown_pattern = wire_u64(buf, "unknown-pattern counter")?;
-    // A stage costs its kind byte and a 32-byte histogram with no buckets.
-    let stages = get_seq(buf, "stage count", 33, |buf| {
-        need(buf, 1, "stage kind")?;
-        Ok((get_span_kind(buf)?, get_histogram(buf)?))
-    })?;
-    need(buf, 32, "serving lifecycle counters")?;
-    Ok(MetricsSnapshot {
-        engine,
-        store,
-        interner,
-        vets_unknown_pattern,
-        stages,
-        uptime_seconds: buf.get_u64(),
-        connections_accepted: buf.get_u64(),
-        connections_closed: buf.get_u64(),
-        open_connections: buf.get_u64(),
-        // A policy costs at least its 2 name-length bytes, 48 memo bytes,
-        // 40 counter bytes and a 32-byte histogram with no buckets.
-        policies: get_seq(buf, "policy count", 122, get_policy_snapshot)?,
-    })
-}
-
 /// Reads one [`SpanKind`] byte; the caller has checked it is there.
 fn get_span_kind(buf: &mut Bytes) -> Result<SpanKind, WireError> {
     let kind = buf.get_u8();
@@ -1106,9 +849,7 @@ pub fn encode_response(response: &WireResponse) -> Bytes {
             buf.put_u64(*ingested);
             buf.put_u64(*watermark);
         }),
-        WireResponse::Metrics(metrics) => finish_message(RESP_METRICS, |buf| {
-            put_metrics_snapshot(buf, metrics);
-        }),
+        WireResponse::Metrics(text) => finish_message(RESP_METRICS, |buf| put_text(buf, text)),
         WireResponse::Traces(records) => finish_message(RESP_TRACES, |buf| {
             put_seq(buf, records, put_trace_record);
         }),
@@ -1230,7 +971,7 @@ pub fn decode_response(mut buf: Bytes, limits: &WireLimits) -> Result<WireRespon
                 watermark: buf.get_u64(),
             }
         }
-        RESP_METRICS => WireResponse::Metrics(Box::new(get_metrics_snapshot(&mut buf)?)),
+        RESP_METRICS => WireResponse::Metrics(get_text(&mut buf)?),
         // A trace record costs at least its 16 id + 1 kind + 8 total + 4
         // span-count bytes.
         RESP_TRACES => {
@@ -1479,161 +1220,27 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshots_round_trip() {
+    fn metrics_text_round_trips_and_must_be_utf8() {
         let limits = WireLimits::default();
-        let metrics = MetricsSnapshot {
-            engine: EngineStats {
-                requests: 7,
-                ingested: 100,
-                vets_passed: 5,
-                vets_failed: 2,
-                index_hits: 40,
-                memo_hits: 3,
-                ingest_batches: 9,
-                busy_rejections: 1,
-                queue_depth: 2,
-                snapshots_published: 9,
-                snapshot_lag: 3,
-                watermark: 100,
-            },
-            store: StoreStats {
-                records: 100,
-                segments: 2,
-                bytes: 12_345,
-            },
-            interner: InternerStats {
-                interned_nodes: 50,
-                hits: 200,
-                misses: 50,
-            },
-            vets_unknown_pattern: 4,
-            stages: vec![
-                (
-                    SpanKind::Decode,
-                    HistogramSnapshot {
-                        counts: vec![2; piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len()],
-                        overflow: 1,
-                        sum_ns: 777,
-                        count: 33,
-                        exemplars: {
-                            // One populated bucket exemplar plus an overflow
-                            // exemplar, to exercise the flag-gated wire form.
-                            let mut exemplars: Vec<Option<Exemplar>> =
-                                vec![None; piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len() + 1];
-                            exemplars[3] = Some(Exemplar {
-                                trace_id: 0xfeed_beef_0123,
-                                value_ns: 4_096,
-                            });
-                            exemplars[piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len()] =
-                                Some(Exemplar {
-                                    trace_id: u128::MAX,
-                                    value_ns: u64::MAX,
-                                });
-                            exemplars
-                        },
-                    },
-                ),
-                (
-                    SpanKind::Handle,
-                    HistogramSnapshot {
-                        counts: vec![0; piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len()],
-                        overflow: 9,
-                        sum_ns: 888,
-                        count: 9,
-                        exemplars: Vec::new(),
-                    },
-                ),
-                (SpanKind::Write, HistogramSnapshot::default()),
-            ],
-            uptime_seconds: 3_601,
-            connections_accepted: 12,
-            connections_closed: 9,
-            open_connections: 3,
-            policies: vec![PolicySnapshot {
-                policy: "chain-only".into(),
-                memo: MemoStats {
-                    entries: 10,
-                    bound: 4096,
-                    epochs: 0,
-                    hits: 6,
-                    misses: 10,
-                    retained: 0,
-                },
-                vets_passed: 5,
-                vets_failed: 2,
-                vets_unknown_value: 1,
-                counterfactuals: 7,
-                counterfactual_flips: 3,
-                latency: HistogramSnapshot {
-                    counts: vec![1; piprov_audit::LATENCY_BUCKET_BOUNDS_NS.len()],
-                    overflow: 0,
-                    sum_ns: 123_456,
-                    count: 16,
-                    exemplars: Vec::new(),
-                },
-            }],
-        };
-        let response = WireResponse::Metrics(Box::new(metrics));
-        let decoded = decode_response(encode_response(&response), &limits).unwrap();
-        assert_eq!(decoded, response);
-        // An empty registry round-trips too.
-        let empty = WireResponse::Metrics(Box::new(MetricsSnapshot {
-            engine: EngineStats::default(),
-            store: StoreStats::default(),
-            interner: InternerStats {
-                interned_nodes: 0,
-                hits: 0,
-                misses: 0,
-            },
-            vets_unknown_pattern: 0,
-            stages: Vec::new(),
-            uptime_seconds: 0,
-            connections_accepted: 0,
-            connections_closed: 0,
-            open_connections: 0,
-            policies: Vec::new(),
-        }));
-        let decoded = decode_response(encode_response(&empty), &limits).unwrap();
-        assert_eq!(decoded, empty);
-    }
-
-    #[test]
-    fn a_metrics_stage_with_an_unknown_kind_is_malformed() {
-        let limits = WireLimits::default();
-        let encode = |stage: SpanKind| {
-            encode_response(&WireResponse::Metrics(Box::new(MetricsSnapshot {
-                engine: EngineStats::default(),
-                store: StoreStats::default(),
-                interner: InternerStats {
-                    interned_nodes: 0,
-                    hits: 0,
-                    misses: 0,
-                },
-                vets_unknown_pattern: 0,
-                stages: vec![(stage, HistogramSnapshot::default())],
-                uptime_seconds: 0,
-                connections_accepted: 0,
-                connections_closed: 0,
-                open_connections: 0,
-                policies: Vec::new(),
-            })))
-        };
-        // The two bodies differ only in the stage's kind byte.
-        let (decode, write) = (encode(SpanKind::Decode), encode(SpanKind::Write));
-        let at = (0..decode.len()).find(|&i| decode[i] != write[i]).unwrap();
-        assert_eq!((decode[at], write[at]), (2, 5));
-        for kind in [0, 6] {
-            let mut body = decode.to_vec();
-            body[at] = kind;
-            assert!(
-                matches!(
-                    decode_response(Bytes::from(body), &limits),
-                    Err(WireError::Malformed(_))
-                ),
-                "stage kind {}",
-                kind
-            );
+        for text in [
+            String::new(),
+            "# TYPE piprov_requests_total counter\npiprov_requests_total 7\n".to_string(),
+            "policy=\"\u{e9}t\u{e9}\" \u{1f600}\n".repeat(1_000),
+        ] {
+            let response = WireResponse::Metrics(text);
+            let decoded = decode_response(encode_response(&response), &limits).unwrap();
+            assert_eq!(decoded, response);
         }
+        // A text body that is not UTF-8 is malformed: cut a two-byte
+        // character in half and shorten the length prefix to match.
+        let mut body = encode_response(&WireResponse::Metrics("\u{e9}".to_string())).to_vec();
+        assert_eq!(body[2..6], [0, 0, 0, 2]);
+        body[5] = 1;
+        body.pop();
+        assert!(matches!(
+            decode_response(Bytes::from(body), &limits),
+            Err(WireError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -2015,7 +1622,7 @@ mod tests {
 
     #[test]
     fn every_version_but_the_current_one_is_unsupported() {
-        assert_eq!(WIRE_VERSION, 10);
+        assert_eq!(WIRE_VERSION, 11);
         let limits = WireLimits::default();
         let request = encode_request(&WireRequest::Audit(AuditRequest::VetValue {
             value: Value::Channel(Channel::new("v")),
@@ -2027,7 +1634,7 @@ mod tests {
         });
         assert!(decode_request_traced(request.clone(), &limits).is_ok());
         assert!(decode_response(response.clone(), &limits).is_ok());
-        for version in [3, 4, 5, 6, 7, 8, 9] {
+        for version in [3, 4, 5, 6, 7, 8, 9, 10] {
             let mut body = request.to_vec();
             body[0] = version;
             assert!(matches!(

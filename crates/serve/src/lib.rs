@@ -9,9 +9,10 @@
 //! stopped at a thread boundary.  Here the typed
 //! `AuditRequest`/`AuditResponse` vocabulary — plus `IngestBatch` ingest
 //! and `Flush`/`Metrics` control messages (`Metrics` ships the whole
-//! observability plane: every counter surface plus per-policy latency
-//! histograms, rendered to Prometheus text by [`AuditClient::metrics`])
-//! and the policy-pack plane
+//! observability plane as the Prometheus text the server also serves on
+//! `GET /metrics`, rendered once on the server: [`AuditClient::metrics`]
+//! returns it, and [`piprov_audit::exposition_sample`] reads one sample
+//! out of it) and the policy-pack plane
 //! (`LoadPack` ships a whole pack for one atomic, versioned swap —
 //! [`AuditClient::load_pack`] — and `ListPolicies` reads back the
 //! published set, also served as plaintext on `GET /policies`) —
@@ -102,7 +103,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::{
-    AuditClient, ClientConfig, ClientError, FlushAck, IngestOutcome, MetricsReport, PackLoadOutcome,
+    AuditClient, ClientConfig, ClientError, FlushAck, IngestOutcome, PackLoadOutcome,
 };
 pub use codec::{request_kind, RequestTrace, WireRequest, WireResponse};
 pub use recorder::RemoteRecorder;

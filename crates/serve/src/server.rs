@@ -34,8 +34,8 @@ use crate::codec::{WireRequest, WireResponse};
 use crate::event_loop::EventLoopHandle;
 use crate::wire::WireLimits;
 use piprov_audit::{
-    render_traces, AuditEngine, AuditOutcome, AuditRequest, ExpositionOptions, IngestQueue,
-    PolicyListing, TraceCollector, TraceConfig, TraceContext,
+    render_exposition_with, render_traces, AuditEngine, AuditOutcome, AuditRequest,
+    ExpositionOptions, IngestQueue, PolicyListing, TraceCollector, TraceConfig, TraceContext,
 };
 use piprov_core::name::Channel;
 use piprov_core::value::Value;
@@ -63,8 +63,8 @@ pub struct ServeConfig {
     /// default) never expires idle connections.
     pub idle_timeout: Option<Duration>,
     /// The request-tracing plane: sampling rate, slow threshold, ring
-    /// capacity and whether the `/metrics` exposition carries histogram
-    /// exemplars.  Every traced request records `decode`, `handle` and
+    /// capacity and whether the metrics exposition (`GET /metrics` and the
+    /// wire `Metrics` answer) carries histogram exemplars.  Every traced request records `decode`, `handle` and
     /// `write` spans, plus `client_encode` when the client sent it.
     pub trace: TraceConfig,
 }
@@ -186,6 +186,18 @@ pub(crate) fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// The Prometheus exposition of `engine`'s metrics, with exemplar
+/// suffixes when the collector's [`TraceConfig::exemplars`] is set: the
+/// body of `GET /metrics` and the text of the wire `Metrics` answer alike.
+fn exposition(engine: &AuditEngine, collector: &TraceCollector) -> String {
+    render_exposition_with(
+        &engine.metrics(),
+        &ExpositionOptions {
+            exemplars: collector.config().exemplars,
+        },
+    )
+}
+
 /// Renders the complete HTTP/1.1 response for a sniffed `GET` request:
 /// the Prometheus exposition for `/metrics` (`text/plain; version=0.0.4`,
 /// the content type Prometheus scrapers negotiate, with exemplar suffixes
@@ -213,12 +225,7 @@ pub(crate) fn http_response_for(
         Some("/metrics") => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            piprov_audit::render_exposition_with(
-                &engine.metrics(),
-                &ExpositionOptions {
-                    exemplars: collector.config().exemplars,
-                },
-            ),
+            exposition(engine, collector),
         ),
         Some("/trace") => (
             "200 OK",
@@ -370,7 +377,7 @@ pub(crate) fn handle_request(
         WireRequest::IngestBatch(_) | WireRequest::Flush => {
             unreachable!("the event loop admits ingest frames and tickets a Flush")
         }
-        WireRequest::Metrics => WireResponse::Metrics(Box::new(engine.metrics())),
+        WireRequest::Metrics => WireResponse::Metrics(exposition(engine, collector)),
         WireRequest::Traces { min_total_ns } => {
             WireResponse::Traces(collector.snapshot(min_total_ns))
         }

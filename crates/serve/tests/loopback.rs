@@ -377,43 +377,60 @@ fn metrics_round_trip_over_the_wire_and_the_exposition_lints_clean() {
         })
         .unwrap();
 
-    let report = client.metrics().unwrap();
-    // The typed snapshot matches the engine the server wraps.  (Interner
-    // fields are process-global and other tests run in parallel, so only
-    // engine-local surfaces are compared.)
-    assert_eq!(report.snapshot.engine, engine.stats());
-    assert_eq!(report.snapshot.store, engine.store_stats());
-    let names: Vec<&str> = report
-        .snapshot
-        .policies
-        .iter()
-        .map(|p| p.policy.as_str())
-        .collect();
-    assert_eq!(names, ["from-s0", "from-s1"], "policies arrive sorted");
-    let s0 = &report.snapshot.policies[0];
-    assert_eq!(s0.vets_passed, 3);
-    assert_eq!(s0.vets_failed, 3);
-    assert_eq!(s0.vets_unknown_value, 1);
+    let text = client.metrics().unwrap();
+    let sample = |name: &str, labels: &[(&str, &str)]| {
+        piprov_audit::exposition_sample(&text, name, labels)
+            .and_then(|value| value.parse::<u64>().ok())
+    };
+    // The counters the text carries match the engine the server wraps.
+    // (Interner samples are process-global and other tests run in
+    // parallel, so only engine-local surfaces are compared.)
+    assert_eq!(client.stats().unwrap(), engine.stats());
+    let store = engine.store_stats();
     assert_eq!(
-        s0.latency.count, 7,
+        sample("piprov_store_records", &[]),
+        Some(store.records as u64)
+    );
+    assert_eq!(
+        sample("piprov_store_segments", &[]),
+        Some(store.segments as u64)
+    );
+    assert_eq!(sample("piprov_store_bytes", &[]), Some(store.bytes as u64));
+    let passed = "piprov_policy_vets_passed_total";
+    let row = |policy: &str| text.find(&format!("{}{{policy=\"{}\"}} ", passed, policy));
+    assert!(row("from-s0").is_some(), "{}", text);
+    assert!(row("from-s0") < row("from-s1"), "policies arrive sorted");
+    assert_eq!(text.matches(&format!("\n{}{{", passed)).count(), 2);
+    let s0 = [("policy", "from-s0")];
+    assert_eq!(sample(passed, &s0), Some(3));
+    assert_eq!(sample("piprov_policy_vets_failed_total", &s0), Some(3));
+    assert_eq!(
+        sample("piprov_policy_vets_unknown_value_total", &s0),
+        Some(1)
+    );
+    assert_eq!(
+        sample("piprov_vet_latency_seconds_count", &s0),
+        Some(7),
         "every vet against the policy is timed, unknown values included"
     );
+    // The cumulative `+Inf` bucket sums every bucket and the overflow.
     assert_eq!(
-        s0.latency.counts.iter().sum::<u64>() + s0.latency.overflow,
-        s0.latency.count
+        sample(
+            "piprov_vet_latency_seconds_bucket",
+            &[("policy", "from-s0"), ("le", "+Inf")]
+        ),
+        Some(7)
     );
-    assert_eq!(report.snapshot.policies[1].latency.count, 0);
+    assert_eq!(
+        sample("piprov_vet_latency_seconds_count", &[("policy", "from-s1")]),
+        Some(0)
+    );
 
-    // The client-side render is the server-side render (deterministic),
-    // and it lints clean under the exposition-format validator.
-    assert_eq!(report.exposition, report.snapshot.exposition());
-    piprov_audit::validate_exposition(&report.exposition).unwrap();
-    assert!(report
-        .exposition
-        .contains("piprov_vet_latency_seconds_bucket{policy=\"from-s0\""));
-    assert!(report
-        .exposition
-        .contains("piprov_policy_vets_passed_total{policy=\"from-s0\"} 3"));
+    // The server renders the text once, and it lints clean under the
+    // exposition-format validator.
+    piprov_audit::validate_exposition(&text).unwrap();
+    assert!(text.contains("piprov_vet_latency_seconds_bucket{policy=\"from-s0\""));
+    assert!(text.contains("piprov_policy_vets_passed_total{policy=\"from-s0\"} 3"));
     drop(client);
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();

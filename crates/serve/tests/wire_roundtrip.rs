@@ -12,15 +12,14 @@
 
 use bytes::Bytes;
 use piprov_audit::{
-    AuditEngine, AuditOutcome, AuditRequest, AuditResponse, CounterfactualVerdict, EngineStats,
-    EventFilter, Exemplar, HistogramSnapshot, MetricsSnapshot, PolicyInfo, PolicyListing,
-    PolicySnapshot, RequestKind, RequestStats, Span, SpanKind, TraceContext, TraceRecord, WhyEvent,
-    WhySlice,
+    AuditEngine, AuditOutcome, AuditRequest, AuditResponse, CounterfactualVerdict, EventFilter,
+    PolicyInfo, PolicyListing, RequestKind, RequestStats, Span, SpanKind, TraceContext,
+    TraceRecord, WhyEvent, WhySlice,
 };
 use piprov_core::name::{Channel, Principal};
-use piprov_core::provenance::{Direction, Event, InternerStats, Provenance};
+use piprov_core::provenance::{Direction, Event, Provenance};
 use piprov_core::value::Value;
-use piprov_patterns::{MemoStats, Pattern};
+use piprov_patterns::Pattern;
 use piprov_policy::{PackDiagnostic, PackFile, PackSource};
 use piprov_serve::codec::{
     append_request_trace, decode_request, decode_request_traced, decode_response, encode_request,
@@ -267,155 +266,17 @@ fn arb_pack_source() -> impl Strategy<Value = PackSource> {
     })
 }
 
-fn arb_engine_stats() -> impl Strategy<Value = EngineStats> {
-    proptest::collection::vec(0u64..u64::MAX, 12..13).prop_map(|v| EngineStats {
-        requests: v[0],
-        ingested: v[1],
-        vets_passed: v[2],
-        vets_failed: v[3],
-        index_hits: v[4],
-        memo_hits: v[5],
-        ingest_batches: v[6],
-        busy_rejections: v[7],
-        queue_depth: v[8],
-        snapshots_published: v[9],
-        snapshot_lag: v[10],
-        watermark: v[11],
-    })
-}
-
-fn arb_memo_stats() -> impl Strategy<Value = MemoStats> {
-    (
-        0usize..1 << 20,
-        0usize..1 << 20,
-        0u64..1 << 40,
-        0u64..1 << 40,
-        0u64..1 << 40,
-        0u64..1 << 40,
-    )
-        .prop_map(
-            |(entries, bound, epochs, hits, misses, retained)| MemoStats {
-                entries,
-                bound,
-                epochs,
-                hits,
-                misses,
-                retained,
-            },
-        )
-}
-
 /// A 128-bit trace id out of two 64-bit halves (the vendored proptest
 /// shim has no `u128` ranges); the nonzero low half keeps it a real id.
 fn arb_trace_id() -> impl Strategy<Value = u128> {
     (0u64..u64::MAX, 1u64..u64::MAX).prop_map(|(hi, lo)| ((hi as u128) << 64) | lo as u128)
 }
 
-fn arb_exemplar() -> impl Strategy<Value = Option<Exemplar>> {
-    prop_oneof![
-        2 => Just(None),
-        1 => (arb_trace_id(), 0u64..1 << 40)
-            .prop_map(|(trace_id, value_ns)| Some(Exemplar { trace_id, value_ns })),
-    ]
-}
-
-fn arb_histogram() -> impl Strategy<Value = HistogramSnapshot> {
-    (
-        proptest::collection::vec(0u64..1 << 40, 0..20),
-        0u64..1 << 40,
-        0u64..u64::MAX,
-        0u64..1 << 40,
-        proptest::collection::vec(arb_exemplar(), 0..18),
-    )
-        .prop_map(
-            |(counts, overflow, sum_ns, count, exemplars)| HistogramSnapshot {
-                counts,
-                overflow,
-                sum_ns,
-                count,
-                exemplars,
-            },
-        )
-}
-
-fn arb_policy_snapshot() -> impl Strategy<Value = PolicySnapshot> {
-    (
-        (0u32..64).prop_map(|i| format!("policy-{}", i)),
-        arb_memo_stats(),
-        (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
-        (0u64..1 << 40, 0u64..1 << 40),
-        arb_histogram(),
-    )
-        .prop_map(
-            |(
-                policy,
-                memo,
-                (vets_passed, vets_failed, vets_unknown_value),
-                (counterfactuals, counterfactual_flips),
-                latency,
-            )| {
-                PolicySnapshot {
-                    policy,
-                    memo,
-                    vets_passed,
-                    vets_failed,
-                    vets_unknown_value,
-                    counterfactuals,
-                    counterfactual_flips,
-                    latency,
-                }
-            },
-        )
-}
-
-fn arb_metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
-    (
-        arb_engine_stats(),
-        (0usize..1 << 30, 0usize..1 << 10, 0usize..1 << 40),
-        (0u64..u64::MAX, 0u64..u64::MAX, 0usize..1 << 20),
-        (
-            (
-                0u64..1 << 40,
-                proptest::collection::vec(
-                    arb_histogram(),
-                    SpanKind::ALL.len()..SpanKind::ALL.len() + 1,
-                ),
-            ),
-            (0u64..1 << 31, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 20),
-        ),
-        proptest::collection::vec(arb_policy_snapshot(), 0..4),
-    )
-        .prop_map(
-            |(
-                engine,
-                (records, segments, bytes),
-                (hits, misses, interned_nodes),
-                (
-                    (vets_unknown_pattern, stages),
-                    (uptime_seconds, connections_accepted, connections_closed, open_connections),
-                ),
-                policies,
-            )| MetricsSnapshot {
-                engine,
-                store: piprov_store::StoreStats {
-                    records,
-                    segments,
-                    bytes,
-                },
-                interner: InternerStats {
-                    interned_nodes,
-                    hits,
-                    misses,
-                },
-                vets_unknown_pattern,
-                stages: SpanKind::ALL.into_iter().zip(stages).collect(),
-                uptime_seconds,
-                connections_accepted,
-                connections_closed,
-                open_connections,
-                policies,
-            },
-        )
+/// Arbitrary UTF-8 text: code points drawn from the whole range, the
+/// surrogates (which no `char` holds) dropped.
+fn arb_metrics_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0u32..0x11_0000, 0..512)
+        .prop_map(|points| points.into_iter().filter_map(char::from_u32).collect())
 }
 
 fn arb_trace_record() -> impl Strategy<Value = TraceRecord> {
@@ -495,7 +356,7 @@ fn arb_wire_response() -> impl Strategy<Value = WireResponse> {
                 watermark,
             }
         }),
-        1 => arb_metrics_snapshot().prop_map(|m| WireResponse::Metrics(Box::new(m))),
+        1 => arb_metrics_text().prop_map(WireResponse::Metrics),
         1 => proptest::collection::vec(arb_trace_record(), 0..5).prop_map(WireResponse::Traces),
         1 => (0u32..64).prop_map(|i| WireResponse::ServerError {
             message: format!("error {}", i),

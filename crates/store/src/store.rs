@@ -23,21 +23,19 @@ use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Configuration of a [`ProvenanceStore`].
+/// Configuration of a [`ProvenanceStore`].  An append is durable once
+/// [`ProvenanceStore::sync`] (or a rotation) has run after it; the store
+/// never syncs by itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
     /// Size budget of a segment before rotation, in bytes.
     pub segment_budget: usize,
-    /// Whether every append is synced to stable storage (slow, durable) or
-    /// only flushed on [`ProvenanceStore::sync`] and rotation.
-    pub sync_every_append: bool,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             segment_budget: DEFAULT_SEGMENT_BUDGET,
-            sync_every_append: false,
         }
     }
 }
@@ -248,9 +246,10 @@ impl ProvenanceStore {
     /// Appends a record, assigning and returning its sequence number.
     ///
     /// The record joins the view as soon as the segment accepts it, so the
-    /// view never lags the log: when the per-append sync or the rotation
-    /// that follows fails, the error is returned but the record is already
-    /// visible (and a reopen recovers it).  If views handed out by
+    /// view never lags the log: when the rotation that follows fails, the
+    /// error is returned but the record is already visible (and a reopen
+    /// recovers it).  It is durable only once [`ProvenanceStore::sync`]
+    /// or a rotation has run after it.  If views handed out by
     /// [`ProvenanceStore::view`] are still held, the first append after
     /// them copies the view's skeleton and leaves theirs frozen.
     ///
@@ -258,7 +257,7 @@ impl ProvenanceStore {
     ///
     /// Returns [`StoreError::TooDeep`], having written nothing, if the
     /// record's provenance nests deeper than [`MAX_PROVENANCE_DEPTH`];
-    /// otherwise an error if the write, the sync or the rotation fails.
+    /// otherwise an error if the write or the rotation fails.
     pub fn append(&mut self, mut record: ProvenanceRecord) -> Result<SequenceNumber, StoreError> {
         let depth = record.provenance.depth();
         if depth > MAX_PROVENANCE_DEPTH {
@@ -270,9 +269,6 @@ impl ProvenanceStore {
         let written = self.active.append(&record)?;
         self.bytes_on_disk += written;
         Arc::make_mut(&mut self.view).push(record);
-        if self.config.sync_every_append {
-            self.active.sync()?;
-        }
         if self.active.is_full(self.config.segment_budget) {
             self.rotate()?;
         }
@@ -504,7 +500,6 @@ mod tests {
         let dir = temp_dir("rotate");
         let config = StoreConfig {
             segment_budget: 256,
-            sync_every_append: false,
         };
         let mut store = ProvenanceStore::open_with(&dir, config).unwrap();
         for i in 0..50 {
@@ -525,7 +520,6 @@ mod tests {
             &dir,
             StoreConfig {
                 segment_budget: 256,
-                sync_every_append: false,
             },
         )
         .unwrap();
@@ -667,10 +661,7 @@ mod tests {
     #[test]
     fn a_failed_rotation_keeps_the_active_segment() {
         let dir = temp_dir("failed-rotation");
-        let config = StoreConfig {
-            segment_budget: 1,
-            sync_every_append: false,
-        };
+        let config = StoreConfig { segment_budget: 1 };
         let mut store = ProvenanceStore::open_with(&dir, config).unwrap();
         let blocker = block_segment(&dir, 2);
         assert!(store.append(record(1, "a", "v")).is_err());
@@ -698,7 +689,6 @@ mod tests {
             &dir,
             StoreConfig {
                 segment_budget: 256,
-                sync_every_append: false,
             },
         )
         .unwrap();
@@ -798,7 +788,6 @@ mod tests {
                 &dir,
                 StoreConfig {
                     segment_budget: 256,
-                    sync_every_append: false,
                 },
             )
             .unwrap();
@@ -973,7 +962,6 @@ mod tests {
                 &dir,
                 StoreConfig {
                     segment_budget: 256,
-                    sync_every_append: false,
                 },
             )
             .unwrap();
@@ -1025,27 +1013,6 @@ mod tests {
                 .count(),
             1
         );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sync_every_append_is_durable_without_explicit_sync() {
-        let dir = temp_dir("durable");
-        {
-            let mut store = ProvenanceStore::open_with(
-                &dir,
-                StoreConfig {
-                    segment_budget: DEFAULT_SEGMENT_BUDGET,
-                    sync_every_append: true,
-                },
-            )
-            .unwrap();
-            store.append(record(1, "a", "v")).unwrap();
-            // No explicit sync; drop without flushing the BufWriter would
-            // normally lose the record, but sync_every_append persisted it.
-        }
-        let store = ProvenanceStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -134,7 +134,6 @@ proptest! {
         let dir = temp_dir();
         let config = StoreConfig {
             segment_budget: 512,
-            sync_every_append: false,
         };
         let mut store = ProvenanceStore::open_with(&dir, config.clone()).unwrap();
         let mut model: Vec<ProvenanceRecord> = Vec::new();

@@ -117,24 +117,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.watermark, stats.snapshots_published, stats.snapshot_lag
     );
 
-    // 4. The full metrics plane in one round trip: the typed snapshot
-    //    plus the Prometheus text exposition a scrape endpoint would
-    //    serve.  The text lints clean by construction.
-    let report = client.metrics()?;
-    piprov::audit::validate_exposition(&report.exposition)
+    // 4. The full metrics plane in one round trip: the Prometheus text
+    //    exposition the server's `GET /metrics` also serves.  It lints
+    //    clean by construction, and one lookup reads a sample back.
+    let text = client.metrics()?;
+    piprov::audit::validate_exposition(&text)
         .map_err(|e| format!("exposition failed its own lint: {}", e))?;
+    let timed = |policy: &str| {
+        piprov::audit::exposition_sample(
+            &text,
+            "piprov_vet_latency_seconds_count",
+            &[("policy", policy)],
+        )
+        .and_then(|count| count.parse::<u64>().ok())
+    };
     println!(
         "\nmetrics: {} policies, {} vets timed against \"from-supplier\"",
-        report.snapshot.policies.len(),
-        report
-            .snapshot
-            .policies
-            .iter()
-            .find(|p| p.policy == "from-supplier")
-            .map(|p| p.latency.count)
-            .unwrap_or(0)
+        ["from-supplier", "chain-only"]
+            .into_iter()
+            .filter(|policy| timed(policy).is_some())
+            .count(),
+        timed("from-supplier").unwrap_or(0)
     );
     println!("--- prometheus exposition ---");
-    print!("{}", report.exposition);
+    print!("{}", text);
     Ok(())
 }

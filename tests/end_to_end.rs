@@ -47,7 +47,6 @@ fn simulate_persist_and_audit_a_pipeline() {
         &dir,
         StoreConfig {
             segment_budget: 2_048,
-            sync_every_append: false,
         },
     )
     .unwrap();

@@ -10,7 +10,7 @@
 //! The workload size scales with `PIPROV_PROPTEST_CASES` (the workspace's
 //! deep-run CI knob).
 
-use piprov::audit::{AuditConfig, AuditEngine, AuditOutcome, AuditRequest};
+use piprov::audit::{exposition_sample, AuditConfig, AuditEngine, AuditOutcome, AuditRequest};
 use piprov::prelude::*;
 use piprov::runtime::workload;
 use piprov::serve::{ClientConfig, IngestOutcome, ServeConfig};
@@ -174,41 +174,52 @@ fn simulation_streams_over_the_wire_and_concurrent_clients_agree_with_the_engine
     }
 
     // The whole interrogation is on the metrics plane: both policies'
-    // latency histograms filled on the vet hot path, the wire snapshot
-    // matches the engine, and the exposition lints clean.
+    // latency histograms filled on the vet hot path, the wire text's engine
+    // samples match the engine, and the exposition lints clean.
     let mut probe = AuditClient::connect(addr).unwrap();
-    let report = probe.metrics().unwrap();
-    assert_eq!(report.snapshot.engine, engine.stats());
-    let names: Vec<&str> = report
-        .snapshot
-        .policies
-        .iter()
-        .map(|p| p.policy.as_str())
-        .collect();
-    assert_eq!(names, ["chain-only", "from-supplier"]);
+    let text = probe.metrics().unwrap();
+    assert_eq!(probe.stats().unwrap(), engine.stats());
+    let sample = |name: &str, policy: &str, le: Option<&str>| {
+        let mut labels = vec![("policy", policy)];
+        labels.extend(le.map(|le| ("le", le)));
+        exposition_sample(&text, name, &labels)
+            .and_then(|value| value.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no {} for {} in\n{}", name, policy, text))
+    };
+    let row = |policy: &str| {
+        text.find(&format!(
+            "\npiprov_policy_vets_passed_total{{policy=\"{}\"}} ",
+            policy
+        ))
+    };
+    assert!(row("chain-only").is_some() && row("chain-only") < row("from-supplier"));
+    assert_eq!(
+        text.matches("\npiprov_policy_vets_passed_total{").count(),
+        2
+    );
     let vets_floor = (auditors * suppliers * items_per_supplier) as u64;
-    for policy in &report.snapshot.policies {
+    for policy in ["chain-only", "from-supplier"] {
+        let count = sample("piprov_vet_latency_seconds_count", policy, None);
         assert!(
-            policy.latency.count >= vets_floor,
+            count >= vets_floor,
             "policy {} timed only {} of ≥{} vets",
-            policy.policy,
-            policy.latency.count,
+            policy,
+            count,
             vets_floor
         );
         assert_eq!(
-            policy.latency.counts.iter().sum::<u64>() + policy.latency.overflow,
-            policy.latency.count,
+            sample("piprov_vet_latency_seconds_bucket", policy, Some("+Inf")),
+            count,
             "histogram buckets account for every observation"
         );
         assert_eq!(
-            policy.vets_passed + policy.vets_failed,
-            policy.latency.count
+            sample("piprov_policy_vets_passed_total", policy, None)
+                + sample("piprov_policy_vets_failed_total", policy, None),
+            count
         );
     }
-    validate_exposition(&report.exposition).unwrap();
-    assert!(report
-        .exposition
-        .contains("piprov_vet_latency_seconds_bucket{policy=\"from-supplier\""));
+    validate_exposition(&text).unwrap();
+    assert!(text.contains("piprov_vet_latency_seconds_bucket{policy=\"from-supplier\""));
     drop(probe);
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
